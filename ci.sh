@@ -7,8 +7,8 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace (every crate's unit, integration, property and doc tests)"
+cargo test -q --workspace
 
 echo "==> voxel-lint (static invariant pass, DESIGN.md §10; wall-time guard 10s; JSON -> results/lint.json)"
 mkdir -p results
@@ -16,9 +16,6 @@ cargo run -q --release -p voxel-lint -- --json results/lint.json --max-seconds 1
 
 echo "==> voxel-lint api-baseline (pub-surface diff vs lint/api-baseline.txt)"
 cargo run -q --release -p voxel-lint -- --only api
-
-echo "==> cargo test -q -p voxel-lint -p voxel-quic (lint self-tests + property tests)"
-cargo test -q -p voxel-lint -p voxel-quic
 
 echo "==> cargo test -q --features paranoid (runtime invariant audits)"
 cargo test -q --features paranoid
@@ -38,11 +35,11 @@ cargo run -q --release -p voxel-bench --bin cc_shootout -- --smoke
 echo "==> tier-2: edge sweep smoke (hot-cache hit floor + origin fan-in shield, DESIGN.md §16)"
 cargo run -q --release -p voxel-bench --bin edge_sweep -- --smoke
 
-echo "==> perf: criterion smoke (fleet scaling / rangeset / session loop)"
-VOXEL_BENCH_FAST=1 cargo bench -q -p voxel-bench --bench fleet
+echo "==> perf: benchmark smoke (every workload once, output gates armed; benchmark/README.md)"
+bash benchmark/run.sh --smoke
 
-echo "==> perf: BENCH_5.json shape check + regression compare (>15% below history median fails)"
-cargo run -q --release -p voxel-bench --bin check_bench5 -- --compare
+echo "==> perf: benchmark self-tests"
+cargo test -q --manifest-path benchmark/Cargo.toml
 
 echo "==> perf: profiler overhead guard (obs_ab, <5% on the session event loop)"
 cargo run -q --release -p voxel-bench --bin obs_ab

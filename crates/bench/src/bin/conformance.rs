@@ -11,7 +11,7 @@
 //! ```text
 //! cargo run --release -p voxel-bench --bin conformance [-- --fleets-only]
 //! --fleets-only           # only the golden-fleet parity sweep (the
-//!     # ci.sh sharded-parity step; skips the scenario sweep and bench)
+//!     # ci.sh sharded-parity step; skips the scenario sweep)
 //! VOXEL_SEEDS=8           # sweep seed count (default 5)
 //! VOXEL_BLESS=1           # re-bless the golden digests
 //! VOXEL_TESTKIT_FAULT=stall_off_by_one   # canary self-test: arm the
@@ -181,32 +181,6 @@ fn run_conformance() -> Result<bool, String> {
         }
     }
     let fleets_ok = run_fleet_goldens(&content, &golden_dir)?;
-
-    // Snapshot the perf baseline alongside the goldens so every green
-    // conformance run leaves a fresh, checkable BENCH_5.json behind.
-    let bench5 = voxel_bench::perf::collect(content.cache())?;
-    let bench5_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_5.json");
-    std::fs::write(&bench5_path, bench5.to_json())
-        .map_err(|e| format!("writing {}: {e}", bench5_path.display()))?;
-    println!("# perf baseline written to {}", bench5_path.display());
-    // Append this run's rates to the history so `check_bench5 --compare`
-    // has medians to diff future snapshots against.
-    let history_path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_HISTORY.jsonl");
-    use std::io::Write as _;
-    std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&history_path)
-        .and_then(|mut f| writeln!(f, "{}", bench5.history_line()))
-        .map_err(|e| format!("appending {}: {e}", history_path.display()))?;
-    println!("# perf history appended to {}", history_path.display());
-    for p in bench5.fleet_scaling.iter().chain([&bench5.fleet_bulk]) {
-        println!(
-            "#   {:>4} sessions: {:>8.0} steps/s ({:.0} ms wall, jain {:.3})",
-            p.sessions, p.steps_per_sec, p.wall_ms, p.jain
-        );
-    }
 
     Ok(report.ok() && goldens_ok && fleets_ok)
 }

@@ -3,8 +3,8 @@
 //!
 //! The experiment harness: one binary per table/figure of the paper
 //! (`cargo run --release -p voxel-bench --bin fig6`), each printing the
-//! rows/series the corresponding exhibit reports, plus Criterion
-//! micro-benchmarks for the hot paths (`cargo bench`).
+//! rows/series the corresponding exhibit reports. Performance is measured
+//! by the standalone `benchmark/` package, not here.
 //!
 //! ## Protocol fidelity vs wall-clock
 //!
@@ -15,8 +15,6 @@
 //! All reported statistics (90th percentile + standard error) are computed
 //! the same way regardless of the trial count. `EXPERIMENTS.md` records
 //! which count produced the committed numbers.
-
-pub mod perf;
 
 use voxel_core::experiment::{ContentCache, ExperimentBuilder};
 use voxel_core::metrics::Aggregate;

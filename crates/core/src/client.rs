@@ -229,11 +229,6 @@ impl ClientApp {
         &self.config
     }
 
-    /// Debug snapshot: (next segment index, download in flight, records).
-    pub fn debug_state(&self) -> (usize, bool, usize) {
-        (self.next_segment, self.dl.is_some(), self.records.len())
-    }
-
     /// Verbose debug line for the in-flight download.
     pub fn debug_download(&self) -> String {
         match &self.dl {

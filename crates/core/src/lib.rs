@@ -11,8 +11,9 @@
 //!   I-frame/headers + unreliable bodies), buffer and stall accounting,
 //!   segment abandonment, selective retransmission during buffer-full
 //!   periods, zero-padding and QoE scoring of partial segments.
-//! - [`session`]: the deterministic event loop wiring client, server and
-//!   path together for one playback trial.
+//! - [`session`]: the deterministic session event loop (`SessionCore`)
+//!   wiring client and server together over a `Wire` — a private emulated
+//!   path for one playback trial, the shared-link outbox in a fleet.
 //! - [`metrics`]: per-trial results (bufRatio, bitrates, SSIM/VMAF/PSNR
 //!   distributions, skipped data, retransmission recovery) and aggregation
 //!   helpers for the figures.

@@ -4,10 +4,9 @@ use voxel_media::qoe::QoeScores;
 use voxel_trace::MetricsSnapshot;
 
 /// Transport-layer statistics of one trial, taken from the server-side
-/// (data-sending) QUIC\* connection at session end. Counter fields come
-/// from the connection's own accounting and are always filled; the two
-/// mean fields are sourced from the trace metrics registry when tracing is
-/// on, and fall back to the final instantaneous values when it is off.
+/// (data-sending) QUIC\* connection at session end. Every field comes
+/// from the connection's own accounting, so a result is the same whether
+/// or not the session was traced.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct TransportStats {
     /// Packets sent.

@@ -1,14 +1,18 @@
-//! One playback trial: client ⇄ (bottleneck path) ⇄ server, in virtual time.
+//! One playback session: client ⇄ wire ⇄ server, in virtual time.
 //!
-//! The deterministic event loop owns both QUIC\* endpoints, the server and
-//! client applications, and the emulated path. Each iteration drains
-//! application logic and transmissions, then advances virtual time to the
-//! earliest pending event (datagram delivery, transport timer, or the
-//! player's 100 ms tick).
+//! [`SessionCore`] is the repo's one session event loop. It owns both
+//! QUIC\* endpoints, the server and client applications and a private
+//! event queue; each iteration drains application logic and
+//! transmissions, then advances virtual time to the earliest pending
+//! event (datagram delivery, transport timer, or the player's 100 ms
+//! tick). What lies between the endpoints is a [`Wire`]: [`Session`]
+//! runs the core over its own emulated bottleneck path (plus an optional
+//! seeded fault plane) straight to the cap, and a fleet member runs the
+//! same core over an outbox onto the shared link, one barrier at a time.
 
 use crate::client::{ClientApp, PlayerConfig, TransportMode};
 use crate::metrics::{TransportStats, TrialResult};
-use crate::server::ServerApp;
+use crate::server::{ServeNote, ServerApp};
 use bytes::Bytes;
 use std::sync::Arc;
 use voxel_abr::Abr;
@@ -16,7 +20,7 @@ use voxel_media::qoe::QoeModel;
 use voxel_media::video::Video;
 use voxel_netem::{BottleneckPath, FaultPlane, PacketFate, PathConfig};
 use voxel_prep::manifest::Manifest;
-use voxel_quic::{CcKind, Connection, ConnectionConfig, Role};
+use voxel_quic::{CcKind, Connection, ConnectionConfig, Packet, Role};
 use voxel_sim::{EventQueue, SimDuration, SimTime};
 use voxel_trace::{trace_event, Layer, Tracer};
 
@@ -26,23 +30,340 @@ enum Ev {
     ToClient(Bytes),
     /// Datagram arriving at the server.
     ToServer(Bytes),
-    /// Player tick (progress checks, playback deadlines).
+    /// Player tick (progress checks, playback deadlines; also the no-op
+    /// clock bump).
     Tick,
 }
 
-/// One streaming trial.
-pub struct Session {
+/// When a packet handed to a [`Wire`] reaches the other endpoint, for the
+/// core to schedule on its private queue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arrivals {
+    /// Not the core's to deliver: dropped, or carried out of the session
+    /// (a fleet's shared link hands it back through
+    /// [`SessionCore::inject`]). The packet is never encoded by the core.
+    None,
+    /// Arrives once.
+    One(SimTime),
+    /// Arrives twice (duplication fault), in this order.
+    Two(SimTime, SimTime),
+}
+
+/// What sits between a session's two endpoints.
+pub trait Wire {
+    /// The server sent `packet` towards the client at `now`.
+    fn downlink(&mut self, now: SimTime, packet: &Packet) -> Arrivals;
+    /// The client sent a packet towards the server at `now`.
+    fn uplink(&mut self, now: SimTime) -> Arrivals;
+    /// The server resolved an object at `now` (only called when the
+    /// [`ServerApp`] records serve notes, i.e. behind an edge tier).
+    fn serve_note(&mut self, _now: SimTime, _note: ServeNote) {}
+}
+
+/// How a session left [`SessionCore::advance`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Advanced {
+    /// Live; the earliest pending work is at this time, strictly after
+    /// the barrier.
+    Blocked(SimTime),
+    /// The player finished at this time.
+    Done(SimTime),
+}
+
+/// Both endpoints of one session, their applications and their private
+/// event queue: the session event loop, minus the wire between them.
+pub struct SessionCore {
+    /// Discriminates this session's profiler spans and invariant reports
+    /// (the fleet flow; 0 for a lone session).
+    id: u32,
+    /// Nothing is pumped before this time (staggered fleet starts).
+    start: SimTime,
     queue: EventQueue<Ev>,
-    path: BottleneckPath,
     client_conn: Connection,
     server_conn: Connection,
     server: ServerApp,
     client: ClientApp,
+    last_tick: SimTime,
+    iters: u64,
+    tracer: Tracer,
+}
+
+impl SessionCore {
+    /// An untraced session whose first player tick (the manifest fetch)
+    /// fires at `start`.
+    pub fn new(
+        id: u32,
+        start: SimTime,
+        server: ServerApp,
+        client: ClientApp,
+        conn_config: ConnectionConfig,
+    ) -> SessionCore {
+        let mut queue = EventQueue::with_capacity(32);
+        queue.schedule(start, Ev::Tick);
+        SessionCore {
+            id,
+            start,
+            queue,
+            client_conn: Connection::new(Role::Client, conn_config.clone()),
+            server_conn: Connection::new(Role::Server, conn_config),
+            server,
+            client,
+            last_tick: start,
+            iters: 0,
+            tracer: Tracer::disabled(),
+        }
+    }
+
+    /// Install a tracer. One handle is shared by every layer: the client
+    /// (ABR decisions, HTTP requests, player events), the server (HTTP
+    /// responses), and the server-side QUIC\* connection — the data sender,
+    /// whose cwnd/loss/PTO telemetry is the interesting one. Events from
+    /// all layers interleave into a single per-session stream with one
+    /// monotone sequence counter.
+    pub(crate) fn set_tracer(&mut self, tracer: Tracer) {
+        self.server_conn.set_tracer(tracer.clone());
+        self.server.set_tracer(tracer.clone());
+        self.client.set_tracer(tracer.clone());
+        self.tracer = tracer;
+    }
+
+    /// Event-loop iterations spent so far.
+    pub fn iters(&self) -> u64 {
+        self.iters
+    }
+
+    /// Schedule a datagram the wire carried out of the session for
+    /// delivery to the client at `at` (never before the session's clock).
+    pub fn inject(&mut self, at: SimTime, datagram: Bytes) {
+        self.queue.schedule(at, Ev::ToClient(datagram));
+    }
+
+    /// Run the event loop up to (and including) `until`, handing every
+    /// transmission to `wire`.
+    pub fn advance(&mut self, until: SimTime, wire: &mut impl Wire) -> Advanced {
+        if self.iters == 0 {
+            let cfg = self.client.config();
+            trace_event!(
+                self.tracer,
+                SimTime::ZERO,
+                Layer::Session,
+                "trial_start",
+                "buffer_segments" = cfg.buffer_capacity_segments,
+                "transport" = match cfg.transport {
+                    TransportMode::Reliable => "reliable",
+                    TransportMode::Split => "split",
+                },
+                "selective_retx" = cfg.selective_retx,
+                "live" = cfg.live,
+            );
+        }
+        loop {
+            let now = self.queue.now();
+            self.iters += 1;
+            // Profiler sampling gate: free unless a voxel-obs profiler is
+            // installed on this thread, and even then only 1-in-N
+            // iterations take clock readings (which never touch sim state).
+            voxel_obs::arm(self.iters);
+            let _step = voxel_obs::span!("session.step", self.id);
+            voxel_obs::observe("obs.queue_depth", self.queue.len() as u64);
+
+            if now >= self.start {
+                // Application pumps.
+                {
+                    let _pump = voxel_obs::span!("session.pump");
+                    self.server.handle(now, &mut self.server_conn);
+                    for note in self.server.take_serve_notes() {
+                        wire.serve_note(now, note);
+                    }
+                    self.client.on_wake(now, &mut self.client_conn);
+                }
+                #[cfg(feature = "paranoid")]
+                if let Err(e) = self.client.check_invariants(now) {
+                    let what = format!(
+                        "session {} player invariant violated at {now:?}: {e}",
+                        self.id
+                    );
+                    if let Some(dump) = voxel_obs::dump_current(&what) {
+                        eprintln!("{dump}");
+                    }
+                    // lint: allow(panic) the paranoid layer is intentionally fatal on corruption
+                    panic!("{what}");
+                }
+                if self.client.is_done() {
+                    return Advanced::Done(now);
+                }
+
+                // Drain transmissions. One pass: neither endpoint's
+                // `poll_transmit` feeds the other at the same instant.
+                let _transmit = voxel_obs::span!("session.transmit");
+                while let Some(p) = self.server_conn.poll_transmit(now) {
+                    let arrivals = wire.downlink(now, &p);
+                    self.schedule(arrivals, &p, Ev::ToClient);
+                }
+                while let Some(p) = self.client_conn.poll_transmit(now) {
+                    let arrivals = wire.uplink(now);
+                    self.schedule(arrivals, &p, Ev::ToServer);
+                }
+                drop(_transmit);
+
+                // Keep exactly one player tick armed ~100 ms out.
+                if self.last_tick <= now {
+                    if let Some(wake) = self.client.next_wake(now) {
+                        self.last_tick = wake;
+                        self.queue.schedule(wake, Ev::Tick);
+                    }
+                }
+            }
+
+            // Next event: queue, or a transport timer.
+            let timer_c = self.client_conn.next_timeout();
+            let timer_s = self.server_conn.next_timeout();
+            let next = [self.queue.peek_time(), timer_c, timer_s]
+                .into_iter()
+                .flatten()
+                .min();
+            let Some(next) = next else {
+                // Nothing pending at all: force a tick so the player can
+                // re-evaluate (e.g. waiting out a buffer-full period).
+                self.queue
+                    .schedule(now + SimDuration::from_millis(100), Ev::Tick);
+                continue;
+            };
+            if next > until {
+                return Advanced::Blocked(next);
+            }
+
+            // Fire everything due at `next`.
+            let _deliver = voxel_obs::span!("session.deliver");
+            if timer_c.is_some_and(|t| t <= next) {
+                self.client_conn.on_timeout(next);
+            }
+            if timer_s.is_some_and(|t| t <= next) {
+                self.server_conn.on_timeout(next);
+            }
+            while self.queue.peek_time() == Some(next) {
+                let Some(ev) = self.queue.pop() else {
+                    break;
+                };
+                match ev.event {
+                    Ev::ToClient(d) => self.client_conn.on_datagram(next, d),
+                    Ev::ToServer(d) => self.server_conn.on_datagram(next, d),
+                    Ev::Tick => {}
+                }
+            }
+            // If only timers fired (queue still in the past), bump the
+            // queue's clock with a no-op event.
+            if self.queue.now() < next {
+                self.queue.schedule(next, Ev::Tick);
+                self.queue.pop();
+            }
+        }
+    }
+
+    /// Schedule a transmitted packet's arrivals; a packet with none is
+    /// never encoded.
+    fn schedule(&mut self, arrivals: Arrivals, packet: &Packet, ev: impl Fn(Bytes) -> Ev) {
+        match arrivals {
+            Arrivals::None => {}
+            Arrivals::One(at) => self.queue.schedule(at, ev(packet.encode())),
+            Arrivals::Two(first, second) => {
+                let bytes = packet.encode();
+                self.queue.schedule(first, ev(bytes.clone()));
+                self.queue.schedule(second, ev(bytes));
+            }
+        }
+    }
+
+    /// Close out the session at `at` (where the player finished, or the
+    /// cap it is frozen at): emit the end-of-session event, snapshot the
+    /// metrics registry, attach transport statistics, and flush the sink.
+    pub fn finish(self, at: SimTime) -> TrialResult {
+        let stats = self.server_conn.stats();
+        let client_stats = self.client_conn.stats();
+        trace_event!(
+            self.tracer,
+            at,
+            Layer::Session,
+            "trial_end",
+            "packets_sent" = stats.packets_sent,
+            "packets_lost" = stats.packets_lost,
+            "loss_events" = stats.loss_events,
+            "ptos" = stats.ptos,
+            "bytes_sent" = stats.bytes_sent,
+        );
+        let mean = |sum: u64, n: u64| if n == 0 { 0.0 } else { sum as f64 / n as f64 };
+        let mut r = self.client.into_result(at);
+        r.transport = TransportStats {
+            packets_sent: stats.packets_sent,
+            packets_lost: stats.packets_lost,
+            loss_events: stats.loss_events,
+            ptos: stats.ptos,
+            bytes_sent: stats.bytes_sent,
+            bytes_retransmitted: stats.bytes_retransmitted,
+            mean_cwnd_bytes: mean(stats.cwnd_sum_bytes, stats.packets_sent),
+            mean_srtt_ms: mean(stats.srtt_sum_us, stats.srtt_samples) / 1e3,
+            client_packets_received: client_stats.packets_received,
+            client_packets_duplicate: client_stats.packets_duplicate,
+            client_packets_reordered: client_stats.packets_reordered,
+        };
+        r.metrics = self.tracer.metrics_snapshot(at);
+        self.tracer.flush();
+        r
+    }
+}
+
+/// The private wire of a lone [`Session`]: an emulated bottleneck path,
+/// optionally behind a seeded packet-fault plane.
+struct PrivateWire {
+    path: BottleneckPath,
+    /// Testkit scenarios; `None` = clean path.
+    faults: Option<FaultPlane>,
+}
+
+impl PrivateWire {
+    /// The plane's verdict on the next packet.
+    fn fate(&mut self, now: SimTime) -> PacketFate {
+        match self.faults.as_mut() {
+            Some(plane) => plane.next_fate(now),
+            None => PacketFate::Deliver,
+        }
+    }
+}
+
+/// Apply a fate to a packet's fault-free arrival time.
+fn arrivals(fate: PacketFate, arrival: SimTime) -> Arrivals {
+    match fate {
+        PacketFate::Deliver => Arrivals::One(arrival),
+        PacketFate::Drop => Arrivals::None,
+        PacketFate::Delay(extra) => Arrivals::One(arrival + extra),
+        PacketFate::Duplicate(lag) => Arrivals::Two(arrival, arrival + lag),
+    }
+}
+
+impl Wire for PrivateWire {
+    fn downlink(&mut self, now: SimTime, packet: &Packet) -> Arrivals {
+        // The fate is drawn before the path sees the packet — also when
+        // droptail then drops it — so the seeded draw sequence depends on
+        // nothing but the packet sequence.
+        let fate = self.fate(now);
+        match self.path.send_downlink(now, packet.wire_size()) {
+            Some(arrival) => arrivals(fate, arrival),
+            None => Arrivals::None,
+        }
+    }
+
+    fn uplink(&mut self, now: SimTime) -> Arrivals {
+        let fate = self.fate(now);
+        arrivals(fate, self.path.send_uplink(now))
+    }
+}
+
+/// One streaming trial: a [`SessionCore`] over a private bottleneck path.
+pub struct Session {
+    core: SessionCore,
+    wire: PrivateWire,
     /// Hard cap on simulated time (safety net; never reached in practice).
     cap: SimTime,
-    tracer: Tracer,
-    /// Seeded packet-fault plane (testkit scenarios; `None` = clean path).
-    faults: Option<FaultPlane>,
 }
 
 impl Session {
@@ -84,21 +405,24 @@ impl Session {
             ..ConnectionConfig::default()
         };
         Session {
-            queue: EventQueue::new(),
-            path: BottleneckPath::new(path_config),
-            client_conn: Connection::new(Role::Client, conn_config.clone()),
-            server_conn: Connection::new(Role::Server, conn_config),
-            server: ServerApp::new(manifest, true),
-            client,
+            core: SessionCore::new(
+                0,
+                SimTime::ZERO,
+                ServerApp::new(manifest, true),
+                client,
+                conn_config,
+            ),
+            wire: PrivateWire {
+                path: BottleneckPath::new(path_config),
+                faults: None,
+            },
             cap: SimTime::from_secs_f64(duration * 5.0 + 120.0),
-            tracer: Tracer::disabled(),
-            faults: None,
         }
     }
 
     /// Make the server VOXEL-unaware (backward-compatibility experiments).
     pub fn with_voxel_unaware_server(mut self) -> Session {
-        self.server.voxel_aware = false;
+        self.core.server.voxel_aware = false;
         self
     }
 
@@ -108,267 +432,28 @@ impl Session {
     /// §11). Drops model post-bottleneck (air-interface) loss — the packet
     /// still consumed queue space and service time.
     pub fn with_faults(mut self, plane: FaultPlane) -> Session {
-        self.faults = Some(plane);
+        self.wire.faults = Some(plane);
         self
     }
 
-    /// Install a tracer. One handle is shared by every layer: the client
-    /// (ABR decisions, HTTP requests, player events), the server (HTTP
-    /// responses), and the server-side QUIC\* connection — the data sender,
-    /// whose cwnd/loss/PTO telemetry is the interesting one. Events from
-    /// all layers interleave into a single per-session stream with one
-    /// monotone sequence counter.
+    /// Install a tracer on every layer (see [`SessionCore::set_tracer`]).
     ///
     /// Crate-private: external callers route tracing through the one
     /// [`crate::experiment::Tracing`] entry point (use `Tracing::custom`
     /// for an explicit tracer).
     pub(crate) fn with_tracer(mut self, tracer: Tracer) -> Session {
-        self.server_conn.set_tracer(tracer.clone());
-        self.server.set_tracer(tracer.clone());
-        self.client.set_tracer(tracer.clone());
-        self.tracer = tracer;
+        self.core.set_tracer(tracer);
         self
     }
 
-    /// Run to completion and produce the trial result.
+    /// Run to completion — or to the safety cap, freezing what is there —
+    /// and produce the trial result.
     pub fn run(mut self) -> TrialResult {
-        // Boot: first tick at t=0 starts the manifest fetch.
-        self.queue.schedule(SimTime::ZERO, Ev::Tick);
-        let mut last_tick = SimTime::ZERO;
-        // Periodic loop-progress lines for interactive debugging: the old
-        // raw `eprintln!` dump, now structured events through the stderr
-        // sink (independent of whatever tracer the session was built with).
-        let debug = if std::env::var("VOXEL_SESSION_DEBUG").is_ok() {
-            Tracer::stderr(self.tracer.session_id())
-        } else {
-            Tracer::disabled()
+        let at = match self.core.advance(self.cap, &mut self.wire) {
+            Advanced::Done(at) => at,
+            Advanced::Blocked(_) => self.cap,
         };
-        let mut iters: u64 = 0;
-        let mut pkts: u64 = 0;
-
-        {
-            let cfg = self.client.config();
-            trace_event!(
-                self.tracer,
-                SimTime::ZERO,
-                Layer::Session,
-                "trial_start",
-                "buffer_segments" = cfg.buffer_capacity_segments,
-                "transport" = match cfg.transport {
-                    TransportMode::Reliable => "reliable",
-                    TransportMode::Split => "split",
-                },
-                "selective_retx" = cfg.selective_retx,
-                "live" = cfg.live,
-            );
-        }
-
-        loop {
-            let now = self.queue.now();
-            iters += 1;
-            // Profiler sampling gate: free unless a voxel-obs profiler is
-            // installed on this thread, and even then only 1-in-N
-            // iterations take clock readings (which never touch sim state).
-            voxel_obs::arm(iters);
-            let _step = voxel_obs::span!("session.step");
-            voxel_obs::observe("obs.queue_depth", self.queue.len() as u64);
-            if iters.is_multiple_of(10_000) {
-                let (seg, dl, recs) = self.client.debug_state();
-                let stats = self.server_conn.stats();
-                trace_event!(
-                    debug,
-                    now,
-                    Layer::Session,
-                    "progress",
-                    "iters_k" = iters / 1000,
-                    "pkts" = pkts,
-                    "queue" = self.queue.len(),
-                    "cwnd" = self.server_conn.cwnd(),
-                    "seg" = seg,
-                    "dl" = dl,
-                    "recs" = recs,
-                    "pkts_sent" = stats.packets_sent,
-                    "pkts_lost" = stats.packets_lost,
-                    "ptos" = stats.ptos,
-                );
-            }
-            // Application pumps.
-            {
-                let _pump = voxel_obs::span!("session.pump");
-                self.server.handle(now, &mut self.server_conn);
-                self.client.on_wake(now, &mut self.client_conn);
-            }
-            #[cfg(feature = "paranoid")]
-            if let Err(e) = self.client.check_invariants(now) {
-                if let Some(dump) =
-                    voxel_obs::dump_current(&format!("player invariant violated at {now:?}: {e}"))
-                {
-                    eprintln!("{dump}");
-                }
-                // lint: allow(panic) the paranoid layer is intentionally fatal on corruption
-                panic!("player invariant violated at {now:?}: {e}");
-            }
-            if self.client.is_done() {
-                return self.finish(now);
-            }
-
-            // Drain transmissions until neither side has anything to send.
-            let _transmit = voxel_obs::span!("session.transmit");
-            loop {
-                let mut progressed = false;
-                while let Some(p) = self.server_conn.poll_transmit(now) {
-                    pkts += 1;
-                    let size = p.wire_size();
-                    let fate = match self.faults.as_mut() {
-                        Some(plane) => plane.next_fate(now),
-                        None => PacketFate::Deliver,
-                    };
-                    if let Some(arrival) = self.path.send_downlink(now, size) {
-                        match fate {
-                            PacketFate::Deliver => {
-                                self.queue.schedule(arrival, Ev::ToClient(p.encode()));
-                            }
-                            PacketFate::Drop => {}
-                            PacketFate::Delay(extra) => {
-                                self.queue
-                                    .schedule(arrival + extra, Ev::ToClient(p.encode()));
-                            }
-                            PacketFate::Duplicate(lag) => {
-                                let bytes = p.encode();
-                                self.queue.schedule(arrival, Ev::ToClient(bytes.clone()));
-                                self.queue.schedule(arrival + lag, Ev::ToClient(bytes));
-                            }
-                        }
-                    }
-                    progressed = true;
-                }
-                while let Some(p) = self.client_conn.poll_transmit(now) {
-                    let fate = match self.faults.as_mut() {
-                        Some(plane) => plane.next_fate(now),
-                        None => PacketFate::Deliver,
-                    };
-                    let arrival = self.path.send_uplink(now);
-                    match fate {
-                        PacketFate::Deliver => {
-                            self.queue.schedule(arrival, Ev::ToServer(p.encode()));
-                        }
-                        PacketFate::Drop => {}
-                        PacketFate::Delay(extra) => {
-                            self.queue
-                                .schedule(arrival + extra, Ev::ToServer(p.encode()));
-                        }
-                        PacketFate::Duplicate(lag) => {
-                            let bytes = p.encode();
-                            self.queue.schedule(arrival, Ev::ToServer(bytes.clone()));
-                            self.queue.schedule(arrival + lag, Ev::ToServer(bytes));
-                        }
-                    }
-                    progressed = true;
-                }
-                if !progressed {
-                    break;
-                }
-            }
-            drop(_transmit);
-
-            // Keep exactly one player tick armed ~100 ms out.
-            if last_tick <= now {
-                if let Some(wake) = self.client.next_wake(now) {
-                    last_tick = wake;
-                    self.queue.schedule(wake, Ev::Tick);
-                }
-            }
-
-            // Next event: queue, or a transport timer.
-            let timer_c = self.client_conn.next_timeout();
-            let timer_s = self.server_conn.next_timeout();
-            let next = [self.queue.peek_time(), timer_c, timer_s]
-                .into_iter()
-                .flatten()
-                .min();
-            let Some(next) = next else {
-                // Nothing pending at all: force a tick so the player can
-                // re-evaluate (e.g. waiting out a buffer-full period).
-                let t = self.queue.now() + SimDuration::from_millis(100);
-                self.queue.schedule(t, Ev::Tick);
-                continue;
-            };
-            if next > self.cap {
-                // Safety cap: freeze what we have.
-                let cap = self.cap;
-                return self.finish(cap);
-            }
-
-            // Deliver everything due at `next`.
-            let _deliver = voxel_obs::span!("session.deliver");
-            if timer_c.is_some_and(|t| t <= next) {
-                // Advance queue time via a synthetic tick if needed.
-                self.client_conn.on_timeout(next);
-            }
-            if timer_s.is_some_and(|t| t <= next) {
-                self.server_conn.on_timeout(next);
-            }
-            while self.queue.peek_time() == Some(next) {
-                let Some(ev) = self.queue.pop() else {
-                    break;
-                };
-                match ev.event {
-                    Ev::ToClient(d) => self.client_conn.on_datagram(next, d),
-                    Ev::ToServer(d) => self.server_conn.on_datagram(next, d),
-                    Ev::Tick => {}
-                }
-            }
-            // If only timers fired (queue still in the past), bump the
-            // queue's clock with a no-op event.
-            if self.queue.now() < next {
-                self.queue.schedule(next, Ev::Tick);
-                self.queue.pop();
-            }
-        }
-    }
-
-    /// Close out the trial: emit the end-of-session event, snapshot the
-    /// metrics registry, attach transport statistics, and flush the sink.
-    fn finish(self, now: SimTime) -> TrialResult {
-        let stats = self.server_conn.stats();
-        let client_stats = self.client_conn.stats();
-        trace_event!(
-            self.tracer,
-            now,
-            Layer::Session,
-            "trial_end",
-            "packets_sent" = stats.packets_sent,
-            "packets_lost" = stats.packets_lost,
-            "loss_events" = stats.loss_events,
-            "ptos" = stats.ptos,
-            "bytes_sent" = stats.bytes_sent,
-        );
-        let snapshot = self.tracer.metrics_snapshot(now);
-        let mut r = self.client.into_result(now);
-        r.transport = TransportStats {
-            packets_sent: stats.packets_sent,
-            packets_lost: stats.packets_lost,
-            loss_events: stats.loss_events,
-            ptos: stats.ptos,
-            bytes_sent: stats.bytes_sent,
-            bytes_retransmitted: stats.bytes_retransmitted,
-            mean_cwnd_bytes: snapshot
-                .as_ref()
-                .and_then(|s| s.histogram("quic.cwnd_bytes"))
-                .map(|h| h.mean)
-                .unwrap_or(self.server_conn.cwnd() as f64),
-            mean_srtt_ms: snapshot
-                .as_ref()
-                .and_then(|s| s.histogram("quic.srtt_us"))
-                .map(|h| h.mean / 1e3)
-                .unwrap_or_else(|| self.server_conn.srtt().as_secs_f64() * 1e3),
-            client_packets_received: client_stats.packets_received,
-            client_packets_duplicate: client_stats.packets_duplicate,
-            client_packets_reordered: client_stats.packets_reordered,
-        };
-        r.metrics = snapshot;
-        self.tracer.flush();
-        r
+        self.core.finish(at)
     }
 }
 
@@ -379,7 +464,8 @@ mod tests {
     use voxel_abr::{AbrStar, Bola};
     use voxel_media::content::VideoId;
     use voxel_media::ladder::QualityLevel;
-    use voxel_netem::BandwidthTrace;
+    use voxel_netem::{BandwidthTrace, FaultKind};
+    use voxel_trace::{JsonlSink, SharedBuf};
 
     fn setup(levels: &[QualityLevel]) -> (Arc<Manifest>, Arc<Video>, QoeModel) {
         let video = Video::generate(VideoId::Bbb);
@@ -446,6 +532,90 @@ mod tests {
         );
         let r = session.run();
         assert!(r.buf_ratio_pct() > 5.0, "bufRatio {}", r.buf_ratio_pct());
+    }
+
+    /// Drive a session in fixed `step`-sized barriers up to its cap.
+    fn run_stepped(mut s: Session, step: SimDuration) -> TrialResult {
+        let mut until = SimTime::ZERO;
+        loop {
+            until = (until + step).min(s.cap);
+            match s.core.advance(until, &mut s.wire) {
+                Advanced::Done(at) => return s.core.finish(at),
+                Advanced::Blocked(_) if until == s.cap => return s.core.finish(until),
+                Advanced::Blocked(_) => {}
+            }
+        }
+    }
+
+    /// `advance` is barrier-invariant: where the caller's barriers fall
+    /// must not change what a session does — the property that lets a
+    /// fleet member and a lone `Session` share one event loop.
+    fn assert_barrier_invariant(mbps: f64, faults: Vec<FaultKind>) -> TrialResult {
+        let (manifest, video, qoe) = setup(&[QualityLevel::MAX]);
+        let traced = || {
+            let buf = SharedBuf::new();
+            let sink = JsonlSink::to_writer(Box::new(buf.clone()));
+            let session = Session::new(
+                PathConfig::new(BandwidthTrace::constant(mbps, 900), 32),
+                manifest.clone(),
+                video.clone(),
+                qoe.clone(),
+                Box::new(AbrStar::default()),
+                PlayerConfig::new(3, TransportMode::Split),
+            )
+            .with_faults(FaultPlane::new(7, faults.clone()))
+            .with_tracer(Tracer::new(1, Box::new(sink)));
+            (session, buf)
+        };
+        let (session, timeline) = traced();
+        let whole = session.run();
+        assert!(whole.transport.packets_sent > 1_000);
+        for step_ms in [1, 30, 1_000] {
+            let (session, stepped_timeline) = traced();
+            let stepped = run_stepped(session, SimDuration::from_millis(step_ms));
+            assert!(
+                stepped_timeline.contents() == timeline.contents(),
+                "{step_ms} ms barriers changed the timeline"
+            );
+            assert_eq!(stepped.transport, whole.transport, "{step_ms} ms");
+            assert_eq!(stepped.stall_s, whole.stall_s, "{step_ms} ms");
+            assert_eq!(stepped.segment_scores, whole.segment_scores, "{step_ms} ms");
+        }
+        whole
+    }
+
+    #[test]
+    fn barriers_do_not_change_a_clean_session() {
+        assert_barrier_invariant(8.0, Vec::new());
+    }
+
+    #[test]
+    fn barriers_do_not_change_a_starved_session() {
+        assert_barrier_invariant(1.5, Vec::new());
+    }
+
+    #[test]
+    fn barriers_do_not_change_a_reordered_duplicated_session() {
+        let (start_s, len_s, extra_ms, prob) = (10.0, 120.0, 25, 0.05);
+        let r = assert_barrier_invariant(
+            8.0,
+            vec![
+                FaultKind::Reorder {
+                    start_s,
+                    len_s,
+                    extra_ms,
+                    prob,
+                },
+                FaultKind::Duplicate {
+                    start_s,
+                    len_s,
+                    extra_ms,
+                    prob,
+                },
+            ],
+        );
+        assert!(r.transport.client_packets_reordered > 0);
+        assert!(r.transport.client_packets_duplicate > 0);
     }
 }
 

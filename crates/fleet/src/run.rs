@@ -33,11 +33,20 @@ use std::collections::VecDeque;
 use voxel_core::client::{PlayerConfig, TransportMode};
 use voxel_core::{AbrKind, ContentCache, Experiment, TrialResult};
 use voxel_media::content::VideoId;
-use voxel_netem::{BandwidthTrace, Departure, Discipline, SharedLink, SharedLinkConfig};
+use voxel_netem::{Departure, SharedLink, SharedLinkConfig};
 use voxel_quic::{CcKind, ConnectionConfig};
 use voxel_sim::pool::VecPool;
 use voxel_sim::SimTime;
 use voxel_trace::{trace_event, Layer, Tracer};
+
+/// One resolved fleet member: what its [`SessionSeed`] is built from.
+#[derive(Clone)]
+struct Member {
+    label: String,
+    abr: AbrKind,
+    transport: TransportMode,
+    cc: CcKind,
+}
 
 /// Everything a fleet run needs, resolved from a spec or an experiment.
 /// Videos and start times are per-session (flow order): the spec path
@@ -54,98 +63,62 @@ struct Plan {
     cap: SimTime,
     topology: Option<TopologySpec>,
     workers: Option<usize>,
-    systems: Vec<(String, AbrKind, TransportMode, CcKind)>,
-}
-
-/// The one assembly point both construction paths go through, so spec
-/// runs and builder (`Experiment`) runs cannot drift on how a knob — the
-/// scheduling discipline in particular — reaches the link.
-#[allow(clippy::too_many_arguments)]
-struct PlanParams {
-    spec: String,
-    video: VideoId,
-    trace: BandwidthTrace,
-    queue_packets: usize,
-    discipline: Discipline,
-    buffer_segments: usize,
-    selective_retx: bool,
-    cap_s: Option<usize>,
-    duration_s: usize,
-    stagger_s: usize,
-    topology: Option<TopologySpec>,
-    workers: Option<usize>,
-    systems: Vec<(String, AbrKind, TransportMode, CcKind)>,
+    members: Vec<Member>,
 }
 
 impl Plan {
-    fn assemble(p: PlanParams) -> Plan {
-        let n = p.systems.len();
-        Plan {
-            spec: p.spec,
-            videos: vec![p.video; n],
-            starts: (0..n)
-                .map(|i| SimTime::from_secs((p.stagger_s * i) as u64))
-                .collect(),
-            link: SharedLinkConfig::new(p.trace, p.queue_packets, p.discipline),
-            buffer_segments: p.buffer_segments,
-            selective_retx: p.selective_retx,
-            cap: cap_for(p.cap_s, p.duration_s),
-            topology: p.topology,
-            workers: p.workers,
-            systems: p.systems,
-        }
-    }
-
     fn from_spec(spec: &FleetSpec) -> Result<Plan, String> {
-        let mut systems = Vec::with_capacity(spec.total_sessions());
+        let mut members = Vec::with_capacity(spec.total_sessions());
         for m in spec.session_members() {
             let (abr, transport) = system_by_name(&m.system)
                 .ok_or_else(|| format!("unknown system {:?}", m.system))?;
-            systems.push((m.label(), abr, transport, m.cc_kind()));
+            members.push(Member {
+                label: m.label(),
+                abr,
+                transport,
+                cc: m.cc_kind(),
+            });
         }
-        if systems.is_empty() {
+        if members.is_empty() {
             return Err("fleet has no sessions".to_string());
         }
-        Ok(Plan::assemble(PlanParams {
+        Ok(Plan {
             spec: spec.spec(),
-            video: spec.video,
-            trace: spec.trace(),
-            queue_packets: spec.queue_packets,
-            discipline: spec.discipline,
+            videos: vec![spec.video; members.len()],
+            starts: (0..members.len())
+                .map(|i| SimTime::from_secs((spec.stagger_s * i) as u64))
+                .collect(),
+            link: SharedLinkConfig::new(spec.trace(), spec.queue_packets, spec.discipline),
             buffer_segments: spec.buffer_segments,
             selective_retx: true,
-            cap_s: spec.cap_s,
-            duration_s: spec.duration_s,
-            stagger_s: spec.stagger_s,
+            cap: cap_for(spec.cap_s, spec.duration_s),
             topology: spec.edge.clone(),
             workers: spec.workers,
-            systems,
-        }))
+            members,
+        })
     }
 
     fn from_experiment(e: &Experiment) -> Plan {
         let c = e.config();
-        let label = c.abr.label();
-        Plan::assemble(PlanParams {
-            spec: format!(
-                "experiment:{}x{}:{}",
-                e.fleet_size(),
-                label,
-                c.discipline.as_str()
-            ),
-            video: c.video,
-            trace: c.trace.clone(),
-            queue_packets: c.queue_packets,
-            discipline: c.discipline,
+        let n = e.fleet_size();
+        let member = Member {
+            label: c.abr.label(),
+            abr: c.abr,
+            transport: c.transport,
+            cc: c.cc,
+        };
+        Plan {
+            spec: format!("experiment:{n}x{}:{}", member.label, c.discipline.as_str()),
+            videos: vec![c.video; n],
+            starts: vec![SimTime::ZERO; n],
+            link: SharedLinkConfig::new(c.trace.clone(), c.queue_packets, c.discipline),
             buffer_segments: c.buffer_segments,
             selective_retx: c.selective_retx,
-            cap_s: None,
-            duration_s: c.trace.duration_s(),
-            stagger_s: 0,
+            cap: cap_for(None, c.trace.duration_s()),
             topology: None,
             workers: c.workers,
-            systems: vec![(label, c.abr, c.transport, c.cc); e.fleet_size()],
-        })
+            members: vec![member; n],
+        }
     }
 }
 
@@ -179,7 +152,7 @@ pub fn run_fleet_workload(
     tracer: Tracer,
 ) -> Result<FleetResult, String> {
     let mut plan = Plan::from_spec(spec)?;
-    let n = plan.systems.len();
+    let n = plan.members.len();
     if workload.videos.len() != n || workload.starts.len() != n {
         return Err(format!(
             "workload sized {}v/{}s for a fleet of {n}",
@@ -221,28 +194,28 @@ fn chunk_sizes(n: usize, workers: usize) -> Vec<usize> {
 
 fn run_plan(plan: Plan, cache: &ContentCache, tracer: Tracer) -> FleetResult {
     let qoe = cache.qoe();
-    let n = plan.systems.len();
+    let n = plan.members.len();
     let workers = resolve_workers(plan.workers, n);
 
     let mut seeds: Vec<SessionSeed> = Vec::with_capacity(n);
-    for (i, (label, abr, transport, cc)) in plan.systems.iter().enumerate() {
+    for (i, m) in plan.members.iter().enumerate() {
         let (manifest, video) = cache.get(plan.videos[i]);
-        let mut player = PlayerConfig::new(plan.buffer_segments, *transport);
-        player.selective_retx = plan.selective_retx && *transport == TransportMode::Split;
+        let mut player = PlayerConfig::new(plan.buffer_segments, m.transport);
+        player.selective_retx = plan.selective_retx && m.transport == TransportMode::Split;
         seeds.push(SessionSeed {
             flow: i,
-            label: label.clone(),
+            label: m.label.clone(),
             start: plan.starts[i],
             delay_up: plan.link.delay_up,
             player,
             conn_config: ConnectionConfig {
-                cc: *cc,
+                cc: m.cc,
                 ..ConnectionConfig::default()
             },
             manifest,
             video,
             qoe: qoe.clone(),
-            abr: *abr,
+            abr: m.abr,
             record_notes: plan.topology.is_some(),
         });
     }
@@ -682,8 +655,7 @@ mod tests {
         }
     }
 
-    /// Regression (discipline alignment): both plan construction paths
-    /// flow through `Plan::assemble`, so the experiment path honours the
+    /// Regression (discipline alignment): the experiment path honours the
     /// configured discipline instead of hard-coding DRR.
     #[test]
     fn experiment_plan_honours_configured_discipline() {
@@ -702,7 +674,7 @@ mod tests {
     }
 
     /// Regression: the spec path likewise takes its discipline from the
-    /// parsed spec, through the same constructor.
+    /// parsed spec.
     #[test]
     fn spec_plan_honours_parsed_discipline() {
         let spec = FleetSpec::parse("BBB:2xVOXEL:const6:buf3:q64:d60:fifo").unwrap();
@@ -716,9 +688,9 @@ mod tests {
     fn spec_plan_threads_cc_per_session() {
         let spec = FleetSpec::parse("BBB:2xVOXEL@bbr+1xVOXEL:const6:buf3:q64:d60:fifo").unwrap();
         let plan = Plan::from_spec(&spec).unwrap();
-        let ccs: Vec<CcKind> = plan.systems.iter().map(|s| s.3).collect();
+        let ccs: Vec<CcKind> = plan.members.iter().map(|m| m.cc).collect();
         assert_eq!(ccs, [CcKind::Bbr, CcKind::Bbr, CcKind::Cubic]);
-        let labels: Vec<&str> = plan.systems.iter().map(|s| s.0.as_str()).collect();
+        let labels: Vec<&str> = plan.members.iter().map(|m| m.label.as_str()).collect();
         assert_eq!(labels, ["VOXEL@bbr", "VOXEL@bbr", "VOXEL"]);
     }
 
@@ -727,7 +699,7 @@ mod tests {
     fn experiment_plan_carries_cc() {
         let e = Experiment::builder().fleet(2).cc(CcKind::Delay).build();
         let plan = Plan::from_experiment(&e);
-        assert!(plan.systems.iter().all(|s| s.3 == CcKind::Delay));
+        assert!(plan.members.iter().all(|m| m.cc == CcKind::Delay));
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! DESIGN.md §14 for the protocol and its lookahead argument). This
 //! module holds the pieces that live on the session side of that split:
 //!
-//! - [`SessionCell`]: one session (client + server + their private event
-//!   queue) and its `advance`-to-barrier loop, ported from the global
-//!   fleet loop but touching nothing outside the session.
+//! - [`SessionCell`]: one fleet member — a [`SessionCore`] (the same
+//!   event loop a lone `voxel_core::Session` runs) advanced barrier by
+//!   barrier over an [`Outbox`] wire onto the shared link.
 //! - [`shard_round`] / [`shard_freeze`]: the per-shard round step shared
 //!   verbatim by the inline (workers = 1) and threaded paths, so every
 //!   worker count runs the *same algorithm* — only the thread dispatch
@@ -27,20 +27,10 @@ use bytes::Bytes;
 use std::sync::mpsc::{Receiver, Sender};
 use voxel_core::client::{ClientApp, PlayerConfig};
 use voxel_core::server::{ServeNote, ServerApp};
-use voxel_core::{TransportStats, TrialResult};
-use voxel_quic::{Connection, ConnectionConfig, Role};
-use voxel_sim::{EventQueue, SimDuration, SimTime};
-
-/// Session-local events: datagram arrivals and player ticks. Link service
-/// completions are not events here — the coordinator owns the link.
-enum Ev {
-    /// Datagram arriving at the client (delivered by the shared link).
-    ToClient(Bytes),
-    /// Datagram arriving at the server (uplink is delay-only, in-session).
-    ToServer(Bytes),
-    /// Player tick (also the no-op clock bump).
-    Tick,
-}
+use voxel_core::session::{Advanced, Arrivals, SessionCore, Wire};
+use voxel_core::TrialResult;
+use voxel_quic::{ConnectionConfig, Packet};
+use voxel_sim::{SimDuration, SimTime};
 
 /// One packet a session offered to the shared link during a round.
 ///
@@ -139,32 +129,56 @@ pub(crate) enum Reply {
     Outcomes(Vec<(usize, TrialResult)>),
 }
 
-/// How a session left its `advance` call.
-enum Advanced {
-    /// Live, earliest pending work strictly after the barrier.
-    Blocked(SimTime),
-    /// Finished during this round.
-    Done(Box<FinishNote>),
-}
-
-/// One fleet member: both endpoints, their private event queue, and the
-/// bookkeeping the barrier protocol needs.
+/// One fleet member: its session engine and the bookkeeping the barrier
+/// protocol needs.
 pub(crate) struct SessionCell {
     pub flow: usize,
     label: String,
-    start: SimTime,
-    delay_up: SimDuration,
-    client_conn: Connection,
-    server_conn: Connection,
-    server: ServerApp,
     /// Taken on finalization.
-    client: Option<ClientApp>,
-    last_tick: SimTime,
-    queue: EventQueue<Ev>,
+    core: Option<SessionCore>,
+    delay_up: SimDuration,
     out_seq: u64,
     note_seq: u64,
-    iters: u64,
     result: Option<TrialResult>,
+}
+
+/// A fleet member's [`Wire`] for one round: downlink packets and serve
+/// notes are exported to the coordinator, keyed `(at, flow, seq)`; the
+/// uplink is delay-only and stays in-session.
+struct Outbox<'a> {
+    flow: usize,
+    delay_up: SimDuration,
+    out_seq: &'a mut u64,
+    note_seq: &'a mut u64,
+    reply: &'a mut RoundReply,
+}
+
+impl Wire for Outbox<'_> {
+    fn downlink(&mut self, now: SimTime, packet: &Packet) -> Arrivals {
+        *self.out_seq += 1;
+        self.reply.outbox.push(Outgoing {
+            at: now,
+            flow: self.flow,
+            seq: *self.out_seq,
+            bytes: packet.wire_size(),
+            payload: packet.encode(),
+        });
+        Arrivals::None
+    }
+
+    fn uplink(&mut self, now: SimTime) -> Arrivals {
+        Arrivals::One(now + self.delay_up)
+    }
+
+    fn serve_note(&mut self, now: SimTime, note: ServeNote) {
+        *self.note_seq += 1;
+        self.reply.notes.push(NoteOut {
+            at: now,
+            flow: self.flow,
+            seq: *self.note_seq,
+            note,
+        });
+    }
 }
 
 /// Everything needed to construct one session. Plain `Send + Sync` data,
@@ -195,197 +209,51 @@ impl SessionCell {
             seed.qoe,
             seed.abr.make(),
         );
-        let mut queue = EventQueue::with_capacity(32);
-        queue.schedule(seed.start, Ev::Tick);
         let mut server = ServerApp::new(seed.manifest, true);
         server.record_serve_notes(seed.record_notes);
         SessionCell {
             flow: seed.flow,
             label: seed.label,
-            start: seed.start,
+            core: Some(SessionCore::new(
+                seed.flow as u32,
+                seed.start,
+                server,
+                client,
+                seed.conn_config,
+            )),
             delay_up: seed.delay_up,
-            client_conn: Connection::new(Role::Client, seed.conn_config.clone()),
-            server_conn: Connection::new(Role::Server, seed.conn_config),
-            server,
-            client: Some(client),
-            last_tick: seed.start,
-            queue,
             out_seq: 0,
             note_seq: 0,
-            iters: 0,
             result: None,
         }
     }
 
-    fn live(&self) -> bool {
-        self.result.is_none()
-    }
-
-    /// Inject a link delivery. Deliveries always land at or after the
-    /// session's clock: the lookahead argument (DESIGN.md §14) guarantees
-    /// a packet entering the link in round *k* cannot arrive before the
-    /// round-*k* barrier, and the session never advances past it.
-    fn inject(&mut self, at: SimTime, payload: Bytes) {
-        self.queue.schedule(at, Ev::ToClient(payload));
-    }
-
-    /// Advance this session up to (and including) `barrier`: the fleet
-    /// loop of `run.rs` pre-shard, restricted to one session. Outgoing
-    /// downlink packets land in `out`, serve notes (edge tier only) in
-    /// `notes`; uplink packets are delay-only and stay in the private
-    /// queue.
-    fn advance(
-        &mut self,
-        barrier: SimTime,
-        out: &mut Vec<Outgoing>,
-        notes: &mut Vec<NoteOut>,
-    ) -> Advanced {
-        loop {
-            let now = self.queue.now();
-            self.iters += 1;
-            // Profiler sampling gate: free unless a voxel-obs profiler is
-            // installed on this thread; clock readings stay quarantined in
-            // the profile and never reach sim state.
-            voxel_obs::arm(self.iters);
-            let _step = voxel_obs::span!("fleet.step");
-
-            if now >= self.start {
-                let _session = voxel_obs::span!("fleet.session", self.flow);
-                self.server.handle(now, &mut self.server_conn);
-                for note in self.server.take_serve_notes() {
-                    self.note_seq += 1;
-                    notes.push(NoteOut {
-                        at: now,
-                        flow: self.flow,
-                        seq: self.note_seq,
-                        note,
-                    });
-                }
-                let done = match self.client.as_mut() {
-                    Some(client) => {
-                        client.on_wake(now, &mut self.client_conn);
-                        #[cfg(feature = "paranoid")]
-                        if let Err(e) = client.check_invariants(now) {
-                            if let Some(dump) = voxel_obs::dump_current(&format!(
-                                "fleet member {} invariant violated at {now:?}: {e}",
-                                self.flow
-                            )) {
-                                eprintln!("{dump}");
-                            }
-                            // lint: allow(panic) the paranoid layer is intentionally fatal on corruption
-                            panic!(
-                                "fleet member {} invariant violated at {now:?}: {e}",
-                                self.flow
-                            );
-                        }
-                        client.is_done()
-                    }
-                    None => false,
-                };
-                if done {
-                    // lint: allow(panic) the client was just observed present
-                    let note = self.finish(now).expect("client present at finish");
-                    return Advanced::Done(Box::new(note));
-                }
-
-                // Drain transmissions: downlink to the shared link (via
-                // the coordinator), uplink delay-only in-session.
-                while let Some(p) = self.server_conn.poll_transmit(now) {
-                    self.out_seq += 1;
-                    out.push(Outgoing {
-                        at: now,
-                        flow: self.flow,
-                        seq: self.out_seq,
-                        bytes: p.wire_size(),
-                        payload: p.encode(),
-                    });
-                }
-                while let Some(p) = self.client_conn.poll_transmit(now) {
-                    self.queue
-                        .schedule(now + self.delay_up, Ev::ToServer(p.encode()));
-                }
-
-                // Keep exactly one player tick armed.
-                if self.last_tick <= now {
-                    if let Some(client) = self.client.as_ref() {
-                        if let Some(wake) = client.next_wake(now) {
-                            self.last_tick = wake;
-                            self.queue.schedule(wake, Ev::Tick);
-                        }
-                    }
-                }
-            }
-
-            // Next event: private queue, or a transport timer.
-            let mut next = self.queue.peek_time();
-            for t in [
-                self.client_conn.next_timeout(),
-                self.server_conn.next_timeout(),
-            ] {
-                next = match (next, t) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-            }
-            let Some(next) = next else {
-                // Nothing pending: force a tick so the player re-evaluates
-                // (mirrors the single-session loop's idle poke).
-                self.queue
-                    .schedule(now + SimDuration::from_millis(100), Ev::Tick);
-                continue;
-            };
-            if next > barrier {
-                return Advanced::Blocked(next);
-            }
-
-            // Fire transport timers due at (or before) `next`.
-            if self.client_conn.next_timeout().is_some_and(|t| t <= next) {
-                self.client_conn.on_timeout(next);
-            }
-            if self.server_conn.next_timeout().is_some_and(|t| t <= next) {
-                self.server_conn.on_timeout(next);
-            }
-            // Deliver everything due at `next`.
-            while self.queue.peek_time() == Some(next) {
-                let Some(ev) = self.queue.pop() else {
-                    break;
-                };
-                match ev.event {
-                    Ev::ToClient(d) => self.client_conn.on_datagram(next, d),
-                    Ev::ToServer(d) => self.server_conn.on_datagram(next, d),
-                    Ev::Tick => {}
-                }
-            }
-            // If only timers fired (queue still in the past), bump the
-            // private clock with a no-op event.
-            if self.queue.now() < next {
-                self.queue.schedule(next, Ev::Tick);
-                self.queue.pop();
-            }
+    /// Advance this session up to (and including) `barrier`, reporting
+    /// into `reply`. A finished session is a no-op.
+    fn advance(&mut self, barrier: SimTime, reply: &mut RoundReply) {
+        let Some(core) = self.core.as_mut() else {
+            return;
+        };
+        let before = core.iters();
+        let mut wire = Outbox {
+            flow: self.flow,
+            delay_up: self.delay_up,
+            out_seq: &mut self.out_seq,
+            note_seq: &mut self.note_seq,
+            reply: &mut *reply,
+        };
+        let advanced = core.advance(barrier, &mut wire);
+        reply.iters += core.iters() - before;
+        match advanced {
+            Advanced::Blocked(next) => reply.blocked.push((self.flow, next)),
+            Advanced::Done(at) => reply.finished.extend(self.finish(at)),
         }
     }
 
-    /// Close out the session at `now`: convert player state into a
-    /// [`TrialResult`] with transport stats read off the connections.
+    /// Close out the session at `now` (`None` if it already was).
     fn finish(&mut self, now: SimTime) -> Option<FinishNote> {
-        let client = self.client.take()?;
-        let stats = self.server_conn.stats();
-        let client_stats = self.client_conn.stats();
-        let mut r = client.into_result(now);
+        let mut r = self.core.take()?.finish(now);
         r.abr = self.label.clone();
-        r.transport = TransportStats {
-            packets_sent: stats.packets_sent,
-            packets_lost: stats.packets_lost,
-            loss_events: stats.loss_events,
-            ptos: stats.ptos,
-            bytes_sent: stats.bytes_sent,
-            bytes_retransmitted: stats.bytes_retransmitted,
-            mean_cwnd_bytes: self.server_conn.cwnd() as f64,
-            mean_srtt_ms: self.server_conn.srtt().as_secs_f64() * 1e3,
-            client_packets_received: client_stats.packets_received,
-            client_packets_duplicate: client_stats.packets_duplicate,
-            client_packets_reordered: client_stats.packets_reordered,
-        };
         let note = FinishNote {
             flow: self.flow,
             system: self.label.clone(),
@@ -405,28 +273,26 @@ impl SessionCell {
 /// only changes who calls it.
 pub(crate) fn shard_round(sessions: &mut [SessionCell], mut cmd: RoundCmd) -> RoundReply {
     let mut reply = RoundReply::default();
-    let iters_before: u64 = sessions.iter().map(|s| s.iters).sum();
     for d in cmd.deliveries.drain(..) {
         let cell = sessions
             .iter_mut()
             .find(|s| s.flow == d.flow)
             // lint: allow(panic) the coordinator routes by flow ownership; a miss is a harness bug
             .expect("delivery routed to the owning shard");
-        cell.inject(d.at, d.payload);
+        // Deliveries always land at or after the session's clock: the
+        // lookahead argument (DESIGN.md §14) guarantees a packet entering
+        // the link in round *k* cannot arrive before the round-*k*
+        // barrier, and the session never advances past it. A member that
+        // already finished has nobody left to read it.
+        if let Some(core) = cell.core.as_mut() {
+            core.inject(d.at, d.payload);
+        }
     }
     for (i, cell) in sessions.iter_mut().enumerate() {
-        if !cell.live() {
-            continue;
-        }
-        if cmd.skip.get(i).copied().unwrap_or(false) {
-            continue;
-        }
-        match cell.advance(cmd.barrier, &mut reply.outbox, &mut reply.notes) {
-            Advanced::Blocked(next) => reply.blocked.push((cell.flow, next)),
-            Advanced::Done(note) => reply.finished.push(*note),
+        if !cmd.skip.get(i).copied().unwrap_or(false) {
+            cell.advance(cmd.barrier, &mut reply);
         }
     }
-    reply.iters = sessions.iter().map(|s| s.iters).sum::<u64>() - iters_before;
     reply
 }
 

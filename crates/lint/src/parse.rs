@@ -163,10 +163,12 @@ pub fn parse(src: &str, toks: &[Tok]) -> Vec<Item> {
                     items[p.item].end_line = t_line;
                     resolved = true;
                 }
-                "}" => {
+                "}" if p.paren == 0 && p.bracket == 0 => {
                     // Malformed header (macro fragment, truncated input):
                     // abandon the pending item and let the brace close
-                    // whatever scope it belongs to.
+                    // whatever scope it belongs to. (A brace pair nested
+                    // in the header's parentheses — a `match` among a
+                    // macro's arguments — is part of the header.)
                     items[p.item].end_line = t_line;
                     resolved = true;
                     reprocess = true;
@@ -738,6 +740,18 @@ mod tests {
         let src = "fn g() {\n    let f: fn(u32) -> u32 = id;\n    f(1);\n}\n";
         let items = parse_src(src);
         assert_eq!(items.len(), 1);
+    }
+
+    /// Regression: a brace pair among a macro call's arguments used to
+    /// abandon the call and close the enclosing fn early, so methods after
+    /// it lost their impl (`connection::poll_transmit` in the baseline).
+    #[test]
+    fn braces_inside_macro_arguments_stay_in_the_call() {
+        let src = "impl S {\n    fn a(&self) {\n        ev!(1, match x {\n            _ => 2,\n        });\n    }\n    pub fn b(&self) {}\n}\n";
+        let items = parse_src(src);
+        let b = items.iter().find(|i| i.name == "b").unwrap();
+        assert_eq!(b.parent, Some(0));
+        assert_eq!(items[0].end_line, 8);
     }
 
     #[test]

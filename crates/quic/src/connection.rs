@@ -100,6 +100,14 @@ pub struct ConnStats {
     pub bytes_retransmitted: u64,
     /// PTO events.
     pub ptos: u64,
+    /// Sum of the congestion window at every send, bytes (mean cwnd =
+    /// this over `packets_sent`).
+    pub cwnd_sum_bytes: u64,
+    /// Sum of the smoothed RTT after every ACK that newly acknowledged
+    /// data, microseconds (mean sRTT = this over `srtt_samples`).
+    pub srtt_sum_us: u64,
+    /// ACKs counted into `srtt_sum_us`.
+    pub srtt_samples: u64,
     /// Well-formed packets received (before duplicate filtering).
     pub packets_received: u64,
     /// Received packets discarded as duplicates.
@@ -423,6 +431,10 @@ impl Connection {
                         }
                     }
                 }
+                if !outcome.acked.is_empty() {
+                    self.stats.srtt_sum_us += self.rtt.srtt().as_micros();
+                    self.stats.srtt_samples += 1;
+                }
                 if self.tracer.enabled() && !outcome.acked.is_empty() {
                     let bytes: usize = outcome.acked.iter().map(|p| p.wire_bytes).sum();
                     let largest = outcome.acked.iter().map(|p| p.pkt_num).max().unwrap_or(0);
@@ -652,6 +664,7 @@ impl Connection {
         let pkt = Packet::new(self.next_pkt_num, frames);
         self.next_pkt_num += 1;
         self.stats.packets_sent += 1;
+        self.stats.cwnd_sum_bytes += self.cc.cwnd() as u64;
         if self.tracer.enabled() {
             self.tracer.count("quic.packets_sent", 1);
             self.tracer

@@ -14,17 +14,12 @@ use voxel::prep::manifest::Manifest;
 use voxel::trace::{JsonlSink, SharedBuf, Tracer};
 
 /// A lossy VOXEL session (tight queue forces drops on the unreliable
-/// body streams) with a JSONL tracer writing into memory, through the
-/// same instrumented-trial entry point the experiment pipeline uses.
-fn run_traced(session_id: u64) -> (voxel::core::TrialResult, Vec<u8>) {
+/// body streams) through the same instrumented-trial entry point the
+/// experiment pipeline uses.
+fn run_with(tracer: Tracer) -> voxel::core::TrialResult {
     let video = Video::generate(VideoId::Bbb);
     let qoe = QoeModel::default();
     let manifest = Arc::new(Manifest::prepare_levels(&video, &qoe, &[QualityLevel::MAX]));
-    let buf = SharedBuf::new();
-    let tracer = Tracer::new(
-        session_id,
-        Box::new(JsonlSink::to_writer(Box::new(buf.clone()))),
-    );
     let config = Experiment::builder()
         .video(VideoId::Bbb)
         .abr(AbrKind::voxel())
@@ -34,7 +29,14 @@ fn run_traced(session_id: u64) -> (voxel::core::TrialResult, Vec<u8>) {
         .queue(32)
         .build()
         .into_config();
-    let r = run_instrumented_trial(&config, &manifest, &Arc::new(video), &qoe, 0, tracer, None);
+    run_instrumented_trial(&config, &manifest, &Arc::new(video), &qoe, 0, tracer, None)
+}
+
+/// [`run_with`] a JSONL tracer writing into memory.
+fn run_traced(session_id: u64) -> (voxel::core::TrialResult, Vec<u8>) {
+    let buf = SharedBuf::new();
+    let sink = JsonlSink::to_writer(Box::new(buf.clone()));
+    let r = run_with(Tracer::new(session_id, Box::new(sink)));
     (r, buf.contents())
 }
 
@@ -101,8 +103,8 @@ fn transport_stats_come_from_the_registry() {
     assert_eq!(snap.counter("quic.ptos"), r.transport.ptos);
     assert!(r.transport.packets_sent > 1_000);
     assert!(r.transport.bytes_sent > 1_000_000);
-    // Mean cwnd is averaged over sends, so it sits strictly between the
-    // initial window and the registry's observed max.
+    // Mean cwnd is averaged over sends, so it sits between the registry's
+    // observed extremes.
     let cwnd = snap.histogram("quic.cwnd_bytes").expect("observed");
     assert!(r.transport.mean_cwnd_bytes >= cwnd.min as f64);
     assert!(r.transport.mean_cwnd_bytes <= cwnd.max as f64);
@@ -111,6 +113,18 @@ fn transport_stats_come_from_the_registry() {
     assert_eq!(snap.counter("abr.decisions"), 75);
     assert_eq!(snap.counter("player.segments_played"), 75);
     assert!(snap.counter("http.requests") + snap.counter("http.range_requests") >= 151);
+}
+
+/// Regression: the two mean fields used to be registry-histogram means
+/// when traced and final instantaneous values when not, so a result
+/// depended on whether anyone was watching.
+#[test]
+fn transport_stats_do_not_depend_on_the_observer() {
+    let untraced = run_with(Tracer::disabled());
+    let (traced, _events) = Tracer::memory(1, 16);
+    let traced = run_with(traced);
+    assert!(untraced.metrics.is_none() && traced.metrics.is_some());
+    assert_eq!(untraced.transport, traced.transport);
 }
 
 #[test]
@@ -130,7 +144,7 @@ fn untraced_sessions_carry_no_snapshot() {
     assert!(r.metrics.is_none());
     // Counter-based transport stats are filled even without tracing…
     assert!(r.transport.packets_sent > 0);
-    // …and the mean fields fall back to final instantaneous values.
+    // …and so are the per-send / per-ack means.
     assert!(r.transport.mean_cwnd_bytes > 0.0);
     assert!(r.transport.mean_srtt_ms > 0.0);
 }
