@@ -35,6 +35,15 @@ cargo run -q --release -p voxel-bench --bin cc_shootout -- --smoke
 echo "==> tier-2: edge sweep smoke (hot-cache hit floor + origin fan-in shield, DESIGN.md §16)"
 cargo run -q --release -p voxel-bench --bin edge_sweep -- --smoke
 
+echo "==> smoke: every dbg subcommand on a scenario spec and a fleet spec, voxel stream on a one-trial spec (DESIGN.md §11)"
+for sub in trace profile compare; do
+    for spec in BBB:VOXEL:const6:d20 BBB:2xVOXEL:const6:d20:cap10; do
+        cargo run -q --release -p voxel-bench --bin dbg -- "$sub" "$spec" >/dev/null 2>&1 ||
+            { echo "dbg $sub $spec failed"; exit 1; }
+    done
+done
+cargo run -q --release --bin voxel -- stream BBB:VOXEL:const6:n1 >/dev/null
+
 echo "==> perf: benchmark smoke (every workload once, output gates armed; benchmark/README.md)"
 bash benchmark/run.sh --smoke
 

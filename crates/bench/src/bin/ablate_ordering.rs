@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 use voxel_abr::AbrStar;
-use voxel_bench::{header, trace_by_name, trial_count};
+use voxel_bench::{figure_trace, header, trial_count};
 use voxel_core::client::{PlayerConfig, TransportMode};
 use voxel_core::metrics::Aggregate;
 use voxel_core::session::Session;
@@ -28,7 +28,7 @@ fn main() {
     );
     let video = Arc::new(Video::generate(VideoId::Bbb));
     let qoe = QoeModel::default();
-    let base_trace = trace_by_name("Verizon");
+    let base_trace = figure_trace("Verizon");
     let trials = trial_count();
     let levels: Vec<QualityLevel> = QualityLevel::all().collect();
 

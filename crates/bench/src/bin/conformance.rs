@@ -21,8 +21,8 @@
 use std::process::ExitCode;
 use std::time::Instant;
 use voxel_testkit::{
-    check_or_bless, run_golden, run_sweep, Content, GoldenStatus, Matrix, Scenario, SweepOptions,
-    SweepReport,
+    check_or_bless, run_golden, run_sweep, Content, GoldenStatus, Matrix, Scenario, Spec,
+    SweepOptions, SweepReport, GOLDENS,
 };
 
 fn seeds() -> Vec<u64> {
@@ -82,58 +82,54 @@ fn parity_counts() -> Vec<usize> {
     counts
 }
 
-/// Run every golden fleet as a sharded-parity sweep, then check (or
-/// bless) its digest against the workers=1 reference timeline.
-fn run_fleet_goldens(content: &Content, golden_dir: &std::path::Path) -> Result<bool, String> {
+/// Run the one `GOLDENS` table — scenarios once under their seed, fleets
+/// as a sharded-parity sweep whose workers=1 timeline is the digest
+/// candidate — and check (or bless) every digest.
+fn run_goldens(fleets_only: bool, content: &mut Content) -> Result<bool, String> {
+    let golden_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
     let counts = parity_counts();
-    let mut fleets_ok = true;
-    for g in voxel_testkit::canonical_fleets() {
+    let mut ok = true;
+    for g in &GOLDENS {
+        let what = match Spec::parse(g.spec)? {
+            Spec::Fleet(_) => format!("fleet {} (parity at w {counts:?})", g.name),
+            Spec::Scenario(_) if fleets_only => continue,
+            Spec::Scenario(_) => format!("golden {}", g.name),
+        };
         let started = Instant::now();
-        let (reference, mut violations) =
-            voxel_testkit::shard_parity_failures(&g, content, &counts)?;
-        if g.name == "fleet-edge4x16-hot" {
-            // The hot edge golden additionally pins QoE-side cache
-            // efficacy, not just determinism: hit-ratio floor and
-            // origin-load ceiling from the testkit edge oracles.
-            violations.extend(voxel_testkit::edge_hot_invariants(&reference.result));
-        }
-        if !violations.is_empty() {
-            println!("FAIL fleet {} parity sweep (w {counts:?}):", g.name);
-            for v in &violations {
+        let run = run_golden(g, content, &counts)?;
+        if !run.failures.is_empty() {
+            println!("FAIL {what}:");
+            for v in &run.failures {
                 println!("  - {v}");
             }
-            if let Some(p) = &reference.postmortem {
+            if let Some(p) = &run.postmortem {
                 println!("{p}");
             }
-            fleets_ok = false;
+            ok = false;
             continue;
         }
-        match check_or_bless(golden_dir, &g, &reference.timeline) {
-            Ok(GoldenStatus::Matched) => println!(
-                "# fleet {}: ok, parity holds at w {counts:?} ({:.1}s)",
-                g.name,
-                started.elapsed().as_secs_f64()
-            ),
-            Ok(GoldenStatus::Blessed) => {
-                println!("# fleet {}: blessed, parity holds at w {counts:?}", g.name)
+        match check_or_bless(&golden_dir, g, &run.timeline) {
+            Ok(GoldenStatus::Matched) => {
+                println!("# {what}: ok ({:.1}s)", started.elapsed().as_secs_f64())
             }
+            Ok(GoldenStatus::Blessed) => println!("# {what}: blessed"),
             Err(e) => {
-                println!("FAIL fleet {}: {e}", g.name);
-                fleets_ok = false;
+                println!("FAIL {what}: {e}");
+                ok = false;
             }
         }
     }
-    Ok(fleets_ok)
+    Ok(ok)
 }
 
 /// The `--fleets-only` mode: just the golden-fleet parity sweep + digest
 /// check. This is ci.sh's sharded-parity step.
 fn run_fleets_only() -> Result<bool, String> {
-    let counts = parity_counts();
-    println!("# conformance --fleets-only: golden-fleet parity sweep at w {counts:?}");
-    let content = Content::new();
-    let golden_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
-    run_fleet_goldens(&content, &golden_dir)
+    println!(
+        "# conformance --fleets-only: golden-fleet parity sweep at w {:?}",
+        parity_counts()
+    );
+    run_goldens(true, &mut Content::new())
 }
 
 fn run_conformance() -> Result<bool, String> {
@@ -162,27 +158,8 @@ fn run_conformance() -> Result<bool, String> {
     );
     print_failures(&report);
 
-    let golden_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
-    let mut goldens_ok = true;
-    for g in voxel_testkit::digest::canonical_scenarios() {
-        let (timeline, failures) = run_golden(&g, &mut content)?;
-        if !failures.is_empty() {
-            println!("FAIL golden {}: {failures:?}", g.name);
-            goldens_ok = false;
-            continue;
-        }
-        match check_or_bless(&golden_dir, &g, &timeline) {
-            Ok(GoldenStatus::Matched) => println!("# golden {}: ok", g.name),
-            Ok(GoldenStatus::Blessed) => println!("# golden {}: blessed", g.name),
-            Err(e) => {
-                println!("FAIL golden {}: {e}", g.name);
-                goldens_ok = false;
-            }
-        }
-    }
-    let fleets_ok = run_fleet_goldens(&content, &golden_dir)?;
-
-    Ok(report.ok() && goldens_ok && fleets_ok)
+    let goldens_ok = run_goldens(false, &mut content)?;
+    Ok(report.ok() && goldens_ok)
 }
 
 /// Canary self-test: arm the deliberate stall-accounting skew and demand

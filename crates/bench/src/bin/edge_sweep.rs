@@ -25,7 +25,7 @@ use voxel_fleet::{
 };
 use voxel_media::content::VideoId;
 use voxel_testkit::{
-    edge_hot_invariants, fleet_invariants, EDGE_HOT_HIT_RATIO_FLOOR,
+    edge_hot_invariants, fleet_invariants, Golden, EDGE_HOT_HIT_RATIO_FLOOR,
     EDGE_HOT_ORIGIN_FRACTION_OF_COLD,
 };
 use voxel_trace::Tracer;
@@ -42,12 +42,8 @@ const ZIPF_S: f64 = 1.0;
 const ARRIVAL_HZ: f64 = 0.5;
 
 fn golden_spec(name: &str) -> FleetSpec {
-    let goldens = voxel_testkit::canonical_fleets();
-    let g = goldens
-        .iter()
-        .find(|g| g.name == name)
-        .unwrap_or_else(|| panic!("{name} is canonical"));
-    FleetSpec::parse(g.spec).expect("canonical specs parse")
+    let golden = Golden::named(name).expect("the edge goldens are in GOLDENS");
+    FleetSpec::parse(golden.spec).expect("golden specs parse")
 }
 
 fn print_row(name: &str, r: &FleetResult) {

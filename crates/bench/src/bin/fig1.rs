@@ -6,7 +6,7 @@
 //! (c) the same at Q9 / SSIM 0.95 (tolerance recovers);
 //! (d) CDF of pristine SSIM for ToS/BBB at Q6 and Q9.
 
-use voxel_bench::{header, print_cdf, video_by_name};
+use voxel_bench::{header, print_cdf, video};
 use voxel_media::gop::FRAMES_PER_SEGMENT;
 use voxel_media::ladder::QualityLevel;
 use voxel_media::qoe::QoeModel;
@@ -32,7 +32,7 @@ fn main() {
         "CDF of frames droppable at Q12 while keeping SSIM >= 0.99",
     );
     for name in videos {
-        let v = Video::generate(video_by_name(name));
+        let v = Video::generate(video(name));
         print_cdf(
             name,
             &tolerance_cdf(&v, &model, QualityLevel::MAX, 0.99),
@@ -45,7 +45,7 @@ fn main() {
         "CDF of frames droppable at Q9 while keeping SSIM >= 0.99",
     );
     for name in videos {
-        let v = Video::generate(video_by_name(name));
+        let v = Video::generate(video(name));
         print_cdf(
             name,
             &tolerance_cdf(&v, &model, QualityLevel(9), 0.99),
@@ -58,7 +58,7 @@ fn main() {
         "CDF of frames droppable at Q9 while keeping SSIM >= 0.95",
     );
     for name in videos {
-        let v = Video::generate(video_by_name(name));
+        let v = Video::generate(video(name));
         print_cdf(
             name,
             &tolerance_cdf(&v, &model, QualityLevel(9), 0.95),
@@ -72,7 +72,7 @@ fn main() {
     );
     let ssim_probes: Vec<f64> = (0..=10).map(|i| 0.75 + i as f64 * 0.025).collect();
     for (name, level) in [("ToS", 6), ("ToS", 9), ("BBB", 6), ("BBB", 9)] {
-        let v = Video::generate(video_by_name(name));
+        let v = Video::generate(video(name));
         let ssims: Vec<f64> = v
             .segments
             .iter()
@@ -89,7 +89,7 @@ fn main() {
     // Headline check from §3 insight 1.
     println!("\n# summary: median tolerable drop % at Q12/0.99 (paper: 10-20%+ for all)");
     for name in videos {
-        let v = Video::generate(video_by_name(name));
+        let v = Video::generate(video(name));
         let tol = tolerance_cdf(&v, &model, QualityLevel::MAX, 0.99);
         println!(
             "{name:8} median {:5.1}%",

@@ -9,7 +9,6 @@
 
 use voxel_bench::{header, print_cdf, sys_config, trial_count};
 use voxel_core::experiment::ContentCache;
-use voxel_media::content::VideoId;
 use voxel_netem::trace::generators;
 
 fn main() {
@@ -27,7 +26,9 @@ fn main() {
             let mut trials = Vec::new();
             for i in 0..traces {
                 let trace = generators::norway_3g_raw(i, voxel_bench::TRACE_DURATION_S);
-                let cfg = sys_config(VideoId::Bbb, system, buffer, trace).trials(1);
+                let cfg = sys_config("BBB", system, buffer, "3G")
+                    .trace(trace)
+                    .trials(1);
                 let agg = voxel_bench::run(&cache, cfg);
                 trials.extend(agg.trials);
             }

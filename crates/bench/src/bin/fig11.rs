@@ -8,10 +8,8 @@
 //! (d)+Fig 13: "in-the-wild" WiFi-like trials with 1- and 7-segment
 //!     buffers — bufRatio and SSIM distributions.
 
-use voxel_bench::{header, print_cdf, sys_config, trace_by_name};
+use voxel_bench::{header, print_cdf, sys_config};
 use voxel_core::experiment::ContentCache;
-use voxel_media::content::VideoId;
-use voxel_netem::BandwidthTrace;
 
 fn accumulated_avg(series: &[f64]) -> Vec<f64> {
     let mut out = Vec::with_capacity(series.len());
@@ -29,19 +27,10 @@ fn main() {
         "Fig 11a",
         "accumulated average SSIM while streaming BBB, 28 s buffer",
     );
-    let traces = [
-        (
-            "const",
-            BandwidthTrace::constant(10.5, voxel_bench::TRACE_DURATION_S),
-        ),
-        (
-            "step",
-            BandwidthTrace::step(10.75, 10.5, 70, voxel_bench::TRACE_DURATION_S),
-        ),
-    ];
-    for (tname, trace) in &traces {
+    let traces = [("const", "const10.5"), ("step", "step10.75-10.5@70")];
+    for (tname, trace) in traces {
         for system in ["BOLA", "VOXEL"] {
-            let cfg = sys_config(VideoId::Bbb, system, 7, trace.clone()).trials(1);
+            let cfg = sys_config("BBB", system, 7, trace).trials(1);
             let agg = voxel_bench::run(&cache, cfg);
             let ssims = agg.trials[0].ssims();
             let acc = accumulated_avg(&ssims);
@@ -67,9 +56,9 @@ fn main() {
 
     header("Fig 11b/11c", "SSIM CDFs on the synthetic traces");
     let probes: Vec<f64> = (0..=12).map(|i| 0.88 + i as f64 * 0.01).collect();
-    for (tname, trace) in &traces {
+    for (tname, trace) in traces {
         for system in ["BOLA", "VOXEL"] {
-            let cfg = sys_config(VideoId::Bbb, system, 7, trace.clone()).trials(4);
+            let cfg = sys_config("BBB", system, 7, trace).trials(4);
             let agg = voxel_bench::run(&cache, cfg);
             print_cdf(&format!("{system} ({tname})"), &agg.pooled_ssims(), &probes);
         }
@@ -82,15 +71,8 @@ fn main() {
     for buffer in [1usize, 7] {
         for video in ["BBB", "ED", "Sintel", "ToS"] {
             for system in ["BOLA", "VOXEL"] {
-                let agg = voxel_bench::run(
-                    &cache,
-                    sys_config(
-                        voxel_bench::video_by_name(video),
-                        system,
-                        buffer,
-                        trace_by_name("in-the-wild"),
-                    ),
-                );
+                let agg =
+                    voxel_bench::run(&cache, sys_config(video, system, buffer, "in-the-wild"));
                 println!(
                     "buf={buffer} {video:7} {system:6} bufRatio p90 {:5.2}%  mean SSIM {:.4}",
                     agg.buf_ratio_p90(),

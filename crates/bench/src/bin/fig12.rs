@@ -1,7 +1,7 @@
 //! Figure 12: the full VOXEL system vs BOLA under 20 Mbps cross-traffic
 //! (§5.2, "In-lab trials with cross traffic").
 
-use voxel_bench::{header, sys_config, video_by_name};
+use voxel_bench::{header, sys_config};
 use voxel_core::experiment::ContentCache;
 use voxel_netem::crosstraffic::{available_bandwidth, CrossTrafficConfig};
 
@@ -25,7 +25,7 @@ fn main() {
             for system in ["BOLA", "VOXEL"] {
                 let agg = voxel_bench::run(
                     &cache,
-                    sys_config(video_by_name(video), system, buffer, trace.clone()),
+                    sys_config(video, system, buffer, "const20").trace(trace.clone()),
                 );
                 println!(
                     "{:8} {:>4} {:>8} {:>11.2}% {:>14.0}",

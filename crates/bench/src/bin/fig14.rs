@@ -10,7 +10,6 @@
 use voxel_bench::{header, sys_config};
 use voxel_core::experiment::ContentCache;
 use voxel_core::survey::run_survey;
-use voxel_media::content::VideoId;
 use voxel_netem::trace::generators;
 
 fn main() {
@@ -35,11 +34,13 @@ fn main() {
         let trace = generators::norway_3g_raw(idx, voxel_bench::TRACE_DURATION_S);
         let bola = voxel_bench::run(
             &cache,
-            sys_config(VideoId::Bbb, "BOLA", 1, trace.clone()).trials(1),
+            sys_config("BBB", "BOLA", 1, "3G")
+                .trace(trace.clone())
+                .trials(1),
         );
         let voxel = voxel_bench::run(
             &cache,
-            sys_config(VideoId::Bbb, "VOXEL", 1, trace).trials(1),
+            sys_config("BBB", "VOXEL", 1, "3G").trace(trace).trials(1),
         );
         let s = run_survey(&bola.trials[0], &voxel.trials[0], 54, 14 + i as u64);
         prefer += s.prefer_b;

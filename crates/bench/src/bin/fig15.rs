@@ -1,14 +1,14 @@
 //! Figure 15 (+Tables 1–3 via `tables`): per-segment bitrate variation of
 //! the capped-VBR encodes across quality levels (ED and Sintel).
 
-use voxel_bench::{header, video_by_name};
+use voxel_bench::{header, video};
 use voxel_media::ladder::QualityLevel;
 use voxel_media::video::Video;
 
 fn main() {
     header("Fig 15", "per-segment bitrate (Mbps) across quality levels");
     for name in ["ED", "Sintel"] {
-        let v = Video::generate(video_by_name(name));
+        let v = Video::generate(video(name));
         println!("\n## {name}");
         for q in [12usize, 11, 10, 8, 6, 4] {
             let level = QualityLevel::try_from(q).expect("valid");

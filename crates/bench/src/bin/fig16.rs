@@ -2,7 +2,7 @@
 //! scenario. Long queues challenge loss-based CUBIC (bufferbloat), so
 //! VOXEL's edge narrows, as the paper observes.
 
-use voxel_bench::{header, sys_config, trace_by_name, video_by_name};
+use voxel_bench::{header, sys_config, voxel_for};
 use voxel_core::experiment::ContentCache;
 use voxel_quic::CcKind;
 
@@ -16,19 +16,13 @@ fn main() {
     for (trace, videos) in [("T-Mobile", ["BBB", "ED"]), ("Verizon", ["Sintel", "ToS"])] {
         for video in videos {
             for buffer in [1usize, 2, 3, 7] {
-                let voxel = if trace == "T-Mobile" {
-                    "VOXEL-tuned"
-                } else {
-                    "VOXEL"
-                };
+                let voxel = voxel_for(trace);
                 for (label, system, delay_cc) in [
                     ("BOLA", "BOLA", false),
                     (voxel, voxel, false),
                     ("VOXEL+delayCC", voxel, true),
                 ] {
-                    let mut cfg =
-                        sys_config(video_by_name(video), system, buffer, trace_by_name(trace))
-                            .queue(750);
+                    let mut cfg = sys_config(video, system, buffer, trace).queue(750);
                     if delay_cc {
                         cfg = cfg.cc(CcKind::Delay);
                     }

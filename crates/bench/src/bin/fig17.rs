@@ -1,7 +1,7 @@
 //! Figure 17 (Appendix D): 3G/AT&T bitrates and the bandwidth-safety
 //! ablation — untuned (aggressive) VOXEL vs tuned VOXEL on T-Mobile.
 
-use voxel_bench::{header, print_cdf, sys_config, trace_by_name, video_by_name};
+use voxel_bench::{header, print_cdf, sys_config};
 use voxel_core::experiment::ContentCache;
 
 fn main() {
@@ -11,14 +11,8 @@ fn main() {
     for trace in ["3G", "AT&T"] {
         for video in ["BBB", "ED", "Sintel", "ToS"] {
             for buffer in [1usize, 2, 3, 7] {
-                let bola = voxel_bench::run(
-                    &cache,
-                    sys_config(video_by_name(video), "BOLA", buffer, trace_by_name(trace)),
-                );
-                let vox = voxel_bench::run(
-                    &cache,
-                    sys_config(video_by_name(video), "VOXEL", buffer, trace_by_name(trace)),
-                );
+                let bola = voxel_bench::run(&cache, sys_config(video, "BOLA", buffer, trace));
+                let vox = voxel_bench::run(&cache, sys_config(video, "VOXEL", buffer, trace));
                 println!(
                     "{:14} buf={buffer} BOLA {:>7.0}  VOXEL {:>7.0}",
                     format!("{trace}/{video}"),
@@ -37,15 +31,7 @@ fn main() {
     for buffer in [1usize, 2, 3, 7] {
         println!("\n## buffer {buffer}");
         for system in ["BETA", "VOXEL", "VOXEL-tuned"] {
-            let agg = voxel_bench::run(
-                &cache,
-                sys_config(
-                    video_by_name("BBB"),
-                    system,
-                    buffer,
-                    trace_by_name("T-Mobile"),
-                ),
-            );
+            let agg = voxel_bench::run(&cache, sys_config("BBB", system, buffer, "T-Mobile"));
             println!(
                 "{system:12} bufRatio p90 {:5.2}%  mean SSIM {:.4}",
                 agg.buf_ratio_p90(),

@@ -2,7 +2,7 @@
 //! ablation — VOXEL with unreliable streams disabled ("VOXEL rel") vs
 //! VOXEL, on T-Mobile and Verizon.
 
-use voxel_bench::{header, sys_config, trace_by_name, video_by_name};
+use voxel_bench::{header, sys_config, voxel_for};
 use voxel_core::experiment::ContentCache;
 
 fn main() {
@@ -14,14 +14,8 @@ fn main() {
     );
     for video in ["BBB", "ED", "Sintel", "ToS"] {
         for buffer in [1usize, 2, 3, 7] {
-            let bola = voxel_bench::run(
-                &cache,
-                sys_config(video_by_name(video), "BOLA", buffer, trace_by_name("FCC")),
-            );
-            let vox = voxel_bench::run(
-                &cache,
-                sys_config(video_by_name(video), "VOXEL", buffer, trace_by_name("FCC")),
-            );
+            let bola = voxel_bench::run(&cache, sys_config(video, "BOLA", buffer, "FCC"));
+            let vox = voxel_bench::run(&cache, sys_config(video, "VOXEL", buffer, "FCC"));
             println!(
                 "FCC/{video:7} buf={buffer} BOLA p90 {:5.2}% @{:>6.0}kbps   VOXEL p90 {:5.2}% @{:>6.0}kbps",
                 bola.buf_ratio_p90(),
@@ -36,26 +30,12 @@ fn main() {
         "Fig 18c/18d",
         "partial-reliability ablation: VOXEL rel (fully reliable) vs VOXEL",
     );
-    for (trace, videos, tuned) in [
-        ("T-Mobile", ["BBB", "ED"], true),
-        ("Verizon", ["Sintel", "ToS"], false),
-    ] {
+    for (trace, videos) in [("T-Mobile", ["BBB", "ED"]), ("Verizon", ["Sintel", "ToS"])] {
         for video in videos {
             for buffer in [1usize, 2, 3, 7] {
-                let voxel = if tuned { "VOXEL-tuned" } else { "VOXEL" };
-                let rel = voxel_bench::run(
-                    &cache,
-                    sys_config(
-                        video_by_name(video),
-                        "VOXEL-rel",
-                        buffer,
-                        trace_by_name(trace),
-                    ),
-                );
-                let vox = voxel_bench::run(
-                    &cache,
-                    sys_config(video_by_name(video), voxel, buffer, trace_by_name(trace)),
-                );
+                let voxel = voxel_for(trace);
+                let rel = voxel_bench::run(&cache, sys_config(video, "VOXEL-rel", buffer, trace));
+                let vox = voxel_bench::run(&cache, sys_config(video, voxel, buffer, trace));
                 println!(
                     "{:18} buf={buffer} VOXEL-rel p90 {:5.2}% ssim {:.4} @{:5.0}kbps   VOXEL p90 {:5.2}% ssim {:.4} @{:5.0}kbps",
                     format!("{trace}/{video}"),

@@ -1,7 +1,7 @@
 //! Figure 19 (Appendix C): the §3 insights generalized over the public
 //! YouTube set — drop-tolerance CDFs for P1, P5, P6, P7, P9, P10.
 
-use voxel_bench::{header, print_cdf, video_by_name};
+use voxel_bench::{header, print_cdf, video};
 use voxel_media::gop::FRAMES_PER_SEGMENT;
 use voxel_media::ladder::QualityLevel;
 use voxel_media::qoe::QoeModel;
@@ -21,7 +21,7 @@ fn main() {
             &format!("droppable-frame CDF at {level}, SSIM >= {target}"),
         );
         for name in videos {
-            let v = Video::generate(video_by_name(name));
+            let v = Video::generate(video(name));
             let tol: Vec<f64> = v
                 .segments
                 .iter()

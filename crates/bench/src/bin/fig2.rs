@@ -7,7 +7,7 @@
 //! (c,d) per-segment bitrate CDFs of the virtual levels Q12/0.99 and
 //!     Q12/0.95 against real levels Q10–Q12 (BBB, ToS).
 
-use voxel_bench::{header, print_cdf, video_by_name};
+use voxel_bench::{header, print_cdf, video};
 use voxel_media::gop::FRAMES_PER_SEGMENT;
 use voxel_media::ladder::QualityLevel;
 use voxel_media::qoe::QoeModel;
@@ -23,7 +23,7 @@ fn main() {
         "fraction of segments whose frame at position p is droppable (Q12, SSIM 0.99)",
     );
     for name in ["BBB", "ToS"] {
-        let v = Video::generate(video_by_name(name));
+        let v = Video::generate(video(name));
         let frac = droppable_by_position(&model, &v.segments, QualityLevel::MAX, 0.99);
         // Print every 8th position to keep rows readable.
         let cells: Vec<String> = frac
@@ -41,7 +41,7 @@ fn main() {
     );
     let probes: Vec<f64> = (0..=10).map(|i| i as f64 * 10.0).collect();
     for name in ["BBB", "ToS"] {
-        let v = Video::generate(video_by_name(name));
+        let v = Video::generate(video(name));
         for (label, ordering) in [
             (name.to_string(), OrderingKind::InboundRank),
             (format!("{name}/Tail"), OrderingKind::UnreferencedTail),
@@ -61,7 +61,7 @@ fn main() {
     );
     let rate_probes: Vec<f64> = (0..=10).map(|i| i as f64 * 2.0).collect();
     for name in ["BBB", "ToS"] {
-        let v = Video::generate(video_by_name(name));
+        let v = Video::generate(video(name));
         // Real levels.
         for level in [QualityLevel(10), QualityLevel(11), QualityLevel::MAX] {
             let rates: Vec<f64> = v.segments.iter().map(|s| s.bitrate_mbps(level)).collect();
@@ -97,7 +97,7 @@ fn main() {
         "\n# summary: mean tolerable drops at Q12/0.99 by ordering (paper: rank > tail > original)"
     );
     for name in ["BBB", "ToS"] {
-        let v = Video::generate(video_by_name(name));
+        let v = Video::generate(video(name));
         for ordering in OrderingKind::ALL {
             let mean: f64 = v
                 .segments

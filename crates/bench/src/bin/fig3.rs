@@ -6,7 +6,7 @@
 //! the minimal split (I-frames reliable, all other frames unreliable) and
 //! no other ABR change.
 
-use voxel_bench::{header, sys_config, trace_by_name, trial_count, video_by_name};
+use voxel_bench::{header, sys_config, trial_count};
 use voxel_core::experiment::ContentCache;
 use voxel_core::TransportMode;
 
@@ -31,7 +31,7 @@ fn main() {
         for buffer in [5usize, 6, 7] {
             for (label, transport) in [("Q", TransportMode::Reliable), ("Q*", TransportMode::Split)]
             {
-                let cfg = sys_config(video_by_name(video), abr, buffer, trace_by_name(trace))
+                let cfg = sys_config(video, abr, buffer, trace)
                     .transport(transport)
                     .trials(trial_count());
                 let agg = voxel_bench::run(&cache, cfg);

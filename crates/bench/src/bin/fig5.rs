@@ -5,7 +5,7 @@
 //! 10/15/20 Mbps offered load; 90th-percentile bufRatio and average
 //! bitrates for BOLA and MPC over Q vs Q*.
 
-use voxel_bench::{header, sys_config, trial_count, video_by_name};
+use voxel_bench::{header, sys_config, trial_count};
 use voxel_core::experiment::ContentCache;
 use voxel_core::TransportMode;
 use voxel_netem::crosstraffic::{available_bandwidth, CrossTrafficConfig};
@@ -37,7 +37,8 @@ fn main() {
                 for (label, transport) in
                     [("Q", TransportMode::Reliable), ("Q*", TransportMode::Split)]
                 {
-                    let cfg = sys_config(video_by_name(video), abr, buffer, trace.clone())
+                    let cfg = sys_config(video, abr, buffer, "const20")
+                        .trace(trace.clone())
                         .transport(transport)
                         .trials(trial_count());
                     let agg = voxel_bench::run(&cache, cfg);

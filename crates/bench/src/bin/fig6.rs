@@ -7,7 +7,7 @@
 //! re-download near-entire segments for a large share of segments in
 //! small-buffer scenarios.
 
-use voxel_bench::{header, sys_config, trace_by_name, video_by_name, FIG6_PAIRS};
+use voxel_bench::{header, sys_config, voxel_for, FIG6_PAIRS};
 use voxel_core::experiment::ContentCache;
 
 fn main() {
@@ -21,19 +21,8 @@ fn main() {
     for (trace, video) in FIG6_PAIRS {
         for buffer in [1usize, 2, 3, 7] {
             let mut bola_p90 = None;
-            for system in [
-                "BOLA",
-                "BETA",
-                if trace == "T-Mobile" {
-                    "VOXEL-tuned"
-                } else {
-                    "VOXEL"
-                },
-            ] {
-                let agg = voxel_bench::run(
-                    &cache,
-                    sys_config(video_by_name(video), system, buffer, trace_by_name(trace)),
-                );
+            for system in ["BOLA", "BETA", voxel_for(trace)] {
+                let agg = voxel_bench::run(&cache, sys_config(video, system, buffer, trace));
                 let p90 = agg.buf_ratio_p90();
                 let restarts: f64 = agg.trials.iter().map(|t| t.restarts as f64).sum::<f64>()
                     / agg.trials.len() as f64;

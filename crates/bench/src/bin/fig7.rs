@@ -6,7 +6,7 @@
 //!     VOXEL (BBB over Verizon);
 //! (d) percent of segment data skipped by VOXEL vs buffer size, per video.
 
-use voxel_bench::{header, print_cdf, sys_config, trace_by_name, video_by_name};
+use voxel_bench::{figure_trace, header, print_cdf, sys_config};
 use voxel_core::experiment::{AbrKind, ContentCache, Experiment};
 use voxel_core::TransportMode;
 use voxel_media::content::VideoId;
@@ -14,17 +14,14 @@ use voxel_media::qoe::QoeMetric;
 
 fn main() {
     let cache = ContentCache::new();
-    let trace = trace_by_name("Verizon");
+    let trace = figure_trace("Verizon");
 
     header(
         "Fig 7a",
         "bufRatio p90 of BOLA vs VOXEL under different QoE utilities (BBB, Verizon)",
     );
     for buffer in [1usize, 2, 3, 7] {
-        let bola = voxel_bench::run(
-            &cache,
-            sys_config(VideoId::Bbb, "BOLA", buffer, trace.clone()),
-        );
+        let bola = voxel_bench::run(&cache, sys_config("BBB", "BOLA", buffer, "Verizon"));
         print!("buf={buffer}: BOLA {:5.2}%", bola.buf_ratio_p90());
         for metric in [QoeMetric::Ssim, QoeMetric::Vmaf, QoeMetric::Psnr] {
             let cfg = Experiment::builder()
@@ -47,8 +44,8 @@ fn main() {
         "Fig 7b/7c",
         "SSIM and VMAF distributions of streamed segments (BBB, Verizon, 3-seg buffer)",
     );
-    let bola = voxel_bench::run(&cache, sys_config(VideoId::Bbb, "BOLA", 3, trace.clone()));
-    let voxel = voxel_bench::run(&cache, sys_config(VideoId::Bbb, "VOXEL", 3, trace.clone()));
+    let bola = voxel_bench::run(&cache, sys_config("BBB", "BOLA", 3, "Verizon"));
+    let voxel = voxel_bench::run(&cache, sys_config("BBB", "VOXEL", 3, "Verizon"));
     let ssim_probes: Vec<f64> = (0..=10).map(|i| 0.85 + i as f64 * 0.015).collect();
     print_cdf("SSIM BOLA", &bola.pooled_ssims(), &ssim_probes);
     print_cdf("SSIM VOXEL", &voxel.pooled_ssims(), &ssim_probes);
@@ -72,10 +69,7 @@ fn main() {
     for video in ["BBB", "ED", "Sintel", "ToS"] {
         print!("{video:8}");
         for buffer in [1usize, 2, 3, 7] {
-            let agg = voxel_bench::run(
-                &cache,
-                sys_config(video_by_name(video), "VOXEL", buffer, trace.clone()),
-            );
+            let agg = voxel_bench::run(&cache, sys_config(video, "VOXEL", buffer, "Verizon"));
             print!("  buf{buffer}:{:5.1}%", agg.data_skipped_mean_pct());
         }
         println!();

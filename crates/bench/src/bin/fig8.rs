@@ -1,7 +1,7 @@
 //! Figure 8: average delivered bitrates, BOLA/QUIC vs VOXEL, over T-Mobile
 //! and Verizon, buffers 1,2,3,7 (§5.2).
 
-use voxel_bench::{header, sys_config, trace_by_name, video_by_name};
+use voxel_bench::{header, sys_config, voxel_for};
 use voxel_core::experiment::ContentCache;
 
 fn main() {
@@ -11,23 +11,9 @@ fn main() {
     for trace in ["T-Mobile", "Verizon"] {
         for video in ["BBB", "ED", "Sintel", "ToS"] {
             for buffer in [1usize, 2, 3, 7] {
-                let bola = voxel_bench::run(
-                    &cache,
-                    sys_config(video_by_name(video), "BOLA", buffer, trace_by_name(trace)),
-                );
-                let vox = voxel_bench::run(
-                    &cache,
-                    sys_config(
-                        video_by_name(video),
-                        if trace == "T-Mobile" {
-                            "VOXEL-tuned"
-                        } else {
-                            "VOXEL"
-                        },
-                        buffer,
-                        trace_by_name(trace),
-                    ),
-                );
+                let bola = voxel_bench::run(&cache, sys_config(video, "BOLA", buffer, trace));
+                let vox =
+                    voxel_bench::run(&cache, sys_config(video, voxel_for(trace), buffer, trace));
                 println!(
                     "{:20} {:>4} {:>10.0} {:>10.0}",
                     format!("{trace}/{video}"),

@@ -2,7 +2,7 @@
 //! (§5.2): ToS/AT&T (2-segment buffer), Sintel/3G, ED/Verizon,
 //! BBB/T-Mobile (tuned VOXEL). Buffers of 3 segments unless noted.
 
-use voxel_bench::{header, print_cdf, sys_config, trace_by_name, video_by_name};
+use voxel_bench::{header, print_cdf, sys_config, voxel_for};
 use voxel_core::experiment::ContentCache;
 
 fn main() {
@@ -12,19 +12,16 @@ fn main() {
         "SSIM distributions of streamed segments: BOLA vs BETA vs VOXEL",
     );
     let panels = [
-        ("AT&T", "ToS", 2usize, "VOXEL"),
-        ("3G", "Sintel", 3, "VOXEL"),
-        ("Verizon", "ED", 3, "VOXEL"),
-        ("T-Mobile", "BBB", 3, "VOXEL-tuned"),
+        ("AT&T", "ToS", 2usize),
+        ("3G", "Sintel", 3),
+        ("Verizon", "ED", 3),
+        ("T-Mobile", "BBB", 3),
     ];
     let probes: Vec<f64> = (0..=12).map(|i| 0.85 + i as f64 * 0.0125).collect();
-    for (trace, video, buffer, voxel) in panels {
+    for (trace, video, buffer) in panels {
         println!("\n## {trace} / {video} / {buffer}-segment buffer");
-        for system in ["BOLA", "BETA", voxel] {
-            let agg = voxel_bench::run(
-                &cache,
-                sys_config(video_by_name(video), system, buffer, trace_by_name(trace)),
-            );
+        for system in ["BOLA", "BETA", voxel_for(trace)] {
+            let agg = voxel_bench::run(&cache, sys_config(video, system, buffer, trace));
             print_cdf(system, &agg.pooled_ssims(), &probes);
             println!(
                 "{:24} mean SSIM {:.4}  bufRatio p90 {:.2}%",

@@ -6,9 +6,8 @@
 //! dropped at all, and how often dropping only unreferenced b-frames would
 //! not have sufficed.
 
-use voxel_bench::{header, sys_config, trace_by_name};
+use voxel_bench::{header, sys_config};
 use voxel_core::experiment::ContentCache;
-use voxel_media::content::VideoId;
 
 fn main() {
     let cache = ContentCache::new();
@@ -21,10 +20,7 @@ fn main() {
         "buf", "lost(kB)", "recovered", "residual-loss", "segs-with-drops", "ref-drop-share"
     );
     for buffer in [1usize, 2, 3, 7] {
-        let agg = voxel_bench::run(
-            &cache,
-            sys_config(VideoId::Bbb, "VOXEL", buffer, trace_by_name("Verizon")),
-        );
+        let agg = voxel_bench::run(&cache, sys_config("BBB", "VOXEL", buffer, "Verizon"));
         let lost: u64 = agg.trials.iter().map(|t| t.bytes_lost).sum();
         let rec: u64 = agg.trials.iter().map(|t| t.bytes_recovered).sum();
         let segs: u32 = agg.trials.iter().map(|t| t.segments_with_drops).sum();

@@ -1,9 +1,8 @@
 //! A/B: profiler disabled vs enabled (1-in-32 sampling) on the session
 //! event-loop workload — the ci.sh overhead guard for `voxel-obs`.
 //!
-//! Mirrors `trace_ab`: the same 600 s constant-rate VOXEL session runs
-//! with no profiler and with `Profiler::enabled()` installed, medians
-//! over 9 runs each. Exits non-zero when the enabled median exceeds the
+//! The same 600 s constant-rate VOXEL session runs with no profiler and
+//! with `Profiler::enabled()` installed, medians over 9 runs each. Exits non-zero when the enabled median exceeds the
 //! disabled one by more than the budget (default 5%, override with
 //! `VOXEL_OBS_AB_MAX_PCT`).
 

@@ -19,8 +19,8 @@
 use voxel_core::experiment::{ContentCache, ExperimentBuilder};
 use voxel_core::metrics::Aggregate;
 use voxel_media::content::VideoId;
-use voxel_netem::trace::generators;
-use voxel_netem::BandwidthTrace;
+use voxel_netem::{BandwidthTrace, TraceFamily};
+use voxel_testkit::{Scenario, SpecError};
 
 /// Trace duration used by all experiments (one 5-minute clip).
 pub const TRACE_DURATION_S: usize = 300;
@@ -36,28 +36,46 @@ pub fn trial_count() -> usize {
         .unwrap_or(8)
 }
 
-/// The five named traces of §5 by figure-legend name.
-pub fn trace_by_name(name: &str) -> BandwidthTrace {
-    match name {
-        "T-Mobile" => generators::tmobile_lte(TRACE_SEED, TRACE_DURATION_S),
-        "Verizon" => generators::verizon_lte(TRACE_SEED, TRACE_DURATION_S),
-        "AT&T" => generators::att_lte(TRACE_SEED, TRACE_DURATION_S),
-        "3G" => generators::norway_3g(TRACE_SEED, TRACE_DURATION_S),
-        "FCC" => generators::fcc(TRACE_SEED, TRACE_DURATION_S),
-        "in-the-wild" => generators::wild_wifi(TRACE_SEED, TRACE_DURATION_S),
-        _ => panic!("unknown trace {name}"),
-    }
+/// One §5 cell — video × system × trace × buffer — as a scenario, through
+/// the spec language every other tool speaks. `trace` is a figure legend
+/// (`T-Mobile`) or a spec token (`tmobile`, `const10.5`); an unknown name
+/// on any axis is a [`SpecError`] listing the valid set from its table.
+fn cell(video: &str, system: &str, buffer: usize, trace: &str) -> Result<Scenario, SpecError> {
+    let token = TraceFamily::named()
+        .iter()
+        .find(|f| f.legend() == trace)
+        .map_or_else(|| trace.to_string(), TraceFamily::token);
+    Scenario::parse(&format!(
+        "{video}:{system}:{token}:buf{buffer}:d{TRACE_DURATION_S}"
+    ))
 }
 
-/// Parse a video legend name (BBB/ED/Sintel/ToS/P1..P10).
-pub fn video_by_name(name: &str) -> VideoId {
-    match name {
-        "BBB" => VideoId::Bbb,
-        "ED" => VideoId::Ed,
-        "Sintel" => VideoId::Sintel,
-        "ToS" => VideoId::Tos,
-        p if p.starts_with('P') => VideoId::YouTube(p[1..].parse().expect("P<n>")),
-        _ => panic!("unknown video {name}"),
+/// What every bin does with an unknown name: print the error (it carries
+/// the valid set) and exit 2.
+fn or_exit<T>(r: Result<T, SpecError>) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
+}
+
+/// A video by legend name (BBB/ED/Sintel/ToS/P1..P10).
+pub fn video(name: &str) -> VideoId {
+    or_exit(cell(name, "VOXEL", 3, "const8")).video
+}
+
+/// A §5 trace by figure-legend name or spec token, as the figures run it
+/// ([`TRACE_SEED`], [`TRACE_DURATION_S`]).
+pub fn figure_trace(name: &str) -> BandwidthTrace {
+    or_exit(cell("BBB", "VOXEL", 3, name)).build_trace(TRACE_SEED)
+}
+
+/// The VOXEL variant the paper evaluates on `trace`: the Fig 6d
+/// bandwidth-safety tuning on T-Mobile, the aggressive default elsewhere.
+pub fn voxel_for(trace: &str) -> &'static str {
+    match or_exit(cell("BBB", "VOXEL", 3, trace)).trace {
+        TraceFamily::TMobile => "VOXEL-tuned",
+        _ => "VOXEL",
     }
 }
 
@@ -76,24 +94,12 @@ pub fn run(cache: &ContentCache, experiment: ExperimentBuilder) -> Aggregate {
 }
 
 /// A standard §5.2 comparison experiment, ready to `run` (or to tweak
-/// further — the return value is the builder).
-pub fn sys_config(
-    video: VideoId,
-    system: &str,
-    buffer_segments: usize,
-    trace: BandwidthTrace,
-) -> ExperimentBuilder {
-    // The legend-name table lives in voxel-fleet (re-exported by the
-    // testkit) so the conformance scenarios, the fleet specs, and the
-    // figure harness can never disagree on a system.
-    let (abr, transport) =
-        voxel_testkit::system_by_name(system).unwrap_or_else(|| panic!("unknown system {system}"));
-    voxel_core::Experiment::builder()
-        .video(video)
-        .abr(abr)
-        .transport(transport)
-        .buffer(buffer_segments)
-        .trace(trace)
+/// further — the return value is the builder; bins that shape their own
+/// trace override it with `.trace(..)`).
+pub fn sys_config(video: &str, system: &str, buffer: usize, trace: &str) -> ExperimentBuilder {
+    or_exit(cell(video, system, buffer, trace))
+        .experiment(TRACE_SEED)
+        .expect("cell() validated the system")
         .trials(trial_count())
 }
 
@@ -116,24 +122,51 @@ mod tests {
     use voxel_core::TransportMode;
 
     #[test]
-    fn traces_resolve() {
-        for name in ["T-Mobile", "Verizon", "AT&T", "3G", "FCC", "in-the-wild"] {
-            let t = trace_by_name(name);
-            assert_eq!(t.duration_s(), TRACE_DURATION_S);
+    fn cells_resolve_legends_and_tokens_to_the_same_trace() {
+        for family in TraceFamily::named() {
+            let by_legend = cell("BBB", "BOLA", 3, &family.legend()).expect("legend");
+            let by_token = cell("BBB", "BOLA", 3, &family.token()).expect("token");
+            assert_eq!(by_legend, by_token);
+            assert_eq!(by_legend.trace, family);
+            let t = by_legend.build_trace(TRACE_SEED);
+            assert_eq!(
+                (t.duration_s(), t.name),
+                (TRACE_DURATION_S, family.legend())
+            );
+        }
+        assert_eq!(
+            cell("P10", "VOXEL", 1, "const10.5").expect("parses").video,
+            VideoId::YouTube(10)
+        );
+    }
+
+    /// Unknown names fail with the valid set, generated from the one
+    /// table of each noun — so a usage string cannot drift from it.
+    #[test]
+    fn unknown_names_print_the_valid_set_from_the_one_table() {
+        for bad in ["P11", "P0", "Px", "XYZ"] {
+            let e = cell(bad, "VOXEL", 3, "FCC").expect_err(bad);
+            let names: Vec<String> = VideoId::all().iter().map(|v| v.short_name()).collect();
+            assert_eq!((e.token.as_str(), e.pos), (bad, 0));
+            assert!(e.expected.contains(&names.join("|")), "{e}");
+        }
+        let e = cell("BBB", "XYZ", 3, "FCC").expect_err("system");
+        let systems = voxel_fleet::systems().map(|(name, ..)| name).join("|");
+        assert!(e.pos == 1 && e.expected.contains(&systems), "{e}");
+        let e = cell("BBB", "VOXEL", 3, "LTE").expect_err("trace");
+        assert!(
+            e.pos == 2 && e.expected.contains(&TraceFamily::menu()),
+            "{e}"
+        );
+        for family in TraceFamily::named() {
+            assert!(TraceFamily::menu().contains(&family.token()));
         }
     }
 
     #[test]
-    fn videos_resolve() {
-        assert_eq!(video_by_name("BBB"), VideoId::Bbb);
-        assert_eq!(video_by_name("P10"), VideoId::YouTube(10));
-    }
-
-    #[test]
     fn sys_configs_have_expected_transports() {
-        let t = BandwidthTrace::constant(10.0, 10);
         let transport = |sys: &str| {
-            sys_config(VideoId::Bbb, sys, 3, t.clone())
+            sys_config("BBB", sys, 3, "const10")
                 .build()
                 .config()
                 .transport
@@ -144,8 +177,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown system")]
-    fn unknown_system_panics() {
-        let _ = sys_config(VideoId::Bbb, "XYZ", 3, BandwidthTrace::constant(1.0, 10));
+    fn tuned_voxel_runs_on_tmobile_only() {
+        assert_eq!(voxel_for("T-Mobile"), "VOXEL-tuned");
+        assert_eq!(voxel_for("tmobile"), "VOXEL-tuned");
+        for trace in ["Verizon", "AT&T", "3G", "FCC", "in-the-wild"] {
+            assert_eq!(voxel_for(trace), "VOXEL");
+        }
     }
 }

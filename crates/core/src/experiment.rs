@@ -7,10 +7,10 @@
 //! linearly shift the network trace by d/30 s."
 //!
 //! The entry point is [`Experiment::builder`]: a fluent builder covering
-//! every knob (ABR, transport, buffer, trace, queue, trials, congestion
-//! control, tracing, fleet size) with the paper's defaults. It is the
-//! only construction surface — the legacy `Config` constructor chain and
-//! free-function runners were removed after a deprecation cycle.
+//! every knob of one session (ABR, transport, buffer, trace, queue,
+//! trials, congestion control, tracing) with the paper's defaults. It is
+//! the only construction surface for a session experiment; N sessions on
+//! one link are described by `voxel_fleet::FleetSpec` and nothing else.
 
 use crate::client::{PlayerConfig, TransportMode};
 pub use crate::content::ContentCache;
@@ -22,7 +22,7 @@ use voxel_abr::{Abr, AbrStar, Beta, Bola, BolaSsim, Mpc, MpcStar, ThroughputAbr}
 use voxel_media::content::VideoId;
 use voxel_media::qoe::{QoeMetric, QoeModel};
 use voxel_media::video::Video;
-use voxel_netem::{BandwidthTrace, Discipline, FaultPlane, PathConfig};
+use voxel_netem::{BandwidthTrace, FaultPlane, PathConfig};
 use voxel_prep::manifest::Manifest;
 use voxel_quic::CcKind;
 use voxel_sim::SimDuration;
@@ -229,20 +229,12 @@ pub struct Config {
     /// stall accounting so the conformance sweep's drift oracle has a
     /// known-bad target. Never enable in real experiments.
     pub debug_stall_skew: bool,
-    /// Scheduling discipline of the shared bottleneck queue, effective
-    /// only for fleet runs (`.fleet(n)` with `n > 1`); single-session
-    /// paths own the whole bottleneck. DRR by default.
-    pub discipline: Discipline,
-    /// Shard worker threads for fleet runs. `None` defers to the
-    /// `VOXEL_SHARD_WORKERS` environment knob (default 1). A performance
-    /// knob only: results are byte-identical at every worker count.
-    pub workers: Option<usize>,
 }
 
 /// Fluent builder for [`Experiment`]s, with the paper's §5 defaults:
 /// Big Buck Bunny, VOXEL over split transport, a 3-segment buffer, a
 /// constant 8 Mbit/s 300 s trace, a 32-packet queue, 30 trials, CUBIC,
-/// tracing off, a single session.
+/// tracing off.
 #[derive(Debug, Clone)]
 pub struct ExperimentBuilder {
     video: VideoId,
@@ -256,9 +248,6 @@ pub struct ExperimentBuilder {
     cc: CcKind,
     tracing: Tracing,
     debug_stall_skew: bool,
-    discipline: Discipline,
-    workers: Option<usize>,
-    fleet: usize,
 }
 
 impl Default for ExperimentBuilder {
@@ -275,9 +264,6 @@ impl Default for ExperimentBuilder {
             cc: CcKind::Cubic,
             tracing: Tracing::Off,
             debug_stall_skew: false,
-            discipline: Discipline::drr(),
-            workers: None,
-            fleet: 1,
         }
     }
 }
@@ -352,31 +338,6 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Scheduling discipline of the shared bottleneck queue (fleet runs
-    /// only; DRR by default, matching the paper's router model).
-    pub fn discipline(mut self, discipline: Discipline) -> Self {
-        self.discipline = discipline;
-        self
-    }
-
-    /// Shard worker threads for fleet runs. Purely a performance knob:
-    /// the fleet runtime's timelines and metrics are byte-identical at
-    /// every worker count. `None` (the default) defers to the
-    /// `VOXEL_SHARD_WORKERS` environment variable.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers.max(1));
-        self
-    }
-
-    /// Number of concurrent sessions sharing one bottleneck link.
-    /// `1` (the default) is the classic single-session experiment; larger
-    /// fleets are executed by the `voxel-fleet` runtime, which consumes
-    /// the built [`Experiment`].
-    pub fn fleet(mut self, sessions: usize) -> Self {
-        self.fleet = sessions.max(1);
-        self
-    }
-
     /// Finalize into an [`Experiment`].
     pub fn build(self) -> Experiment {
         let transport = self
@@ -395,10 +356,7 @@ impl ExperimentBuilder {
                 cc: self.cc,
                 tracing: self.tracing,
                 debug_stall_skew: self.debug_stall_skew,
-                discipline: self.discipline,
-                workers: self.workers,
             },
-            fleet: self.fleet,
         }
     }
 }
@@ -407,7 +365,6 @@ impl ExperimentBuilder {
 #[derive(Debug, Clone)]
 pub struct Experiment {
     config: Config,
-    fleet: usize,
 }
 
 impl fmt::Debug for Config {
@@ -440,11 +397,6 @@ impl Experiment {
     /// Consume into the underlying configuration.
     pub fn into_config(self) -> Config {
         self.config
-    }
-
-    /// Concurrent sessions (1 = single-session; >1 runs via `voxel-fleet`).
-    pub fn fleet_size(&self) -> usize {
-        self.fleet
     }
 
     /// The full §5 protocol: `trials` repetitions with the trace linearly
@@ -584,9 +536,6 @@ mod tests {
             .trials(5)
             .selective_retx(false)
             .cc(CcKind::Delay)
-            .discipline(Discipline::Fifo)
-            .workers(2)
-            .fleet(4)
             .build();
         let c = e.config();
         assert_eq!(c.transport, TransportMode::Split);
@@ -595,16 +544,6 @@ mod tests {
         assert_eq!(c.queue_packets, 750);
         assert!(!c.selective_retx);
         assert_eq!(c.cc, CcKind::Delay);
-        assert_eq!(c.discipline, Discipline::Fifo);
-        assert_eq!(c.workers, Some(2));
-        assert_eq!(e.fleet_size(), 4);
-    }
-
-    #[test]
-    fn discipline_and_workers_default_conservatively() {
-        let c = Experiment::builder().build().into_config();
-        assert_eq!(c.discipline, Discipline::drr());
-        assert_eq!(c.workers, None);
     }
 
     #[test]

@@ -26,13 +26,13 @@ use voxel_media::content::VideoId;
 use voxel_netem::OriginLink;
 use voxel_sim::{SimDuration, SimRng, SimTime};
 
-use crate::spec::{video_name, Routing, TopologySpec};
+use crate::spec::{Routing, TopologySpec};
 
 /// FNV-1a over a video's legend name — the stable key consistent-hash
 /// routing uses, so the mapping never depends on enum layout.
 fn video_hash(video: VideoId) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in video_name(video).bytes() {
+    for b in video.short_name().bytes() {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }

@@ -11,10 +11,10 @@
 //! CUBIC fairness and unreliable-stream behaviour interact across
 //! competing sessions. This crate provides that testbed:
 //!
-//! - [`spec`]: a testkit-style fleet spec grammar
-//!   (`BBB:4xVOXEL+2xBOLA+2xBETA:const6:buf3:q64:d300:drr:stg2`) with
-//!   exact `parse`/`spec` round-tripping, plus the canonical
-//!   system/video name tables shared with `voxel-testkit`.
+//! - [`spec`]: the spec language's shared head ([`SpecHead`], one
+//!   [`SpecError`]) and its fleet tail — [`FleetSpec`]
+//!   (`BBB:4xVOXEL+2xBOLA+2xBETA:const6:buf3:q64:d300:drr:stg2`), the only
+//!   way to say "N sessions on one link" — plus the system legend table.
 //! - [`run`]: the sharded fleet runtime — per-session QUIC\* endpoint
 //!   pairs, each with its **own** event queue, multiplexed over a
 //!   [`voxel_netem::SharedLink`] (FIFO or deficit round robin with
@@ -46,10 +46,9 @@ pub mod spec;
 
 pub use edge::{zipf_poisson_arrivals, EdgeReport, EdgeStats, Workload};
 pub use metrics::{jain_index, FleetResult};
-pub use run::{run_experiment_fleet, run_fleet, run_fleet_workload, run_specs};
+pub use run::{run_fleet, run_fleet_workload};
 pub use spec::{
-    resolve_workers, system_by_name, video_by_name, FleetMember, FleetSpec, Routing, SpecError,
-    TopologySpec,
+    system_by_name, systems, FleetMember, FleetSpec, Routing, SpecError, SpecHead, TopologySpec,
 };
 // Re-exported so spec consumers (testkit oracles, the cc_shootout
 // report) can match on `@cc` groups without a direct quic dependency.

@@ -49,11 +49,6 @@ impl FleetResult {
         mean(self.sessions.iter().map(|r| r.avg_ssim()))
     }
 
-    /// Mean per-session bufRatio, percent.
-    pub fn mean_buf_ratio_pct(&self) -> f64 {
-        mean(self.sessions.iter().map(|r| r.buf_ratio_pct()))
-    }
-
     /// Total stall time across every session, seconds.
     pub fn total_stall_s(&self) -> f64 {
         self.sessions.iter().map(|r| r.stall_s).sum()

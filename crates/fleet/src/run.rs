@@ -31,7 +31,7 @@ use crate::spec::{resolve_workers, system_by_name, FleetSpec, TopologySpec};
 use bytes::Bytes;
 use std::collections::VecDeque;
 use voxel_core::client::{PlayerConfig, TransportMode};
-use voxel_core::{AbrKind, ContentCache, Experiment, TrialResult};
+use voxel_core::{AbrKind, ContentCache, TrialResult};
 use voxel_media::content::VideoId;
 use voxel_netem::{Departure, SharedLink, SharedLinkConfig};
 use voxel_quic::{CcKind, ConnectionConfig};
@@ -48,7 +48,7 @@ struct Member {
     cc: CcKind,
 }
 
-/// Everything a fleet run needs, resolved from a spec or an experiment.
+/// Everything a fleet run needs, resolved from a spec.
 /// Videos and start times are per-session (flow order): the spec path
 /// seeds them uniformly (one video, `stagger_s * i` starts) and a
 /// [`Workload`] overrides both — which is how the zipf/Poisson flash
@@ -59,7 +59,6 @@ struct Plan {
     starts: Vec<SimTime>,
     link: SharedLinkConfig,
     buffer_segments: usize,
-    selective_retx: bool,
     cap: SimTime,
     topology: Option<TopologySpec>,
     workers: Option<usize>,
@@ -90,35 +89,11 @@ impl Plan {
                 .collect(),
             link: SharedLinkConfig::new(spec.trace(), spec.queue_packets, spec.discipline),
             buffer_segments: spec.buffer_segments,
-            selective_retx: true,
             cap: cap_for(spec.cap_s, spec.duration_s),
             topology: spec.edge.clone(),
             workers: spec.workers,
             members,
         })
-    }
-
-    fn from_experiment(e: &Experiment) -> Plan {
-        let c = e.config();
-        let n = e.fleet_size();
-        let member = Member {
-            label: c.abr.label(),
-            abr: c.abr,
-            transport: c.transport,
-            cc: c.cc,
-        };
-        Plan {
-            spec: format!("experiment:{n}x{}:{}", member.label, c.discipline.as_str()),
-            videos: vec![c.video; n],
-            starts: vec![SimTime::ZERO; n],
-            link: SharedLinkConfig::new(c.trace.clone(), c.queue_packets, c.discipline),
-            buffer_segments: c.buffer_segments,
-            selective_retx: c.selective_retx,
-            cap: cap_for(None, c.trace.duration_s()),
-            topology: None,
-            workers: c.workers,
-            members: vec![member; n],
-        }
     }
 }
 
@@ -165,23 +140,6 @@ pub fn run_fleet_workload(
     Ok(run_plan(plan, cache, tracer))
 }
 
-/// Run a homogeneous fleet built from an [`Experiment`] (the builder's
-/// `.fleet(n)` knob): `n` copies of the experiment's session share one
-/// link, scheduled by the experiment's discipline, carrying the
-/// experiment's trace.
-pub fn run_experiment_fleet(e: &Experiment, cache: &ContentCache, tracer: Tracer) -> FleetResult {
-    run_plan(Plan::from_experiment(e), cache, tracer)
-}
-
-/// Run many independent fleet specs on the work-stealing pool (untraced);
-/// results come back in spec order.
-pub fn run_specs(specs: &[FleetSpec], cache: &ContentCache) -> Vec<Result<FleetResult, String>> {
-    let workers = voxel_sim::pool::default_workers(specs.len());
-    voxel_sim::pool::run_indexed(specs.len(), workers, |i| {
-        run_fleet(&specs[i], cache, Tracer::disabled())
-    })
-}
-
 /// Contiguous shard sizes for `n` sessions over `workers` lanes: the
 /// first `n % workers` lanes take one extra session.
 fn chunk_sizes(n: usize, workers: usize) -> Vec<usize> {
@@ -201,7 +159,7 @@ fn run_plan(plan: Plan, cache: &ContentCache, tracer: Tracer) -> FleetResult {
     for (i, m) in plan.members.iter().enumerate() {
         let (manifest, video) = cache.get(plan.videos[i]);
         let mut player = PlayerConfig::new(plan.buffer_segments, m.transport);
-        player.selective_retx = plan.selective_retx && m.transport == TransportMode::Split;
+        player.selective_retx = m.transport == TransportMode::Split;
         seeds.push(SessionSeed {
             flow: i,
             label: m.label.clone(),
@@ -637,7 +595,6 @@ fn emit_session_end(tracer: &Tracer, f: &FinishNote) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use voxel_core::Experiment;
     use voxel_netem::Discipline;
 
     #[test]
@@ -655,26 +612,7 @@ mod tests {
         }
     }
 
-    /// Regression (discipline alignment): the experiment path honours the
-    /// configured discipline instead of hard-coding DRR.
-    #[test]
-    fn experiment_plan_honours_configured_discipline() {
-        let fifo = Experiment::builder()
-            .fleet(2)
-            .discipline(Discipline::Fifo)
-            .build();
-        let plan = Plan::from_experiment(&fifo);
-        assert_eq!(plan.link.discipline, Discipline::Fifo);
-        assert!(plan.spec.ends_with(":fifo"), "spec = {}", plan.spec);
-
-        let default = Experiment::builder().fleet(2).build();
-        let plan = Plan::from_experiment(&default);
-        assert_eq!(plan.link.discipline, Discipline::drr());
-        assert!(plan.spec.ends_with(":drr"), "spec = {}", plan.spec);
-    }
-
-    /// Regression: the spec path likewise takes its discipline from the
-    /// parsed spec.
+    /// Regression: the plan takes its discipline from the parsed spec.
     #[test]
     fn spec_plan_honours_parsed_discipline() {
         let spec = FleetSpec::parse("BBB:2xVOXEL:const6:buf3:q64:d60:fifo").unwrap();
@@ -692,21 +630,5 @@ mod tests {
         assert_eq!(ccs, [CcKind::Bbr, CcKind::Bbr, CcKind::Cubic]);
         let labels: Vec<&str> = plan.members.iter().map(|m| m.label.as_str()).collect();
         assert_eq!(labels, ["VOXEL@bbr", "VOXEL@bbr", "VOXEL"]);
-    }
-
-    /// The builder path replicates the experiment's cc across the fleet.
-    #[test]
-    fn experiment_plan_carries_cc() {
-        let e = Experiment::builder().fleet(2).cc(CcKind::Delay).build();
-        let plan = Plan::from_experiment(&e);
-        assert!(plan.members.iter().all(|m| m.cc == CcKind::Delay));
-    }
-
-    #[test]
-    fn experiment_plan_carries_workers_knob() {
-        let e = Experiment::builder().fleet(4).workers(2).build();
-        let plan = Plan::from_experiment(&e);
-        assert_eq!(plan.workers, Some(2));
-        assert_eq!(resolve_workers(plan.workers, 4), 2);
     }
 }

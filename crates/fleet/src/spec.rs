@@ -1,11 +1,18 @@
-//! Typed fleet specs: [`FleetSpec`] + [`TopologySpec`] are the primary
-//! surface for describing multi-session experiments — builder methods for
-//! members, congestion control, the shared link, scheduling discipline,
-//! workers, and (since the edge tier landed) edges, routing, and the
-//! origin backhaul. The compact string grammar is a *serialization* of
-//! that typed surface: [`FleetSpec`] implements [`std::str::FromStr`] and
-//! [`std::fmt::Display`], and the two are exact inverses (a property the
-//! test suite pins with a parse↔display round-trip proptest).
+//! The spec language's shared head, and the fleet half of its grammar.
+//!
+//! Every tool in the workspace names a run with one `<spec>` string
+//! (DESIGN.md §11 has the one grammar and token table). This module owns
+//! the part both kinds of spec share — [`SpecHead`]: `<video>:<who>:<trace>`
+//! plus the `buf<N>` / `q<N>` / `d<N>` knobs, validated once and reported
+//! through one structured [`SpecError`] — and the fleet tail over it:
+//! [`FleetSpec`] + [`TopologySpec`], the typed surface for "N sessions on
+//! one link" (members, congestion control, discipline, stagger, cap, the
+//! edge tier, workers). The scenario tail lives in `voxel-testkit`, next
+//! to `Spec::parse`, which tells the two apart by the shape of `<who>`.
+//!
+//! The string form is a *serialization* of the typed surface:
+//! [`FleetSpec`] implements [`std::str::FromStr`] and [`std::fmt::Display`]
+//! as exact inverses (pinned by a parse↔display proptest).
 //!
 //! ```
 //! use voxel_fleet::{FleetSpec, TopologySpec, Routing};
@@ -21,84 +28,57 @@
 //! assert_eq!(s.parse::<FleetSpec>().unwrap(), spec);
 //! ```
 //!
-//! Canonical string form:
-//!
-//! ```text
-//! <video>:<count>x<system>[@<cc>][+…]:const<mbps>:buf<N>:q<N>:d<N>:<fifo|drr>:stg<N>
-//!     [:cap<N>][:e<M>:r<hash|robin|least>:a<full|rel|none>:p<lru|lfu>[:cb<MB>]:o<mbps>][:w<N>]
-//! ```
-//!
-//! e.g. `BBB:4xVOXEL+2xBOLA+2xBETA:const6:buf3:q64:d300:drr:stg2` — an
-//! 8-session mixed-ABR fleet on a shared constant 6 Mbit/s link. The
-//! optional `@<cc>` member suffix picks the group's congestion controller
-//! (`cubic` | `delay` | `bbr`); omitted means CUBIC, and the canonical
-//! form preserves exactly what was written. The optional `w<N>` token
-//! pins the sharded runtime's worker count (a performance knob, never a
-//! semantic one). The edge-tier token group starts with `e<M>` (edge
-//! server count) and configures request routing (`r`), cache admission
-//! (`a`), eviction policy (`p`), the per-edge cache byte budget in MB
-//! (`cb`, omitted = unbounded), and the origin backhaul rate (`o`) — see
-//! DESIGN.md §16.
-//!
-//! Parse errors are structured ([`SpecError`]): the offending token, its
-//! colon-separated position, and the expected set — not ad-hoc strings.
-//!
-//! This module also owns the canonical system/video name tables
-//! ([`system_by_name`], [`video_by_name`]) that `voxel-testkit` re-exports,
-//! so scenario specs and fleet specs can never disagree on what `VOXEL`
-//! means.
+//! This module also owns the system legend table ([`systems`],
+//! [`system_by_name`]); videos and traces are named by the crates that
+//! own them (`VideoId::by_name`, `TraceFamily::parse`).
 
 use std::fmt;
 use voxel_core::client::TransportMode;
 use voxel_core::{AbrKind, Admission, CacheConfig, EvictionPolicy};
 use voxel_media::content::VideoId;
-use voxel_netem::{BandwidthTrace, Discipline};
+use voxel_netem::family::positive_mbps;
+use voxel_netem::{BandwidthTrace, Discipline, TraceFamily};
 use voxel_quic::CcKind;
+
+/// The §5 system legend, in figure order: name, ABR, transport. The one
+/// table every spec, bin and usage string reads.
+pub fn systems() -> [(&'static str, AbrKind, TransportMode); 9] {
+    [
+        ("BOLA", AbrKind::Bola, TransportMode::Reliable),
+        ("BOLA-SSIM", AbrKind::BolaSsim, TransportMode::Split),
+        ("MPC", AbrKind::Mpc, TransportMode::Reliable),
+        ("MPC*", AbrKind::MpcStar, TransportMode::Split),
+        ("Tput", AbrKind::Tput, TransportMode::Reliable),
+        ("BETA", AbrKind::Beta, TransportMode::Reliable),
+        ("VOXEL", AbrKind::voxel(), TransportMode::Split),
+        ("VOXEL-tuned", AbrKind::voxel_tuned(), TransportMode::Split),
+        ("VOXEL-rel", AbrKind::voxel(), TransportMode::Reliable),
+    ]
+}
 
 /// Resolve a system legend name to its ABR + transport.
 pub fn system_by_name(system: &str) -> Option<(AbrKind, TransportMode)> {
-    Some(match system {
-        "BOLA" => (AbrKind::Bola, TransportMode::Reliable),
-        "BOLA-SSIM" => (AbrKind::BolaSsim, TransportMode::Split),
-        "MPC" => (AbrKind::Mpc, TransportMode::Reliable),
-        "MPC*" => (AbrKind::MpcStar, TransportMode::Split),
-        "Tput" => (AbrKind::Tput, TransportMode::Reliable),
-        "BETA" => (AbrKind::Beta, TransportMode::Reliable),
-        "VOXEL" => (AbrKind::voxel(), TransportMode::Split),
-        "VOXEL-tuned" => (AbrKind::voxel_tuned(), TransportMode::Split),
-        "VOXEL-rel" => (AbrKind::voxel(), TransportMode::Reliable),
-        _ => return None,
-    })
+    systems()
+        .into_iter()
+        .find(|(name, ..)| *name == system)
+        .map(|(_, abr, transport)| (abr, transport))
 }
 
-/// Resolve a video legend name (`BBB`/`ED`/`Sintel`/`ToS`/`P1`..`P10`).
-pub fn video_by_name(name: &str) -> Option<VideoId> {
-    match name {
-        "BBB" => Some(VideoId::Bbb),
-        "ED" => Some(VideoId::Ed),
-        "Sintel" => Some(VideoId::Sintel),
-        "ToS" => Some(VideoId::Tos),
-        p => {
-            let n: u8 = p.strip_prefix('P')?.parse().ok()?;
-            (1..=10).contains(&n).then_some(VideoId::YouTube(n))
-        }
-    }
+fn expected_video() -> String {
+    let names: Vec<String> = VideoId::all().iter().map(|v| v.short_name()).collect();
+    format!("a video legend name ({})", names.join("|"))
 }
 
-/// The legend name of a video (inverse of [`video_by_name`]).
-pub fn video_name(id: VideoId) -> String {
-    match id {
-        VideoId::Bbb => "BBB".into(),
-        VideoId::Ed => "ED".into(),
-        VideoId::Sintel => "Sintel".into(),
-        VideoId::Tos => "ToS".into(),
-        VideoId::YouTube(n) => format!("P{n}"),
-    }
+fn expected_system() -> String {
+    format!(
+        "a system legend name ({})",
+        systems().map(|(name, ..)| name).join("|")
+    )
 }
 
-/// A structured fleet-spec parse error: the offending token, its
-/// colon-separated position in the spec string, and the set of inputs
-/// that would have been accepted there.
+/// A structured spec parse error, shared by scenario and fleet specs: the
+/// offending token, its colon-separated position in the spec string, and
+/// the set of inputs that would have been accepted there.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecError {
     /// The token (or token fragment) that failed to parse.
@@ -110,7 +90,8 @@ pub struct SpecError {
 }
 
 impl SpecError {
-    fn new(token: impl Into<String>, pos: usize, expected: impl Into<String>) -> SpecError {
+    /// An error at colon-separated position `pos`.
+    pub fn new(token: impl Into<String>, pos: usize, expected: impl Into<String>) -> SpecError {
         SpecError {
             token: token.into(),
             pos,
@@ -123,13 +104,125 @@ impl fmt::Display for SpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "fleet spec: bad token {:?} at position {}: expected {}",
+            "spec: bad token {:?} at position {}: expected {}",
             self.token, self.pos, self.expected
         )
     }
 }
 
 impl std::error::Error for SpecError {}
+
+/// Lets spec parsing use `?` inside the `Result<_, String>` functions
+/// the runners and bins are written in.
+impl From<SpecError> for String {
+    fn from(e: SpecError) -> String {
+        e.to_string()
+    }
+}
+
+/// Parse a count of at least `min`.
+fn at_least(v: &str, min: usize) -> Option<usize> {
+    v.parse().ok().filter(|n| *n >= min)
+}
+
+/// The head every spec shares — `<video>:<who>:<trace>` and the
+/// `buf<N>` / `q<N>` / `d<N>` knobs — parsed and validated in one place.
+/// [`FleetSpec::parse`] and the testkit's `Scenario::parse` are thin
+/// tails over it: each walks the remaining tokens, claims its own, and
+/// offers the rest to [`SpecHead::knob`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct SpecHead<'a> {
+    /// The video to stream.
+    pub video: VideoId,
+    /// The raw `<who>` token: a system legend name (`VOXEL`, a scenario)
+    /// or a member list (`4xVOXEL@bbr+2xBOLA`, a fleet).
+    pub who: &'a str,
+    /// The bandwidth trace family.
+    pub trace: TraceFamily,
+    /// Playback buffer capacity, segments (`buf<N>`, default 3).
+    pub buffer_segments: usize,
+    /// Droptail queue length, packets (`q<N>`; the default is the tail's).
+    pub queue_packets: usize,
+    /// Trace duration, seconds (`d<N>`, default 300).
+    pub duration_s: usize,
+}
+
+impl<'a> SpecHead<'a> {
+    /// Parse the three leading tokens of `spec`; returns the head (knobs
+    /// at their defaults, the queue at `queue_default`) and the remaining
+    /// `(position, token)` pairs for the tail to walk.
+    pub fn parse(
+        spec: &'a str,
+        queue_default: usize,
+    ) -> Result<(SpecHead<'a>, impl Iterator<Item = (usize, &'a str)>), SpecError> {
+        let mut parts = spec.split(':').enumerate();
+        // A present-but-empty token is its own error; a missing one is
+        // reported against the last token that is there, so `pos` always
+        // indexes the input.
+        let mut last = (0, "");
+        let mut next = |expected: &dyn Fn() -> String| match parts.next() {
+            Some((pos, tok)) if !tok.is_empty() => {
+                last = (pos, tok);
+                Ok(tok)
+            }
+            Some((pos, tok)) => Err(SpecError::new(tok, pos, expected())),
+            None => Err(SpecError::new(
+                last.1,
+                last.0,
+                format!("{} after it", expected()),
+            )),
+        };
+        let video_tok = next(&expected_video)?;
+        let video = VideoId::by_name(video_tok)
+            .ok_or_else(|| SpecError::new(video_tok, 0, expected_video()))?;
+        let who = next(&|| {
+            format!(
+                "{} or a member list (<count>x<system>[@<cc>][+…])",
+                expected_system()
+            )
+        })?;
+        let trace_tok = next(&|| format!("a trace family ({})", TraceFamily::menu()))?;
+        let trace =
+            TraceFamily::parse(trace_tok).map_err(|want| SpecError::new(trace_tok, 2, want))?;
+        let head = SpecHead {
+            video,
+            who,
+            trace,
+            buffer_segments: 3,
+            queue_packets: queue_default,
+            duration_s: 300,
+        };
+        Ok((head, parts))
+    }
+
+    /// Offer `tok` to the shared knobs. `Ok(true)`: it was `buf<N>`,
+    /// `q<N>` or `d<N>` and is now applied; `Ok(false)`: not a shared
+    /// knob. A zero buffer or duration is rejected here, for both kinds:
+    /// neither can play a segment.
+    pub fn knob(&mut self, pos: usize, tok: &str) -> Result<bool, SpecError> {
+        let (slot, value, min, expected) = if let Some(v) = tok.strip_prefix("buf") {
+            (
+                &mut self.buffer_segments,
+                v,
+                1,
+                "a segment count of at least 1 in buf<N>",
+            )
+        } else if let Some(v) = tok.strip_prefix('q') {
+            (&mut self.queue_packets, v, 0, "a packet count in q<N>")
+        } else if let Some(v) = tok.strip_prefix('d') {
+            (&mut self.duration_s, v, 1, "at least 1 second in d<N>")
+        } else {
+            return Ok(false);
+        };
+        *slot = at_least(value, min).ok_or_else(|| SpecError::new(tok, pos, expected))?;
+        Ok(true)
+    }
+
+    /// Validate a `<who>` system token against the legend.
+    pub fn system(name: &str) -> Result<(AbrKind, TransportMode), SpecError> {
+        system_by_name(name).ok_or_else(|| SpecError::new(name, 1, expected_system()))
+    }
+}
 
 /// How sessions are routed to edge servers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -251,7 +344,7 @@ impl TopologySpec {
     }
 
     /// The byte budget, in bytes.
-    pub fn cache_budget_bytes(&self) -> Option<u64> {
+    fn cache_budget_bytes(&self) -> Option<u64> {
         self.cache_mb.map(|mb| (mb * (1 << 20) as f64) as u64)
     }
 
@@ -353,7 +446,7 @@ impl Default for FleetSpec {
 /// when present, otherwise the `VOXEL_SHARD_WORKERS` environment variable
 /// (`max` = available parallelism, or a number), otherwise 1. Always
 /// clamped to `[1, sessions]`.
-pub fn resolve_workers(explicit: Option<usize>, sessions: usize) -> usize {
+pub(crate) fn resolve_workers(explicit: Option<usize>, sessions: usize) -> usize {
     let requested =
         explicit.unwrap_or_else(
             || match std::env::var("VOXEL_SHARD_WORKERS").ok().as_deref() {
@@ -453,38 +546,26 @@ impl FleetSpec {
         self
     }
 
+    /// The edge tier an `r`/`a`/`p`/`cb`/`o` token configures: those
+    /// tokens require the `e<M>` token first.
+    fn edge_mut(&mut self, tok: &str, pos: usize) -> Result<&mut TopologySpec, SpecError> {
+        self.edge
+            .as_mut()
+            .ok_or_else(|| SpecError::new(tok, pos, "e<edges> before any r/a/p/cb/o edge token"))
+    }
+
     /// Parse a spec string. Exact inverse of [`FleetSpec::spec`].
     pub fn parse(spec: &str) -> Result<FleetSpec, SpecError> {
-        let parts: Vec<&str> = spec.split(':').collect();
-        let video_tok = *parts.first().unwrap_or(&"");
-        if video_tok.is_empty() {
-            return Err(SpecError::new(
-                spec,
-                0,
-                "a video legend name (BBB|ED|Sintel|ToS|P1..P10)",
-            ));
-        }
-        let video = video_by_name(video_tok).ok_or_else(|| {
-            SpecError::new(
-                video_tok,
-                0,
-                "a video legend name (BBB|ED|Sintel|ToS|P1..P10)",
-            )
-        })?;
-        let members_tok = *parts.get(1).ok_or_else(|| {
-            SpecError::new(spec, 1, "a member list (<count>x<system>[@<cc>][+…])")
-        })?;
+        let defaults = FleetSpec::default();
+        let (mut head, rest) = SpecHead::parse(spec, defaults.queue_packets)?;
         let mut members = Vec::new();
-        for group in members_tok.split('+') {
+        for group in head.who.split('+') {
             let (count, system) = group.split_once('x').ok_or_else(|| {
                 SpecError::new(group, 1, "a member group of the form <count>x<system>")
             })?;
-            let count: usize = count
-                .parse()
-                .map_err(|_| SpecError::new(group, 1, "a positive member count before 'x'"))?;
-            if count == 0 {
-                return Err(SpecError::new(group, 1, "a member count of at least 1"));
-            }
+            let count = at_least(count, 1).ok_or_else(|| {
+                SpecError::new(group, 1, "a member count of at least 1 before 'x'")
+            })?;
             let (system, cc) = match system.split_once('@') {
                 Some((sys, cc_tok)) => {
                     let cc = CcKind::by_name(cc_tok)
@@ -493,120 +574,80 @@ impl FleetSpec {
                 }
                 None => (system, None),
             };
-            if system_by_name(system).is_none() {
-                return Err(SpecError::new(system, 1, "a system legend name"));
-            }
+            SpecHead::system(system)?;
             members.push(FleetMember {
                 count,
                 system: system.to_string(),
                 cc,
             });
         }
-        let trace_tok = *parts
-            .get(2)
-            .ok_or_else(|| SpecError::new(spec, 2, "a link trace (const<mbps>)"))?;
-        let link_mbps: f64 = trace_tok
-            .strip_prefix("const")
-            .ok_or_else(|| SpecError::new(trace_tok, 2, "a link trace (const<mbps>)"))?
-            .parse()
-            .map_err(|_| SpecError::new(trace_tok, 2, "a rate in const<mbps>"))?;
+        // `link_mbps: f64` is the fleet's link today; widening it to every
+        // family is ROADMAP 4(iv).
+        let TraceFamily::Constant(link_mbps) = head.trace else {
+            return Err(SpecError::new(
+                spec.split(':').nth(2).unwrap_or_default(),
+                2,
+                "a constant link const<mbps> (fleet links take no other trace family yet)",
+            ));
+        };
 
         let mut out = FleetSpec {
-            video,
             members,
             link_mbps,
-            ..FleetSpec::default()
+            ..defaults
         };
-        for (pos, tok) in parts.iter().enumerate().skip(3) {
-            let tok = *tok;
-            // Helper: edge-group tokens require the `e<M>` token first.
-            macro_rules! edge_mut {
-                () => {
-                    match out.edge.as_mut() {
-                        Some(e) => e,
-                        None => {
-                            return Err(SpecError::new(
-                                tok,
-                                pos,
-                                "e<edges> before any r/a/p/cb/o edge token",
-                            ))
-                        }
-                    }
-                };
-            }
+        for (pos, tok) in rest {
+            let bad = |expected: &str| SpecError::new(tok, pos, expected);
             // Literal discipline tokens first: `drr` must not be eaten by
             // the `d<duration>` prefix.
             if tok == "fifo" {
                 out.discipline = Discipline::Fifo;
             } else if tok == "drr" {
                 out.discipline = Discipline::drr();
-            } else if let Some(v) = tok.strip_prefix("buf") {
-                out.buffer_segments = v
-                    .parse()
-                    .map_err(|_| SpecError::new(tok, pos, "a segment count in buf<N>"))?;
-            } else if let Some(v) = tok.strip_prefix("q") {
-                out.queue_packets = v
-                    .parse()
-                    .map_err(|_| SpecError::new(tok, pos, "a packet count in q<N>"))?;
             } else if let Some(v) = tok.strip_prefix("stg") {
-                out.stagger_s = v
-                    .parse()
-                    .map_err(|_| SpecError::new(tok, pos, "seconds in stg<N>"))?;
+                out.stagger_s = at_least(v, 0).ok_or_else(|| bad("seconds in stg<N>"))?;
             } else if let Some(v) = tok.strip_prefix("cb") {
-                let mb: f64 = v
-                    .parse()
-                    .map_err(|_| SpecError::new(tok, pos, "a cache budget in cb<MB>"))?;
-                edge_mut!().cache_mb = Some(mb);
+                let mb = positive_mbps(v);
+                out.edge_mut(tok, pos)?.cache_mb =
+                    Some(mb.ok_or_else(|| bad("a finite cache budget above 0 in cb<MB>"))?);
             } else if let Some(v) = tok.strip_prefix("cap") {
-                out.cap_s = Some(
-                    v.parse()
-                        .map_err(|_| SpecError::new(tok, pos, "seconds in cap<N>"))?,
-                );
-            } else if let Some(v) = tok.strip_prefix("d") {
-                out.duration_s = v
-                    .parse()
-                    .map_err(|_| SpecError::new(tok, pos, "seconds in d<N>"))?;
-            } else if let Some(v) = tok.strip_prefix("e") {
-                let edges: usize = v
-                    .parse()
-                    .map_err(|_| SpecError::new(tok, pos, "an edge count in e<M>"))?;
-                if edges == 0 {
-                    return Err(SpecError::new(tok, pos, "an edge count of at least 1"));
-                }
+                out.cap_s = Some(at_least(v, 0).ok_or_else(|| bad("seconds in cap<N>"))?);
+            } else if head.knob(pos, tok)? {
+                // buf<N> / q<N> / d<N>: the shared head's.
+            } else if let Some(v) = tok.strip_prefix('e') {
+                let edges =
+                    at_least(v, 1).ok_or_else(|| bad("an edge count of at least 1 in e<M>"))?;
                 out.edge = Some(TopologySpec::new(edges));
-            } else if let Some(v) = tok.strip_prefix("r") {
-                let routing = Routing::by_name(v)
-                    .ok_or_else(|| SpecError::new(tok, pos, "a routing in r<hash|robin|least>"))?;
-                edge_mut!().routing = routing;
-            } else if let Some(v) = tok.strip_prefix("a") {
-                let admission = Admission::by_name(v)
-                    .ok_or_else(|| SpecError::new(tok, pos, "an admission in a<full|rel|none>"))?;
-                edge_mut!().admission = admission;
-            } else if let Some(v) = tok.strip_prefix("p") {
-                let eviction = EvictionPolicy::by_name(v)
-                    .ok_or_else(|| SpecError::new(tok, pos, "an eviction in p<lru|lfu>"))?;
-                edge_mut!().eviction = eviction;
-            } else if let Some(v) = tok.strip_prefix("o") {
-                let mbps: f64 = v
-                    .parse()
-                    .map_err(|_| SpecError::new(tok, pos, "a rate in o<mbps>"))?;
-                edge_mut!().origin_mbps = mbps;
-            } else if let Some(v) = tok.strip_prefix("w") {
-                let w: usize = v
-                    .parse()
-                    .map_err(|_| SpecError::new(tok, pos, "a worker count in w<N>"))?;
-                if w == 0 {
-                    return Err(SpecError::new(tok, pos, "a worker count of at least 1"));
-                }
-                out.workers = Some(w);
+            } else if let Some(v) = tok.strip_prefix('r') {
+                let routing = Routing::by_name(v);
+                out.edge_mut(tok, pos)?.routing =
+                    routing.ok_or_else(|| bad("a routing in r<hash|robin|least>"))?;
+            } else if let Some(v) = tok.strip_prefix('a') {
+                let admission = Admission::by_name(v);
+                out.edge_mut(tok, pos)?.admission =
+                    admission.ok_or_else(|| bad("an admission in a<full|rel|none>"))?;
+            } else if let Some(v) = tok.strip_prefix('p') {
+                let eviction = EvictionPolicy::by_name(v);
+                out.edge_mut(tok, pos)?.eviction =
+                    eviction.ok_or_else(|| bad("an eviction in p<lru|lfu>"))?;
+            } else if let Some(v) = tok.strip_prefix('o') {
+                let mbps = positive_mbps(v);
+                out.edge_mut(tok, pos)?.origin_mbps =
+                    mbps.ok_or_else(|| bad("a finite rate above 0 in o<mbps>"))?;
+            } else if let Some(v) = tok.strip_prefix('w') {
+                out.workers = Some(
+                    at_least(v, 1).ok_or_else(|| bad("a worker count of at least 1 in w<N>"))?,
+                );
             } else {
-                return Err(SpecError::new(
-                    tok,
-                    pos,
+                return Err(bad(
                     "one of fifo|drr|buf<N>|q<N>|d<N>|stg<N>|cap<N>|e<M>|r<policy>|a<mode>|p<policy>|cb<MB>|o<mbps>|w<N>",
                 ));
             }
         }
+        out.video = head.video;
+        out.buffer_segments = head.buffer_segments;
+        out.queue_packets = head.queue_packets;
+        out.duration_s = head.duration_s;
         Ok(out)
     }
 
@@ -619,7 +660,7 @@ impl FleetSpec {
             .collect();
         let mut s = format!(
             "{}:{}:const{}:buf{}:q{}:d{}:{}:stg{}",
-            video_name(self.video),
+            self.video.short_name(),
             members.join("+"),
             self.link_mbps,
             self.buffer_segments,
@@ -653,17 +694,6 @@ impl FleetSpec {
     /// Total session count (expanded members).
     pub fn total_sessions(&self) -> usize {
         self.members.iter().map(|m| m.count).sum()
-    }
-
-    /// Expanded per-session system names, in flow-id order.
-    pub fn session_systems(&self) -> Vec<&str> {
-        let mut out = Vec::with_capacity(self.total_sessions());
-        for m in &self.members {
-            for _ in 0..m.count {
-                out.push(m.system.as_str());
-            }
-        }
-        out
     }
 
     /// Expanded per-session member configs (the group each flow belongs
@@ -701,7 +731,7 @@ impl FleetSpec {
     }
 
     /// The shared link's bandwidth trace.
-    pub fn trace(&self) -> BandwidthTrace {
+    pub(crate) fn trace(&self) -> BandwidthTrace {
         BandwidthTrace::constant(self.link_mbps, self.duration_s)
     }
 }
@@ -970,7 +1000,12 @@ mod tests {
     #[test]
     fn session_systems_expand_in_flow_order() {
         let s = FleetSpec::parse("BBB:2xVOXEL+1xBOLA:const6").expect("parses");
-        assert_eq!(s.session_systems(), ["VOXEL", "VOXEL", "BOLA"]);
+        let systems: Vec<&str> = s
+            .session_members()
+            .iter()
+            .map(|m| m.system.as_str())
+            .collect();
+        assert_eq!(systems, ["VOXEL", "VOXEL", "BOLA"]);
         // Un-specified knobs take the documented defaults.
         assert_eq!(s.buffer_segments, 3);
         assert_eq!(s.queue_packets, 64);
@@ -978,126 +1013,5 @@ mod tests {
         assert_eq!(s.stagger_s, 0);
         assert_eq!(s.discipline, Discipline::drr());
         assert_eq!(s.edge, None);
-    }
-
-    #[test]
-    fn name_tables_cover_the_legend() {
-        for sys in [
-            "BOLA",
-            "BOLA-SSIM",
-            "MPC",
-            "MPC*",
-            "Tput",
-            "BETA",
-            "VOXEL",
-            "VOXEL-tuned",
-            "VOXEL-rel",
-        ] {
-            assert!(system_by_name(sys).is_some(), "missing {sys}");
-        }
-        for (name, id) in [
-            ("BBB", VideoId::Bbb),
-            ("ToS", VideoId::Tos),
-            ("P3", VideoId::YouTube(3)),
-        ] {
-            assert_eq!(video_by_name(name), Some(id));
-            assert_eq!(video_name(id), name);
-        }
-    }
-}
-
-#[cfg(test)]
-mod props {
-    use super::*;
-    use proptest::prelude::*;
-
-    const SYSTEMS: [&str; 9] = [
-        "BOLA",
-        "BOLA-SSIM",
-        "MPC",
-        "MPC*",
-        "Tput",
-        "BETA",
-        "VOXEL",
-        "VOXEL-tuned",
-        "VOXEL-rel",
-    ];
-
-    fn video(i: usize) -> VideoId {
-        [
-            VideoId::Bbb,
-            VideoId::Ed,
-            VideoId::Sintel,
-            VideoId::Tos,
-            VideoId::YouTube(7),
-        ][i]
-    }
-
-    fn cc(i: usize) -> Option<CcKind> {
-        [
-            None,
-            Some(CcKind::Cubic),
-            Some(CcKind::Delay),
-            Some(CcKind::Bbr),
-        ][i]
-    }
-
-    proptest! {
-        /// The API-redesign contract: `parse` is the exact inverse of
-        /// `Display` over the whole typed surface, edge tier included.
-        #[test]
-        fn parse_display_round_trips(
-            video_i in 0usize..5,
-            groups in proptest::collection::vec((1usize..5, 0usize..9, 0usize..4), 1..4),
-            link_half_mbps in 1u32..100,
-            knobs in (1usize..8, 16usize..512, 30usize..400, 0usize..5),
-            tail in (proptest::bool::ANY, 0usize..3, 0usize..3),
-            edge in prop_oneof![
-                Just(None),
-                (1usize..6, 0usize..3, 0usize..3, 0usize..2, 0usize..4, 1u32..80)
-                    .prop_map(Some),
-            ],
-        ) {
-            let (buf, q, d, stg) = knobs;
-            let (fifo, cap_i, w_i) = tail;
-            let mut s = FleetSpec::new(video(video_i))
-                .link(link_half_mbps as f64 / 2.0)
-                .buffer(buf)
-                .queue(q)
-                .duration(d)
-                .stagger(stg)
-                .discipline(if fifo { Discipline::Fifo } else { Discipline::drr() });
-            for (count, sys_i, cc_i) in groups {
-                s = match cc(cc_i) {
-                    Some(k) => s.member_cc(count, SYSTEMS[sys_i], k),
-                    None => s.member(count, SYSTEMS[sys_i]),
-                };
-            }
-            if cap_i > 0 {
-                s = s.cap(cap_i * 30);
-            }
-            if w_i > 0 {
-                s = s.workers(w_i * 2);
-            }
-            if let Some((edges, r_i, a_i, p_i, cb_i, o_half)) = edge {
-                let mut t = TopologySpec::new(edges)
-                    .routing([Routing::Hash, Routing::Robin, Routing::Least][r_i])
-                    .admission(
-                        [Admission::Full, Admission::ReliablePrefix, Admission::None][a_i],
-                    )
-                    .eviction([EvictionPolicy::Lru, EvictionPolicy::Lfu][p_i])
-                    .origin(o_half as f64 / 2.0);
-                if cb_i > 0 {
-                    t = t.cache_mb(cb_i as f64 / 2.0);
-                }
-                s = s.topology(t);
-            }
-            let rendered = s.to_string();
-            let parsed = rendered.parse::<FleetSpec>();
-            prop_assert!(parsed.is_ok(), "{:?} failed: {:?}", rendered, parsed.err());
-            let back = parsed.unwrap();
-            prop_assert_eq!(&back, &s, "round-trip drifted for {}", rendered);
-            prop_assert_eq!(back.to_string(), rendered);
-        }
     }
 }

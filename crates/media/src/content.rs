@@ -36,7 +36,15 @@ impl VideoId {
         v
     }
 
-    /// Short display name used in figure legends (BBB, ED, …, P1..P10).
+    /// Resolve a legend name (`BBB`/`ED`/`Sintel`/`ToS`/`P1`..`P10`): the
+    /// inverse of [`VideoId::short_name`] over [`VideoId::all`], so the
+    /// names every spec, bin and CLI accepts are exactly the catalog.
+    pub fn by_name(name: &str) -> Option<VideoId> {
+        Self::all().into_iter().find(|v| v.short_name() == name)
+    }
+
+    /// Short display name used in figure legends (BBB, ED, …, P1..P10) —
+    /// the repo's one video name table.
     pub fn short_name(self) -> String {
         match self {
             VideoId::Bbb => "BBB".into(),
@@ -197,6 +205,13 @@ mod tests {
         assert_eq!(VideoId::Bbb.short_name(), "BBB");
         assert_eq!(VideoId::Tos.short_name(), "ToS");
         assert_eq!(VideoId::YouTube(4).short_name(), "P4");
+        for id in VideoId::all() {
+            assert_eq!(VideoId::by_name(&id.short_name()), Some(id));
+        }
+        // Out-of-catalog and malformed names resolve to nothing.
+        for bad in ["P0", "P11", "Px", "Q1", "bbb", "P01", ""] {
+            assert_eq!(VideoId::by_name(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //!   AT&T LTE, the Riiser 3G set, FCC fixed-line) plus the constant and
 //!   step traces of Fig 11, with the paper's linear offset-to-mean and the
 //!   `d/30` shift protocol.
+//! - [`family`]: the one trace name table — [`TraceFamily`] binds each
+//!   spec token (`tmobile`) and figure legend (`T-Mobile`) to its
+//!   generator, for every parser and bin in the workspace.
 //! - [`path`]: the bottleneck path — FIFO droptail queue with time-varying
 //!   service rate and propagation delays; computes exact per-packet
 //!   departure times by integrating the rate curve.
@@ -29,12 +32,14 @@
 //!   (DESIGN.md §16).
 
 pub mod crosstraffic;
+pub mod family;
 pub mod fault;
 pub mod origin;
 pub mod path;
 pub mod shared;
 pub mod trace;
 
+pub use family::TraceFamily;
 pub use fault::{FaultKind, FaultPlane, PacketFate};
 pub use origin::OriginLink;
 pub use path::{BottleneckPath, PathConfig, PathStats};

@@ -14,7 +14,7 @@
 //!
 //! Scaling by `sample` at report time recovers absolute numbers: the
 //! scaled span totals reconcile with the run's measured wall time (±10%
-//! is the acceptance bar; `dbg_profile` samples every iteration by
+//! is the acceptance bar; `dbg profile` samples every iteration by
 //! default, where they reconcile much tighter).
 //!
 //! # Determinism

@@ -9,8 +9,11 @@
 //! re-blessed with `VOXEL_BLESS=1 cargo test` after intentional behavior
 //! changes.
 
-use crate::scenario::Scenario;
+use crate::fleet::{edge_hot_invariants, shard_parity_failures};
+use crate::runner::{run_scenario, Content};
+use crate::scenario::Spec;
 use std::path::Path;
+use voxel_fleet::FleetResult;
 
 /// FNV-1a 64-bit hash (stable across platforms and releases, no
 /// dependency on `std`'s unstable hasher internals).
@@ -42,49 +45,88 @@ pub fn timeline_digest(jsonl: &[u8]) -> Digest {
     }
 }
 
-/// One canonical golden scenario.
+/// One committed golden: a spec of either kind and the seed it runs
+/// under (fleets are a pure function of their spec; theirs is 0).
 #[derive(Debug, Clone, Copy)]
-pub struct GoldenScenario {
+pub struct Golden {
     /// Stable file stem under `tests/golden/`.
     pub name: &'static str,
-    /// Scenario spec (single trial).
+    /// The spec; its kind and session count come from [`Spec::parse`]
+    /// (every table entry parses; a unit test pins it).
     pub spec: &'static str,
     /// The seed the golden run uses.
     pub seed: u64,
 }
 
-/// The canonical scenarios whose digests are committed. Kept cheap (one
-/// trial each) and diverse: reliable vs split transport, comfortable vs
-/// starved constant rates, a seeded cellular trace, and a packet-fault
-/// plane.
-pub fn canonical_scenarios() -> Vec<GoldenScenario> {
-    vec![
-        GoldenScenario {
-            name: "bola-const8",
-            spec: "BBB:BOLA:const8",
-            seed: 1,
-        },
-        GoldenScenario {
-            name: "voxel-const3",
-            spec: "BBB:VOXEL:const3",
-            seed: 1,
-        },
-        GoldenScenario {
-            name: "voxel-tmobile-buf1",
-            spec: "ToS:VOXEL:tmobile:buf1",
-            seed: 2021,
-        },
-        GoldenScenario {
-            name: "bolassim-att",
-            spec: "ED:BOLA-SSIM:att",
-            seed: 7,
-        },
-        GoldenScenario {
-            name: "voxel-lossburst",
-            spec: "BBB:VOXEL:const5:loss@40+10x0.2",
-            seed: 11,
-        },
-    ]
+const fn golden(name: &'static str, spec: &'static str, seed: u64) -> Golden {
+    Golden { name, spec, seed }
+}
+
+/// The hot edge golden: additionally held to the hot-cache oracles
+/// ([`edge_hot_invariants`]), not just to determinism.
+const EDGE_HOT_GOLDEN: &str = "fleet-edge4x16-hot";
+
+/// Every committed digest, one table. Five single-session scenarios,
+/// kept cheap (one trial each) and diverse: reliable vs split transport,
+/// comfortable vs starved constant rates, a seeded cellular trace, and a
+/// packet-fault plane. Seven fleets: a mixed 8-session fleet (4 VOXEL, 2
+/// BOLA, 2 BETA on a shared 6 Mbit/s DRR link), a homogeneous VOXEL
+/// fleet pinning the fairness floor, a capped 64-session mixed fleet
+/// exercising the sharded runtime at scale (staggered starts, droptail
+/// pressure, the cap-freeze path), the congestion-control pair — all-BBR,
+/// and BBR vs CUBIC on a FIFO droptail link (DRR would referee the
+/// contention away) — and the `edge4x16` pair (DESIGN.md §16): 16
+/// same-video sessions over 4 hash-routed edges, once *hot* (full
+/// admission, the cache absorbs the crowd) and once *cold* (admission
+/// `none`, every object rides the origin backhaul).
+pub const GOLDENS: [Golden; 12] = [
+    golden("bola-const8", "BBB:BOLA:const8", 1),
+    golden("voxel-const3", "BBB:VOXEL:const3", 1),
+    golden("voxel-tmobile-buf1", "ToS:VOXEL:tmobile:buf1", 2021),
+    golden("bolassim-att", "ED:BOLA-SSIM:att", 7),
+    golden("voxel-lossburst", "BBB:VOXEL:const5:loss@40+10x0.2", 11),
+    golden(
+        "fleet-mixed8",
+        "BBB:4xVOXEL+2xBOLA+2xBETA:const6:buf3:q64:d300:drr:stg2",
+        0,
+    ),
+    golden(
+        "fleet-voxel8",
+        "BBB:8xVOXEL:const6:buf3:q64:d300:drr:stg2",
+        0,
+    ),
+    golden(
+        "fleet-mixed64",
+        "BBB:28xVOXEL+20xBOLA+16xBETA:const48:buf3:q256:d120:drr:stg1:cap90",
+        0,
+    ),
+    golden(
+        "fleet-bbr8",
+        "BBB:8xVOXEL@bbr:const6:buf3:q64:d300:drr:stg2",
+        0,
+    ),
+    golden(
+        "fleet-ccmix8",
+        "BBB:4xVOXEL@bbr+4xVOXEL@cubic:const6:buf3:q64:d300:fifo:stg2",
+        0,
+    ),
+    golden(
+        EDGE_HOT_GOLDEN,
+        "BBB:16xVOXEL:const24:buf3:q128:d120:drr:stg0:cap90:e4:rhash:afull:plru:o50",
+        0,
+    ),
+    golden(
+        "fleet-edge4x16-cold",
+        "BBB:16xVOXEL:const24:buf3:q128:d120:drr:stg0:cap90:e4:rhash:anone:plru:o50",
+        0,
+    ),
+];
+
+impl Golden {
+    /// The table entry called `name`.
+    pub fn named(name: &str) -> Option<&'static Golden> {
+        GOLDENS.iter().find(|g| g.name == name)
+    }
 }
 
 /// Outcome of a golden check.
@@ -97,11 +139,11 @@ pub enum GoldenStatus {
 }
 
 /// Whether this process runs in bless mode.
-pub fn blessing() -> bool {
+fn blessing() -> bool {
     std::env::var("VOXEL_BLESS").as_deref() == Ok("1")
 }
 
-fn golden_line(g: &GoldenScenario, d: Digest) -> String {
+fn golden_line(g: &Golden, d: Digest) -> String {
     format!(
         "fnv64:{:016x} events:{} seed:{} spec:{}\n",
         d.hash, d.events, g.seed, g.spec
@@ -110,11 +152,7 @@ fn golden_line(g: &GoldenScenario, d: Digest) -> String {
 
 /// Verify `jsonl`'s digest against `golden_dir/<name>.digest`, or rewrite
 /// the file when `VOXEL_BLESS=1`.
-pub fn check_or_bless(
-    golden_dir: &Path,
-    g: &GoldenScenario,
-    jsonl: &[u8],
-) -> Result<GoldenStatus, String> {
+pub fn check_or_bless(golden_dir: &Path, g: &Golden, jsonl: &[u8]) -> Result<GoldenStatus, String> {
     let line = golden_line(g, timeline_digest(jsonl));
     let path = golden_dir.join(format!("{}.digest", g.name));
     if blessing() {
@@ -143,20 +181,60 @@ pub fn check_or_bless(
     }
 }
 
-/// Run one golden scenario and digest its (single) trial timeline.
+/// One executed golden: the timeline its digest is taken over, and
+/// everything that would disqualify it.
+pub struct GoldenRun {
+    /// The raw JSONL timeline (a scenario's single trial; a fleet's
+    /// reference worker count).
+    pub timeline: Vec<u8>,
+    /// Oracle violations — and, for fleets, every cross-worker-count
+    /// divergence (empty = the digest is worth checking).
+    pub failures: Vec<String>,
+    /// Flight-recorder dump of the run's tail, when an oracle fired.
+    pub postmortem: Option<String>,
+    /// The fleet's result, for a fleet golden.
+    pub fleet: Option<FleetResult>,
+}
+
+/// Run one golden. A scenario runs once under its seed, every oracle
+/// armed. A fleet runs as a sharded-parity sweep over `workers`
+/// ([`shard_parity_failures`]; the first count's timeline is the digest
+/// candidate), and the hot edge golden also answers to the hot-cache
+/// oracles. `workers` is ignored for scenarios.
 pub fn run_golden(
-    g: &GoldenScenario,
-    content: &mut crate::runner::Content,
-) -> Result<(Vec<u8>, Vec<String>), String> {
-    let scenario = Scenario::parse(g.spec)?;
-    let run = crate::runner::run_scenario(&scenario, g.seed, content)?;
-    let timeline = run
-        .trials
-        .into_iter()
-        .next()
-        .map(|t| t.timeline)
-        .ok_or_else(|| format!("golden {} produced no trials", g.name))?;
-    Ok((timeline, run.failures))
+    g: &Golden,
+    content: &mut Content,
+    workers: &[usize],
+) -> Result<GoldenRun, String> {
+    match Spec::parse(g.spec)? {
+        Spec::Scenario(scenario) => {
+            let run = run_scenario(&scenario, g.seed, content)?;
+            let timeline = run
+                .trials
+                .into_iter()
+                .next()
+                .map(|t| t.timeline)
+                .ok_or_else(|| format!("golden {} produced no trials", g.name))?;
+            Ok(GoldenRun {
+                timeline,
+                failures: run.failures,
+                postmortem: run.postmortems.into_iter().next(),
+                fleet: None,
+            })
+        }
+        Spec::Fleet(spec) => {
+            let (run, mut failures) = shard_parity_failures(g.name, &spec, content, workers)?;
+            if g.name == EDGE_HOT_GOLDEN {
+                failures.extend(edge_hot_invariants(&run.result));
+            }
+            Ok(GoldenRun {
+                timeline: run.timeline,
+                failures,
+                postmortem: run.postmortem,
+                fleet: Some(run.result),
+            })
+        }
+    }
 }
 
 #[cfg(test)]
@@ -181,27 +259,29 @@ mod tests {
     }
 
     #[test]
-    fn canonical_scenarios_parse_and_are_single_trial() {
-        let all = canonical_scenarios();
-        assert!(all.len() >= 4, "need at least 4 committed goldens");
-        let mut names: Vec<&str> = all.iter().map(|g| g.name).collect();
+    fn goldens_parse_are_unique_and_cheap() {
+        let mut names: Vec<&str> = GOLDENS.iter().map(|g| g.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), all.len(), "golden names must be unique");
-        for g in &all {
-            let s = Scenario::parse(g.spec).expect(g.spec);
-            assert_eq!(s.trials, 1, "{} must stay cheap", g.name);
+        assert_eq!(names.len(), GOLDENS.len(), "golden names must be unique");
+        for g in &GOLDENS {
+            match Spec::parse(g.spec).expect(g.name) {
+                Spec::Scenario(s) => assert_eq!(s.trials, 1, "{} must stay cheap", g.name),
+                // Fleet digests embed the spec string: keep it canonical.
+                Spec::Fleet(f) => assert_eq!(f.to_string(), g.spec, "{}", g.name),
+            }
+            assert_eq!(Golden::named(g.name).expect(g.name).spec, g.spec);
         }
+        assert!(matches!(
+            Golden::named(EDGE_HOT_GOLDEN).map(|g| Spec::parse(g.spec)),
+            Some(Ok(Spec::Fleet(f))) if f.edge.is_some()
+        ));
     }
 
     #[test]
     fn bless_then_check_round_trips() {
         let dir = std::env::temp_dir().join(format!("voxel-golden-{}", std::process::id()));
-        let g = GoldenScenario {
-            name: "unit",
-            spec: "BBB:BOLA:const8",
-            seed: 1,
-        };
+        let g = golden("unit", "BBB:BOLA:const8", 1);
         let jsonl = b"{\"t\":1}\n";
         // Write the golden directly (env-var bless mode is exercised by
         // tests/golden_digests.rs; mutating the env here would race other
@@ -218,7 +298,7 @@ mod tests {
         );
         let err = check_or_bless(&dir, &g, b"{\"t\":2}\n").expect_err("mismatch");
         assert!(err.contains("mismatch"), "{err}");
-        let missing = GoldenScenario { name: "nope", ..g };
+        let missing = Golden { name: "nope", ..g };
         let err = check_or_bless(&dir, &missing, jsonl).expect_err("missing");
         assert!(err.contains("VOXEL_BLESS=1"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);

@@ -1,13 +1,12 @@
 //! Fleet conformance: oracles and golden digests for multi-session runs.
 //!
 //! A fleet run is a pure function of its [`FleetSpec`] (no sweep seed —
-//! the spec fixes the timeline byte-for-byte), so the golden machinery
-//! reuses [`crate::digest::check_or_bless`] with `seed: 0`. Oracles check
+//! the spec fixes the timeline byte-for-byte), so fleet goldens sit in
+//! the one [`crate::digest::GOLDENS`] table with `seed: 0`. Oracles check
 //! the cross-session properties single-session oracles cannot see:
 //! conservation of link shares, fairness of homogeneous fleets, and
 //! per-flow starvation.
 
-use crate::digest::GoldenScenario;
 use crate::runner::Content;
 use voxel_fleet::{run_fleet, FleetResult, FleetSpec};
 use voxel_obs::FlightRecorder;
@@ -22,11 +21,11 @@ pub const HOMOGENEOUS_JAIN_FLOOR: f64 = 0.8;
 /// the queue has standing delay under-estimates its fair window, so even
 /// identical delay flows on one FIFO converge slower and less evenly
 /// than loss- or model-based ones. The band is looser, not absent.
-pub const DELAY_HOMOGENEOUS_JAIN_FLOOR: f64 = 0.7;
+const DELAY_HOMOGENEOUS_JAIN_FLOOR: f64 = 0.7;
 
 /// The homogeneous fairness floor for a fleet running entirely on `cc`
 /// — the per-cc leg of the cc-mix-parameterized fairness band.
-pub fn homogeneous_jain_floor(cc: voxel_fleet::CcKind) -> f64 {
+fn homogeneous_jain_floor(cc: voxel_fleet::CcKind) -> f64 {
     match cc {
         voxel_fleet::CcKind::Delay => DELAY_HOMOGENEOUS_JAIN_FLOOR,
         _ => HOMOGENEOUS_JAIN_FLOOR,
@@ -60,71 +59,6 @@ pub const EDGE_HOT_ORIGIN_FRACTION_OF_COLD: f64 = 0.1;
 /// Origin-load ceiling for hot edge fleets, percent of the run's
 /// duration spent busy: a warm cache leaves the backhaul mostly idle.
 pub const EDGE_HOT_ORIGIN_LOAD_CEILING_PCT: f64 = 25.0;
-
-/// The canonical fleet specs whose digests are committed. One mixed
-/// 8-session fleet (the acceptance scenario: 4 VOXEL, 2 BOLA, 2 BETA on
-/// a shared 6 Mbit/s DRR link), one homogeneous VOXEL fleet pinning the
-/// fairness floor, one capped 64-session mixed fleet exercising the
-/// sharded runtime at scale (staggered starts, droptail pressure, the
-/// cap-freeze path — everything the parity suite must hold byte-stable
-/// across worker counts), plus the congestion-control pair: an all-BBR
-/// homogeneous fleet and a BBR-vs-CUBIC contention mix on a FIFO
-/// droptail link (DRR would referee the contention away). The
-/// `edge4x16` pair exercises the edge serving tier (DESIGN.md §16): 16
-/// same-video sessions over 4 hash-routed edges, once *hot* (full
-/// admission — the cache absorbs the crowd and the hit ratio must clear
-/// [`EDGE_HOT_HIT_RATIO_FLOOR`]) and once *cold* (admission `none` —
-/// every object rides the origin backhaul, pinning the flash-crowd
-/// degradation path).
-pub fn canonical_fleets() -> Vec<GoldenScenario> {
-    vec![
-        GoldenScenario {
-            name: "fleet-mixed8",
-            spec: "BBB:4xVOXEL+2xBOLA+2xBETA:const6:buf3:q64:d300:drr:stg2",
-            seed: 0,
-        },
-        GoldenScenario {
-            name: "fleet-voxel8",
-            spec: "BBB:8xVOXEL:const6:buf3:q64:d300:drr:stg2",
-            seed: 0,
-        },
-        GoldenScenario {
-            name: "fleet-mixed64",
-            spec: "BBB:28xVOXEL+20xBOLA+16xBETA:const48:buf3:q256:d120:drr:stg1:cap90",
-            seed: 0,
-        },
-        GoldenScenario {
-            name: "fleet-bbr8",
-            spec: "BBB:8xVOXEL@bbr:const6:buf3:q64:d300:drr:stg2",
-            seed: 0,
-        },
-        GoldenScenario {
-            name: "fleet-ccmix8",
-            spec: "BBB:4xVOXEL@bbr+4xVOXEL@cubic:const6:buf3:q64:d300:fifo:stg2",
-            seed: 0,
-        },
-        GoldenScenario {
-            name: "fleet-edge4x16-hot",
-            spec: "BBB:16xVOXEL:const24:buf3:q128:d120:drr:stg0:cap90:e4:rhash:afull:plru:o50",
-            seed: 0,
-        },
-        GoldenScenario {
-            name: "fleet-edge4x16-cold",
-            spec: "BBB:16xVOXEL:const24:buf3:q128:d120:drr:stg0:cap90:e4:rhash:anone:plru:o50",
-            seed: 0,
-        },
-    ]
-}
-
-/// Expected session count per canonical fleet (keeps the spec strings
-/// honest in tests and sizes parity sweeps).
-pub fn canonical_fleet_sessions(name: &str) -> usize {
-    match name {
-        "fleet-mixed64" => 64,
-        "fleet-edge4x16-hot" | "fleet-edge4x16-cold" => 16,
-        _ => 8,
-    }
-}
 
 /// Cross-session invariants every fleet run must satisfy. Returns
 /// violations (empty = all oracles passed).
@@ -307,11 +241,11 @@ pub fn edge_hot_invariants(r: &FleetResult) -> Vec<String> {
     v
 }
 
-/// One executed golden fleet: its timeline, oracle verdict, the full
+/// One traced fleet run: its timeline, oracle verdict, the full
 /// [`FleetResult`], and — when an oracle fired — the flight-recorder
 /// postmortem of the run's tail.
-pub struct FleetGoldenRun {
-    /// The raw JSONL timeline (what the digest is taken over).
+pub struct FleetRun {
+    /// The raw JSONL timeline (what a digest is taken over).
     pub timeline: Vec<u8>,
     /// Cross-session oracle violations (empty = passed).
     pub failures: Vec<String>,
@@ -321,39 +255,22 @@ pub struct FleetGoldenRun {
     pub result: FleetResult,
 }
 
-/// Run one golden fleet, its sink teed through a flight recorder.
-pub fn run_fleet_golden(g: &GoldenScenario, content: &Content) -> Result<FleetGoldenRun, String> {
-    run_fleet_golden_with_workers(g, content, None)
-}
-
-/// [`run_fleet_golden`] at an explicit shard worker count (`None` defers
-/// to the spec / `VOXEL_SHARD_WORKERS`). The parity harness runs the same
-/// golden at several counts and demands byte-identical timelines.
-pub fn run_fleet_golden_with_workers(
-    g: &GoldenScenario,
-    content: &Content,
-    workers: Option<usize>,
-) -> Result<FleetGoldenRun, String> {
-    let mut spec = FleetSpec::parse(g.spec).map_err(|e| e.to_string())?;
-    if workers.is_some() {
-        spec.workers = workers;
-    }
+/// Run one fleet with its timeline captured, its sink teed through a
+/// flight recorder, and [`fleet_invariants`] applied.
+pub fn run_fleet_traced(spec: &FleetSpec, content: &Content) -> Result<FleetRun, String> {
     let buf = SharedBuf::new();
-    let recorder = FlightRecorder::new(
-        format!("fleet={} spec={}", g.name, g.spec),
-        voxel_obs::DEFAULT_CAPACITY,
-    );
+    let recorder = FlightRecorder::new(format!("fleet={spec}"), voxel_obs::DEFAULT_CAPACITY);
     let tracer = Tracer::new(
         0,
         Box::new(recorder.wrap(Box::new(JsonlSink::to_writer(Box::new(buf.clone()))))),
     );
     let result = {
         let _bound = voxel_obs::install_recorder(&recorder);
-        run_fleet(&spec, content.cache(), tracer)?
+        run_fleet(spec, content.cache(), tracer)?
     };
-    let failures = fleet_invariants(&spec, &result);
+    let failures = fleet_invariants(spec, &result);
     let postmortem = failures.first().map(|first| recorder.postmortem(first));
-    Ok(FleetGoldenRun {
+    Ok(FleetRun {
         timeline: buf.contents(),
         failures,
         postmortem,
@@ -361,23 +278,25 @@ pub fn run_fleet_golden_with_workers(
     })
 }
 
-/// Deterministic-parity oracle: run `g` at every worker count in
-/// `counts` and compare each run against the first, byte-for-byte on the
-/// timeline and field-by-field on the [`FleetResult`]. Returns the first
-/// count's run (whose timeline is the digest candidate) and the
-/// violations (empty = sharding is unobservable, as the determinism
-/// contract demands).
+/// Deterministic-parity oracle: run `spec` at every worker count in
+/// `counts` (overriding its `w<N>` and the environment) and compare each
+/// run against the first, byte-for-byte on the timeline and
+/// field-by-field on the [`FleetResult`]. Returns the first count's run
+/// (whose timeline is the digest candidate) and the violations, each
+/// prefixed with `name` (empty = sharding is unobservable, as the
+/// determinism contract demands).
 pub fn shard_parity_failures(
-    g: &GoldenScenario,
+    name: &str,
+    spec: &FleetSpec,
     content: &Content,
     counts: &[usize],
-) -> Result<(FleetGoldenRun, Vec<String>), String> {
+) -> Result<(FleetRun, Vec<String>), String> {
     let mut v = Vec::new();
-    let mut reference: Option<(usize, FleetGoldenRun)> = None;
+    let mut reference: Option<(usize, FleetRun)> = None;
     for &w in counts {
-        let run = run_fleet_golden_with_workers(g, content, Some(w))?;
+        let run = run_fleet_traced(&spec.clone().workers(w), content)?;
         for f in &run.failures {
-            v.push(format!("{} w={w}: oracle: {f}", g.name));
+            v.push(format!("{name} w={w}: oracle: {f}"));
         }
         let Some((w0, base)) = &reference else {
             reference = Some((w, run));
@@ -391,56 +310,33 @@ pub fn shard_parity_failures(
                 .position(|(a, b)| a != b)
                 .unwrap_or_else(|| run.timeline.len().min(base.timeline.len()));
             v.push(format!(
-                "{} w={w}: timeline diverges from w={w0} at byte {byte} \
+                "{name} w={w}: timeline diverges from w={w0} at byte {byte} \
                  ({} vs {} bytes total)",
-                g.name,
                 run.timeline.len(),
                 base.timeline.len()
             ));
         }
         let (a, b) = (&run.result, &base.result);
-        if a.loop_iters != b.loop_iters {
-            v.push(format!(
-                "{} w={w}: loop_iters {} != {} at w={w0}",
-                g.name, a.loop_iters, b.loop_iters
-            ));
-        }
-        if a.end_s != b.end_s {
-            v.push(format!(
-                "{} w={w}: end_s {} != {} at w={w0}",
-                g.name, a.end_s, b.end_s
-            ));
-        }
-        if a.jain != b.jain {
-            v.push(format!(
-                "{} w={w}: jain {} != {} at w={w0}",
-                g.name, a.jain, b.jain
-            ));
-        }
-        if a.shares_pct != b.shares_pct {
-            v.push(format!("{} w={w}: flow shares differ from w={w0}", g.name));
-        }
-        if a.flows != b.flows {
-            v.push(format!(
-                "{} w={w}: per-flow link stats differ from w={w0}",
-                g.name
-            ));
-        }
-        if a.edge != b.edge {
-            v.push(format!("{} w={w}: edge report differs from w={w0}", g.name));
-        }
-        for (i, (sa, sb)) in a.sessions.iter().zip(b.sessions.iter()).enumerate() {
-            let same = sa.completed == sb.completed
-                && sa.stall_s == sb.stall_s
-                && sa.bytes_downloaded == sb.bytes_downloaded
-                && sa.avg_ssim() == sb.avg_ssim()
-                && sa.transport.packets_sent == sb.transport.packets_sent
-                && sa.transport.packets_lost == sb.transport.packets_lost;
+        let sessions_same = a.sessions.len() == b.sessions.len()
+            && a.sessions.iter().zip(&b.sessions).all(|(sa, sb)| {
+                sa.completed == sb.completed
+                    && sa.stall_s == sb.stall_s
+                    && sa.bytes_downloaded == sb.bytes_downloaded
+                    && sa.avg_ssim() == sb.avg_ssim()
+                    && sa.transport.packets_sent == sb.transport.packets_sent
+                    && sa.transport.packets_lost == sb.transport.packets_lost
+            });
+        for (what, same) in [
+            ("loop_iters", a.loop_iters == b.loop_iters),
+            ("end_s", a.end_s == b.end_s),
+            ("jain", a.jain == b.jain),
+            ("flow shares", a.shares_pct == b.shares_pct),
+            ("per-flow link stats", a.flows == b.flows),
+            ("edge report", a.edge == b.edge),
+            ("per-session results", sessions_same),
+        ] {
             if !same {
-                v.push(format!(
-                    "{} w={w}: session {i} result differs from w={w0}",
-                    g.name
-                ));
+                v.push(format!("{name} w={w}: {what} differ from w={w0}"));
             }
         }
     }
@@ -482,20 +378,6 @@ mod tests {
             end_s: 100.0,
             loop_iters: 1,
             edge: None,
-        }
-    }
-
-    #[test]
-    fn canonical_fleets_parse_and_are_unique() {
-        let all = canonical_fleets();
-        let mut names: Vec<&str> = all.iter().map(|g| g.name).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), all.len());
-        for g in &all {
-            let s = FleetSpec::parse(g.spec).expect(g.spec);
-            assert_eq!(s.spec(), g.spec, "{} must be canonical", g.name);
-            assert_eq!(s.total_sessions(), canonical_fleet_sessions(g.name));
         }
     }
 

@@ -6,11 +6,12 @@
 //! deterministic discrete-event simulation; this crate turns that property
 //! into a test harness:
 //!
-//! - [`scenario`]: a compact, round-trippable spec language
-//!   (`"BBB:VOXEL:tmobile:buf1:n2:loss@60+5x0.3"`) naming one scenario —
-//!   (video × system × trace family × buffer × queue) plus optional
-//!   injected faults — and a [`Matrix`](scenario::Matrix) that expands
-//!   cartesian products of those axes from one-line specs.
+//! - [`scenario`]: the scenario kind of the one spec language
+//!   (`"BBB:VOXEL:tmobile:buf1:n2:loss@60+5x0.3"`: video × system × trace
+//!   family × buffer × queue, plus optional injected faults),
+//!   [`Spec::parse`] — the front door that accepts a scenario or a fleet
+//!   spec — and a [`Matrix`](scenario::Matrix) that expands cartesian
+//!   products of the scenario axes from one-line specs.
 //! - [`oracle`]: per-trial invariants every scenario must satisfy
 //!   (stall accounting consistent with the traced timeline, QoE within
 //!   per-family bounds, transport counters coherent) checked against both
@@ -23,8 +24,9 @@
 //! - [`sweep`]: runs every scenario across K seeds; on failure, shrinks to
 //!   the smallest failing `(seed, trial-count, trace-prefix)` triple and
 //!   emits a ready-to-paste `#[test]` reproduction.
-//! - [`digest`]: stable FNV-1a digests of canonical scenario timelines,
-//!   verified against `tests/golden/` and re-blessed with `VOXEL_BLESS=1`.
+//! - [`digest`]: stable FNV-1a digests of the timelines of the one
+//!   [`GOLDENS`] table (scenarios and fleets), verified against
+//!   `tests/golden/` and re-blessed with `VOXEL_BLESS=1`.
 //!
 //! The tier-2 entry point is `cargo run --release -p voxel-bench --bin
 //! conformance`; `tests/testkit.rs` and `tests/golden_digests.rs` keep a
@@ -38,16 +40,15 @@ pub mod scenario;
 pub mod sweep;
 
 pub use digest::{
-    check_or_bless, fnv64, run_golden, timeline_digest, GoldenScenario, GoldenStatus,
+    check_or_bless, fnv64, run_golden, timeline_digest, Golden, GoldenRun, GoldenStatus, GOLDENS,
 };
 pub use fleet::{
-    canonical_fleet_sessions, canonical_fleets, edge_hot_invariants, fleet_invariants,
-    run_fleet_golden, run_fleet_golden_with_workers, shard_parity_failures, FleetGoldenRun,
+    edge_hot_invariants, fleet_invariants, run_fleet_traced, shard_parity_failures, FleetRun,
     EDGE_HOT_HIT_RATIO_FLOOR, EDGE_HOT_ORIGIN_FRACTION_OF_COLD, EDGE_HOT_ORIGIN_LOAD_CEILING_PCT,
 };
 pub use oracle::Bounds;
 pub use runner::{run_scenario, Content, ScenarioRun, TrialRun};
 pub use scenario::{
-    system_by_name, video_by_name, Inject, Matrix, Scenario, TraceFamily, TraceFault,
+    system_by_name, Inject, Matrix, Scenario, Spec, SpecError, TraceFamily, TraceFault,
 };
 pub use sweep::{minimize, run_sweep, Repro, SweepOptions, SweepReport};

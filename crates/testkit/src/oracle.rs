@@ -36,16 +36,6 @@ pub struct Bounds {
 }
 
 impl Bounds {
-    /// The loosest envelope: only completion is required.
-    pub fn lenient() -> Bounds {
-        Bounds {
-            max_buf_ratio_pct: f64::INFINITY,
-            min_mean_ssim: 0.0,
-            max_startup_s: f64::INFINITY,
-            require_complete: true,
-        }
-    }
-
     /// Derive the envelope from the scenario shape. Comfortable constant
     /// traces must play nearly clean; faulted or cellular scenarios only
     /// have to degrade gracefully (finish, keep watchable quality).

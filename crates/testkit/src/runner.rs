@@ -15,10 +15,10 @@
 //! same context before panicking.
 
 use crate::oracle::{self, Bounds};
-use crate::scenario::{system_by_name, Inject, Scenario};
+use crate::scenario::Scenario;
 use std::sync::Arc;
 use voxel_core::experiment::run_instrumented_trial;
-use voxel_core::{ContentCache, Experiment, TrialResult};
+use voxel_core::{ContentCache, TrialResult};
 use voxel_media::content::VideoId;
 use voxel_media::qoe::QoeModel;
 use voxel_media::video::Video;
@@ -106,22 +106,8 @@ pub fn run_scenario(
     seed: u64,
     content: &mut Content,
 ) -> Result<ScenarioRun, String> {
-    let (abr, transport) = system_by_name(&scenario.system)
-        .ok_or_else(|| format!("unknown system {:?}", scenario.system))?;
-    let trace = scenario.build_trace(seed);
+    let config = scenario.experiment(seed)?.build().into_config();
     let (manifest, video, qoe) = content.get(scenario.video);
-
-    let config = Experiment::builder()
-        .video(scenario.video)
-        .abr(abr)
-        .transport(transport)
-        .buffer(scenario.buffer_segments)
-        .trace(trace)
-        .trials(scenario.trials)
-        .queue(scenario.queue_packets)
-        .debug_stall_skew(scenario.inject == Some(Inject::StallSkew))
-        .build()
-        .into_config();
 
     let bounds = Bounds::for_scenario(scenario);
     let d = config.trace.duration_s();

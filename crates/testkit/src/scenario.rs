@@ -1,142 +1,36 @@
-//! The scenario spec language and the configuration matrix.
+//! Scenario specs, [`Spec::parse`] — the front door every tool names a
+//! run through — and the configuration matrix.
 //!
-//! A scenario names one experiment configuration plus optional injected
-//! faults, in a compact colon-separated form that round-trips through
-//! [`Scenario::spec`] / [`Scenario::parse`] — the failure minimizer leans
-//! on that round-trip to emit copy-pasteable reproductions:
+//! The one grammar and its token table are in DESIGN.md §11. A scenario
+//! is the single-session kind of spec: the shared head
+//! ([`voxel_fleet::spec::SpecHead`]: `<video>:<system>:<trace>` +
+//! `buf`/`q`/`d`) followed by this module's tail — `n<N>`, `prefix<N>`,
+//! the packet-fault windows, the trace-fault transforms and the canary:
 //!
 //! ```text
-//! <video>:<system>:<trace>[:buf<N>][:q<N>][:n<N>][:d<N>][:prefix<N>]
-//!     [:loss@<start>+<len>x<prob>]
-//!     [:reorder@<start>+<len>x<prob>~<ms>]
-//!     [:dup@<start>+<len>x<prob>~<ms>]
-//!     [:cliff@<at>x<factor>]
-//!     [:stuck@<at>+<len>]
-//!     [:inject=stall_skew]
+//! BBB:VOXEL:tmobile:buf1:n2:loss@60+5x0.3
 //! ```
 //!
-//! e.g. `BBB:VOXEL:tmobile:buf1:n2:loss@60+5x0.3`. Defaults: `buf3`,
-//! `q32`, `n1`, `d300`, no prefix, no faults. Trace families are either
-//! synthetic (`const<mbps>`, `step<before>-<after>@<at>`) or the seeded §5
-//! generators (`tmobile`, `verizon`, `att`, `3g`, `fcc`, `wifi`).
+//! It round-trips through [`Scenario::spec`] / [`Scenario::parse`]; the
+//! failure minimizer leans on that to emit copy-pasteable reproductions.
+//! [`Spec::parse`] accepts this kind and the fleet kind
+//! (`BBB:4xVOXEL@bbr+2xBOLA:const6:…`) and tells them apart by the shape
+//! of the second token.
 
+use std::fmt;
+use voxel_core::{Experiment, ExperimentBuilder};
+use voxel_fleet::spec::SpecHead;
+use voxel_fleet::FleetSpec;
 use voxel_media::content::VideoId;
 use voxel_netem::fault::{cliff, stuck};
-use voxel_netem::trace::generators;
 use voxel_netem::{BandwidthTrace, FaultKind};
 
-/// One axis value: which bandwidth trace family a scenario runs over.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceFamily {
-    /// Constant rate in Mbps (`const8`, `const3.5`).
-    Constant(f64),
-    /// Step from `before` to `after` Mbps at `at_s` (`step8-2@60`).
-    Step {
-        /// Rate before the step, Mbps.
-        before: f64,
-        /// Rate after the step, Mbps.
-        after: f64,
-        /// Step time, seconds.
-        at_s: usize,
-    },
-    /// T-Mobile LTE generator (violent swings, deep fades).
-    TMobile,
-    /// Verizon LTE generator.
-    Verizon,
-    /// AT&T LTE generator (moderate variation).
-    Att,
-    /// Norway 3G commute generator (mild variation).
-    Norway3g,
-    /// FCC fixed-line generator (slow variation).
-    Fcc,
-    /// In-the-wild WiFi generator.
-    WildWifi,
-}
-
-impl TraceFamily {
-    /// Parse a trace token (`const8`, `step8-2@60`, `tmobile`, …).
-    pub fn parse(tok: &str) -> Result<TraceFamily, String> {
-        match tok {
-            "tmobile" => return Ok(TraceFamily::TMobile),
-            "verizon" => return Ok(TraceFamily::Verizon),
-            "att" => return Ok(TraceFamily::Att),
-            "3g" => return Ok(TraceFamily::Norway3g),
-            "fcc" => return Ok(TraceFamily::Fcc),
-            "wifi" => return Ok(TraceFamily::WildWifi),
-            _ => {}
-        }
-        if let Some(rate) = tok.strip_prefix("const") {
-            let mbps: f64 = rate
-                .parse()
-                .map_err(|_| format!("bad constant-trace rate in {tok:?}"))?;
-            // NaN must be rejected too, so compare against the valid side.
-            if mbps <= 0.0 || !mbps.is_finite() {
-                return Err(format!("constant-trace rate must be positive in {tok:?}"));
-            }
-            return Ok(TraceFamily::Constant(mbps));
-        }
-        if let Some(body) = tok.strip_prefix("step") {
-            let (rates, at) = body
-                .split_once('@')
-                .ok_or_else(|| format!("step trace needs @<at_s> in {tok:?}"))?;
-            let (before, after) = rates
-                .split_once('-')
-                .ok_or_else(|| format!("step trace needs <before>-<after> in {tok:?}"))?;
-            return Ok(TraceFamily::Step {
-                before: before
-                    .parse()
-                    .map_err(|_| format!("bad step before-rate in {tok:?}"))?,
-                after: after
-                    .parse()
-                    .map_err(|_| format!("bad step after-rate in {tok:?}"))?,
-                at_s: at
-                    .parse()
-                    .map_err(|_| format!("bad step time in {tok:?}"))?,
-            });
-        }
-        Err(format!(
-            "unknown trace family {tok:?} (const<mbps>, step<a>-<b>@<s>, tmobile, verizon, att, 3g, fcc, wifi)"
-        ))
-    }
-
-    /// The canonical spec token (inverse of [`TraceFamily::parse`]).
-    pub fn token(&self) -> String {
-        match self {
-            TraceFamily::Constant(m) => format!("const{m}"),
-            TraceFamily::Step {
-                before,
-                after,
-                at_s,
-            } => format!("step{before}-{after}@{at_s}"),
-            TraceFamily::TMobile => "tmobile".into(),
-            TraceFamily::Verizon => "verizon".into(),
-            TraceFamily::Att => "att".into(),
-            TraceFamily::Norway3g => "3g".into(),
-            TraceFamily::Fcc => "fcc".into(),
-            TraceFamily::WildWifi => "wifi".into(),
-        }
-    }
-
-    /// Materialize the trace. Synthetic families ignore `seed`; the §5
-    /// generators derive everything from it, so distinct sweep seeds
-    /// explore distinct (but reproducible) bandwidth processes.
-    pub fn build(&self, seed: u64, duration_s: usize) -> BandwidthTrace {
-        match *self {
-            TraceFamily::Constant(mbps) => BandwidthTrace::constant(mbps, duration_s),
-            TraceFamily::Step {
-                before,
-                after,
-                at_s,
-            } => BandwidthTrace::step(before, after, at_s, duration_s),
-            TraceFamily::TMobile => generators::tmobile_lte(seed, duration_s),
-            TraceFamily::Verizon => generators::verizon_lte(seed, duration_s),
-            TraceFamily::Att => generators::att_lte(seed, duration_s),
-            TraceFamily::Norway3g => generators::norway_3g(seed, duration_s),
-            TraceFamily::Fcc => generators::fcc(seed, duration_s),
-            TraceFamily::WildWifi => generators::wild_wifi(seed, duration_s),
-        }
-    }
-}
+// The name tables live with the nouns they name — `VideoId::by_name`
+// (voxel-media), `TraceFamily` (voxel-netem), `system_by_name`
+// (voxel-fleet, next to the shared head) — re-exported here for the
+// testkit surface.
+pub use voxel_fleet::spec::{system_by_name, SpecError};
+pub use voxel_netem::TraceFamily;
 
 /// A deterministic transform of the bandwidth trace itself (as opposed to
 /// the packet-level [`FaultKind`]s).
@@ -207,24 +101,26 @@ pub struct Scenario {
     pub bounds: Option<crate::oracle::Bounds>,
 }
 
-// The §5 legend name tables (system → (ABR, transport), video names) live
-// canonically in voxel-fleet's spec module so scenario specs and fleet
-// specs can never disagree; re-exported here for the testkit surface.
-pub use voxel_fleet::spec::{system_by_name, video_by_name};
-
-/// Parse `<start>+<len>` (both numbers).
-fn parse_window(body: &str, tok: &str) -> Result<(f64, f64), String> {
-    let (start, len) = body
-        .split_once('+')
-        .ok_or_else(|| format!("fault window needs <start>+<len> in {tok:?}"))?;
-    Ok((
-        start
-            .parse()
-            .map_err(|_| format!("bad window start in {tok:?}"))?,
-        len.parse()
-            .map_err(|_| format!("bad window length in {tok:?}"))?,
-    ))
+/// `<start>+<len>x<prob>` (plus `~<ms>` when `delayed`): finite
+/// non-negative seconds, a probability in `[0, 1]`.
+fn fault_window(body: &str, delayed: bool) -> Option<(f64, f64, f64, u64)> {
+    let (body, ms) = match delayed {
+        true => body
+            .split_once('~')
+            .and_then(|(b, ms)| Some((b, ms.parse().ok()?)))?,
+        false => (body, 0),
+    };
+    let (window, prob) = body.split_once('x')?;
+    let (start, len) = window.split_once('+')?;
+    let seconds = |s: &str| s.parse().ok().filter(|v: &f64| v.is_finite() && *v >= 0.0);
+    let prob = prob.parse().ok().filter(|p| (0.0..=1.0).contains(p))?;
+    Some((seconds(start)?, seconds(len)?, prob, ms))
 }
+
+/// What the scenario tail accepts after the head, for error messages.
+const TAIL_MENU: &str = "one of buf<N>|q<N>|d<N>|n<N>|prefix<N>|loss@<start>+<len>x<prob>|\
+reorder@<start>+<len>x<prob>~<ms>|dup@<start>+<len>x<prob>~<ms>|cliff@<at>x<factor>|\
+stuck@<at>+<len>|inject=stall_skew";
 
 impl Scenario {
     /// A scenario with the workspace defaults (`buf3:q32:n1:d300`).
@@ -245,116 +141,80 @@ impl Scenario {
         }
     }
 
-    /// Parse a spec string (see the module docs for the grammar).
-    pub fn parse(spec: &str) -> Result<Scenario, String> {
-        let mut parts = spec.split(':');
-        let video_tok = parts.next().unwrap_or_default();
-        let video = video_by_name(video_tok)
-            .ok_or_else(|| format!("unknown video {video_tok:?} in {spec:?}"))?;
-        let system = parts
-            .next()
-            .ok_or_else(|| format!("spec {spec:?} is missing the system token"))?;
-        system_by_name(system).ok_or_else(|| format!("unknown system {system:?} in {spec:?}"))?;
-        let trace_tok = parts
-            .next()
-            .ok_or_else(|| format!("spec {spec:?} is missing the trace token"))?;
-        let mut s = Scenario::new(video, system, TraceFamily::parse(trace_tok)?);
-
-        for tok in parts {
+    /// Parse a scenario spec: the shared head, then this kind's tail.
+    pub fn parse(spec: &str) -> Result<Scenario, SpecError> {
+        let (mut head, rest) = SpecHead::parse(spec, 32)?;
+        SpecHead::system(head.who)?;
+        let mut s = Scenario::new(head.video, head.who, head.trace.clone());
+        for (pos, tok) in rest {
+            let bad = |expected: &str| SpecError::new(tok, pos, expected);
             // Longest prefixes first: `dup@`/`prefix` must win over the
             // single-letter `d`/`q`/`n` numeric tokens.
-            if let Some(v) = tok.strip_prefix("buf") {
-                s.buffer_segments = v.parse().map_err(|_| format!("bad buffer in {tok:?}"))?;
-            } else if let Some(v) = tok.strip_prefix("prefix") {
-                s.trace_prefix_s = Some(v.parse().map_err(|_| format!("bad prefix in {tok:?}"))?);
-            } else if let Some(body) = tok.strip_prefix("loss@") {
-                let (window, prob) = body
-                    .split_once('x')
-                    .ok_or_else(|| format!("loss fault needs x<prob> in {tok:?}"))?;
-                let (start_s, len_s) = parse_window(window, tok)?;
-                s.faults.push(FaultKind::LossBurst {
-                    start_s,
-                    len_s,
-                    prob: prob
-                        .parse()
-                        .map_err(|_| format!("bad loss probability in {tok:?}"))?,
-                });
-            } else if let Some(body) = tok
-                .strip_prefix("reorder@")
-                .map(|b| (b, false))
-                .or_else(|| tok.strip_prefix("dup@").map(|b| (b, true)))
+            if let Some(v) = tok.strip_prefix("prefix") {
+                s.trace_prefix_s = Some(v.parse().map_err(|_| bad("seconds in prefix<N>"))?);
+            } else if let Some((kind, body)) = ["loss@", "reorder@", "dup@"]
+                .iter()
+                .find_map(|kind| Some((*kind, tok.strip_prefix(kind)?)))
             {
-                let (body, is_dup) = body;
-                let (rest, ms) = body
-                    .split_once('~')
-                    .ok_or_else(|| format!("fault needs ~<ms> in {tok:?}"))?;
-                let (window, prob) = rest
-                    .split_once('x')
-                    .ok_or_else(|| format!("fault needs x<prob> in {tok:?}"))?;
-                let (start_s, len_s) = parse_window(window, tok)?;
-                let extra_ms = ms.parse().map_err(|_| format!("bad delay in {tok:?}"))?;
-                let prob: f64 = prob
-                    .parse()
-                    .map_err(|_| format!("bad probability in {tok:?}"))?;
-                s.faults.push(if is_dup {
-                    FaultKind::Duplicate {
+                let (start_s, len_s, prob, extra_ms) = fault_window(body, kind != "loss@")
+                    .ok_or_else(|| {
+                        bad("<loss|reorder|dup>@<start>+<len>x<prob>[~<ms>]: finite \
+                             non-negative seconds, a probability in [0,1], ~<ms> on reorder/dup")
+                    })?;
+                s.faults.push(match kind {
+                    "loss@" => FaultKind::LossBurst {
+                        start_s,
+                        len_s,
+                        prob,
+                    },
+                    "reorder@" => FaultKind::Reorder {
                         start_s,
                         len_s,
                         extra_ms,
                         prob,
-                    }
-                } else {
-                    FaultKind::Reorder {
+                    },
+                    _ => FaultKind::Duplicate {
                         start_s,
                         len_s,
                         extra_ms,
                         prob,
-                    }
+                    },
                 });
             } else if let Some(body) = tok.strip_prefix("cliff@") {
-                let (at, factor) = body
+                let (at_s, factor) = body
                     .split_once('x')
-                    .ok_or_else(|| format!("cliff needs x<factor> in {tok:?}"))?;
-                s.trace_faults.push(TraceFault::Cliff {
-                    at_s: at
-                        .parse()
-                        .map_err(|_| format!("bad cliff time in {tok:?}"))?,
-                    factor: factor
-                        .parse()
-                        .map_err(|_| format!("bad cliff factor in {tok:?}"))?,
-                });
+                    .and_then(|(at, factor)| {
+                        let factor: f64 = factor.parse().ok()?;
+                        (factor.is_finite() && factor >= 0.0).then_some((at.parse().ok()?, factor))
+                    })
+                    .ok_or_else(|| bad("cliff@<at>x<factor> with a finite factor of at least 0"))?;
+                s.trace_faults.push(TraceFault::Cliff { at_s, factor });
             } else if let Some(body) = tok.strip_prefix("stuck@") {
-                let (at, len) = body
+                let (at_s, len_s) = body
                     .split_once('+')
-                    .ok_or_else(|| format!("stuck needs <at>+<len> in {tok:?}"))?;
-                s.trace_faults.push(TraceFault::Stuck {
-                    at_s: at
-                        .parse()
-                        .map_err(|_| format!("bad stuck time in {tok:?}"))?,
-                    len_s: len
-                        .parse()
-                        .map_err(|_| format!("bad stuck length in {tok:?}"))?,
-                });
+                    .and_then(|(at, len)| Some((at.parse().ok()?, len.parse().ok()?)))
+                    .ok_or_else(|| bad("stuck@<at>+<len> in whole seconds"))?;
+                s.trace_faults.push(TraceFault::Stuck { at_s, len_s });
             } else if let Some(what) = tok.strip_prefix("inject=") {
                 s.inject = Some(match what {
                     "stall_skew" => Inject::StallSkew,
-                    _ => return Err(format!("unknown injection {what:?} in {spec:?}")),
+                    _ => return Err(bad("inject=stall_skew")),
                 });
-            } else if let Some(v) = tok.strip_prefix("q") {
-                s.queue_packets = v.parse().map_err(|_| format!("bad queue in {tok:?}"))?;
-            } else if let Some(v) = tok.strip_prefix("n") {
+            } else if head.knob(pos, tok)? {
+                // buf<N> / q<N> / d<N>: the shared head's.
+            } else if let Some(v) = tok.strip_prefix('n') {
                 s.trials = v
                     .parse()
-                    .map_err(|_| format!("bad trial count in {tok:?}"))?;
-            } else if let Some(v) = tok.strip_prefix("d") {
-                s.duration_s = v.parse().map_err(|_| format!("bad duration in {tok:?}"))?;
+                    .ok()
+                    .filter(|n| *n >= 1)
+                    .ok_or_else(|| bad("a trial count of at least 1 in n<N>"))?;
             } else {
-                return Err(format!("unknown token {tok:?} in {spec:?}"));
+                return Err(bad(TAIL_MENU));
             }
         }
-        if s.trials == 0 || s.duration_s == 0 {
-            return Err(format!("{spec:?}: trials and duration must be nonzero"));
-        }
+        s.buffer_segments = head.buffer_segments;
+        s.queue_packets = head.queue_packets;
+        s.duration_s = head.duration_s;
         Ok(s)
     }
 
@@ -436,6 +296,24 @@ impl Scenario {
         t
     }
 
+    /// The one place a scenario becomes an experiment: the system's ABR
+    /// and transport from the legend, the trace materialized for `seed`,
+    /// every other knob copied across. `run_scenario`, the figure
+    /// harness and `voxel stream` all start from this builder.
+    pub fn experiment(&self, seed: u64) -> Result<ExperimentBuilder, String> {
+        let (abr, transport) = system_by_name(&self.system)
+            .ok_or_else(|| format!("unknown system {:?}", self.system))?;
+        Ok(Experiment::builder()
+            .video(self.video)
+            .abr(abr)
+            .transport(transport)
+            .buffer(self.buffer_segments)
+            .trace(self.build_trace(seed))
+            .trials(self.trials)
+            .queue(self.queue_packets)
+            .debug_stall_skew(self.inject == Some(Inject::StallSkew)))
+    }
+
     /// Builder: override the trial count.
     pub fn with_trials(mut self, n: usize) -> Scenario {
         self.trials = n;
@@ -447,23 +325,40 @@ impl Scenario {
         self.trace_prefix_s = Some(seconds);
         self
     }
+}
 
-    /// Builder: add packet faults.
-    pub fn with_faults(mut self, faults: Vec<FaultKind>) -> Scenario {
-        self.faults = faults;
-        self
+/// Any run the workspace can name. One `<spec>` string is either a
+/// [`Scenario`] (one session on a private link) or a [`FleetSpec`] (N
+/// sessions on a shared one); [`Spec::parse`] is the front door that
+/// accepts both, and `Display` is its exact inverse.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Spec {
+    /// `<video>:<system>:<trace>…` — `<who>` is a legend name.
+    Scenario(Scenario),
+    /// `<video>:<count>x<system>[@<cc>][+…]:<trace>…` — `<who>` is a
+    /// member list.
+    Fleet(FleetSpec),
+}
+
+impl Spec {
+    /// Parse either kind, told apart by the shape of `<who>`: a member
+    /// list starts with its count, and no system name starts with a digit.
+    pub fn parse(spec: &str) -> Result<Spec, SpecError> {
+        let who = spec.split(':').nth(1).unwrap_or_default();
+        if who.starts_with(|c: char| c.is_ascii_digit()) {
+            FleetSpec::parse(spec).map(Spec::Fleet)
+        } else {
+            Scenario::parse(spec).map(Spec::Scenario)
+        }
     }
+}
 
-    /// Builder: arm a canary.
-    pub fn with_inject(mut self, inject: Inject) -> Scenario {
-        self.inject = Some(inject);
-        self
-    }
-
-    /// Builder: override the oracle bounds.
-    pub fn with_bounds(mut self, bounds: crate::oracle::Bounds) -> Scenario {
-        self.bounds = Some(bounds);
-        self
+impl fmt::Display for Spec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Spec::Scenario(s) => f.write_str(&s.spec()),
+            Spec::Fleet(s) => s.fmt(f),
+        }
     }
 }
 
@@ -518,7 +413,7 @@ impl Matrix {
                 "videos" => {
                     m.videos = list
                         .iter()
-                        .map(|v| video_by_name(v).ok_or_else(|| format!("unknown video {v:?}")))
+                        .map(|v| VideoId::by_name(v).ok_or_else(|| format!("unknown video {v:?}")))
                         .collect::<Result<_, _>>()?;
                 }
                 "systems" => {
@@ -530,27 +425,16 @@ impl Matrix {
                 "traces" => {
                     m.traces = list
                         .iter()
-                        .map(|v| TraceFamily::parse(v))
+                        .map(|v| {
+                            TraceFamily::parse(v)
+                                .map_err(|want| format!("bad trace {v:?}: expected {want}"))
+                        })
                         .collect::<Result<_, _>>()?;
                 }
-                "buffers" => {
-                    m.buffers = Self::parse_usizes(&list, key)?;
-                }
-                "queues" => {
-                    m.queues = Self::parse_usizes(&list, key)?;
-                }
-                "trials" => {
-                    m.trials = Self::parse_usizes(&list, key)?
-                        .first()
-                        .copied()
-                        .unwrap_or(1);
-                }
-                "duration" => {
-                    m.duration_s = Self::parse_usizes(&list, key)?
-                        .first()
-                        .copied()
-                        .unwrap_or(300);
-                }
+                "buffers" => m.buffers = Self::parse_usizes(&list, key, 1)?,
+                "queues" => m.queues = Self::parse_usizes(&list, key, 0)?,
+                "trials" => m.trials = Self::parse_usizes(&list, key, 1)?[0],
+                "duration" => m.duration_s = Self::parse_usizes(&list, key, 1)?[0],
                 _ => return Err(format!("unknown matrix axis {key:?}")),
             }
         }
@@ -560,11 +444,15 @@ impl Matrix {
         Ok(m)
     }
 
-    fn parse_usizes(list: &[&str], key: &str) -> Result<Vec<usize>, String> {
+    /// Every value of a numeric axis (`list` is non-empty), each at
+    /// least `min` — the same floors the spec head enforces.
+    fn parse_usizes(list: &[&str], key: &str, min: usize) -> Result<Vec<usize>, String> {
         list.iter()
             .map(|v| {
                 v.parse::<usize>()
-                    .map_err(|_| format!("bad {key} value {v:?}"))
+                    .ok()
+                    .filter(|n| *n >= min)
+                    .ok_or_else(|| format!("bad {key} value {v:?} (a number, at least {min})"))
             })
             .collect()
     }
@@ -627,46 +515,132 @@ mod tests {
     }
 
     #[test]
-    fn bad_specs_are_rejected_with_context() {
-        for (spec, needle) in [
-            ("XYZ:BOLA:const8", "unknown video"),
-            ("BBB:NOPE:const8", "unknown system"),
-            ("BBB:BOLA:warp9", "unknown trace"),
-            ("BBB:BOLA:const8:zzz", "unknown token"),
-            ("BBB:BOLA:const8:loss@60x0.3", "<start>+<len>"),
-            ("BBB:BOLA:const8:inject=divide_by_zero", "unknown injection"),
-            ("BBB:BOLA:const8:n0", "nonzero"),
-            ("BBB:BOLA", "missing the trace"),
+    fn bad_specs_name_the_token_its_position_and_the_menu() {
+        for (spec, token, pos, needle) in [
+            ("XYZ:BOLA:const8", "XYZ", 0, "BBB|ED|Sintel|ToS|P1|"),
+            ("BBB:NOPE:const8", "NOPE", 1, "BOLA|BOLA-SSIM|MPC|"),
+            (
+                "BBB:BOLA:warp9",
+                "warp9",
+                2,
+                "tmobile|verizon|att|3g|fcc|wifi",
+            ),
+            ("BBB:BOLA:const8:zzz", "zzz", 3, "prefix<N>"),
+            (
+                "BBB:BOLA:const8:loss@60x0.3",
+                "loss@60x0.3",
+                3,
+                "<start>+<len>",
+            ),
+            (
+                "BBB:BOLA:const8:buf1:inject=divide_by_zero",
+                "inject=divide_by_zero",
+                4,
+                "stall_skew",
+            ),
+            ("BBB:BOLA:const8:n0", "n0", 3, "at least 1"),
+            // A truncated spec blames the last token that is there.
+            ("BBB:BOLA", "BOLA", 1, "a trace family"),
+            ("BBB", "BBB", 0, "a system legend name"),
+            ("BBB::const8", "", 1, "a system legend name"),
         ] {
             let err = Scenario::parse(spec).expect_err(spec);
-            assert!(err.contains(needle), "{spec}: {err}");
+            assert_eq!((err.token.as_str(), err.pos), (token, pos), "{spec}: {err}");
+            assert!(err.expected.contains(needle), "{spec}: {err}");
+            // `?` in a `Result<_, String>` function keeps working.
+            let as_string: String = err.into();
+            assert!(as_string.contains(needle), "{as_string}");
         }
     }
 
+    /// Satellite regression (validate once, in the shared head): every
+    /// malformed value the two old parsers disagreed on — or both let
+    /// through — is rejected for both kinds, with the token and its
+    /// position. `false` marks a token the kind does not have at all; it
+    /// is still an error there, just a different one.
     #[test]
-    fn trace_families_build_requested_durations() {
-        for tok in [
-            "const8",
-            "const3.5",
-            "step8-2@60",
-            "tmobile",
-            "verizon",
-            "att",
-            "3g",
-            "fcc",
-            "wifi",
+    fn malformed_values_are_rejected_for_scenarios_and_fleets_alike() {
+        let both = |tail: &'static str, tok: &'static str| (tail, tok, true, true);
+        for (tail, tok, scenario_has_it, fleet_has_it) in [
+            // Rates: non-finite or not above zero.
+            both("constNaN", "constNaN"),
+            both("const-5", "const-5"),
+            both("const0", "const0"),
+            both("constinf", "constinf"),
+            both("stepNaN--3@5", "stepNaN--3@5"),
+            ("const6:e2:oNaN", "oNaN", false, true),
+            ("const6:e2:o0", "o0", false, true),
+            ("const6:e2:o-5", "o-5", false, true),
+            ("const6:e2:cbNaN", "cbNaN", false, true),
+            // A zero duration or buffer can never play a segment.
+            both("const6:d0", "d0"),
+            both("const6:buf0", "buf0"),
+            both("const6:q32:buf0", "buf0"),
+            // Fault probabilities outside [0,1], non-finite numbers.
+            ("const6:loss@0+5x7", "loss@0+5x7", true, false),
+            ("const6:dup@0+5x-0.1~15", "dup@0+5x-0.1~15", true, false),
+            (
+                "const6:reorder@NaN+5x0.1~15",
+                "reorder@NaN+5x0.1~15",
+                true,
+                false,
+            ),
+            ("const6:cliff@10xNaN", "cliff@10xNaN", true, false),
+            ("const6:cliff@10xinf", "cliff@10xinf", true, false),
         ] {
-            let f = TraceFamily::parse(tok).expect(tok);
-            assert_eq!(f.token(), tok);
-            let t = f.build(1, 120);
-            assert_eq!(t.duration_s(), 120, "{tok}");
-            // Seeded families vary with the seed; synthetic ones don't.
-            let other = f.build(2, 120);
-            match f {
-                TraceFamily::Constant(_) | TraceFamily::Step { .. } => assert_eq!(t, other),
-                _ => assert_ne!(t.mbps, other.mbps, "{tok} ignores the seed"),
+            for (who, has_it) in [("VOXEL", scenario_has_it), ("2xVOXEL", fleet_has_it)] {
+                let spec = format!("BBB:{who}:{tail}");
+                let err = Spec::parse(&spec).expect_err(&spec);
+                if has_it {
+                    let pos = spec
+                        .split(':')
+                        .position(|t| t == tok)
+                        .expect("token is there");
+                    assert_eq!((err.token.as_str(), err.pos), (tok, pos), "{spec}: {err}");
+                }
             }
         }
+        // The documented parse↔display inverse, on the spec that broke it.
+        assert!("BBB:2xVOXEL:constNaN".parse::<FleetSpec>().is_err());
+    }
+
+    #[test]
+    fn spec_parse_tells_the_kinds_apart_by_who() {
+        let s = Spec::parse("BBB:VOXEL:tmobile:buf1").expect("scenario");
+        assert!(matches!(&s, Spec::Scenario(s) if s.buffer_segments == 1));
+        assert_eq!(s.to_string(), "BBB:VOXEL:tmobile:buf1:q32:n1:d300");
+        let f = Spec::parse("BBB:4xVOXEL@bbr+2xBOLA:const6:stg2").expect("fleet");
+        assert!(matches!(&f, Spec::Fleet(f) if f.total_sessions() == 6));
+        assert_eq!(
+            f.to_string(),
+            "BBB:4xVOXEL@bbr+2xBOLA:const6:buf3:q64:d300:drr:stg2"
+        );
+        for spec in [s, f] {
+            assert_eq!(Spec::parse(&spec.to_string()), Ok(spec));
+        }
+        // Each kind rejects the other's tail, and a fleet link is constant.
+        assert!(Spec::parse("BBB:VOXEL:const6:drr").is_err());
+        assert!(Spec::parse("BBB:2xVOXEL:const6:n2").is_err());
+        let err = Spec::parse("BBB:2xVOXEL:tmobile").expect_err("fleet links are const");
+        assert_eq!((err.token.as_str(), err.pos), ("tmobile", 2));
+    }
+
+    #[test]
+    fn experiment_carries_every_scenario_knob() {
+        let s = Scenario::parse("ED:VOXEL-rel:const8:buf2:q750:n4:d60:inject=stall_skew")
+            .expect("parses");
+        let built = s.experiment(1).expect("legend system").build();
+        let c = built.config();
+        assert_eq!(
+            (c.video, c.transport),
+            (VideoId::Ed, TransportMode::Reliable)
+        );
+        assert_eq!((c.buffer_segments, c.queue_packets, c.trials), (2, 750, 4));
+        assert_eq!(c.trace, s.build_trace(1));
+        assert!(c.debug_stall_skew);
+        assert!(Scenario::new(VideoId::Bbb, "XYZ", TraceFamily::Fcc)
+            .experiment(1)
+            .is_err());
     }
 
     #[test]
@@ -702,6 +676,11 @@ mod tests {
         assert!(Matrix::parse("systems=BOLA").is_err());
         assert!(Matrix::parse("traces=const8").is_err());
         assert!(Matrix::parse("systems=BOLA traces=const8").is_ok());
+        // The head's floors hold on the matrix path too.
+        for bad in ["buffers=0", "duration=0", "trials=0", "traces=const0"] {
+            let line = format!("systems=BOLA traces=const8 {bad}");
+            assert!(Matrix::parse(&line).is_err(), "accepted {bad:?}");
+        }
     }
 
     #[test]
@@ -722,12 +701,108 @@ mod tests {
         }
         assert!(system_by_name("XYZ").is_none());
     }
+}
 
+#[cfg(test)]
+mod props {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Head tokens by slot and tail tokens of both kinds (each kind
+    /// rejects the other's), valid ones with near misses mixed in.
+    const VIDEOS: &str = "BBB ED Sintel ToS P7 P11";
+    const WHOS: &str = "VOXEL BOLA-SSIM MPC* VOXEL-tuned NOPE 2xVOXEL 4xVOXEL@bbr+2xBOLA \
+        3xVOXEL@cubic+3xVOXEL@delay+2xBETA 0xVOXEL 2xVOXEL@reno";
+    const TRACES: &str =
+        "const6 const12.5 step8-2@60 tmobile 3g wifi constNaN const0 step8--2@60 T-Mobile";
+    const TAIL: &str = "buf1 buf7 buf0 q64 q750 d120 d0 n2 n0 prefix45 loss@60+5x0.3 loss@0+5x7 \
+        reorder@10+2x0.5~40 dup@20.5+2x0.25~15 dup@NaN+2x0.25~15 cliff@90x0.5 cliff@10xNaN \
+        stuck@30+10 inject=stall_skew inject=nope fifo drr stg2 cap60 e4 e0 rhash rrobin arel \
+        anone plfu cb64 cb0.5 cbNaN o50 o-5 oinf w4 w0 zzz";
+
+    fn pick(pool: &str, i: usize) -> &str {
+        let all: Vec<&str> = pool.split_whitespace().collect();
+        all[i % all.len()]
+    }
+
+    /// ROADMAP 4(v), malformed specs: `Spec::parse` never panics; what it
+    /// accepts re-parses equal from its own display; what it rejects
+    /// blames a token that is really there.
+    fn check(input: &str) -> Result<(), String> {
+        match Spec::parse(input) {
+            Ok(spec) => {
+                let shown = spec.to_string();
+                match Spec::parse(&shown) {
+                    Ok(again) if again == spec => Ok(()),
+                    other => Err(format!(
+                        "{input:?} displays as {shown:?}, re-parsing to {other:?}"
+                    )),
+                }
+            }
+            Err(e) => match input.split(':').nth(e.pos) {
+                Some(tok) if tok.contains(&e.token) => Ok(()),
+                tok => Err(format!(
+                    "{input:?}: {e:?} does not point into the input ({tok:?})"
+                )),
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// Valid (and nearly valid) tokens shuffled and duplicated, then
+        /// truncated and byte-mutated.
+        #[test]
+        fn hostile_specs_never_panic_and_round_trip(
+            head in (0usize..64, 0usize..64, 0usize..64),
+            tail in proptest::collection::vec(0usize..1024, 0..8),
+            cut in 0usize..200,
+            mutations in proptest::collection::vec((0usize..200, proptest::num::u8::ANY), 0..3),
+        ) {
+            let mut tokens = vec![pick(VIDEOS, head.0), pick(WHOS, head.1), pick(TRACES, head.2)];
+            tokens.extend(tail.iter().map(|&i| pick(TAIL, i)));
+            let spec = tokens.join(":");
+            let untouched = check(&spec);
+            prop_assert!(untouched.is_ok(), "{}", untouched.unwrap_err());
+
+            let mut bytes = spec.into_bytes();
+            // `cut` past the end leaves the spec whole.
+            bytes.truncate(cut.max(1));
+            for (at, byte) in mutations {
+                let at = at % bytes.len();
+                bytes[at] = byte;
+            }
+            let mutated = check(&String::from_utf8_lossy(&bytes));
+            prop_assert!(mutated.is_ok(), "{}", mutated.unwrap_err());
+        }
+
+        /// Arbitrary strings: spec-alphabet soup, printable ASCII, raw bytes.
+        #[test]
+        fn arbitrary_strings_never_panic(
+            soup in "[A-Za-z0-9:x+@~=.*-]{0,48}",
+            ascii in "[ -~]{0,48}",
+            raw in proptest::collection::vec(proptest::num::u8::ANY, 0..48),
+        ) {
+            for input in [soup, ascii, String::from_utf8_lossy(&raw).into_owned()] {
+                let verdict = check(&input);
+                prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+            }
+        }
+    }
+
+    /// The typed fleet surface still round-trips token-for-token: every
+    /// builder-made spec displays to a string that parses back equal.
     #[test]
-    fn videos_resolve_by_legend_name() {
-        assert_eq!(video_by_name("BBB"), Some(VideoId::Bbb));
-        assert_eq!(video_by_name("P10"), Some(VideoId::YouTube(10)));
-        assert_eq!(video_by_name("P11"), None);
-        assert_eq!(video_by_name("Q1"), None);
+    fn builder_made_fleets_round_trip() {
+        use voxel_fleet::{Routing, TopologySpec};
+        let spec = FleetSpec::new(VideoId::Tos)
+            .member(4, "VOXEL")
+            .member_cc(2, "BOLA", voxel_fleet::CcKind::Bbr)
+            .link(12.5)
+            .buffer(1)
+            .cap(60)
+            .workers(2)
+            .topology(TopologySpec::new(4).routing(Routing::Least).cache_mb(0.5));
+        assert_eq!(Spec::parse(&spec.to_string()), Ok(Spec::Fleet(spec)));
     }
 }

@@ -2,29 +2,24 @@
 //! network conditions and compare the QoE envelope.
 //!
 //! ```sh
-//! cargo run --release --example abr_shootout [trace] [buffer-segments]
+//! cargo run --release --example abr_shootout [trace-token] [buffer-segments]
 //! # e.g.
-//! cargo run --release --example abr_shootout 3G 2
+//! cargo run --release --example abr_shootout 3g 2
 //! ```
 
 use voxel::prelude::*;
 
-fn trace_by_name(name: &str) -> BandwidthTrace {
-    match name {
-        "T-Mobile" => generators::tmobile_lte(2021, 300),
-        "Verizon" => generators::verizon_lte(2021, 300),
-        "AT&T" => generators::att_lte(2021, 300),
-        "3G" => generators::norway_3g(2021, 300),
-        "FCC" => generators::fcc(2021, 300),
-        other => panic!("unknown trace {other} (use T-Mobile/Verizon/AT&T/3G/FCC)"),
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let trace_name = args.get(1).map(String::as_str).unwrap_or("Verizon");
+    let trace_name = args.get(1).map(String::as_str).unwrap_or("verizon");
     let buffer: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(2);
-    let trace = trace_by_name(trace_name);
+    let trace = match TraceFamily::parse(trace_name) {
+        Ok(family) => family.build(2021, 300),
+        Err(want) => {
+            eprintln!("bad trace {trace_name:?}: expected {want}");
+            std::process::exit(2);
+        }
+    };
 
     let cache = ContentCache::new();
     println!(

@@ -41,9 +41,9 @@ pub use voxel_trace as trace;
 /// One-stop imports for the common workflows: configure an experiment
 /// with [`Experiment::builder`](crate::core::Experiment::builder), run
 /// it against a [`ContentCache`](crate::core::ContentCache), trace it
-/// with [`Tracing`](crate::core::Tracing), scale it out with
-/// [`FleetSpec`](crate::fleet::FleetSpec), and conformance-test it with
-/// the testkit types.
+/// with [`Tracing`](crate::core::Tracing), name any run — one session
+/// or a fleet — with a [`Spec`](crate::testkit::Spec) string, and
+/// conformance-test it with the testkit types.
 pub mod prelude {
     pub use crate::core::client::{ClientApp, PlayerConfig, TransportMode};
     pub use crate::core::experiment::run_instrumented_trial;
@@ -54,9 +54,8 @@ pub mod prelude {
         Experiment, ExperimentBuilder, Tracing, TransportStats, TrialResult,
     };
     pub use crate::fleet::{
-        jain_index, run_experiment_fleet, run_fleet, run_fleet_workload, run_specs,
-        zipf_poisson_arrivals, EdgeReport, FleetMember, FleetResult, FleetSpec, Routing, SpecError,
-        TopologySpec, Workload,
+        jain_index, run_fleet, run_fleet_workload, zipf_poisson_arrivals, EdgeReport, FleetMember,
+        FleetResult, FleetSpec, Routing, SpecError, TopologySpec, Workload,
     };
     pub use crate::media::content::VideoId;
     pub use crate::media::ladder::QualityLevel;
@@ -65,12 +64,11 @@ pub mod prelude {
     pub use crate::netem::trace::generators;
     pub use crate::netem::{
         BandwidthTrace, Discipline, FaultKind, PathConfig, SharedLink, SharedLinkConfig,
+        TraceFamily,
     };
     pub use crate::prep::manifest::Manifest;
     pub use crate::quic::CcKind;
     pub use crate::sim::{SimDuration, SimTime};
-    pub use crate::testkit::{
-        run_scenario, system_by_name, video_by_name, Content, Matrix, Scenario,
-    };
+    pub use crate::testkit::{run_scenario, system_by_name, Content, Matrix, Scenario, Spec};
     pub use crate::trace::{Layer, Tracer};
 }

@@ -1,77 +1,61 @@
 //! The `voxel` command-line tool.
 //!
 //! ```text
-//! voxel prep   <video>                         run the §4.1 offline analysis, print the manifest
-//! voxel stream [--abr X] [--trace T] [--video V] [--buffer N] [--live] [--trials K]
-//! voxel trace  <name> [--out mahimahi]         generate / export a bandwidth trace
-//! voxel survey [--trace T] [--video V]         run the synthetic Fig 14 panel
+//! voxel prep   <video>                  run the §4.1 offline analysis, print the manifest
+//! voxel stream <spec>                   stream one scenario spec, print its QoE aggregate
+//! voxel trace  <trace> [--mahimahi]     generate / export a bandwidth trace
+//! voxel survey <spec>                   pair the spec's system against BOLA in the Fig 14 panel
 //! ```
 //!
-//! Argument parsing is deliberately dependency-free (the offline crate
-//! policy in DESIGN.md).
+//! `<spec>` is the scenario spec every tool in the workspace takes
+//! (`BBB:VOXEL:verizon:buf3:n4`, DESIGN.md §11); `<trace>` is its trace
+//! token (`tmobile`, `const8`, …). Argument parsing is deliberately
+//! dependency-free (the offline crate policy in DESIGN.md).
 
-use std::collections::HashMap;
-use voxel::core::experiment::{AbrKind, ContentCache, Experiment};
 use voxel::core::survey::run_survey;
-use voxel::core::TransportMode;
-use voxel::media::content::VideoId;
-use voxel::media::qoe::QoeModel;
-use voxel::media::video::Video;
-use voxel::netem::trace::{generators, mahimahi};
-use voxel::netem::BandwidthTrace;
-use voxel::prep::manifest::Manifest;
+use voxel::fleet::systems;
+use voxel::netem::trace::mahimahi;
+use voxel::prelude::*;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage:\n  voxel prep <BBB|ED|Sintel|ToS|P1..P10>\n  voxel stream [--abr BOLA|MPC|MPC*|BETA|BOLA-SSIM|VOXEL|Tput] [--trace T-Mobile|Verizon|AT&T|3G|FCC] [--video V] [--buffer N] [--trials K] [--live]\n  voxel trace <name> [--mahimahi]\n  voxel survey [--trace T] [--video V]"
-    );
+/// Seed of the §5 trace generators, as the figure harness runs them.
+const TRACE_SEED: u64 = 2021;
+
+/// The usage text; every valid-name set in it is printed from the one
+/// table of its noun, so it cannot drift from what the parsers accept.
+fn usage_text() -> String {
+    let videos: Vec<String> = VideoId::all().iter().map(|v| v.short_name()).collect();
+    format!(
+        "usage:\n  voxel prep <video>\n  voxel stream <spec>\n  voxel trace <trace> [--mahimahi]\n  \
+         voxel survey <spec>\n\
+         <spec>   = <video>:<system>:<trace>[:buf<N>][:q<N>][:n<N>][:d<N>]… (DESIGN.md §11)\n\
+         <video>  = {}\n<system> = {}\n<trace>  = {}",
+        videos.join("|"),
+        systems().map(|(name, ..)| name).join("|"),
+        TraceFamily::menu(),
+    )
+}
+
+/// What went wrong, then the usage text; exit 2.
+fn usage(problem: &str) -> ! {
+    eprintln!("voxel: {problem}\n{}", usage_text());
     std::process::exit(2);
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
-    let mut out = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if let Some(name) = a.strip_prefix("--") {
-            let value = args
-                .get(i + 1)
-                .filter(|v| !v.starts_with("--"))
-                .cloned()
-                .unwrap_or_else(|| "true".into());
-            if value != "true" {
-                i += 1;
-            }
-            out.insert(name.to_string(), value);
-        }
-        i += 1;
-    }
-    out
+fn video(name: &str) -> Result<VideoId, String> {
+    VideoId::by_name(name).ok_or_else(|| format!("unknown video {name:?}"))
 }
 
-fn video_by_name(name: &str) -> VideoId {
-    // The canonical legend table (shared with fleet specs and the testkit).
-    voxel::fleet::video_by_name(name).unwrap_or_else(|| usage())
+fn trace(token: &str) -> Result<BandwidthTrace, String> {
+    TraceFamily::parse(token)
+        .map(|family| family.build(TRACE_SEED, 300))
+        .map_err(|want| format!("bad trace {token:?}: expected {want}"))
 }
 
-fn trace_by_name(name: &str) -> BandwidthTrace {
-    match name {
-        "T-Mobile" => generators::tmobile_lte(2021, 300),
-        "Verizon" => generators::verizon_lte(2021, 300),
-        "AT&T" => generators::att_lte(2021, 300),
-        "3G" => generators::norway_3g(2021, 300),
-        "FCC" => generators::fcc(2021, 300),
-        "in-the-wild" => generators::wild_wifi(2021, 300),
-        _ => usage(),
-    }
+fn scenario(spec: &str) -> Result<Scenario, String> {
+    Ok(Scenario::parse(spec)?)
 }
 
-fn abr_by_name(name: &str) -> (AbrKind, TransportMode) {
-    voxel::fleet::system_by_name(name).unwrap_or_else(|| usage())
-}
-
-fn cmd_prep(video: &str) {
-    let id = video_by_name(video);
+fn cmd_prep(id: VideoId) {
     eprintln!("generating {id} and running the offline analysis ...");
     let v = Video::generate(id);
     let manifest = Manifest::prepare(&v, &QoeModel::default());
@@ -83,30 +67,16 @@ fn cmd_prep(video: &str) {
     );
 }
 
-fn cmd_stream(flags: &HashMap<String, String>) {
-    let abr_name = flags.get("abr").map(String::as_str).unwrap_or("VOXEL");
-    let (abr, transport) = abr_by_name(abr_name);
-    let trace = trace_by_name(flags.get("trace").map(String::as_str).unwrap_or("Verizon"));
-    let video = video_by_name(flags.get("video").map(String::as_str).unwrap_or("BBB"));
-    let buffer: usize = flags
-        .get("buffer")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
-    let trials: usize = flags
-        .get("trials")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    let cache = ContentCache::new();
-    eprintln!("streaming {video} with {abr_name}, {buffer}-segment buffer, {trials} trials ...");
-    let agg = Experiment::builder()
-        .video(video)
-        .abr(abr)
-        .transport(transport)
-        .buffer(buffer)
-        .trace(trace)
-        .trials(trials)
+fn run(s: &Scenario, cache: &ContentCache) -> Aggregate {
+    s.experiment(TRACE_SEED)
+        .expect("parsed scenarios name a legend system")
         .build()
-        .run(&cache);
+        .run(cache)
+}
+
+fn cmd_stream(s: &Scenario) {
+    eprintln!("streaming {} ...", s.spec());
+    let agg = run(s, &ContentCache::new());
     println!("bufRatio   p90  : {:8.2} %", agg.buf_ratio_p90());
     println!("bufRatio   mean : {:8.2} %", agg.buf_ratio_mean());
     println!("bitrate    mean : {:8.0} kbps", agg.bitrate_mean_kbps());
@@ -114,10 +84,9 @@ fn cmd_stream(flags: &HashMap<String, String>) {
     println!("data skipped    : {:8.1} %", agg.data_skipped_mean_pct());
 }
 
-fn cmd_trace(name: &str, flags: &HashMap<String, String>) {
-    let t = trace_by_name(name);
-    if flags.contains_key("mahimahi") {
-        print!("{}", mahimahi::to_lines(&t));
+fn cmd_trace(name: &str, t: &BandwidthTrace, mahimahi: bool) {
+    if mahimahi {
+        print!("{}", mahimahi::to_lines(t));
     } else {
         for m in &t.mbps {
             println!("{m:.3}");
@@ -131,93 +100,80 @@ fn cmd_trace(name: &str, flags: &HashMap<String, String>) {
     );
 }
 
-fn cmd_survey(flags: &HashMap<String, String>) {
-    let trace = trace_by_name(flags.get("trace").map(String::as_str).unwrap_or("3G"));
-    let video = video_by_name(flags.get("video").map(String::as_str).unwrap_or("BBB"));
+fn cmd_survey(s: &Scenario) {
     let cache = ContentCache::new();
-    eprintln!("running paired BOLA vs VOXEL sessions + a 54-user synthetic panel ...");
-    let run_one = |abr: AbrKind, trace: BandwidthTrace| {
-        Experiment::builder()
-            .video(video)
-            .abr(abr)
-            .buffer(1)
-            .trace(trace)
-            .trials(1)
-            .build()
-            .run(&cache)
+    eprintln!(
+        "running paired BOLA vs {} sessions + a 54-user synthetic panel ...",
+        s.system
+    );
+    let baseline = Scenario {
+        system: "BOLA".into(),
+        ..s.clone()
     };
-    let bola = run_one(AbrKind::Bola, trace.clone());
-    let voxel = run_one(AbrKind::voxel(), trace);
-    let s = run_survey(&bola.trials[0], &voxel.trials[0], 54, 14);
-    println!("{:12} {:>8} {:>8}", "dimension", "BOLA", "VOXEL");
-    println!(
-        "{:12} {:>8.2} {:>8.2}",
-        "clarity", s.mos_a.clarity, s.mos_b.clarity
-    );
-    println!(
-        "{:12} {:>8.2} {:>8.2}",
-        "glitches", s.mos_a.glitches, s.mos_b.glitches
-    );
-    println!(
-        "{:12} {:>8.2} {:>8.2}",
-        "fluidity", s.mos_a.fluidity, s.mos_b.fluidity
-    );
-    println!(
-        "{:12} {:>8.2} {:>8.2}",
-        "experience", s.mos_a.experience, s.mos_b.experience
-    );
-    println!("prefer VOXEL: {:.0} %", 100.0 * s.prefer_b);
+    let (bola, ours) = (run(&baseline, &cache), run(s, &cache));
+    let panel = run_survey(&bola.trials[0], &ours.trials[0], 54, 14);
+    println!("{:12} {:>8} {:>8}", "dimension", "BOLA", s.system);
+    for (dimension, a, b) in [
+        ("clarity", panel.mos_a.clarity, panel.mos_b.clarity),
+        ("glitches", panel.mos_a.glitches, panel.mos_b.glitches),
+        ("fluidity", panel.mos_a.fluidity, panel.mos_b.fluidity),
+        ("experience", panel.mos_a.experience, panel.mos_b.experience),
+    ] {
+        println!("{dimension:12} {a:>8.2} {b:>8.2}");
+    }
+    println!("prefer {}: {:.0} %", s.system, 100.0 * panel.prefer_b);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else { usage() };
-    let flags = parse_flags(&args[1..]);
-    match cmd.as_str() {
-        "prep" => match args.get(1) {
-            Some(v) if !v.starts_with("--") => cmd_prep(v),
-            _ => usage(),
-        },
-        "stream" => cmd_stream(&flags),
-        "trace" => match args.get(1) {
-            Some(v) if !v.starts_with("--") => cmd_trace(v, &flags),
-            _ => usage(),
-        },
-        "survey" => cmd_survey(&flags),
-        _ => usage(),
-    }
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let done = match args[..] {
+        ["prep", name] => video(name).map(cmd_prep),
+        ["stream", spec] => scenario(spec).map(|s| cmd_stream(&s)),
+        ["trace", token] => trace(token).map(|t| cmd_trace(token, &t, false)),
+        ["trace", token, "--mahimahi"] => trace(token).map(|t| cmd_trace(token, &t, true)),
+        ["survey", spec] => scenario(spec).map(|s| cmd_survey(&s)),
+        _ => Err("expected a subcommand and its argument".to_string()),
+    };
+    done.unwrap_or_else(|problem| usage(&problem));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn v(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn flags_parse_values_and_booleans() {
-        let f = parse_flags(&v(&["--abr", "BOLA", "--live", "--buffer", "2"]));
-        assert_eq!(f.get("abr").map(String::as_str), Some("BOLA"));
-        assert_eq!(f.get("live").map(String::as_str), Some("true"));
-        assert_eq!(f.get("buffer").map(String::as_str), Some("2"));
-        assert!(!f.contains_key("missing"));
-    }
-
-    #[test]
-    fn adjacent_flags_do_not_consume_each_other() {
-        let f = parse_flags(&v(&["--live", "--mahimahi"]));
-        assert_eq!(f.get("live").map(String::as_str), Some("true"));
-        assert_eq!(f.get("mahimahi").map(String::as_str), Some("true"));
-    }
-
+    /// Every name the CLI takes resolves through the one table of its
+    /// noun, and the usage text prints exactly those tables.
     #[test]
     fn names_resolve() {
-        assert_eq!(video_by_name("Sintel"), VideoId::Sintel);
-        assert_eq!(video_by_name("P7"), VideoId::YouTube(7));
-        assert_eq!(trace_by_name("FCC").duration_s(), 300);
-        assert_eq!(abr_by_name("VOXEL").1, TransportMode::Split);
-        assert_eq!(abr_by_name("BETA").1, TransportMode::Reliable);
+        assert_eq!(video("Sintel"), Ok(VideoId::Sintel));
+        assert_eq!(video("P7"), Ok(VideoId::YouTube(7)));
+        assert!(video("P11").is_err() && video("Px").is_err());
+        assert_eq!(trace("fcc").expect("token").duration_s(), 300);
+        assert!(
+            trace("FCC").is_err(),
+            "legends are for figures, not parsers"
+        );
+        let s = scenario("ED:BETA:3g:buf1").expect("spec");
+        assert_eq!((s.video, s.system.as_str()), (VideoId::Ed, "BETA"));
+        assert!(scenario("ED:NOPE:3g").is_err());
+        assert!(
+            scenario("ED:2xVOXEL:const6").is_err(),
+            "stream takes one session"
+        );
+
+        let usage = usage_text();
+        for id in VideoId::all() {
+            assert!(usage.contains(&id.short_name()), "{id} missing from usage");
+        }
+        for (name, ..) in systems() {
+            assert!(usage.contains(name), "{name} missing from usage");
+        }
+        for family in TraceFamily::named() {
+            assert!(
+                usage.contains(&family.token()),
+                "{family:?} missing from usage"
+            );
+        }
     }
 }

@@ -10,8 +10,9 @@
 //! drift under an innocent refactor of a call site.
 
 use voxel::prelude::*;
-use voxel::testkit::digest::{canonical_scenarios, timeline_digest};
+use voxel::testkit::digest::timeline_digest;
 use voxel::testkit::scenario::Inject;
+use voxel::testkit::GOLDENS;
 use voxel::trace::{JsonlSink, SharedBuf};
 
 fn run_with(config: &Config, scenario: &Scenario, seed: u64, content: &mut Content) -> Vec<u8> {
@@ -27,21 +28,18 @@ fn run_with(config: &Config, scenario: &Scenario, seed: u64, content: &mut Conte
 #[test]
 fn builder_call_order_cannot_change_the_timeline() {
     let mut content = Content::new();
-    for g in canonical_scenarios() {
-        let scenario = Scenario::parse(g.spec).expect(g.spec);
+    for g in &GOLDENS {
+        let Ok(Spec::Scenario(scenario)) = Spec::parse(g.spec) else {
+            continue;
+        };
         let (abr, transport) = system_by_name(&scenario.system).expect("legend system");
         let trace = scenario.build_trace(g.seed);
         let skew = scenario.inject == Some(Inject::StallSkew);
 
-        let natural = Experiment::builder()
-            .video(scenario.video)
-            .abr(abr)
-            .transport(transport)
-            .buffer(scenario.buffer_segments)
-            .trace(trace.clone())
-            .trials(scenario.trials)
-            .queue(scenario.queue_packets)
-            .debug_stall_skew(skew)
+        // The natural order is the one place scenarios become builders.
+        let natural = scenario
+            .experiment(g.seed)
+            .expect("legend system")
             .build()
             .into_config();
 

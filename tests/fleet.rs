@@ -1,6 +1,6 @@
-//! Tier-1 slice of the fleet runtime: determinism, fairness, and the
-//! builder's `.fleet(n)` knob. The full 8-session golden fleets run in
-//! tier-2 (`cargo run -p voxel-bench --bin conformance`).
+//! Tier-1 slice of the fleet runtime: determinism and fairness. The full
+//! 8-session golden fleets run in tier-2 (`cargo run -p voxel-bench --bin
+//! conformance`).
 
 use voxel::prelude::*;
 use voxel::testkit::fleet_invariants;
@@ -67,26 +67,6 @@ fn fifo_and_drr_disciplines_both_complete() {
         let r = run_fleet(&spec, &cache, Tracer::disabled()).expect("spec runs");
         assert!(r.all_completed(), "{disc}: {:?}", r.shares_pct);
         assert_eq!(fleet_invariants(&spec, &r), Vec::<String>::new(), "{disc}");
-    }
-}
-
-#[test]
-fn builder_fleet_knob_runs_n_copies_on_a_shared_link() {
-    let cache = ContentCache::top_level_only();
-    let e = Experiment::builder()
-        .video(VideoId::Bbb)
-        .abr(AbrKind::voxel())
-        .buffer(3)
-        .trace(BandwidthTrace::constant(6.0, 60))
-        .fleet(3)
-        .build();
-    assert_eq!(e.fleet_size(), 3);
-    let r = run_experiment_fleet(&e, &cache, Tracer::disabled());
-    assert_eq!(r.sessions.len(), 3);
-    assert!(r.all_completed());
-    assert!(r.jain > 0.8, "identical sessions, Jain {:.3}", r.jain);
-    for s in &r.sessions {
-        assert_eq!(s.abr, "VOXEL");
     }
 }
 

@@ -6,53 +6,44 @@
 //! parity sweep (every committed digest at w ∈ {1, 2, max}) runs in
 //! tier-2 (`cargo run -p voxel-bench --bin conformance`).
 
+use std::path::Path;
 use voxel::prelude::*;
-use voxel::trace::{JsonlSink, SharedBuf};
+use voxel::testkit::{check_or_bless, run_golden, shard_parity_failures, Golden, GoldenRun};
 
-fn run_with_workers(
-    spec_str: &str,
-    workers: usize,
-    cache: &ContentCache,
-) -> (FleetResult, Vec<u8>) {
-    let mut spec = FleetSpec::parse(spec_str).expect("spec");
-    // Explicit per-run override: the environment knob is never consulted,
-    // so this test is immune to VOXEL_SHARD_WORKERS in the ambient CI env.
-    spec.workers = Some(workers);
-    let buf = SharedBuf::new();
-    let tracer = Tracer::new(0, Box::new(JsonlSink::to_writer(Box::new(buf.clone()))));
-    let r = run_fleet(&spec, cache, tracer).expect("spec runs");
-    (r, buf.contents())
+/// Run `spec` at workers = 1 and at every count in `counts` through the
+/// testkit parity oracle (byte-identical timelines; equal loop_iters,
+/// end_s, jain, shares, link stats, edge report and per-session results,
+/// transport counters included; `fleet_invariants` on every run), with
+/// explicit per-run worker overrides — the environment knob is never
+/// consulted, so these tests are immune to an ambient
+/// `VOXEL_SHARD_WORKERS`. Returns the workers=1 result.
+fn assert_parity(spec: &str, counts: &[usize], content: &Content) -> FleetResult {
+    let spec = FleetSpec::parse(spec).expect("spec");
+    let counts: Vec<usize> = std::iter::once(1).chain(counts.iter().copied()).collect();
+    let (run, violations) =
+        shard_parity_failures("fleet", &spec, content, &counts).expect("spec runs");
+    assert!(violations.is_empty(), "{spec}: {violations:?}");
+    assert!(!run.timeline.is_empty());
+    run.result
 }
 
-fn assert_parity(spec: &str, counts: &[usize], cache: &ContentCache) -> FleetResult {
-    let (r1, t1) = run_with_workers(spec, 1, cache);
-    assert!(!t1.is_empty());
-    for &w in counts {
-        let (rw, tw) = run_with_workers(spec, w, cache);
-        assert_eq!(tw, t1, "timeline diverges at workers={w} for {spec}");
-        assert_eq!(rw.loop_iters, r1.loop_iters, "loop_iters at workers={w}");
-        assert_eq!(rw.end_s, r1.end_s, "end_s at workers={w}");
-        assert_eq!(rw.jain, r1.jain, "jain at workers={w}");
-        assert_eq!(rw.shares_pct, r1.shares_pct, "shares at workers={w}");
-        assert_eq!(rw.flows, r1.flows, "link stats at workers={w}");
-        assert_eq!(rw.edge, r1.edge, "edge report at workers={w}");
-        assert_eq!(rw.sessions.len(), r1.sessions.len());
-        for (i, (a, b)) in rw.sessions.iter().zip(r1.sessions.iter()).enumerate() {
-            assert_eq!(a.completed, b.completed, "session {i} at workers={w}");
-            assert_eq!(a.stall_s, b.stall_s, "session {i} at workers={w}");
-            assert_eq!(
-                a.bytes_downloaded, b.bytes_downloaded,
-                "session {i} at workers={w}"
-            );
-            assert_eq!(a.avg_ssim(), b.avg_ssim(), "session {i} at workers={w}");
-        }
-    }
-    r1
+/// Run golden `name` as a parity sweep at w ∈ {1, 2, max} and hold the
+/// workers=1 timeline — already computed — to its committed digest.
+fn golden_holds_parity_and_digest(name: &str, content: &mut Content) -> GoldenRun {
+    let g = Golden::named(name).expect("golden is in the table");
+    let Ok(Spec::Fleet(spec)) = Spec::parse(g.spec) else {
+        panic!("{name} is a fleet golden")
+    };
+    let run = run_golden(g, content, &[1, 2, spec.total_sessions()]).expect("spec runs");
+    assert!(run.failures.is_empty(), "{name}: {:?}", run.failures);
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    check_or_bless(&dir, g, &run.timeline).unwrap_or_else(|e| panic!("{name}: {e}"));
+    run
 }
 
 #[test]
 fn mixed_fleet_is_byte_identical_across_worker_counts() {
-    let cache = ContentCache::top_level_only();
+    let cache = Content::new();
     // Heterogeneous systems, staggered starts, sessions running to
     // natural completion. Worker counts cover: even split, uneven split,
     // one-session shards, and a count past the fleet size (clamped).
@@ -66,7 +57,7 @@ fn mixed_fleet_is_byte_identical_across_worker_counts() {
 
 #[test]
 fn cap_freeze_is_byte_identical_across_worker_counts() {
-    let cache = ContentCache::top_level_only();
+    let cache = Content::new();
     // A cap far below the time the fleet needs forces the coordinator's
     // global freeze — the one round where every shard acts at once.
     let r = assert_parity(
@@ -86,21 +77,13 @@ fn cap_freeze_is_byte_identical_across_worker_counts() {
 /// delivery-rate sampler and pacing feed off ack timing, the most
 /// tempting place for a shard boundary to leak into the timeline. Runs
 /// through the testkit parity harness so the cc-mix fairness-band and
-/// per-cc-group starvation oracles apply to every run.
+/// per-cc-group starvation oracles apply to every run, and the
+/// workers=1 timeline is held to the committed digest.
 #[test]
 fn cc_goldens_hold_parity_at_one_two_and_max_workers() {
-    let content = voxel::testkit::Content::new();
-    let goldens = voxel::testkit::canonical_fleets();
+    let mut content = Content::new();
     for name in ["fleet-bbr8", "fleet-ccmix8"] {
-        let g = goldens
-            .iter()
-            .find(|g| g.name == name)
-            .expect("cc golden is canonical");
-        let max = FleetSpec::parse(g.spec).expect("spec").total_sessions();
-        let (run, violations) =
-            voxel::testkit::shard_parity_failures(g, &content, &[1, 2, max]).expect("spec runs");
-        assert!(violations.is_empty(), "{name}: {violations:?}");
-        assert!(!run.timeline.is_empty(), "{name} produced no timeline");
+        golden_holds_parity_and_digest(name, &mut content);
     }
 }
 
@@ -112,7 +95,7 @@ fn cc_goldens_hold_parity_at_one_two_and_max_workers() {
 /// staging; a hot tier stresses note-order cache replay).
 #[test]
 fn edge_tier_is_byte_identical_across_worker_counts() {
-    let cache = ContentCache::top_level_only();
+    let cache = Content::new();
     for admission in ["afull", "anone"] {
         let spec = format!(
             "BBB:4xVOXEL+2xBOLA:const9:buf3:q64:d60:drr:stg1:cap30:e2:rhash:{admission}:plru:o25"
@@ -133,32 +116,20 @@ fn edge_tier_is_byte_identical_across_worker_counts() {
 }
 
 /// The committed edge goldens themselves hold parity at w ∈ {1, 2, max}
-/// in tier-1 (the full digest check runs in tier-2 conformance): the
-/// hot golden must also clear the testkit's hot-cache oracles.
+/// in tier-1 and match their committed digests; `run_golden` also holds
+/// the hot golden to the testkit's hot-cache oracles.
 #[test]
 fn edge_goldens_hold_parity_at_one_two_and_max_workers() {
-    let content = voxel::testkit::Content::new();
-    let goldens = voxel::testkit::canonical_fleets();
+    let mut content = Content::new();
     for name in ["fleet-edge4x16-hot", "fleet-edge4x16-cold"] {
-        let g = goldens
-            .iter()
-            .find(|g| g.name == name)
-            .expect("edge golden is canonical");
-        let max = FleetSpec::parse(g.spec).expect("spec").total_sessions();
-        let (run, violations) =
-            voxel::testkit::shard_parity_failures(g, &content, &[1, 2, max]).expect("spec runs");
-        assert!(violations.is_empty(), "{name}: {violations:?}");
-        assert!(!run.timeline.is_empty(), "{name} produced no timeline");
-        if name == "fleet-edge4x16-hot" {
-            let hot = voxel::testkit::edge_hot_invariants(&run.result);
-            assert!(hot.is_empty(), "{hot:?}");
-        }
+        let run = golden_holds_parity_and_digest(name, &mut content);
+        assert!(run.fleet.expect("fleet golden").edge.is_some());
     }
 }
 
 #[test]
 fn fifo_discipline_parity_holds_too() {
-    let cache = ContentCache::top_level_only();
+    let cache = Content::new();
     // FIFO couples flows through one global arrival order — the most
     // merge-order-sensitive configuration the link supports.
     assert_parity(

@@ -8,7 +8,16 @@
 //! updated `tests/golden/*.digest` files alongside the change.
 
 use std::path::Path;
-use voxel::testkit::{check_or_bless, run_golden, Content, GoldenStatus};
+use voxel::testkit::{check_or_bless, run_golden, Content, Golden, GoldenStatus, Spec, GOLDENS};
+
+/// The single-session goldens: tier-1 runs and checks these here; the
+/// fleet goldens are run (and their digests checked) by
+/// `tests/fleet_parity.rs` and the tier-2 conformance sweep.
+fn scenario_goldens() -> impl Iterator<Item = &'static Golden> {
+    GOLDENS
+        .iter()
+        .filter(|g| matches!(Spec::parse(g.spec), Ok(Spec::Scenario(_))))
+}
 
 /// The profiler must be a pure observer (DESIGN.md §13): arming it at
 /// sample=1 — every span taken, every alloc counted — must not perturb
@@ -16,26 +25,28 @@ use voxel::testkit::{check_or_bless, run_golden, Content, GoldenStatus};
 #[test]
 fn goldens_unchanged_with_profiler_armed() {
     let mut content = Content::new();
-    for g in voxel::testkit::digest::canonical_scenarios() {
-        let (baseline, failures) = run_golden(&g, &mut content).expect("scenario runs");
+    for g in scenario_goldens() {
+        let baseline = run_golden(g, &mut content, &[]).expect("scenario runs");
         assert!(
-            failures.is_empty(),
-            "golden {} baseline failed: {failures:?}",
-            g.name
+            baseline.failures.is_empty(),
+            "golden {} baseline failed: {:?}",
+            g.name,
+            baseline.failures
         );
 
         let profiler = voxel::obs::Profiler::with_sample(1);
-        let (profiled, failures) = {
+        let profiled = {
             let _armed = profiler.install();
-            run_golden(&g, &mut content).expect("scenario runs under profiler")
+            run_golden(g, &mut content, &[]).expect("scenario runs under profiler")
         };
         assert!(
-            failures.is_empty(),
-            "golden {} profiled failed: {failures:?}",
-            g.name
+            profiled.failures.is_empty(),
+            "golden {} profiled failed: {:?}",
+            g.name,
+            profiled.failures
         );
-        assert_eq!(
-            baseline, profiled,
+        assert!(
+            baseline.timeline == profiled.timeline,
             "golden {} timeline changed with the profiler armed",
             g.name
         );
@@ -49,30 +60,41 @@ fn goldens_unchanged_with_profiler_armed() {
     }
 }
 
-/// The congestion-control fleet goldens ride the same bless workflow as
-/// every other digest: both are committed under `tests/golden/`, both
-/// stay listed in `canonical_fleets()` (what the conformance runner
-/// iterates — so `VOXEL_BLESS=1 cargo run --release -p voxel-bench --bin
-/// conformance -- --fleets-only` regenerates exactly these files), and
-/// the workflow itself stays documented in DESIGN.md.
+/// The table and the directory agree: every `GOLDENS` entry has a
+/// committed digest and every `tests/golden/*.digest` has an entry (so
+/// `VOXEL_BLESS=1 cargo run --release -p voxel-bench --bin conformance`
+/// regenerates exactly these files), and the bless workflow itself stays
+/// documented in DESIGN.md.
 #[test]
 fn cc_fleet_goldens_are_committed_and_regenerable() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
-    for name in ["fleet-bbr8", "fleet-ccmix8"] {
-        let path = dir.join(format!("{name}.digest"));
-        let digest = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "{} unreadable ({e}); regenerate with VOXEL_BLESS=1 \
-                 cargo run --release -p voxel-bench --bin conformance -- --fleets-only",
-                path.display()
-            )
-        });
-        assert!(!digest.trim().is_empty(), "{name} digest is empty");
+    let mut committed: Vec<String> = std::fs::read_dir(&dir)
+        .expect("tests/golden exists")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .into_string()
+                .expect("utf-8")
+        })
+        .collect();
+    committed.sort();
+    let mut tabled: Vec<String> = GOLDENS
+        .iter()
+        .map(|g| format!("{}.digest", g.name))
+        .collect();
+    tabled.sort();
+    assert_eq!(
+        committed, tabled,
+        "tests/golden/ and GOLDENS disagree; regenerate with VOXEL_BLESS=1 \
+         cargo run --release -p voxel-bench --bin conformance"
+    );
+    for g in &GOLDENS {
+        let digest =
+            std::fs::read_to_string(dir.join(format!("{}.digest", g.name))).expect("listed above");
         assert!(
-            voxel::testkit::canonical_fleets()
-                .iter()
-                .any(|g| g.name == name),
-            "{name} left canonical_fleets(); its committed digest is now orphaned"
+            digest.trim_end().ends_with(&format!("spec:{}", g.spec)),
+            "{} digest was blessed for another spec: {digest}",
+            g.name
         );
     }
     let design = std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("DESIGN.md"))
@@ -87,14 +109,15 @@ fn cc_fleet_goldens_are_committed_and_regenerable() {
 fn canonical_timelines_match_their_golden_digests() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     let mut content = Content::new();
-    for g in voxel::testkit::digest::canonical_scenarios() {
-        let (timeline, failures) = run_golden(&g, &mut content).expect("scenario runs");
+    for g in scenario_goldens() {
+        let run = run_golden(g, &mut content, &[]).expect("scenario runs");
         assert!(
-            failures.is_empty(),
-            "golden {} failed its oracles: {failures:?}",
-            g.name
+            run.failures.is_empty(),
+            "golden {} failed its oracles: {:?}",
+            g.name,
+            run.failures
         );
-        match check_or_bless(&dir, &g, &timeline) {
+        match check_or_bless(&dir, g, &run.timeline) {
             Ok(GoldenStatus::Matched) => {}
             Ok(GoldenStatus::Blessed) => eprintln!("blessed golden {}", g.name),
             Err(e) => panic!(
