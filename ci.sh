@@ -17,8 +17,8 @@ cargo run -q --release -p voxel-lint -- --json results/lint.json --max-seconds 1
 echo "==> voxel-lint api-baseline (pub-surface diff vs lint/api-baseline.txt)"
 cargo run -q --release -p voxel-lint -- --only api
 
-echo "==> cargo test -q --features paranoid (runtime invariant audits)"
-cargo test -q --features paranoid
+echo "==> cargo test -q --features paranoid (runtime invariant audits: the facade's integration tests, and the unit + property tests of every crate that has audits behind the feature)"
+cargo test -q --features paranoid -p voxel -p voxel-quic -p voxel-core -p voxel-fleet
 
 echo "==> tier-2: conformance sweep (scenario matrix x seeds + golden digests + fleets, DESIGN.md §11-12)"
 VOXEL_SEEDS="${VOXEL_SEEDS:-3}" cargo run -q --release -p voxel-bench --bin conformance

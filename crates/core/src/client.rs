@@ -382,18 +382,7 @@ impl ClientApp {
         };
         match kind {
             FetchKind::Manifest => {
-                let complete = conn
-                    .recv_stream(id)
-                    .map(|rs| {
-                        let done = rs.is_complete();
-                        if done {
-                            // count + drain
-                        }
-                        done
-                    })
-                    .unwrap_or(false);
-                if complete {
-                    let bytes = conn.recv_stream(id).map_or(0, |rs| rs.bytes_received());
+                if let Some(bytes) = drain_if_complete(conn, id) {
                     self.stats.bytes_downloaded += bytes;
                     self.estimator.on_sample(bytes, now.as_secs_f64().max(1e-3));
                     self.fetches.remove(&id);
@@ -401,17 +390,12 @@ impl ClientApp {
                 }
             }
             FetchKind::Head { seg } => {
-                let complete = conn
-                    .recv_stream(id)
-                    .map(|rs| rs.is_complete())
-                    .unwrap_or(false);
-                if complete {
+                if let Some(bytes) = drain_if_complete(conn, id) {
                     if let Some(dl) = self.dl.as_mut() {
                         if dl.seg == seg && dl.head_stream == id {
                             dl.head_done = true;
                         }
                     }
-                    let bytes = conn.recv_stream(id).map_or(0, |rs| rs.bytes_received());
                     self.stats.bytes_downloaded += bytes;
                     self.fetches.remove(&id);
                 }
@@ -1107,6 +1091,15 @@ fn make_ctx<'a>(
         manifest,
         rebuffering,
     }
+}
+
+/// The byte count of a stream that has fully arrived, `None` until then.
+/// Nothing reads a manifest's or a head's bytes, so the chunks the stream
+/// buffered are released here rather than held for the whole session.
+fn drain_if_complete(conn: &mut Connection, id: StreamId) -> Option<u64> {
+    let rs = conn.recv_stream(id).filter(|rs| rs.is_complete())?;
+    rs.take_received();
+    Some(rs.bytes_received())
 }
 
 /// Map a received chunk of a multi-range response back to body offsets.

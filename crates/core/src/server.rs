@@ -165,7 +165,7 @@ impl ServerApp {
             };
             voxel_http::trace::trace_response(&self.tracer, now, id.0, &status, len, unreliable);
         }
-        conn.send(id, &zeros(len as usize));
+        conn.send_zeros(id, len);
         conn.finish(id);
     }
 
@@ -234,12 +234,6 @@ impl ServerApp {
             _ => None,
         }
     }
-}
-
-/// A zero-filled body of the given length (the simulation transfers real
-/// bytes; their values are irrelevant to every metric).
-fn zeros(len: usize) -> Vec<u8> {
-    vec![0u8; len]
 }
 
 #[cfg(test)]

@@ -13,7 +13,6 @@
 use crate::client::{ClientApp, PlayerConfig, TransportMode};
 use crate::metrics::{TransportStats, TrialResult};
 use crate::server::{ServeNote, ServerApp};
-use bytes::Bytes;
 use std::sync::Arc;
 use voxel_abr::Abr;
 use voxel_media::qoe::QoeModel;
@@ -26,35 +25,36 @@ use voxel_trace::{trace_event, Layer, Tracer};
 
 /// Events of the session loop.
 enum Ev {
-    /// Datagram arriving at the client.
-    ToClient(Bytes),
-    /// Datagram arriving at the server.
-    ToServer(Bytes),
+    /// Packet arriving at the client.
+    ToClient(Packet),
+    /// Packet arriving at the server.
+    ToServer(Packet),
     /// Player tick (progress checks, playback deadlines; also the no-op
     /// clock bump).
     Tick,
 }
 
 /// When a packet handed to a [`Wire`] reaches the other endpoint, for the
-/// core to schedule on its private queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// core to schedule on its private queue. The packet crosses as a value:
+/// the wire is charged its `wire_size()`, nothing encodes it.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Arrivals {
     /// Not the core's to deliver: dropped, or carried out of the session
     /// (a fleet's shared link hands it back through
-    /// [`SessionCore::inject`]). The packet is never encoded by the core.
+    /// [`SessionCore::inject`]).
     None,
     /// Arrives once.
-    One(SimTime),
+    One(SimTime, Packet),
     /// Arrives twice (duplication fault), in this order.
-    Two(SimTime, SimTime),
+    Two(SimTime, SimTime, Packet),
 }
 
 /// What sits between a session's two endpoints.
 pub trait Wire {
     /// The server sent `packet` towards the client at `now`.
-    fn downlink(&mut self, now: SimTime, packet: &Packet) -> Arrivals;
-    /// The client sent a packet towards the server at `now`.
-    fn uplink(&mut self, now: SimTime) -> Arrivals;
+    fn downlink(&mut self, now: SimTime, packet: Packet) -> Arrivals;
+    /// The client sent `packet` towards the server at `now`.
+    fn uplink(&mut self, now: SimTime, packet: Packet) -> Arrivals;
     /// The server resolved an object at `now` (only called when the
     /// [`ServerApp`] records serve notes, i.e. behind an edge tier).
     fn serve_note(&mut self, _now: SimTime, _note: ServeNote) {}
@@ -132,10 +132,10 @@ impl SessionCore {
         self.iters
     }
 
-    /// Schedule a datagram the wire carried out of the session for
+    /// Schedule a packet the wire carried out of the session for
     /// delivery to the client at `at` (never before the session's clock).
-    pub fn inject(&mut self, at: SimTime, datagram: Bytes) {
-        self.queue.schedule(at, Ev::ToClient(datagram));
+    pub fn inject(&mut self, at: SimTime, packet: Packet) {
+        self.queue.schedule(at, Ev::ToClient(packet));
     }
 
     /// Run the event loop up to (and including) `until`, handing every
@@ -179,15 +179,10 @@ impl SessionCore {
                 }
                 #[cfg(feature = "paranoid")]
                 if let Err(e) = self.client.check_invariants(now) {
-                    let what = format!(
+                    audit_failed(format!(
                         "session {} player invariant violated at {now:?}: {e}",
                         self.id
-                    );
-                    if let Some(dump) = voxel_obs::dump_current(&what) {
-                        eprintln!("{dump}");
-                    }
-                    // lint: allow(panic) the paranoid layer is intentionally fatal on corruption
-                    panic!("{what}");
+                    ));
                 }
                 if self.client.is_done() {
                     return Advanced::Done(now);
@@ -197,12 +192,14 @@ impl SessionCore {
                 // `poll_transmit` feeds the other at the same instant.
                 let _transmit = voxel_obs::span!("session.transmit");
                 while let Some(p) = self.server_conn.poll_transmit(now) {
-                    let arrivals = wire.downlink(now, &p);
-                    self.schedule(arrivals, &p, Ev::ToClient);
+                    self.audit_codec(now, &p);
+                    let arrivals = wire.downlink(now, p);
+                    self.schedule(arrivals, Ev::ToClient);
                 }
                 while let Some(p) = self.client_conn.poll_transmit(now) {
-                    let arrivals = wire.uplink(now);
-                    self.schedule(arrivals, &p, Ev::ToServer);
+                    self.audit_codec(now, &p);
+                    let arrivals = wire.uplink(now, p);
+                    self.schedule(arrivals, Ev::ToServer);
                 }
                 drop(_transmit);
 
@@ -246,8 +243,8 @@ impl SessionCore {
                     break;
                 };
                 match ev.event {
-                    Ev::ToClient(d) => self.client_conn.on_datagram(next, d),
-                    Ev::ToServer(d) => self.server_conn.on_datagram(next, d),
+                    Ev::ToClient(p) => self.client_conn.on_packet(next, p),
+                    Ev::ToServer(p) => self.server_conn.on_packet(next, p),
                     Ev::Tick => {}
                 }
             }
@@ -260,16 +257,35 @@ impl SessionCore {
         }
     }
 
-    /// Schedule a transmitted packet's arrivals; a packet with none is
-    /// never encoded.
-    fn schedule(&mut self, arrivals: Arrivals, packet: &Packet, ev: impl Fn(Bytes) -> Ev) {
+    /// Schedule a transmitted packet's arrivals.
+    fn schedule(&mut self, arrivals: Arrivals, ev: impl Fn(Packet) -> Ev) {
         match arrivals {
             Arrivals::None => {}
-            Arrivals::One(at) => self.queue.schedule(at, ev(packet.encode())),
-            Arrivals::Two(first, second) => {
-                let bytes = packet.encode();
-                self.queue.schedule(first, ev(bytes.clone()));
-                self.queue.schedule(second, ev(bytes));
+            Arrivals::One(at, packet) => self.queue.schedule(at, ev(packet)),
+            Arrivals::Two(first, second, packet) => {
+                self.queue.schedule(first, ev(packet.clone()));
+                self.queue.schedule(second, ev(packet));
+            }
+        }
+    }
+
+    /// Packets cross the wire as values, so nothing on the packet path
+    /// runs the codec; the `paranoid` feature round-trips every
+    /// transmitted packet through it instead, and checks the size the
+    /// wire is charged against the encoding's.
+    #[inline]
+    #[allow(unused_variables)]
+    fn audit_codec(&self, now: SimTime, packet: &Packet) {
+        #[cfg(feature = "paranoid")]
+        {
+            let encoded = packet.encode();
+            let size_ok = packet.wire_size() == encoded.len() + voxel_quic::packet::PACKET_OVERHEAD;
+            if !size_ok || Packet::decode(encoded).as_ref() != Some(packet) {
+                audit_failed(format!(
+                    "session {} packet {} does not survive encode/decode at {now:?} \
+                     (wire_size matches: {size_ok})",
+                    self.id, packet.pkt_num
+                ));
             }
         }
     }
@@ -312,6 +328,17 @@ impl SessionCore {
     }
 }
 
+/// A `paranoid` audit failed: print the flight-recorder dump, if a
+/// recorder is installed, and panic.
+#[cfg(feature = "paranoid")]
+fn audit_failed(what: String) -> ! {
+    if let Some(dump) = voxel_obs::dump_current(&what) {
+        eprintln!("{dump}");
+    }
+    // lint: allow(panic) the paranoid layer is intentionally fatal on corruption
+    panic!("{what}");
+}
+
 /// The private wire of a lone [`Session`]: an emulated bottleneck path,
 /// optionally behind a seeded packet-fault plane.
 struct PrivateWire {
@@ -331,30 +358,30 @@ impl PrivateWire {
 }
 
 /// Apply a fate to a packet's fault-free arrival time.
-fn arrivals(fate: PacketFate, arrival: SimTime) -> Arrivals {
+fn arrivals(fate: PacketFate, arrival: SimTime, packet: Packet) -> Arrivals {
     match fate {
-        PacketFate::Deliver => Arrivals::One(arrival),
+        PacketFate::Deliver => Arrivals::One(arrival, packet),
         PacketFate::Drop => Arrivals::None,
-        PacketFate::Delay(extra) => Arrivals::One(arrival + extra),
-        PacketFate::Duplicate(lag) => Arrivals::Two(arrival, arrival + lag),
+        PacketFate::Delay(extra) => Arrivals::One(arrival + extra, packet),
+        PacketFate::Duplicate(lag) => Arrivals::Two(arrival, arrival + lag, packet),
     }
 }
 
 impl Wire for PrivateWire {
-    fn downlink(&mut self, now: SimTime, packet: &Packet) -> Arrivals {
+    fn downlink(&mut self, now: SimTime, packet: Packet) -> Arrivals {
         // The fate is drawn before the path sees the packet — also when
         // droptail then drops it — so the seeded draw sequence depends on
         // nothing but the packet sequence.
         let fate = self.fate(now);
         match self.path.send_downlink(now, packet.wire_size()) {
-            Some(arrival) => arrivals(fate, arrival),
+            Some(arrival) => arrivals(fate, arrival, packet),
             None => Arrivals::None,
         }
     }
 
-    fn uplink(&mut self, now: SimTime) -> Arrivals {
+    fn uplink(&mut self, now: SimTime, packet: Packet) -> Arrivals {
         let fate = self.fate(now);
-        arrivals(fate, self.path.send_uplink(now))
+        arrivals(fate, self.path.send_uplink(now), packet)
     }
 }
 

@@ -19,13 +19,14 @@
 //! through [`voxel_sim::SimRng`] so a workload is a pure function of its
 //! label.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use voxel_core::{EdgeCache, ObjectKey, ServeNote};
 use voxel_media::content::VideoId;
 use voxel_netem::OriginLink;
 use voxel_sim::{SimDuration, SimRng, SimTime};
 
+use crate::shard::Outgoing;
 use crate::spec::{Routing, TopologySpec};
 
 /// FNV-1a over a video's legend name — the stable key consistent-hash
@@ -126,7 +127,8 @@ impl EdgeReport {
 /// globally sorted `(at, flow, seq)` note order, and
 /// [`EdgeTier::effective_time`] in nondecreasing `at` order per flow —
 /// both are properties the coordinator's merge already guarantees for
-/// packets, extended to notes. Under that ordering the tier's state is a
+/// packets, extended to notes ([`EdgeTier::stage`] is how the coordinator
+/// makes the latter calls). Under that ordering the tier's state is a
 /// pure function of the note sequence, independent of worker count.
 pub struct EdgeTier {
     caches: Vec<EdgeCache>,
@@ -140,6 +142,10 @@ pub struct EdgeTier {
     /// the shared link before `max(t, gate)` once every note at ≤ `t`
     /// has been folded in.
     gates: Vec<SimTime>,
+    /// Downlink packets staged for the shared link, keyed (effective
+    /// link-entry time, flow, seq) — the order they enter it in. A packet
+    /// gated past a round's barrier simply stays for a later round.
+    held: BTreeMap<(SimTime, usize, u64), Outgoing>,
     stats: Vec<EdgeStats>,
 }
 
@@ -161,6 +167,7 @@ impl EdgeTier {
             videos: videos.to_vec(),
             pending: vec![VecDeque::new(); videos.len()],
             gates: vec![SimTime::ZERO; videos.len()],
+            held: BTreeMap::new(),
             stats,
         }
     }
@@ -208,6 +215,26 @@ impl EdgeTier {
             }
         }
         at.max(self.gates[flow])
+    }
+
+    /// Stage a downlink packet behind its flow's origin gate. Call in
+    /// `(at, flow, seq)` order, after the notes up to `at` were replayed.
+    pub(crate) fn stage(&mut self, packet: Outgoing) {
+        let eff = self.effective_time(packet.flow, packet.at);
+        self.held.insert((eff, packet.flow, packet.seq), packet);
+    }
+
+    /// When the earliest staged packet may enter the shared link.
+    pub(crate) fn next_release(&self) -> Option<SimTime> {
+        self.held.first_key_value().map(|(&(eff, ..), _)| eff)
+    }
+
+    /// Release the next staged packet due by `barrier`, with its
+    /// link-entry time: `(eff, flow, seq)` order across calls.
+    pub(crate) fn pop_due(&mut self, barrier: SimTime) -> Option<(SimTime, Outgoing)> {
+        let first = self.held.first_entry().filter(|e| e.key().0 <= barrier)?;
+        let ((eff, ..), packet) = first.remove_entry();
+        Some((eff, packet))
     }
 
     /// Freeze the tier into its end-of-run report.
@@ -369,6 +396,75 @@ mod tests {
         assert_eq!(t.effective_time(0, before), before);
         // A packet at/after the miss waits for the fetch.
         assert!(t.effective_time(0, miss_at) > miss_at);
+    }
+
+    fn packet(at_s: f64, flow: usize, seq: u64) -> Outgoing {
+        Outgoing {
+            at: SimTime::from_secs_f64(at_s),
+            flow,
+            seq,
+            bytes: 1200,
+            payload: voxel_quic::Packet::new(seq, Vec::new()),
+        }
+    }
+
+    /// One round of the coordinator's edge path: stage the round's packets
+    /// in `(at, flow, seq)` order, release what is due by the barrier.
+    fn round(t: &mut EdgeTier, staged: &[(f64, usize, u64)], barrier_s: f64) -> Vec<(usize, u64)> {
+        for &(at_s, flow, seq) in staged {
+            t.stage(packet(at_s, flow, seq));
+        }
+        let barrier = SimTime::from_secs_f64(barrier_s);
+        let mut released = Vec::new();
+        let mut last = SimTime::ZERO;
+        while let Some((eff, o)) = t.pop_due(barrier) {
+            assert!(last <= eff && o.at <= eff && eff <= barrier, "{eff:?}");
+            last = eff;
+            released.push((o.flow, o.seq));
+        }
+        assert!(t.next_release().is_none_or(|eff| eff > barrier));
+        released
+    }
+
+    #[test]
+    fn held_packets_wait_out_their_gate_and_release_in_eff_flow_seq_order() {
+        // Flows 0 and 1 miss on different videos over one slow origin, so
+        // flow 1's fetch queues behind flow 0's (ready 2.02 s and 2.52 s);
+        // flow 2 asks for nothing and is never gated.
+        let vids = [VideoId::Bbb, VideoId::Tos, VideoId::Bbb];
+        let mut t = tier(TopologySpec::new(1).origin(8.0), &vids);
+        let at = SimTime::from_secs_f64(1.0);
+        t.process_note(at, 0, body(0, 1_000_000));
+        t.process_note(at, 1, body(0, 500_000));
+
+        // Only the ungated packet enters the link; four are held.
+        let staged = [
+            (1.0, 0, 1),
+            (1.0, 1, 1),
+            (1.05, 2, 1),
+            (1.1, 0, 2),
+            (1.1, 1, 2),
+        ];
+        assert_eq!(round(&mut t, &staged, 1.2), [(2, 1)]);
+        assert_eq!(t.next_release(), Some(SimTime::from_secs_f64(2.02)));
+        // Nothing new, nothing due: the held packets sit out the round.
+        assert_eq!(round(&mut t, &[], 1.9), []);
+        // Flow 0's gate opens. Its held packets share one entry time and
+        // leave in seq order, ahead of this round's later arrivals; flow
+        // 1's stay held for a third round.
+        let staged = [(2.03, 2, 2), (2.05, 0, 3)];
+        assert_eq!(
+            round(&mut t, &staged, 2.1),
+            [(0, 1), (0, 2), (2, 2), (0, 3)]
+        );
+        // Flow 1's gate opens at 2.52 s; a packet of flow 2 entering at
+        // that same instant goes after flow 1's (flow breaks the tie).
+        let staged = [(2.3, 2, 3), (2.52, 2, 4), (2.55, 1, 3)];
+        assert_eq!(
+            round(&mut t, &staged, 2.6),
+            [(2, 3), (1, 1), (1, 2), (2, 4), (1, 3)]
+        );
+        assert_eq!(t.next_release(), None);
     }
 
     #[test]

@@ -28,13 +28,12 @@ use crate::metrics::{jain_index, FleetResult};
 use crate::shard::{worker_loop, Cmd, Delivery, FinishNote, Lane, NoteOut, Outgoing, Reply};
 use crate::shard::{RoundCmd, SessionCell, SessionSeed};
 use crate::spec::{resolve_workers, system_by_name, FleetSpec, TopologySpec};
-use bytes::Bytes;
 use std::collections::VecDeque;
 use voxel_core::client::{PlayerConfig, TransportMode};
 use voxel_core::{AbrKind, ContentCache, TrialResult};
 use voxel_media::content::VideoId;
 use voxel_netem::{Departure, SharedLink, SharedLinkConfig};
-use voxel_quic::{CcKind, ConnectionConfig};
+use voxel_quic::{CcKind, ConnectionConfig, Packet};
 use voxel_sim::pool::VecPool;
 use voxel_sim::SimTime;
 use voxel_trace::{trace_event, Layer, Tracer};
@@ -280,17 +279,16 @@ fn coordinate(
     // Round-scratch: serve notes reported by shards, replayed against the
     // tier in (at, flow, seq) order.
     let mut notes: Vec<NoteOut> = Vec::new();
-    // Packets gated past the current barrier by a pending origin fetch:
-    // (effective link-entry time, packet), re-staged every round.
-    let mut held: Vec<(SimTime, Outgoing)> = Vec::new();
-    // Payloads enqueued on the shared link, awaiting service completion
+    // Packets enqueued on the shared link, awaiting service completion
     // (aligned with the link's byte-level per-flow queues).
-    let mut pending_down: Vec<VecDeque<Bytes>> = vec![VecDeque::new(); n];
+    let mut pending_down: Vec<VecDeque<Packet>> = vec![VecDeque::new(); n];
     // Link deliveries produced by the previous round's pump, routed to
     // their owners at the top of the next round.
     let mut deliveries: Vec<Delivery> = Vec::new();
     let mut has_delivery: Vec<bool> = vec![false; n];
     let mut per_lane: Vec<Vec<Delivery>> = (0..lanes.len()).map(|_| Vec::new()).collect();
+    // Each lane's skip vector, handed back by its shard every round.
+    let mut skips: Vec<Vec<bool>> = vec![Vec::new(); lanes.len()];
     // Round-scratch buffers, reused across the (many) rounds.
     let mut merged: Vec<Outgoing> = Vec::new();
     let mut finished: Vec<FinishNote> = Vec::new();
@@ -325,8 +323,8 @@ fn coordinate(
         for d in &deliveries {
             fold(d.at);
         }
-        for (eff, _) in &held {
-            fold(*eff);
+        if let Some(eff) = edge.as_ref().and_then(EdgeTier::next_release) {
+            fold(eff);
         }
         if let Some(dep) = link.next_departure() {
             fold(dep + delay_down);
@@ -382,9 +380,12 @@ fn coordinate(
             let _pump = voxel_obs::span!("fleet.pump");
             for (j, lane) in lanes.iter_mut().enumerate() {
                 let lo = lane_lo[j];
-                let skip: Vec<bool> = (lo..lo + sizes[j])
-                    .map(|f| !has_delivery[f] && next_by_flow[f].is_none_or(|t| t > barrier))
-                    .collect();
+                let mut skip = std::mem::take(&mut skips[j]);
+                skip.clear();
+                skip.extend(
+                    (lo..lo + sizes[j])
+                        .map(|f| !has_delivery[f] && next_by_flow[f].is_none_or(|t| t > barrier)),
+                );
                 lane.dispatch(Cmd::Round(RoundCmd {
                     barrier,
                     deliveries: std::mem::take(&mut per_lane[j]),
@@ -399,9 +400,10 @@ fn coordinate(
             // lanes have been working since dispatch).
             merged.clear();
             finished.clear();
-            for lane in lanes.iter_mut() {
+            for (j, lane) in lanes.iter_mut().enumerate() {
                 match lane.collect() {
                     Reply::Round(mut r) => {
+                        skips[j] = std::mem::take(&mut r.skip);
                         iters += r.iters;
                         merged.append(&mut r.outbox);
                         notes.append(&mut r.notes);
@@ -437,24 +439,18 @@ fn coordinate(
                 // Edge path: replay the round's serve notes in the same
                 // partition-invariant order as packets, stamp every packet
                 // with its effective link-entry time (the flow's origin
-                // gate), and stage. A packet gated past the barrier is
-                // held for a later round — its gate time is already folded
-                // into the next `global_next`.
+                // gate), and stage it in the tier. What is due by the
+                // barrier enters the link in staging order; a packet gated
+                // past it waits for a later round — its gate time is
+                // folded into the next `global_next`.
                 notes.sort_by_key(|no| (no.at, no.flow, no.seq));
                 for no in notes.drain(..) {
                     tier.process_note(no.at, no.flow, no.note);
                 }
-                let mut staged: Vec<(SimTime, Outgoing)> = std::mem::take(&mut held);
                 for o in merged.drain(..) {
-                    let eff = tier.effective_time(o.flow, o.at);
-                    staged.push((eff, o));
+                    tier.stage(o);
                 }
-                staged.sort_by_key(|(eff, o)| (*eff, o.flow, o.seq));
-                for (eff, o) in staged {
-                    if eff > barrier {
-                        held.push((eff, o));
-                        continue;
-                    }
+                while let Some((eff, o)) = tier.pop_due(barrier) {
                     link.pop_due_into(eff, &mut departures);
                     if link.enqueue(eff, o.flow, o.bytes) {
                         pending_down[o.flow].push_back(o.payload);

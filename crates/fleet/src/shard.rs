@@ -23,7 +23,6 @@
 //! interleaving, so the coordinator's merge order cannot observe how
 //! sessions were distributed across workers.
 
-use bytes::Bytes;
 use std::sync::mpsc::{Receiver, Sender};
 use voxel_core::client::{ClientApp, PlayerConfig};
 use voxel_core::server::{ServeNote, ServerApp};
@@ -46,8 +45,8 @@ pub(crate) struct Outgoing {
     pub seq: u64,
     /// Wire size offered to the link's byte-level queue.
     pub bytes: usize,
-    /// Encoded datagram, held until the link completes its service.
-    pub payload: Bytes,
+    /// The packet itself, held until the link completes its service.
+    pub payload: Packet,
 }
 
 /// One object the session's server resolved during a round, exported for
@@ -71,8 +70,8 @@ pub(crate) struct Delivery {
     pub flow: usize,
     /// Client-side arrival time (service completion + downlink delay).
     pub at: SimTime,
-    /// The datagram.
-    pub payload: Bytes,
+    /// The packet.
+    pub payload: Packet,
 }
 
 /// A session that finished during a round, with the fields the
@@ -94,7 +93,8 @@ pub(crate) struct RoundCmd {
     /// Link deliveries to inject before advancing, in coordinator order.
     pub deliveries: Vec<Delivery>,
     /// Flows the coordinator knows cannot act this round (blocked past
-    /// the barrier with no deliveries): skipped without a wake-up.
+    /// the barrier with no deliveries): skipped without a wake-up. Handed
+    /// back in [`RoundReply::skip`] for the next round to refill.
     pub skip: Vec<bool>,
 }
 
@@ -112,6 +112,8 @@ pub(crate) struct RoundReply {
     pub finished: Vec<FinishNote>,
     /// Event-loop iterations spent by this shard this round.
     pub iters: u64,
+    /// The round's [`RoundCmd::skip`] buffer, returned for reuse.
+    pub skip: Vec<bool>,
 }
 
 /// Coordinator → shard commands.
@@ -154,20 +156,20 @@ struct Outbox<'a> {
 }
 
 impl Wire for Outbox<'_> {
-    fn downlink(&mut self, now: SimTime, packet: &Packet) -> Arrivals {
+    fn downlink(&mut self, now: SimTime, packet: Packet) -> Arrivals {
         *self.out_seq += 1;
         self.reply.outbox.push(Outgoing {
             at: now,
             flow: self.flow,
             seq: *self.out_seq,
             bytes: packet.wire_size(),
-            payload: packet.encode(),
+            payload: packet,
         });
         Arrivals::None
     }
 
-    fn uplink(&mut self, now: SimTime) -> Arrivals {
-        Arrivals::One(now + self.delay_up)
+    fn uplink(&mut self, now: SimTime, packet: Packet) -> Arrivals {
+        Arrivals::One(now + self.delay_up, packet)
     }
 
     fn serve_note(&mut self, now: SimTime, note: ServeNote) {
@@ -273,10 +275,14 @@ impl SessionCell {
 /// only changes who calls it.
 pub(crate) fn shard_round(sessions: &mut [SessionCell], mut cmd: RoundCmd) -> RoundReply {
     let mut reply = RoundReply::default();
+    // A lane's flows are contiguous, in order.
+    let lo = sessions.first().map_or(0, |s| s.flow);
     for d in cmd.deliveries.drain(..) {
-        let cell = sessions
-            .iter_mut()
-            .find(|s| s.flow == d.flow)
+        let cell = d
+            .flow
+            .checked_sub(lo)
+            .and_then(|i| sessions.get_mut(i))
+            .filter(|s| s.flow == d.flow)
             // lint: allow(panic) the coordinator routes by flow ownership; a miss is a harness bug
             .expect("delivery routed to the owning shard");
         // Deliveries always land at or after the session's clock: the
@@ -293,6 +299,7 @@ pub(crate) fn shard_round(sessions: &mut [SessionCell], mut cmd: RoundCmd) -> Ro
             cell.advance(cmd.barrier, &mut reply);
         }
     }
+    reply.skip = cmd.skip;
     reply
 }
 
@@ -389,5 +396,83 @@ impl Lane {
                 rx.recv().expect("shard worker reply")
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use voxel_core::client::TransportMode;
+    use voxel_core::{AbrKind, ContentCache};
+    use voxel_media::content::VideoId;
+    use voxel_quic::Frame;
+
+    /// A lane owning flows `lo..lo + n`, as the coordinator chunks them.
+    fn lane(lo: usize, n: usize) -> Vec<SessionCell> {
+        let cache = ContentCache::top_level_only();
+        let (manifest, video) = cache.get(VideoId::Bbb);
+        (lo..lo + n)
+            .map(|flow| {
+                SessionCell::new(SessionSeed {
+                    flow,
+                    label: "BOLA".to_string(),
+                    start: SimTime::ZERO,
+                    delay_up: SimDuration::from_millis(30),
+                    player: PlayerConfig::new(3, TransportMode::Reliable),
+                    conn_config: ConnectionConfig::default(),
+                    manifest: manifest.clone(),
+                    video: video.clone(),
+                    qoe: cache.qoe(),
+                    abr: AbrKind::Bola,
+                    record_notes: false,
+                })
+            })
+            .collect()
+    }
+
+    fn round(deliveries: Vec<Delivery>, lane_len: usize) -> RoundCmd {
+        RoundCmd {
+            barrier: SimTime::from_millis(1),
+            deliveries,
+            skip: vec![false; lane_len],
+        }
+    }
+
+    fn ping_for(flow: usize) -> Delivery {
+        Delivery {
+            flow,
+            at: SimTime::from_millis(1),
+            payload: Packet::new(0, vec![Frame::Ping]),
+        }
+    }
+
+    /// Every other lane of a threaded fleet starts past flow 0. Nothing
+    /// reaches a fleet client except through a delivery (the downlink
+    /// leaves through the outbox), so the packets a client received are
+    /// exactly the deliveries routed to it.
+    #[test]
+    fn deliveries_reach_their_flow_in_a_lane_that_does_not_start_at_zero() {
+        let mut sessions = lane(5, 3);
+        let deliveries = vec![ping_for(6), ping_for(7), ping_for(6)];
+        let reply = shard_round(&mut sessions, round(deliveries, 3));
+        assert_eq!(reply.skip.len(), 3, "the skip buffer comes back");
+        shard_freeze(&mut sessions, SimTime::from_millis(1));
+        let received: Vec<(usize, u64)> = harvest(sessions)
+            .into_iter()
+            .map(|(flow, r)| (flow, r.transport.client_packets_received))
+            .collect();
+        assert_eq!(received, [(5, 0), (6, 2), (7, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "delivery routed to the owning shard")]
+    fn a_delivery_for_a_flow_below_the_lane_is_a_harness_bug() {
+        shard_round(&mut lane(5, 1), round(vec![ping_for(4)], 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "delivery routed to the owning shard")]
+    fn a_delivery_for_a_flow_beyond_the_lane_is_a_harness_bug() {
+        shard_round(&mut lane(5, 1), round(vec![ping_for(6)], 1));
     }
 }

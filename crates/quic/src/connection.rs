@@ -1,12 +1,13 @@
 //! The QUIC\* connection endpoint.
 //!
-//! Sans-IO, in the style of `quinn-proto`: the owner feeds it datagrams
-//! ([`Connection::on_datagram`]), drains outgoing packets
-//! ([`Connection::poll_transmit`]), arms a timer ([`Connection::next_timeout`]
-//! / [`Connection::on_timeout`]) and consumes application events
-//! ([`Connection::poll_event`]). In this repository the owner is the
-//! discrete-event loop in `voxel-core`; the same state machine could be
-//! driven by real UDP sockets.
+//! Sans-IO, in the style of `quinn-proto`: the owner feeds it packets
+//! ([`Connection::on_packet`], or [`Connection::on_datagram`] for encoded
+//! bytes), drains outgoing packets ([`Connection::poll_transmit`]), arms a
+//! timer ([`Connection::next_timeout`] / [`Connection::on_timeout`]) and
+//! consumes application events ([`Connection::poll_event`]). In this
+//! repository the owner is the discrete-event loop in `voxel-core`, which
+//! moves packets as values; the same state machine could be driven by real
+//! UDP sockets through the datagram door.
 //!
 //! The connection is assumed established (the paper's experiments measure
 //! steady-state streaming; handshake latency is identical for QUIC and
@@ -20,7 +21,7 @@ use crate::packet::{Packet, MAX_PAYLOAD};
 use crate::rtt::RttEstimator;
 use crate::stream::{RecvStream, Reliability, SendStream, StreamId};
 use bytes::Bytes;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use voxel_sim::{SimDuration, SimTime};
 use voxel_trace::{trace_event, Layer, Tracer};
 
@@ -115,6 +116,8 @@ pub struct ConnStats {
     /// Received packets that arrived below the largest packet number seen
     /// (out-of-order delivery — what the testkit's reorder fault provokes).
     pub packets_reordered: u64,
+    /// Datagrams dropped because they did not decode as a packet.
+    pub packets_malformed: u64,
 }
 
 /// A QUIC\* connection endpoint.
@@ -124,6 +127,13 @@ pub struct Connection {
     next_pkt_num: u64,
     next_stream: u64,
     send_streams: BTreeMap<StreamId, SendStream>,
+    /// The ids of exactly the send streams that `wants_to_send`, so the
+    /// transmit path never walks the streams that do not. Re-filed by
+    /// [`Connection::mark`] after every operation that touches a stream.
+    sendable: BTreeSet<StreamId>,
+    /// One MSS of zeros, shared by every send stream: a body chunk is a
+    /// slice of it (see [`Connection::send_zeros`]).
+    zero_page: Bytes,
     recv_streams: BTreeMap<StreamId, RecvStream>,
     ack: AckTracker,
     loss: LossDetector,
@@ -158,10 +168,12 @@ impl Connection {
         Connection {
             role,
             cc: CongestionControl::new(config.cc, config.mss),
+            zero_page: Bytes::from(vec![0; config.mss]),
             config,
             next_pkt_num: 0,
             next_stream: 0,
             send_streams: BTreeMap::new(),
+            sendable: BTreeSet::new(),
             recv_streams: BTreeMap::new(),
             ack: AckTracker::new(),
             loss,
@@ -229,7 +241,7 @@ impl Connection {
         let id = StreamId(self.next_stream * 2 + parity);
         self.next_stream += 1;
         self.send_streams
-            .insert(id, SendStream::new(id, reliability));
+            .insert(id, SendStream::new(id, reliability, self.zero_page.clone()));
         id
     }
 
@@ -239,14 +251,28 @@ impl Connection {
     pub fn open_reply_stream(&mut self, id: StreamId, reliability: Reliability) {
         let prev = self
             .send_streams
-            .insert(id, SendStream::new(id, reliability));
+            .insert(id, SendStream::new(id, reliability, self.zero_page.clone()));
         debug_assert!(prev.is_none(), "reply stream {id} already open");
+    }
+
+    /// Re-file `id` in `sendable` after something touched its stream.
+    fn mark(&mut self, id: StreamId) {
+        if self
+            .send_streams
+            .get(&id)
+            .is_some_and(SendStream::wants_to_send)
+        {
+            self.sendable.insert(id);
+        } else {
+            self.sendable.remove(&id);
+        }
     }
 
     /// Abandon sending on a stream: discard unsent/retransmittable data and
     /// tell the peer to do the same. Used for segment abandonment (§4.3).
     pub fn reset_stream(&mut self, id: StreamId) {
         self.send_streams.remove(&id);
+        self.mark(id);
         self.control.push_back(Frame::ResetStream { id });
     }
 
@@ -258,6 +284,18 @@ impl Connection {
         if let Some(s) = self.send_streams.get_mut(&id) {
             s.write(data);
         }
+        self.mark(id);
+    }
+
+    /// Write `len` zero bytes on a locally opened stream: on the wire and
+    /// at the peer exactly `send(id, &vec![0; len])`, but O(1) in time and
+    /// memory whatever `len` is. For payloads whose values nothing reads.
+    pub fn send_zeros(&mut self, id: StreamId, len: u64) {
+        debug_assert!(self.send_streams.contains_key(&id), "unknown send stream");
+        if let Some(s) = self.send_streams.get_mut(&id) {
+            s.write_zeros(len);
+        }
+        self.mark(id);
     }
 
     /// Finish a locally opened stream (no-op on unknown ids, as `send`).
@@ -266,16 +304,12 @@ impl Connection {
         if let Some(s) = self.send_streams.get_mut(&id) {
             s.finish();
         }
+        self.mark(id);
     }
 
     /// Access a receive stream (for reads / missing-range queries).
     pub fn recv_stream(&mut self, id: StreamId) -> Option<&mut RecvStream> {
         self.recv_streams.get_mut(&id)
-    }
-
-    /// Access a send stream (e.g. to check completion).
-    pub fn send_stream(&mut self, id: StreamId) -> Option<&mut SendStream> {
-        self.send_streams.get_mut(&id)
     }
 
     /// Close the connection with an application error code.
@@ -294,12 +328,18 @@ impl Connection {
     // Network ingress
     // ------------------------------------------------------------------
 
-    /// Process an incoming datagram.
+    /// Process an incoming datagram: bytes from outside the simulation.
+    /// A malformed one is counted and dropped, as a real endpoint would.
     pub fn on_datagram(&mut self, now: SimTime, data: Bytes) {
+        match Packet::decode(data) {
+            Some(packet) => self.on_packet(now, packet),
+            None => self.stats.packets_malformed += 1,
+        }
+    }
+
+    /// Process an incoming packet.
+    pub fn on_packet(&mut self, now: SimTime, packet: Packet) {
         let _obs = voxel_obs::span!("quic.on_datagram");
-        let Some(packet) = Packet::decode(data) else {
-            return; // malformed: drop, as a real endpoint would
-        };
         self.stats.packets_received += 1;
         if self.ack.largest_seen().is_some_and(|l| packet.pkt_num < l) {
             self.stats.packets_reordered += 1;
@@ -344,6 +384,19 @@ impl Connection {
         for (id, s) in &self.send_streams {
             s.check_invariants()
                 .map_err(|e| format!("send stream {id}: {e}"))?;
+            if s.wants_to_send() != self.sendable.contains(id) {
+                return Err(format!(
+                    "send stream {id}: wants_to_send is {} but sendable disagrees",
+                    s.wants_to_send()
+                ));
+            }
+        }
+        if let Some(id) = self
+            .sendable
+            .iter()
+            .find(|id| !self.send_streams.contains_key(id))
+        {
+            return Err(format!("sendable holds {id}, which is not open"));
         }
         for (id, r) in &self.recv_streams {
             r.check_invariants()
@@ -422,12 +475,21 @@ impl Connection {
                 for s in &outcome.rate_samples {
                     self.cc.on_rate_sample(now, *s);
                 }
+                // Reliable streams this ACK completed.
+                let mut completed: Vec<StreamId> = Vec::new();
                 for pkt in &outcome.acked {
                     self.cc
                         .on_ack(now, pkt.wire_bytes, self.rtt.srtt(), self.rtt.latest());
                     for c in &pkt.chunks {
                         if let Some(s) = self.send_streams.get_mut(&c.id) {
                             s.on_chunk_acked(c.offset, c.len, c.fin);
+                            if !c.unreliable && s.is_complete() {
+                                completed.push(c.id);
+                            }
+                            if c.fin {
+                                // An acked fin cancels a pending resend.
+                                self.mark(c.id);
+                            }
                         }
                     }
                 }
@@ -470,12 +532,15 @@ impl Connection {
                     );
                 }
                 self.handle_lost(now, outcome.lost);
-                // Garbage-collect fully acknowledged reliable streams (a
-                // session opens hundreds; scanning completed ones on every
-                // send would be quadratic). Unreliable streams stay: their
-                // late loss reports must still reach the application.
-                self.send_streams
-                    .retain(|_, s| !(s.reliability == Reliability::Reliable && s.is_complete()));
+                // Garbage-collect the reliable streams this ACK completed —
+                // after `handle_lost`, whose retransmission count covers
+                // lost chunks of streams still open. Unreliable streams
+                // stay: their late loss reports must still reach the
+                // application.
+                for id in completed {
+                    self.send_streams.remove(&id);
+                    self.mark(id);
+                }
             }
             Frame::MaxData { limit } => {
                 self.max_data_remote = self.max_data_remote.max(limit);
@@ -484,11 +549,13 @@ impl Connection {
                 if let Some(s) = self.send_streams.get_mut(&id) {
                     s.set_max_stream_data(limit);
                 }
+                self.mark(id);
             }
             Frame::ResetStream { id } => {
                 // STOP_SENDING semantics: the peer no longer wants this
                 // stream — stop transmitting it.
                 self.send_streams.remove(&id);
+                self.mark(id);
                 self.events.push_back(Event::StreamReset(id));
             }
             Frame::Close { code } => {
@@ -537,6 +604,7 @@ impl Connection {
                             }
                         }
                     }
+                    self.mark(c.id);
                 }
             }
         }
@@ -621,15 +689,17 @@ impl Connection {
                 break;
             }
             let max_chunk = (budget - HDR).min(flow_left as usize);
-            let Some((id, (offset, data, fin))) = self
-                .send_streams
-                .iter_mut()
-                .find(|(_, s)| s.wants_to_send())
-                .and_then(|(&id, s)| s.next_chunk(max_chunk).map(|c| (id, c)))
-            else {
+            let Some(&id) = self.sendable.first() else {
                 break;
             };
-            let unreliable = matches!(self.send_streams[&id].reliability, Reliability::Unreliable);
+            let Some(s) = self.send_streams.get_mut(&id) else {
+                break;
+            };
+            let Some((offset, data, fin)) = s.next_chunk(max_chunk) else {
+                break;
+            };
+            let unreliable = s.reliability == Reliability::Unreliable;
+            self.mark(id);
             self.data_sent += data.len() as u64;
             chunks.push(SentChunk {
                 id,
@@ -723,9 +793,8 @@ impl Connection {
         }
         let loss = self.loss.next_timeout(&self.rtt, MAX_ACK_DELAY);
         let ack = self.ack.deadline();
-        let pace = (self.send_streams.values().any(|s| s.wants_to_send())
-            && self.cc.can_send(self.config.mss))
-        .then_some(self.pace_next);
+        let pace = (!self.sendable.is_empty() && self.cc.can_send(self.config.mss))
+            .then_some(self.pace_next);
         [loss, ack, pace].into_iter().flatten().min()
     }
 
@@ -765,6 +834,7 @@ impl Connection {
                                 if let Some(s) = self.send_streams.get_mut(&c.id) {
                                     s.on_chunk_lost(c.offset, c.len, c.fin);
                                 }
+                                self.mark(c.id);
                             }
                         }
                     }
@@ -800,65 +870,89 @@ impl std::fmt::Debug for Connection {
 mod tests {
     use super::*;
 
-    /// Drive two connections over a lossless, fixed-delay pipe until idle.
-    /// `drop_filter(direction, pkt_num)` returns true to drop a packet;
-    /// direction 0 = a→b, 1 = b→a.
+    /// One-way delay of the test pipe.
+    pub(super) const PIPE_DELAY: SimDuration = SimDuration::from_millis(30);
+
+    /// A fixed-delay pipe between two connections: the one pair driver of
+    /// this file's tests. Packets cross it as values.
+    pub(super) struct Pipe {
+        queue: voxel_sim::EventQueue<(usize, Packet)>,
+        now: SimTime,
+        /// How an arriving packet enters its endpoint.
+        pub deliver: fn(&mut Connection, SimTime, Packet),
+    }
+
+    impl Pipe {
+        pub fn new() -> Pipe {
+            Pipe {
+                queue: voxel_sim::EventQueue::new(),
+                now: SimTime::ZERO,
+                deliver: Connection::on_packet,
+            }
+        }
+
+        /// One event-loop iteration: drain both endpoints' transmissions,
+        /// then fire the earliest pending event (a delivery, either
+        /// endpoint's timer). `fate(direction, packet)` is the packet's
+        /// one-way delay, or `None` to drop it; direction 0 = a→b, 1 =
+        /// b→a. False once nothing is pending up to `until`.
+        pub fn step(
+            &mut self,
+            a: &mut Connection,
+            b: &mut Connection,
+            until: SimTime,
+            mut fate: impl FnMut(usize, &Packet) -> Option<SimDuration>,
+        ) -> bool {
+            let now = self.now;
+            loop {
+                let mut progressed = false;
+                for (dir, from) in [(0, &mut *a), (1, &mut *b)] {
+                    while let Some(p) = from.poll_transmit(now) {
+                        if let Some(delay) = fate(dir, &p) {
+                            self.queue.schedule(now + delay, (1 - dir, p));
+                        }
+                        progressed = true;
+                    }
+                }
+                if !progressed {
+                    break;
+                }
+            }
+            let next = [self.queue.peek_time(), a.next_timeout(), b.next_timeout()]
+                .into_iter()
+                .flatten()
+                .min();
+            let Some(now) = next.filter(|&t| t <= until) else {
+                return false;
+            };
+            self.now = now;
+            if self.queue.peek_time() == Some(now) {
+                let (to, packet) = self.queue.pop().expect("peeked").event;
+                (self.deliver)(if to == 0 { a } else { b }, now, packet);
+            }
+            // Timers are read after the delivery: an ACK can pull one into
+            // the past, and it must fire before the clock moves on.
+            for conn in [a, b] {
+                if conn.next_timeout().is_some_and(|t| t <= now) {
+                    conn.on_timeout(now);
+                }
+            }
+            true
+        }
+    }
+
+    /// Drive two connections over the pipe until idle (or `until`).
+    /// `drop_filter(direction, pkt_num)` returns true to drop a packet.
     fn run_pipe(
         a: &mut Connection,
         b: &mut Connection,
         mut drop_filter: impl FnMut(usize, u64) -> bool,
         until: SimTime,
     ) {
-        let delay = SimDuration::from_millis(30);
-        let mut queue = voxel_sim::EventQueue::<(usize, Bytes)>::new();
-        let mut now = SimTime::ZERO;
-        loop {
-            // Drain transmissions from both sides.
-            loop {
-                let mut progressed = false;
-                while let Some(p) = a.poll_transmit(now) {
-                    if !drop_filter(0, p.pkt_num) {
-                        queue.schedule(now + delay, (1, p.encode()));
-                    }
-                    progressed = true;
-                }
-                while let Some(p) = b.poll_transmit(now) {
-                    if !drop_filter(1, p.pkt_num) {
-                        queue.schedule(now + delay, (0, p.encode()));
-                    }
-                    progressed = true;
-                }
-                if !progressed {
-                    break;
-                }
-            }
-            // Next event: earliest of queue delivery / either timer.
-            let timer_a = a.next_timeout();
-            let timer_b = b.next_timeout();
-            let next = [queue.peek_time(), timer_a, timer_b]
-                .into_iter()
-                .flatten()
-                .min();
-            let Some(next) = next else { break };
-            if next > until {
-                break;
-            }
-            now = next;
-            if queue.peek_time() == Some(now) {
-                let ev = queue.pop().expect("peeked");
-                let (dir, data) = ev.event;
-                match dir {
-                    0 => a.on_datagram(now, data),
-                    _ => b.on_datagram(now, data),
-                }
-            }
-            if timer_a.is_some_and(|t| t <= now) {
-                a.on_timeout(now);
-            }
-            if timer_b.is_some_and(|t| t <= now) {
-                b.on_timeout(now);
-            }
-        }
+        let mut pipe = Pipe::new();
+        while pipe.step(a, b, until, |dir, p| {
+            (!drop_filter(dir, p.pkt_num)).then_some(PIPE_DELAY)
+        }) {}
     }
 
     fn read_all(conn: &mut Connection, id: StreamId) -> Vec<u8> {
@@ -1061,12 +1155,17 @@ mod tests {
         server.finish(rel);
         server.send(unrel, &unrel_data);
         server.finish(unrel);
-        run_pipe(
+        // The one test that crosses the pipe as encoded bytes, through the
+        // decode front door.
+        let mut pipe = Pipe::new();
+        pipe.deliver = |conn, now, p| conn.on_datagram(now, p.encode());
+        while pipe.step(
             &mut server,
             &mut client,
-            |dir, pn| dir == 0 && pn % 7 == 2,
             SimTime::from_secs(60),
-        );
+            |dir, p| (dir == 1 || p.pkt_num % 7 != 2).then_some(PIPE_DELAY),
+        ) {}
+        assert_eq!(client.stats().packets_malformed, 0);
         // Reliable stream must be perfect.
         assert_eq!(read_all(&mut client, rel), rel_data);
         // Unreliable stream has fin and possibly holes, never corruption.
@@ -1075,6 +1174,72 @@ mod tests {
         for (_, chunk) in rs.take_received() {
             assert!(chunk.iter().all(|&b| b == 2));
         }
+    }
+
+    #[test]
+    fn malformed_datagrams_are_counted_and_dropped() {
+        let mut client = Connection::with_defaults(Role::Client);
+        let stream = Packet::new(
+            1,
+            vec![Frame::Stream {
+                id: StreamId(1),
+                offset: 0,
+                fin: true,
+                unreliable: false,
+                data: Bytes::from_static(&[7; 100]),
+            }],
+        )
+        .encode();
+        let mut wrong_form = stream.to_vec();
+        wrong_form[0] = 0x00;
+        let malformed = [
+            Bytes::new(),
+            stream.slice(..stream.len() - 10), // truncated mid-frame
+            stream.slice(..1),                 // truncated mid-header
+            Bytes::from(wrong_form),
+            Bytes::from_static(&[0x40, 0x05, 0x3f]), // unknown frame type
+            Bytes::from_static(&[0xde, 0xad, 0xbe, 0xef]),
+        ];
+        for (i, datagram) in malformed.into_iter().enumerate() {
+            client.on_datagram(SimTime::from_millis(i as u64), datagram);
+            assert_eq!(client.stats().packets_malformed, i as u64 + 1);
+        }
+        // Counted, and otherwise without effect.
+        assert_eq!(client.stats().packets_received, 0);
+        assert!(client.poll_event().is_none());
+        assert!(client.next_timeout().is_none());
+        assert!(client.poll_transmit(SimTime::from_secs(1)).is_none());
+        // The well-formed original still gets in.
+        client.on_datagram(SimTime::from_secs(1), stream);
+        assert_eq!(client.stats().packets_received, 1);
+        assert_eq!(client.stats().packets_malformed, 6);
+        assert_eq!(read_all(&mut client, StreamId(1)), [7; 100]);
+    }
+
+    /// A body is a length: queueing 1 TiB of zeros neither allocates nor
+    /// takes time proportional to it, and the first window polls at once.
+    #[test]
+    fn a_tebibyte_of_zeros_is_queued_in_constant_memory() {
+        let mut server = Connection::with_defaults(Role::Server);
+        let id = server.open_stream(Reliability::Unreliable);
+        server.send_zeros(id, 1 << 40);
+        server.finish(id);
+        let mut next = 0u64;
+        while let Some(p) = server.poll_transmit(SimTime::ZERO) {
+            for f in p.frames {
+                let Frame::Stream {
+                    offset, data, fin, ..
+                } = f
+                else {
+                    panic!("unexpected {f:?}");
+                };
+                assert_eq!(offset, next);
+                assert!(!fin && !data.is_empty() && data.iter().all(|&b| b == 0));
+                next += data.len() as u64;
+            }
+        }
+        assert!(next >= 8 * MAX_PAYLOAD as u64, "first window: {next} B");
+        assert!(server.check_invariants().is_ok());
     }
 
     #[test]
@@ -1101,6 +1266,7 @@ mod tests {
 
 #[cfg(test)]
 mod props {
+    use super::tests::{Pipe, PIPE_DELAY};
     use super::*;
     use proptest::prelude::*;
 
@@ -1124,51 +1290,11 @@ mod props {
             server.send(id, &payload);
             server.finish(id);
 
-            // Fixed-delay pipe with deterministic drops on the downlink.
-            let delay = SimDuration::from_millis(30);
-            let mut queue = voxel_sim::EventQueue::<(usize, Bytes)>::new();
-            let mut now = SimTime::ZERO;
-            let horizon = SimTime::from_secs(120);
-            loop {
-                loop {
-                    let mut progressed = false;
-                    while let Some(p) = server.poll_transmit(now) {
-                        if (p.pkt_num + drop_phase) % drop_mod != 0 {
-                            queue.schedule(now + delay, (1, p.encode()));
-                        }
-                        progressed = true;
-                    }
-                    while let Some(p) = client.poll_transmit(now) {
-                        queue.schedule(now + delay, (0, p.encode()));
-                        progressed = true;
-                    }
-                    if !progressed {
-                        break;
-                    }
-                }
-                let next = [queue.peek_time(), server.next_timeout(), client.next_timeout()]
-                    .into_iter()
-                    .flatten()
-                    .min();
-                let Some(next) = next else { break };
-                if next > horizon {
-                    break;
-                }
-                now = next;
-                if queue.peek_time() == Some(now) {
-                    let ev = queue.pop().expect("peeked");
-                    match ev.event.0 {
-                        0 => server.on_datagram(now, ev.event.1),
-                        _ => client.on_datagram(now, ev.event.1),
-                    }
-                }
-                if server.next_timeout().is_some_and(|t| t <= now) {
-                    server.on_timeout(now);
-                }
-                if client.next_timeout().is_some_and(|t| t <= now) {
-                    client.on_timeout(now);
-                }
-            }
+            // Deterministic drops on the downlink.
+            let mut pipe = Pipe::new();
+            while pipe.step(&mut server, &mut client, SimTime::from_secs(120), |dir, p| {
+                (dir == 1 || (p.pkt_num + drop_phase) % drop_mod != 0).then_some(PIPE_DELAY)
+            }) {}
 
             let rs = client.recv_stream(id).expect("stream opened");
             prop_assert!(rs.is_complete(), "stream did not complete");
@@ -1177,6 +1303,57 @@ mod props {
                 got.extend_from_slice(&b);
             }
             prop_assert_eq!(got, payload);
+        }
+
+        /// `send_zeros(id, n)` is `send(id, &vec![0; n])`: on a lossy,
+        /// reordering path the server emits the same packets (hence the
+        /// same encodings), raises the same events and counts the same
+        /// statistics, and the client ends up with the same bytes — for a
+        /// bare body (`head_len` 0), a real head followed by a zero body
+        /// (the chunk that straddles them), reliable retransmission of
+        /// zero ranges, and unreliable loss reports.
+        #[test]
+        fn send_zeros_is_indistinguishable_from_sending_zeros(
+            reliable in proptest::bool::ANY,
+            head_len in 0usize..400,
+            body_len in 1usize..60_000,
+            drop_mod in 2u64..12,
+            drop_phase in 0u64..12,
+            jitter_ms in 0u64..40,
+        ) {
+            let head: Vec<u8> = (0..head_len).map(|i| (i % 251) as u8 + 1).collect();
+            let run = |as_length: bool| {
+                let mut server = Connection::with_defaults(Role::Server);
+                let mut client = Connection::with_defaults(Role::Client);
+                let id = server.open_stream(match reliable {
+                    true => Reliability::Reliable,
+                    false => Reliability::Unreliable,
+                });
+                server.send(id, &head);
+                match as_length {
+                    true => server.send_zeros(id, body_len as u64),
+                    false => server.send(id, &vec![0; body_len]),
+                }
+                server.finish(id);
+                let mut packets: Vec<Packet> = Vec::new();
+                let mut events: Vec<Event> = Vec::new();
+                let mut pipe = Pipe::new();
+                while pipe.step(&mut server, &mut client, SimTime::from_secs(120), |dir, p| {
+                    if dir == 0 {
+                        packets.push(p.clone());
+                    }
+                    // Drops both ways; per-packet jitter reorders.
+                    let jitter = SimDuration::from_millis(p.pkt_num * 7919 % (jitter_ms + 1));
+                    ((p.pkt_num + drop_phase) % drop_mod != dir as u64).then_some(PIPE_DELAY + jitter)
+                }) {
+                    events.extend(std::iter::from_fn(|| server.poll_event()));
+                }
+                let rs = client.recv_stream(id).expect("stream opened");
+                let received = (rs.received_ranges(), rs.final_len(), rs.take_received());
+                (packets, events, server.stats(), client.stats(), received)
+            };
+            let (bytes, length) = (run(false), run(true));
+            prop_assert_eq!(bytes, length);
         }
 
         /// `check_invariants` holds on both endpoints at every event-loop
@@ -1209,51 +1386,15 @@ mod props {
                 server.finish(id);
             }
 
-            let delay = SimDuration::from_millis(30);
-            let mut queue = voxel_sim::EventQueue::<(usize, Bytes)>::new();
-            let mut now = SimTime::ZERO;
-            let horizon = SimTime::from_secs(120);
-            loop {
-                loop {
-                    let mut progressed = false;
-                    while let Some(p) = server.poll_transmit(now) {
-                        if (p.pkt_num + drop_phase) % drop_mod != 0 {
-                            queue.schedule(now + delay, (1, p.encode()));
-                        }
-                        progressed = true;
-                    }
-                    while let Some(p) = client.poll_transmit(now) {
-                        if !drop_uplink || (p.pkt_num + drop_phase) % drop_mod != 1 {
-                            queue.schedule(now + delay, (0, p.encode()));
-                        }
-                        progressed = true;
-                    }
-                    if !progressed {
-                        break;
-                    }
-                }
-                let next = [queue.peek_time(), server.next_timeout(), client.next_timeout()]
-                    .into_iter()
-                    .flatten()
-                    .min();
-                let Some(next) = next else { break };
-                if next > horizon {
-                    break;
-                }
-                now = next;
-                if queue.peek_time() == Some(now) {
-                    let ev = queue.pop().expect("peeked");
-                    match ev.event.0 {
-                        0 => server.on_datagram(now, ev.event.1),
-                        _ => client.on_datagram(now, ev.event.1),
-                    }
-                }
-                if server.next_timeout().is_some_and(|t| t <= now) {
-                    server.on_timeout(now);
-                }
-                if client.next_timeout().is_some_and(|t| t <= now) {
-                    client.on_timeout(now);
-                }
+            let mut pipe = Pipe::new();
+            while pipe.step(&mut server, &mut client, SimTime::from_secs(120), |dir, p| {
+                let hit = match dir {
+                    0 => 0,
+                    _ if drop_uplink => 1,
+                    _ => return Some(PIPE_DELAY),
+                };
+                ((p.pkt_num + drop_phase) % drop_mod != hit).then_some(PIPE_DELAY)
+            }) {
                 prop_assert!(server.check_invariants().is_ok(), "{:?}", server.check_invariants());
                 prop_assert!(client.check_invariants().is_ok(), "{:?}", client.check_invariants());
             }

@@ -22,9 +22,10 @@
 //! - [`stream`]: reliable send/recv streams (retransmission, in-order
 //!   delivery) and unreliable streams (gap delivery, loss reports surfaced
 //!   to the application for selective re-request).
-//! - [`connection`]: the sans-IO endpoint — `on_datagram` / `poll_transmit`
+//! - [`connection`]: the sans-IO endpoint — `on_packet` / `poll_transmit`
 //!   / `on_timeout` — driven by the discrete-event loop in `voxel-core`,
-//!   and structured so it could equally be driven by real UDP sockets.
+//!   which moves packets as values; `on_datagram` decodes bytes from
+//!   outside first, so real UDP sockets could drive it equally.
 
 pub mod ack;
 pub mod bbr;

@@ -102,11 +102,6 @@ impl LossDetector {
         self.sent.len()
     }
 
-    /// Whether any ack-eliciting packet is outstanding.
-    pub fn has_eliciting_outstanding(&self) -> bool {
-        self.sent.values().any(|p| p.ack_eliciting)
-    }
-
     /// Largest acknowledged packet number.
     pub fn largest_acked(&self) -> Option<u64> {
         self.largest_acked
@@ -207,7 +202,7 @@ impl LossDetector {
 
     /// Declare packets lost by packet- and time-threshold relative to the
     /// largest acknowledged packet.
-    pub fn detect_lost(&mut self, now: SimTime, rtt: &RttEstimator) -> Vec<SentPacket> {
+    fn detect_lost(&mut self, now: SimTime, rtt: &RttEstimator) -> Vec<SentPacket> {
         let Some(largest) = self.largest_acked else {
             return Vec::new();
         };
@@ -228,26 +223,21 @@ impl LossDetector {
     }
 
     /// The earliest deadline at which either a time-threshold loss or a PTO
-    /// should fire; `None` when nothing is outstanding.
+    /// should fire; `None` when nothing is outstanding. Send times are
+    /// monotone in packet number ([`LossDetector::check_invariants`]), so
+    /// the oldest packet is the first entry and the most recent the last:
+    /// nothing here walks the flight.
     pub fn next_timeout(&self, rtt: &RttEstimator, max_ack_delay: SimDuration) -> Option<SimTime> {
         // Time-threshold deadline for the oldest packet below largest_acked.
         let loss_deadline = self.largest_acked.and_then(|largest| {
-            self.sent
-                .range(..largest)
-                .map(|(_, p)| p.sent_at + rtt.loss_time_threshold())
-                .min()
+            let (_, oldest) = self.sent.range(..largest).next()?;
+            Some(oldest.sent_at + rtt.loss_time_threshold())
         });
         // PTO from the most recent ack-eliciting packet.
-        let pto_deadline = self
-            .sent
-            .values()
-            .filter(|p| p.ack_eliciting)
-            .map(|p| p.sent_at)
-            .max()
-            .map(|t| {
-                let backoff = 1u64 << self.pto_count.min(6);
-                t + SimDuration::from_micros(rtt.pto(max_ack_delay).as_micros() * backoff)
-            });
+        let pto_deadline = self.sent.values().rev().find(|p| p.ack_eliciting).map(|p| {
+            let backoff = 1u64 << self.pto_count.min(6);
+            p.sent_at + SimDuration::from_micros(rtt.pto(max_ack_delay).as_micros() * backoff)
+        });
         match (loss_deadline, pto_deadline) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -434,7 +424,6 @@ mod tests {
     fn no_timeout_when_idle() {
         let d = LossDetector::new();
         assert!(d.next_timeout(&rtt60(), SimDuration::ZERO).is_none());
-        assert!(!d.has_eliciting_outstanding());
     }
 
     #[test]
@@ -494,8 +483,97 @@ mod props {
     use super::*;
     use proptest::prelude::*;
 
+    /// `LossDetector::next_timeout` as first written: a scan of the whole
+    /// flight for the earliest loss deadline and the latest eliciting send.
+    /// The reference the O(1) version is held to.
+    fn next_timeout_by_scan(
+        d: &LossDetector,
+        rtt: &RttEstimator,
+        max_ack_delay: SimDuration,
+    ) -> Option<SimTime> {
+        let loss_deadline = d.largest_acked.and_then(|largest| {
+            d.sent
+                .range(..largest)
+                .map(|(_, p)| p.sent_at + rtt.loss_time_threshold())
+                .min()
+        });
+        let pto_deadline = d
+            .sent
+            .values()
+            .filter(|p| p.ack_eliciting)
+            .map(|p| p.sent_at)
+            .max()
+            .map(|t| {
+                let backoff = 1u64 << d.pto_count.min(6);
+                t + SimDuration::from_micros(rtt.pto(max_ack_delay).as_micros() * backoff)
+            });
+        match (loss_deadline, pto_deadline) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Across random interleavings of sends (eliciting or not, several
+        /// at one instant), acks of arbitrary ranges, the losses they
+        /// declare, RTT updates and timeouts (time-threshold losses and
+        /// PTOs with backoff), the deadline read off the ends of the
+        /// flight equals the one found by scanning all of it.
+        #[test]
+        fn next_timeout_equals_the_full_scan(
+            steps in proptest::collection::vec(
+                (0u8..4, 0u64..6, 0u64..12, 0u64..40_000, proptest::bool::ANY),
+                1..60,
+            ),
+        ) {
+            let mut d = LossDetector::new();
+            let mut rtt = RttEstimator::new();
+            let mad = SimDuration::from_millis(25);
+            let mut now = 0u64;
+            let mut pn = 0u64;
+            for (op, x, y, gap, flag) in steps {
+                match op {
+                    // A burst of sends; `flag` makes them share an instant.
+                    0 | 1 => {
+                        for i in 0..=x {
+                            now += if flag { 0 } else { gap };
+                            d.on_sent(SentPacket {
+                                pkt_num: pn,
+                                sent_at: SimTime::from_micros(now),
+                                wire_bytes: 1200,
+                                ack_eliciting: (i + y) % 4 != 0,
+                                delivered_at_send: 0,
+                                chunks: vec![],
+                            });
+                            // Gaps in the packet-number space are legal.
+                            pn += 1 + y % 2;
+                        }
+                    }
+                    // An ACK for a range somewhere below the newest packet.
+                    2 if pn > 0 => {
+                        now += gap;
+                        let hi = (pn - 1).saturating_sub(x);
+                        let lo = hi.saturating_sub(y);
+                        let at = SimTime::from_micros(now);
+                        let out = d.on_ack(at, &[(hi, lo)], SimDuration::ZERO, &rtt);
+                        if let Some((sample, delay)) = out.rtt_sample {
+                            rtt.update(sample, delay);
+                        }
+                    }
+                    // Whatever timer is armed fires (loss or PTO).
+                    _ => {
+                        if let Some(t) = d.next_timeout(&rtt, mad) {
+                            now = now.max(t.as_micros());
+                            d.on_timeout(SimTime::from_micros(now), &rtt);
+                        }
+                    }
+                }
+                prop_assert!(d.check_invariants().is_ok());
+                prop_assert_eq!(d.next_timeout(&rtt, mad), next_timeout_by_scan(&d, &rtt, mad));
+            }
+        }
+
         /// The delivery-rate sampler is monotone in bytes acked: across
         /// arbitrary interleavings of sends and (possibly duplicate,
         /// possibly reordered) ack ranges, successive samples carry a

@@ -133,4 +133,86 @@ mod tests {
         let d = Packet::decode(p.encode()).unwrap();
         assert_eq!(d, p);
     }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One frame from drawn values. Stream payloads are a slice of the
+        /// shared zero page (what a body chunk is) or real bytes.
+        fn frame(
+            kind: u8,
+            a: u64,
+            b: u64,
+            fin: bool,
+            flag: bool,
+            len: usize,
+            page: &Bytes,
+        ) -> Frame {
+            match kind {
+                0 => Frame::Padding { len: 1 + len % 40 },
+                1 => Frame::Ping,
+                2 => Frame::Ack {
+                    ranges: (1..1 + len as u64 % 20).map(|i| (a / i, b / i)).collect(),
+                    delay_us: b,
+                },
+                3 => Frame::MaxData { limit: a },
+                4 => Frame::MaxStreamData {
+                    id: StreamId(a),
+                    limit: b,
+                },
+                5 => Frame::ResetStream { id: StreamId(a) },
+                6 => Frame::Close { code: a },
+                _ => Frame::Stream {
+                    id: StreamId(a),
+                    offset: b,
+                    fin,
+                    unreliable: flag,
+                    data: if flag {
+                        page.slice(..len)
+                    } else {
+                        Bytes::from((0..len).map(|i| (i as u64 ^ a) as u8).collect::<Vec<u8>>())
+                    },
+                },
+            }
+        }
+
+        proptest! {
+            /// Packets cross the simulated wire as values and are charged
+            /// `wire_size()`; that stands in for the codec only while every
+            /// packet decodes back to itself and its encoding has exactly
+            /// the size the wire was charged.
+            #[test]
+            fn any_packet_survives_the_codec_at_its_wire_size(
+                pkt_num in 0u64..crate::varint::MAX,
+                draws in proptest::collection::vec(
+                    (
+                        0u8..10,
+                        0u64..crate::varint::MAX,
+                        0u64..crate::varint::MAX,
+                        proptest::bool::ANY,
+                        proptest::bool::ANY,
+                        0usize..MAX_PAYLOAD,
+                    ),
+                    0..6,
+                ),
+            ) {
+                let page = Bytes::from(vec![0; MAX_PAYLOAD]);
+                let mut frames: Vec<Frame> = Vec::new();
+                for (kind, a, b, fin, flag, len) in draws {
+                    let f = frame(kind, a, b, fin, flag, len, &page);
+                    // The decoder coalesces a run of padding into one frame.
+                    let run = matches!(f, Frame::Padding { .. })
+                        && matches!(frames.last(), Some(Frame::Padding { .. }));
+                    if !run {
+                        frames.push(f);
+                    }
+                }
+                let p = Packet::new(pkt_num, frames);
+                let encoded = p.encode();
+                prop_assert_eq!(p.wire_size(), encoded.len() + PACKET_OVERHEAD);
+                prop_assert_eq!(Packet::decode(encoded), Some(p));
+            }
+        }
+    }
 }

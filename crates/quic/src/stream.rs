@@ -43,8 +43,15 @@ pub struct SendStream {
     pub id: StreamId,
     /// Reliability class.
     pub reliability: Reliability,
-    /// All bytes written so far (kept for retransmission slicing).
-    buffer: Vec<u8>,
+    /// The real bytes the application wrote: the stream's prefix
+    /// `[0, data.len())`. Everything from there to `len` is zeros that
+    /// were only ever written as a length ([`SendStream::write_zeros`]).
+    data: Vec<u8>,
+    /// Total bytes written so far, real and zero.
+    len: u64,
+    /// The connection's shared zero page: a chunk lying wholly in zeros
+    /// is an O(1) slice of it.
+    zeros: Bytes,
     /// Next never-sent offset.
     next_send: u64,
     /// Ranges queued for (re)transmission ahead of new data.
@@ -68,12 +75,16 @@ pub struct SendStream {
 pub const DEFAULT_STREAM_WINDOW: u64 = 16 * 1024 * 1024;
 
 impl SendStream {
-    /// New send stream.
-    pub fn new(id: StreamId, reliability: Reliability) -> SendStream {
+    /// New send stream. `zeros` is the zero page its all-zero chunks are
+    /// sliced from (one per connection); a chunk longer than the page is
+    /// allocated instead.
+    pub fn new(id: StreamId, reliability: Reliability, zeros: Bytes) -> SendStream {
         SendStream {
             id,
             reliability,
-            buffer: Vec::new(),
+            data: Vec::new(),
+            len: 0,
+            zeros,
             next_send: 0,
             retransmit: VecDeque::new(),
             acked: RangeSet::new(),
@@ -88,18 +99,51 @@ impl SendStream {
     /// Append application data. Panics if the stream was finished.
     pub fn write(&mut self, data: &[u8]) {
         assert!(self.fin_offset.is_none(), "write after finish");
-        self.buffer.extend_from_slice(data);
+        // Real bytes after a zero run: the run has to become real too.
+        self.data.resize(self.len as usize, 0);
+        self.data.extend_from_slice(data);
+        self.len = self.data.len() as u64;
+    }
+
+    /// Append `len` zero bytes without materialising them: the cost and
+    /// the memory held are independent of `len`. Panics if the stream was
+    /// finished.
+    pub fn write_zeros(&mut self, len: u64) {
+        assert!(self.fin_offset.is_none(), "write after finish");
+        self.len += len;
     }
 
     /// Mark the stream finished at the current length.
     pub fn finish(&mut self) {
-        self.fin_offset = Some(self.buffer.len() as u64);
+        self.fin_offset = Some(self.len);
+    }
+
+    /// The stream bytes `[start, end)`: a slice of the zero page when the
+    /// range lies wholly in zeros, a copy when it contains real bytes.
+    /// `end` is at most `self.len`.
+    fn chunk(&self, start: u64, end: u64) -> Bytes {
+        let len = (end - start) as usize;
+        let real = self.data.len() as u64;
+        if start >= real {
+            return if len <= self.zeros.len() {
+                self.zeros.slice(..len)
+            } else {
+                Bytes::from(vec![0; len])
+            };
+        }
+        if end <= real {
+            return Bytes::copy_from_slice(&self.data[start as usize..end as usize]);
+        }
+        // The one chunk that straddles the real prefix and the zeros.
+        let mut out = self.data[start as usize..].to_vec();
+        out.resize(len, 0);
+        Bytes::from(out)
     }
 
     /// Whether all data (and fin) has been sent at least once.
     pub fn is_drained(&self) -> bool {
         self.retransmit.is_empty()
-            && self.next_send >= self.buffer.len() as u64
+            && self.next_send >= self.len
             && (self.fin_offset.is_none() || self.fin_sent)
     }
 
@@ -122,17 +166,12 @@ impl SendStream {
         self.max_stream_data = self.max_stream_data.max(limit);
     }
 
-    /// Bytes the app has written but that were never sent yet.
-    pub fn unsent_bytes(&self) -> u64 {
-        self.buffer.len() as u64 - self.next_send
-    }
-
     /// Whether the stream has anything to put on the wire right now.
     pub fn wants_to_send(&self) -> bool {
         if !self.retransmit.is_empty() {
             return true;
         }
-        if self.next_send < (self.buffer.len() as u64).min(self.max_stream_data) {
+        if self.next_send < self.len.min(self.max_stream_data) {
             return true;
         }
         self.fin_offset.is_some() && !self.fin_sent
@@ -153,23 +192,21 @@ impl SendStream {
             if chunk_end < end {
                 self.retransmit.push_front((chunk_end, end));
             }
-            let data = Bytes::copy_from_slice(&self.buffer[start as usize..chunk_end as usize]);
-            let fin = self.fin_offset == Some(chunk_end) && chunk_end == self.buffer.len() as u64;
-            return Some((start, data, fin));
+            let fin = self.fin_offset == Some(chunk_end) && chunk_end == self.len;
+            return Some((start, self.chunk(start, chunk_end), fin));
         }
         // New data, respecting flow control.
-        let limit = (self.buffer.len() as u64).min(self.max_stream_data);
+        let limit = self.len.min(self.max_stream_data);
         if self.next_send < limit {
             let start = self.next_send;
             let len = ((limit - start) as usize).min(max_len);
             let end = start + len as u64;
             self.next_send = end;
-            let data = Bytes::copy_from_slice(&self.buffer[start as usize..end as usize]);
             let fin = self.fin_offset == Some(end);
             if fin {
                 self.fin_sent = true;
             }
-            return Some((start, data, fin));
+            return Some((start, self.chunk(start, end), fin));
         }
         // Bare fin.
         if let Some(fo) = self.fin_offset {
@@ -228,23 +265,29 @@ impl SendStream {
 
     /// Total bytes written by the application.
     pub fn len(&self) -> u64 {
-        self.buffer.len() as u64
+        self.len
     }
 
     /// Whether nothing was written.
     pub fn is_empty(&self) -> bool {
-        self.buffer.is_empty()
+        self.len == 0
     }
 
-    /// Structural audit: send offsets stay monotonic and inside the
-    /// written buffer, acked/retransmit ranges are well-formed, and fin
-    /// (once declared) pins the stream length. Used by the `paranoid`
-    /// runtime layer (DESIGN.md §10).
+    /// Structural audit: the real bytes are a prefix of the written
+    /// length, send offsets stay monotonic and inside it, acked/retransmit
+    /// ranges are well-formed, and fin (once declared) pins the stream
+    /// length. Used by the `paranoid` runtime layer (DESIGN.md §10).
     pub fn check_invariants(&self) -> Result<(), String> {
-        let len = self.buffer.len() as u64;
+        let len = self.len;
+        if self.data.len() as u64 > len {
+            return Err(format!(
+                "{} real bytes beyond stream len {len}",
+                self.data.len()
+            ));
+        }
         if self.next_send > len {
             return Err(format!(
-                "next_send {} beyond buffer len {len}",
+                "next_send {} beyond stream len {len}",
                 self.next_send
             ));
         }
@@ -253,13 +296,13 @@ impl SendStream {
             .map_err(|e| format!("acked set: {e}"))?;
         if self.acked.max_end() > len {
             return Err(format!(
-                "acked up to {} beyond buffer len {len}",
+                "acked up to {} beyond stream len {len}",
                 self.acked.max_end()
             ));
         }
         if let Some(fin) = self.fin_offset {
             if fin != len {
-                return Err(format!("fin_offset {fin} != buffer len {len}"));
+                return Err(format!("fin_offset {fin} != stream len {len}"));
             }
             if self.fin_acked && !self.fin_sent {
                 return Err("fin acked but never sent".to_string());
@@ -434,9 +477,14 @@ impl RecvStream {
 mod tests {
     use super::*;
 
+    /// A connection-sized zero page.
+    fn page() -> Bytes {
+        Bytes::from(vec![0; 1350])
+    }
+
     #[test]
     fn reliable_send_produces_sequential_chunks() {
-        let mut s = SendStream::new(StreamId(0), Reliability::Reliable);
+        let mut s = SendStream::new(StreamId(0), Reliability::Reliable, page());
         s.write(&[1u8; 2500]);
         s.finish();
         let (o1, d1, f1) = s.next_chunk(1000).unwrap();
@@ -451,7 +499,7 @@ mod tests {
 
     #[test]
     fn lost_reliable_chunks_are_retransmitted_first() {
-        let mut s = SendStream::new(StreamId(0), Reliability::Reliable);
+        let mut s = SendStream::new(StreamId(0), Reliability::Reliable, page());
         s.write(&[7u8; 3000]);
         s.finish();
         let _ = s.next_chunk(1000).unwrap();
@@ -470,7 +518,7 @@ mod tests {
 
     #[test]
     fn spurious_loss_after_ack_is_not_retransmitted() {
-        let mut s = SendStream::new(StreamId(0), Reliability::Reliable);
+        let mut s = SendStream::new(StreamId(0), Reliability::Reliable, page());
         s.write(&[7u8; 1000]);
         s.finish();
         let _ = s.next_chunk(1000).unwrap();
@@ -482,7 +530,7 @@ mod tests {
 
     #[test]
     fn unreliable_losses_become_reports_not_retransmissions() {
-        let mut s = SendStream::new(StreamId(2), Reliability::Unreliable);
+        let mut s = SendStream::new(StreamId(2), Reliability::Unreliable, page());
         s.write(&[7u8; 2000]);
         s.finish();
         let _ = s.next_chunk(1000).unwrap();
@@ -495,9 +543,60 @@ mod tests {
         assert!(s.is_complete(), "unreliable completes on drain");
     }
 
+    /// A length-only zero run is indistinguishable, chunk for chunk, from
+    /// the same zeros written as bytes: after a real head (the straddling
+    /// chunk), across retransmissions cut at other sizes, and for a chunk
+    /// longer than the zero page.
+    #[test]
+    fn zeros_written_as_a_length_chunk_like_zeros_written_as_bytes() {
+        let head: Vec<u8> = (1..=100).collect();
+        // Two chunks, both lost and re-cut at 700 (the first cut still
+        // straddling the head), then one chunk longer than the page.
+        let script = |mut s: SendStream| {
+            s.finish();
+            assert_eq!(s.len(), 5100);
+            let mut chunks = vec![s.next_chunk(1000), s.next_chunk(1000)];
+            s.on_chunk_lost(0, 1000, false);
+            s.on_chunk_lost(1000, 1000, false);
+            chunks.extend((0..4).map(|_| s.next_chunk(700)));
+            chunks.extend([s.next_chunk(4000), s.next_chunk(1000)]);
+            assert!(s.check_invariants().is_ok());
+            chunks
+        };
+        let mut bytes = SendStream::new(StreamId(0), Reliability::Reliable, page());
+        bytes.write(&head);
+        bytes.write(&[0; 5000]);
+        let mut length = SendStream::new(StreamId(0), Reliability::Reliable, page());
+        length.write(&head);
+        length.write_zeros(5000);
+        let chunks = script(length);
+        assert_eq!(chunks, script(bytes));
+        let (offset, first, _) = chunks[0].clone().unwrap();
+        assert_eq!(
+            (offset, &first[..100], &first[100..]),
+            (0, &head[..], &[0; 900][..])
+        );
+        let (_, last, fin) = chunks[6].clone().unwrap();
+        assert_eq!((last.len(), fin, &chunks[7]), (3100, true, &None));
+    }
+
+    #[test]
+    fn real_bytes_after_a_zero_run_land_after_it() {
+        let mut s = SendStream::new(StreamId(0), Reliability::Reliable, page());
+        s.write_zeros(10);
+        s.write(b"tail");
+        s.finish();
+        assert!(s.check_invariants().is_ok());
+        let (_, d, fin) = s.next_chunk(100).unwrap();
+        assert_eq!(
+            (&d[..10], &d[10..], fin),
+            (&[0u8; 10][..], &b"tail"[..], true)
+        );
+    }
+
     #[test]
     fn reliable_completion_requires_full_ack() {
-        let mut s = SendStream::new(StreamId(0), Reliability::Reliable);
+        let mut s = SendStream::new(StreamId(0), Reliability::Reliable, page());
         s.write(&[7u8; 1500]);
         s.finish();
         let (o1, d1, _) = s.next_chunk(1000).unwrap();
@@ -511,7 +610,7 @@ mod tests {
 
     #[test]
     fn flow_control_blocks_new_data() {
-        let mut s = SendStream::new(StreamId(0), Reliability::Reliable);
+        let mut s = SendStream::new(StreamId(0), Reliability::Reliable, page());
         s.write(&[1u8; 100]);
         s.max_stream_data = 50;
         let (_, d, _) = s.next_chunk(1000).unwrap();
@@ -524,7 +623,7 @@ mod tests {
 
     #[test]
     fn bare_fin_on_empty_stream() {
-        let mut s = SendStream::new(StreamId(4), Reliability::Reliable);
+        let mut s = SendStream::new(StreamId(4), Reliability::Reliable, page());
         s.finish();
         let (o, d, fin) = s.next_chunk(100).unwrap();
         assert_eq!((o, d.len(), fin), (0, 0, true));
@@ -607,7 +706,7 @@ mod tests {
                 use rand::{Rng, SeedableRng};
                 let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
                 let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-                let mut s = SendStream::new(StreamId(0), Reliability::Reliable);
+                let mut s = SendStream::new(StreamId(0), Reliability::Reliable, page());
                 s.write(&data);
                 s.finish();
                 let mut r = RecvStream::new(StreamId(0), Reliability::Reliable);
