@@ -35,6 +35,12 @@ cargo run -q --release -p voxel-bench --bin cc_shootout -- --smoke
 echo "==> tier-2: edge sweep smoke (hot-cache hit floor + origin fan-in shield, DESIGN.md §16)"
 cargo run -q --release -p voxel-bench --bin edge_sweep -- --smoke
 
+echo "==> exhibits: fig list, every exhibit that plays no sessions, and one that does (fig9 at one trial), so an exhibit that panics at run time fails CI (DESIGN.md §5)"
+offline=$(cargo run -q --release -p voxel-bench --bin fig -- list | awk -F'|' '$7 ~ /no/ { gsub(/[` ]/, "", $2); print $2 }')
+[ -n "$offline" ] || { echo "fig list names no offline exhibit"; exit 1; }
+# shellcheck disable=SC2086  # $offline is a word list of ids
+VOXEL_TRIALS=1 cargo run -q --release -p voxel-bench --bin fig -- $offline fig9 >/dev/null
+
 echo "==> smoke: every dbg subcommand on a scenario spec and a fleet spec, voxel stream on a one-trial spec (DESIGN.md §11)"
 for sub in trace profile compare; do
     for spec in BBB:VOXEL:const6:d20 BBB:2xVOXEL:const6:d20:cap10; do

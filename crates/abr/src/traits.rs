@@ -34,11 +34,6 @@ impl AbrContext<'_> {
         self.buffer_s / SEGMENT_DURATION_S
     }
 
-    /// Buffer capacity in segments.
-    pub fn capacity_segments(&self) -> f64 {
-        self.buffer_capacity_s / SEGMENT_DURATION_S
-    }
-
     /// Total bytes of `segment` at `level` (payload + headers) — the exact
     /// per-segment sizes the paper feeds BOLA and MPC instead of
     /// video-average bitrates (§5 "ABR algorithms", footnote 3).

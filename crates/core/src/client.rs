@@ -229,26 +229,6 @@ impl ClientApp {
         &self.config
     }
 
-    /// Verbose debug line for the in-flight download.
-    pub fn debug_download(&self) -> String {
-        match &self.dl {
-            None => "no-dl".into(),
-            Some(dl) => {
-                let rec = self
-                    .records
-                    .iter()
-                    .find(|r| r.seg == dl.seg)
-                    .map(|r| r.received.covered_len())
-                    .unwrap_or(0);
-                format!(
-                    "seg={} level={} head_done={} body_fin={} rec={} goal={} head_stream={} body_stream={}",
-                    dl.seg, dl.level, dl.head_done, dl.body_fin_seen, rec, dl.body_goal,
-                    dl.head_stream, dl.body_stream
-                )
-            }
-        }
-    }
-
     /// Whether the session has finished.
     pub fn is_done(&self) -> bool {
         self.phase == Phase::Done

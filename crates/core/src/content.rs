@@ -163,14 +163,6 @@ impl ContentCache {
         ContentCache::with_config(CacheConfig::top_level_only())
     }
 
-    /// Empty cache preparing exactly `levels`.
-    pub fn with_levels(levels: &[QualityLevel]) -> ContentCache {
-        ContentCache::with_config(CacheConfig {
-            levels: Some(levels.to_vec()),
-            ..CacheConfig::default()
-        })
-    }
-
     /// The cache's configuration (a clone).
     pub fn config(&self) -> CacheConfig {
         self.lock().config.clone()

@@ -110,11 +110,6 @@ impl TrialResult {
         self.segment_scores.iter().map(|s| s.vmaf).collect()
     }
 
-    /// All segment PSNR scores.
-    pub fn psnrs(&self) -> Vec<f64> {
-        self.segment_scores.iter().map(|s| s.psnr_db).collect()
-    }
-
     /// Percent of segment data skipped (Fig 7d).
     pub fn data_skipped_pct(&self) -> f64 {
         100.0 * self.bytes_skipped as f64 / self.bytes_full.max(1) as f64

@@ -25,7 +25,7 @@
 
 use crate::edge::{EdgeTier, Workload};
 use crate::metrics::{jain_index, FleetResult};
-use crate::shard::{worker_loop, Cmd, Delivery, FinishNote, Lane, NoteOut, Outgoing, Reply};
+use crate::shard::{Cmd, Delivery, FinishNote, Lane, NoteOut, Outgoing, Reply};
 use crate::shard::{RoundCmd, SessionCell, SessionSeed};
 use crate::spec::{resolve_workers, system_by_name, FleetSpec, TopologySpec};
 use std::collections::VecDeque;
@@ -34,7 +34,6 @@ use voxel_core::{AbrKind, ContentCache, TrialResult};
 use voxel_media::content::VideoId;
 use voxel_netem::{Departure, SharedLink, SharedLinkConfig};
 use voxel_quic::{CcKind, ConnectionConfig, Packet};
-use voxel_sim::pool::VecPool;
 use voxel_sim::SimTime;
 use voxel_trace::{trace_event, Layer, Tracer};
 
@@ -224,14 +223,7 @@ fn run_plan(plan: Plan, cache: &ContentCache, tracer: Tracer) -> FleetResult {
             for &size in &sizes {
                 let tail = rest.split_off(size);
                 let chunk = std::mem::replace(&mut rest, tail);
-                let (cmd_tx, cmd_rx) = std::sync::mpsc::channel();
-                let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-                let rec = recorder.clone();
-                scope.spawn(move || worker_loop(chunk, cmd_rx, reply_tx, rec));
-                lanes.push(Lane::Thread {
-                    tx: cmd_tx,
-                    rx: reply_rx,
-                });
+                lanes.push(Lane::spawn(scope, chunk, recorder.clone()));
             }
             coordinate(&plan, link, &mut lanes, &sizes, &tracer)
         })
@@ -292,7 +284,7 @@ fn coordinate(
     // Round-scratch buffers, reused across the (many) rounds.
     let mut merged: Vec<Outgoing> = Vec::new();
     let mut finished: Vec<FinishNote> = Vec::new();
-    let mut dep_pool: VecPool<Departure> = VecPool::new();
+    let mut departures: Vec<Departure> = Vec::new();
 
     let mut live = n;
     let mut iters: u64 = 0;
@@ -434,7 +426,6 @@ fn coordinate(
             let _transmit = voxel_obs::span!("fleet.transmit");
             voxel_obs::observe("obs.shard_outbox", merged.len() as u64);
             merged.sort_by_key(|o| (o.at, o.flow, o.seq));
-            let mut departures = dep_pool.acquire();
             if let Some(tier) = edge.as_mut() {
                 // Edge path: replay the round's serve notes in the same
                 // partition-invariant order as packets, stamp every packet
@@ -474,7 +465,6 @@ fn coordinate(
                     });
                 }
             }
-            dep_pool.release(departures);
         }
         prev = barrier;
     }

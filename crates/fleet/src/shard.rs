@@ -24,6 +24,7 @@
 //! sessions were distributed across workers.
 
 use std::sync::mpsc::{Receiver, Sender};
+use std::thread::{Scope, ScopedJoinHandle};
 use voxel_core::client::{ClientApp, PlayerConfig};
 use voxel_core::server::{ServeNote, ServerApp};
 use voxel_core::session::{Advanced, Arrivals, SessionCore, Wire};
@@ -328,7 +329,7 @@ fn harvest(sessions: Vec<SessionCell>) -> Vec<(usize, TrialResult)> {
 
 /// Worker-thread body: build the shard's sessions locally (session state
 /// never crosses threads), then serve rounds until harvested.
-pub(crate) fn worker_loop(
+fn worker_loop(
     seeds: Vec<SessionSeed>,
     rx: Receiver<Cmd>,
     tx: Sender<Reply>,
@@ -355,7 +356,7 @@ pub(crate) fn worker_loop(
 /// shard's sessions on the coordinator thread (workers = 1 keeps the
 /// whole run single-threaded); a thread lane speaks the same `Cmd`/`Reply`
 /// protocol over channels.
-pub(crate) enum Lane {
+pub(crate) enum Lane<'scope> {
     Inline {
         sessions: Vec<SessionCell>,
         pending: Option<Cmd>,
@@ -363,19 +364,59 @@ pub(crate) enum Lane {
     Thread {
         tx: Sender<Cmd>,
         rx: Receiver<Reply>,
+        /// Joined when a channel closes, to re-raise the worker's panic.
+        worker: Option<ScopedJoinHandle<'scope, ()>>,
     },
 }
 
-impl Lane {
+/// A closed channel means the worker panicked: re-raise *its* panic on the
+/// coordinator — with the flight recorder's dump when one is installed
+/// (workers share the coordinator's ring) — instead of "channel closed".
+fn worker_died(worker: &mut Option<ScopedJoinHandle<'_, ()>>) -> ! {
+    let Some(Err(payload)) = worker.take().map(ScopedJoinHandle::join) else {
+        // lint: allow(panic) a worker hangs up only by panicking or after Harvest
+        panic!("shard worker hung up without panicking");
+    };
+    let message = payload
+        .downcast_ref::<&str>()
+        .map(|m| m.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned());
+    match (message, voxel_obs::dump_current("a shard worker panicked")) {
+        (Some(message), Some(dump)) => {
+            std::panic::resume_unwind(Box::new(format!("{message}\n{dump}")))
+        }
+        _ => std::panic::resume_unwind(payload),
+    }
+}
+
+impl<'scope> Lane<'scope> {
+    /// A lane on its own worker thread, which builds and owns the sessions
+    /// of `seeds` (live session state never crosses a thread).
+    pub fn spawn(
+        scope: &'scope Scope<'scope, '_>,
+        seeds: Vec<SessionSeed>,
+        recorder: Option<voxel_obs::FlightRecorder>,
+    ) -> Lane<'scope> {
+        let (tx, cmd_rx) = std::sync::mpsc::channel();
+        let (reply_tx, rx) = std::sync::mpsc::channel();
+        let worker = scope.spawn(move || worker_loop(seeds, cmd_rx, reply_tx, recorder));
+        Lane::Thread {
+            tx,
+            rx,
+            worker: Some(worker),
+        }
+    }
+
     /// Queue a command. Thread lanes start working immediately; the
     /// inline lane defers to `collect` so dispatch stays non-blocking in
     /// both cases and rounds overlap across threaded shards.
     pub fn dispatch(&mut self, cmd: Cmd) {
         match self {
             Lane::Inline { pending, .. } => *pending = Some(cmd),
-            Lane::Thread { tx, .. } => {
-                // lint: allow(panic) a worker death already panicked the run
-                tx.send(cmd).expect("shard worker alive");
+            Lane::Thread { tx, worker, .. } => {
+                if tx.send(cmd).is_err() {
+                    worker_died(worker);
+                }
             }
         }
     }
@@ -391,10 +432,7 @@ impl Lane {
                     Cmd::Harvest => Reply::Outcomes(harvest(std::mem::take(sessions))),
                 }
             }
-            Lane::Thread { rx, .. } => {
-                // lint: allow(panic) a worker death already panicked the run
-                rx.recv().expect("shard worker reply")
-            }
+            Lane::Thread { rx, worker, .. } => rx.recv().unwrap_or_else(|_| worker_died(worker)),
         }
     }
 }
@@ -407,27 +445,30 @@ mod tests {
     use voxel_media::content::VideoId;
     use voxel_quic::Frame;
 
-    /// A lane owning flows `lo..lo + n`, as the coordinator chunks them.
-    fn lane(lo: usize, n: usize) -> Vec<SessionCell> {
+    /// Seeds for flows `lo..lo + n`, as the coordinator chunks them.
+    fn seeds(lo: usize, n: usize) -> Vec<SessionSeed> {
         let cache = ContentCache::top_level_only();
         let (manifest, video) = cache.get(VideoId::Bbb);
         (lo..lo + n)
-            .map(|flow| {
-                SessionCell::new(SessionSeed {
-                    flow,
-                    label: "BOLA".to_string(),
-                    start: SimTime::ZERO,
-                    delay_up: SimDuration::from_millis(30),
-                    player: PlayerConfig::new(3, TransportMode::Reliable),
-                    conn_config: ConnectionConfig::default(),
-                    manifest: manifest.clone(),
-                    video: video.clone(),
-                    qoe: cache.qoe(),
-                    abr: AbrKind::Bola,
-                    record_notes: false,
-                })
+            .map(|flow| SessionSeed {
+                flow,
+                label: "BOLA".to_string(),
+                start: SimTime::ZERO,
+                delay_up: SimDuration::from_millis(30),
+                player: PlayerConfig::new(3, TransportMode::Reliable),
+                conn_config: ConnectionConfig::default(),
+                manifest: manifest.clone(),
+                video: video.clone(),
+                qoe: cache.qoe(),
+                abr: AbrKind::Bola,
+                record_notes: false,
             })
             .collect()
+    }
+
+    /// A lane owning flows `lo..lo + n`.
+    fn lane(lo: usize, n: usize) -> Vec<SessionCell> {
+        seeds(lo, n).into_iter().map(SessionCell::new).collect()
     }
 
     fn round(deliveries: Vec<Delivery>, lane_len: usize) -> RoundCmd {
@@ -474,5 +515,39 @@ mod tests {
     #[should_panic(expected = "delivery routed to the owning shard")]
     fn a_delivery_for_a_flow_beyond_the_lane_is_a_harness_bug() {
         shard_round(&mut lane(5, 1), round(vec![ping_for(6)], 1));
+    }
+
+    /// A worker thread that panics takes its channels down with it; the
+    /// coordinator must fail with the worker's message (and the flight
+    /// recorder's dump when one is installed), not "channel closed".
+    #[test]
+    fn a_threaded_lane_re_raises_its_workers_own_panic() {
+        let misrouted = || {
+            let payload = std::panic::catch_unwind(|| {
+                std::thread::scope(|scope| {
+                    let recorder = voxel_obs::current_recorder();
+                    let mut lane = Lane::spawn(scope, seeds(5, 1), recorder);
+                    lane.dispatch(Cmd::Round(round(vec![ping_for(6)], 1)));
+                    lane.collect();
+                })
+            })
+            .expect_err("the worker panicked");
+            match payload.downcast::<String>() {
+                Ok(message) => *message,
+                Err(payload) => payload
+                    .downcast_ref::<&str>()
+                    .expect("a message")
+                    .to_string(),
+            }
+        };
+        assert_eq!(misrouted(), "delivery routed to the owning shard");
+        let recorder = voxel_obs::FlightRecorder::new("spec=misrouted", 8);
+        let _bound = voxel_obs::install_recorder(&recorder);
+        let message = misrouted();
+        assert!(
+            message.starts_with("delivery routed to the owning shard\n")
+                && message.contains("spec=misrouted"),
+            "{message}"
+        );
     }
 }

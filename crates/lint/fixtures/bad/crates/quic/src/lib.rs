@@ -20,10 +20,6 @@ pub fn acquire_ba(a: &Mutex<u32>, b: &Mutex<u32>) {
     let _a = a.lock();
 }
 
-pub fn read_state(c: &Conn) -> u8 {
-    unsafe { *c.state }
-}
-
 // lint: allow(panic) nothing in this fn panics, so this waiver is stale
 pub fn emit(tracer: &Tracer, now_ms: u64, ssim: f64) {
     trace_event!(

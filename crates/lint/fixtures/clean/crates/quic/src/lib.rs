@@ -30,9 +30,8 @@ pub fn ordered_again(a: &Mutex<u32>, b: &Mutex<u32>) {
 }
 
 // lint: allow(shard-unshareable) fixture: the pointer never leaves the calling thread
-// SAFETY: callers pass a pointer to a live, initialized byte.
-pub unsafe fn read_raw(p: *const u8) -> u8 {
-    *p
+pub fn addr_of(p: *const u8) -> usize {
+    p as usize
 }
 
 fn lookup(memo: &BTreeMap<u64, u64>, k: u64) -> Option<u64> {

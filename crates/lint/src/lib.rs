@@ -11,8 +11,6 @@
 //!   no exact `==`/`!=` on SSIM/QoE floats.
 //! - **Shard safety**: no `Rc`/`RefCell`/`Cell`/`static mut`/raw-pointer
 //!   state in shard-crossing crates; no lock-order inversions anywhere.
-//! - **Unsafe audit**: every `unsafe` carries a `// SAFETY:` note, and the
-//!   total count is held to the ratcheted `lint/unsafe-budget.txt`.
 //! - **API baseline**: the workspace `pub` surface matches the checked-in
 //!   `lint/api-baseline.txt`; bless deliberate changes with `VOXEL_BLESS=1`.
 //! - **Trace taxonomy**: every `trace_event!` kind and metric name must
@@ -47,12 +45,12 @@ pub const FIRST_PARTY: &[&str] = &[
 ];
 
 /// Rule families selectable with `--only`.
-pub const FAMILIES: &[&str] = &["rules", "shard", "unsafe", "taxonomy", "api"];
+pub const FAMILIES: &[&str] = &["rules", "shard", "taxonomy", "api"];
 
 /// Knobs for one lint pass.
 #[derive(Debug, Default, Clone)]
 pub struct Options {
-    /// Rewrite the API baseline and unsafe budget instead of diffing them.
+    /// Rewrite the API baseline instead of diffing it.
     pub bless: bool,
     /// Restrict the pass to one rule family (waiver hygiene is skipped,
     /// since staleness can only be judged by a full pass).
@@ -106,9 +104,6 @@ pub fn run_with(root: &Path, opts: &Options) -> Result<Vec<Violation>, String> {
     }
     if fam("shard") {
         shard::check_shard(&files, &mut uses, &mut violations);
-    }
-    if fam("unsafe") {
-        rules::check_unsafe(&files, root, opts.bless, &mut uses, &mut violations)?;
     }
     if fam("taxonomy") {
         // The lint's own source mentions `trace_event!(` and `Layer::` as
@@ -224,8 +219,8 @@ mod tests {
 
     /// The tentpole acceptance check: the lint stays quiet on the real,
     /// clean workspace. Every hazard is either fixed or carries a
-    /// justified waiver, the unsafe budget matches, and the public
-    /// surface matches the blessed baseline.
+    /// justified waiver, and the public surface matches the blessed
+    /// baseline.
     #[test]
     fn workspace_is_clean() {
         let violations = run_with(&default_root(), &Options::default()).expect("lint pass runs");
@@ -253,10 +248,9 @@ fn lib(x: Option<u32>) {
     let v = x.unwrap();
     if ssim == 1.0 { panic!(\"boom\"); }
     let p: *mut u8 = q;
-    let y = unsafe { *p };
 }
 // lint: allow(panic)
-let w = y.unwrap();
+let w = p.unwrap();
 ";
         let f = scan::SourceFile::parse("crates/quic/src/bad.rs", "quic", bad);
         let files = [f];
@@ -264,14 +258,6 @@ let w = y.unwrap();
         let mut out = Vec::new();
         rules::check_file(&files[0], &mut uses, &mut out);
         shard::check_shard(&files, &mut uses, &mut out);
-        rules::check_unsafe(
-            &files,
-            Path::new("/nonexistent-lint-root"),
-            false,
-            &mut uses,
-            &mut out,
-        )
-        .expect("unsafe check runs");
         rules::check_waiver_hygiene(&files, &uses, &mut out);
         let fired: std::collections::BTreeSet<&str> = out.iter().map(|v| v.rule).collect();
         for rule in [
@@ -280,8 +266,6 @@ let w = y.unwrap();
             "panic",
             "float-eq",
             "shard-unshareable",
-            "unsafe-audit",
-            "unsafe-budget",
             "waiver-missing-reason",
         ] {
             assert!(fired.contains(rule), "{rule} did not fire: {out:?}");

@@ -4,9 +4,8 @@
 //! Usage: `cargo run -p voxel-lint [-- --root <path>] [--json <file>]
 //! [--only <family>] [--max-seconds <n>]`
 //!
-//! `VOXEL_BLESS=1` rewrites `lint/api-baseline.txt` and
-//! `lint/unsafe-budget.txt` from the current workspace instead of
-//! diffing against them.
+//! `VOXEL_BLESS=1` rewrites `lint/api-baseline.txt` from the current
+//! workspace instead of diffing against it.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -47,7 +46,7 @@ fn main() -> ExitCode {
                     "usage: voxel-lint [--root <repo-root>] [--json <file>] [--only <family>] [--max-seconds <n>]"
                 );
                 println!("families: {}", voxel_lint::FAMILIES.join(", "));
-                println!("env: VOXEL_BLESS=1 re-blesses the API baseline and unsafe budget");
+                println!("env: VOXEL_BLESS=1 re-blesses the API baseline");
                 return ExitCode::SUCCESS;
             }
             other => return usage_error(&format!("unknown argument: {other}")),

@@ -2,7 +2,7 @@
 //!
 //! Recovers just enough structure for the rules: the item tree (`mod` /
 //! `fn` / `impl` / `trait` / type and value items), each item's line
-//! extent, visibility, `unsafe` marker, and `#[cfg(test)]` attribution.
+//! extent, visibility, and `#[cfg(test)]` attribution.
 //! It is *not* a Rust parser — expressions are never interpreted, and
 //! anything that does not look like an item header is skipped as plain
 //! code. The design constraint is the same as the lexer's: total on
@@ -69,7 +69,6 @@ pub struct Item {
     pub name: String,
     /// Unrestricted `pub` (not `pub(crate)`/`pub(super)`).
     pub is_pub: bool,
-    pub is_unsafe: bool,
     /// Carries a `#[cfg(test)]`-style attribute directly (`not(test)` does
     /// not count).
     pub cfg_test: bool,
@@ -302,7 +301,6 @@ fn try_item(
 
     let mut j = k;
     let mut is_pub = false;
-    let mut is_unsafe = false;
     // Modifier run: pub[(..)], const/async/default/unsafe, extern "abi".
     loop {
         match text(j) {
@@ -339,7 +337,6 @@ fn try_item(
                     // `unsafe { .. }` block expression, not an item.
                     return None;
                 }
-                is_unsafe = true;
                 j += 1;
             }
             "async" | "default" => j += 1,
@@ -375,7 +372,6 @@ fn try_item(
             kind,
             name,
             is_pub,
-            is_unsafe,
             cfg_test,
             macro_export,
             inherent_impl: false,
@@ -784,7 +780,10 @@ mod tests {
     fn unsafe_fn_and_trait_methods() {
         let src = "pub unsafe fn danger() {}\npub trait T {\n    fn req(&self);\n    fn prov(&self) {}\n}\n";
         let items = parse_src(src);
-        assert!(items[0].is_unsafe);
+        assert_eq!(
+            (items[0].kind, items[0].name.as_str()),
+            (ItemKind::Fn, "danger")
+        );
         let t = items.iter().position(|i| i.kind == ItemKind::Trait);
         let methods: Vec<&Item> = items.iter().filter(|i| i.parent == t).collect();
         assert_eq!(methods.len(), 2);

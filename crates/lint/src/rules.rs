@@ -11,7 +11,6 @@
 use crate::lexer::{self, TokKind};
 use crate::scan::SourceFile;
 use std::collections::BTreeSet;
-use std::path::Path;
 
 /// Crates whose iteration order feeds the deterministic simulation.
 pub const SIM_CRITICAL: &[&str] = &["sim", "quic", "http", "abr", "core", "netem", "fleet"];
@@ -275,115 +274,6 @@ fn check_float_eq(f: &SourceFile, uses: &mut WaiverUse, out: &mut Vec<Violation>
     }
 }
 
-/// Unsafe-audit: every `unsafe` keyword outside tests needs an adjacent
-/// `// SAFETY:` justification, and the workspace-wide count is held to a
-/// ratcheted budget in `lint/unsafe-budget.txt` (`VOXEL_BLESS=1` rewrites
-/// it; raising it is a deliberate, reviewed edit).
-pub fn check_unsafe(
-    files: &[SourceFile],
-    root: &Path,
-    bless: bool,
-    uses: &mut WaiverUse,
-    out: &mut Vec<Violation>,
-) -> Result<(), String> {
-    let mut count = 0usize;
-    for f in files {
-        for &i in &f.sig_indices() {
-            let t = &f.toks[i];
-            if t.kind != TokKind::Ident || f.tok_text(t) != "unsafe" || f.is_test(t.line) {
-                continue;
-            }
-            count += 1;
-            if !safety_comment_adjacent(f, t.line) {
-                report(
-                    f,
-                    t.line,
-                    "unsafe-audit",
-                    "`unsafe` without an adjacent `// SAFETY:` justification".to_string(),
-                    uses,
-                    out,
-                );
-            }
-        }
-    }
-
-    let budget_path = root.join("lint").join("unsafe-budget.txt");
-    let budget_rel = "lint/unsafe-budget.txt";
-    if bless {
-        let body = format!(
-            "# Ratcheted unsafe budget for the VOXEL workspace (voxel-lint).\n\
-             # Number of `unsafe` keywords outside #[cfg(test)] code. The lint\n\
-             # fails when the workspace exceeds OR undershoots this number;\n\
-             # re-bless with `VOXEL_BLESS=1 cargo run -p voxel-lint` to ratchet\n\
-             # down. Raising it is a deliberate, reviewed edit of this file.\n\
-             {count}\n"
-        );
-        if let Some(dir) = budget_path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        std::fs::write(&budget_path, body)
-            .map_err(|e| format!("write {}: {e}", budget_path.display()))?;
-        return Ok(());
-    }
-    let budget = match std::fs::read_to_string(&budget_path) {
-        Ok(body) => body
-            .lines()
-            .map(str::trim)
-            .find(|l| !l.is_empty() && !l.starts_with('#'))
-            .and_then(|l| l.parse::<usize>().ok()),
-        Err(_) => None,
-    };
-    match budget {
-        None => out.push(Violation::new(
-            budget_rel,
-            0,
-            "unsafe-budget",
-            format!(
-                "missing or unreadable unsafe budget; bless with `VOXEL_BLESS=1` (current count: {count})"
-            ),
-        )),
-        Some(b) if count > b => out.push(Violation::new(
-            budget_rel,
-            0,
-            "unsafe-budget",
-            format!(
-                "{count} unsafe site(s) exceed the ratcheted budget of {b}; remove them or raise lint/unsafe-budget.txt in review"
-            ),
-        )),
-        Some(b) if count < b => out.push(Violation::new(
-            budget_rel,
-            0,
-            "unsafe-budget",
-            format!(
-                "budget {b} is stale ({count} unsafe site(s) remain); ratchet down with `VOXEL_BLESS=1`"
-            ),
-        )),
-        Some(_) => {}
-    }
-    Ok(())
-}
-
-/// A `SAFETY:` comment on the same line, or in the contiguous comment /
-/// attribute block immediately above.
-fn safety_comment_adjacent(f: &SourceFile, lineno: usize) -> bool {
-    if f.line_text(lineno).contains("SAFETY:") {
-        return true;
-    }
-    let mut l = lineno;
-    while l > 1 {
-        l -= 1;
-        let t = f.line_text(l).trim();
-        if t.is_empty() || t.starts_with("//") || t.starts_with("#[") || t.starts_with('*') {
-            if t.contains("SAFETY:") {
-                return true;
-            }
-        } else {
-            break;
-        }
-    }
-    false
-}
-
 /// After all files ran: flag waivers that never fired and waivers with no
 /// justification text.
 pub fn check_waiver_hygiene(files: &[SourceFile], uses: &WaiverUse, out: &mut Vec<Violation>) {
@@ -548,29 +438,5 @@ mod tests {
     fn deep_import_waiver_and_bin_style_panics_in_examples() {
         let src = "use voxel::prep::analysis::BytesQoeMap; // lint: allow(deep-import) the example is about prep internals\nfn main() { x.unwrap(); }\n";
         assert!(run("examples", "examples/demo.rs", src).is_empty());
-    }
-
-    #[test]
-    fn unsafe_audit_requires_safety_comment() {
-        let ok = "fn f() {\n    // SAFETY: the slot was initialized above\n    let x = unsafe { read() };\n}\n";
-        let bad = "fn f() {\n    let x = unsafe { read() };\n}\n";
-        let dir = std::env::temp_dir(); // budget handled separately; only audit here
-        let _ = dir;
-        let check = |src: &str| -> Vec<Violation> {
-            let f = SourceFile::parse("crates/quic/src/x.rs", "quic", src);
-            let mut uses = WaiverUse::default();
-            let mut out = Vec::new();
-            // Use a root with no lint/ dir: the budget violation is
-            // expected; filter to the audit rule.
-            let root = std::path::Path::new("/nonexistent-lint-root");
-            check_unsafe(std::slice::from_ref(&f), root, false, &mut uses, &mut out)
-                .expect("check_unsafe runs");
-            out.retain(|v| v.rule == "unsafe-audit" && !v.waived);
-            out
-        };
-        assert!(check(ok).is_empty());
-        let v = check(bad);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].line, 2);
     }
 }

@@ -53,8 +53,6 @@ pub struct SourceFile {
     pub line_waivers: BTreeMap<usize, Vec<Waiver>>,
     /// Item-level waivers: `(item index, waiver)`.
     pub item_waivers: Vec<(usize, Waiver)>,
-    /// Byte range of each 1-based line (index 0 unused).
-    line_spans: Vec<(usize, usize)>,
 }
 
 impl SourceFile {
@@ -62,17 +60,6 @@ impl SourceFile {
     pub fn parse(rel_path: &str, crate_name: &str, content: &str) -> SourceFile {
         let toks = lexer::lex(content);
         let items = parse::parse(content, &toks);
-
-        // Line table.
-        let mut line_spans = vec![(0usize, 0usize)];
-        let mut start = 0usize;
-        for (off, ch) in content.char_indices() {
-            if ch == '\n' {
-                line_spans.push((start, off));
-                start = off + ch.len_utf8();
-            }
-        }
-        line_spans.push((start, content.len()));
 
         let mut f = SourceFile {
             rel_path: rel_path.to_string(),
@@ -82,7 +69,6 @@ impl SourceFile {
             items,
             line_waivers: BTreeMap::new(),
             item_waivers: Vec::new(),
-            line_spans,
         };
         f.attach_waivers();
         f
@@ -91,19 +77,6 @@ impl SourceFile {
     /// The source text of a token.
     pub fn tok_text(&self, t: &Tok) -> &str {
         self.text.get(t.start..t.end).unwrap_or("")
-    }
-
-    /// The raw text of a 1-based line (empty for out-of-range lines).
-    pub fn line_text(&self, lineno: usize) -> &str {
-        match self.line_spans.get(lineno) {
-            Some(&(s, e)) => self.text.get(s..e).unwrap_or(""),
-            None => "",
-        }
-    }
-
-    /// Number of lines in the file.
-    pub fn line_count(&self) -> usize {
-        self.line_spans.len().saturating_sub(1)
     }
 
     /// Is `lineno` inside a `#[cfg(test)]` item (attribute lines included)?

@@ -30,8 +30,6 @@ fn bad_fixture_trips_every_rule() {
         "deep-import",
         "shard-unshareable",
         "lock-order",
-        "unsafe-audit",
-        "unsafe-budget",
         "api-baseline",
         "trace-taxonomy",
         "stale-waiver",
@@ -42,7 +40,7 @@ fn bad_fixture_trips_every_rule() {
 }
 
 /// The seeded-clean tree passes — the passing fixture for the same
-/// rules, waivers and budgets exercised for real.
+/// rules, with waivers exercised for real.
 #[test]
 fn clean_fixture_is_clean_with_waivers_in_use() {
     let violations = run_with(&fixture_root("clean"), &Options::default()).expect("lint runs");

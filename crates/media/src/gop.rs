@@ -37,11 +37,6 @@ pub enum FrameKind {
 }
 
 impl FrameKind {
-    /// True for I and P frames ("anchor" frames other frames predict from).
-    pub fn is_anchor(self) -> bool {
-        matches!(self, FrameKind::I | FrameKind::P)
-    }
-
     /// True for any B-frame (referenced or not).
     pub fn is_b(self) -> bool {
         matches!(self, FrameKind::BRef | FrameKind::BUnref)

@@ -64,11 +64,6 @@ impl SegmentEntry {
         self.media_range.1 - self.media_range.0 + 1
     }
 
-    /// Unreliable payload bytes (everything but the reliable prefix).
-    pub fn unreliable_bytes(&self) -> u64 {
-        self.total_bytes() - self.reliable_size
-    }
-
     /// Best achievable QoE point within a *payload* byte budget (`bytes`
     /// fields of [`QoePoint`] count payloads only).
     pub fn best_within(&self, payload_budget: u64) -> Option<QoePoint> {

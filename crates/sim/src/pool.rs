@@ -1,5 +1,4 @@
-//! Work-stealing job pool for independent trials, and buffer pools for
-//! the simulator's per-step scratch allocations.
+//! Work-stealing job pool for independent trials.
 //!
 //! Experiments (single-session trial sweeps and fleet sweeps alike) run
 //! many independent, deterministic jobs whose results must come back in
@@ -7,16 +6,6 @@
 //! of scheduling. Workers pull indices from a shared atomic counter —
 //! long jobs never leave a fixed chunk of stragglers behind — and each
 //! result lands in its own pre-allocated slot.
-//!
-//! [`VecPool`] is the allocation-side counterpart: the fleet coordinator
-//! and the netem link churn through short-lived `Vec` batches (merged
-//! outboxes, departure lists, delivery routes) once per barrier round,
-//! and without reuse that per-step allocation scales with fleet size. A
-//! `VecPool` hands the same backing buffers out round after round,
-//! clearing them on the way out so a reused buffer can never leak a
-//! previous round's payloads. Fresh (non-reused) allocations are reported
-//! through [`crate::alloc::note`], so profiler attribution and
-//! [`PoolStats`] agree by construction.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -66,85 +55,6 @@ where
         .collect()
 }
 
-/// Allocation accounting of a [`VecPool`].
-///
-/// `fresh` counts buffers that had to be allocated (each one also calls
-/// [`crate::alloc::note`]); `reused` counts acquisitions served from the
-/// free list; `released` counts buffers returned. `high_water` is the
-/// largest number of free buffers ever held at once — it only grows, so
-/// capacity growth is monotone by construction.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Buffers allocated fresh (reported via [`crate::alloc::note`]).
-    pub fresh: u64,
-    /// Acquisitions served by reusing a released buffer.
-    pub reused: u64,
-    /// Buffers returned to the pool.
-    pub released: u64,
-    /// High-water mark of the free list, in buffers.
-    pub high_water: usize,
-}
-
-/// A free list of reusable `Vec<T>` buffers.
-///
-/// [`VecPool::acquire`] returns an *empty* vector — reused buffers are
-/// cleared on release, so stale elements from a previous user are
-/// unreachable — that keeps whatever capacity it grew last time around.
-/// Single-threaded by design: each shard/coordinator owns its own pool,
-/// which is exactly the sharing discipline the parallel fleet enforces
-/// everywhere else.
-#[derive(Debug, Default)]
-pub struct VecPool<T> {
-    free: Vec<Vec<T>>,
-    stats: PoolStats,
-}
-
-impl<T> VecPool<T> {
-    /// An empty pool.
-    pub fn new() -> VecPool<T> {
-        VecPool {
-            free: Vec::new(),
-            stats: PoolStats::default(),
-        }
-    }
-
-    /// Take a buffer: a released one when available (cleared, capacity
-    /// retained), a fresh allocation otherwise.
-    pub fn acquire(&mut self) -> Vec<T> {
-        match self.free.pop() {
-            Some(buf) => {
-                self.stats.reused += 1;
-                debug_assert!(buf.is_empty(), "released buffers are cleared");
-                buf
-            }
-            None => {
-                self.stats.fresh += 1;
-                crate::alloc::note(1);
-                Vec::new()
-            }
-        }
-    }
-
-    /// Return a buffer for reuse. Its elements are dropped here; its
-    /// capacity survives for the next [`VecPool::acquire`].
-    pub fn release(&mut self, mut buf: Vec<T>) {
-        buf.clear();
-        self.free.push(buf);
-        self.stats.released += 1;
-        self.stats.high_water = self.stats.high_water.max(self.free.len());
-    }
-
-    /// Free buffers currently held.
-    pub fn idle(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Allocation accounting so far.
-    pub fn stats(&self) -> PoolStats {
-        self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,97 +92,5 @@ mod tests {
     fn default_workers_is_bounded_by_jobs() {
         assert_eq!(default_workers(1), 1);
         assert!(default_workers(1024) >= 1);
-    }
-
-    #[test]
-    fn vec_pool_reuses_capacity_without_contents() {
-        let mut pool: VecPool<u64> = VecPool::new();
-        let mut a = pool.acquire();
-        a.extend(0..100);
-        let cap = a.capacity();
-        pool.release(a);
-        let b = pool.acquire();
-        assert!(b.is_empty(), "reused buffer leaked elements");
-        assert_eq!(b.capacity(), cap, "reuse keeps the grown capacity");
-        assert_eq!(
-            pool.stats(),
-            PoolStats {
-                fresh: 1,
-                reused: 1,
-                released: 1,
-                high_water: 1
-            }
-        );
-    }
-}
-
-#[cfg(test)]
-mod props {
-    use super::*;
-    use proptest::prelude::*;
-
-    /// One step of a randomized pool workload: acquire a buffer and fill
-    /// it with `fill` elements, or release the oldest outstanding buffer.
-    #[derive(Debug, Clone)]
-    enum Op {
-        Acquire { fill: usize },
-        Release,
-    }
-
-    fn ops() -> impl Strategy<Value = Vec<Op>> {
-        proptest::collection::vec(
-            prop_oneof![
-                (0usize..64).prop_map(|fill| Op::Acquire { fill }),
-                Just(Op::Release),
-            ],
-            1..200,
-        )
-    }
-
-    proptest! {
-        /// Any acquire/fill/release interleaving: acquired buffers are
-        /// always empty (no stale payloads), the pool's fresh-allocation
-        /// count reconciles with the `alloc::note` telemetry diff, and
-        /// the free-list high-water mark grows monotonically.
-        #[test]
-        fn pool_never_leaks_and_stats_reconcile(ops in ops()) {
-            let mut pool: VecPool<u8> = VecPool::new();
-            let mut outstanding: Vec<Vec<u8>> = Vec::new();
-            let allocs_before = crate::alloc::current();
-            let mut last_high_water = 0usize;
-            for op in ops {
-                match op {
-                    Op::Acquire { fill } => {
-                        let mut buf = pool.acquire();
-                        prop_assert!(buf.is_empty(), "stale payload survived reuse");
-                        buf.resize(fill, 0xAB);
-                        outstanding.push(buf);
-                    }
-                    Op::Release => {
-                        if let Some(buf) = outstanding.pop() {
-                            pool.release(buf);
-                        }
-                    }
-                }
-                let s = pool.stats();
-                prop_assert!(s.high_water >= last_high_water, "high water shrank");
-                last_high_water = s.high_water;
-                prop_assert!(s.high_water <= s.released as usize);
-            }
-            let s = pool.stats();
-            // Conservation: every acquired buffer is either still out or idle
-            // in the free list (released buffers may have been re-acquired).
-            prop_assert_eq!(
-                s.fresh as usize,
-                outstanding.len() + pool.idle(),
-                "buffers invented or lost"
-            );
-            // The obs alloc-note hook saw exactly the fresh allocations.
-            prop_assert_eq!(
-                crate::alloc::current().wrapping_sub(allocs_before),
-                s.fresh,
-                "alloc::note diff disagrees with PoolStats.fresh"
-            );
-        }
     }
 }

@@ -182,16 +182,6 @@ impl MetricsRegistry {
         self.histograms.entry(name).or_default().observe(v);
     }
 
-    /// Current counter value (0 if never touched).
-    pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Current gauge value, if ever set.
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
     /// The named histogram, if any samples were recorded.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)

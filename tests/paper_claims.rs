@@ -168,7 +168,7 @@ fn beta_ordering_ends_with_unreferenced_b_frames_only() {
 #[test]
 fn fig2b_ordering_ranks_by_mean_drop_tolerance() {
     // Fig 2b: mean droppable share across BBB segments orders
-    // rank ≫ tail ≫ original (EXPERIMENTS.md measures 28.5 / 16.4 / 10.6 %).
+    // rank ≫ tail ≫ original (EXPERIMENTS.md measures 33.5 / 22.0 / 11.7 %).
     // The bands assert the ordering with real separation, not the exact
     // percentages.
     let model = QoeModel::default();
@@ -206,7 +206,7 @@ fn run_system(content: &mut voxel::testkit::Content, spec: &str) -> Vec<voxel::c
 fn headline_session_claims_fig6_and_fig10() {
     // The paper's headline cell (Fig 6, T-Mobile/ToS at a 1-segment
     // buffer): VOXEL suffers 25–97 % less p90 rebuffering than BOLA —
-    // EXPERIMENTS.md measures BOLA 12.83 % vs VOXEL 0.00 % at 8 trials.
+    // EXPERIMENTS.md measures BOLA 15.44 % vs VOXEL 0.00 % at 6 trials.
     // Plus the Fig 10 ablation shape on the same cell: bufRatio orders
     // BOLA ≥ BOLA-SSIM ≥ VOXEL (ABR* cuts ≥35 %) and VOXEL gives up no
     // SSIM for the win. Three trials per system keep tier-1 fast; the
