@@ -144,7 +144,7 @@ mod tests {
         let c = ctx(&m, 4.0, Some(10e6));
         let d = abr.choose(&c);
         let e = m.entry(5, d.level);
-        let target = d.target.map(|p| p.bytes).unwrap_or(e.total_bytes());
+        let target = d.target.map_or(e.total_bytes(), |p| u64::from(p.bytes));
         let p = DownloadProgress {
             bytes_received: target / 3,
             bytes_target: target,
@@ -163,7 +163,7 @@ mod tests {
         let c = ctx(&m, 2.0, Some(5e6));
         let d = abr.choose(&c);
         let e = m.entry(5, d.level);
-        let target = d.target.map(|p| p.bytes).unwrap_or(e.total_bytes());
+        let target = d.target.map_or(e.total_bytes(), |p| u64::from(p.bytes));
         for frac in [0.01, 0.3, 0.6, 0.95] {
             for rate in [10e3, 1e6, 50e6] {
                 let p = DownloadProgress {
@@ -188,7 +188,7 @@ mod tests {
         let c = ctx(&m, 16.0, Some(20e6));
         let d = abr.choose(&c);
         let e = m.entry(5, d.level);
-        let target = d.target.map(|p| p.bytes).unwrap_or(e.total_bytes());
+        let target = d.target.map_or(e.total_bytes(), |p| u64::from(p.bytes));
         let p = DownloadProgress {
             bytes_received: target / 2,
             bytes_target: target,
@@ -206,7 +206,7 @@ mod tests {
         let c = ctx(&m, 1.0, Some(10e6));
         let d = abr.choose(&c);
         let e = m.entry(5, d.level);
-        let target = d.target.map(|p| p.bytes).unwrap_or(e.total_bytes());
+        let target = d.target.map_or(e.total_bytes(), |p| u64::from(p.bytes));
         let p = DownloadProgress {
             bytes_received: 0,
             bytes_target: target,

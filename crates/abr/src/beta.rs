@@ -35,26 +35,10 @@ impl Beta {
     }
 
     /// BETA's single virtual quality point for a segment: everything except
-    /// the unreferenced b-frames (which its reordering placed at the tail).
+    /// the unreferenced b-frames (which its reordering placed at the tail),
+    /// as content preparation recorded it in the manifest.
     pub fn b_frame_boundary(ctx: &AbrContext<'_>, level: QualityLevel) -> QoePoint {
-        let entry = ctx.manifest.entry(ctx.segment_index, level);
-        // Under BETA's unreferenced-tail ordering the last 32 frames of the
-        // download order are exactly the unreferenced b-frames; the
-        // boundary point keeps everything before them.
-        // lint: allow(panic) prep builds every BETA SSIM map non-empty
-        let full = *entry.beta_ssims.last().expect("non-empty map");
-        let keep_frames = full.frames.saturating_sub(Beta::unref_count()).max(1);
-        entry
-            .beta_ssims
-            .iter()
-            .copied()
-            .find(|p| p.frames >= keep_frames)
-            .unwrap_or(full)
-    }
-
-    /// Unreferenced-B count per segment (fixed by the GOP structure).
-    fn unref_count() -> usize {
-        32
+        ctx.manifest.entry(ctx.segment_index, level).beta_boundary
     }
 }
 
@@ -83,7 +67,7 @@ impl Abr for Beta {
             // segment must fit the budget.
             let boundary = Beta::b_frame_boundary(ctx, level);
             let reliable = ctx.manifest.entry(ctx.segment_index, level).reliable_size;
-            if (boundary.bytes + reliable) as f64 * 8.0 <= budget_bits {
+            if (u64::from(boundary.bytes) + reliable) as f64 * 8.0 <= budget_bits {
                 pick = level;
             }
         }
@@ -104,7 +88,7 @@ impl Abr for Beta {
         // reached (or will be before the buffer drains), truncate there —
         // BETA's one virtual quality level.
         let boundary = Beta::b_frame_boundary(ctx, current);
-        if p.bytes_received >= boundary.bytes {
+        if p.bytes_received >= u64::from(boundary.bytes) {
             return AbandonAction::KeepPartial;
         }
         let projected = p.bytes_received as f64 + p.download_rate_bps / 8.0 * p.buffer_s.max(0.3);
@@ -129,7 +113,7 @@ impl Abr for Beta {
 /// The number of unreferenced B-frames per segment in the synthetic GOP —
 /// exposed for tests and the Fig 2 analysis.
 pub fn unreferenced_b_frames_per_segment() -> usize {
-    Beta::unref_count()
+    32
 }
 
 #[cfg(test)]
@@ -202,9 +186,9 @@ mod tests {
         let c = ctx(&m, 3.0, Some(40e6));
         let d = beta.choose(&c);
         let boundary = Beta::b_frame_boundary(&c, d.level);
-        let full = m.entry(3, d.level).ssims.last().unwrap().bytes;
+        let full = u64::from(m.entry(3, d.level).ssims.last().unwrap().bytes);
         let p = DownloadProgress {
-            bytes_received: boundary.bytes + 1,
+            bytes_received: u64::from(boundary.bytes) + 1,
             bytes_target: full,
             elapsed_s: 3.5,
             buffer_s: 1.0,
@@ -220,7 +204,7 @@ mod tests {
         let c = ctx(&m, 3.0, Some(40e6));
         let d = beta.choose(&c);
         assert!(d.level > QualityLevel::MIN);
-        let full = m.entry(3, d.level).ssims.last().unwrap().bytes;
+        let full = u64::from(m.entry(3, d.level).ssims.last().unwrap().bytes);
         let p = DownloadProgress {
             bytes_received: full / 20,
             bytes_target: full,
@@ -240,7 +224,7 @@ mod tests {
         let mut beta = Beta::new();
         let c = ctx(&m, 12.0, Some(10e6));
         let d = beta.choose(&c);
-        let full = m.entry(3, d.level).ssims.last().unwrap().bytes;
+        let full = u64::from(m.entry(3, d.level).ssims.last().unwrap().bytes);
         let p = DownloadProgress {
             bytes_received: full / 2,
             bytes_target: full,

@@ -143,7 +143,7 @@ impl BolaSsim {
         let mut best_score = f64::NEG_INFINITY;
         for c in &all {
             let reliable = ctx.manifest.entry(ctx.segment_index, c.level).reliable_size;
-            let bits = (c.point.bytes + reliable) as f64 * 8.0;
+            let bits = (u64::from(c.point.bytes) + reliable) as f64 * 8.0;
             let u = utility(self.metric, c.point.ssim);
             let score = (v * (u + gp) - q_s) / bits;
             if score > best_score {
@@ -191,7 +191,8 @@ impl Abr for BolaSsim {
             let est = ctx.throughput_bps.map(|e| e * self.safety);
             let budget_s = (ctx.buffer_s * 0.9).max(SEGMENT_DURATION_S * 0.5);
             let entry = |c: &Candidate| {
-                ctx.manifest.entry(ctx.segment_index, c.level).reliable_size + c.point.bytes
+                ctx.manifest.entry(ctx.segment_index, c.level).reliable_size
+                    + u64::from(c.point.bytes)
             };
             match est {
                 Some(est) => {
@@ -259,7 +260,7 @@ impl Abr for BolaSsim {
                 .cheapest_reaching(e.bound)
                 // lint: allow(panic) prep builds every SSIM map with the full-segment point
                 .unwrap_or(*e.ssims.last().expect("non-empty"));
-            let bits = (bound_point.bytes + e.reliable_size) as f64 * 8.0;
+            let bits = (u64::from(bound_point.bytes) + e.reliable_size) as f64 * 8.0;
             let s = score(utility(self.metric, bound_point.ssim), bits);
             if best.is_none_or(|(_, bs)| s > bs) {
                 best = Some((l, s));
@@ -366,7 +367,7 @@ mod tests {
         // that window are Q12 virtual levels, which outrank every lower
         // level's pristine SSIM.
         let e = m.entry(5, QualityLevel::MAX);
-        let full = e.ssims.last().unwrap().bytes;
+        let full = u64::from(e.ssims.last().unwrap().bytes);
         let window_mid = e.reliable_size + (e.min_bytes + full) / 2;
         // 2-segment capacity, healthy buffer: BOLA wants Q12, but the
         // budget only admits a partial Q12.
@@ -377,7 +378,7 @@ mod tests {
         let d = abr.choose(&ctx(&m, buffer_s, 8.0, Some(tput)));
         assert_eq!(d.level, QualityLevel::MAX);
         let target = d.target.expect("a virtual quality level is selected");
-        assert!(target.bytes < full);
+        assert!(u64::from(target.bytes) < full);
         assert!(target.ssim >= e.bound - 1e-9);
     }
 
@@ -395,7 +396,7 @@ mod tests {
         let mut abr = BolaSsim::default();
         let d = abr.choose(&ctx(&m, 2.0, 8.0, Some(1.5e6)));
         let e = m.entry(5, d.level);
-        let bytes = e.reliable_size + d.target.map(|p| p.bytes).unwrap_or(e.total_bytes());
+        let bytes = e.reliable_size + d.target.map_or(e.total_bytes(), |p| u64::from(p.bytes));
         // Must fit in ~1.6s at 1.5 Mbps.
         assert!(
             bytes as f64 * 8.0 / 1.5e6 <= 2.2,
@@ -418,7 +419,7 @@ mod tests {
         let dt = tuned.choose(&c);
         let bytes = |d: &Decision| {
             let e = m.entry(5, d.level);
-            e.reliable_size + d.target.map(|p| p.bytes).unwrap_or(e.total_bytes())
+            e.reliable_size + d.target.map_or(e.total_bytes(), |p| u64::from(p.bytes))
         };
         assert!(bytes(&dt) <= bytes(&da), "tuned must not fetch more");
     }
@@ -455,7 +456,7 @@ mod tests {
         let c = ctx(&m, 10.0, 28.0, Some(10e6));
         let d = abr.choose(&c);
         let e = m.entry(5, d.level);
-        let target = d.target.map(|p| p.bytes).unwrap_or(e.total_bytes());
+        let target = d.target.map_or(e.total_bytes(), |p| u64::from(p.bytes));
         let p = DownloadProgress {
             bytes_received: target / 20,
             bytes_target: target,

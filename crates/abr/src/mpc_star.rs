@@ -107,7 +107,7 @@ impl MpcStar {
         let mut best = (f64::NEG_INFINITY, 0usize);
         for (idx, opt) in options.iter().enumerate() {
             let reliable = ctx.manifest.entry(seg, opt.level).reliable_size;
-            let bits = (opt.point.bytes + reliable) as f64 * 8.0;
+            let bits = (u64::from(opt.point.bytes) + reliable) as f64 * 8.0;
             let download_s = bits / bps.max(1.0);
             let stall = (download_s - buffer_s).max(0.0);
             let next_buffer =
@@ -237,7 +237,7 @@ mod tests {
         for mbps in [1.0, 3.0, 8.0, 20.0] {
             let d = mpc.choose(&ctx(&m, 12.0, Some(mbps * 1e6)));
             let e = m.entry(10, d.level);
-            let bits = e.reliable_size + d.target.map(|p| p.bytes).unwrap_or(e.total_bytes());
+            let bits = e.reliable_size + d.target.map_or(e.total_bytes(), |p| u64::from(p.bytes));
             assert!(
                 bits >= prev_bits,
                 "{mbps} Mbps picked fewer bytes than a slower link"

@@ -26,7 +26,7 @@ pub fn trace_decision(tracer: &Tracer, t: SimTime, ctx: &AbrContext<'_>, d: &Dec
     tracer.observe("abr.buffer_ms", (ctx.buffer_s.max(0.0) * 1e3) as u64);
     let full_bytes = ctx.segment_bytes(d.level);
     let (target_bytes, target_ssim) = match &d.target {
-        Some(p) => (p.bytes, p.ssim),
+        Some(p) => (u64::from(p.bytes), p.ssim),
         None => (full_bytes, f64::NAN), // NAN renders as null in JSON
     };
     trace_event!(

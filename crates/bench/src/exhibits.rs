@@ -246,8 +246,7 @@ pub(crate) fn fig2(_: &ContentCache) {
                     );
                     let bytes = map
                         .min_bytes_for(target)
-                        .map(|p| p.bytes)
-                        .unwrap_or(map.full_bytes());
+                        .map_or(map.full_bytes(), |p| u64::from(p.bytes));
                     bytes as f64 * 8.0 / SEGMENT_DURATION_S / 1e6
                 })
                 .collect();

@@ -518,7 +518,9 @@ impl ClientApp {
         // (which travels in the head).
         let i_frame_bytes = self.video.segments[seg].frame_bytes(decision.level, 0);
         let body_full = entry.total_bytes() - entry.reliable_size;
-        let body_goal = target.bytes.saturating_sub(i_frame_bytes).min(body_full);
+        let body_goal = u64::from(target.bytes)
+            .saturating_sub(i_frame_bytes)
+            .min(body_full);
 
         // Head request (always reliable).
         let head = conn.open_stream(Reliability::Reliable);

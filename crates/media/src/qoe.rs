@@ -20,7 +20,7 @@
 //! recovers when targeting 0.95 (Fig 1c); P9 tolerates ~80 % drops while
 //! P10 tolerates almost none (Fig 19, §C).
 
-use crate::gop::FRAMES_PER_SEGMENT;
+use crate::gop::{GopStructure, FRAMES_PER_SEGMENT};
 use crate::ladder::QualityLevel;
 use crate::video::Segment;
 
@@ -99,17 +99,6 @@ impl LossMap {
     pub fn get(&self, frame: usize) -> f64 {
         self.frac[frame]
     }
-
-    /// True if nothing was lost.
-    pub fn is_clean(&self) -> bool {
-        // lint: allow(float-eq) exact sentinel — fractions are assigned 0.0, never computed
-        self.frac.iter().all(|&f| f == 0.0)
-    }
-
-    /// Number of fully dropped frames.
-    pub fn full_drops(&self) -> usize {
-        self.frac.iter().filter(|&&f| f >= 1.0).count()
-    }
 }
 
 impl Default for LossMap {
@@ -170,20 +159,52 @@ impl QoeModel {
 
     /// Evaluate the segment at `level` with the given loss state.
     ///
+    /// The loss distortion does not depend on `level`; only the encoding
+    /// distortion does, and the two add.
+    pub fn eval(&self, seg: &Segment, level: QualityLevel, loss: &LossMap) -> QoeScores {
+        let mean_d = self.loss_distortion(&seg.gop, &loss.frac, &mut Vec::new());
+        let d = self.base_distortion(seg, level) + mean_d;
+        let total = d.min(1.0);
+        QoeScores {
+            ssim: Self::ssim_from_distortion(d),
+            vmaf: Self::vmaf_from_distortion(total),
+            psnr_db: Self::psnr_from_distortion(total),
+        }
+    }
+
+    /// The loss distortion of every prefix of the download `order`: element
+    /// `k` is the distortion when the first `k + 1` frames of `order` arrive
+    /// whole and the rest of `order` is dropped.
+    ///
+    /// It does not depend on the level, so one sweep serves all 13: the
+    /// SSIM [`QoeModel::eval`] gives that prefix at `level` is
+    /// `ssim_from_distortion(base_distortion(seg, level) + d)`, bit for bit,
+    /// because both run the same pass.
+    pub fn prefix_loss_distortion(&self, seg: &Segment, order: &[usize]) -> Vec<f64> {
+        let mut loss = LossMap::drop_frames(order);
+        let mut d_total = Vec::new();
+        order
+            .iter()
+            .map(|&f| {
+                loss.set(f, 0.0);
+                self.loss_distortion(&seg.gop, &loss.frac, &mut d_total)
+            })
+            .collect()
+    }
+
+    /// Mean per-frame loss distortion under the lost fractions `frac`.
+    ///
     /// Frames are processed in decode order so every reference is scored
     /// before its dependents; a frame's inherited error is the mean of its
-    /// references' total error, attenuated per hop.
-    pub fn eval(&self, seg: &Segment, level: QualityLevel, loss: &LossMap) -> QoeScores {
-        let base = self.base_distortion(seg, level);
-        let gop = &seg.gop;
+    /// references' total error, attenuated per hop. `d_total` is scratch.
+    fn loss_distortion(&self, gop: &GopStructure, frac: &[f64], d_total: &mut Vec<f64>) -> f64 {
         let n = gop.len();
-        let mut d_total = vec![0.0f64; n];
-
+        d_total.clear();
+        d_total.resize(n, 0.0);
         for &fi in &gop.decode_order {
             let frame = &gop.frames[fi];
-            let frac = loss.get(fi);
             // Concealment error for the lost portion of this frame.
-            let own = self.kappa * frame.motion * frac;
+            let own = self.kappa * frame.motion * frac[fi];
             // Inherited error from corrupted references (weighted by how
             // much of this frame actually predicts, i.e. survived).
             let inherited = if frame.refs.is_empty() {
@@ -195,15 +216,12 @@ impl QoeModel {
             };
             d_total[fi] = (own + inherited).min(1.0);
         }
+        d_total.iter().sum::<f64>() / n as f64
+    }
 
-        let mean_d: f64 = d_total.iter().sum::<f64>() / n as f64;
-        let total = (base + mean_d).min(1.0);
-
-        QoeScores {
-            ssim: (1.0 - total).clamp(0.0, 1.0),
-            vmaf: Self::vmaf_from_distortion(total),
-            psnr_db: Self::psnr_from_distortion(total),
-        }
+    /// SSIM of a segment whose total (encoding + loss) distortion is `d`.
+    pub fn ssim_from_distortion(d: f64) -> f64 {
+        (1.0 - d.min(1.0)).clamp(0.0, 1.0)
     }
 
     /// Estimate the VMAF score corresponding to an SSIM value under this
@@ -265,19 +283,15 @@ impl QoeModel {
 /// `voxel-prep` use identical ranking.
 pub fn drop_order(seg: &Segment) -> Vec<usize> {
     let gop = &seg.gop;
+    // Harm = own concealment error + error induced in dependents.
+    let harm: Vec<f64> = gop
+        .frames
+        .iter()
+        .enumerate()
+        .map(|(f, frame)| frame.motion * 0.4 + gop.inbound_rank(f) * 24.0)
+        .collect();
     let mut order: Vec<usize> = (1..gop.len()).collect();
-    let harm = |f: usize| -> f64 {
-        let frame = &gop.frames[f];
-        // Harm = own concealment error + error induced in dependents.
-        let own = frame.motion;
-        let induced: f64 = gop
-            .transitive_dependents(f)
-            .iter()
-            .map(|&d| gop.frames[d].size_weight)
-            .sum::<f64>();
-        own * 0.4 + induced * 24.0
-    };
-    order.sort_by(|&a, &b| harm(a).total_cmp(&harm(b)).then(a.cmp(&b)));
+    order.sort_by(|&a, &b| harm[a].total_cmp(&harm[b]).then(a.cmp(&b)));
     order
 }
 
@@ -465,6 +479,40 @@ mod tests {
         );
     }
 
+    /// The sort `drop_order` replaced, which re-ran `transitive_dependents`
+    /// inside the comparator: kept as the reference the cached-harm sort
+    /// must reproduce exactly.
+    fn drop_order_reference(seg: &Segment) -> Vec<usize> {
+        let gop = &seg.gop;
+        let mut order: Vec<usize> = (1..gop.len()).collect();
+        let harm = |f: usize| -> f64 {
+            let frame = &gop.frames[f];
+            let own = frame.motion;
+            let induced: f64 = gop
+                .transitive_dependents(f)
+                .iter()
+                .map(|&d| gop.frames[d].size_weight)
+                .sum::<f64>();
+            own * 0.4 + induced * 24.0
+        };
+        order.sort_by(|&a, &b| harm(a).total_cmp(&harm(b)).then(a.cmp(&b)));
+        order
+    }
+
+    #[test]
+    fn drop_order_equals_the_comparator_recomputing_sort() {
+        for id in VideoId::all() {
+            for seg in &video(id).segments {
+                assert_eq!(
+                    drop_order(seg),
+                    drop_order_reference(seg),
+                    "{id} seg {}",
+                    seg.index
+                );
+            }
+        }
+    }
+
     #[test]
     fn vmaf_and_psnr_are_monotone_in_distortion() {
         let mut prev_v = f64::INFINITY;
@@ -484,14 +532,12 @@ mod tests {
     #[test]
     fn loss_map_accessors() {
         let mut m = LossMap::none();
-        assert!(m.is_clean());
+        assert_eq!(m.get(5), 0.0);
         m.set(5, 0.4);
         m.add(5, 0.3);
         assert!((m.get(5) - 0.7).abs() < 1e-12);
         m.add(5, 0.9);
         assert_eq!(m.get(5), 1.0);
-        assert_eq!(m.full_drops(), 1);
-        assert!(!m.is_clean());
     }
 }
 
@@ -552,6 +598,38 @@ mod props {
             prop_assert!((0.0..=1.0).contains(&s.ssim));
             prop_assert!((0.0..=100.0).contains(&s.vmaf));
             prop_assert!(s.psnr_db.is_finite());
+        }
+
+        /// One sweep per segment scores every prefix of an order at any
+        /// level exactly as `eval` does from a freshly built `LossMap` —
+        /// compared by `to_bits`, since manifests print these SSIMs. Orders
+        /// are random subsets of the frames in random order, so frames
+        /// outside the order stay delivered.
+        #[test]
+        fn prefix_sweep_equals_eval_bit_for_bit(
+            video_idx in 0usize..64,
+            seg_idx in 0usize..75,
+            level in 0usize..13,
+            keys in proptest::collection::vec(0u32..1_000_000, FRAMES_PER_SEGMENT),
+            len in 1usize..=FRAMES_PER_SEGMENT,
+        ) {
+            let ids = VideoId::all();
+            let video = Video::generate(ids[video_idx % ids.len()]);
+            let model = QoeModel::default();
+            let seg = &video.segments[seg_idx];
+            let level = QualityLevel::try_from(level).unwrap();
+            let mut order: Vec<usize> = (0..FRAMES_PER_SEGMENT).collect();
+            order.sort_by_key(|&f| (keys[f], f));
+            order.truncate(len);
+            let sweep = model.prefix_loss_distortion(seg, &order);
+            prop_assert_eq!(sweep.len(), order.len());
+            let base = model.base_distortion(seg, level);
+            for (k, &mean_d) in sweep.iter().enumerate() {
+                let loss = LossMap::drop_frames(&order[k + 1..]);
+                let want = model.eval(seg, level, &loss).ssim;
+                let got = QoeModel::ssim_from_distortion(base + mean_d);
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "prefix {} of {:?}", k + 1, order);
+            }
         }
     }
 }

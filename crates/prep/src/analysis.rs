@@ -7,6 +7,7 @@
 //! scores." (§4.1)
 
 use crate::ordering::{frame_order, OrderingKind};
+use std::sync::Arc;
 use voxel_media::ladder::QualityLevel;
 use voxel_media::qoe::{LossMap, QoeModel};
 use voxel_media::video::Segment;
@@ -15,14 +16,81 @@ use voxel_media::video::Segment;
 /// Listing 1 — "(a) A QoE score, e.g., SSIM, and the number of (b) frames
 /// and (c) bytes of the given segment that must be downloaded to achieve
 /// that QoE score."
+///
+/// 16 bytes: a catalog holds ≈1.3 M of them. `u32` counts hold any
+/// segment the ladder produces (a Q12 segment is at most ≈10 MB).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QoePoint {
     /// Segment SSIM achieved when exactly `frames`/`bytes` are delivered.
     pub ssim: f64,
     /// Number of frames delivered (from the head of the ordering).
-    pub frames: usize,
+    pub frames: u32,
     /// Bytes delivered (frame payloads; headers are accounted separately).
-    pub bytes: u64,
+    pub bytes: u32,
+}
+
+impl QoePoint {
+    /// A point from a prepared segment's counts.
+    pub(crate) fn new(ssim: f64, frames: usize, bytes: u64) -> QoePoint {
+        let (Ok(frames), Ok(bytes)) = (u32::try_from(frames), u32::try_from(bytes)) else {
+            // lint: allow(panic) 96 frames and ≤ ≈10 MB per segment; more is a media-model bug
+            panic!("segment counts exceed u32: {frames} frames, {bytes} bytes");
+        };
+        QoePoint {
+            ssim,
+            frames,
+            bytes,
+        }
+    }
+}
+
+/// One ordering's level-independent analysis of a segment: the download
+/// order and the loss distortion of each of its prefixes. Built once per
+/// segment; each level's [`BytesQoeMap`] is read off it without another
+/// QoE pass.
+pub(crate) struct OrderSweep {
+    kind: OrderingKind,
+    pub(crate) order: Arc<[usize]>,
+    mean_d: Vec<f64>,
+}
+
+impl OrderSweep {
+    pub(crate) fn new(model: &QoeModel, seg: &Segment, kind: OrderingKind) -> OrderSweep {
+        let order: Arc<[usize]> = frame_order(seg, kind).into();
+        let mean_d = model.prefix_loss_distortion(seg, &order);
+        OrderSweep {
+            kind,
+            order,
+            mean_d,
+        }
+    }
+
+    /// All three orderings of `seg`, in [`OrderingKind::ALL`] order.
+    pub(crate) fn all(model: &QoeModel, seg: &Segment) -> [OrderSweep; 3] {
+        OrderingKind::ALL.map(|kind| OrderSweep::new(model, seg, kind))
+    }
+
+    /// The bytes→QoE map at `level`: only the encoding distortion and the
+    /// frame sizes depend on the level.
+    fn map(&self, model: &QoeModel, seg: &Segment, level: QualityLevel) -> BytesQoeMap {
+        let base = model.base_distortion(seg, level);
+        let sizes = seg.frame_sizes(level);
+        let mut bytes = 0;
+        let points = self
+            .order
+            .iter()
+            .zip(&self.mean_d)
+            .enumerate()
+            .map(|(k, (&f, &mean_d))| {
+                bytes += sizes[f];
+                QoePoint::new(QoeModel::ssim_from_distortion(base + mean_d), k + 1, bytes)
+            })
+            .collect();
+        BytesQoeMap {
+            ordering: self.kind,
+            points,
+        }
+    }
 }
 
 /// The full bytes→QoE mapping of one segment at one level under one ordering.
@@ -36,38 +104,16 @@ pub struct BytesQoeMap {
 }
 
 impl BytesQoeMap {
-    /// Compute the mapping by sweeping tail drops of `ordering`.
+    /// Compute the mapping by sweeping tail drops of `ordering`: the first
+    /// point delivers only the head (the I-frame), each next one re-adds
+    /// the next frame of the ordering, the last is the complete segment.
     pub fn compute(
         model: &QoeModel,
         seg: &Segment,
         level: QualityLevel,
         ordering: OrderingKind,
     ) -> BytesQoeMap {
-        let order = frame_order(seg, ordering);
-        let sizes = seg.frame_sizes(level);
-        let n = order.len();
-
-        // Start from everything dropped except the I-frame, and re-add
-        // frames head-to-tail; evaluate after each addition. One eval per
-        // prefix length.
-        let mut points = Vec::with_capacity(n);
-        let mut loss = LossMap::drop_frames(&order[1..]);
-        let mut bytes = sizes[order[0]];
-        points.push(QoePoint {
-            ssim: model.eval(seg, level, &loss).ssim,
-            frames: 1,
-            bytes,
-        });
-        for (k, &f) in order.iter().enumerate().skip(1) {
-            loss.set(f, 0.0);
-            bytes += sizes[f];
-            points.push(QoePoint {
-                ssim: model.eval(seg, level, &loss).ssim,
-                frames: k + 1,
-                bytes,
-            });
-        }
-        BytesQoeMap { ordering, points }
+        OrderSweep::new(model, seg, ordering).map(model, seg, level)
     }
 
     /// The smallest number of bytes whose delivery achieves `target` SSIM,
@@ -81,7 +127,7 @@ impl BytesQoeMap {
         self.points
             .iter()
             .rev()
-            .find(|p| p.bytes <= budget)
+            .find(|p| u64::from(p.bytes) <= budget)
             .copied()
     }
 
@@ -94,7 +140,7 @@ impl BytesQoeMap {
     /// Total payload bytes of the complete segment.
     pub fn full_bytes(&self) -> u64 {
         // lint: allow(panic) analyze() always emits the full-segment point
-        self.points.last().expect("map is never empty").bytes
+        u64::from(self.points.last().expect("map is never empty").bytes)
     }
 }
 
@@ -135,6 +181,18 @@ pub fn analyze_segment_forced(
     level: QualityLevel,
     force: Option<OrderingKind>,
 ) -> SegmentAnalysis {
+    analyze(&OrderSweep::all(model, seg), model, seg, level, force)
+}
+
+/// [`analyze_segment_forced`] over sweeps already built for `seg`, so a
+/// manifest analyses all 13 levels from one set of sweeps.
+pub(crate) fn analyze(
+    sweeps: &[OrderSweep; 3],
+    model: &QoeModel,
+    seg: &Segment,
+    level: QualityLevel,
+    force: Option<OrderingKind>,
+) -> SegmentAnalysis {
     let bound = match level.lower() {
         Some(lower) => model.pristine_ssim(seg, lower),
         None => model.pristine_ssim(seg, level) - 0.02,
@@ -142,8 +200,9 @@ pub fn analyze_segment_forced(
 
     let mut best: Option<(u64, usize, BytesQoeMap)> = None;
     let mut tail: Option<BytesQoeMap> = None;
-    for kind in OrderingKind::ALL {
-        let map = BytesQoeMap::compute(model, seg, level, kind);
+    for sweep in sweeps {
+        let kind = sweep.kind;
+        let map = sweep.map(model, seg, level);
         if kind == OrderingKind::UnreferencedTail {
             tail = Some(map.clone());
         }
@@ -151,7 +210,7 @@ pub fn analyze_segment_forced(
         // ordering can't reach it short of the full segment, the full
         // segment is the requirement.
         let (bytes, frames) = match map.min_bytes_for(bound) {
-            Some(p) => (p.bytes, p.frames),
+            Some(p) => (u64::from(p.bytes), p.frames as usize),
             None => (map.full_bytes(), map.points.len()),
         };
         let better = match force {
@@ -230,6 +289,11 @@ mod tests {
     }
 
     #[test]
+    fn qoe_point_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<QoePoint>(), 16);
+    }
+
+    #[test]
     fn map_is_monotone_in_bytes_and_frames() {
         let (m, v) = setup();
         let map = BytesQoeMap::compute(
@@ -288,7 +352,7 @@ mod tests {
         );
         let p = map.min_bytes_for(0.99).expect("Q12 can reach 0.99");
         assert!(p.ssim >= 0.99);
-        assert!(p.bytes <= map.full_bytes());
+        assert!(u64::from(p.bytes) <= map.full_bytes());
         assert!(map.min_bytes_for(1.1).is_none());
     }
 
@@ -305,7 +369,7 @@ mod tests {
         let p = map
             .best_ssim_within(full / 2)
             .expect("half budget is above I-frame size");
-        assert!(p.bytes <= full / 2);
+        assert!(u64::from(p.bytes) <= full / 2);
         // A larger budget can only improve the achievable SSIM.
         let p2 = map.best_ssim_within(full).unwrap();
         assert!(p2.ssim >= p.ssim);
@@ -343,8 +407,7 @@ mod tests {
             let map = BytesQoeMap::compute(&m, &v.segments[0], QualityLevel::MAX, kind);
             let bytes = map
                 .min_bytes_for(a.bound)
-                .map(|p| p.bytes)
-                .unwrap_or(map.full_bytes());
+                .map_or(map.full_bytes(), |p| u64::from(p.bytes));
             assert!(a.min_bytes <= bytes, "{kind}: {} > {bytes}", a.min_bytes);
         }
         assert!(a.min_bytes <= v.segments[0].bytes(QualityLevel::MAX));
@@ -370,7 +433,7 @@ mod tests {
         for seg in v.segments.iter() {
             let map = BytesQoeMap::compute(&m, seg, QualityLevel::MAX, OrderingKind::InboundRank);
             if let Some(p) = map.min_bytes_for(0.99) {
-                if p.bytes < map.full_bytes() {
+                if u64::from(p.bytes) < map.full_bytes() {
                     saved += 1;
                 }
             }

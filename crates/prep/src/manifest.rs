@@ -14,9 +14,11 @@
 //! VOXEL-unaware clients ignore the extra attributes and fetch segments
 //! whole, in original order — backward compatibility comes for free.
 
-use crate::analysis::{analyze_segment_forced, QoePoint};
-use crate::ordering::frame_order;
+use crate::analysis::{analyze, OrderSweep, QoePoint};
+use crate::mpd;
 use crate::ordering::OrderingKind;
+use std::sync::Arc;
+use voxel_media::gop::FrameKind;
 use voxel_media::ladder::{QualityLevel, NUM_LEVELS};
 use voxel_media::qoe::QoeModel;
 use voxel_media::video::Video;
@@ -41,13 +43,17 @@ pub struct SegmentEntry {
     pub ssims: Vec<QoePoint>,
     /// The ordering the analysis selected for this segment/level.
     pub ordering: OrderingKind,
-    /// Frame indices in download order (element 0 is the I-frame).
-    pub download_order: Vec<usize>,
-    /// BETA's map: the bytes→QoE points under the unreferenced-tail
-    /// ordering (used only by the BETA baseline).
-    pub beta_ssims: Vec<QoePoint>,
-    /// BETA's download order (unreferenced-tail).
-    pub beta_order: Vec<usize>,
+    /// Frame indices in download order (element 0 is the I-frame); shared
+    /// with the segment's other levels that chose the same ordering.
+    pub download_order: Arc<[usize]>,
+    /// BETA's one virtual quality level: the point of the unreferenced-tail
+    /// ordering's bytes→QoE map with every unreferenced frame dropped (the
+    /// full segment at an unanalysed level). The only point of that map the
+    /// BETA baseline reads, so the map itself is not kept.
+    pub beta_boundary: QoePoint,
+    /// BETA's download order (unreferenced-tail), shared like
+    /// `download_order`.
+    pub beta_order: Arc<[usize]>,
     /// Total bytes that must go over a reliable stream (I-frame + headers).
     pub reliable_size: u64,
     /// SSIM of the complete (pristine) segment at this level.
@@ -70,7 +76,7 @@ impl SegmentEntry {
         self.ssims
             .iter()
             .rev()
-            .find(|p| p.bytes <= payload_budget)
+            .find(|p| u64::from(p.bytes) <= payload_budget)
             .copied()
     }
 
@@ -100,8 +106,9 @@ impl Manifest {
     /// Run the full offline preparation (§4.1) for `video`.
     ///
     /// This is the paper's one-time, server-side computation — it reports a
-    /// cost of up to 5× the encoding cost; here it is a few hundred
-    /// milliseconds per video and the result is reused across experiments.
+    /// cost of up to 5× the encoding cost; here the full ladder takes about
+    /// 20 ms per video (the QoE sweep runs once per segment, not once per
+    /// level) and the result is reused across experiments.
     pub fn prepare(video: &Video, model: &QoeModel) -> Manifest {
         Self::prepare_levels(video, model, &QualityLevel::all().collect::<Vec<_>>())
     }
@@ -124,6 +131,9 @@ impl Manifest {
         Self::prepare_inner(video, model, levels, None)
     }
 
+    /// The orderings and their prefix sweeps depend only on the segment, so
+    /// they are built once per segment and shared by its 13 entries; each
+    /// level adds only its encoding distortion and frame sizes.
     fn prepare_inner(
         video: &Video,
         model: &QoeModel,
@@ -134,27 +144,43 @@ impl Manifest {
         // Per-level running offset within the (per-level) video file.
         let mut offsets = [0u64; NUM_LEVELS];
         for seg in &video.segments {
+            let sweeps = OrderSweep::all(model, seg);
+            let [original, tail, rank] = &sweeps;
+            let order_of = |kind: OrderingKind| {
+                let sweep = match kind {
+                    OrderingKind::Original => original,
+                    OrderingKind::UnreferencedTail => tail,
+                    OrderingKind::InboundRank => rank,
+                };
+                Arc::clone(&sweep.order)
+            };
+            // The unreferenced-tail ordering puts exactly these frames last.
+            let unreferenced = seg
+                .gop
+                .frames
+                .iter()
+                .filter(|f| f.kind != FrameKind::I && seg.gop.dependents[f.index].is_empty())
+                .count();
             let mut row = Vec::with_capacity(NUM_LEVELS);
             for level in QualityLevel::all() {
                 let header_total = FRAME_HEADER_BYTES * seg.gop.len() as u64;
                 let total = seg.bytes(level) + header_total;
                 let media_range = (offsets[level.index()], offsets[level.index()] + total - 1);
                 offsets[level.index()] += total;
+                let reliable_size = seg.frame_bytes(level, 0) + header_total;
 
                 let entry = if levels.contains(&level) {
-                    let analysis = analyze_segment_forced(model, seg, level, force);
-                    let order = frame_order(seg, analysis.best.ordering);
-                    let beta_order = frame_order(seg, OrderingKind::UnreferencedTail);
-                    let reliable_size = seg.frame_bytes(level, 0) + header_total;
+                    let analysis = analyze(&sweeps, model, seg, level, force);
+                    let tail_points = &analysis.tail.points;
                     SegmentEntry {
                         segment: seg.index,
                         level,
                         media_range,
-                        ssims: analysis.best.points.clone(),
+                        ssims: analysis.best.points,
                         ordering: analysis.best.ordering,
-                        download_order: order,
-                        beta_ssims: analysis.tail.points.clone(),
-                        beta_order,
+                        download_order: order_of(analysis.best.ordering),
+                        beta_boundary: tail_points[tail_points.len() - unreferenced - 1],
+                        beta_order: order_of(OrderingKind::UnreferencedTail),
                         reliable_size,
                         pristine_ssim: model.pristine_ssim(seg, level),
                         bound: analysis.bound,
@@ -163,24 +189,17 @@ impl Manifest {
                 } else {
                     // Placeholder: full-segment-only entry (no virtual levels).
                     let pristine = model.pristine_ssim(seg, level);
+                    let full = QoePoint::new(pristine, seg.gop.len(), seg.bytes(level));
                     SegmentEntry {
                         segment: seg.index,
                         level,
                         media_range,
-                        ssims: vec![QoePoint {
-                            ssim: pristine,
-                            frames: seg.gop.len(),
-                            bytes: seg.bytes(level),
-                        }],
+                        ssims: vec![full],
                         ordering: OrderingKind::Original,
-                        download_order: seg.gop.decode_order.clone(),
-                        beta_ssims: vec![QoePoint {
-                            ssim: pristine,
-                            frames: seg.gop.len(),
-                            bytes: seg.bytes(level),
-                        }],
-                        beta_order: seg.gop.decode_order.clone(),
-                        reliable_size: seg.frame_bytes(level, 0) + header_total,
+                        download_order: order_of(OrderingKind::Original),
+                        beta_boundary: full,
+                        beta_order: order_of(OrderingKind::Original),
+                        reliable_size,
                         pristine_ssim: pristine,
                         bound: pristine,
                         min_bytes: seg.bytes(level),
@@ -212,34 +231,18 @@ impl Manifest {
     /// encoding — its size relative to a Q12 segment (≈16 % in the paper)
     /// is reported by [`Manifest::size_bytes`].
     pub fn to_mpd(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "<MPD video=\"{}\" segments=\"{}\">\n",
-            self.video_id,
-            self.num_segments()
-        ));
-        for row in &self.entries {
-            for e in row {
-                let ssims: Vec<String> = e
-                    .ssims
-                    .iter()
-                    .map(|p| format!("{:.3}:{}:{}", p.ssim, p.frames, p.bytes))
-                    .collect();
-                out.push_str(&format!(
-                    "<SegmentURL seg=\"{}\" q=\"{}\" mediaRange=\"{}-{}\" ordering=\"{}\" \
-                     reliableSize=\"{}\" ssims=\"{}\"/>\n",
-                    e.segment,
-                    e.level.index(),
-                    e.media_range.0,
-                    e.media_range.1,
-                    e.ordering,
-                    e.reliable_size,
-                    ssims.join(",")
-                ));
-            }
-        }
-        out.push_str("</MPD>\n");
-        out
+        mpd::write_mpd(
+            &self.video_id,
+            self.num_segments(),
+            self.entries.iter().flatten().map(|e| mpd::Line {
+                segment: e.segment,
+                level: e.level.index(),
+                media_range: e.media_range,
+                ordering: &e.ordering,
+                reliable_size: e.reliable_size,
+                ssims: &e.ssims,
+            }),
+        )
     }
 
     /// Size of the serialized manifest in bytes.
@@ -310,17 +313,17 @@ mod tests {
         let full = e.ssims.last().unwrap();
         let p = e.cheapest_reaching(e.bound).expect("bound is reachable");
         assert!(p.bytes <= full.bytes);
-        let q = e.best_within(p.bytes).unwrap();
+        let q = e.best_within(u64::from(p.bytes)).unwrap();
         assert!(q.ssim >= p.ssim - 1e-12);
-        assert_eq!(e.point_at_frames(p.frames).frames, p.frames);
+        assert_eq!(e.point_at_frames(p.frames as usize).frames, p.frames);
     }
 
     #[test]
     fn download_order_matches_ordering() {
         let (video, m) = quick_manifest();
         let e = m.entry(2, QualityLevel::MAX);
-        let expected = frame_order(&video.segments[2], e.ordering);
-        assert_eq!(e.download_order, expected);
+        let expected = crate::ordering::frame_order(&video.segments[2], e.ordering);
+        assert_eq!(*e.download_order, *expected);
         assert_eq!(e.download_order[0], 0);
     }
 
@@ -354,6 +357,36 @@ mod tests {
             "per-entry overhead {:.1}% of a Q12 segment",
             100.0 * per_entry / avg_q12
         );
+    }
+
+    #[test]
+    fn prepare_equals_a_per_level_analysis_entry_for_entry() {
+        // The manifest shares each segment's orderings and sweeps across its
+        // 13 levels; analysing every level from scratch must agree exactly.
+        use crate::analysis::analyze_segment_forced;
+        use crate::ordering::frame_order;
+        let video = Video::generate(VideoId::Ed);
+        let model = QoeModel::default();
+        let m = Manifest::prepare(&video, &model);
+        for seg in &video.segments {
+            for level in QualityLevel::all() {
+                let e = m.entry(seg.index, level);
+                let a = analyze_segment_forced(&model, seg, level, None);
+                let at = format!("seg {} {level}", seg.index);
+                assert_eq!(e.ssims, a.best.points, "{at}");
+                assert_eq!(e.ordering, a.best.ordering, "{at}");
+                assert_eq!(*e.download_order, *frame_order(seg, e.ordering), "{at}");
+                // BETA's boundary drops the tail map's 32 unreferenced b-frames.
+                let boundary = a.tail.points[a.tail.points.len() - 33];
+                assert_eq!(e.beta_boundary, boundary, "{at}");
+                let tail = frame_order(seg, OrderingKind::UnreferencedTail);
+                assert_eq!(*e.beta_order, *tail, "{at}");
+                assert_eq!(e.bound.to_bits(), a.bound.to_bits(), "{at}");
+                assert_eq!(e.min_bytes, a.min_bytes, "{at}");
+                let pristine = model.pristine_ssim(seg, level);
+                assert_eq!(e.pristine_ssim.to_bits(), pristine.to_bits(), "{at}");
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! [`ParsedEntry::media_range`] alone supports.
 
 use crate::analysis::QoePoint;
+use std::fmt::{self, Display, Write};
 
 /// One parsed `<SegmentURL …/>` entry.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,31 +48,77 @@ pub struct ParsedMpd {
 /// Matches [`crate::manifest::Manifest::to_mpd`] byte for byte, so a relay
 /// can re-emit a manifest it only ever saw as text.
 pub fn serialize(mpd: &ParsedMpd) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "<MPD video=\"{}\" segments=\"{}\">\n",
-        mpd.video, mpd.segments
-    ));
-    for e in &mpd.entries {
-        let ssims: Vec<String> = e
-            .ssims
-            .iter()
-            .map(|p| format!("{:.3}:{}:{}", p.ssim, p.frames, p.bytes))
-            .collect();
-        out.push_str(&format!(
+    write_mpd(
+        &mpd.video,
+        mpd.segments,
+        mpd.entries.iter().map(|e| Line {
+            segment: e.segment,
+            level: e.level,
+            media_range: e.media_range,
+            ordering: &e.ordering,
+            reliable_size: e.reliable_size,
+            ssims: &e.ssims,
+        }),
+    )
+}
+
+/// The fields of one `<SegmentURL …/>` line, borrowed from a prepared
+/// [`crate::manifest::SegmentEntry`] or a [`ParsedEntry`].
+pub(crate) struct Line<'a> {
+    pub(crate) segment: usize,
+    pub(crate) level: usize,
+    pub(crate) media_range: (u64, u64),
+    pub(crate) ordering: &'a dyn Display,
+    pub(crate) reliable_size: u64,
+    pub(crate) ssims: &'a [QoePoint],
+}
+
+/// The one Listing 1 writer, behind both [`serialize`] and
+/// [`crate::manifest::Manifest::to_mpd`]: the whole document goes into one
+/// `String` sized up front, with no allocation per line or triplet.
+pub(crate) fn write_mpd<'a>(
+    video: &dyn Display,
+    segments: usize,
+    lines: impl Iterator<Item = Line<'a>> + Clone,
+) -> String {
+    // A line's attributes fit in 128 bytes and a triplet
+    // (`0.997:96:1234567,`) in 20 for every segment the ladder produces, so
+    // the text is written without regrowing.
+    let capacity = 64
+        + lines
+            .clone()
+            .map(|l| 128 + 20 * l.ssims.len())
+            .sum::<usize>();
+    let mut out = String::with_capacity(capacity);
+    // lint: allow(panic) fmt::Write for String never returns an error
+    write_lines(&mut out, video, segments, lines).expect("writing to a String cannot fail");
+    out
+}
+
+fn write_lines<'a>(
+    out: &mut String,
+    video: &dyn Display,
+    segments: usize,
+    lines: impl Iterator<Item = Line<'a>>,
+) -> fmt::Result {
+    writeln!(out, "<MPD video=\"{video}\" segments=\"{segments}\">")?;
+    for l in lines {
+        write!(
+            out,
             "<SegmentURL seg=\"{}\" q=\"{}\" mediaRange=\"{}-{}\" ordering=\"{}\" \
-             reliableSize=\"{}\" ssims=\"{}\"/>\n",
-            e.segment,
-            e.level,
-            e.media_range.0,
-            e.media_range.1,
-            e.ordering,
-            e.reliable_size,
-            ssims.join(",")
-        ));
+             reliableSize=\"{}\" ssims=\"",
+            l.segment, l.level, l.media_range.0, l.media_range.1, l.ordering, l.reliable_size,
+        )?;
+        for (i, p) in l.ssims.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write!(out, "{:.3}:{}:{}", p.ssim, p.frames, p.bytes)?;
+        }
+        out.push_str("\"/>\n");
     }
     out.push_str("</MPD>\n");
-    out
+    Ok(())
 }
 
 /// Extract `name="value"` from an XML-ish attribute list.
@@ -192,6 +239,13 @@ mod tests {
         // Truncated ssims triplet.
         let bad = "<MPD video=\"x\" segments=\"1\">\n<SegmentURL seg=\"0\" q=\"0\" mediaRange=\"0-9\" ordering=\"original\" reliableSize=\"5\" ssims=\"0.9:4\"/>\n</MPD>";
         assert!(parse(bad).is_none());
+        // A triplet's frames or bytes beyond u32 (2^32 = 4294967296).
+        let entry = |ssims: &str| {
+            format!("<MPD video=\"x\" segments=\"1\">\n<SegmentURL seg=\"0\" q=\"0\" mediaRange=\"0-9\" ordering=\"original\" reliableSize=\"5\" ssims=\"{ssims}\"/>\n</MPD>")
+        };
+        assert!(parse(&entry("0.900:4:4294967295")).is_some());
+        assert!(parse(&entry("0.900:4:4294967296")).is_none());
+        assert!(parse(&entry("0.900:4294967296:10")).is_none());
     }
 
     #[test]
@@ -235,7 +289,7 @@ mod props {
                     "[a-z][a-z-]{0,11}",
                     0u64..500_000,
                     proptest::collection::vec(
-                        (0u32..=1000, 0usize..600, 0u64..5_000_000),
+                        (0u32..=1000, 0u32..600, 0u32..5_000_000),
                         1..6,
                     ),
                 ),

@@ -135,7 +135,7 @@ fn manifest_analysis_respects_the_lower_bound_everywhere() {
                 .best
                 .points
                 .iter()
-                .find(|p| p.bytes >= a.min_bytes)
+                .find(|p| u64::from(p.bytes) >= a.min_bytes)
                 .expect("min_bytes is a map point");
             assert!(
                 reached.ssim >= a.bound - 1e-9,
