@@ -10,12 +10,8 @@ cargo build --release
 echo "==> cargo test -q --workspace (every crate's unit, integration, property and doc tests)"
 cargo test -q --workspace
 
-echo "==> voxel-lint (static invariant pass, DESIGN.md §10; wall-time guard 10s; JSON -> results/lint.json)"
-mkdir -p results
-cargo run -q --release -p voxel-lint -- --json results/lint.json --max-seconds 10
-
-echo "==> voxel-lint api-baseline (pub-surface diff vs lint/api-baseline.txt)"
-cargo run -q --release -p voxel-lint -- --only api
+echo "==> voxel-lint (API baseline, trace taxonomy, lock order; DESIGN.md §10; wall-time guard 10s)"
+cargo run -q --release -p voxel-lint -- --max-seconds 10
 
 echo "==> cargo test -q --features paranoid (runtime invariant audits: the facade's integration tests, and the unit + property tests of every crate that has audits behind the feature)"
 cargo test -q --features paranoid -p voxel -p voxel-quic -p voxel-core -p voxel-fleet
@@ -60,8 +56,9 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 echo "==> perf: profiler overhead guard (obs_ab, <5% on the session event loop)"
 cargo run -q --release -p voxel-bench --bin obs_ab
 
-echo "==> cargo clippy -- -D warnings"
+echo "==> cargo clippy -- -D warnings (token rules, DESIGN.md §10), then again with the paranoid-only code compiled in"
 cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --workspace --all-targets --features paranoid -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check

@@ -83,7 +83,6 @@ impl Abr for Bola {
         // virtual buffer from the first throughput sample (the manifest
         // fetch) so startup quality matches the network rather than
         // defaulting to the lowest rung.
-        // lint: allow(float-eq) exact sentinel — placeholder is 0.0 only before first seeding
         if ctx.last_level.is_none() && self.placeholder_s == 0.0 {
             if let Some(est) = ctx.throughput_bps {
                 let sustainable = QualityLevel::all()

@@ -165,7 +165,6 @@ impl Abr for BolaSsim {
         // first throughput sample so the opening segments aren't forced to
         // the lowest rung (the paper's VOXEL "never drops below 0.95"
         // during startup, Fig 11a).
-        // lint: allow(float-eq) exact sentinel — placeholder is 0.0 only before first seeding
         if ctx.last_level.is_none() && self.placeholder_s == 0.0 {
             if let Some(est) = ctx.throughput_bps {
                 let sustainable = QualityLevel::all()
@@ -195,6 +194,10 @@ impl Abr for BolaSsim {
                     + u64::from(c.point.bytes)
             };
             match est {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "candidates() always returns at least one entry"
+                )]
                 Some(est) => {
                     if entry(&best) as f64 * 8.0 / est > budget_s {
                         // Walk down the candidate space: cheapest candidate
@@ -207,10 +210,13 @@ impl Abr for BolaSsim {
                         best = *all
                             .iter()
                             .find(|c| entry(c) as f64 * 8.0 / est <= budget_s)
-                            // lint: allow(panic) candidates() always returns at least one entry
                             .unwrap_or(all.last().expect("non-empty"));
                     }
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "prep builds every SSIM map with the full-segment point"
+                )]
                 None => {
                     best = Candidate {
                         level: QualityLevel::MIN,
@@ -219,7 +225,6 @@ impl Abr for BolaSsim {
                             .entry(ctx.segment_index, QualityLevel::MIN)
                             .ssims
                             .last()
-                            // lint: allow(panic) prep builds every SSIM map with the full-segment point
                             .expect("non-empty"),
                         is_full: true,
                     };
@@ -256,9 +261,12 @@ impl Abr for BolaSsim {
         let mut level = current.level.lower();
         while let Some(l) = level {
             let e = ctx.manifest.entry(ctx.segment_index, l);
+            #[expect(
+                clippy::expect_used,
+                reason = "prep builds every SSIM map with the full-segment point"
+            )]
             let bound_point = e
                 .cheapest_reaching(e.bound)
-                // lint: allow(panic) prep builds every SSIM map with the full-segment point
                 .unwrap_or(*e.ssims.last().expect("non-empty"));
             let bits = (u64::from(bound_point.bytes) + e.reliable_size) as f64 * 8.0;
             let s = score(utility(self.metric, bound_point.ssim), bits);
@@ -274,7 +282,10 @@ impl Abr for BolaSsim {
                 let e = ctx.manifest.entry(ctx.segment_index, l);
                 self.current = Some(Candidate {
                     level: l,
-                    // lint: allow(panic) prep builds every SSIM map with the full-segment point
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "prep builds every SSIM map with the full-segment point"
+                    )]
                     point: *e.ssims.last().expect("non-empty"),
                     is_full: true,
                 });

@@ -14,7 +14,10 @@
 //! this planner, not improving it.
 
 use crate::traits::{Abr, AbrContext, Decision};
-// lint: allow(nondeterministic-map) memo table — key lookup only, never iterated
+#[expect(
+    clippy::disallowed_types,
+    reason = "memo table — key lookup only, never iterated"
+)]
 use std::collections::HashMap;
 use voxel_media::ladder::{QualityLevel, NUM_LEVELS};
 use voxel_media::video::SEGMENT_DURATION_S;
@@ -44,7 +47,10 @@ impl Default for Mpc {
 /// Buffer discretization for the memo table (0.25 s buckets).
 const BUCKET_S: f64 = 0.25;
 
-// lint: allow(nondeterministic-map) the whole impl is the memoized DP: HashMap is key-lookup only, never iterated
+#[expect(
+    clippy::disallowed_types,
+    reason = "the whole impl is the memoized DP: HashMap is key-lookup only, never iterated"
+)]
 impl Mpc {
     fn plan(&self, ctx: &AbrContext<'_>, predicted_bps: f64) -> QualityLevel {
         let last = ctx.last_level.unwrap_or(QualityLevel::MIN);
@@ -63,7 +69,10 @@ impl Mpc {
     }
 
     /// Returns (best QoE over the remaining horizon, best first-step level).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the DP state is the argument list"
+    )]
     fn search(
         &self,
         ctx: &AbrContext<'_>,

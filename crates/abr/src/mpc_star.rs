@@ -18,7 +18,10 @@
 
 use crate::bola_ssim::candidates;
 use crate::traits::{AbandonAction, Abr, AbrContext, Decision, DownloadProgress};
-// lint: allow(nondeterministic-map) memo table — key lookup only, never iterated
+#[expect(
+    clippy::disallowed_types,
+    reason = "memo table — key lookup only, never iterated"
+)]
 use std::collections::HashMap;
 use voxel_media::ladder::QualityLevel;
 use voxel_media::video::SEGMENT_DURATION_S;
@@ -64,7 +67,10 @@ fn utility(ssim: f64) -> f64 {
     -((1.0 - ssim).max(1e-3)).ln()
 }
 
-// lint: allow(nondeterministic-map) the whole impl is the memoized DP: HashMap is key-lookup only, never iterated
+#[expect(
+    clippy::disallowed_types,
+    reason = "the whole impl is the memoized DP: HashMap is key-lookup only, never iterated"
+)]
 impl MpcStar {
     /// The curbed option set for one segment: BOLA-SSIM's candidate points
     /// (bound, a few intermediates, full) per level.
@@ -85,7 +91,10 @@ impl MpcStar {
         out
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the DP state is the argument list"
+    )]
     fn search(
         &self,
         ctx: &AbrContext<'_>,
@@ -138,7 +147,10 @@ impl Abr for MpcStar {
         let Some(pred) = ctx.conservative_throughput_bps.or(ctx.throughput_bps) else {
             return Decision::full(QualityLevel::MIN);
         };
-        // lint: allow(nondeterministic-map) memo table — key lookup only, never iterated
+        #[expect(
+            clippy::disallowed_types,
+            reason = "memo table — key lookup only, never iterated"
+        )]
         let mut memo = HashMap::new();
         let prev_u = ctx
             .last_level

@@ -18,6 +18,11 @@
 //!     # deliberate stall-accounting skew and demand the sweep catch it
 //! ```
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the harness times itself; wall time never reaches simulation state"
+)]
+
 use std::process::ExitCode;
 use std::time::Instant;
 use voxel_testkit::{

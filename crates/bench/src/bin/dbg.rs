@@ -27,6 +27,11 @@
 //! `--seed N` (default 1) seeds scenario traces and fault planes; a fleet
 //! is a pure function of its spec.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the harness times itself; wall time never reaches simulation state"
+)]
+
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use voxel_core::metrics::{Aggregate, TrialResult};

@@ -18,6 +18,8 @@
 //! bytes. The full report adds the sweep rows; there oracle verdicts
 //! print as findings without failing the run.
 
+#![allow(clippy::expect_used, reason = "a binary aborts on a failed run")]
+
 use std::process::ExitCode;
 use voxel_core::{Admission, ContentCache, EvictionPolicy};
 use voxel_fleet::{

@@ -6,6 +6,12 @@
 //! disabled one by more than the budget (default 5%, override with
 //! `VOXEL_OBS_AB_MAX_PCT`).
 
+#![allow(clippy::unwrap_used, reason = "a binary aborts on a failed run")]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the harness times itself; wall time never reaches simulation state"
+)]
+
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;

@@ -1,4 +1,8 @@
 #![warn(missing_docs)]
+#![allow(
+    clippy::expect_used,
+    reason = "the exhibit harness aborts on a failed run"
+)]
 //! # voxel-bench
 //!
 //! The experiment harness: [`EXHIBITS`] states every table and figure of

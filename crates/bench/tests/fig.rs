@@ -3,6 +3,12 @@
 //! committed `results/` of every exhibit cheap enough to regenerate on each
 //! test run.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test aborts on a failed run"
+)]
+
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use voxel_bench::EXHIBITS;

@@ -510,7 +510,10 @@ impl ClientApp {
     ) {
         let seg = self.next_segment;
         let entry = self.manifest.entry(seg, decision.level);
-        // lint: allow(panic) prep builds every SSIM map with the full-segment point
+        #[expect(
+            clippy::expect_used,
+            reason = "prep builds every SSIM map with the full-segment point"
+        )]
         let full_point = *entry.ssims.last().expect("non-empty");
         let target = decision.target.unwrap_or(full_point);
 
@@ -633,7 +636,10 @@ impl ClientApp {
         match action {
             AbandonAction::Continue => {}
             AbandonAction::RestartAt(level) => {
-                // lint: allow(panic) on_progress only fires with an active download
+                #[expect(
+                    clippy::expect_used,
+                    reason = "on_progress only fires with an active download"
+                )]
                 let dl = self.dl.take().expect("checked");
                 // Discard and refetch: the classic, wasteful abandonment.
                 self.stats.bytes_wasted += rec_received;
@@ -658,7 +664,10 @@ impl ClientApp {
                 self.begin_fetch(now, conn, voxel_abr::Decision::full(level), restarts);
             }
             AbandonAction::KeepPartial => {
-                // lint: allow(panic) on_progress only fires with an active download
+                #[expect(
+                    clippy::expect_used,
+                    reason = "on_progress only fires with an active download"
+                )]
                 let dl = self.dl.take().expect("checked");
                 self.stats.kept_partials += 1;
                 voxel_http::trace::trace_abandon(
@@ -705,7 +714,10 @@ impl ClientApp {
             dl.head_done && (dl.body_fin_seen || rec_received >= dl.body_goal)
         };
         if complete {
-            // lint: allow(panic) completeness was just computed from this download
+            #[expect(
+                clippy::expect_used,
+                reason = "completeness was just computed from this download"
+            )]
             let dl = self.dl.take().expect("checked");
             self.finish_segment(now, dl);
         }
@@ -752,11 +764,14 @@ impl ClientApp {
         }
 
         // Playback queueing and stall accounting.
+        #[expect(
+            clippy::expect_used,
+            reason = "a SegmentRecord is pushed when its fetch begins"
+        )]
         let rec = self
             .records
             .iter_mut()
             .find(|r| r.seg == dl.seg)
-            // lint: allow(panic) a SegmentRecord is pushed when its fetch begins
             .expect("record exists");
         let seg_dur = SimDuration::from_secs_f64(SEGMENT_DURATION_S);
         if !self.play_started {
@@ -1014,7 +1029,10 @@ impl ClientApp {
             let entry = self.manifest.entry(rec.seg, rec.level);
             let delivered = entry.reliable_size + rec.received.covered_len();
             segment_kbps.push(delivered as f64 * 8.0 / SEGMENT_DURATION_S / 1e3);
-            // lint: allow(panic) finish() freezes every record before aggregation
+            #[expect(
+                clippy::expect_used,
+                reason = "finish() freezes every record before aggregation"
+            )]
             scores.push(rec.scores.expect("frozen"));
             bytes_full += entry.total_bytes();
             bytes_skipped += entry.total_bytes().saturating_sub(delivered);

@@ -274,7 +274,10 @@ impl SessionCore {
     /// transmitted packet through it instead, and checks the size the
     /// wire is charged against the encoding's.
     #[inline]
-    #[allow(unused_variables)]
+    #[cfg_attr(
+        not(feature = "paranoid"),
+        expect(unused_variables, reason = "only the paranoid build audits the packet")
+    )]
     fn audit_codec(&self, now: SimTime, packet: &Packet) {
         #[cfg(feature = "paranoid")]
         {
@@ -331,11 +334,14 @@ impl SessionCore {
 /// A `paranoid` audit failed: print the flight-recorder dump, if a
 /// recorder is installed, and panic.
 #[cfg(feature = "paranoid")]
+#[expect(
+    clippy::panic,
+    reason = "the paranoid layer is intentionally fatal on corruption"
+)]
 fn audit_failed(what: String) -> ! {
     if let Some(dump) = voxel_obs::dump_current(&what) {
         eprintln!("{dump}");
     }
-    // lint: allow(panic) the paranoid layer is intentionally fatal on corruption
     panic!("{what}");
 }
 

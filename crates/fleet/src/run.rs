@@ -484,9 +484,12 @@ fn coordinate(
             Reply::Round(_) => unreachable!("round reply during harvest"),
         }
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "every flow was frozen or finished above"
+    )]
     let sessions: Vec<TrialResult> = slots
         .into_iter()
-        // lint: allow(panic) every flow was frozen or finished above
         .map(|s| s.expect("session produced a result"))
         .collect();
 

@@ -279,12 +279,15 @@ pub(crate) fn shard_round(sessions: &mut [SessionCell], mut cmd: RoundCmd) -> Ro
     // A lane's flows are contiguous, in order.
     let lo = sessions.first().map_or(0, |s| s.flow);
     for d in cmd.deliveries.drain(..) {
+        #[expect(
+            clippy::expect_used,
+            reason = "the coordinator routes by flow ownership; a miss is a harness bug"
+        )]
         let cell = d
             .flow
             .checked_sub(lo)
             .and_then(|i| sessions.get_mut(i))
             .filter(|s| s.flow == d.flow)
-            // lint: allow(panic) the coordinator routes by flow ownership; a miss is a harness bug
             .expect("delivery routed to the owning shard");
         // Deliveries always land at or after the session's clock: the
         // lookahead argument (DESIGN.md §14) guarantees a packet entering
@@ -321,7 +324,10 @@ fn harvest(sessions: Vec<SessionCell>) -> Vec<(usize, TrialResult)> {
         .into_iter()
         .map(|s| {
             let flow = s.flow;
-            // lint: allow(panic) the coordinator freezes stragglers before harvesting
+            #[expect(
+                clippy::expect_used,
+                reason = "the coordinator freezes stragglers before harvesting"
+            )]
             (flow, s.result.expect("session finished before harvest"))
         })
         .collect()
@@ -373,8 +379,11 @@ pub(crate) enum Lane<'scope> {
 /// coordinator — with the flight recorder's dump when one is installed
 /// (workers share the coordinator's ring) — instead of "channel closed".
 fn worker_died(worker: &mut Option<ScopedJoinHandle<'_, ()>>) -> ! {
+    #[expect(
+        clippy::panic,
+        reason = "a worker hangs up only by panicking or after Harvest"
+    )]
     let Some(Err(payload)) = worker.take().map(ScopedJoinHandle::join) else {
-        // lint: allow(panic) a worker hangs up only by panicking or after Harvest
         panic!("shard worker hung up without panicking");
     };
     let message = payload
@@ -424,14 +433,15 @@ impl<'scope> Lane<'scope> {
     /// Execute (inline) or await (threaded) the dispatched command.
     pub fn collect(&mut self) -> Reply {
         match self {
-            Lane::Inline { sessions, pending } => {
-                // lint: allow(panic) collect without dispatch is a harness bug
-                match pending.take().expect("round dispatched") {
-                    Cmd::Round(round) => Reply::Round(shard_round(sessions, round)),
-                    Cmd::Freeze(at) => Reply::Round(shard_freeze(sessions, at)),
-                    Cmd::Harvest => Reply::Outcomes(harvest(std::mem::take(sessions))),
-                }
-            }
+            #[expect(
+                clippy::expect_used,
+                reason = "collect without dispatch is a harness bug"
+            )]
+            Lane::Inline { sessions, pending } => match pending.take().expect("round dispatched") {
+                Cmd::Round(round) => Reply::Round(shard_round(sessions, round)),
+                Cmd::Freeze(at) => Reply::Round(shard_freeze(sessions, at)),
+                Cmd::Harvest => Reply::Outcomes(harvest(std::mem::take(sessions))),
+            },
             Lane::Thread { rx, worker, .. } => rx.recv().unwrap_or_else(|_| worker_died(worker)),
         }
     }

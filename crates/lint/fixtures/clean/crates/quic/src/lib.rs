@@ -2,7 +2,6 @@
 //! file is never compiled — it only feeds the lint engine's own tests.
 
 use std::collections::BTreeMap;
-use std::collections::HashMap; // lint: allow(nondeterministic-map) fixture: lookup-only memo, never iterated
 
 pub struct Conn {
     pub seq: u64,
@@ -27,11 +26,6 @@ pub fn ordered(a: &Mutex<u32>, b: &Mutex<u32>) {
 pub fn ordered_again(a: &Mutex<u32>, b: &Mutex<u32>) {
     let _a = a.lock();
     let _b = b.lock();
-}
-
-// lint: allow(shard-unshareable) fixture: the pointer never leaves the calling thread
-pub fn addr_of(p: *const u8) -> usize {
-    p as usize
 }
 
 fn lookup(memo: &BTreeMap<u64, u64>, k: u64) -> Option<u64> {

@@ -6,12 +6,11 @@
 //! trait methods are recorded as `Type::method`. A surface change — in
 //! either direction — fails the lint until the baseline is re-blessed
 //! with `VOXEL_BLESS=1`, which turns silent API drift into a reviewed
-//! diff of the baseline file. `api-baseline` findings are not waivable:
-//! blessing *is* the approval mechanism.
+//! diff of the baseline file: blessing *is* the approval mechanism.
 
 use crate::parse::{Item, ItemKind};
-use crate::rules::Violation;
 use crate::scan::SourceFile;
+use crate::Violation;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 

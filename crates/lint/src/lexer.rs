@@ -316,16 +316,6 @@ fn scan_number(b: &[(usize, char)], i: &mut usize) {
     }
 }
 
-/// Is this `Num` token text a *floating* literal (`0.5`, `1e6`, `2.0_f32`)?
-/// Plain integers and hex/binary/octal literals are not.
-pub fn is_float_literal(text: &str) -> bool {
-    let lower = text.to_ascii_lowercase();
-    if lower.starts_with("0x") || lower.starts_with("0b") || lower.starts_with("0o") {
-        return false;
-    }
-    text.contains('.') || lower.contains('e')
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,10 +385,6 @@ mod tests {
             .map(|(_, t)| t)
             .collect();
         assert_eq!(nums, vec!["1", "5", "1.5e-3", "0xEE", "2.0_f32"]);
-        assert!(is_float_literal("1.5e-3"));
-        assert!(is_float_literal("2.0_f32"));
-        assert!(!is_float_literal("0xEE"));
-        assert!(!is_float_literal("42"));
     }
 
     #[test]

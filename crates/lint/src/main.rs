@@ -1,8 +1,7 @@
-//! CLI for the workspace lint pass. Exit code 1 on any unwaived
-//! violation (or a blown wall-time guard), 2 on operational error.
+//! CLI for the workspace lint pass. Exit code 1 on any violation (or a
+//! blown wall-time guard), 2 on operational error.
 //!
-//! Usage: `cargo run -p voxel-lint [-- --root <path>] [--json <file>]
-//! [--only <family>] [--max-seconds <n>]`
+//! Usage: `cargo run -p voxel-lint [-- --root <path>] [--max-seconds <n>]`
 //!
 //! `VOXEL_BLESS=1` rewrites `lint/api-baseline.txt` from the current
 //! workspace instead of diffing against it.
@@ -11,30 +10,19 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let t0 = std::time::Instant::now(); // lint: allow(wall-clock) measures the lint pass itself for the CI wall-time guard, never sim state
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "measures the lint pass itself for the CI wall-time guard, never sim state"
+    )]
+    let t0 = std::time::Instant::now();
     let mut args = std::env::args().skip(1);
     let mut root = voxel_lint::default_root();
-    let mut json_path: Option<PathBuf> = None;
     let mut max_seconds: Option<u64> = None;
-    let mut opts = voxel_lint::Options::from_env();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--root" => match args.next() {
                 Some(p) => root = PathBuf::from(p),
                 None => return usage_error("--root requires a path"),
-            },
-            "--json" => match args.next() {
-                Some(p) => json_path = Some(PathBuf::from(p)),
-                None => return usage_error("--json requires an output path"),
-            },
-            "--only" => match args.next() {
-                Some(f) => opts.only = Some(f),
-                None => {
-                    return usage_error(&format!(
-                        "--only requires a rule family ({})",
-                        voxel_lint::FAMILIES.join(", ")
-                    ))
-                }
             },
             "--max-seconds" => match args.next().and_then(|n| n.parse::<u64>().ok()) {
                 Some(n) => max_seconds = Some(n),
@@ -42,10 +30,7 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 println!("voxel-lint: workspace invariant lints (see DESIGN.md §10)");
-                println!(
-                    "usage: voxel-lint [--root <repo-root>] [--json <file>] [--only <family>] [--max-seconds <n>]"
-                );
-                println!("families: {}", voxel_lint::FAMILIES.join(", "));
+                println!("usage: voxel-lint [--root <repo-root>] [--max-seconds <n>]");
                 println!("env: VOXEL_BLESS=1 re-blesses the API baseline");
                 return ExitCode::SUCCESS;
             }
@@ -53,36 +38,21 @@ fn main() -> ExitCode {
         }
     }
 
-    let violations = match voxel_lint::run_with(&root, &opts) {
+    let violations = match voxel_lint::run(&root) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("voxel-lint: error: {e}");
             return ExitCode::from(2);
         }
     };
-    if let Some(path) = &json_path {
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        if let Err(e) = std::fs::write(path, voxel_lint::render_json(&violations)) {
-            eprintln!("voxel-lint: error: write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-
-    let waived = violations.iter().filter(|v| v.waived).count();
-    let unwaived: Vec<_> = violations.iter().filter(|v| !v.waived).collect();
-    for v in &unwaived {
+    for v in &violations {
         println!("{}:{}: [{}] {}", v.path, v.line, v.rule, v.msg);
     }
-    let mut failed = !unwaived.is_empty();
+    let mut failed = !violations.is_empty();
     if failed {
-        println!(
-            "voxel-lint: {} violation(s), {waived} waived finding(s)",
-            unwaived.len()
-        );
+        println!("voxel-lint: {} violation(s)", violations.len());
     } else {
-        println!("voxel-lint: clean ({waived} waived finding(s))");
+        println!("voxel-lint: clean");
     }
 
     if let Some(max) = max_seconds {

@@ -32,8 +32,8 @@ pub enum ItemKind {
     Use,
     MacroDef,
     /// Statement-position macro invocation (`thread_local! { .. }`,
-    /// `trace_event!(..);`) — modelled as an item so a waiver above it
-    /// covers its whole (possibly multi-line) extent.
+    /// `trace_event!(..);`) — modelled as an item so its (possibly
+    /// multi-line) extent is known.
     MacroCall,
 }
 
@@ -76,8 +76,7 @@ pub struct Item {
     pub macro_export: bool,
     /// `impl Type { .. }` as opposed to `impl Trait for Type { .. }`.
     pub inherent_impl: bool,
-    /// First line of the header including attributes (where an item-level
-    /// waiver or doc block starts attaching).
+    /// First line of the header including attributes.
     pub header_line: usize,
     /// Line of the introducing keyword.
     pub kw_line: usize,
@@ -276,7 +275,10 @@ pub fn parse(src: &str, toks: &[Tok]) -> Vec<Item> {
 /// Try to parse an item header whose first significant token is at `k`.
 /// On success returns the index to resume at and the pending state (None
 /// for leaf items that were fully consumed).
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the parser's cursor state is threaded through by hand"
+)]
 fn try_item(
     sig: &[usize],
     toks: &[Tok],

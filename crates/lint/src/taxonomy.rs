@@ -8,11 +8,11 @@
 //!
 //! Extraction walks the token stream, so an emission reformatted across
 //! any number of lines is still one site, and the finding lands on the
-//! line of the call itself — where a waiver comment naturally sits.
+//! line of the call itself.
 
 use crate::lexer::TokKind;
-use crate::rules::{report, Violation, WaiverUse};
 use crate::scan::SourceFile;
+use crate::Violation;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The documented taxonomy: event kinds per layer plus one flat metric
@@ -196,23 +196,17 @@ pub fn extract(f: &SourceFile) -> Vec<Emission> {
     out
 }
 
-/// Cross-check emissions against the documented taxonomy (both ways).
-/// Undocumented-emission findings are waivable at the emission site
-/// (`trace-taxonomy`); documented-but-never-emitted drift has no code
-/// line to waive on and stays hard.
+/// Cross-check emissions against the documented taxonomy (both ways):
+/// an undocumented emission is reported at its call site, a documented
+/// but never-emitted name against `design_path`.
 pub fn cross_check(
     tax: &Taxonomy,
     emissions: &[Emission],
     design_path: &str,
-    files: &BTreeMap<&str, &SourceFile>,
-    uses: &mut WaiverUse,
     out: &mut Vec<Violation>,
 ) {
-    let mut at_site =
-        |path: &str, line: usize, msg: String, out: &mut Vec<Violation>| match files.get(path) {
-            Some(f) => report(f, line, "trace-taxonomy", msg, uses, out),
-            None => out.push(Violation::new(path, line, "trace-taxonomy", msg)),
-        };
+    let at_site =
+        |e: &Emission, msg: String| Violation::new(&e.path, e.line, "trace-taxonomy", msg);
     let mut seen_kinds: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
     let mut seen_metrics: BTreeSet<String> = BTreeSet::new();
     for e in emissions {
@@ -223,25 +217,21 @@ pub fn cross_check(
                 .insert(kind.clone());
             let documented = tax.kinds.get(layer).is_some_and(|set| set.contains(kind));
             if !documented {
-                at_site(
-                    &e.path,
-                    e.line,
+                out.push(at_site(
+                    e,
                     format!(
                         "event kind `{kind}` (layer `{layer}`) is not in the DESIGN.md §9 table"
                     ),
-                    out,
-                );
+                ));
             }
         }
         if let Some(m) = &e.metric {
             seen_metrics.insert(m.clone());
             if !tax.metrics.contains(m) {
-                at_site(
-                    &e.path,
-                    e.line,
+                out.push(at_site(
+                    e,
                     format!("metric `{m}` is not in the DESIGN.md §9 table"),
-                    out,
-                );
+                ));
             }
         }
     }
@@ -284,16 +274,9 @@ mod tests {
 ";
 
     fn check(tax: &Taxonomy, fs: &[&SourceFile]) -> Vec<Violation> {
-        let mut emissions = Vec::new();
-        let mut map = BTreeMap::new();
-        for f in fs {
-            emissions.extend(extract(f));
-            map.insert(f.rel_path.as_str(), *f);
-        }
-        let mut uses = WaiverUse::default();
+        let emissions: Vec<_> = fs.iter().flat_map(|f| extract(f)).collect();
         let mut out = Vec::new();
-        cross_check(tax, &emissions, "DESIGN.md", &map, &mut uses, &mut out);
-        out.retain(|v| !v.waived);
+        cross_check(tax, &emissions, "DESIGN.md", &mut out);
         out
     }
 
@@ -355,7 +338,7 @@ mod tests {
         let em = extract(&f);
         assert_eq!(em.len(), 1);
         assert_eq!(em[0].metric, Some("fleet.session_stall_ms".to_string()));
-        assert_eq!(em[0].line, 2, "anchored to the call, where a waiver sits");
+        assert_eq!(em[0].line, 2, "anchored to the call");
     }
 
     #[test]
@@ -382,15 +365,5 @@ mod tests {
         let s2 = "fn f() { let doc = \"call tracer.count(\\\"x\\\", 1)\"; }\n";
         let f2 = SourceFile::parse("crates/quic/src/y.rs", "quic", s2);
         assert!(extract(&f2).is_empty());
-    }
-
-    #[test]
-    fn undocumented_emission_is_waivable_at_the_call_line() {
-        let tax = parse_design(TABLE).expect("table parses");
-        // Emit everything documented so only the waiver behaviour is under test.
-        let base = "fn f() {\n    trace_event!(t, n, Layer::Quic, \"pkt_sent\");\n    trace_event!(t, n, Layer::Quic, \"loss\");\n    trace_event!(t, n, Layer::Session, \"trial_start\");\n    trace_event!(t, n, Layer::Session, \"progress\");\n    tracer.count(\"quic.packets_sent\", 1);\n    tracer.count(\"quic.loss_events\", 1);\n    tracer.observe(\"quic.cwnd_bytes\", 1);\n    // lint: allow(trace-taxonomy) experimental kind, graduates with the shard work\n    trace_event!(\n        t,\n        n,\n        Layer::Quic,\n        \"experimental\",\n    );\n}\n";
-        let f = SourceFile::parse("crates/quic/src/x.rs", "quic", base);
-        let out = check(&tax, &[&f]);
-        assert!(out.is_empty(), "{out:?}");
     }
 }

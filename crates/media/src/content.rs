@@ -132,7 +132,10 @@ impl ContentProfile {
             // P10: Japanese street-dance, ~50 performers, no cuts — errors
             // propagate to segment end; almost no drop tolerance (§C).
             VideoId::YouTube(10) => ("Entertainment", 1.94, 3, 0.80, 0.06, 0.05, 0.0, 0.0),
-            // lint: allow(panic) only P1..P10 exist (§C Table 3); any other id is a programmer error
+            #[expect(
+                clippy::panic,
+                reason = "only P1..P10 exist (§C Table 3); any other id is a programmer error"
+            )]
             VideoId::YouTube(n) => panic!("unknown YouTube video P{n}"),
         };
         ContentProfile {

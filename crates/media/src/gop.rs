@@ -86,7 +86,10 @@ impl GopStructure {
         let mut frames: Vec<FrameMeta> = Vec::with_capacity(n);
 
         // Kinds and direct references.
-        #[allow(clippy::needless_range_loop)]
+        #[allow(
+            clippy::needless_range_loop,
+            reason = "frame `i`'s references are computed from its index"
+        )]
         for i in 0..n {
             let (kind, refs) = if i == 0 {
                 (FrameKind::I, Vec::new())

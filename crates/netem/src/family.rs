@@ -146,7 +146,10 @@ impl TraceFamily {
                 after,
                 at_s,
             } => format!("step{before}-{after}@{at_s}"),
-            // lint: allow(panic) every unit variant has a NAMED row (pinned by `table_has_two_name_columns`)
+            #[expect(
+                clippy::expect_used,
+                reason = "every unit variant has a NAMED row (pinned by `table_has_two_name_columns`)"
+            )]
             named => named.row().expect("named family").token.into(),
         }
     }
@@ -168,7 +171,10 @@ impl TraceFamily {
                 after,
                 at_s,
             } => BandwidthTrace::step(before, after, at_s, duration_s),
-            // lint: allow(panic) every unit variant has a NAMED row (pinned by `table_has_two_name_columns`)
+            #[expect(
+                clippy::expect_used,
+                reason = "every unit variant has a NAMED row (pinned by `table_has_two_name_columns`)"
+            )]
             ref named => (named.row().expect("named family").build)(seed, duration_s),
         }
     }

@@ -152,7 +152,10 @@ pub mod generators {
     /// `mean`/`std` target the *offset* statistics; `outage_p` is the
     /// per-second probability of entering a deep-fade regime and
     /// `outage_len` its mean length in seconds.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per knob of the generator"
+    )]
     fn regime_ar1(
         name: &str,
         seed: u64,

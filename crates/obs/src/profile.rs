@@ -23,7 +23,14 @@
 //! report and **never** into simulation state, timers, or trace events.
 //! Golden timelines are byte-identical with the profiler armed (there is
 //! a test for exactly that). The `Instant::now` calls below carry
-//! `voxel-lint` wall-clock waivers for the same reason.
+//! `clippy::disallowed_methods` expectations for the same reason, and the
+//! per-thread span state is a `thread_local!` of `Cell`/`RefCell`: it is
+//! never shared, and each shard thread installs its own.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "per-thread profiler state: each thread owns its span tree, merged through the Arc<Mutex> on uninstall"
+)]
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -203,7 +210,10 @@ impl Profiler {
             inner: inner.clone(),
             data: ProfileData::default(),
             stack: Vec::new(),
-            // lint: allow(wall-clock) quarantined: profile reports only, never sim state
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "quarantined: profile reports only, never sim state"
+            )]
             started: Instant::now(),
             busy_ns: 0,
         }));
@@ -343,7 +353,10 @@ impl SpanGuard {
             let node = a.data.child(parent, name, idx);
             a.stack.push(Open {
                 node,
-                // lint: allow(wall-clock) quarantined: profile reports only, never sim state
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "quarantined: profile reports only, never sim state"
+                )]
                 start: Instant::now(),
                 alloc0: voxel_sim::alloc::current(),
             });
@@ -675,6 +688,10 @@ impl ProfileReport {
 mod tests {
     use super::*;
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test needs real elapsed wall time to profile"
+    )]
     fn spin(us: u64) {
         let start = Instant::now();
         while start.elapsed().as_micros() < us as u128 {

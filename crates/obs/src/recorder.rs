@@ -14,6 +14,11 @@
 //! failure paths deep inside the fleet/session loops (the `paranoid`
 //! audits) can call [`dump_current`] without any plumbing.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the thread's recorder stack is per-thread by design; the rings it points to are Arc<Mutex>"
+)]
+
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};

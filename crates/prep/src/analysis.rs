@@ -32,8 +32,11 @@ pub struct QoePoint {
 impl QoePoint {
     /// A point from a prepared segment's counts.
     pub(crate) fn new(ssim: f64, frames: usize, bytes: u64) -> QoePoint {
+        #[expect(
+            clippy::panic,
+            reason = "96 frames and ≤ ≈10 MB per segment; more is a media-model bug"
+        )]
         let (Ok(frames), Ok(bytes)) = (u32::try_from(frames), u32::try_from(bytes)) else {
-            // lint: allow(panic) 96 frames and ≤ ≈10 MB per segment; more is a media-model bug
             panic!("segment counts exceed u32: {frames} frames, {bytes} bytes");
         };
         QoePoint {
@@ -133,13 +136,19 @@ impl BytesQoeMap {
 
     /// SSIM of the complete segment (last point).
     pub fn full_ssim(&self) -> f64 {
-        // lint: allow(panic) analyze() always emits the full-segment point
+        #[expect(
+            clippy::expect_used,
+            reason = "analyze() always emits the full-segment point"
+        )]
         self.points.last().expect("map is never empty").ssim
     }
 
     /// Total payload bytes of the complete segment.
     pub fn full_bytes(&self) -> u64 {
-        // lint: allow(panic) analyze() always emits the full-segment point
+        #[expect(
+            clippy::expect_used,
+            reason = "analyze() always emits the full-segment point"
+        )]
         u64::from(self.points.last().expect("map is never empty").bytes)
     }
 }
@@ -224,11 +233,17 @@ pub(crate) fn analyze(
             best = Some((bytes, frames, map));
         }
     }
-    // lint: allow(panic) the ordering loop above is over a non-empty const set
+    #[expect(
+        clippy::expect_used,
+        reason = "the ordering loop above is over a non-empty const set"
+    )]
     let (min_bytes, min_frames, best) = best.expect("three orderings evaluated");
     SegmentAnalysis {
         best,
-        // lint: allow(panic) the tail ordering is a member of the const set above
+        #[expect(
+            clippy::expect_used,
+            reason = "the tail ordering is a member of the const set above"
+        )]
         tail: tail.expect("tail ordering evaluated"),
         bound,
         min_bytes,
@@ -247,7 +262,10 @@ pub fn droppable_by_position(
     let n = voxel_media::gop::FRAMES_PER_SEGMENT;
     let mut frac = vec![0.0f64; n];
     for seg in segments {
-        #[allow(clippy::needless_range_loop)]
+        #[allow(
+            clippy::needless_range_loop,
+            reason = "`pos` is both the dropped frame and the tally slot"
+        )]
         for pos in 1..n {
             let loss = LossMap::drop_frames(&[pos]);
             if model.eval(seg, level, &loss).ssim >= target {

@@ -90,7 +90,10 @@ pub(crate) fn write_mpd<'a>(
             .map(|l| 128 + 20 * l.ssims.len())
             .sum::<usize>();
     let mut out = String::with_capacity(capacity);
-    // lint: allow(panic) fmt::Write for String never returns an error
+    #[expect(
+        clippy::expect_used,
+        reason = "fmt::Write for String never returns an error"
+    )]
     write_lines(&mut out, video, segments, lines).expect("writing to a String cannot fail");
     out
 }

@@ -332,7 +332,10 @@ mod tests {
         let mut now = SimTime::ZERO;
         let horizon = SimTime::from_micros((secs * 1e6) as u64);
         // (time, Ok(ack: bytes, sent_at, delivered_at_send) | Err(loss pn))
-        #[allow(clippy::type_complexity)]
+        #[allow(
+            clippy::type_complexity,
+            reason = "a one-off event queue local to this test"
+        )]
         let mut events: std::collections::BTreeMap<
             u64,
             (SimTime, Result<(SimTime, u64), u64>),

@@ -416,8 +416,11 @@ impl Connection {
     #[inline]
     fn debug_invariants(&self) {
         #[cfg(feature = "paranoid")]
+        #[expect(
+            clippy::panic,
+            reason = "the paranoid layer is intentionally fatal on corruption"
+        )]
         if let Err(e) = self.check_invariants() {
-            // lint: allow(panic) the paranoid layer is intentionally fatal on corruption
             panic!("quic::Connection invariant violated ({:?}): {e}", self.role);
         }
     }
@@ -674,51 +677,52 @@ impl Connection {
         let paced_out =
             !bypass_cc && now < self.pace_next && self.cc.in_flight() >= 10 * self.config.mss;
         let mut chunks: Vec<SentChunk> = Vec::new();
-        #[allow(clippy::while_immutable_condition)]
-        while !paced_out {
-            // Leave room for the stream-frame header.
-            const HDR: usize = 16;
-            if budget <= HDR {
-                break;
-            }
-            if !bypass_cc && !self.cc.can_send(budget.min(self.config.mss)) {
-                break;
-            }
-            let flow_left = self.max_data_remote.saturating_sub(self.data_sent);
-            if flow_left == 0 {
-                break;
-            }
-            let max_chunk = (budget - HDR).min(flow_left as usize);
-            let Some(&id) = self.sendable.first() else {
-                break;
-            };
-            let Some(s) = self.send_streams.get_mut(&id) else {
-                break;
-            };
-            let Some((offset, data, fin)) = s.next_chunk(max_chunk) else {
-                break;
-            };
-            let unreliable = s.reliability == Reliability::Unreliable;
-            self.mark(id);
-            self.data_sent += data.len() as u64;
-            chunks.push(SentChunk {
-                id,
-                offset,
-                len: data.len(),
-                fin,
-                unreliable,
-            });
-            let f = Frame::Stream {
-                id,
-                offset,
-                fin,
-                unreliable,
-                data,
-            };
-            budget = budget.saturating_sub(f.size());
-            frames.push(f);
-            if bypass_cc {
-                break; // a single probe chunk
+        if !paced_out {
+            loop {
+                // Leave room for the stream-frame header.
+                const HDR: usize = 16;
+                if budget <= HDR {
+                    break;
+                }
+                if !bypass_cc && !self.cc.can_send(budget.min(self.config.mss)) {
+                    break;
+                }
+                let flow_left = self.max_data_remote.saturating_sub(self.data_sent);
+                if flow_left == 0 {
+                    break;
+                }
+                let max_chunk = (budget - HDR).min(flow_left as usize);
+                let Some(&id) = self.sendable.first() else {
+                    break;
+                };
+                let Some(s) = self.send_streams.get_mut(&id) else {
+                    break;
+                };
+                let Some((offset, data, fin)) = s.next_chunk(max_chunk) else {
+                    break;
+                };
+                let unreliable = s.reliability == Reliability::Unreliable;
+                self.mark(id);
+                self.data_sent += data.len() as u64;
+                chunks.push(SentChunk {
+                    id,
+                    offset,
+                    len: data.len(),
+                    fin,
+                    unreliable,
+                });
+                let f = Frame::Stream {
+                    id,
+                    offset,
+                    fin,
+                    unreliable,
+                    data,
+                };
+                budget = budget.saturating_sub(f.size());
+                frames.push(f);
+                if bypass_cc {
+                    break; // a single probe chunk
+                }
             }
         }
 

@@ -10,11 +10,17 @@
 //! nanoseconds, it never synchronizes, and — crucially for determinism —
 //! nothing in the simulation ever reads it back. It is telemetry-only:
 //! identical seeds produce identical timelines whether or not anyone is
-//! watching the counter.
+//! watching the counter. Each shard thread keeps its own, which is why
+//! this module is exempt from the workspace's `Cell` ban
+//! (`clippy::disallowed_types`).
 
-use std::cell::Cell; // lint: allow(shard-unshareable) telemetry-only counter; each shard keeps its own, nothing reads across threads
+#![expect(
+    clippy::disallowed_types,
+    reason = "telemetry-only per-thread counter: each shard keeps its own, nothing reads across threads"
+)]
 
-// lint: allow(shard-unshareable) per-thread allocation tally: shard-local by design, diffed on the owning thread only
+use std::cell::Cell;
+
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }

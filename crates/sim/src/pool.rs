@@ -22,6 +22,10 @@ pub fn default_workers(n: usize) -> usize {
 /// Run `job(0..n)` across `workers` threads, returning results in index
 /// order. Jobs are claimed one at a time from a shared counter (work
 /// stealing), so heterogeneous job durations still load-balance.
+#[expect(
+    clippy::expect_used,
+    reason = "the scoped threads are joined before the slots are read, and each job writes its slot"
+)]
 pub fn run_indexed<T, F>(n: usize, workers: usize, job: F) -> Vec<T>
 where
     T: Send,
@@ -50,7 +54,6 @@ where
     }
     slots
         .into_iter()
-        // lint: allow(panic) scoped threads joined above; every slot was written
         .map(|s| s.expect("pool job ran"))
         .collect()
 }

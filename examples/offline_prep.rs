@@ -6,11 +6,11 @@
 //! cargo run --release --example offline_prep
 //! ```
 
-// lint: allow(deep-import) this example is a tour of the media internals the prelude omits
+#![allow(clippy::expect_used, reason = "a binary aborts on a failed run")]
+
 use voxel::media::{
     content::VideoId, gop::FrameKind, ladder::QualityLevel, qoe::QoeModel, video::Video,
 };
-// lint: allow(deep-import) offline analysis/ordering are server-side-only surfaces, not in the prelude
 use voxel::prep::{
     analysis::{analyze_segment, BytesQoeMap},
     ordering::{frame_order, OrderingKind},

@@ -6,7 +6,7 @@
 //! ```
 
 use std::sync::Arc;
-use voxel::abr::AbrStar; // lint: allow(deep-import) quickstart hand-builds the raw Session pipeline, ABR* included
+use voxel::abr::AbrStar;
 use voxel::prelude::*;
 
 fn main() {

@@ -8,6 +8,8 @@
 //! cargo run --release --example shared_link_fleet BBB:8xVOXEL:const6:stg2
 //! ```
 
+#![allow(clippy::expect_used, reason = "a binary aborts on a failed run")]
+
 use voxel::prelude::*;
 
 fn main() {

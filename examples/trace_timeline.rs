@@ -8,6 +8,8 @@
 //! where the `trial-NNNN.jsonl` / `trial-NNNN.metrics.json` files landed,
 //! plus a few sample events. See DESIGN.md §9 for the event taxonomy.
 
+#![allow(clippy::expect_used, reason = "a binary aborts on a failed run")]
+
 use voxel::prelude::*;
 
 fn main() {

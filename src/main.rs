@@ -12,6 +12,8 @@
 //! token (`tmobile`, `const8`, …). Argument parsing is deliberately
 //! dependency-free (the offline crate policy in DESIGN.md).
 
+#![allow(clippy::expect_used, reason = "a binary aborts on a failed run")]
+
 use voxel::core::survey::run_survey;
 use voxel::fleet::systems;
 use voxel::netem::trace::mahimahi;

@@ -2,6 +2,8 @@
 //! 8-session golden fleets run in tier-2 (`cargo run -p voxel-bench --bin
 //! conformance`).
 
+#![allow(clippy::expect_used, reason = "a test aborts on a failed run")]
+
 use voxel::prelude::*;
 use voxel::testkit::fleet_invariants;
 use voxel::trace::{JsonlSink, SharedBuf};

@@ -6,6 +6,12 @@
 //! parity sweep (every committed digest at w ∈ {1, 2, max}) runs in
 //! tier-2 (`cargo run -p voxel-bench --bin conformance`).
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test aborts on a failed run"
+)]
+
 use std::path::Path;
 use voxel::prelude::*;
 use voxel::testkit::{check_or_bless, run_golden, shard_parity_failures, Golden, GoldenRun};

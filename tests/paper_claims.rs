@@ -4,6 +4,8 @@
 //! (Fig 6 rebuffering, Fig 10 ablation), at reduced trial counts with
 //! tolerance bands sized for them.
 
+#![allow(clippy::expect_used, reason = "a test aborts on a failed run")]
+
 use voxel::media::content::VideoId;
 use voxel::media::gop::{FrameKind, FRAMES_PER_SEGMENT};
 use voxel::media::ladder::QualityLevel;
