@@ -37,13 +37,17 @@ offline=$(cargo run -q --release -p voxel-bench --bin fig -- list | awk -F'|' '$
 # shellcheck disable=SC2086  # $offline is a word list of ids
 VOXEL_TRIALS=1 cargo run -q --release -p voxel-bench --bin fig -- $offline fig9 >/dev/null
 
-echo "==> smoke: every dbg subcommand on a scenario spec and a fleet spec, voxel stream on a one-trial spec (DESIGN.md §11), and the §4.1 offline_prep example executed, not only compiled"
+echo "==> smoke: every dbg subcommand on a scenario spec and a fleet spec, dbg profile on a 300-s lossy cellular session, voxel stream on a one-trial spec (DESIGN.md §11), and the §4.1 offline_prep example executed, not only compiled"
 for sub in trace profile compare; do
     for spec in BBB:VOXEL:const6:d20 BBB:2xVOXEL:const6:d20:cap10; do
         cargo run -q --release -p voxel-bench --bin dbg -- "$sub" "$spec" >/dev/null 2>&1 ||
             { echo "dbg $sub $spec failed"; exit 1; }
     done
 done
+# The const6 specs lose nothing; this one leaves permanent gaps in the
+# client's packet-number and stream ranges for the whole session.
+cargo run -q --release -p voxel-bench --bin dbg -- profile ToS:VOXEL:tmobile:buf1 >/dev/null 2>&1 ||
+    { echo "dbg profile ToS:VOXEL:tmobile:buf1 failed"; exit 1; }
 cargo run -q --release --bin voxel -- stream BBB:VOXEL:const6:n1 >/dev/null
 cargo run -q --release --example offline_prep >/dev/null
 

@@ -355,8 +355,7 @@ impl ClientApp {
         let Some(kind) = self.fetches.get(&id).cloned() else {
             // Canceled fetch: drop data on the floor.
             if let Some(rs) = conn.recv_stream(id) {
-                let _ = rs.take_received();
-                while rs.read().is_some() {}
+                rs.take_received().for_each(drop);
             }
             return;
         };
@@ -382,8 +381,6 @@ impl ClientApp {
             }
             FetchKind::Body { seg } => {
                 if let Some(rs) = conn.recv_stream(id) {
-                    // Harvest newly arrived chunks into the record.
-                    let chunks = rs.take_received();
                     // Unreliable replies: fin marks the end of everything
                     // the network will ever deliver (FIFO path). Reliable
                     // replies: retransmissions may still be in flight after
@@ -392,19 +389,17 @@ impl ClientApp {
                         voxel_quic::Reliability::Unreliable => rs.final_len().is_some(),
                         voxel_quic::Reliability::Reliable => rs.is_complete(),
                     };
-                    let mut gained = 0u64;
+                    // Harvest newly arrived chunks into the record (the
+                    // record exists from download start; without one they
+                    // are dropped).
+                    let chunks = rs.take_received();
                     if let Some(rec) = self.records.iter_mut().find(|r| r.seg == seg) {
-                        for (off, data) in &chunks {
-                            rec.received.insert(*off, off + data.len() as u64);
-                        }
-                        gained = chunks.iter().map(|(_, d)| d.len() as u64).sum();
-                    } else if let Some(dl) = self.dl.as_ref() {
-                        if dl.seg == seg {
-                            // Record exists from download start; this branch
-                            // is unreachable, kept defensive.
+                        for (off, data) in chunks {
+                            let len = data.len() as u64;
+                            rec.received.insert(off, off + len);
+                            self.stats.bytes_downloaded += len;
                         }
                     }
-                    self.stats.bytes_downloaded += gained;
                     if fin {
                         if let Some(dl) = self.dl.as_mut() {
                             if dl.seg == seg && dl.body_stream == id {
@@ -416,12 +411,12 @@ impl ClientApp {
             }
             FetchKind::Retx { seg, ref ranges } => {
                 if let Some(rs) = conn.recv_stream(id) {
-                    let chunks = rs.take_received();
                     let fin = rs.final_len().is_some();
+                    let chunks = rs.take_received();
                     if let Some(rec) = self.records.iter_mut().find(|r| r.seg == seg) {
-                        for (resp_off, data) in &chunks {
+                        for (resp_off, data) in chunks {
                             for (body_s, body_e) in
-                                map_response_to_body(ranges, *resp_off, data.len() as u64)
+                                map_response_to_body(ranges, resp_off, data.len() as u64)
                             {
                                 let before = rec.received.covered_within(body_s, body_e);
                                 rec.received.insert(body_s, body_e);
@@ -1098,7 +1093,7 @@ fn make_ctx<'a>(
 /// buffered are released here rather than held for the whole session.
 fn drain_if_complete(conn: &mut Connection, id: StreamId) -> Option<u64> {
     let rs = conn.recv_stream(id).filter(|rs| rs.is_complete())?;
-    rs.take_received();
+    rs.take_received().for_each(drop);
     Some(rs.bytes_received())
 }
 

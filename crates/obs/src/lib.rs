@@ -7,11 +7,10 @@
 //! (DESIGN.md §13).
 //!
 //! - [`Profiler`]: hierarchical spans (`obs::span!("quic.on_datagram")`)
-//!   accumulating wall time, call counts, and allocation tallies (via
-//!   [`voxel_sim::alloc`]) into a per-thread tree. Event loops call
-//!   [`arm`] once per iteration; only 1-in-`sample` iterations take real
-//!   clock readings, keeping enabled overhead under the 5% budget ci.sh
-//!   enforces. Reports scale back by the sampling factor and reconcile
+//!   accumulating wall time and call counts into a per-thread tree.
+//!   Event loops call [`arm`] once per iteration; only 1-in-`sample`
+//!   iterations take real clock readings, keeping enabled overhead under
+//!   the 5% budget ci.sh enforces. Reports scale back by the sampling factor and reconcile
 //!   with measured wall time.
 //! - [`FlightRecorder`]: a bounded ring of recent trace events teed off
 //!   any sink, rendered as a pasteable postmortem (plus live profiler

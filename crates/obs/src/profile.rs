@@ -6,8 +6,8 @@
 //! like `voxel_trace::Tracer`). [`Profiler::install`] binds it to the
 //! *current thread*: from then on, event loops call [`arm`] once per
 //! iteration, and every 1-in-`sample` iterations the thread is **armed** —
-//! span guards created by `voxel_obs::span!` take real wall-clock and
-//! allocation readings and feed a per-thread span tree. On the other
+//! span guards created by `voxel_obs::span!` take real wall-clock
+//! readings and feed a per-thread span tree. On the other
 //! `sample - 1` iterations a span is a single thread-local flag check, so
 //! the instrumentation stays within the <5% overhead budget that ci.sh
 //! enforces.
@@ -49,7 +49,6 @@ struct Node {
     idx: u32,
     calls: u64,
     wall_ns: u128,
-    allocs: u64,
     children: Vec<usize>,
 }
 
@@ -80,7 +79,6 @@ impl ProfileData {
             idx,
             calls: 0,
             wall_ns: 0,
-            allocs: 0,
             children: Vec::new(),
         });
         match parent {
@@ -103,7 +101,6 @@ impl ProfileData {
                 let d = dst.child(dst_parent, n.name, n.idx);
                 dst.nodes[d].calls += n.calls;
                 dst.nodes[d].wall_ns += n.wall_ns;
-                dst.nodes[d].allocs += n.allocs;
                 let children = src.nodes[s].children.clone();
                 merge_list(dst, Some(d), src, &children);
             }
@@ -254,7 +251,6 @@ struct Active {
 struct Open {
     node: usize,
     start: Instant,
-    alloc0: u64,
 }
 
 thread_local! {
@@ -331,9 +327,9 @@ pub fn observe(name: &'static str, v: u64) {
     });
 }
 
-/// An RAII span: times and alloc-counts a region when the thread is
-/// armed. Create via [`crate::span!`]; hold the returned `Option` in a
-/// binding (`let _g = ...`) so it drops at scope end.
+/// An RAII span: times and counts a region when the thread is armed.
+/// Create via [`crate::span!`]; hold the returned `Option` in a binding
+/// (`let _g = ...`) so it drops at scope end.
 #[must_use = "a span guard measures until it drops; bind it with `let _g = ...`"]
 pub struct SpanGuard {
     _not_send: PhantomData<*const ()>,
@@ -358,7 +354,6 @@ impl SpanGuard {
                     reason = "quarantined: profile reports only, never sim state"
                 )]
                 start: Instant::now(),
-                alloc0: voxel_sim::alloc::current(),
             });
             Some(SpanGuard {
                 _not_send: PhantomData,
@@ -373,11 +368,9 @@ impl Drop for SpanGuard {
             let Some(a) = a.as_mut() else { return };
             let Some(open) = a.stack.pop() else { return };
             let ns = open.start.elapsed().as_nanos();
-            let allocs = voxel_sim::alloc::current().wrapping_sub(open.alloc0);
             let node = &mut a.data.nodes[open.node];
             node.calls += 1;
             node.wall_ns += ns;
-            node.allocs += allocs;
             if a.stack.is_empty() {
                 a.busy_ns += ns;
             }
@@ -420,10 +413,6 @@ pub struct ReportNode {
     /// Inclusive wall time minus the children's — time in this span's own
     /// code.
     pub self_ns: u128,
-    /// Estimated tracked allocations (inclusive).
-    pub allocs: u64,
-    /// Tracked allocations minus the children's.
-    pub self_allocs: u64,
     /// Child spans, heaviest first.
     pub children: Vec<ReportNode>,
 }
@@ -439,8 +428,6 @@ pub struct FlatRow {
     pub wall_ns: u128,
     /// Estimated self wall time.
     pub self_ns: u128,
-    /// Estimated self allocations.
-    pub allocs: u64,
 }
 
 /// A finished profile: the span tree plus derived views.
@@ -468,17 +455,13 @@ impl ProfileReport {
                     let n = &data.nodes[i];
                     let children = convert(data, &n.children, sample);
                     let child_ns: u128 = children.iter().map(|c| c.wall_ns).sum();
-                    let child_allocs: u64 = children.iter().map(|c| c.allocs).sum();
                     let wall_ns = n.wall_ns * sample as u128;
-                    let allocs = n.allocs * sample;
                     ReportNode {
                         name: n.name,
                         idx: n.idx,
                         calls: n.calls * sample,
                         wall_ns,
                         self_ns: wall_ns.saturating_sub(child_ns),
-                        allocs,
-                        self_allocs: allocs.saturating_sub(child_allocs),
                         children,
                     }
                 })
@@ -522,11 +505,6 @@ impl ProfileReport {
         self.roots.iter().map(|r| r.wall_ns).sum()
     }
 
-    /// Scaled total tracked allocations inside root spans.
-    pub fn total_allocs(&self) -> u64 {
-        self.roots.iter().map(|r| r.allocs).sum()
-    }
-
     /// Event-loop utilization: fraction of the installed wall time spent
     /// inside root spans (scaled estimate, clamped to `[0, 1]`).
     pub fn utilization(&self) -> f64 {
@@ -548,12 +526,10 @@ impl ProfileReport {
                     calls: 0,
                     wall_ns: 0,
                     self_ns: 0,
-                    allocs: 0,
                 });
                 row.calls += n.calls;
                 row.wall_ns += n.wall_ns;
                 row.self_ns += n.self_ns;
-                row.allocs += n.self_allocs;
                 walk(&n.children, map);
             }
         }
@@ -563,9 +539,10 @@ impl ProfileReport {
         rows
     }
 
-    /// Per-layer rollup of *self* time and allocations (layer = the span
-    /// name's prefix before the first `.`). Self-time attribution means
-    /// the rows sum to [`ProfileReport::total_ns`] exactly.
+    /// Per-layer rollup of *self* time and span calls, as `(layer, self
+    /// ns, calls)` (layer = the span name's prefix before the first `.`).
+    /// Self-time attribution means the rows sum to
+    /// [`ProfileReport::total_ns`] exactly.
     pub fn layers(&self) -> Vec<(String, u128, u64)> {
         let mut map: BTreeMap<String, (u128, u64)> = BTreeMap::new();
         fn walk(nodes: &[ReportNode], map: &mut BTreeMap<String, (u128, u64)>) {
@@ -573,13 +550,13 @@ impl ProfileReport {
                 let layer = n.name.split('.').next().unwrap_or(n.name).to_string();
                 let e = map.entry(layer).or_insert((0, 0));
                 e.0 += n.self_ns;
-                e.1 += n.self_allocs;
+                e.1 += n.calls;
                 walk(&n.children, map);
             }
         }
         walk(&self.roots, &mut map);
         let mut rows: Vec<(String, u128, u64)> =
-            map.into_iter().map(|(k, (t, a))| (k, t, a)).collect();
+            map.into_iter().map(|(k, (t, c))| (k, t, c)).collect();
         rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         rows
     }
@@ -596,23 +573,22 @@ impl ProfileReport {
             self.sample,
         ));
         out.push_str(&format!(
-            "spans:   {:.1} ms ({:.1}% of wall), {} tracked allocs, loop utilization {:.1}%\n",
+            "spans:   {:.1} ms ({:.1}% of wall), loop utilization {:.1}%\n",
             total as f64 / 1e6,
             if self.elapsed_ns > 0 {
                 100.0 * total as f64 / self.elapsed_ns as f64
             } else {
                 0.0
             },
-            self.total_allocs(),
             100.0 * self.utilization(),
         ));
 
         out.push_str("\nper-layer (self time):\n");
         out.push_str(&format!(
             "  {:<10} {:>12} {:>7} {:>12}\n",
-            "layer", "time ms", "%", "allocs"
+            "layer", "time ms", "%", "calls"
         ));
-        for (layer, ns, allocs) in self.layers() {
+        for (layer, ns, calls) in self.layers() {
             out.push_str(&format!(
                 "  {:<10} {:>12.3} {:>6.1}% {:>12}\n",
                 layer,
@@ -622,23 +598,22 @@ impl ProfileReport {
                 } else {
                     0.0
                 },
-                allocs,
+                calls,
             ));
         }
 
         out.push_str("\nflat (by self time, top 20):\n");
         out.push_str(&format!(
-            "  {:<28} {:>12} {:>10} {:>10} {:>12}\n",
-            "span", "calls", "self ms", "incl ms", "allocs"
+            "  {:<28} {:>12} {:>10} {:>10}\n",
+            "span", "calls", "self ms", "incl ms"
         ));
         for row in self.flat().into_iter().take(20) {
             out.push_str(&format!(
-                "  {:<28} {:>12} {:>10.3} {:>10.3} {:>12}\n",
+                "  {:<28} {:>12} {:>10.3} {:>10.3}\n",
                 row.name,
                 row.calls,
                 row.self_ns as f64 / 1e6,
                 row.wall_ns as f64 / 1e6,
-                row.allocs,
             ));
         }
 
@@ -652,7 +627,7 @@ impl ProfileReport {
                     format!("{}#{}", n.name, n.idx)
                 };
                 out.push_str(&format!(
-                    "  {:indent$}{:<width$} {:>10.3} ms {:>5.1}%  calls={} allocs={}\n",
+                    "  {:indent$}{:<width$} {:>10.3} ms {:>5.1}%  calls={}\n",
                     "",
                     label,
                     n.wall_ns as f64 / 1e6,
@@ -662,7 +637,6 @@ impl ProfileReport {
                         0.0
                     },
                     n.calls,
-                    n.allocs,
                     indent = depth * 2,
                     width = 30usize.saturating_sub(depth * 2),
                 ));
@@ -722,7 +696,6 @@ mod tests {
                 let _root = SpanGuard::enter("fleet.step", 0);
                 {
                     let _child = SpanGuard::enter("quic.on_datagram", 0);
-                    voxel_sim::alloc::note(3);
                     spin(50);
                 }
                 observe("obs.queue_depth", i);
@@ -738,7 +711,6 @@ mod tests {
         let child = &root.children[0];
         assert_eq!(child.name, "quic.on_datagram");
         assert_eq!(child.calls, 10);
-        assert_eq!(child.allocs, 30);
         assert!(child.wall_ns >= 10 * 50_000, "child {} ns", child.wall_ns);
         assert!(root.wall_ns >= child.wall_ns);
         // Self-time discipline: root self + child inclusive == root inclusive.
@@ -837,6 +809,10 @@ mod tests {
         assert!(names.contains(&"fleet"), "{names:?}");
         assert!(names.contains(&"quic"), "{names:?}");
         assert!(names.contains(&"netem"), "{names:?}");
+        assert!(
+            layers.iter().all(|l| l.2 == 1),
+            "one call per layer: {layers:?}"
+        );
     }
 
     #[test]

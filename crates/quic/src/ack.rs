@@ -23,6 +23,9 @@ const ACK_ELICITING_THRESHOLD: usize = 2;
 /// Maximum time to hold an ACK.
 pub const MAX_ACK_DELAY: SimDuration = SimDuration::from_millis(25);
 
+/// Ranges an ACK frame carries at most: the most recent ones.
+const MAX_ACK_RANGES: usize = 32;
+
 impl AckTracker {
     /// Fresh tracker.
     pub fn new() -> AckTracker {
@@ -58,7 +61,9 @@ impl AckTracker {
     }
 
     fn contains(&self, pn: u64) -> bool {
-        self.ranges.iter().any(|&(a, b)| (a..=b).contains(&pn))
+        // The one range that can hold `pn` is the first ending at or past it.
+        let i = self.ranges.partition_point(|&(_, b)| b < pn);
+        self.ranges.get(i).is_some_and(|&(a, _)| a <= pn)
     }
 
     fn insert(&mut self, pn: u64) {
@@ -97,9 +102,15 @@ impl AckTracker {
         }
         self.unacked_eliciting = 0;
         self.ack_deadline = None;
-        let mut ranges: Vec<AckRange> = self.ranges.iter().rev().copied().collect();
-        // Bound the frame size: keep the 32 most recent ranges.
-        ranges.truncate(32);
+        // Bound the frame size: the 32 most recent ranges, and only those
+        // are copied.
+        let ranges: Vec<AckRange> = self
+            .ranges
+            .iter()
+            .rev()
+            .take(MAX_ACK_RANGES)
+            .copied()
+            .collect();
         let delay = match self.largest_arrival {
             Some((_, at)) => now.saturating_since(at).as_micros(),
             None => 0,
@@ -218,8 +229,61 @@ mod tests {
     mod props {
         use super::*;
         use proptest::prelude::*;
+        use std::collections::BTreeSet;
+
+        /// `AckTracker::contains` as first written: a scan of every range.
+        /// The reference the binary search is held to.
+        fn contains_by_scan(t: &AckTracker, pn: u64) -> bool {
+            t.ranges.iter().any(|&(a, b)| (a..=b).contains(&pn))
+        }
+
+        /// `take_ack`'s ranges as first written: every range copied, then
+        /// cut to the 32 most recent.
+        fn ack_ranges_by_copy(t: &AckTracker) -> Vec<AckRange> {
+            let mut ranges: Vec<AckRange> = t.ranges.iter().rev().copied().collect();
+            ranges.truncate(32);
+            ranges
+        }
+
+        /// The ACK ranges a set of packet numbers implies: maximal runs,
+        /// highest first, the 32 most recent.
+        fn ack_ranges_of(set: &BTreeSet<u64>) -> Vec<AckRange> {
+            let mut runs: Vec<AckRange> = Vec::new();
+            for &pn in set.iter().rev() {
+                match runs.last_mut() {
+                    Some((lo, _)) if *lo == pn + 1 => *lo = pn,
+                    _ => runs.push((pn, pn)),
+                }
+            }
+            runs.truncate(32);
+            runs
+        }
 
         proptest! {
+            /// Duplicate detection and the ACK frame agree with a plain set
+            /// of packet numbers and with the linear code they replaced,
+            /// also with far more than 32 gaps (even numbers alone leave one
+            /// per packet).
+            #[test]
+            fn tracker_matches_a_set_of_packet_numbers(
+                arrivals in proptest::collection::vec((0u64..300, proptest::bool::ANY, 0u8..8), 1..400),
+            ) {
+                let mut t = AckTracker::new();
+                let mut set = BTreeSet::new();
+                for (x, sparse, op) in arrivals {
+                    let pn = if sparse { 2 * x } else { x };
+                    let fresh = set.insert(pn);
+                    prop_assert_eq!(contains_by_scan(&t, pn), !fresh);
+                    prop_assert_eq!(t.on_packet(pn, SimTime::ZERO, true), fresh);
+                    if op == 0 {
+                        let by_copy = ack_ranges_by_copy(&t);
+                        let (ranges, _) = t.take_ack(SimTime::ZERO).expect("non-empty");
+                        prop_assert_eq!(&ranges, &by_copy);
+                        prop_assert_eq!(&ranges, &ack_ranges_of(&set));
+                    }
+                }
+                prop_assert!(t.check_invariants().is_ok(), "{:?}", t.check_invariants());
+            }
             #[test]
             fn ranges_stay_sorted_disjoint(pns in proptest::collection::vec(0u64..200, 1..100)) {
                 let mut t = AckTracker::new();

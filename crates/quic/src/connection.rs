@@ -16,7 +16,7 @@
 use crate::ack::{AckTracker, MAX_ACK_DELAY};
 use crate::cc::{CcKind, CongestionControl};
 use crate::frame::Frame;
-use crate::loss::{LossDetector, SentChunk, SentPacket, TimeoutOutcome};
+use crate::loss::{AckOutcome, LossDetector, SentChunk, SentPacket, TimeoutOutcome};
 use crate::packet::{Packet, MAX_PAYLOAD};
 use crate::rtt::RttEstimator;
 use crate::stream::{RecvStream, Reliability, SendStream, StreamId};
@@ -137,6 +137,11 @@ pub struct Connection {
     recv_streams: BTreeMap<StreamId, RecvStream>,
     ack: AckTracker,
     loss: LossDetector,
+    /// What the last ACK acknowledged and declared lost; its buffers are
+    /// reused by the next one.
+    ack_outcome: AckOutcome,
+    /// The unreliable streams one loss event reported on (scratch).
+    loss_reported: Vec<StreamId>,
     rtt: RttEstimator,
     cc: CongestionControl,
     events: VecDeque<Event>,
@@ -148,6 +153,9 @@ pub struct Connection {
     data_received: u64,
     /// Pending control frames (flow-control updates, close).
     control: VecDeque<Frame>,
+    /// The frame buffer of the last packet received, emptied: the next
+    /// packet sent is built in it instead of a fresh allocation.
+    spare_frames: Vec<Frame>,
     /// Probe data to send regardless of cwnd (after a PTO).
     probe_pending: bool,
     /// Earliest time the pacer allows the next data packet (QUIC paces at
@@ -177,6 +185,8 @@ impl Connection {
             recv_streams: BTreeMap::new(),
             ack: AckTracker::new(),
             loss,
+            ack_outcome: AckOutcome::default(),
+            loss_reported: Vec::new(),
             rtt: RttEstimator::new(),
             events: VecDeque::new(),
             max_data_remote: max_data_local,
@@ -184,6 +194,7 @@ impl Connection {
             max_data_local,
             data_received: 0,
             control: VecDeque::new(),
+            spare_frames: Vec::new(),
             probe_pending: false,
             pace_next: SimTime::ZERO,
             closed: false,
@@ -349,9 +360,11 @@ impl Connection {
             self.stats.packets_duplicate += 1;
             return; // duplicate
         }
-        for frame in packet.frames {
+        let mut frames = packet.frames;
+        for frame in frames.drain(..) {
             self.on_frame(now, frame);
         }
+        self.spare_frames = frames;
         self.debug_invariants();
     }
 
@@ -467,9 +480,14 @@ impl Connection {
                 }
             }
             Frame::Ack { ranges, delay_us } => {
-                let outcome =
-                    self.loss
-                        .on_ack(now, &ranges, SimDuration::from_micros(delay_us), &self.rtt);
+                let mut outcome = std::mem::take(&mut self.ack_outcome);
+                self.loss.on_ack(
+                    now,
+                    &ranges,
+                    SimDuration::from_micros(delay_us),
+                    &self.rtt,
+                    &mut outcome,
+                );
                 if let Some((sample, delay)) = outcome.rtt_sample {
                     self.rtt.update(sample, delay);
                 }
@@ -534,7 +552,8 @@ impl Connection {
                         "srtt_us" = self.rtt.srtt().as_micros(),
                     );
                 }
-                self.handle_lost(now, outcome.lost);
+                self.handle_lost(now, &outcome.lost);
+                self.ack_outcome = outcome;
                 // Garbage-collect the reliable streams this ACK completed —
                 // after `handle_lost`, whose retransmission count covers
                 // lost chunks of streams still open. Unreliable streams
@@ -568,7 +587,7 @@ impl Connection {
         }
     }
 
-    fn handle_lost(&mut self, now: SimTime, lost: Vec<SentPacket>) {
+    fn handle_lost(&mut self, now: SimTime, lost: &[SentPacket]) {
         let Some(largest_lost) = lost.iter().map(|p| p.pkt_num).max() else {
             return;
         };
@@ -594,24 +613,29 @@ impl Connection {
             );
         }
 
-        let mut unreliable_reports: BTreeMap<StreamId, Vec<(u64, u64)>> = BTreeMap::new();
-        for pkt in lost {
-            for c in pkt.chunks {
-                if let Some(s) = self.send_streams.get_mut(&c.id) {
-                    s.on_chunk_lost(c.offset, c.len, c.fin);
-                    match c.unreliable {
-                        false => self.stats.bytes_retransmitted += c.len as u64,
-                        true => {
-                            for r in s.take_loss_reports() {
-                                unreliable_reports.entry(c.id).or_default().push(r);
-                            }
-                        }
-                    }
-                    self.mark(c.id);
+        for c in lost.iter().flat_map(|p| &p.chunks) {
+            if let Some(s) = self.send_streams.get_mut(&c.id) {
+                s.on_chunk_lost(c.offset, c.len, c.fin);
+                match c.unreliable {
+                    false => self.stats.bytes_retransmitted += c.len as u64,
+                    true => self.loss_reported.push(c.id),
                 }
+                self.mark(c.id);
             }
         }
-        for (id, ranges) in unreliable_reports {
+        // One report per unreliable stream, in stream order, carrying the
+        // ranges its stream collected from this loss event.
+        self.loss_reported.sort_unstable();
+        self.loss_reported.dedup();
+        for &id in &self.loss_reported {
+            let Some(ranges) = self
+                .send_streams
+                .get_mut(&id)
+                .map(SendStream::take_loss_reports)
+                .filter(|r| !r.is_empty())
+            else {
+                continue;
+            };
             if self.tracer.enabled() {
                 let lost_bytes: u64 = ranges.iter().map(|&(s, e)| e - s).sum();
                 self.tracer.count("quic.unreliable_loss_reports", 1);
@@ -627,6 +651,7 @@ impl Connection {
             }
             self.events.push_back(Event::UnreliableLoss { id, ranges });
         }
+        self.loss_reported.clear();
     }
 
     // ------------------------------------------------------------------
@@ -641,7 +666,7 @@ impl Connection {
         if self.closed {
             return None;
         }
-        let mut frames: Vec<Frame> = Vec::new();
+        let mut frames = std::mem::take(&mut self.spare_frames);
         let mut budget = self.config.mss;
 
         // Control frames first (cheap, rare).
@@ -732,6 +757,7 @@ impl Connection {
         }
 
         if frames.is_empty() {
+            self.spare_frames = frames;
             return None;
         }
 
@@ -775,7 +801,6 @@ impl Connection {
                 pkt_num: pkt.pkt_num,
                 sent_at: now,
                 wire_bytes: wire,
-                ack_eliciting: true,
                 delivered_at_send: self.loss.delivered_bytes(),
                 chunks,
             });
@@ -813,7 +838,7 @@ impl Connection {
             .is_some_and(|t| t <= now)
         {
             match self.loss.on_timeout(now, &self.rtt) {
-                TimeoutOutcome::Lost(lost) => self.handle_lost(now, lost),
+                TimeoutOutcome::Lost(lost) => self.handle_lost(now, &lost),
                 TimeoutOutcome::Pto { count, probe } => {
                     self.stats.ptos += 1;
                     if self.tracer.enabled() {
@@ -832,15 +857,11 @@ impl Connection {
                     }
                     // Re-arm a probe: retransmittable data from the oldest
                     // outstanding packet, or a ping.
-                    if let Some(pkt) = probe {
-                        for c in &pkt.chunks {
-                            if !c.unreliable {
-                                if let Some(s) = self.send_streams.get_mut(&c.id) {
-                                    s.on_chunk_lost(c.offset, c.len, c.fin);
-                                }
-                                self.mark(c.id);
-                            }
+                    for c in probe {
+                        if let Some(s) = self.send_streams.get_mut(&c.id) {
+                            s.on_chunk_lost(c.offset, c.len, c.fin);
                         }
+                        self.mark(c.id);
                     }
                     self.probe_pending = true;
                 }
@@ -1353,7 +1374,7 @@ mod props {
                     events.extend(std::iter::from_fn(|| server.poll_event()));
                 }
                 let rs = client.recv_stream(id).expect("stream opened");
-                let received = (rs.received_ranges(), rs.final_len(), rs.take_received());
+                let received = (rs.received_ranges(), rs.final_len(), rs.take_received().collect::<Vec<_>>());
                 (packets, events, server.stats(), client.stats(), received)
             };
             let (bytes, length) = (run(false), run(true));

@@ -4,6 +4,11 @@
 //! reordering) or the **time threshold** (9/8·RTT older than the largest
 //! acknowledged). A probe timeout (PTO) fires when acknowledgements stop
 //! arriving entirely.
+//!
+//! Nothing here walks the flight or the ACK's history: an ACK costs a
+//! comparison per range that lies below the oldest packet in flight (the
+//! permanent holes of a lossy session) plus a lookup per packet it
+//! acknowledges, and loss detection stops at the first packet it keeps.
 
 use crate::cc::RateSample;
 use crate::rtt::RttEstimator;
@@ -16,7 +21,7 @@ const PACKET_THRESHOLD: u64 = 3;
 
 /// A stream chunk carried by a sent packet (for retransmission / loss
 /// reporting when the packet is lost).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SentChunk {
     /// The stream.
     pub id: StreamId,
@@ -30,7 +35,9 @@ pub struct SentChunk {
     pub unreliable: bool,
 }
 
-/// Book-keeping for an in-flight packet.
+/// Book-keeping for an in-flight packet. Only ack-eliciting packets are
+/// tracked: one that elicits no ACK is never acknowledged, so it can be
+/// neither acked nor declared lost.
 #[derive(Debug, Clone)]
 pub struct SentPacket {
     /// Packet number.
@@ -39,8 +46,6 @@ pub struct SentPacket {
     pub sent_at: SimTime,
     /// Wire size (for congestion accounting).
     pub wire_bytes: usize,
-    /// Whether it elicits an ACK.
-    pub ack_eliciting: bool,
     /// Cumulative bytes the connection had delivered (acked) when this
     /// packet was sent — the send-side snapshot of the delivery-rate
     /// sampler (DESIGN.md §15).
@@ -49,7 +54,8 @@ pub struct SentPacket {
     pub chunks: Vec<SentChunk>,
 }
 
-/// Result of processing one ACK frame.
+/// Result of processing one ACK frame. [`LossDetector::on_ack`] overwrites
+/// it, so one value's buffers serve every ACK of a connection.
 #[derive(Debug, Default)]
 pub struct AckOutcome {
     /// Packets newly acknowledged.
@@ -58,7 +64,7 @@ pub struct AckOutcome {
     pub lost: Vec<SentPacket>,
     /// RTT sample from the largest newly-acked packet, with peer ack delay.
     pub rtt_sample: Option<(SimDuration, SimDuration)>,
-    /// One delivery-rate sample per newly-acked eliciting packet:
+    /// One delivery-rate sample per newly-acked packet:
     /// `(delivered_now − delivered_at_send) / flight_time` — the rate the
     /// network sustained over that packet's flight. Consumed by BBR.
     pub rate_samples: Vec<RateSample>,
@@ -92,7 +98,7 @@ impl LossDetector {
         self.sample_rates = on;
     }
 
-    /// Record a sent packet.
+    /// Record a sent ack-eliciting packet.
     pub fn on_sent(&mut self, pkt: SentPacket) {
         self.sent.insert(pkt.pkt_num, pkt);
     }
@@ -140,40 +146,54 @@ impl LossDetector {
         self.pto_count
     }
 
-    /// Process an ACK frame's ranges.
+    /// Process an ACK frame's ranges (highest first, each inclusive and
+    /// in either orientation) into `out`, which is cleared first.
     pub fn on_ack(
         &mut self,
         now: SimTime,
         ranges: &[(u64, u64)],
         ack_delay: SimDuration,
         rtt: &RttEstimator,
-    ) -> AckOutcome {
-        let mut out = AckOutcome::default();
-        let mut largest_newly_acked: Option<u64> = None;
+        out: &mut AckOutcome,
+    ) {
+        out.acked.clear();
+        out.lost.clear();
+        out.rate_samples.clear();
+        out.rtt_sample = None;
+        // The largest newly-acked packet and its send time.
+        let mut largest_newly_acked: Option<(u64, SimTime)> = None;
 
-        for &(hi, lo) in ranges {
-            // Ranges arrive highest-first as (start, end) pairs in either
-            // orientation; normalize.
-            let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
-            let acked: Vec<u64> = self.sent.range(lo..=hi).map(|(&pn, _)| pn).collect();
-            for pn in acked {
-                if let Some(pkt) = self.sent.remove(&pn) {
-                    largest_newly_acked = Some(largest_newly_acked.map_or(pn, |l: u64| l.max(pn)));
-                    out.acked.push(pkt);
+        for &(a, b) in ranges {
+            let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+            let Some((&oldest, _)) = self.sent.first_key_value() else {
+                break;
+            };
+            // A range wholly below the flight acknowledges nothing new:
+            // after a lossy stretch, that is almost every range.
+            if hi < oldest {
+                continue;
+            }
+            while let Some((&pn, _)) = self.sent.range(lo..=hi).next() {
+                let Some(pkt) = self.sent.remove(&pn) else {
+                    break;
+                };
+                if largest_newly_acked.is_none_or(|(l, _)| pn > l) {
+                    largest_newly_acked = Some((pn, pkt.sent_at));
                 }
+                out.acked.push(pkt);
             }
         }
 
         // Credit delivered bytes and — when the controller consumes
-        // them — emit one delivery-rate sample per eliciting packet:
-        // the average rate over the packet's flight.
+        // them — emit one delivery-rate sample per packet: the average
+        // rate over the packet's flight.
         for pkt in &out.acked {
             self.delivered += pkt.wire_bytes as u64;
             if !self.sample_rates {
                 continue;
             }
             let flight = now.saturating_since(pkt.sent_at);
-            if pkt.ack_eliciting && flight > SimDuration::ZERO {
+            if flight > SimDuration::ZERO {
                 out.rate_samples.push(RateSample {
                     delivered: self.delivered,
                     delivered_at_send: pkt.delivered_at_send,
@@ -182,44 +202,37 @@ impl LossDetector {
             }
         }
 
-        if let Some(largest) = largest_newly_acked {
+        if let Some((largest, sent_at)) = largest_newly_acked {
             if self.largest_acked.is_none_or(|l| largest > l) {
                 self.largest_acked = Some(largest);
-                // RTT sample only from the largest newly-acked,
-                // ack-eliciting packet.
-                if let Some(pkt) = out.acked.iter().find(|p| p.pkt_num == largest) {
-                    if pkt.ack_eliciting {
-                        out.rtt_sample = Some((now.saturating_since(pkt.sent_at), ack_delay));
-                    }
-                }
+                // RTT sample only from the largest newly-acked packet.
+                out.rtt_sample = Some((now.saturating_since(sent_at), ack_delay));
             }
             self.pto_count = 0;
         }
 
-        out.lost = self.detect_lost(now, rtt);
-        out
+        self.detect_lost(now, rtt, &mut out.lost);
     }
 
     /// Declare packets lost by packet- and time-threshold relative to the
-    /// largest acknowledged packet.
-    fn detect_lost(&mut self, now: SimTime, rtt: &RttEstimator) -> Vec<SentPacket> {
+    /// largest acknowledged packet, appending them to `lost`. Send times
+    /// are monotone in packet number, so both thresholds pick a prefix of
+    /// the flight: the first packet that meets neither ends the search.
+    fn detect_lost(&mut self, now: SimTime, rtt: &RttEstimator, lost: &mut Vec<SentPacket>) {
         let Some(largest) = self.largest_acked else {
-            return Vec::new();
+            return;
         };
         let time_threshold = rtt.loss_time_threshold();
-        let lost_pns: Vec<u64> = self
-            .sent
-            .range(..largest)
-            .filter(|(&pn, pkt)| {
-                largest - pn >= PACKET_THRESHOLD
-                    || now.saturating_since(pkt.sent_at) >= time_threshold
-            })
-            .map(|(&pn, _)| pn)
-            .collect();
-        lost_pns
-            .into_iter()
-            .filter_map(|pn| self.sent.remove(&pn))
-            .collect()
+        while let Some(oldest) = self.sent.first_entry() {
+            let pn = *oldest.key();
+            let is_lost = pn < largest
+                && (largest - pn >= PACKET_THRESHOLD
+                    || now.saturating_since(oldest.get().sent_at) >= time_threshold);
+            if !is_lost {
+                break;
+            }
+            lost.push(oldest.remove());
+        }
     }
 
     /// The earliest deadline at which either a time-threshold loss or a PTO
@@ -233,8 +246,8 @@ impl LossDetector {
             let (_, oldest) = self.sent.range(..largest).next()?;
             Some(oldest.sent_at + rtt.loss_time_threshold())
         });
-        // PTO from the most recent ack-eliciting packet.
-        let pto_deadline = self.sent.values().rev().find(|p| p.ack_eliciting).map(|p| {
+        // PTO from the most recent packet.
+        let pto_deadline = self.sent.last_key_value().map(|(_, p)| {
             let backoff = 1u64 << self.pto_count.min(6);
             p.sent_at + SimDuration::from_micros(rtt.pto(max_ack_delay).as_micros() * backoff)
         });
@@ -246,21 +259,26 @@ impl LossDetector {
 
     /// Handle an expired timeout: first run time-threshold detection; if
     /// nothing was declared lost, treat it as a PTO — bump the backoff and
-    /// return the oldest outstanding eliciting packet to probe with.
+    /// hand back the reliable chunks of the oldest outstanding packet, the
+    /// data a probe re-sends.
     pub fn on_timeout(&mut self, now: SimTime, rtt: &RttEstimator) -> TimeoutOutcome {
-        let lost = self.detect_lost(now, rtt);
+        let mut lost = Vec::new();
+        self.detect_lost(now, rtt, &mut lost);
         if !lost.is_empty() {
             return TimeoutOutcome::Lost(lost);
         }
         self.pto_count += 1;
-        // On PTO, retransmittable data of the oldest eliciting packet is
-        // re-sent; here we surface its chunks so the connection can probe.
         let probe = self
             .sent
-            .values()
-            .filter(|p| p.ack_eliciting)
-            .min_by_key(|p| p.pkt_num)
-            .cloned();
+            .first_key_value()
+            .map_or_else(Vec::new, |(_, oldest)| {
+                oldest
+                    .chunks
+                    .iter()
+                    .filter(|c| !c.unreliable)
+                    .copied()
+                    .collect()
+            });
         TimeoutOutcome::Pto {
             count: self.pto_count,
             probe,
@@ -277,8 +295,9 @@ pub enum TimeoutOutcome {
     Pto {
         /// Consecutive PTO count (for backoff / persistent congestion).
         count: u32,
-        /// The oldest outstanding eliciting packet, to re-probe its data.
-        probe: Option<SentPacket>,
+        /// The reliable chunks of the oldest outstanding packet, for the
+        /// probe to re-send (empty when it carried none).
+        probe: Vec<SentChunk>,
     },
 }
 
@@ -291,10 +310,22 @@ mod tests {
             pkt_num: pn,
             sent_at: SimTime::from_millis(at_ms),
             wire_bytes: 1200,
-            ack_eliciting: true,
             delivered_at_send: 0,
             chunks: vec![],
         }
+    }
+
+    /// One ACK into a fresh outcome.
+    pub(super) fn ack(
+        d: &mut LossDetector,
+        now: SimTime,
+        ranges: &[(u64, u64)],
+        ack_delay: SimDuration,
+        rtt: &RttEstimator,
+    ) -> AckOutcome {
+        let mut out = AckOutcome::default();
+        d.on_ack(now, ranges, ack_delay, rtt, &mut out);
+        out
     }
 
     fn rtt60() -> RttEstimator {
@@ -309,7 +340,8 @@ mod tests {
         d.on_sent(pkt(0, 0));
         d.on_sent(pkt(1, 5));
         let rtt = rtt60();
-        let out = d.on_ack(
+        let out = ack(
+            &mut d,
             SimTime::from_millis(65),
             &[(1, 0)],
             SimDuration::from_millis(2),
@@ -332,7 +364,13 @@ mod tests {
         }
         let rtt = rtt60();
         // Ack only pn 4: pn 0 and 1 are ≥3 behind → lost; 2,3 not yet.
-        let out = d.on_ack(SimTime::from_millis(65), &[(4, 4)], SimDuration::ZERO, &rtt);
+        let out = ack(
+            &mut d,
+            SimTime::from_millis(65),
+            &[(4, 4)],
+            SimDuration::ZERO,
+            &rtt,
+        );
         let lost: Vec<u64> = out.lost.iter().map(|p| p.pkt_num).collect();
         assert_eq!(lost, vec![0, 1]);
         assert_eq!(d.outstanding(), 2);
@@ -344,10 +382,17 @@ mod tests {
         d.on_sent(pkt(0, 0));
         d.on_sent(pkt(1, 0));
         let rtt = rtt60();
-        let out = d.on_ack(SimTime::from_millis(60), &[(1, 1)], SimDuration::ZERO, &rtt);
+        let out = ack(
+            &mut d,
+            SimTime::from_millis(60),
+            &[(1, 1)],
+            SimDuration::ZERO,
+            &rtt,
+        );
         assert!(out.lost.is_empty(), "within packet+time thresholds");
         // 9/8·60 = 67.5 ms after send → lost.
-        let lost = d.detect_lost(SimTime::from_millis(68), &rtt);
+        let mut lost = Vec::new();
+        d.detect_lost(SimTime::from_millis(68), &rtt, &mut lost);
         assert_eq!(lost.len(), 1);
         assert_eq!(lost[0].pkt_num, 0);
     }
@@ -357,9 +402,21 @@ mod tests {
         let mut d = LossDetector::new();
         d.on_sent(pkt(0, 0));
         let rtt = rtt60();
-        let out1 = d.on_ack(SimTime::from_millis(60), &[(0, 0)], SimDuration::ZERO, &rtt);
+        let out1 = ack(
+            &mut d,
+            SimTime::from_millis(60),
+            &[(0, 0)],
+            SimDuration::ZERO,
+            &rtt,
+        );
         assert_eq!(out1.acked.len(), 1);
-        let out2 = d.on_ack(SimTime::from_millis(70), &[(0, 0)], SimDuration::ZERO, &rtt);
+        let out2 = ack(
+            &mut d,
+            SimTime::from_millis(70),
+            &[(0, 0)],
+            SimDuration::ZERO,
+            &rtt,
+        );
         assert!(out2.acked.is_empty());
         assert!(out2.rtt_sample.is_none());
     }
@@ -367,7 +424,22 @@ mod tests {
     #[test]
     fn pto_fires_and_backs_off() {
         let mut d = LossDetector::new();
-        d.on_sent(pkt(0, 0));
+        let chunk = |id, unreliable| SentChunk {
+            id: StreamId(id),
+            offset: 0,
+            len: 500,
+            fin: false,
+            unreliable,
+        };
+        // The oldest packet carries one reliable and one unreliable chunk.
+        d.on_sent(SentPacket {
+            chunks: vec![chunk(1, true), chunk(3, false)],
+            ..pkt(0, 0)
+        });
+        d.on_sent(SentPacket {
+            chunks: vec![chunk(5, false)],
+            ..pkt(1, 0)
+        });
         let rtt = rtt60();
         let deadline = d
             .next_timeout(&rtt, SimDuration::from_millis(25))
@@ -377,10 +449,13 @@ mod tests {
         match d.on_timeout(deadline, &rtt) {
             TimeoutOutcome::Pto { count, probe } => {
                 assert_eq!(count, 1);
-                assert_eq!(probe.unwrap().pkt_num, 0);
+                // Only what the probe re-sends: the oldest packet's
+                // reliable data.
+                assert_eq!(probe, vec![chunk(3, false)]);
             }
             other => panic!("expected PTO, got {other:?}"),
         }
+        assert_eq!(d.outstanding(), 2, "a PTO declares nothing lost");
         // Backoff doubles the next deadline.
         let d2 = d
             .next_timeout(&rtt, SimDuration::from_millis(25))
@@ -397,7 +472,8 @@ mod tests {
         d.on_timeout(t, &rtt);
         assert_eq!(d.pto_count(), 1);
         d.on_sent(pkt(1, 300));
-        d.on_ack(
+        ack(
+            &mut d,
             SimTime::from_millis(360),
             &[(1, 1)],
             SimDuration::ZERO,
@@ -412,7 +488,13 @@ mod tests {
         d.on_sent(pkt(0, 0));
         d.on_sent(pkt(1, 1));
         let rtt = rtt60();
-        d.on_ack(SimTime::from_millis(61), &[(1, 1)], SimDuration::ZERO, &rtt);
+        ack(
+            &mut d,
+            SimTime::from_millis(61),
+            &[(1, 1)],
+            SimDuration::ZERO,
+            &rtt,
+        );
         match d.on_timeout(SimTime::from_millis(200), &rtt) {
             TimeoutOutcome::Lost(lost) => assert_eq!(lost[0].pkt_num, 0),
             other => panic!("expected losses, got {other:?}"),
@@ -433,7 +515,13 @@ mod tests {
         d.on_sent(pkt(0, 0));
         d.on_sent(pkt(1, 5));
         let rtt = rtt60();
-        let out = d.on_ack(SimTime::from_millis(65), &[(1, 0)], SimDuration::ZERO, &rtt);
+        let out = ack(
+            &mut d,
+            SimTime::from_millis(65),
+            &[(1, 0)],
+            SimDuration::ZERO,
+            &rtt,
+        );
         assert_eq!(out.rate_samples.len(), 2);
         assert_eq!(d.delivered_bytes(), 2400);
         for s in &out.rate_samples {
@@ -446,7 +534,8 @@ mod tests {
         // Losses never credit the delivered counter.
         d.on_sent(pkt(2, 70));
         d.on_sent(pkt(5, 71));
-        let out = d.on_ack(
+        let out = ack(
+            &mut d,
             SimTime::from_millis(135),
             &[(5, 5)],
             SimDuration::ZERO,
@@ -464,7 +553,8 @@ mod tests {
         let mut d = LossDetector::new();
         d.on_sent(pkt(0, 0));
         d.on_sent(pkt(1, 5));
-        let out = d.on_ack(
+        let out = ack(
+            &mut d,
             SimTime::from_millis(65),
             &[(1, 0)],
             SimDuration::ZERO,
@@ -480,11 +570,142 @@ mod tests {
 
 #[cfg(test)]
 mod props {
+    use super::tests::ack;
     use super::*;
     use proptest::prelude::*;
 
+    /// `LossDetector` as first written: per ACK range, the packet numbers
+    /// it covers collected into a `Vec` and removed one by one; every
+    /// packet below the largest acked filtered for loss; a PTO's probe
+    /// found by a scan. The reference the skip of ranges below the flight,
+    /// the removal without collecting and the loss search that stops early
+    /// are held to.
+    #[derive(Default)]
+    struct CollectingDetector {
+        sent: std::collections::BTreeMap<u64, SentPacket>,
+        largest_acked: Option<u64>,
+        pto_count: u32,
+        delivered: u64,
+        sample_rates: bool,
+    }
+
+    impl CollectingDetector {
+        fn on_ack(
+            &mut self,
+            now: SimTime,
+            ranges: &[(u64, u64)],
+            ack_delay: SimDuration,
+            rtt: &RttEstimator,
+        ) -> AckOutcome {
+            let mut out = AckOutcome::default();
+            let mut largest_newly_acked: Option<u64> = None;
+            for &(hi, lo) in ranges {
+                let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
+                let acked: Vec<u64> = self.sent.range(lo..=hi).map(|(&pn, _)| pn).collect();
+                for pn in acked {
+                    if let Some(pkt) = self.sent.remove(&pn) {
+                        largest_newly_acked =
+                            Some(largest_newly_acked.map_or(pn, |l: u64| l.max(pn)));
+                        out.acked.push(pkt);
+                    }
+                }
+            }
+            for pkt in &out.acked {
+                self.delivered += pkt.wire_bytes as u64;
+                if !self.sample_rates {
+                    continue;
+                }
+                let flight = now.saturating_since(pkt.sent_at);
+                if flight > SimDuration::ZERO {
+                    out.rate_samples.push(RateSample {
+                        delivered: self.delivered,
+                        delivered_at_send: pkt.delivered_at_send,
+                        rate: (self.delivered - pkt.delivered_at_send) as f64
+                            / flight.as_secs_f64(),
+                    });
+                }
+            }
+            if let Some(largest) = largest_newly_acked {
+                if self.largest_acked.is_none_or(|l| largest > l) {
+                    self.largest_acked = Some(largest);
+                    if let Some(pkt) = out.acked.iter().find(|p| p.pkt_num == largest) {
+                        out.rtt_sample = Some((now.saturating_since(pkt.sent_at), ack_delay));
+                    }
+                }
+                self.pto_count = 0;
+            }
+            out.lost = self.detect_lost(now, rtt);
+            out
+        }
+
+        fn detect_lost(&mut self, now: SimTime, rtt: &RttEstimator) -> Vec<SentPacket> {
+            let Some(largest) = self.largest_acked else {
+                return Vec::new();
+            };
+            let time_threshold = rtt.loss_time_threshold();
+            let lost_pns: Vec<u64> = self
+                .sent
+                .range(..largest)
+                .filter(|(&pn, pkt)| {
+                    largest - pn >= PACKET_THRESHOLD
+                        || now.saturating_since(pkt.sent_at) >= time_threshold
+                })
+                .map(|(&pn, _)| pn)
+                .collect();
+            lost_pns
+                .into_iter()
+                .filter_map(|pn| self.sent.remove(&pn))
+                .collect()
+        }
+
+        /// A timeout: the losses it declares, or else a PTO probing with
+        /// the oldest packet's reliable chunks.
+        fn on_timeout(
+            &mut self,
+            now: SimTime,
+            rtt: &RttEstimator,
+        ) -> Result<Vec<u64>, Vec<SentChunk>> {
+            let lost = self.detect_lost(now, rtt);
+            if !lost.is_empty() {
+                return Ok(pns(&lost));
+            }
+            self.pto_count += 1;
+            let probe = self
+                .sent
+                .values()
+                .min_by_key(|p| p.pkt_num)
+                .map(|p| p.chunks.iter().filter(|c| !c.unreliable).copied().collect());
+            Err(probe.unwrap_or_default())
+        }
+
+        /// What it holds, as [`state`] reads a `LossDetector`.
+        fn state(&self) -> (Vec<u64>, Option<u64>, u32, u64) {
+            (
+                self.sent.keys().copied().collect(),
+                self.largest_acked,
+                self.pto_count,
+                self.delivered,
+            )
+        }
+    }
+
+    /// What a detector holds, for equality: flight, largest acked, PTO
+    /// count and the delivered-byte clock.
+    fn state(d: &LossDetector) -> (Vec<u64>, Option<u64>, u32, u64) {
+        (
+            d.sent.keys().copied().collect(),
+            d.largest_acked,
+            d.pto_count,
+            d.delivered,
+        )
+    }
+
+    fn pns(pkts: &[SentPacket]) -> Vec<u64> {
+        pkts.iter().map(|p| p.pkt_num).collect()
+    }
+
     /// `LossDetector::next_timeout` as first written: a scan of the whole
-    /// flight for the earliest loss deadline and the latest eliciting send.
+    /// flight for the earliest loss deadline and the latest send.
     /// The reference the O(1) version is held to.
     fn next_timeout_by_scan(
         d: &LossDetector,
@@ -497,16 +718,10 @@ mod props {
                 .map(|(_, p)| p.sent_at + rtt.loss_time_threshold())
                 .min()
         });
-        let pto_deadline = d
-            .sent
-            .values()
-            .filter(|p| p.ack_eliciting)
-            .map(|p| p.sent_at)
-            .max()
-            .map(|t| {
-                let backoff = 1u64 << d.pto_count.min(6);
-                t + SimDuration::from_micros(rtt.pto(max_ack_delay).as_micros() * backoff)
-            });
+        let pto_deadline = d.sent.values().map(|p| p.sent_at).max().map(|t| {
+            let backoff = 1u64 << d.pto_count.min(6);
+            t + SimDuration::from_micros(rtt.pto(max_ack_delay).as_micros() * backoff)
+        });
         match (loss_deadline, pto_deadline) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -515,8 +730,8 @@ mod props {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-        /// Across random interleavings of sends (eliciting or not, several
-        /// at one instant), acks of arbitrary ranges, the losses they
+        /// Across random interleavings of sends (several at one instant),
+        /// acks of arbitrary ranges, the losses they
         /// declare, RTT updates and timeouts (time-threshold losses and
         /// PTOs with backoff), the deadline read off the ends of the
         /// flight equals the one found by scanning all of it.
@@ -536,13 +751,12 @@ mod props {
                 match op {
                     // A burst of sends; `flag` makes them share an instant.
                     0 | 1 => {
-                        for i in 0..=x {
+                        for _ in 0..=x {
                             now += if flag { 0 } else { gap };
                             d.on_sent(SentPacket {
                                 pkt_num: pn,
                                 sent_at: SimTime::from_micros(now),
                                 wire_bytes: 1200,
-                                ack_eliciting: (i + y) % 4 != 0,
                                 delivered_at_send: 0,
                                 chunks: vec![],
                             });
@@ -556,7 +770,7 @@ mod props {
                         let hi = (pn - 1).saturating_sub(x);
                         let lo = hi.saturating_sub(y);
                         let at = SimTime::from_micros(now);
-                        let out = d.on_ack(at, &[(hi, lo)], SimDuration::ZERO, &rtt);
+                        let out = ack(&mut d, at, &[(hi, lo)], SimDuration::ZERO, &rtt);
                         if let Some((sample, delay)) = out.rtt_sample {
                             rtt.update(sample, delay);
                         }
@@ -571,6 +785,94 @@ mod props {
                 }
                 prop_assert!(d.check_invariants().is_ok());
                 prop_assert_eq!(d.next_timeout(&rtt, mad), next_timeout_by_scan(&d, &rtt, mad));
+            }
+        }
+
+        /// An ACK of 1–40 highest-first ranges — runs and holes of
+        /// pseudo-random length, the lower ones below the flight, ranges
+        /// acked before, either orientation — leaves the detector in the
+        /// state the collecting version does, with the same acked and lost
+        /// packets in the same order, RTT sample and rate samples. A PTO
+        /// on the result hands over the oldest packet's reliable chunks.
+        #[test]
+        fn on_ack_equals_the_collecting_version(
+            steps in proptest::collection::vec(
+                (1u64..10, 0u64..30, 0u64..30_000, 1usize..41, 0u64..5),
+                1..50,
+            ),
+            sample_rates in proptest::bool::ANY,
+        ) {
+            let mut d = LossDetector::new();
+            d.set_rate_sampling(sample_rates);
+            let mut reference = CollectingDetector { sample_rates, ..CollectingDetector::default() };
+            let mut rtt = RttEstimator::new();
+            let mut out = AckOutcome::default();
+            let mut now = 0u64;
+            let mut pn = 0u64;
+            for (sends, back, gap, n_ranges, stride) in steps {
+                for i in 0..sends {
+                    now += gap;
+                    let pkt = SentPacket {
+                        pkt_num: pn,
+                        sent_at: SimTime::from_micros(now),
+                        wire_bytes: 1200,
+                        delivered_at_send: d.delivered_bytes(),
+                        chunks: vec![SentChunk {
+                            id: StreamId(pn % 3),
+                            offset: pn * 1200,
+                            len: 1200,
+                            fin: false,
+                            unreliable: (pn + i).is_multiple_of(2),
+                        }],
+                    };
+                    reference.sent.insert(pn, pkt.clone());
+                    d.on_sent(pkt);
+                    // Now and then a number goes to a packet nobody tracks.
+                    pn += 1 + u64::from(stride == 4 && i % 3 == 0);
+                }
+                now += gap + 1;
+                let mut ranges = Vec::new();
+                let mut hi = (pn - 1).saturating_sub(back);
+                for k in 0..n_ranges as u64 {
+                    let lo = hi.saturating_sub((k * 7 + stride) % 4);
+                    ranges.push(if k % 2 == 0 { (hi, lo) } else { (lo, hi) });
+                    let hole = 1 + (k + stride) % 3;
+                    if lo <= hole {
+                        break;
+                    }
+                    hi = lo - hole - 1;
+                }
+                let at = SimTime::from_micros(now);
+                let delay = SimDuration::from_micros(gap % 25_000);
+                let expected = reference.on_ack(at, &ranges, delay, &rtt);
+                d.on_ack(at, &ranges, delay, &rtt, &mut out);
+                prop_assert_eq!(pns(&out.acked), pns(&expected.acked));
+                prop_assert_eq!(pns(&out.lost), pns(&expected.lost));
+                prop_assert_eq!(out.rtt_sample, expected.rtt_sample);
+                prop_assert_eq!(&out.rate_samples, &expected.rate_samples);
+                prop_assert!(d.check_invariants().is_ok(), "{:?}", d.check_invariants());
+                prop_assert_eq!(state(&d), reference.state());
+                if let Some((sample, delay)) = out.rtt_sample {
+                    rtt.update(sample, delay);
+                }
+                // Now and then a timer fires: time-threshold losses, or a
+                // PTO probing with the oldest packet's reliable chunks.
+                if stride == 0 {
+                    now += 4 * gap;
+                    let at = SimTime::from_micros(now);
+                    match (d.on_timeout(at, &rtt), reference.on_timeout(at, &rtt)) {
+                        (TimeoutOutcome::Lost(lost), Ok(expected)) => {
+                            prop_assert_eq!(pns(&lost), expected);
+                        }
+                        (TimeoutOutcome::Pto { probe, .. }, Err(expected)) => {
+                            prop_assert_eq!(probe, expected);
+                        }
+                        (got, expected) => {
+                            prop_assert!(false, "timeout: {:?} vs {:?}", got, expected);
+                        }
+                    }
+                    prop_assert_eq!(state(&d), reference.state());
+                }
             }
         }
 
@@ -602,8 +904,7 @@ mod props {
                         pkt_num: pn,
                         sent_at: SimTime::from_micros(now),
                         wire_bytes: bytes,
-                        ack_eliciting: true,
-                        delivered_at_send: d.delivered_bytes(),
+                                    delivered_at_send: d.delivered_bytes(),
                         chunks: vec![],
                     });
                     pn += 1;
@@ -611,7 +912,8 @@ mod props {
                 now += gap + 1;
                 let hi = pn - 1 - (hi_off % pn);
                 let lo = hi.saturating_sub(lo_off);
-                let out = d.on_ack(
+                let out = ack(
+            &mut d,
                     SimTime::from_micros(now),
                     &[(hi, lo)],
                     SimDuration::ZERO,

@@ -4,9 +4,16 @@
 //! that QUIC\* reports to the application for selective re-request (§4.2).
 
 /// Sorted, coalesced set of half-open ranges.
+///
+/// Lookups ([`RangeSet::covers`], [`RangeSet::contains`],
+/// [`RangeSet::covered_within`]) binary-search the ranges and
+/// [`RangeSet::covered_len`] reads a total that [`RangeSet::insert`] keeps,
+/// so none of them grows with the number of holes a lossy stream leaves.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RangeSet {
     ranges: Vec<(u64, u64)>,
+    /// Sum of the ranges' lengths.
+    covered: u64,
 }
 
 impl RangeSet {
@@ -26,12 +33,28 @@ impl RangeSet {
         let lo = self.ranges.partition_point(|&(_, e)| e < start);
         let mut hi = lo;
         while hi < self.ranges.len() && self.ranges[hi].0 <= end {
-            new_start = new_start.min(self.ranges[hi].0);
-            new_end = new_end.max(self.ranges[hi].1);
+            let (s, e) = self.ranges[hi];
+            new_start = new_start.min(s);
+            new_end = new_end.max(e);
+            self.covered -= e - s;
             hi += 1;
         }
+        self.covered += new_end - new_start;
         self.ranges
             .splice(lo..hi, std::iter::once((new_start, new_end)));
+    }
+
+    /// The ranges that intersect `[start, end)`, ascending.
+    pub(crate) fn overlapping(
+        &self,
+        start: u64,
+        end: u64,
+    ) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let lo = self.ranges.partition_point(|&(_, e)| e <= start);
+        self.ranges[lo..]
+            .iter()
+            .copied()
+            .take_while(move |&(s, _)| s < end)
     }
 
     /// Whether the whole `[start, end)` is covered.
@@ -39,10 +62,11 @@ impl RangeSet {
         if start >= end {
             return true;
         }
-        match self.ranges.iter().find(|&&(s, e)| s <= start && start < e) {
-            Some(&(_, e)) => end <= e,
-            None => false,
-        }
+        // The one range that can hold `start` is the first ending past it.
+        let i = self.ranges.partition_point(|&(_, e)| e <= start);
+        self.ranges
+            .get(i)
+            .is_some_and(|&(s, e)| s <= start && end <= e)
     }
 
     /// Whether `offset` is in the set.
@@ -52,7 +76,7 @@ impl RangeSet {
 
     /// Total number of covered bytes.
     pub fn covered_len(&self) -> u64 {
-        self.ranges.iter().map(|&(s, e)| e - s).sum()
+        self.covered
     }
 
     /// The gaps (uncovered ranges) within `[0, upto)`.
@@ -90,13 +114,8 @@ impl RangeSet {
 
     /// Number of covered bytes within `[start, end)`.
     pub fn covered_within(&self, start: u64, end: u64) -> u64 {
-        self.ranges
-            .iter()
-            .map(|&(s, e)| {
-                let s = s.max(start);
-                let e = e.min(end);
-                e.saturating_sub(s)
-            })
+        self.overlapping(start, end)
+            .map(|(s, e)| e.min(end).saturating_sub(s.max(start)))
             .sum()
     }
 
@@ -111,8 +130,9 @@ impl RangeSet {
     }
 
     /// Structural audit: ranges are non-empty, sorted ascending, and
-    /// coalesced (disjoint with a gap between neighbours). Used by the
-    /// `paranoid` runtime layer and the property tests (DESIGN.md §10).
+    /// coalesced (disjoint with a gap between neighbours), and the kept
+    /// total is their summed length. Used by the `paranoid` runtime layer
+    /// and the property tests (DESIGN.md §10).
     pub fn check_invariants(&self) -> Result<(), String> {
         for &(s, e) in &self.ranges {
             if s >= e {
@@ -126,6 +146,13 @@ impl RangeSet {
                     w[0].0, w[0].1, w[1].0, w[1].1
                 ));
             }
+        }
+        let sum: u64 = self.ranges.iter().map(|&(s, e)| e - s).sum();
+        if sum != self.covered {
+            return Err(format!(
+                "covered total {} but the ranges sum to {sum}",
+                self.covered
+            ));
         }
         Ok(())
     }
@@ -230,7 +257,10 @@ mod tests {
 
         proptest! {
             #[test]
-            fn invariants_hold(ops in proptest::collection::vec((0u64..500, 0u64..100), 0..100)) {
+            fn invariants_hold(
+                ops in proptest::collection::vec((0u64..500, 0u64..100), 0..100),
+                queries in proptest::collection::vec((0u64..700, 0u64..120), 0..40),
+            ) {
                 let mut s = RangeSet::new();
                 let mut reference = vec![false; 700];
                 for (start, len) in ops {
@@ -238,6 +268,19 @@ mod tests {
                     for slot in reference.iter_mut().skip(start as usize).take(len as usize) {
                         *slot = true;
                     }
+                    // The kept total is the bitmap's count after every insert.
+                    let expected = reference.iter().filter(|&&b| b).count() as u64;
+                    prop_assert_eq!(s.covered_len(), expected);
+                }
+                // Interval lookups match the bitmap: `covers` is "every
+                // bit set", `covered_within` counts the set bits.
+                for (start, len) in queries {
+                    let end = (start + len).min(700);
+                    let bits = &reference[start as usize..end as usize];
+                    prop_assert_eq!(s.covers(start, end), bits.iter().all(|&b| b),
+                        "covers({}, {})", start, end);
+                    prop_assert_eq!(s.covered_within(start, end),
+                        bits.iter().filter(|&&b| b).count() as u64);
                 }
                 // Sorted, disjoint, non-adjacent.
                 let rs: Vec<_> = s.iter().collect();

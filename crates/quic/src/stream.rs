@@ -14,7 +14,7 @@
 
 use crate::range::RangeSet;
 use bytes::Bytes;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Stream identifier. Client-initiated streams use even ids, server-initiated
 /// odd ids (so the two endpoints never collide when opening).
@@ -337,8 +337,11 @@ pub struct RecvStream {
     pub reliability: Reliability,
     /// Received ranges.
     received: RangeSet,
-    /// Buffered data by offset (non-overlapping: new data is trimmed).
-    chunks: BTreeMap<u64, Bytes>,
+    /// Buffered data, sorted by offset and non-overlapping (new data is
+    /// trimmed). A deque rather than a map: a drained map frees its node
+    /// and the next frame allocates one, while a drained deque keeps its
+    /// buffer (up to [`DRAINED_CAPACITY`], until fin is known).
+    chunks: VecDeque<(u64, Bytes)>,
     /// In-order read cursor (reliable delivery).
     read_cursor: u64,
     /// Total stream length, once fin is seen.
@@ -352,7 +355,7 @@ impl RecvStream {
             id,
             reliability,
             received: RangeSet::new(),
-            chunks: BTreeMap::new(),
+            chunks: VecDeque::new(),
             read_cursor: 0,
             fin_offset: None,
         }
@@ -368,35 +371,29 @@ impl RecvStream {
             return;
         }
         let end = offset + data.len() as u64;
-        if self.received.covers(offset, end) {
-            return; // pure duplicate
-        }
-        // Trim against already-received sub-ranges by inserting gap pieces.
-        let gaps: Vec<(u64, u64)> = {
-            let mut sub = RangeSet::new();
-            for (s, e) in self.received.iter() {
-                let s = s.max(offset);
-                let e = e.min(end);
-                if s < e {
-                    sub.insert(s - offset, e - offset);
-                }
+        // Buffer the pieces not received yet: the holes between the
+        // received ranges that overlap the frame (the empty range at `end`
+        // closes the last one). Usually none overlaps, and the whole frame
+        // is one piece.
+        let mut cursor = offset;
+        for (s, e) in self.received.overlapping(offset, end).chain([(end, end)]) {
+            if s > cursor {
+                let piece = data.slice((cursor - offset) as usize..(s - offset) as usize);
+                let at = self.chunks.partition_point(|&(o, _)| o < cursor);
+                self.chunks.insert(at, (cursor, piece));
             }
-            sub.gaps(data.len() as u64)
-        };
-        for (s, e) in gaps {
-            let piece = data.slice(s as usize..e as usize);
-            self.chunks.insert(offset + s, piece);
+            cursor = cursor.max(e);
         }
         self.received.insert(offset, end);
     }
 
     /// Reliable read: return the next in-order bytes, if any.
     pub fn read(&mut self) -> Option<Bytes> {
-        let (&start, _) = self.chunks.first_key_value()?;
+        let &(start, _) = self.chunks.front()?;
         if start > self.read_cursor {
             return None; // gap at the cursor
         }
-        let (start, chunk) = self.chunks.pop_first()?;
+        let (start, chunk) = self.chunks.pop_front()?;
         // Drop any portion already read (possible after overlap trims).
         let skip = (self.read_cursor - start) as usize;
         self.read_cursor = start + chunk.len() as u64;
@@ -428,10 +425,22 @@ impl RecvStream {
         self.received.gaps(upto)
     }
 
-    /// Drain everything received so far as `(offset, data)` pairs
-    /// (unreliable delivery: the app assembles and zero-pads).
-    pub fn take_received(&mut self) -> Vec<(u64, Bytes)> {
-        std::mem::take(&mut self.chunks).into_iter().collect()
+    /// Drain everything received so far as `(offset, data)` pairs in
+    /// offset order (unreliable delivery: the app assembles and
+    /// zero-pads). The chunks leave the stream even if the iterator is
+    /// dropped unread.
+    pub fn take_received(&mut self) -> impl Iterator<Item = (u64, Bytes)> + '_ {
+        // Once fin is known only stragglers can still arrive: the buffer
+        // goes with the last chunks.
+        let keep = if self.fin_offset.is_some() {
+            0
+        } else {
+            DRAINED_CAPACITY
+        };
+        Drain {
+            chunks: &mut self.chunks,
+            keep,
+        }
     }
 
     /// Received ranges, for inspection.
@@ -440,8 +449,9 @@ impl RecvStream {
     }
 
     /// Structural audit: the read cursor never outruns the contiguous
-    /// prefix, buffered chunks lie inside the received set, and nothing
-    /// arrives beyond fin. Used by the `paranoid` runtime layer.
+    /// prefix, buffered chunks lie inside the received set in offset order
+    /// without overlapping, and nothing arrives beyond fin. Used by the
+    /// `paranoid` runtime layer.
     pub fn check_invariants(&self) -> Result<(), String> {
         self.received
             .check_invariants()
@@ -461,15 +471,50 @@ impl RecvStream {
                 ));
             }
         }
-        for (&off, chunk) in &self.chunks {
+        let mut buffered_end = 0;
+        for (off, chunk) in &self.chunks {
             let end = off + chunk.len() as u64;
-            if !self.received.covers(off, end) {
+            if !self.received.covers(*off, end) {
                 return Err(format!(
                     "buffered chunk [{off}, {end}) not in the received set"
                 ));
             }
+            if *off < buffered_end {
+                return Err(format!(
+                    "buffered chunk at {off} overlaps or precedes the one ending at {buffered_end}"
+                ));
+            }
+            buffered_end = end;
         }
         Ok(())
+    }
+}
+
+/// The buffer capacity a drained, unfinished [`RecvStream`] keeps: enough
+/// for the chunk or two a streaming reader takes per drain, so steady
+/// streaming allocates nothing, while a stream that buffered many chunks
+/// gives that memory back.
+const DRAINED_CAPACITY: usize = 8;
+
+/// [`RecvStream::take_received`]'s iterator: pops chunks, and on drop
+/// empties the buffer down to `keep` slots.
+struct Drain<'a> {
+    chunks: &'a mut VecDeque<(u64, Bytes)>,
+    keep: usize,
+}
+
+impl Iterator for Drain<'_> {
+    type Item = (u64, Bytes);
+
+    fn next(&mut self) -> Option<(u64, Bytes)> {
+        self.chunks.pop_front()
+    }
+}
+
+impl Drop for Drain<'_> {
+    fn drop(&mut self) {
+        self.chunks.clear();
+        self.chunks.shrink_to(self.keep);
     }
 }
 
@@ -675,10 +720,35 @@ mod tests {
         assert_eq!(r.final_len(), Some(3000));
         assert!(!r.is_complete());
         assert_eq!(r.missing_ranges(None), vec![(0, 1000), (1500, 2500)]);
-        let chunks = r.take_received();
+        let chunks: Vec<_> = r.take_received().collect();
         assert_eq!(chunks.len(), 2);
         assert_eq!(chunks[0].0, 1000);
         assert_eq!(chunks[1].0, 2500);
+    }
+
+    /// Draining keeps a small buffer for the next frame but gives back
+    /// one that grew while many chunks were buffered, and all of it once
+    /// fin is known.
+    #[test]
+    fn a_drained_stream_keeps_only_a_small_buffer() {
+        let mut r = RecvStream::new(StreamId(0), Reliability::Reliable);
+        r.on_data(0, Bytes::from_static(b"ab"), false);
+        assert_eq!(r.take_received().count(), 1);
+        let small = r.chunks.capacity();
+        assert!(small > 0 && small <= DRAINED_CAPACITY, "{small}");
+        // Out of order, so every piece stays buffered until drained.
+        for i in (1..200u64).rev() {
+            r.on_data(10 * i, Bytes::from_static(b"x"), false);
+        }
+        assert!(r.chunks.capacity() >= 199);
+        let offsets: Vec<u64> = r.take_received().map(|(o, _)| o).collect();
+        assert_eq!(offsets, (1..200).map(|i| 10 * i).collect::<Vec<_>>());
+        assert!(r.chunks.capacity() <= DRAINED_CAPACITY);
+        // Dropped unread, the iterator still drains; once fin is known the
+        // buffer goes too.
+        r.on_data(5000, Bytes::from_static(b"y"), true);
+        drop(r.take_received());
+        assert_eq!((r.chunks.len(), r.chunks.capacity()), (0, 0));
     }
 
     #[test]
@@ -693,8 +763,78 @@ mod tests {
     mod props {
         use super::*;
         use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        /// `RecvStream`'s buffering as first written: pieces in a map, each
+        /// frame trimmed against a scratch `RangeSet` built from every
+        /// received range. The reference the overlap-only trimming is held
+        /// to.
+        #[derive(Default)]
+        struct TrimmingRecv {
+            received: RangeSet,
+            chunks: BTreeMap<u64, Bytes>,
+        }
+
+        impl TrimmingRecv {
+            fn on_data(&mut self, offset: u64, data: Bytes) {
+                if data.is_empty() {
+                    return;
+                }
+                let end = offset + data.len() as u64;
+                if self.received.covers(offset, end) {
+                    return; // pure duplicate
+                }
+                let gaps: Vec<(u64, u64)> = {
+                    let mut sub = RangeSet::new();
+                    for (s, e) in self.received.iter() {
+                        let s = s.max(offset);
+                        let e = e.min(end);
+                        if s < e {
+                            sub.insert(s - offset, e - offset);
+                        }
+                    }
+                    sub.gaps(data.len() as u64)
+                };
+                for (s, e) in gaps {
+                    let piece = data.slice(s as usize..e as usize);
+                    self.chunks.insert(offset + s, piece);
+                }
+                self.received.insert(offset, end);
+            }
+        }
 
         proptest! {
+            /// Over overlapping, duplicate and disjoint frames, with the
+            /// application draining now and then, the stream buffers the
+            /// same pieces (offsets and bytes) and the same received ranges
+            /// as the trimming version.
+            #[test]
+            fn on_data_buffers_what_the_trimming_version_does(
+                frames in proptest::collection::vec((0u64..3000, 0usize..400, 0u8..6), 1..80),
+            ) {
+                let mut r = RecvStream::new(StreamId(2), Reliability::Unreliable);
+                let mut reference = TrimmingRecv::default();
+                for (offset, len, op) in frames {
+                    let data: Vec<u8> = (offset..offset + len as u64).map(|i| (i % 251) as u8).collect();
+                    let data = Bytes::from(data);
+                    // op 1 sends the frame twice: a duplicate.
+                    for _ in 0..1 + usize::from(op == 1) {
+                        r.on_data(offset, data.clone(), false);
+                        reference.on_data(offset, data.clone());
+                    }
+                    prop_assert_eq!(r.received_ranges(), reference.received.iter().collect::<Vec<_>>());
+                    prop_assert!(r.check_invariants().is_ok(), "{:?}", r.check_invariants());
+                    // op 0: the application drains what arrived.
+                    if op == 0 {
+                        let drained: Vec<(u64, Bytes)> = r.take_received().collect();
+                        let expected: Vec<(u64, Bytes)> = std::mem::take(&mut reference.chunks).into_iter().collect();
+                        prop_assert_eq!(drained, expected);
+                    }
+                }
+                let drained: Vec<(u64, Bytes)> = r.take_received().collect();
+                prop_assert_eq!(drained, reference.chunks.into_iter().collect::<Vec<_>>());
+            }
+
             /// Whatever order reliable chunks (with losses + retransmits)
             /// arrive in, the receiver reconstructs the exact byte stream.
             #[test]

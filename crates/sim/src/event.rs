@@ -109,9 +109,6 @@ impl<E> EventQueue<E> {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        // Telemetry only (never read by sim logic): lets the profiler
-        // attribute event-churn to the span that scheduled it.
-        crate::alloc::note(1);
         self.heap.push(ScheduledEvent { at, seq, event });
     }
 

@@ -13,14 +13,11 @@
 //! - [`rng`]: seeded, splittable random number generation so that independent
 //!   subsystems (trace noise, cross-traffic, VBR sizes) never share streams.
 //! - [`stats`]: percentile / mean / stderr helpers used by every figure.
-//! - [`alloc`]: thread-local allocation tallies for the profiler in
-//!   `voxel-obs` — telemetry-only, never read back by sim logic.
 //!
 //! The engine is runtime-agnostic by design — the transport in `voxel-quic`
 //! is written against these primitives but structured like an async
 //! packet-processing loop, so it could be lifted onto real sockets.
 
-pub mod alloc;
 pub mod clock;
 pub mod event;
 pub mod pool;
