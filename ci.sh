@@ -17,7 +17,7 @@ echo "==> cargo test -q --features paranoid (runtime invariant audits: the facad
 cargo test -q --features paranoid -p voxel -p voxel-quic -p voxel-core -p voxel-fleet
 
 echo "==> tier-2: conformance sweep (scenario matrix x seeds + golden digests + fleets, DESIGN.md §11-12)"
-VOXEL_SEEDS="${VOXEL_SEEDS:-3}" cargo run -q --release -p voxel-bench --bin conformance
+VOXEL_SEEDS="${VOXEL_SEEDS:-5}" cargo run -q --release -p voxel-bench --bin conformance
 
 echo "==> tier-2: testkit canary (armed stall-skew must be caught and minimized)"
 VOXEL_TESTKIT_FAULT=stall_off_by_one cargo run -q --release -p voxel-bench --bin conformance

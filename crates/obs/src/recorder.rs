@@ -3,10 +3,12 @@
 //!
 //! A [`FlightRecorder`] wraps any [`TraceSink`] with [`FlightRecorder::wrap`]:
 //! events pass through to the inner sink unchanged *and* land in a
-//! fixed-size ring (the same eviction model as `voxel_trace::MemorySink`,
-//! but ring evictions here are by design and therefore do **not** count
-//! toward the sink's dropped-event tally). When an oracle or a paranoid
-//! audit trips, [`FlightRecorder::postmortem`] renders the last events —
+//! fixed-size ring. The ring is a `voxel_trace::MemorySink`, which
+//! overwrites its oldest slot in place once full, so the tee costs a copy
+//! into an existing slot, not an allocation. Ring evictions here are by
+//! design and therefore do **not** count toward the tee's dropped-event
+//! tally. When an oracle or a paranoid audit trips,
+//! [`FlightRecorder::postmortem`] renders the last events —
 //! plus the live profiler state, if one is installed — into a pasteable
 //! block, turning "seed 41 failed" into something debuggable.
 //!
@@ -20,9 +22,7 @@
 )]
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
-use voxel_trace::{TraceEvent, TraceSink};
+use voxel_trace::{MemoryHandle, MemorySink, TraceEvent, TraceSink};
 
 /// Default ring capacity: the "last-200-events postmortem".
 pub const DEFAULT_CAPACITY: usize = 200;
@@ -30,29 +30,24 @@ pub const DEFAULT_CAPACITY: usize = 200;
 /// A shared, bounded ring of the most recent trace events.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
-    ring: Arc<Mutex<Ring>>,
-    label: String,
-}
-
-#[derive(Debug, Default)]
-struct Ring {
-    events: VecDeque<TraceEvent>,
+    /// The ring's writer half, cloned into every tee.
+    sink: MemorySink,
+    /// Its reader half; the ring's eviction tally is [`FlightRecorder::evicted`].
+    ring: MemoryHandle,
     capacity: usize,
-    /// Events that rotated out of the ring (reported in the postmortem
-    /// header so a truncated view is never mistaken for the whole run).
-    evicted: u64,
+    label: String,
 }
 
 impl FlightRecorder {
     /// A recorder retaining the last `capacity` events, labelled for the
     /// postmortem header (e.g. `"spec=... seed=41"`).
     pub fn new(label: impl Into<String>, capacity: usize) -> FlightRecorder {
+        let capacity = capacity.max(1);
+        let (sink, ring) = MemorySink::shared(capacity);
         FlightRecorder {
-            ring: Arc::new(Mutex::new(Ring {
-                events: VecDeque::with_capacity(capacity.max(1)),
-                capacity: capacity.max(1),
-                evicted: 0,
-            })),
+            sink,
+            ring,
+            capacity,
             label: label.into(),
         }
     }
@@ -63,41 +58,35 @@ impl FlightRecorder {
     pub fn wrap(&self, inner: Box<dyn TraceSink>) -> RecorderSink {
         RecorderSink {
             inner,
-            ring: self.ring.clone(),
+            ring: self.sink.clone(),
         }
     }
 
     /// Copy out the retained events, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.lock().events.iter().cloned().collect()
+        self.ring.events()
     }
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.lock().events.len()
+        self.ring.len()
     }
 
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.ring.is_empty()
     }
 
     /// Events that rotated out of the ring.
     pub fn evicted(&self) -> u64 {
-        self.lock().evicted
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Ring> {
-        self.ring
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.ring.dropped()
     }
 
     /// Render the pasteable failure dump: header with `reason`, the
     /// retained events as human-readable lines, and — when a profiler is
     /// installed on the calling thread — its state so far.
     pub fn postmortem(&self, reason: &str) -> String {
-        let ring = self.lock();
+        let events = self.ring.events();
         let mut out = String::with_capacity(4096);
         out.push_str("==== voxel-obs flight recorder ====\n");
         out.push_str(&format!("reason: {reason}\n"));
@@ -106,16 +95,15 @@ impl FlightRecorder {
         }
         out.push_str(&format!(
             "events: last {} (capacity {}, {} older rotated out)\n",
-            ring.events.len(),
-            ring.capacity,
-            ring.evicted,
+            events.len(),
+            self.capacity,
+            self.evicted(),
         ));
-        for e in &ring.events {
+        for e in &events {
             out.push_str("  ");
             out.push_str(&e.to_human());
             out.push('\n');
         }
-        drop(ring);
         if let Some(profile) = crate::profile::current_profile_text() {
             out.push_str("---- profiler state ----\n");
             out.push_str(&profile);
@@ -128,21 +116,13 @@ impl FlightRecorder {
 /// The tee produced by [`FlightRecorder::wrap`].
 pub struct RecorderSink {
     inner: Box<dyn TraceSink>,
-    ring: Arc<Mutex<Ring>>,
+    ring: MemorySink,
 }
 
 impl TraceSink for RecorderSink {
     fn record(&mut self, event: &TraceEvent) {
         self.inner.record(event);
-        let mut ring = self
-            .ring
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if ring.events.len() == ring.capacity {
-            ring.events.pop_front();
-            ring.evicted += 1;
-        }
-        ring.events.push_back(event.clone());
+        self.ring.record(event);
     }
 
     fn flush(&mut self) {

@@ -15,15 +15,15 @@ use crate::scenario::Spec;
 use std::path::Path;
 use voxel_fleet::FleetResult;
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// FNV-1a 64-bit hash (stable across platforms and releases, no
 /// dependency on `std`'s unstable hasher internals).
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    bytes.iter().fold(FNV_OFFSET, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+    })
 }
 
 /// Digest of one timeline: content hash plus event count (the count makes
@@ -37,12 +37,17 @@ pub struct Digest {
     pub events: usize,
 }
 
-/// Digest a raw JSONL timeline.
+/// Digest a raw JSONL timeline: hash and line count in one pass.
 pub fn timeline_digest(jsonl: &[u8]) -> Digest {
-    Digest {
-        hash: fnv64(jsonl),
-        events: jsonl.iter().filter(|&&b| b == b'\n').count(),
+    let mut d = Digest {
+        hash: FNV_OFFSET,
+        events: 0,
+    };
+    for &b in jsonl {
+        d.hash = (d.hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        d.events += usize::from(b == b'\n');
     }
+    d
 }
 
 /// One committed golden: a spec of either kind and the seed it runs
@@ -247,6 +252,20 @@ mod tests {
         assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn one_pass_digest_matches_hash_and_count_taken_apart() {
+        for jsonl in [
+            &b""[..],
+            b"\n",
+            b"{\"t\":1}",
+            b"{\"t\":1}\r\n{\"t\":2}\n\n\xff",
+        ] {
+            let d = timeline_digest(jsonl);
+            assert_eq!(d.hash, fnv64(jsonl));
+            assert_eq!(d.events, jsonl.iter().filter(|&&b| b == b'\n').count());
+        }
     }
 
     #[test]

@@ -271,7 +271,7 @@ pub fn run_fleet_traced(spec: &FleetSpec, content: &Content) -> Result<FleetRun,
     let failures = fleet_invariants(spec, &result);
     let postmortem = failures.first().map(|first| recorder.postmortem(first));
     Ok(FleetRun {
-        timeline: buf.contents(),
+        timeline: buf.take(),
         failures,
         postmortem,
         result,

@@ -142,7 +142,7 @@ pub fn run_scenario(
             let _bound = voxel_obs::install_recorder(&recorder);
             run_instrumented_trial(&config, &manifest, &video, &qoe, shift, tracer, faults)
         };
-        let timeline = buf.contents();
+        let timeline = buf.take();
 
         let mut violations = oracle::trial_invariants(&result);
         violations.extend(oracle::timeline_invariants(&timeline, &result));

@@ -22,6 +22,7 @@
 //! formatting are all reproducible).
 
 mod event;
+mod json;
 mod metrics;
 mod sink;
 mod tracer;
@@ -32,7 +33,8 @@ pub use sink::{JsonlSink, MemoryHandle, MemorySink, NullSink, SharedBuf, StderrS
 pub use tracer::Tracer;
 
 /// Emit a structured event through a [`Tracer`], paying for field
-/// construction only when tracing is enabled.
+/// construction only when tracing is enabled. The fields travel as a
+/// fixed-size array, so building the event touches no heap.
 ///
 /// ```
 /// use voxel_trace::{trace_event, Layer, Tracer};
@@ -47,7 +49,7 @@ pub use tracer::Tracer;
 macro_rules! trace_event {
     ($tracer:expr, $t:expr, $layer:expr, $kind:expr $(, $name:literal = $val:expr)* $(,)?) => {
         if $tracer.enabled() {
-            $tracer.emit($t, $layer, $kind, vec![$(($name, $crate::Value::from($val))),*]);
+            $tracer.emit($t, $layer, $kind, [$(($name, $crate::Value::from($val))),*]);
         }
     };
 }

@@ -1,7 +1,6 @@
 //! Counters, gauges, and log-scale histograms, snapshotable at any sim time.
 
-use crate::event::write_json_string;
-use std::collections::BTreeMap;
+use crate::json;
 use voxel_sim::SimTime;
 
 /// Number of histogram buckets: bucket 0 holds zeros, bucket `i` (1..=64)
@@ -150,15 +149,113 @@ pub struct HistogramSummary {
     pub p99: f64,
 }
 
+/// Named slots found by the address of their `&'static str` name, so a
+/// hot-path update hashes and compares integers, not strings.
+///
+/// `slots` holds one entry per distinct name text, in first-use order.
+/// `index` is an open-addressed hash from every `(address, length)` seen
+/// so far to its slot, at most half full; an address of 0 marks an empty
+/// bucket (a `&str` is never null). A new address is matched to a slot by
+/// text once, so two distinct `&'static str`s with equal text share a
+/// slot. Addresses only steer the lookup: slot order and every snapshot
+/// depend on the names alone.
+#[derive(Debug, Clone)]
+struct Table<V> {
+    slots: Vec<(&'static str, V)>,
+    index: Vec<(usize, usize, usize)>,
+    indexed: usize,
+}
+
+impl<V> Default for Table<V> {
+    fn default() -> Table<V> {
+        Table {
+            slots: Vec::new(),
+            index: Vec::new(),
+            indexed: 0,
+        }
+    }
+}
+
+/// The first bucket to probe for `addr` in an index of `mask + 1` buckets.
+fn bucket(addr: usize, mask: usize) -> usize {
+    ((addr as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize & mask
+}
+
+impl<V: Default> Table<V> {
+    fn slot(&mut self, name: &'static str) -> &mut V {
+        let (addr, len) = (name.as_ptr() as usize, name.len());
+        let mask = self.index.len().wrapping_sub(1);
+        if !self.index.is_empty() {
+            let mut b = bucket(addr, mask);
+            while self.index[b].0 != 0 {
+                let (a, l, i) = self.index[b];
+                if (a, l) == (addr, len) {
+                    return &mut self.slots[i].1;
+                }
+                b = (b + 1) & mask;
+            }
+        }
+        self.insert(name)
+    }
+
+    /// Index a name's address not seen before.
+    #[cold]
+    fn insert(&mut self, name: &'static str) -> &mut V {
+        let i = match self.slots.iter().position(|(n, _)| *n == name) {
+            Some(i) => i,
+            None => {
+                self.slots.push((name, V::default()));
+                self.slots.len() - 1
+            }
+        };
+        if 2 * (self.indexed + 1) > self.index.len() {
+            let old = std::mem::take(&mut self.index);
+            self.index = vec![(0, 0, 0); (2 * old.len()).max(16)];
+            for entry in old.into_iter().filter(|e| e.0 != 0) {
+                self.place(entry);
+            }
+        }
+        self.place((name.as_ptr() as usize, name.len(), i));
+        self.indexed += 1;
+        &mut self.slots[i].1
+    }
+
+    fn place(&mut self, entry: (usize, usize, usize)) {
+        let mask = self.index.len() - 1;
+        let mut b = bucket(entry.0, mask);
+        while self.index[b].0 != 0 {
+            b = (b + 1) & mask;
+        }
+        self.index[b] = entry;
+    }
+}
+
+impl<V> Table<V> {
+    fn get(&self, name: &str) -> Option<&V> {
+        self.slots.iter().find(|(n, _)| *n == name).map(|(_, v)| v)
+    }
+
+    /// Every slot, sorted by name, mapped through `f`.
+    fn sorted<T>(&self, f: impl Fn(&V) -> T) -> Vec<(String, T)> {
+        let mut out: Vec<(String, T)> = self
+            .slots
+            .iter()
+            .map(|(n, v)| ((*n).to_string(), f(v)))
+            .collect();
+        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        out
+    }
+}
+
 /// Registry of named counters, gauges, and histograms.
 ///
 /// Names are `&'static str` so the instrumented hot paths never allocate
-/// for metric bookkeeping.
+/// for metric bookkeeping, and find their slot by the name's address.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
-    histograms: BTreeMap<&'static str, Histogram>,
+    counters: Table<u64>,
+    gauges: Table<f64>,
+    histograms: Table<Histogram>,
 }
 
 impl MetricsRegistry {
@@ -169,17 +266,17 @@ impl MetricsRegistry {
 
     /// Add `delta` to a counter (creating it at zero).
     pub fn count(&mut self, name: &'static str, delta: u64) {
-        *self.counters.entry(name).or_insert(0) += delta;
+        *self.counters.slot(name) += delta;
     }
 
     /// Set a gauge to its latest value.
     pub fn gauge(&mut self, name: &'static str, v: f64) {
-        self.gauges.insert(name, v);
+        *self.gauges.slot(name) = v;
     }
 
     /// Record a histogram sample.
     pub fn observe(&mut self, name: &'static str, v: u64) {
-        self.histograms.entry(name).or_default().observe(v);
+        self.histograms.slot(name).observe(v);
     }
 
     /// The named histogram, if any samples were recorded.
@@ -191,34 +288,17 @@ impl MetricsRegistry {
     pub fn snapshot(&self, at: SimTime) -> MetricsSnapshot {
         MetricsSnapshot {
             at,
-            counters: self
-                .counters
-                .iter()
-                .map(|(&k, &v)| (k.to_string(), v))
-                .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .map(|(&k, &v)| (k.to_string(), v))
-                .collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(&k, h)| {
-                    (
-                        k.to_string(),
-                        HistogramSummary {
-                            count: h.count(),
-                            mean: h.mean(),
-                            min: h.min(),
-                            max: h.max(),
-                            p50: h.percentile(0.5),
-                            p90: h.percentile(0.9),
-                            p99: h.percentile(0.99),
-                        },
-                    )
-                })
-                .collect(),
+            counters: self.counters.sorted(|&v| v),
+            gauges: self.gauges.sorted(|&v| v),
+            histograms: self.histograms.sorted(|h| HistogramSummary {
+                count: h.count(),
+                mean: h.mean(),
+                min: h.min(),
+                max: h.max(),
+                p50: h.percentile(0.5),
+                p90: h.percentile(0.9),
+                p99: h.percentile(0.99),
+            }),
         }
     }
 }
@@ -268,47 +348,56 @@ impl MetricsSnapshot {
             .map(|(_, h)| h)
     }
 
-    /// One JSON object capturing the whole snapshot.
+    /// One JSON object capturing the whole snapshot, written with the
+    /// same primitives as a trace event. (A registry's histogram
+    /// summaries are always finite; a non-finite value renders `null`.)
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"at\":");
-        out.push_str(&self.at.as_micros().to_string());
-        out.push_str(",\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        fn object<T>(
+            out: &mut Vec<u8>,
+            entries: &[(String, T)],
+            mut value: impl FnMut(&mut Vec<u8>, &T),
+        ) {
+            out.push(b'{');
+            for (i, (name, v)) in entries.iter().enumerate() {
+                if i > 0 {
+                    out.push(b',');
+                }
+                json::write_str(out, name);
+                out.push(b':');
+                value(out, v);
             }
-            write_json_string(name, &mut out);
-            out.push(':');
-            out.push_str(&v.to_string());
+            out.push(b'}');
         }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_json_string(name, &mut out);
-            out.push(':');
-            if v.is_finite() {
-                out.push_str(&v.to_string());
-            } else {
-                out.push_str("null");
-            }
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_json_string(name, &mut out);
-            out.push_str(&format!(
-                ":{{\"count\":{},\"mean\":{},\"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
-                h.count, h.mean, h.min, h.max, h.p50, h.p90, h.p99
-            ));
-        }
-        out.push_str("}}");
-        out
+        let mut out = Vec::with_capacity(256);
+        out.extend_from_slice(b"{\"at\":");
+        json::write_u64(&mut out, self.at.as_micros());
+        out.extend_from_slice(b",\"counters\":");
+        object(&mut out, &self.counters, |o, &v| json::write_u64(o, v));
+        out.extend_from_slice(b",\"gauges\":");
+        object(&mut out, &self.gauges, |o, &v| json::write_f64(o, v));
+        out.extend_from_slice(b",\"histograms\":");
+        object(&mut out, &self.histograms, write_histogram);
+        out.push(b'}');
+        json::into_string(out)
     }
+}
+
+fn write_histogram(out: &mut Vec<u8>, h: &HistogramSummary) {
+    out.extend_from_slice(b"{\"count\":");
+    json::write_u64(out, h.count);
+    out.extend_from_slice(b",\"mean\":");
+    json::write_f64(out, h.mean);
+    out.extend_from_slice(b",\"min\":");
+    json::write_u64(out, h.min);
+    out.extend_from_slice(b",\"max\":");
+    json::write_u64(out, h.max);
+    out.extend_from_slice(b",\"p50\":");
+    json::write_f64(out, h.p50);
+    out.extend_from_slice(b",\"p90\":");
+    json::write_f64(out, h.p90);
+    out.extend_from_slice(b",\"p99\":");
+    json::write_f64(out, h.p99);
+    out.push(b'}');
 }
 
 #[cfg(test)]
@@ -446,6 +535,203 @@ mod tests {
                 );
                 prev = q;
             }
+        }
+    }
+
+    /// The `BTreeMap` registry and the `String`-building `to_json` that
+    /// the address-keyed tables and the byte writer replaced, kept as the
+    /// reference both must match.
+    mod reference {
+        use super::*;
+        use crate::event::tests::reference::write_json_string;
+        use std::collections::BTreeMap;
+
+        #[derive(Default)]
+        pub(super) struct Registry {
+            counters: BTreeMap<&'static str, u64>,
+            gauges: BTreeMap<&'static str, f64>,
+            histograms: BTreeMap<&'static str, Histogram>,
+        }
+
+        impl Registry {
+            pub(super) fn count(&mut self, name: &'static str, delta: u64) {
+                *self.counters.entry(name).or_insert(0) += delta;
+            }
+
+            pub(super) fn gauge(&mut self, name: &'static str, v: f64) {
+                self.gauges.insert(name, v);
+            }
+
+            pub(super) fn observe(&mut self, name: &'static str, v: u64) {
+                self.histograms.entry(name).or_default().observe(v);
+            }
+
+            pub(super) fn snapshot(&self, at: SimTime) -> MetricsSnapshot {
+                let summary = |h: &Histogram| HistogramSummary {
+                    count: h.count(),
+                    mean: h.mean(),
+                    min: h.min(),
+                    max: h.max(),
+                    p50: h.percentile(0.5),
+                    p90: h.percentile(0.9),
+                    p99: h.percentile(0.99),
+                };
+                MetricsSnapshot {
+                    at,
+                    counters: self
+                        .counters
+                        .iter()
+                        .map(|(&k, &v)| (k.to_string(), v))
+                        .collect(),
+                    gauges: self
+                        .gauges
+                        .iter()
+                        .map(|(&k, &v)| (k.to_string(), v))
+                        .collect(),
+                    histograms: self
+                        .histograms
+                        .iter()
+                        .map(|(&k, h)| (k.to_string(), summary(h)))
+                        .collect(),
+                }
+            }
+        }
+
+        pub(super) fn to_json(s: &MetricsSnapshot) -> String {
+            let mut out = String::with_capacity(256);
+            out.push_str("{\"at\":");
+            out.push_str(&s.at.as_micros().to_string());
+            out.push_str(",\"counters\":{");
+            for (i, (name, v)) in s.counters.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_json_string(name, &mut out);
+                out.push(':');
+                out.push_str(&v.to_string());
+            }
+            out.push_str("},\"gauges\":{");
+            for (i, (name, v)) in s.gauges.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_json_string(name, &mut out);
+                out.push(':');
+                if v.is_finite() {
+                    out.push_str(&v.to_string());
+                } else {
+                    out.push_str("null");
+                }
+            }
+            out.push_str("},\"histograms\":{");
+            for (i, (name, h)) in s.histograms.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_json_string(name, &mut out);
+                out.push_str(&format!(
+                    ":{{\"count\":{},\"mean\":{},\"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
+                    h.count, h.mean, h.min, h.max, h.p50, h.p90, h.p99
+                ));
+            }
+            out.push_str("}}");
+            out
+        }
+    }
+
+    /// A `&'static str` with the same text as the literal `"dup.name"`
+    /// but its own address.
+    fn dup_name() -> &'static str {
+        Box::leak(String::from("dup.name").into_boxed_str())
+    }
+
+    proptest::proptest! {
+        /// The address-keyed registry ends every sequence of updates in
+        /// the snapshot (and the JSON) a by-name `BTreeMap` gives,
+        /// including when two distinct `&'static str`s spell one name.
+        #[test]
+        fn address_keyed_registry_matches_a_btreemap(
+            ops in proptest::collection::vec((0u8..3, 0usize..22, 0u64..=u64::MAX), 0..120),
+            at in 0u64..1_000_000_000,
+        ) {
+            let dup = dup_name();
+            proptest::prop_assert!(!std::ptr::eq(dup, "dup.name"));
+            // Enough names to make the index grow twice.
+            let names = [
+                "quic.packets_sent", "b.second", "a.first", "dup.name", dup, "é\"q", "",
+                "n.0", "n.1", "n.2", "n.3", "n.4", "n.5", "n.6", "n.7", "n.8", "n.9", "n.10",
+                "n.11", "n.12", "n.13", "n.14",
+            ];
+            let mut reg = MetricsRegistry::new();
+            let mut reference = reference::Registry::default();
+            for &(op, n, v) in &ops {
+                let name = names[n];
+                match op {
+                    0 => {
+                        reg.count(name, v % 1000);
+                        reference.count(name, v % 1000);
+                    }
+                    1 => {
+                        let g = (v % 10_000) as f64 / 7.0;
+                        reg.gauge(name, g);
+                        reference.gauge(name, g);
+                    }
+                    _ => {
+                        reg.observe(name, v >> (v % 64));
+                        reference.observe(name, v >> (v % 64));
+                    }
+                }
+            }
+            let at = SimTime::from_micros(at);
+            let snap = reg.snapshot(at);
+            proptest::prop_assert_eq!(&snap, &reference.snapshot(at));
+            proptest::prop_assert_eq!(snap.to_json(), reference::to_json(&snap));
+            proptest::prop_assert_eq!(
+                reg.histogram("dup.name").map(Histogram::count),
+                reg.histogram(dup).map(Histogram::count)
+            );
+        }
+
+        /// `MetricsSnapshot::to_json` writes any snapshot (names needing
+        /// escapes, non-finite gauges, extreme integers) as the `String`
+        /// builder did.
+        #[test]
+        fn snapshot_json_matches_the_reference_writer(
+            counters in proptest::collection::vec(
+                (proptest::collection::vec(0usize..64, 0..8), 0u64..=u64::MAX), 0..5),
+            gauges in proptest::collection::vec(
+                (proptest::collection::vec(0usize..64, 0..8), 0u64..=u64::MAX), 0..5),
+            histograms in proptest::collection::vec(
+                (0u64..=u64::MAX, 0u64..=u64::MAX, 0.0f64..1e12), 0..4),
+            at in 0u64..=u64::MAX,
+        ) {
+            use crate::event::tests::string_from;
+            let snap = MetricsSnapshot {
+                at: SimTime::from_micros(at),
+                counters: counters.iter().map(|(p, v)| (string_from(p), *v)).collect(),
+                gauges: gauges
+                    .iter()
+                    .map(|(p, bits)| (string_from(p), f64::from_bits(*bits)))
+                    .collect(),
+                histograms: histograms
+                    .iter()
+                    .map(|&(a, b, x)| {
+                        (
+                            format!("h{a}"),
+                            HistogramSummary {
+                                count: a,
+                                mean: x,
+                                min: a.min(b),
+                                max: a.max(b),
+                                p50: x / 3.0,
+                                p90: x * 0.9,
+                                p99: x,
+                            },
+                        )
+                    })
+                    .collect(),
+            };
+            proptest::prop_assert_eq!(snap.to_json(), reference::to_json(&snap));
         }
     }
 

@@ -2,7 +2,7 @@
 
 use crate::event::TraceEvent;
 use std::collections::VecDeque;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -33,79 +33,74 @@ impl TraceSink for NullSink {
 }
 
 /// Ring-buffered in-memory sink: keeps the most recent `capacity` events.
-#[derive(Debug)]
+///
+/// Once full, each event overwrites the oldest slot in place
+/// ([`Clone::clone_from`]), so a full ring of numeric events allocates
+/// nothing. Clones write to the same ring.
+#[derive(Debug, Clone)]
 pub struct MemorySink {
-    buf: Arc<Mutex<VecDeque<TraceEvent>>>,
-    capacity: usize,
-    dropped: Arc<std::sync::atomic::AtomicU64>,
+    ring: Arc<Mutex<Ring>>,
 }
 
 /// Reader half of a [`MemorySink`]; stays valid after the sink moves into a
 /// tracer.
 #[derive(Debug, Clone)]
 pub struct MemoryHandle {
-    buf: Arc<Mutex<VecDeque<TraceEvent>>>,
-    dropped: Arc<std::sync::atomic::AtomicU64>,
+    ring: Arc<Mutex<Ring>>,
+}
+
+#[derive(Debug)]
+struct Ring {
+    events: VecDeque<TraceEvent>,
+    capacity: usize,
+    /// Events evicted so far.
+    dropped: u64,
 }
 
 impl MemorySink {
     /// A sink retaining up to `capacity` events, plus its reader handle.
     pub fn shared(capacity: usize) -> (MemorySink, MemoryHandle) {
         assert!(capacity > 0, "MemorySink capacity must be positive");
-        let buf = Arc::new(Mutex::new(VecDeque::with_capacity(capacity)));
-        let dropped = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        (
-            MemorySink {
-                buf: buf.clone(),
-                capacity,
-                dropped: dropped.clone(),
-            },
-            MemoryHandle { buf, dropped },
-        )
+        let ring = Arc::new(Mutex::new(Ring {
+            events: VecDeque::with_capacity(capacity),
+            capacity,
+            dropped: 0,
+        }));
+        (MemorySink { ring: ring.clone() }, MemoryHandle { ring })
     }
+}
 
-    /// Events evicted by the ring so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(std::sync::atomic::Ordering::Relaxed)
-    }
+fn lock(ring: &Mutex<Ring>) -> std::sync::MutexGuard<'_, Ring> {
+    ring.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl TraceSink for MemorySink {
     fn record(&mut self, event: &TraceEvent) {
-        let mut buf = self
-            .buf
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if buf.len() == self.capacity {
-            buf.pop_front();
-            self.dropped
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let mut ring = lock(&self.ring);
+        if ring.events.len() < ring.capacity {
+            ring.events.push_back(event.clone());
+        } else if let Some(mut oldest) = ring.events.pop_front() {
+            oldest.clone_from(event);
+            ring.events.push_back(oldest);
+            ring.dropped += 1;
         }
-        buf.push_back(event.clone());
     }
 
     fn dropped_events(&self) -> u64 {
-        self.dropped()
+        lock(&self.ring).dropped
     }
 }
 
 impl MemoryHandle {
     /// Copy out the retained events in emission order.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.buf
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-            .cloned()
-            .collect()
+        lock(&self.ring).events.iter().cloned().collect()
     }
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.buf
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
+        lock(&self.ring).events.len()
     }
 
     /// Whether no events are retained.
@@ -115,7 +110,7 @@ impl MemoryHandle {
 
     /// Events evicted by the ring so far.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(std::sync::atomic::Ordering::Relaxed)
+        lock(&self.ring).dropped
     }
 }
 
@@ -130,11 +125,19 @@ impl TraceSink for StderrSink {
 }
 
 /// One JSON object per line to any writer — the machine-readable timeline.
+///
+/// Events are rendered straight into one reused buffer, which is handed
+/// to the writer whenever it passes 64 KiB and on flush: a traced event
+/// costs one render and, eventually, one copy.
 pub struct JsonlSink {
-    out: BufWriter<Box<dyn Write + Send>>,
+    out: Box<dyn Write + Send>,
+    buf: Vec<u8>,
 }
 
 impl JsonlSink {
+    /// Bytes rendered before they are handed to the writer.
+    const CHUNK: usize = 64 * 1024;
+
     /// Write JSONL to `path` (truncating).
     pub fn create(path: impl AsRef<Path>) -> io::Result<JsonlSink> {
         let file = std::fs::File::create(path)?;
@@ -144,31 +147,41 @@ impl JsonlSink {
     /// Write JSONL to an arbitrary writer.
     pub fn to_writer(out: Box<dyn Write + Send>) -> JsonlSink {
         JsonlSink {
-            out: BufWriter::new(out),
+            out,
+            buf: Vec::with_capacity(JsonlSink::CHUNK),
         }
+    }
+
+    /// Hand the rendered bytes to the writer. Sinks have no error
+    /// channel; losing telemetry must not kill a simulation, so write
+    /// errors are ignored (matching `eprintln!`).
+    fn drain(&mut self) {
+        let _ = self.out.write_all(&self.buf);
+        self.buf.clear();
     }
 }
 
 impl TraceSink for JsonlSink {
     fn record(&mut self, event: &TraceEvent) {
-        // Sinks have no error channel; losing telemetry must not kill a
-        // simulation, so write errors are ignored (matching eprintln!).
-        let _ = self.out.write_all(event.to_json().as_bytes());
-        let _ = self.out.write_all(b"\n");
+        event.write_json(&mut self.buf);
+        self.buf.push(b'\n');
+        if self.buf.len() >= JsonlSink::CHUNK {
+            self.drain();
+        }
     }
 
     fn flush(&mut self) {
+        self.drain();
         let _ = self.out.flush();
     }
 }
 
 impl Drop for JsonlSink {
     /// Flush on drop so aborted or panicked trials keep the tail of the
-    /// timeline. `BufWriter`'s own drop writes its buffer out but does
-    /// *not* flush the underlying writer; a full `flush()` pushes the
-    /// tail all the way through (e.g. a buffered or shared inner writer).
+    /// timeline, pushed all the way through the writer (e.g. a buffered
+    /// or shared one).
     fn drop(&mut self) {
-        let _ = self.out.flush();
+        self.flush();
     }
 }
 
@@ -187,19 +200,24 @@ impl SharedBuf {
 
     /// Copy out everything written so far.
     pub fn contents(&self) -> Vec<u8> {
+        self.lock().clone()
+    }
+
+    /// Move out everything written so far, leaving the buffer empty.
+    pub fn take(&self) -> Vec<u8> {
+        std::mem::take(&mut *self.lock())
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<u8>> {
         self.buf
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
     }
 }
 
 impl Write for SharedBuf {
     fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-        self.buf
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .extend_from_slice(data);
+        self.lock().extend_from_slice(data);
         Ok(data.len())
     }
 
@@ -231,7 +249,7 @@ mod tests {
         for i in 0..5 {
             sink.record(&event(i));
         }
-        assert_eq!(sink.dropped(), 2);
+        assert_eq!(sink.dropped_events(), 2);
         let seqs: Vec<u64> = handle.events().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![2, 3, 4]);
         assert_eq!(handle.len(), 3);
@@ -250,6 +268,73 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert_eq!(lines[0], event(0).to_json());
         assert_eq!(lines[1], event(1).to_json());
+    }
+
+    /// The ring the slot-reusing one replaced: pop the oldest, push a
+    /// fresh clone.
+    #[derive(Default)]
+    struct ReferenceRing {
+        events: VecDeque<TraceEvent>,
+        dropped: u64,
+    }
+
+    impl ReferenceRing {
+        fn record(&mut self, capacity: usize, event: &TraceEvent) {
+            if self.events.len() == capacity {
+                self.events.pop_front();
+                self.dropped += 1;
+            }
+            self.events.push_back(event.clone());
+        }
+    }
+
+    proptest::proptest! {
+        /// Overwriting slots in place keeps the order, contents and
+        /// eviction tally of a pop-and-push ring, with fields of varying
+        /// length and kind reusing each other's slots.
+        #[test]
+        fn slot_reusing_ring_matches_a_vecdeque(
+            capacity in 1usize..6,
+            shapes in proptest::collection::vec((0usize..4, 0u64..3), 0..40),
+        ) {
+            let (mut sink, handle) = MemorySink::shared(capacity);
+            let mut reference = ReferenceRing::default();
+            for (seq, &(n, kind)) in shapes.iter().enumerate() {
+                let mut e = event(seq as u64);
+                e.fields = (0..n as u64)
+                    .map(|i| match kind {
+                        0 => ("n", Value::U64(i)),
+                        1 => ("f", Value::F64(i as f64 / 3.0)),
+                        _ => ("s", Value::Str(format!("v{i}"))),
+                    })
+                    .collect();
+                sink.record(&e);
+                reference.record(capacity, &e);
+                let kept: Vec<TraceEvent> = reference.events.iter().cloned().collect();
+                proptest::prop_assert_eq!(handle.events(), kept);
+                proptest::prop_assert_eq!(handle.dropped(), reference.dropped);
+                proptest::prop_assert_eq!(sink.dropped_events(), reference.dropped);
+            }
+        }
+    }
+
+    #[test]
+    fn jsonl_sink_output_is_independent_of_chunking() {
+        let buf = SharedBuf::new();
+        let mut expected = String::new();
+        {
+            let mut sink = JsonlSink::to_writer(Box::new(buf.clone()));
+            // Enough events to cross the hand-off size several times.
+            for i in 0..5_000 {
+                let e = event(i);
+                sink.record(&e);
+                expected.push_str(&e.to_json());
+                expected.push('\n');
+            }
+        }
+        assert!(expected.len() > 3 * JsonlSink::CHUNK);
+        assert_eq!(buf.take(), expected.into_bytes());
+        assert!(buf.contents().is_empty(), "take leaves the buffer empty");
     }
 
     #[test]

@@ -4,15 +4,30 @@ use crate::event::{Layer, TraceEvent, Value};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::sink::{JsonlSink, MemoryHandle, MemorySink, StderrSink, TraceSink};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use voxel_sim::SimTime;
 
 struct Inner {
     session_id: u64,
-    seq: AtomicU64,
-    sink: Mutex<Box<dyn TraceSink>>,
-    metrics: Mutex<MetricsRegistry>,
+    state: Mutex<State>,
+}
+
+/// Everything an emit or a metric update touches, behind one lock.
+struct State {
+    sink: Box<dyn TraceSink>,
+    /// The event every emit fills in place: its field buffer keeps its
+    /// capacity, so an event whose fields are numbers costs no heap.
+    event: TraceEvent,
+    next_seq: u64,
+    metrics: MetricsRegistry,
+}
+
+impl Inner {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 }
 
 /// A cheap, cloneable tracing handle.
@@ -46,9 +61,12 @@ impl Tracer {
         Tracer {
             inner: Some(Arc::new(Inner {
                 session_id,
-                seq: AtomicU64::new(0),
-                sink: Mutex::new(sink),
-                metrics: Mutex::new(MetricsRegistry::new()),
+                state: Mutex::new(State {
+                    sink,
+                    event: TraceEvent::empty(session_id),
+                    next_seq: 0,
+                    metrics: MetricsRegistry::new(),
+                }),
             })),
         }
     }
@@ -82,59 +100,49 @@ impl Tracer {
 
     /// Emit one event. Prefer the [`crate::trace_event!`] macro, which
     /// skips field construction entirely when tracing is off.
-    pub fn emit(
+    pub fn emit<const N: usize>(
         &self,
         t: SimTime,
         layer: Layer,
         kind: &'static str,
-        fields: Vec<(&'static str, Value)>,
+        fields: [(&'static str, Value); N],
     ) {
         let Some(inner) = &self.inner else { return };
-        let event = TraceEvent {
-            t,
-            seq: inner.seq.fetch_add(1, Ordering::Relaxed),
-            session_id: inner.session_id,
-            layer,
-            kind,
-            fields,
-        };
-        inner
-            .sink
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .record(&event);
+        let mut state = inner.lock();
+        let State {
+            sink,
+            event,
+            next_seq,
+            ..
+        } = &mut *state;
+        event.t = t;
+        event.seq = *next_seq;
+        *next_seq += 1;
+        event.layer = layer;
+        event.kind = kind;
+        event.fields.clear();
+        event.fields.extend(fields);
+        sink.record(event);
     }
 
     /// Add `delta` to the named counter.
     pub fn count(&self, name: &'static str, delta: u64) {
         if let Some(inner) = &self.inner {
-            inner
-                .metrics
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .count(name, delta);
+            inner.lock().metrics.count(name, delta);
         }
     }
 
     /// Set the named gauge.
     pub fn gauge(&self, name: &'static str, v: f64) {
         if let Some(inner) = &self.inner {
-            inner
-                .metrics
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .gauge(name, v);
+            inner.lock().metrics.gauge(name, v);
         }
     }
 
     /// Record a histogram sample.
     pub fn observe(&self, name: &'static str, v: u64) {
         if let Some(inner) = &self.inner {
-            inner
-                .metrics
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .observe(name, v);
+            inner.lock().metrics.observe(name, v);
         }
     }
 
@@ -146,16 +154,9 @@ impl Tracer {
     /// quietly shortening timelines.
     pub fn metrics_snapshot(&self, at: SimTime) -> Option<MetricsSnapshot> {
         self.inner.as_ref().map(|i| {
-            let mut snap = i
-                .metrics
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .snapshot(at);
-            let dropped = i
-                .sink
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .dropped_events();
+            let state = i.lock();
+            let mut snap = state.metrics.snapshot(at);
+            let dropped = state.sink.dropped_events();
             if dropped > 0 {
                 snap.set_counter("trace.dropped", dropped);
             }
@@ -166,11 +167,7 @@ impl Tracer {
     /// Flush the sink (end of session).
     pub fn flush(&self) {
         if let Some(inner) = &self.inner {
-            inner
-                .sink
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .flush();
+            inner.lock().sink.flush();
         }
     }
 }
