@@ -16,26 +16,18 @@ cargo run -q --release -p voxel-lint -- --max-seconds 10
 echo "==> cargo test -q --features paranoid (runtime invariant audits: the facade's integration tests, and the unit + property tests of every crate that has audits behind the feature)"
 cargo test -q --features paranoid -p voxel -p voxel-quic -p voxel-core -p voxel-fleet
 
-echo "==> tier-2: conformance sweep (scenario matrix x seeds + golden digests + fleets, DESIGN.md §11-12)"
+echo "==> tier-2: conformance (scenario sweep x seeds, the 12 golden digests with fleets at w {1, 2, max}, then the 5-seed stall-skew canary; DESIGN.md §11-12)"
 VOXEL_SEEDS="${VOXEL_SEEDS:-5}" cargo run -q --release -p voxel-bench --bin conformance
 
-echo "==> tier-2: testkit canary (armed stall-skew must be caught and minimized)"
-VOXEL_TESTKIT_FAULT=stall_off_by_one cargo run -q --release -p voxel-bench --bin conformance
-
-echo "==> tier-2: sharded parity (golden fleets at VOXEL_SHARD_WORKERS=max must match workers=1 byte-for-byte)"
-VOXEL_SHARD_WORKERS=max cargo run -q --release -p voxel-bench --bin conformance -- --fleets-only
-
-echo "==> tier-2: cc shootout smoke (cc-mix fairness bands + per-cc-group starvation oracles, DESIGN.md §15)"
-cargo run -q --release -p voxel-bench --bin cc_shootout -- --smoke
-
-echo "==> tier-2: edge sweep smoke (hot-cache hit floor + origin fan-in shield, DESIGN.md §16)"
-cargo run -q --release -p voxel-bench --bin edge_sweep -- --smoke
-
-echo "==> exhibits: fig list, every exhibit that plays no sessions, and one that does (fig9 at one trial), so an exhibit that panics at run time fails CI (DESIGN.md §5)"
+echo "==> exhibits: fig list, every exhibit that plays no sessions, and one that does (fig9 at one trial), so an exhibit that panics at run time fails CI; then the two fleet exhibits, byte for byte against results/ (DESIGN.md §5, §15, §16)"
 offline=$(cargo run -q --release -p voxel-bench --bin fig -- list | awk -F'|' '$7 ~ /no/ { gsub(/[` ]/, "", $2); print $2 }')
 [ -n "$offline" ] || { echo "fig list names no offline exhibit"; exit 1; }
 # shellcheck disable=SC2086  # $offline is a word list of ids
 VOXEL_TRIALS=1 cargo run -q --release -p voxel-bench --bin fig -- $offline fig9 >/dev/null
+for id in cc_shootout edge_sweep; do
+    cargo run -q --release -p voxel-bench --bin fig -- "$id" | cmp - "results/$id.txt" ||
+        { echo "results/$id.txt is stale: regenerate it with fig $id and update its EXPERIMENTS.md row"; exit 1; }
+done
 
 echo "==> smoke: every dbg subcommand on a scenario spec and a fleet spec, dbg profile on a 300-s lossy cellular session, voxel stream on a one-trial spec (DESIGN.md §11), and the §4.1 offline_prep example executed, not only compiled"
 for sub in trace profile compare; do
@@ -56,9 +48,6 @@ bash benchmark/run.sh --smoke
 
 echo "==> perf: benchmark self-tests"
 cargo test -q --manifest-path benchmark/Cargo.toml
-
-echo "==> perf: profiler overhead guard (obs_ab, <5% on the session event loop)"
-cargo run -q --release -p voxel-bench --bin obs_ab
 
 echo "==> cargo clippy -- -D warnings (token rules, DESIGN.md §10), then again with the paranoid-only code compiled in"
 cargo clippy --workspace --all-targets -- -D warnings

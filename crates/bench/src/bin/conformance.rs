@@ -1,21 +1,18 @@
 //! Tier-2 conformance runner (DESIGN.md §11).
 //!
-//! Runs the deterministic-simulation conformance suite: a scenario matrix
-//! plus fault-injection scenarios, each across K seeds with every oracle
-//! armed, plus the golden timeline digests. Every golden fleet runs as a
-//! sharded-parity sweep — workers 1, 2, and the machine's maximum — and
-//! must produce byte-identical timelines and identical metrics at every
-//! count before its digest is even checked. Failures are minimized to a
-//! `(seed, trials, trace-prefix)` triple with a ready-to-paste `#[test]`.
+//! One run with no flags, in three steps. The sweep runs a scenario
+//! matrix plus fault-injection scenarios across K seeds with every oracle
+//! armed, minimizing each failure to a `(seed, trials, trace-prefix)`
+//! triple with a ready-to-paste `#[test]`. The goldens check every
+//! committed digest; a golden fleet must first produce byte-identical
+//! timelines and metrics at workers 1, 2 and the machine's maximum. The
+//! canary arms the stall-accounting skew on five seeds and fails unless
+//! the drift oracle catches and minimizes it on every one.
 //!
 //! ```text
-//! cargo run --release -p voxel-bench --bin conformance [-- --fleets-only]
-//! --fleets-only           # only the golden-fleet parity sweep (the
-//!     # ci.sh sharded-parity step; skips the scenario sweep)
+//! cargo run --release -p voxel-bench --bin conformance
 //! VOXEL_SEEDS=8           # sweep seed count (default 5)
 //! VOXEL_BLESS=1           # re-bless the golden digests
-//! VOXEL_TESTKIT_FAULT=stall_off_by_one   # canary self-test: arm the
-//!     # deliberate stall-accounting skew and demand the sweep catch it
 //! ```
 
 #![allow(
@@ -90,14 +87,13 @@ fn parity_counts() -> Vec<usize> {
 /// Run the one `GOLDENS` table — scenarios once under their seed, fleets
 /// as a sharded-parity sweep whose workers=1 timeline is the digest
 /// candidate — and check (or bless) every digest.
-fn run_goldens(fleets_only: bool, content: &mut Content) -> Result<bool, String> {
+fn run_goldens(content: &mut Content) -> Result<bool, String> {
     let golden_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
     let counts = parity_counts();
     let mut ok = true;
     for g in &GOLDENS {
         let what = match Spec::parse(g.spec)? {
             Spec::Fleet(_) => format!("fleet {} (parity at w {counts:?})", g.name),
-            Spec::Scenario(_) if fleets_only => continue,
             Spec::Scenario(_) => format!("golden {}", g.name),
         };
         let started = Instant::now();
@@ -127,16 +123,6 @@ fn run_goldens(fleets_only: bool, content: &mut Content) -> Result<bool, String>
     Ok(ok)
 }
 
-/// The `--fleets-only` mode: just the golden-fleet parity sweep + digest
-/// check. This is ci.sh's sharded-parity step.
-fn run_fleets_only() -> Result<bool, String> {
-    println!(
-        "# conformance --fleets-only: golden-fleet parity sweep at w {:?}",
-        parity_counts()
-    );
-    run_goldens(true, &mut Content::new())
-}
-
 fn run_conformance() -> Result<bool, String> {
     let seeds = seeds();
     let all = scenarios()?;
@@ -163,61 +149,55 @@ fn run_conformance() -> Result<bool, String> {
     );
     print_failures(&report);
 
-    let goldens_ok = run_goldens(false, &mut content)?;
-    Ok(report.ok() && goldens_ok)
+    let goldens_ok = run_goldens(&mut content)?;
+    let canary_ok = run_canary(&mut content)?;
+    Ok(report.ok() && goldens_ok && canary_ok)
 }
 
 /// Canary self-test: arm the deliberate stall-accounting skew and demand
-/// the sweep catch and minimize it. Exits successfully only if the drift
-/// oracle fires.
-fn run_canary() -> Result<bool, String> {
+/// that the sweep catch it on every seed, for the right reason, and
+/// minimize each failure.
+fn run_canary(content: &mut Content) -> Result<bool, String> {
     // BOLA over a violent cellular trace with a 1-segment buffer stalls
     // on essentially every seed (the paper's Fig 6 baseline), so the
     // +100 ms-per-stall skew has material to drift on; the same scenario
     // passes every oracle when the skew is off.
     let scenario = Scenario::parse("ToS:BOLA:tmobile:buf1:inject=stall_skew")?;
-    println!("# canary: {} across 5 seeds", scenario.spec());
-    let mut content = Content::new();
-    let report = run_sweep(&[scenario], &SweepOptions::default(), &mut content)?;
-    print_failures(&report);
-    match report.failures.first() {
-        Some(f) => {
-            let caught = f
-                .failures
+    let opts = SweepOptions::default();
+    println!(
+        "# canary: {} across {} seeds",
+        scenario.spec(),
+        opts.seeds.len()
+    );
+    let report = run_sweep(&[scenario], &opts, content)?;
+    // Every run must fail (no seed passes), each for the drift, each with
+    // a minimized repro.
+    let caught = report
+        .failures
+        .iter()
+        .filter(|f| f.repro.is_some())
+        .filter(|f| {
+            f.failures
                 .iter()
-                .any(|v| v.contains("stall accounting drift"));
-            if !caught {
-                println!("# canary failed for the wrong reason");
-            }
-            Ok(caught && f.repro.is_some())
-        }
-        None => {
-            println!("# canary NOT caught: the sweep passed with the skew armed");
-            Ok(false)
-        }
+                .any(|v| v.contains("stall accounting drift"))
+        })
+        .count();
+    println!(
+        "# canary: caught and minimized on {caught}/{} seeds ({} passed)",
+        report.runs, report.passed
+    );
+    if caught < report.runs {
+        print_failures(&report);
     }
+    Ok(report.runs > 0 && caught == report.runs)
 }
 
 fn main() -> ExitCode {
-    let mut fleets_only = false;
-    for a in std::env::args().skip(1) {
-        if a == "--fleets-only" {
-            fleets_only = true;
-        } else {
-            eprintln!("conformance: unexpected argument {a:?}");
-            eprintln!("usage: conformance [--fleets-only]");
-            return ExitCode::FAILURE;
-        }
+    if let Some(a) = std::env::args().nth(1) {
+        eprintln!("conformance: unexpected argument {a:?}; it takes none");
+        return ExitCode::FAILURE;
     }
-    let outcome = match std::env::var("VOXEL_TESTKIT_FAULT").ok().as_deref() {
-        Some("stall_off_by_one") | Some("stall_skew") => run_canary(),
-        Some(other) => Err(format!(
-            "unknown VOXEL_TESTKIT_FAULT {other:?} (expected stall_off_by_one)"
-        )),
-        None if fleets_only => run_fleets_only(),
-        None => run_conformance(),
-    };
-    match outcome {
+    match run_conformance() {
         Ok(true) => {
             println!("# conformance: PASS");
             ExitCode::SUCCESS

@@ -50,6 +50,6 @@ pub use run::{run_fleet, run_fleet_workload};
 pub use spec::{
     system_by_name, systems, FleetMember, FleetSpec, Routing, SpecError, SpecHead, TopologySpec,
 };
-// Re-exported so spec consumers (testkit oracles, the cc_shootout
-// report) can match on `@cc` groups without a direct quic dependency.
+// Re-exported so spec consumers (testkit oracles, the `cc_shootout`
+// exhibit) can match on `@cc` groups without a direct quic dependency.
 pub use voxel_quic::CcKind;

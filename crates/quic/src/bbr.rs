@@ -17,8 +17,8 @@
 //! classic 1.25/0.75 probe cycle in ProbeBW, and the window collapses to
 //! `min_cwnd` during ProbeRTT so the queue drains and RTprop can be
 //! re-measured. Loss does not multiplicatively decrease the window — the
-//! model regulates it (see `cc_shootout` for how that plays against
-//! CUBIC on a shared bottleneck).
+//! model regulates it (see the `fig cc_shootout` exhibit for how that
+//! plays against CUBIC on a shared bottleneck).
 
 use crate::cc::RateSample;
 use voxel_sim::{SimDuration, SimTime};

@@ -8,13 +8,13 @@
 //! per-flow starvation.
 
 use crate::runner::Content;
-use voxel_fleet::{run_fleet, FleetResult, FleetSpec};
+use voxel_fleet::{run_fleet, CcKind, FleetResult, FleetSpec};
 use voxel_obs::FlightRecorder;
 use voxel_trace::{JsonlSink, SharedBuf, Tracer};
 
 /// Homogeneous fleets must land at least this fair (Jain index) — CUBIC
 /// flows with identical ABRs on one DRR link have no excuse not to.
-pub const HOMOGENEOUS_JAIN_FLOOR: f64 = 0.8;
+const HOMOGENEOUS_JAIN_FLOOR: f64 = 0.8;
 
 /// Homogeneous floor for all-delay fleets. Delay-based control has the
 /// classic intra-protocol late-comer problem: a flow that arrives after
@@ -25,9 +25,9 @@ const DELAY_HOMOGENEOUS_JAIN_FLOOR: f64 = 0.7;
 
 /// The homogeneous fairness floor for a fleet running entirely on `cc`
 /// — the per-cc leg of the cc-mix-parameterized fairness band.
-fn homogeneous_jain_floor(cc: voxel_fleet::CcKind) -> f64 {
+fn homogeneous_jain_floor(cc: CcKind) -> f64 {
     match cc {
-        voxel_fleet::CcKind::Delay => DELAY_HOMOGENEOUS_JAIN_FLOOR,
+        CcKind::Delay => DELAY_HOMOGENEOUS_JAIN_FLOOR,
         _ => HOMOGENEOUS_JAIN_FLOOR,
     }
 }
@@ -37,13 +37,13 @@ fn homogeneous_jain_floor(cc: voxel_fleet::CcKind) -> f64 {
 /// unfair — BBR's model-based window does not back off the way CUBIC
 /// does — so these fleets answer to a looser floor instead of escaping
 /// fairness oracles entirely.
-pub const MIXED_CC_JAIN_FLOOR: f64 = 0.4;
+const MIXED_CC_JAIN_FLOOR: f64 = 0.4;
 
 /// Per-cc-group starvation floor: in a mixed-cc fleet, every cc group's
 /// *mean* per-flow link share must stay above this fraction of the fair
 /// share (`100/n` percent). Catches one controller collectively crushing
 /// another even when no single flow is starved to zero bytes.
-pub const CC_GROUP_SHARE_FRACTION: f64 = 0.25;
+const CC_GROUP_SHARE_FRACTION: f64 = 0.25;
 
 /// A *hot* edge fleet — full admission, hash routing, an unbounded
 /// cache, every session on one video — must serve at least this fraction
@@ -58,7 +58,7 @@ pub const EDGE_HOT_ORIGIN_FRACTION_OF_COLD: f64 = 0.1;
 
 /// Origin-load ceiling for hot edge fleets, percent of the run's
 /// duration spent busy: a warm cache leaves the backhaul mostly idle.
-pub const EDGE_HOT_ORIGIN_LOAD_CEILING_PCT: f64 = 25.0;
+const EDGE_HOT_ORIGIN_LOAD_CEILING_PCT: f64 = 25.0;
 
 /// Cross-session invariants every fleet run must satisfy. Returns
 /// violations (empty = all oracles passed).
@@ -132,14 +132,7 @@ pub fn fleet_invariants(spec: &FleetSpec, r: &FleetResult) -> Vec<String> {
     // flow still moves some bytes.
     if mix.len() > 1 && r.shares_pct.len() == n {
         let fair = 100.0 / n as f64;
-        for kind in &mix {
-            let shares: Vec<f64> = members
-                .iter()
-                .zip(&r.shares_pct)
-                .filter(|(m, _)| m.cc_kind() == *kind)
-                .map(|(_, s)| *s)
-                .collect();
-            let mean = shares.iter().sum::<f64>() / shares.len() as f64;
+        for (kind, mean) in cc_group_shares(spec, r) {
             if mean < fair * CC_GROUP_SHARE_FRACTION {
                 v.push(format!(
                     "cc group {} starved: mean share {mean:.2}% < {:.2}% \
@@ -216,11 +209,29 @@ pub fn fleet_invariants(spec: &FleetSpec, r: &FleetResult) -> Vec<String> {
     v
 }
 
+/// Mean link share (%) of each cc group, in [`FleetSpec::cc_mix`] order:
+/// the starvation oracle's input and the `cc_shootout` exhibit's column.
+pub fn cc_group_shares(spec: &FleetSpec, r: &FleetResult) -> Vec<(CcKind, f64)> {
+    let members = spec.session_members();
+    spec.cc_mix()
+        .into_iter()
+        .map(|kind| {
+            let shares: Vec<f64> = members
+                .iter()
+                .zip(&r.shares_pct)
+                .filter(|(m, _)| m.cc_kind() == kind)
+                .map(|(_, s)| *s)
+                .collect();
+            (kind, shares.iter().sum::<f64>() / shares.len() as f64)
+        })
+        .collect()
+}
+
 /// Oracles specific to a *hot* edge fleet (full admission, hash routing,
 /// unbounded cache, one video): the cache must absorb the crowd. Applied
-/// to the hot golden and the `edge_sweep --smoke` acceptance gate — not
-/// folded into [`fleet_invariants`], because generated zipf workloads
-/// legitimately run colder.
+/// to the hot golden by [`crate::run_golden`] — not folded into
+/// [`fleet_invariants`], because generated zipf workloads legitimately
+/// run colder.
 pub fn edge_hot_invariants(r: &FleetResult) -> Vec<String> {
     let mut v = Vec::new();
     let Some(e) = &r.edge else {

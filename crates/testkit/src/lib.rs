@@ -43,8 +43,8 @@ pub use digest::{
     check_or_bless, fnv64, run_golden, timeline_digest, Golden, GoldenRun, GoldenStatus, GOLDENS,
 };
 pub use fleet::{
-    edge_hot_invariants, fleet_invariants, run_fleet_traced, shard_parity_failures, FleetRun,
-    EDGE_HOT_HIT_RATIO_FLOOR, EDGE_HOT_ORIGIN_FRACTION_OF_COLD, EDGE_HOT_ORIGIN_LOAD_CEILING_PCT,
+    cc_group_shares, edge_hot_invariants, fleet_invariants, run_fleet_traced,
+    shard_parity_failures, FleetRun, EDGE_HOT_HIT_RATIO_FLOOR, EDGE_HOT_ORIGIN_FRACTION_OF_COLD,
 };
 pub use oracle::Bounds;
 pub use runner::{run_scenario, Content, ScenarioRun, TrialRun};

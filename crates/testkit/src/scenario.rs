@@ -516,15 +516,19 @@ mod tests {
 
     #[test]
     fn bad_specs_name_the_token_its_position_and_the_menu() {
+        // The menus come from the one table of each noun, so a usage
+        // string cannot drift from what the parser accepts.
+        let videos: Vec<String> = VideoId::all().iter().map(|v| v.short_name()).collect();
+        let videos = videos.join("|");
+        let systems = voxel_fleet::systems().map(|(name, ..)| name).join("|");
+        let traces = TraceFamily::menu();
         for (spec, token, pos, needle) in [
-            ("XYZ:BOLA:const8", "XYZ", 0, "BBB|ED|Sintel|ToS|P1|"),
-            ("BBB:NOPE:const8", "NOPE", 1, "BOLA|BOLA-SSIM|MPC|"),
-            (
-                "BBB:BOLA:warp9",
-                "warp9",
-                2,
-                "tmobile|verizon|att|3g|fcc|wifi",
-            ),
+            ("XYZ:BOLA:const8", "XYZ", 0, videos.as_str()),
+            ("P11:BOLA:const8", "P11", 0, &videos),
+            ("P0:BOLA:const8", "P0", 0, &videos),
+            ("Px:BOLA:const8", "Px", 0, &videos),
+            ("BBB:NOPE:const8", "NOPE", 1, &systems),
+            ("BBB:BOLA:warp9", "warp9", 2, &traces),
             ("BBB:BOLA:const8:zzz", "zzz", 3, "prefix<N>"),
             (
                 "BBB:BOLA:const8:loss@60x0.3",

@@ -14,7 +14,10 @@
 
 use std::path::Path;
 use voxel::prelude::*;
-use voxel::testkit::{check_or_bless, run_golden, shard_parity_failures, Golden, GoldenRun};
+use voxel::testkit::{
+    check_or_bless, run_golden, shard_parity_failures, Golden, GoldenRun,
+    EDGE_HOT_ORIGIN_FRACTION_OF_COLD,
+};
 
 /// Run `spec` at workers = 1 and at every count in `counts` through the
 /// testkit parity oracle (byte-identical timelines; equal loop_iters,
@@ -123,14 +126,24 @@ fn edge_tier_is_byte_identical_across_worker_counts() {
 
 /// The committed edge goldens themselves hold parity at w ∈ {1, 2, max}
 /// in tier-1 and match their committed digests; `run_golden` also holds
-/// the hot golden to the testkit's hot-cache oracles.
+/// the hot golden to the testkit's hot-cache oracles. The two runs then
+/// answer for the tier's point: the hot cache shields the origin from
+/// all but a sliver of the cold tier's traffic.
 #[test]
 fn edge_goldens_hold_parity_at_one_two_and_max_workers() {
     let mut content = Content::new();
-    for name in ["fleet-edge4x16-hot", "fleet-edge4x16-cold"] {
+    let [hot, cold] = ["fleet-edge4x16-hot", "fleet-edge4x16-cold"].map(|name| {
         let run = golden_holds_parity_and_digest(name, &mut content);
-        assert!(run.fleet.expect("fleet golden").edge.is_some());
-    }
+        run.fleet
+            .and_then(|r| r.edge)
+            .expect("edge golden carries an edge report")
+            .origin_bytes
+    });
+    assert!(
+        hot as f64 <= EDGE_HOT_ORIGIN_FRACTION_OF_COLD * cold as f64,
+        "origin shield: hot tier pulled {hot} B against the cold tier's {cold} B \
+         (gate {EDGE_HOT_ORIGIN_FRACTION_OF_COLD} of cold)"
+    );
 }
 
 #[test]
