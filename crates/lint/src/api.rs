@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 /// Extract the public surface: entry text → first declaration site.
-pub fn surface(files: &[SourceFile]) -> BTreeMap<String, (String, usize)> {
+pub(crate) fn surface(files: &[SourceFile]) -> BTreeMap<String, (String, usize)> {
     let mut out: BTreeMap<String, (String, usize)> = BTreeMap::new();
     for f in files {
         let Some(base) = file_mod_path(&f.rel_path, &f.crate_name) else {
@@ -55,7 +55,7 @@ pub fn surface(files: &[SourceFile]) -> BTreeMap<String, (String, usize)> {
 
             let (label, display) = match owner {
                 None => match it.kind {
-                    ItemKind::Impl | ItemKind::MacroCall => continue,
+                    ItemKind::Impl => continue,
                     ItemKind::MacroDef => {
                         if !it.macro_export {
                             continue;
@@ -126,7 +126,7 @@ fn file_mod_path(rel: &str, crate_name: &str) -> Option<Vec<String>> {
 
 /// Diff the current surface against `lint/api-baseline.txt` (or rewrite
 /// the baseline when `bless` is set).
-pub fn check(
+pub(crate) fn check(
     files: &[SourceFile],
     root: &Path,
     bless: bool,

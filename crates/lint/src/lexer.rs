@@ -1,7 +1,7 @@
 //! Token-level lexer for the lint engine.
 //!
 //! Produces a flat token stream over one source file. Three properties are
-//! load-bearing and property-tested (`tests/lexer_prop.rs`):
+//! load-bearing and property-tested (`props` below):
 //!
 //! - **total**: lexing arbitrary input never panics;
 //! - **tiling**: token byte spans cover the input exactly, in order, with
@@ -20,7 +20,7 @@
 
 /// Token classification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokKind {
+pub(crate) enum TokKind {
     /// Whitespace run (including newlines).
     Ws,
     /// `// ...` up to (not including) the newline.
@@ -43,7 +43,7 @@ pub enum TokKind {
 
 impl TokKind {
     /// Whitespace and comments — skipped by the parser and the rules.
-    pub fn is_trivia(self) -> bool {
+    pub(crate) fn is_trivia(self) -> bool {
         matches!(
             self,
             TokKind::Ws | TokKind::LineComment | TokKind::BlockComment
@@ -54,7 +54,7 @@ impl TokKind {
 /// One token: half-open byte span `[start, end)` plus the 1-based line its
 /// first byte sits on.
 #[derive(Debug, Clone, Copy)]
-pub struct Tok {
+pub(crate) struct Tok {
     pub kind: TokKind,
     pub start: usize,
     pub end: usize,
@@ -70,7 +70,7 @@ fn is_ident_start(c: char) -> bool {
 }
 
 /// Lex `src` into a complete token stream.
-pub fn lex(src: &str) -> Vec<Tok> {
+pub(crate) fn lex(src: &str) -> Vec<Tok> {
     let b: Vec<(usize, char)> = src.char_indices().collect();
     let n = b.len();
     let peek = |j: usize| b.get(j).map(|&(_, c)| c);
@@ -403,5 +403,73 @@ mod tests {
             .find(|t| t.kind == TokKind::Ident && &src[t.start..t.end] == "z")
             .expect("z token");
         assert_eq!(z.line, 6);
+    }
+}
+
+/// Property tests: total on arbitrary input, and token spans exactly tile
+/// the source.
+#[cfg(test)]
+mod props {
+    use super::lex;
+    use crate::parse;
+    use crate::scan::SourceFile;
+    use proptest::prelude::*;
+
+    /// Spans start at 0, are contiguous and non-empty, end at `len`, and
+    /// line numbers never decrease.
+    fn assert_tiles(src: &str) -> Result<(), String> {
+        let toks = lex(src);
+        let mut pos = 0usize;
+        let mut line = 1usize;
+        for t in &toks {
+            if t.start != pos {
+                return Err(format!(
+                    "gap: token starts at {} expected {pos} in {src:?}",
+                    t.start
+                ));
+            }
+            if t.end <= t.start {
+                return Err(format!("empty token at {} in {src:?}", t.start));
+            }
+            if t.line < line {
+                return Err(format!("line went backwards at {} in {src:?}", t.start));
+            }
+            line = t.line;
+            pos = t.end;
+        }
+        if pos != src.len() {
+            return Err(format!(
+                "coverage ends at {pos}, source is {} bytes: {src:?}",
+                src.len()
+            ));
+        }
+        // The downstream layers must be total too.
+        let _ = parse::parse(src, &toks);
+        let _ = SourceFile::parse("soup.rs", "quic", src);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes (lossily decoded) never panic the lexer and
+        /// always tile.
+        #[test]
+        fn lexer_total_on_byte_soup(bytes in proptest::collection::vec(proptest::num::u8::ANY, 0..160)) {
+            let src = String::from_utf8_lossy(&bytes).into_owned();
+            let r = assert_tiles(&src);
+            prop_assert!(r.is_ok(), "{}", r.unwrap_err());
+        }
+
+        /// Soup biased toward Rust's hard cases: quotes, raw-string hashes,
+        /// comment openers, lifetimes, braces.
+        #[test]
+        fn lexer_total_on_rusty_soup(
+            parts in proptest::collection::vec("[\"'a-z0-9/* #\\\\{}()!br=._\n-]{0,8}", 0..24),
+        ) {
+            let src = parts.concat();
+            let r = assert_tiles(&src);
+            prop_assert!(r.is_ok(), "{}", r.unwrap_err());
+        }
     }
 }

@@ -1,5 +1,5 @@
-//! CLI for the workspace lint pass. Exit code 1 on any violation (or a
-//! blown wall-time guard), 2 on operational error.
+//! CLI for the workspace API-baseline check. Exit code 1 on any violation
+//! (or a blown wall-time guard), 2 on operational error.
 //!
 //! Usage: `cargo run -p voxel-lint [-- --root <path>] [--max-seconds <n>]`
 //!
@@ -29,7 +29,7 @@ fn main() -> ExitCode {
                 None => return usage_error("--max-seconds requires an integer"),
             },
             "--help" | "-h" => {
-                println!("voxel-lint: workspace invariant lints (see DESIGN.md §10)");
+                println!("voxel-lint: the workspace public-API baseline (see DESIGN.md §10)");
                 println!("usage: voxel-lint [--root <repo-root>] [--max-seconds <n>]");
                 println!("env: VOXEL_BLESS=1 re-blesses the API baseline");
                 return ExitCode::SUCCESS;

@@ -18,7 +18,7 @@ use crate::lexer::{Tok, TokKind};
 
 /// What kind of item a header introduced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ItemKind {
+pub(crate) enum ItemKind {
     Mod,
     Fn,
     Impl,
@@ -31,15 +31,11 @@ pub enum ItemKind {
     TypeAlias,
     Use,
     MacroDef,
-    /// Statement-position macro invocation (`thread_local! { .. }`,
-    /// `trace_event!(..);`) — modelled as an item so its (possibly
-    /// multi-line) extent is known.
-    MacroCall,
 }
 
 impl ItemKind {
     /// Short label used by the API baseline file.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ItemKind::Mod => "mod",
             ItemKind::Fn => "fn",
@@ -53,7 +49,6 @@ impl ItemKind {
             ItemKind::TypeAlias => "type",
             ItemKind::Use => "use",
             ItemKind::MacroDef => "macro",
-            ItemKind::MacroCall => "macro-call",
         }
     }
 }
@@ -61,7 +56,7 @@ impl ItemKind {
 /// One parsed item. Items form a tree via `parent` indices into the same
 /// vector; the vector is ordered by header appearance.
 #[derive(Debug, Clone)]
-pub struct Item {
+pub(crate) struct Item {
     pub kind: ItemKind,
     /// Item name. For `impl` blocks this is the self-type identifier
     /// (inherent) or `"<Trait> for <Type>"`; for `use` items it is the
@@ -88,7 +83,7 @@ pub struct Item {
 
 impl Item {
     /// Does `line` fall inside this item (attributes included)?
-    pub fn covers(&self, line: usize) -> bool {
+    pub(crate) fn covers(&self, line: usize) -> bool {
         self.header_line <= line && line <= self.end_line
     }
 }
@@ -104,8 +99,20 @@ struct Pending {
     impl_hdr: Vec<String>,
 }
 
+impl Pending {
+    fn new(item: usize, is_impl: bool) -> Pending {
+        Pending {
+            item,
+            paren: 0,
+            bracket: 0,
+            is_impl,
+            impl_hdr: Vec::new(),
+        }
+    }
+}
+
 /// Parse the token stream of `src` into an item tree.
-pub fn parse(src: &str, toks: &[Tok]) -> Vec<Item> {
+pub(crate) fn parse(src: &str, toks: &[Tok]) -> Vec<Item> {
     let sig: Vec<usize> = (0..toks.len())
         .filter(|&i| !toks[i].kind.is_trivia())
         .collect();
@@ -397,115 +404,28 @@ fn try_item(
     };
 
     match kw {
-        "fn" => {
-            let idx = mk(ItemKind::Fn, name_after(j));
-            Some((
-                j + 2,
-                Some(Pending {
-                    item: idx,
-                    paren: 0,
-                    bracket: 0,
-                    is_impl: false,
-                    impl_hdr: Vec::new(),
-                }),
-            ))
-        }
-        "mod" => {
-            let idx = mk(ItemKind::Mod, name_after(j));
-            Some((
-                j + 2,
-                Some(Pending {
-                    item: idx,
-                    paren: 0,
-                    bracket: 0,
-                    is_impl: false,
-                    impl_hdr: Vec::new(),
-                }),
-            ))
-        }
-        "trait" => {
-            let idx = mk(ItemKind::Trait, name_after(j));
-            Some((
-                j + 2,
-                Some(Pending {
-                    item: idx,
-                    paren: 0,
-                    bracket: 0,
-                    is_impl: false,
-                    impl_hdr: Vec::new(),
-                }),
-            ))
-        }
-        "struct" | "enum" | "union" => {
+        "fn" | "mod" | "trait" | "struct" | "enum" | "union" | "const" | "type" => {
             let kind = match kw {
+                "fn" => ItemKind::Fn,
+                "mod" => ItemKind::Mod,
+                "trait" => ItemKind::Trait,
                 "struct" => ItemKind::Struct,
                 "enum" => ItemKind::Enum,
-                _ => ItemKind::Union,
+                "union" => ItemKind::Union,
+                "const" => ItemKind::Const,
+                _ => ItemKind::TypeAlias,
             };
             let idx = mk(kind, name_after(j));
-            Some((
-                j + 2,
-                Some(Pending {
-                    item: idx,
-                    paren: 0,
-                    bracket: 0,
-                    is_impl: false,
-                    impl_hdr: Vec::new(),
-                }),
-            ))
+            Some((j + 2, Some(Pending::new(idx, false))))
         }
         "impl" => {
             let idx = mk(ItemKind::Impl, String::new());
-            Some((
-                j + 1,
-                Some(Pending {
-                    item: idx,
-                    paren: 0,
-                    bracket: 0,
-                    is_impl: true,
-                    impl_hdr: Vec::new(),
-                }),
-            ))
+            Some((j + 1, Some(Pending::new(idx, true))))
         }
         "static" => {
             let at = if text(j + 1) == "mut" { j + 1 } else { j };
             let idx = mk(ItemKind::Static, name_after(at));
-            Some((
-                at + 2,
-                Some(Pending {
-                    item: idx,
-                    paren: 0,
-                    bracket: 0,
-                    is_impl: false,
-                    impl_hdr: Vec::new(),
-                }),
-            ))
-        }
-        "const" => {
-            let idx = mk(ItemKind::Const, name_after(j));
-            Some((
-                j + 2,
-                Some(Pending {
-                    item: idx,
-                    paren: 0,
-                    bracket: 0,
-                    is_impl: false,
-                    impl_hdr: Vec::new(),
-                }),
-            ))
-        }
-        "type" => {
-            let idx = mk(ItemKind::TypeAlias, name_after(j));
-            Some((
-                j + 2,
-                Some(Pending {
-                    item: idx,
-                    paren: 0,
-                    bracket: 0,
-                    is_impl: false,
-                    impl_hdr: Vec::new(),
-                }),
-            ))
+            Some((at + 2, Some(Pending::new(idx, false))))
         }
         "use" => {
             // Leaf: capture the path text up to the terminating `;`
@@ -540,35 +460,9 @@ fn try_item(
                 "_".to_string()
             };
             let idx = mk(ItemKind::MacroDef, name);
-            Some((
-                j + 3,
-                Some(Pending {
-                    item: idx,
-                    paren: 0,
-                    bracket: 0,
-                    is_impl: false,
-                    impl_hdr: Vec::new(),
-                }),
-            ))
+            Some((j + 3, Some(Pending::new(idx, false))))
         }
-        _ => {
-            // Statement-position macro invocation: `name! { .. }`,
-            // `name!(..);`, `name![..];`.
-            if text(j + 1) == "!" && matches!(text(j + 2), "{" | "(" | "[") {
-                let idx = mk(ItemKind::MacroCall, kw.to_string());
-                return Some((
-                    j + 2,
-                    Some(Pending {
-                        item: idx,
-                        paren: 0,
-                        bracket: 0,
-                        is_impl: false,
-                        impl_hdr: Vec::new(),
-                    }),
-                ));
-            }
-            None
-        }
+        _ => None,
     }
 }
 

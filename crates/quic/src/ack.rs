@@ -5,7 +5,7 @@ use voxel_sim::{SimDuration, SimTime};
 
 /// Tracks received packet numbers and decides when to emit ACK frames.
 #[derive(Debug, Clone, Default)]
-pub struct AckTracker {
+pub(crate) struct AckTracker {
     /// Received ranges, sorted ascending, non-overlapping, non-adjacent.
     ranges: Vec<AckRange>,
     /// Arrival time of the largest received packet (for the delay field).
@@ -21,20 +21,20 @@ pub struct AckTracker {
 const ACK_ELICITING_THRESHOLD: usize = 2;
 
 /// Maximum time to hold an ACK.
-pub const MAX_ACK_DELAY: SimDuration = SimDuration::from_millis(25);
+pub(crate) const MAX_ACK_DELAY: SimDuration = SimDuration::from_millis(25);
 
 /// Ranges an ACK frame carries at most: the most recent ones.
 const MAX_ACK_RANGES: usize = 32;
 
 impl AckTracker {
     /// Fresh tracker.
-    pub fn new() -> AckTracker {
+    pub(crate) fn new() -> AckTracker {
         AckTracker::default()
     }
 
     /// Record receipt of packet `pn` at `now`. Returns `false` if it was a
     /// duplicate.
-    pub fn on_packet(&mut self, pn: u64, now: SimTime, ack_eliciting: bool) -> bool {
+    pub(crate) fn on_packet(&mut self, pn: u64, now: SimTime, ack_eliciting: bool) -> bool {
         if self.contains(pn) {
             return false;
         }
@@ -56,7 +56,7 @@ impl AckTracker {
 
     /// Largest packet number seen so far, if any (lets the connection
     /// classify below-largest arrivals as reordered).
-    pub fn largest_seen(&self) -> Option<u64> {
+    pub(crate) fn largest_seen(&self) -> Option<u64> {
         self.largest_arrival.map(|(pn, _)| pn)
     }
 
@@ -84,19 +84,19 @@ impl AckTracker {
     }
 
     /// Whether an ACK should be emitted at `now`.
-    pub fn should_ack(&self, now: SimTime) -> bool {
+    pub(crate) fn should_ack(&self, now: SimTime) -> bool {
         self.unacked_eliciting >= ACK_ELICITING_THRESHOLD
             || matches!(self.ack_deadline, Some(d) if d <= now)
     }
 
     /// The pending ACK deadline, if an ACK is owed.
-    pub fn deadline(&self) -> Option<SimTime> {
+    pub(crate) fn deadline(&self) -> Option<SimTime> {
         self.ack_deadline
     }
 
     /// Build the ACK frame contents (ranges highest-first + delay) and reset
     /// the delayed-ack state. Returns `None` if nothing was ever received.
-    pub fn take_ack(&mut self, now: SimTime) -> Option<(Vec<AckRange>, u64)> {
+    pub(crate) fn take_ack(&mut self, now: SimTime) -> Option<(Vec<AckRange>, u64)> {
         if self.ranges.is_empty() {
             return None;
         }
@@ -118,15 +118,10 @@ impl AckTracker {
         Some((ranges, delay))
     }
 
-    /// Received ranges (ascending), for inspection.
-    pub fn ranges(&self) -> &[AckRange] {
-        &self.ranges
-    }
-
     /// Structural audit: inclusive ranges are well-formed, sorted
     /// ascending, and non-adjacent (adjacent runs must have merged).
     /// Used by the `paranoid` runtime layer and the property tests.
-    pub fn check_invariants(&self) -> Result<(), String> {
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
         for &(s, e) in &self.ranges {
             if s > e {
                 return Err(format!("inverted ack range [{s}, {e}]"));
@@ -162,12 +157,12 @@ mod tests {
         for pn in [1, 2, 3, 7, 8, 5] {
             assert!(t.on_packet(pn, SimTime::ZERO, true));
         }
-        assert_eq!(t.ranges(), &[(1, 3), (5, 5), (7, 8)]);
+        assert_eq!(t.ranges, &[(1, 3), (5, 5), (7, 8)]);
         // Fill the gap: 4 merges 1-3 and 5-5, then 6 merges everything.
         t.on_packet(4, SimTime::ZERO, true);
-        assert_eq!(t.ranges(), &[(1, 5), (7, 8)]);
+        assert_eq!(t.ranges, &[(1, 5), (7, 8)]);
         t.on_packet(6, SimTime::ZERO, true);
-        assert_eq!(t.ranges(), &[(1, 8)]);
+        assert_eq!(t.ranges, &[(1, 8)]);
     }
 
     #[test]
@@ -216,7 +211,7 @@ mod tests {
         assert_eq!(delay, 10_000);
         assert!(!t.should_ack(SimTime::from_secs(1)));
         // Ranges persist for future ACKs.
-        assert_eq!(t.ranges(), &[(0, 1), (5, 6), (9, 9)]);
+        assert_eq!(t.ranges, &[(0, 1), (5, 6), (9, 9)]);
     }
 
     #[test]
@@ -290,7 +285,7 @@ mod tests {
                 for pn in &pns {
                     t.on_packet(*pn, SimTime::ZERO, true);
                 }
-                let ranges = t.ranges();
+                let ranges = &t.ranges;
                 for w in ranges.windows(2) {
                     // Sorted, disjoint and non-adjacent.
                     prop_assert!(w[0].1 + 1 < w[1].0, "ranges {:?}", ranges);

@@ -41,7 +41,7 @@ const BW_WINDOW_ROUNDS: u64 = 10;
 
 /// RTprop min-filter window: a sample older than this is stale and
 /// forces ProbeRTT.
-pub const MIN_RTT_WINDOW: SimDuration = SimDuration::from_secs(10);
+pub(crate) const MIN_RTT_WINDOW: SimDuration = SimDuration::from_secs(10);
 
 /// Minimum time spent in ProbeRTT (floored below by one RTprop).
 const PROBE_RTT_DURATION: SimDuration = SimDuration::from_millis(200);
@@ -55,7 +55,7 @@ const FULL_BW_ROUNDS: u32 = 3;
 
 /// The four BBR states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BbrState {
+pub(crate) enum BbrState {
     /// Exponential rate growth until the pipe is full.
     Startup,
     /// Bleed the startup queue down to one BDP.
@@ -68,7 +68,7 @@ pub enum BbrState {
 
 /// The BBR controller.
 #[derive(Debug, Clone)]
-pub struct Bbr {
+pub(crate) struct Bbr {
     mss: usize,
     state: BbrState,
     /// BtlBw max-filter samples: (round, bytes/sec), newest last.
@@ -99,7 +99,7 @@ pub struct Bbr {
 
 impl Bbr {
     /// New controller in Startup.
-    pub fn new(mss: usize) -> Bbr {
+    pub(crate) fn new(mss: usize) -> Bbr {
         Bbr {
             mss,
             state: BbrState::Startup,
@@ -122,52 +122,42 @@ impl Bbr {
     }
 
     /// Current window in bytes.
-    pub fn cwnd(&self) -> usize {
+    pub(crate) fn cwnd(&self) -> usize {
         self.cwnd
     }
 
     /// Window floor: BBR never goes below 4 packets.
-    pub fn min_cwnd(&self) -> usize {
+    pub(crate) fn min_cwnd(&self) -> usize {
         4 * self.mss
     }
 
     /// Bytes in flight.
-    pub fn in_flight(&self) -> usize {
+    pub(crate) fn in_flight(&self) -> usize {
         self.in_flight
     }
 
     /// Whether `bytes` more may enter the network.
-    pub fn can_send(&self, bytes: usize) -> bool {
+    pub(crate) fn can_send(&self, bytes: usize) -> bool {
         self.in_flight + bytes <= self.cwnd
     }
 
-    /// Current state (for tests and the trace taxonomy).
-    pub fn state(&self) -> BbrState {
-        self.state
-    }
-
     /// Windowed-max bottleneck-bandwidth estimate, bytes/second.
-    pub fn btl_bw(&self) -> f64 {
+    pub(crate) fn btl_bw(&self) -> f64 {
         self.bw_samples
             .iter()
             .map(|&(_, bw)| bw)
             .fold(0.0, f64::max)
     }
 
-    /// RTprop estimate.
-    pub fn min_rtt(&self) -> SimDuration {
-        self.min_rtt
-    }
-
     /// Bandwidth-delay product from the model, bytes.
-    pub fn bdp(&self) -> f64 {
+    pub(crate) fn bdp(&self) -> f64 {
         self.btl_bw() * self.min_rtt.as_secs_f64()
     }
 
     /// Pacing rate in bits/second: `pacing_gain × BtlBw`. `None` until
     /// the model has a bandwidth estimate (the connection then falls
     /// back to its cwnd-based pacer).
-    pub fn pacing_rate_bps(&self) -> Option<f64> {
+    pub(crate) fn pacing_rate_bps(&self) -> Option<f64> {
         let bw = self.btl_bw();
         if bw <= 0.0 {
             return None;
@@ -182,14 +172,14 @@ impl Bbr {
     }
 
     /// A packet entered the network.
-    pub fn on_sent(&mut self, bytes: usize) {
+    pub(crate) fn on_sent(&mut self, bytes: usize) {
         self.in_flight += bytes;
     }
 
     /// Fold one delivery-rate sample into the model. Rounds advance when
     /// a packet sent after the current round's start is delivered — the
     /// packet-timed clock of the BtlBw filter window.
-    pub fn on_rate_sample(&mut self, _now: SimTime, s: RateSample) {
+    pub(crate) fn on_rate_sample(&mut self, _now: SimTime, s: RateSample) {
         if s.delivered_at_send >= self.round_start_delivered {
             self.round += 1;
             self.round_start_delivered = s.delivered;
@@ -203,7 +193,7 @@ impl Bbr {
     }
 
     /// A packet was acknowledged; `rtt_sample` is the latest raw RTT.
-    pub fn on_ack(&mut self, now: SimTime, bytes: usize, rtt_sample: SimDuration) {
+    pub(crate) fn on_ack(&mut self, now: SimTime, bytes: usize, rtt_sample: SimDuration) {
         self.in_flight = self.in_flight.saturating_sub(bytes);
 
         // RTprop min-filter: a sample at or below the floor re-confirms
@@ -304,12 +294,12 @@ impl Bbr {
 
     /// Losses leave the flight; the model, not loss, regulates the
     /// window (bufferbloat is the enemy, not the occasional drop).
-    pub fn on_loss(&mut self, _now: SimTime, bytes: usize) {
+    pub(crate) fn on_loss(&mut self, _now: SimTime, bytes: usize) {
         self.in_flight = self.in_flight.saturating_sub(bytes);
     }
 
     /// Repeated PTOs: the model is stale — restart from scratch.
-    pub fn on_persistent_congestion(&mut self) {
+    pub(crate) fn on_persistent_congestion(&mut self) {
         self.bw_samples.clear();
         self.round_start_delivered = 0;
         self.full_bw = 0.0;
@@ -321,17 +311,12 @@ impl Bbr {
         self.prior_cwnd = self.min_cwnd();
     }
 
-    /// Remove unaccounted in-flight bytes (e.g. abandoned streams).
-    pub fn forget_in_flight(&mut self, bytes: usize) {
-        self.in_flight = self.in_flight.saturating_sub(bytes);
-    }
-
     /// Model invariants, audited by the `paranoid` layer and the
     /// property tests: the window never falls below `min_cwnd`, and a
     /// stale RTprop (older than the filter window) is only ever observed
     /// from inside ProbeRTT — i.e. ProbeRTT is entered within the filter
     /// window of the last confirmed sample.
-    pub fn check_invariants(&self, now: SimTime) -> Result<(), String> {
+    pub(crate) fn check_invariants(&self, now: SimTime) -> Result<(), String> {
         if self.cwnd < self.min_cwnd() {
             return Err(format!(
                 "cwnd {} below floor {}",
@@ -396,10 +381,10 @@ mod tests {
     #[test]
     fn startup_fills_the_pipe_then_drains_into_probe_bw() {
         let mut cc = Bbr::new(MSS);
-        assert_eq!(cc.state(), BbrState::Startup);
+        assert_eq!(cc.state, BbrState::Startup);
         // 1.25 MB/s (10 Mbps), 60 ms RTT → BDP = 75 kB.
         steady(&mut cc, 0, 2.0, 1.25e6, 60);
-        assert_eq!(cc.state(), BbrState::ProbeBw, "pipe full, queue drained");
+        assert_eq!(cc.state, BbrState::ProbeBw, "pipe full, queue drained");
         let bdp = 75_000.0;
         let w = cc.cwnd() as f64;
         assert!(
@@ -414,7 +399,7 @@ mod tests {
     fn probe_bw_cycles_the_pacing_gain() {
         let mut cc = Bbr::new(MSS);
         let t = steady(&mut cc, 0, 2.0, 1.25e6, 60);
-        assert_eq!(cc.state(), BbrState::ProbeBw);
+        assert_eq!(cc.state, BbrState::ProbeBw);
         // Across one full cycle (8 × RTprop) both the 1.25 probe and
         // the 0.75 drain gain must appear in the pacing rate.
         let base = cc.btl_bw() * 8.0;
@@ -440,7 +425,7 @@ mod tests {
     fn probe_rtt_entered_when_rtprop_goes_stale_and_recovers() {
         let mut cc = Bbr::new(MSS);
         let t0 = steady(&mut cc, 0, 2.0, 1.25e6, 60);
-        assert_eq!(cc.state(), BbrState::ProbeBw);
+        assert_eq!(cc.state, BbrState::ProbeBw);
         let w_before = cc.cwnd();
         // Inflate the RTT (standing queue): RTprop is never re-confirmed,
         // so after the 10 s window the controller must dive to ProbeRTT.
@@ -452,7 +437,7 @@ mod tests {
             cc.on_ack(SimTime::from_micros(now), MSS, SimDuration::from_millis(90));
             cc.check_invariants(SimTime::from_micros(now))
                 .expect("invariants");
-            if cc.state() == BbrState::ProbeRtt {
+            if cc.state == BbrState::ProbeRtt {
                 entered = true;
                 assert_eq!(cc.cwnd(), cc.min_cwnd(), "ProbeRTT collapses cwnd");
                 break;
@@ -464,11 +449,11 @@ mod tests {
             now += 1080;
             cc.on_sent(MSS);
             cc.on_ack(SimTime::from_micros(now), MSS, SimDuration::from_millis(90));
-            if cc.state() != BbrState::ProbeRtt {
+            if cc.state != BbrState::ProbeRtt {
                 break;
             }
         }
-        assert_eq!(cc.state(), BbrState::ProbeBw);
+        assert_eq!(cc.state, BbrState::ProbeBw);
         assert!(
             cc.cwnd() >= w_before / 2,
             "window not restored after ProbeRTT: {} vs {w_before}",
@@ -497,12 +482,12 @@ mod tests {
         let mut cc = Bbr::new(MSS);
         steady(&mut cc, 0, 2.0, 1.25e6, 60);
         cc.on_persistent_congestion();
-        assert_eq!(cc.state(), BbrState::Startup);
+        assert_eq!(cc.state, BbrState::Startup);
         assert_eq!(cc.cwnd(), cc.min_cwnd());
         assert_eq!(cc.btl_bw(), 0.0);
         // And it can start over.
         steady(&mut cc, 10_000_000, 2.0, 1.25e6, 60);
-        assert_eq!(cc.state(), BbrState::ProbeBw);
+        assert_eq!(cc.state, BbrState::ProbeBw);
     }
 
     #[test]
@@ -525,8 +510,6 @@ mod tests {
         assert_eq!(cc.in_flight(), 5000);
         assert!(cc.can_send(cc.cwnd() - 5000));
         assert!(!cc.can_send(cc.cwnd()));
-        cc.forget_in_flight(2000);
-        assert_eq!(cc.in_flight(), 3000);
         assert!(cc.pacing_rate_bps().is_none(), "no model yet");
     }
 }

@@ -51,7 +51,7 @@ impl CcKind {
 /// (DESIGN.md §15): `rate = (delivered - delivered_at_send) / (ack time
 /// - send time)` — the average delivery rate over the packet's flight.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RateSample {
+pub(crate) struct RateSample {
     /// Cumulative bytes delivered when the ack was processed.
     pub delivered: u64,
     /// Cumulative bytes delivered when the acked packet was sent.
@@ -62,7 +62,7 @@ pub struct RateSample {
 
 /// A congestion controller instance.
 #[derive(Debug, Clone)]
-pub enum CongestionControl {
+pub(crate) enum CongestionControl {
     /// CUBIC.
     Cubic(Cubic),
     /// Delay-based.
@@ -73,7 +73,7 @@ pub enum CongestionControl {
 
 impl CongestionControl {
     /// Instantiate `kind` with the given MSS.
-    pub fn new(kind: CcKind, mss: usize) -> CongestionControl {
+    pub(crate) fn new(kind: CcKind, mss: usize) -> CongestionControl {
         match kind {
             CcKind::Cubic => CongestionControl::Cubic(Cubic::new(mss)),
             CcKind::Delay => CongestionControl::Delay(DelayCc::new(mss)),
@@ -82,7 +82,7 @@ impl CongestionControl {
     }
 
     /// Current congestion window in bytes.
-    pub fn cwnd(&self) -> usize {
+    pub(crate) fn cwnd(&self) -> usize {
         match self {
             CongestionControl::Cubic(c) => c.cwnd(),
             CongestionControl::Delay(c) => c.cwnd(),
@@ -93,7 +93,7 @@ impl CongestionControl {
     /// Slow-start threshold in bytes (`u64::MAX` when the controller has
     /// none: before CUBIC's first loss, or always for the model-based
     /// controllers).
-    pub fn ssthresh(&self) -> u64 {
+    pub(crate) fn ssthresh(&self) -> u64 {
         match self {
             CongestionControl::Cubic(c) => c.ssthresh(),
             CongestionControl::Delay(_) | CongestionControl::Bbr(_) => u64::MAX,
@@ -101,7 +101,7 @@ impl CongestionControl {
     }
 
     /// Bytes currently in flight.
-    pub fn in_flight(&self) -> usize {
+    pub(crate) fn in_flight(&self) -> usize {
         match self {
             CongestionControl::Cubic(c) => c.in_flight(),
             CongestionControl::Delay(c) => c.in_flight(),
@@ -110,7 +110,7 @@ impl CongestionControl {
     }
 
     /// Whether `bytes` more may be sent.
-    pub fn can_send(&self, bytes: usize) -> bool {
+    pub(crate) fn can_send(&self, bytes: usize) -> bool {
         match self {
             CongestionControl::Cubic(c) => c.can_send(bytes),
             CongestionControl::Delay(c) => c.can_send(bytes),
@@ -119,7 +119,7 @@ impl CongestionControl {
     }
 
     /// A packet entered the network.
-    pub fn on_sent(&mut self, bytes: usize) {
+    pub(crate) fn on_sent(&mut self, bytes: usize) {
         match self {
             CongestionControl::Cubic(c) => c.on_sent(bytes),
             CongestionControl::Delay(c) => c.on_sent(bytes),
@@ -130,7 +130,7 @@ impl CongestionControl {
     /// A delivery-rate sample from the transport's sampler. Only BBR
     /// consumes these: CUBIC is loss-driven and the delay controller
     /// keeps its own internal epoch estimator.
-    pub fn on_rate_sample(&mut self, now: SimTime, sample: RateSample) {
+    pub(crate) fn on_rate_sample(&mut self, now: SimTime, sample: RateSample) {
         match self {
             CongestionControl::Cubic(_) | CongestionControl::Delay(_) => {}
             CongestionControl::Bbr(c) => c.on_rate_sample(now, sample),
@@ -139,7 +139,13 @@ impl CongestionControl {
 
     /// A packet was acknowledged. CUBIC consumes the smoothed RTT; the
     /// model-based controllers consume the raw latest sample.
-    pub fn on_ack(&mut self, now: SimTime, bytes: usize, srtt: SimDuration, latest: SimDuration) {
+    pub(crate) fn on_ack(
+        &mut self,
+        now: SimTime,
+        bytes: usize,
+        srtt: SimDuration,
+        latest: SimDuration,
+    ) {
         match self {
             CongestionControl::Cubic(c) => c.on_ack(now, bytes, srtt),
             CongestionControl::Delay(c) => c.on_ack(now, bytes, latest),
@@ -148,7 +154,13 @@ impl CongestionControl {
     }
 
     /// Packets were declared lost.
-    pub fn on_loss(&mut self, now: SimTime, largest_sent: u64, largest_lost: u64, bytes: usize) {
+    pub(crate) fn on_loss(
+        &mut self,
+        now: SimTime,
+        largest_sent: u64,
+        largest_lost: u64,
+        bytes: usize,
+    ) {
         match self {
             CongestionControl::Cubic(c) => c.on_loss(now, largest_sent, largest_lost, bytes),
             CongestionControl::Delay(c) => c.on_loss(now, bytes),
@@ -157,7 +169,7 @@ impl CongestionControl {
     }
 
     /// Persistent congestion (repeated PTOs).
-    pub fn on_persistent_congestion(&mut self) {
+    pub(crate) fn on_persistent_congestion(&mut self) {
         match self {
             CongestionControl::Cubic(c) => c.on_persistent_congestion(),
             CongestionControl::Delay(c) => c.on_persistent_congestion(),
@@ -165,20 +177,11 @@ impl CongestionControl {
         }
     }
 
-    /// Drop accounting for bytes that left the network without an ack.
-    pub fn forget_in_flight(&mut self, bytes: usize) {
-        match self {
-            CongestionControl::Cubic(c) => c.forget_in_flight(bytes),
-            CongestionControl::Delay(c) => c.forget_in_flight(bytes),
-            CongestionControl::Bbr(c) => c.forget_in_flight(bytes),
-        }
-    }
-
     /// Model-derived pacing rate in bits/second, when the controller has
     /// one (BBR: `pacing_gain × BtlBw`). `None` means the connection
     /// should fall back to its cwnd-based pacer — which keeps the CUBIC
     /// and delay-cc timelines byte-identical to before BBR existed.
-    pub fn pacing_rate_bps(&self) -> Option<f64> {
+    pub(crate) fn pacing_rate_bps(&self) -> Option<f64> {
         match self {
             CongestionControl::Cubic(_) | CongestionControl::Delay(_) => None,
             CongestionControl::Bbr(c) => c.pacing_rate_bps(),
@@ -186,10 +189,10 @@ impl CongestionControl {
     }
 
     /// BBR's bottleneck-bandwidth estimate in bytes/second, for the
-    /// `quic.btlbw_bps` gauge. `None` for the other controllers (and for
+    /// `quic.btlbw_bps` histogram. `None` for the other controllers (and for
     /// BBR before its first sample) so non-BBR timelines carry no new
     /// trace output.
-    pub fn btl_bw_estimate(&self) -> Option<f64> {
+    pub(crate) fn btl_bw_estimate(&self) -> Option<f64> {
         match self {
             CongestionControl::Cubic(_) | CongestionControl::Delay(_) => None,
             CongestionControl::Bbr(c) => {
@@ -263,8 +266,6 @@ mod tests {
                 SimDuration::from_millis(60),
             );
             assert_eq!(cc.in_flight(), MSS);
-            cc.forget_in_flight(MSS);
-            assert_eq!(cc.in_flight(), 0);
         }
     }
 

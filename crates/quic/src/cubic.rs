@@ -12,7 +12,7 @@ const CUBIC_BETA: f64 = 0.7;
 
 /// The congestion controller.
 #[derive(Debug, Clone)]
-pub struct Cubic {
+pub(crate) struct Cubic {
     /// Maximum datagram size (for window floors and increments).
     mss: usize,
     /// Congestion window, bytes.
@@ -35,7 +35,7 @@ pub struct Cubic {
 
 impl Cubic {
     /// New controller with an initial window of 10 MSS (RFC 6928).
-    pub fn new(mss: usize) -> Cubic {
+    pub(crate) fn new(mss: usize) -> Cubic {
         Cubic {
             mss,
             cwnd: (10 * mss) as f64,
@@ -49,27 +49,22 @@ impl Cubic {
     }
 
     /// Current congestion window in bytes.
-    pub fn cwnd(&self) -> usize {
+    pub(crate) fn cwnd(&self) -> usize {
         self.cwnd as usize
     }
 
     /// Bytes currently in flight.
-    pub fn in_flight(&self) -> usize {
+    pub(crate) fn in_flight(&self) -> usize {
         self.in_flight
     }
 
     /// Whether `bytes` more may be sent now.
-    pub fn can_send(&self, bytes: usize) -> bool {
+    pub(crate) fn can_send(&self, bytes: usize) -> bool {
         self.in_flight + bytes <= self.cwnd as usize
     }
 
-    /// Whether the controller is in slow start.
-    pub fn in_slow_start(&self) -> bool {
-        self.cwnd < self.ssthresh
-    }
-
     /// Slow-start threshold in bytes (`u64::MAX` before the first loss).
-    pub fn ssthresh(&self) -> u64 {
+    pub(crate) fn ssthresh(&self) -> u64 {
         if self.ssthresh.is_finite() {
             self.ssthresh as u64
         } else {
@@ -78,12 +73,12 @@ impl Cubic {
     }
 
     /// A packet of `bytes` was sent.
-    pub fn on_sent(&mut self, bytes: usize) {
+    pub(crate) fn on_sent(&mut self, bytes: usize) {
         self.in_flight += bytes;
     }
 
     /// A packet of `bytes` was acknowledged.
-    pub fn on_ack(&mut self, now: SimTime, bytes: usize, srtt: SimDuration) {
+    pub(crate) fn on_ack(&mut self, now: SimTime, bytes: usize, srtt: SimDuration) {
         self.in_flight = self.in_flight.saturating_sub(bytes);
         if self.cwnd < self.ssthresh {
             // Slow start: cwnd += acked bytes.
@@ -120,7 +115,13 @@ impl Cubic {
     /// Packets were declared lost. `largest_sent` is the highest packet
     /// number sent so far (defines the recovery epoch); `largest_lost` the
     /// highest lost packet number; `bytes` the lost bytes (leave flight).
-    pub fn on_loss(&mut self, _now: SimTime, largest_sent: u64, largest_lost: u64, bytes: usize) {
+    pub(crate) fn on_loss(
+        &mut self,
+        _now: SimTime,
+        largest_sent: u64,
+        largest_lost: u64,
+        bytes: usize,
+    ) {
         self.in_flight = self.in_flight.saturating_sub(bytes);
         if let Some(until) = self.recovery_until {
             if largest_lost <= until {
@@ -135,17 +136,11 @@ impl Cubic {
     }
 
     /// Persistent congestion / repeated PTO: collapse to the minimum window.
-    pub fn on_persistent_congestion(&mut self) {
+    pub(crate) fn on_persistent_congestion(&mut self) {
         self.cwnd = (2 * self.mss) as f64;
         self.ssthresh = self.ssthresh.min(self.cwnd * 2.0);
         self.epoch_start = None;
         self.recovery_until = None;
-    }
-
-    /// Forget in-flight accounting for a packet that left the network
-    /// without an ACK (e.g. deemed lost but later acked — spurious).
-    pub fn forget_in_flight(&mut self, bytes: usize) {
-        self.in_flight = self.in_flight.saturating_sub(bytes);
     }
 }
 
@@ -160,7 +155,7 @@ mod tests {
     fn initial_window_is_ten_mss() {
         let c = Cubic::new(MSS);
         assert_eq!(c.cwnd(), 10 * MSS);
-        assert!(c.in_slow_start());
+        assert!(c.cwnd < c.ssthresh, "slow start");
         assert!(c.can_send(10 * MSS));
         assert!(!c.can_send(10 * MSS + 1));
     }
@@ -186,7 +181,7 @@ mod tests {
         let before = c.cwnd();
         c.on_loss(SimTime::from_millis(100), 50, 10, MSS);
         assert_eq!(c.cwnd(), (before as f64 * CUBIC_BETA) as usize);
-        assert!(!c.in_slow_start());
+        assert!(c.cwnd >= c.ssthresh, "out of slow start");
         assert_eq!(c.in_flight(), 4 * MSS);
     }
 
@@ -259,9 +254,5 @@ mod tests {
         assert_eq!(c.in_flight(), 3000);
         c.on_ack(SimTime::from_millis(60), 1000, RTT);
         assert_eq!(c.in_flight(), 2000);
-        c.forget_in_flight(500);
-        assert_eq!(c.in_flight(), 1500);
-        c.forget_in_flight(9999);
-        assert_eq!(c.in_flight(), 0);
     }
 }

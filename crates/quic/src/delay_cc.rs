@@ -32,7 +32,7 @@ const MIN_RTT_WINDOW: SimDuration = SimDuration::from_secs(10);
 
 /// The delay-based controller.
 #[derive(Debug, Clone)]
-pub struct DelayCc {
+pub(crate) struct DelayCc {
     mss: usize,
     /// Bottleneck-bandwidth samples (bytes/sec), newest last.
     bw_samples: Vec<(u64, f64)>,
@@ -54,7 +54,7 @@ pub struct DelayCc {
 
 impl DelayCc {
     /// New controller.
-    pub fn new(mss: usize) -> DelayCc {
+    pub(crate) fn new(mss: usize) -> DelayCc {
         DelayCc {
             mss,
             bw_samples: Vec::new(),
@@ -71,22 +71,22 @@ impl DelayCc {
     }
 
     /// Current window in bytes.
-    pub fn cwnd(&self) -> usize {
+    pub(crate) fn cwnd(&self) -> usize {
         self.cwnd
     }
 
     /// Bytes in flight.
-    pub fn in_flight(&self) -> usize {
+    pub(crate) fn in_flight(&self) -> usize {
         self.in_flight
     }
 
     /// Whether `bytes` more may enter the network.
-    pub fn can_send(&self, bytes: usize) -> bool {
+    pub(crate) fn can_send(&self, bytes: usize) -> bool {
         self.in_flight + bytes <= self.cwnd
     }
 
     /// Estimated bottleneck bandwidth in bytes/second.
-    pub fn btl_bw(&self) -> f64 {
+    pub(crate) fn btl_bw(&self) -> f64 {
         self.bw_samples
             .iter()
             .map(|&(_, bw)| bw)
@@ -94,13 +94,13 @@ impl DelayCc {
     }
 
     /// A packet entered the network.
-    pub fn on_sent(&mut self, bytes: usize) {
+    pub(crate) fn on_sent(&mut self, bytes: usize) {
         self.in_flight += bytes;
     }
 
     /// A packet was acknowledged; `rtt_sample` is the latest RTT
     /// measurement (pre-smoothing — delay CC wants the raw signal).
-    pub fn on_ack(&mut self, now: SimTime, bytes: usize, rtt_sample: SimDuration) {
+    pub(crate) fn on_ack(&mut self, now: SimTime, bytes: usize, rtt_sample: SimDuration) {
         self.in_flight = self.in_flight.saturating_sub(bytes);
 
         // Min-RTT filter with expiry.
@@ -144,21 +144,16 @@ impl DelayCc {
     }
 
     /// Losses leave the flight but do not collapse the model's window.
-    pub fn on_loss(&mut self, _now: SimTime, bytes: usize) {
+    pub(crate) fn on_loss(&mut self, _now: SimTime, bytes: usize) {
         self.in_flight = self.in_flight.saturating_sub(bytes);
     }
 
     /// Repeated PTOs: the model is stale — restart from a modest window.
-    pub fn on_persistent_congestion(&mut self) {
+    pub(crate) fn on_persistent_congestion(&mut self) {
         self.bw_samples.clear();
         self.epoch_bytes = 0;
         self.epoch_start = None;
         self.cwnd = 4 * self.mss;
-    }
-
-    /// Remove unaccounted in-flight bytes (e.g. abandoned streams).
-    pub fn forget_in_flight(&mut self, bytes: usize) {
-        self.in_flight = self.in_flight.saturating_sub(bytes);
     }
 }
 
@@ -258,8 +253,6 @@ mod tests {
         assert_eq!(cc.in_flight(), 5000);
         assert!(cc.can_send(cc.cwnd() - 5000));
         assert!(!cc.can_send(cc.cwnd()));
-        cc.forget_in_flight(2000);
-        assert_eq!(cc.in_flight(), 3000);
     }
 
     #[test]

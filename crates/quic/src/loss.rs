@@ -22,7 +22,7 @@ const PACKET_THRESHOLD: u64 = 3;
 /// A stream chunk carried by a sent packet (for retransmission / loss
 /// reporting when the packet is lost).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SentChunk {
+pub(crate) struct SentChunk {
     /// The stream.
     pub id: StreamId,
     /// Offset within the stream.
@@ -39,7 +39,7 @@ pub struct SentChunk {
 /// tracked: one that elicits no ACK is never acknowledged, so it can be
 /// neither acked nor declared lost.
 #[derive(Debug, Clone)]
-pub struct SentPacket {
+pub(crate) struct SentPacket {
     /// Packet number.
     pub pkt_num: u64,
     /// Send timestamp.
@@ -57,7 +57,7 @@ pub struct SentPacket {
 /// Result of processing one ACK frame. [`LossDetector::on_ack`] overwrites
 /// it, so one value's buffers serve every ACK of a connection.
 #[derive(Debug, Default)]
-pub struct AckOutcome {
+pub(crate) struct AckOutcome {
     /// Packets newly acknowledged.
     pub acked: Vec<SentPacket>,
     /// Packets newly declared lost (packet threshold or time threshold).
@@ -72,7 +72,7 @@ pub struct AckOutcome {
 
 /// The loss detector.
 #[derive(Debug, Default)]
-pub struct LossDetector {
+pub(crate) struct LossDetector {
     sent: BTreeMap<u64, SentPacket>,
     largest_acked: Option<u64>,
     pto_count: u32,
@@ -87,42 +87,37 @@ pub struct LossDetector {
 
 impl LossDetector {
     /// Fresh detector.
-    pub fn new() -> LossDetector {
+    pub(crate) fn new() -> LossDetector {
         LossDetector::default()
     }
 
     /// Turn delivery-rate sampling on or off. The `delivered` byte
     /// clock always runs; this only gates whether `on_ack` computes and
     /// buffers [`RateSample`]s for the controller.
-    pub fn set_rate_sampling(&mut self, on: bool) {
+    pub(crate) fn set_rate_sampling(&mut self, on: bool) {
         self.sample_rates = on;
     }
 
     /// Record a sent ack-eliciting packet.
-    pub fn on_sent(&mut self, pkt: SentPacket) {
+    pub(crate) fn on_sent(&mut self, pkt: SentPacket) {
         self.sent.insert(pkt.pkt_num, pkt);
     }
 
     /// Number of tracked (unacked, undeclared) packets.
-    pub fn outstanding(&self) -> usize {
+    pub(crate) fn outstanding(&self) -> usize {
         self.sent.len()
-    }
-
-    /// Largest acknowledged packet number.
-    pub fn largest_acked(&self) -> Option<u64> {
-        self.largest_acked
     }
 
     /// Cumulative bytes delivered (acked) on this path. Monotone; new
     /// packets snapshot it into [`SentPacket::delivered_at_send`].
-    pub fn delivered_bytes(&self) -> u64 {
+    pub(crate) fn delivered_bytes(&self) -> u64 {
         self.delivered
     }
 
     /// Structural audit: tracked packets agree with their keys and send
     /// times are monotone in packet number. Used by the `paranoid`
     /// runtime layer (DESIGN.md §10).
-    pub fn check_invariants(&self) -> Result<(), String> {
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
         let mut prev: Option<(u64, voxel_sim::SimTime)> = None;
         for (&pn, pkt) in &self.sent {
             if pkt.pkt_num != pn {
@@ -141,14 +136,9 @@ impl LossDetector {
         Ok(())
     }
 
-    /// Consecutive PTO count (reset by forward progress).
-    pub fn pto_count(&self) -> u32 {
-        self.pto_count
-    }
-
     /// Process an ACK frame's ranges (highest first, each inclusive and
     /// in either orientation) into `out`, which is cleared first.
-    pub fn on_ack(
+    pub(crate) fn on_ack(
         &mut self,
         now: SimTime,
         ranges: &[(u64, u64)],
@@ -240,7 +230,11 @@ impl LossDetector {
     /// monotone in packet number ([`LossDetector::check_invariants`]), so
     /// the oldest packet is the first entry and the most recent the last:
     /// nothing here walks the flight.
-    pub fn next_timeout(&self, rtt: &RttEstimator, max_ack_delay: SimDuration) -> Option<SimTime> {
+    pub(crate) fn next_timeout(
+        &self,
+        rtt: &RttEstimator,
+        max_ack_delay: SimDuration,
+    ) -> Option<SimTime> {
         // Time-threshold deadline for the oldest packet below largest_acked.
         let loss_deadline = self.largest_acked.and_then(|largest| {
             let (_, oldest) = self.sent.range(..largest).next()?;
@@ -261,7 +255,7 @@ impl LossDetector {
     /// nothing was declared lost, treat it as a PTO — bump the backoff and
     /// hand back the reliable chunks of the oldest outstanding packet, the
     /// data a probe re-sends.
-    pub fn on_timeout(&mut self, now: SimTime, rtt: &RttEstimator) -> TimeoutOutcome {
+    pub(crate) fn on_timeout(&mut self, now: SimTime, rtt: &RttEstimator) -> TimeoutOutcome {
         let mut lost = Vec::new();
         self.detect_lost(now, rtt, &mut lost);
         if !lost.is_empty() {
@@ -288,7 +282,7 @@ impl LossDetector {
 
 /// What a timeout produced.
 #[derive(Debug)]
-pub enum TimeoutOutcome {
+pub(crate) enum TimeoutOutcome {
     /// Time-threshold losses were declared.
     Lost(Vec<SentPacket>),
     /// A probe timeout fired.
@@ -353,7 +347,7 @@ mod tests {
         assert_eq!(sample, SimDuration::from_millis(60)); // pn 1 sent at 5ms
         assert_eq!(delay, SimDuration::from_millis(2));
         assert_eq!(d.outstanding(), 0);
-        assert_eq!(d.largest_acked(), Some(1));
+        assert_eq!(d.largest_acked, Some(1));
     }
 
     #[test]
@@ -470,7 +464,7 @@ mod tests {
         let rtt = rtt60();
         let t = d.next_timeout(&rtt, SimDuration::ZERO).unwrap();
         d.on_timeout(t, &rtt);
-        assert_eq!(d.pto_count(), 1);
+        assert_eq!(d.pto_count, 1);
         d.on_sent(pkt(1, 300));
         ack(
             &mut d,
@@ -479,7 +473,7 @@ mod tests {
             SimDuration::ZERO,
             &rtt,
         );
-        assert_eq!(d.pto_count(), 0);
+        assert_eq!(d.pto_count, 0);
     }
 
     #[test]
@@ -499,7 +493,7 @@ mod tests {
             TimeoutOutcome::Lost(lost) => assert_eq!(lost[0].pkt_num, 0),
             other => panic!("expected losses, got {other:?}"),
         }
-        assert_eq!(d.pto_count(), 0);
+        assert_eq!(d.pto_count, 0);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use voxel_sim::SimDuration;
 
 /// Smoothed RTT estimator.
 #[derive(Debug, Clone)]
-pub struct RttEstimator {
+pub(crate) struct RttEstimator {
     srtt: Option<SimDuration>,
     rttvar: SimDuration,
     min_rtt: SimDuration,
@@ -23,7 +23,7 @@ impl Default for RttEstimator {
 
 impl RttEstimator {
     /// Fresh estimator with no samples.
-    pub fn new() -> RttEstimator {
+    pub(crate) fn new() -> RttEstimator {
         RttEstimator {
             srtt: None,
             rttvar: SimDuration::from_micros(INITIAL_RTT.as_micros() / 2),
@@ -35,7 +35,7 @@ impl RttEstimator {
     /// Incorporate a sample: measured RTT minus the peer's reported ACK
     /// delay (the delay is only subtracted when it doesn't take the sample
     /// below the observed minimum, per RFC 9002).
-    pub fn update(&mut self, rtt: SimDuration, ack_delay: SimDuration) {
+    pub(crate) fn update(&mut self, rtt: SimDuration, ack_delay: SimDuration) {
         self.latest = rtt;
         self.min_rtt = self.min_rtt.min(rtt);
         let adjusted = if rtt.saturating_sub(ack_delay) >= self.min_rtt {
@@ -65,45 +65,26 @@ impl RttEstimator {
     }
 
     /// Smoothed RTT (initial guess before any sample).
-    pub fn srtt(&self) -> SimDuration {
+    pub(crate) fn srtt(&self) -> SimDuration {
         self.srtt.unwrap_or(INITIAL_RTT)
     }
 
-    /// RTT variance.
-    pub fn rttvar(&self) -> SimDuration {
-        self.rttvar
-    }
-
-    /// Minimum observed RTT.
-    pub fn min_rtt(&self) -> SimDuration {
-        if self.min_rtt == SimDuration::MAX {
-            INITIAL_RTT
-        } else {
-            self.min_rtt
-        }
-    }
-
     /// Latest sample.
-    pub fn latest(&self) -> SimDuration {
+    pub(crate) fn latest(&self) -> SimDuration {
         self.latest
     }
 
     /// Probe timeout: `srtt + max(4·rttvar, 1ms) + max_ack_delay`.
-    pub fn pto(&self, max_ack_delay: SimDuration) -> SimDuration {
+    pub(crate) fn pto(&self, max_ack_delay: SimDuration) -> SimDuration {
         self.srtt()
             + SimDuration::from_micros((4 * self.rttvar.as_micros()).max(1_000))
             + max_ack_delay
     }
 
     /// Loss-detection time threshold: `9/8 · max(srtt, latest)`.
-    pub fn loss_time_threshold(&self) -> SimDuration {
+    pub(crate) fn loss_time_threshold(&self) -> SimDuration {
         let base = self.srtt().max(self.latest);
         SimDuration::from_micros(base.as_micros() * 9 / 8)
-    }
-
-    /// Whether any real sample has been observed.
-    pub fn has_sample(&self) -> bool {
-        self.srtt.is_some()
     }
 }
 
@@ -116,12 +97,12 @@ mod tests {
     #[test]
     fn first_sample_initializes() {
         let mut r = RttEstimator::new();
-        assert!(!r.has_sample());
+        assert!(r.srtt.is_none());
         r.update(MS(60), SimDuration::ZERO);
-        assert!(r.has_sample());
+        assert!(r.srtt.is_some());
         assert_eq!(r.srtt(), MS(60));
-        assert_eq!(r.rttvar(), MS(30));
-        assert_eq!(r.min_rtt(), MS(60));
+        assert_eq!(r.rttvar, MS(30));
+        assert_eq!(r.min_rtt, MS(60));
     }
 
     #[test]
@@ -132,7 +113,7 @@ mod tests {
         // srtt = 7/8*100 + 1/8*60 = 95 ms
         assert_eq!(r.srtt().as_micros(), 95_000);
         // rttvar = 3/4*50 + 1/4*40 = 47.5 ms
-        assert_eq!(r.rttvar().as_micros(), 47_500);
+        assert_eq!(r.rttvar.as_micros(), 47_500);
     }
 
     #[test]
@@ -154,7 +135,7 @@ mod tests {
         for ms in [90, 60, 120, 45, 200] {
             r.update(MS(ms), SimDuration::ZERO);
         }
-        assert_eq!(r.min_rtt(), MS(45));
+        assert_eq!(r.min_rtt, MS(45));
         assert_eq!(r.latest(), MS(200));
     }
 
@@ -179,7 +160,7 @@ mod tests {
     fn defaults_before_samples() {
         let r = RttEstimator::new();
         assert_eq!(r.srtt(), MS(100));
-        assert_eq!(r.min_rtt(), MS(100));
+        assert_eq!(r.min_rtt, SimDuration::MAX, "no sample yet");
         assert!(r.pto(SimDuration::ZERO) >= MS(100));
     }
 }

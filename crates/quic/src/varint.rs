@@ -6,10 +6,10 @@
 use bytes::{Buf, BufMut};
 
 /// Maximum value representable as a QUIC varint (2^62 - 1).
-pub const MAX: u64 = (1 << 62) - 1;
+pub(crate) const MAX: u64 = (1 << 62) - 1;
 
 /// Encoded size of `v` in bytes.
-pub fn size(v: u64) -> usize {
+pub(crate) fn size(v: u64) -> usize {
     if v < 1 << 6 {
         1
     } else if v < 1 << 14 {
@@ -23,7 +23,7 @@ pub fn size(v: u64) -> usize {
 }
 
 /// Append the varint encoding of `v` to `buf`.
-pub fn write(buf: &mut impl BufMut, v: u64) {
+pub(crate) fn write(buf: &mut impl BufMut, v: u64) {
     match size(v) {
         1 => buf.put_u8(v as u8),
         2 => buf.put_u16(0b01 << 14 | v as u16),
@@ -33,7 +33,7 @@ pub fn write(buf: &mut impl BufMut, v: u64) {
 }
 
 /// Decode a varint from the front of `buf`; `None` on truncation.
-pub fn read(buf: &mut impl Buf) -> Option<u64> {
+pub(crate) fn read(buf: &mut impl Buf) -> Option<u64> {
     if buf.remaining() < 1 {
         return None;
     }

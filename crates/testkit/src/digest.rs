@@ -8,12 +8,19 @@
 //! mismatch. Canonical digests live under `tests/golden/` and are
 //! re-blessed with `VOXEL_BLESS=1 cargo test` after intentional behavior
 //! changes.
+//!
+//! A golden run is also held to the DESIGN.md §9 taxonomy
+//! ([`voxel_trace::KINDS`], [`voxel_trace::METRICS`]): every timeline line
+//! must match its kind's row, field names in order, and every metric in
+//! the run's snapshot must have a row of the same shape.
 
 use crate::fleet::{edge_hot_invariants, shard_parity_failures};
 use crate::runner::{run_scenario, Content};
 use crate::scenario::Spec;
+use std::collections::BTreeSet;
 use std::path::Path;
 use voxel_fleet::FleetResult;
+use voxel_trace::{Kind, MetricShape, MetricsSnapshot, KINDS, METRICS};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -192,9 +199,12 @@ pub struct GoldenRun {
     /// The raw JSONL timeline (a scenario's single trial; a fleet's
     /// reference worker count).
     pub timeline: Vec<u8>,
-    /// Oracle violations — and, for fleets, every cross-worker-count
-    /// divergence (empty = the digest is worth checking).
+    /// Oracle violations, taxonomy mismatches and, for fleets, every
+    /// cross-worker-count divergence (empty = the digest is worth
+    /// checking).
     pub failures: Vec<String>,
+    /// The taxonomy rows the run produced.
+    pub emitted: Emitted,
     /// Flight-recorder dump of the run's tail, when an oracle fired.
     pub postmortem: Option<String>,
     /// The fleet's result, for a fleet golden.
@@ -205,41 +215,176 @@ pub struct GoldenRun {
 /// armed. A fleet runs as a sharded-parity sweep over `workers`
 /// ([`shard_parity_failures`]; the first count's timeline is the digest
 /// candidate), and the hot edge golden also answers to the hot-cache
-/// oracles. `workers` is ignored for scenarios.
+/// oracles. Either kind's timeline and metrics are then held to the
+/// taxonomy. `workers` is ignored for scenarios.
 pub fn run_golden(
     g: &Golden,
     content: &mut Content,
     workers: &[usize],
 ) -> Result<GoldenRun, String> {
-    match Spec::parse(g.spec)? {
+    let (timeline, mut failures, postmortem, fleet, metrics) = match Spec::parse(g.spec)? {
         Spec::Scenario(scenario) => {
             let run = run_scenario(&scenario, g.seed, content)?;
-            let timeline = run
+            let trial = run
                 .trials
                 .into_iter()
                 .next()
-                .map(|t| t.timeline)
                 .ok_or_else(|| format!("golden {} produced no trials", g.name))?;
-            Ok(GoldenRun {
-                timeline,
-                failures: run.failures,
-                postmortem: run.postmortems.into_iter().next(),
-                fleet: None,
-            })
+            let postmortem = run.postmortems.into_iter().next();
+            let metrics = trial.result.metrics;
+            (trial.timeline, run.failures, postmortem, None, metrics)
         }
         Spec::Fleet(spec) => {
             let (run, mut failures) = shard_parity_failures(g.name, &spec, content, workers)?;
             if g.name == EDGE_HOT_GOLDEN {
                 failures.extend(edge_hot_invariants(&run.result));
             }
-            Ok(GoldenRun {
-                timeline: run.timeline,
-                failures,
-                postmortem: run.postmortem,
-                fleet: Some(run.result),
-            })
+            let fleet = Some(run.result);
+            (run.timeline, failures, run.postmortem, fleet, run.metrics)
+        }
+    };
+    let (emitted, mismatches) = taxonomy_check(&timeline, metrics.as_ref());
+    failures.extend(mismatches);
+    Ok(GoldenRun {
+        timeline,
+        failures,
+        emitted,
+        postmortem,
+        fleet,
+    })
+}
+
+/// The taxonomy rows one run produced, by name (kind names are unique
+/// across layers, and metric names are prefixed by theirs).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Emitted {
+    /// [`KINDS`] rows with at least one timeline line.
+    pub kinds: BTreeSet<&'static str>,
+    /// [`METRICS`] rows present in the run's snapshot.
+    pub metrics: BTreeSet<&'static str>,
+}
+
+/// Hold a timeline and its metrics snapshot to the taxonomy. Returns the
+/// rows the run produced, and one failure per offending kind (quoting
+/// its first line) or metric.
+fn taxonomy_check(timeline: &[u8], metrics: Option<&MetricsSnapshot>) -> (Emitted, Vec<String>) {
+    let mut emitted = Emitted::default();
+    let mut failures = Vec::new();
+    let mut reported = BTreeSet::new();
+    for (n, line) in timeline.split(|&b| b == b'\n').enumerate() {
+        if line.is_empty() {
+            continue;
+        }
+        match check_line(line) {
+            Ok(row) => {
+                emitted.kinds.insert(row.kind);
+            }
+            Err((key, why)) => {
+                if reported.insert(key) {
+                    let line = String::from_utf8_lossy(line);
+                    failures.push(format!("taxonomy: timeline line {}: {why}: {line}", n + 1));
+                }
+            }
         }
     }
+    let Some(snap) = metrics else {
+        return (emitted, failures);
+    };
+    let counters = snap.counters.iter().map(|(n, _)| (n, MetricShape::Counter));
+    let histograms = snap
+        .histograms
+        .iter()
+        .map(|(n, _)| (n, MetricShape::Histogram));
+    for (name, shape) in counters.chain(histograms) {
+        match METRICS.iter().find(|m| m.name == name) {
+            Some(m) if m.shape == shape => {
+                emitted.metrics.insert(m.name);
+            }
+            Some(m) => failures.push(format!(
+                "taxonomy: metric `{name}` is a {shape} in the snapshot but a {} in METRICS",
+                m.shape
+            )),
+            None => failures.push(format!("taxonomy: metric `{name}` has no METRICS row")),
+        }
+    }
+    (emitted, failures)
+}
+
+/// Match one line in the tracer's canonical form — the header
+/// `{"t":D,"seq":D,"sid":D,"layer":"L","kind":"K"`, then one `"name":value`
+/// pair per field — against its [`KINDS`] row: the row must exist and
+/// list exactly the line's field names, in order. An error carries the
+/// key it is reported under (one report per kind) and what is wrong.
+fn check_line(line: &[u8]) -> Result<&'static Kind, (String, String)> {
+    let malformed = || ("header".to_string(), "not a canonical event".to_string());
+    let mut rest = line.strip_prefix(b"{\"t\":").ok_or_else(malformed)?;
+    for key in [&b",\"seq\":"[..], b",\"sid\":", b",\"layer\":\""] {
+        let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+        rest = rest[digits..].strip_prefix(key).ok_or_else(malformed)?;
+    }
+    let (layer, rest) = until_quote(rest).ok_or_else(malformed)?;
+    let rest = rest.strip_prefix(b",\"kind\":\"").ok_or_else(malformed)?;
+    let (kind, fields) = until_quote(rest).ok_or_else(malformed)?;
+    let text = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
+    let row = KINDS
+        .iter()
+        .find(|k| k.kind.as_bytes() == kind && k.layer.as_str().as_bytes() == layer)
+        .ok_or_else(|| {
+            let (layer, kind) = (text(layer), text(kind));
+            (
+                format!("{layer}/{kind}"),
+                format!("no KINDS row for layer `{layer}` kind `{kind}`"),
+            )
+        })?;
+    let mut want = row.fields.iter();
+    let mut same = true;
+    let mut rest = fields;
+    while let Some((name, tail)) = next_field(rest) {
+        same &= want.next().is_some_and(|w| w.as_bytes() == name);
+        rest = tail;
+    }
+    if rest != b"}" {
+        return Err(malformed());
+    }
+    if !same || want.next().is_some() {
+        let names: Vec<String> = std::iter::successors(next_field(fields), |&(_, t)| next_field(t))
+            .map(|(name, _)| text(name))
+            .collect();
+        return Err((
+            row.kind.to_string(),
+            format!(
+                "`{}` carries fields {names:?}, its KINDS row {:?}",
+                row.kind, row.fields
+            ),
+        ));
+    }
+    Ok(row)
+}
+
+/// Split at the next `"`: the text before it, and what follows it.
+fn until_quote(b: &[u8]) -> Option<(&[u8], &[u8])> {
+    let at = b.iter().position(|&c| c == b'"')?;
+    Some((&b[..at], &b[at + 1..]))
+}
+
+/// One `,"name":value` pair: the name, and what follows the value (a
+/// string with its escapes, or a bare number, `true`, `false` or `null`).
+fn next_field(b: &[u8]) -> Option<(&[u8], &[u8])> {
+    let (name, rest) = until_quote(b.strip_prefix(b",\"")?)?;
+    let value = rest.strip_prefix(b":")?;
+    let end = if value.first() == Some(&b'"') {
+        let mut i = 1;
+        while i < value.len() && value[i] != b'"' {
+            i += if value[i] == b'\\' { 2 } else { 1 };
+        }
+        (i + 1).min(value.len())
+    } else {
+        value
+            .iter()
+            .position(|&c| c == b',' || c == b'}')
+            .unwrap_or(value.len())
+    };
+    Some((name, &value[end..]))
 }
 
 #[cfg(test)]
@@ -275,6 +420,39 @@ mod tests {
         let b = timeline_digest(b"{\"t\":1}\n{\"t\":3}\n");
         assert_eq!(b.events, 2);
         assert_ne!(a.hash, b.hash);
+    }
+
+    #[test]
+    fn lines_are_matched_to_their_kinds_row() {
+        let ok = r#"{"t":5,"seq":0,"sid":3,"layer":"quic","kind":"pto","count":1,"cwnd":2800}"#;
+        assert_eq!(check_line(ok.as_bytes()).map(|k| k.kind), Ok("pto"));
+        // String values may hold escapes, commas and braces.
+        let path = r#"{"t":0,"seq":1,"sid":0,"layer":"http","kind":"request","stream":4,"path":"/a\",b}:","unreliable":false}"#;
+        assert_eq!(check_line(path.as_bytes()).map(|k| k.kind), Ok("request"));
+        for bad in [
+            r#"{"t":5,"seq":0,"sid":3,"layer":"quic","kind":"pto","cwnd":2800,"count":1}"#,
+            r#"{"t":5,"seq":0,"sid":3,"layer":"quic","kind":"pto","count":1}"#,
+            r#"{"t":5,"seq":0,"sid":3,"layer":"http","kind":"pto","count":1,"cwnd":2800}"#,
+            r#"{"t":5,"seq":0,"sid":3,"layer":"quic","kind":"pto","count":1,"cwnd":2800"#,
+            "pto",
+        ] {
+            assert!(check_line(bad.as_bytes()).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn taxonomy_check_reports_once_per_kind_and_each_bad_metric() {
+        let line = r#"{"t":5,"seq":0,"sid":3,"layer":"quic","kind":"pto","count":1}"#;
+        let timeline = format!("{line}\n{line}\n");
+        let mut snap = voxel_trace::MetricsRegistry::new().snapshot(voxel_sim::SimTime::ZERO);
+        snap.set_counter("quic.ptos", 2);
+        snap.set_counter("quic.srtt_us", 1);
+        snap.set_counter("quic.mystery", 1);
+        let (emitted, failures) = taxonomy_check(timeline.as_bytes(), Some(&snap));
+        assert_eq!(failures.len(), 3, "{failures:?}");
+        assert!(failures[0].contains("timeline line 1"), "{failures:?}");
+        assert!(emitted.kinds.is_empty());
+        assert_eq!(emitted.metrics, BTreeSet::from(["quic.ptos"]));
     }
 
     #[test]

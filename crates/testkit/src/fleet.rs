@@ -10,7 +10,8 @@
 use crate::runner::Content;
 use voxel_fleet::{run_fleet, CcKind, FleetResult, FleetSpec};
 use voxel_obs::FlightRecorder;
-use voxel_trace::{JsonlSink, SharedBuf, Tracer};
+use voxel_sim::SimTime;
+use voxel_trace::{JsonlSink, MetricsSnapshot, SharedBuf, Tracer};
 
 /// Homogeneous fleets must land at least this fair (Jain index) — CUBIC
 /// flows with identical ABRs on one DRR link have no excuse not to.
@@ -252,12 +253,14 @@ pub fn edge_hot_invariants(r: &FleetResult) -> Vec<String> {
     v
 }
 
-/// One traced fleet run: its timeline, oracle verdict, the full
-/// [`FleetResult`], and — when an oracle fired — the flight-recorder
+/// One traced fleet run: its timeline and metrics, oracle verdict, the
+/// full [`FleetResult`], and — when an oracle fired — the flight-recorder
 /// postmortem of the run's tail.
 pub struct FleetRun {
     /// The raw JSONL timeline (what a digest is taken over).
     pub timeline: Vec<u8>,
+    /// The fleet tracer's metrics at the end of the run.
+    pub metrics: Option<MetricsSnapshot>,
     /// Cross-session oracle violations (empty = passed).
     pub failures: Vec<String>,
     /// Last-events dump, present exactly when `failures` is non-empty.
@@ -277,12 +280,13 @@ pub fn run_fleet_traced(spec: &FleetSpec, content: &Content) -> Result<FleetRun,
     );
     let result = {
         let _bound = voxel_obs::install_recorder(&recorder);
-        run_fleet(spec, content.cache(), tracer)?
+        run_fleet(spec, content.cache(), tracer.clone())?
     };
     let failures = fleet_invariants(spec, &result);
     let postmortem = failures.first().map(|first| recorder.postmortem(first));
     Ok(FleetRun {
         timeline: buf.take(),
+        metrics: tracer.metrics_snapshot(SimTime::from_secs_f64(result.end_s)),
         failures,
         postmortem,
         result,

@@ -40,7 +40,8 @@ pub mod scenario;
 pub mod sweep;
 
 pub use digest::{
-    check_or_bless, fnv64, run_golden, timeline_digest, Golden, GoldenRun, GoldenStatus, GOLDENS,
+    check_or_bless, fnv64, run_golden, timeline_digest, Emitted, Golden, GoldenRun, GoldenStatus,
+    GOLDENS,
 };
 pub use fleet::{
     cc_group_shares, edge_hot_invariants, fleet_invariants, run_fleet_traced,

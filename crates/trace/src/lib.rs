@@ -14,8 +14,11 @@
 //! - [`TraceSink`] implementations: [`NullSink`], ring-buffered
 //!   [`MemorySink`], [`StderrSink`] (human-readable), and [`JsonlSink`]
 //!   (one JSON object per line, replayable).
-//! - [`MetricsRegistry`]: counters, gauges, and log-scale-bucket
+//! - [`MetricsRegistry`]: counters and log-scale-bucket
 //!   [`Histogram`]s, snapshotable at any sim time.
+//! - [`KINDS`] and [`METRICS`]: the taxonomy every timeline line and
+//!   metric name belongs to (DESIGN.md §9, rendered by
+//!   [`taxonomy_markdown`]).
 //!
 //! Everything is deterministic: identically-seeded sessions produce
 //! byte-identical JSONL streams (event order, sequence numbers, and float
@@ -25,11 +28,13 @@ mod event;
 mod json;
 mod metrics;
 mod sink;
+mod taxonomy;
 mod tracer;
 
 pub use event::{Layer, TraceEvent, Value};
 pub use metrics::{Histogram, HistogramSummary, MetricsRegistry, MetricsSnapshot};
 pub use sink::{JsonlSink, MemoryHandle, MemorySink, NullSink, SharedBuf, StderrSink, TraceSink};
+pub use taxonomy::{taxonomy_markdown, Kind, Metric, MetricShape, KINDS, METRICS};
 pub use tracer::Tracer;
 
 /// Emit a structured event through a [`Tracer`], paying for field
@@ -41,8 +46,7 @@ pub use tracer::Tracer;
 /// use voxel_sim::SimTime;
 ///
 /// let (tracer, handle) = Tracer::memory(1, 64);
-/// trace_event!(tracer, SimTime::from_millis(5), Layer::Player, "stall_start",
-///              "buffer_s" = 0.0, "segment" = 7u64);
+/// trace_event!(tracer, SimTime::from_millis(5), Layer::Player, "stall_start", "seg" = 7u64);
 /// assert_eq!(handle.events().len(), 1);
 /// ```
 #[macro_export]

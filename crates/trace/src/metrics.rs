@@ -1,4 +1,4 @@
-//! Counters, gauges, and log-scale histograms, snapshotable at any sim time.
+//! Counters and log-scale histograms, snapshotable at any sim time.
 
 use crate::json;
 use voxel_sim::SimTime;
@@ -247,14 +247,13 @@ impl<V> Table<V> {
     }
 }
 
-/// Registry of named counters, gauges, and histograms.
+/// Registry of named counters and histograms.
 ///
 /// Names are `&'static str` so the instrumented hot paths never allocate
 /// for metric bookkeeping, and find their slot by the name's address.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     counters: Table<u64>,
-    gauges: Table<f64>,
     histograms: Table<Histogram>,
 }
 
@@ -267,11 +266,6 @@ impl MetricsRegistry {
     /// Add `delta` to a counter (creating it at zero).
     pub fn count(&mut self, name: &'static str, delta: u64) {
         *self.counters.slot(name) += delta;
-    }
-
-    /// Set a gauge to its latest value.
-    pub fn gauge(&mut self, name: &'static str, v: f64) {
-        *self.gauges.slot(name) = v;
     }
 
     /// Record a histogram sample.
@@ -289,7 +283,6 @@ impl MetricsRegistry {
         MetricsSnapshot {
             at,
             counters: self.counters.sorted(|&v| v),
-            gauges: self.gauges.sorted(|&v| v),
             histograms: self.histograms.sorted(|h| HistogramSummary {
                 count: h.count(),
                 mean: h.mean(),
@@ -310,8 +303,6 @@ pub struct MetricsSnapshot {
     pub at: SimTime,
     /// Counter name → value.
     pub counters: Vec<(String, u64)>,
-    /// Gauge name → latest value.
-    pub gauges: Vec<(String, f64)>,
     /// Histogram name → summary.
     pub histograms: Vec<(String, HistogramSummary)>,
 }
@@ -373,8 +364,6 @@ impl MetricsSnapshot {
         json::write_u64(&mut out, self.at.as_micros());
         out.extend_from_slice(b",\"counters\":");
         object(&mut out, &self.counters, |o, &v| json::write_u64(o, v));
-        out.extend_from_slice(b",\"gauges\":");
-        object(&mut out, &self.gauges, |o, &v| json::write_f64(o, v));
         out.extend_from_slice(b",\"histograms\":");
         object(&mut out, &self.histograms, write_histogram);
         out.push(b'}');
@@ -549,17 +538,12 @@ mod tests {
         #[derive(Default)]
         pub(super) struct Registry {
             counters: BTreeMap<&'static str, u64>,
-            gauges: BTreeMap<&'static str, f64>,
             histograms: BTreeMap<&'static str, Histogram>,
         }
 
         impl Registry {
             pub(super) fn count(&mut self, name: &'static str, delta: u64) {
                 *self.counters.entry(name).or_insert(0) += delta;
-            }
-
-            pub(super) fn gauge(&mut self, name: &'static str, v: f64) {
-                self.gauges.insert(name, v);
             }
 
             pub(super) fn observe(&mut self, name: &'static str, v: u64) {
@@ -580,11 +564,6 @@ mod tests {
                     at,
                     counters: self
                         .counters
-                        .iter()
-                        .map(|(&k, &v)| (k.to_string(), v))
-                        .collect(),
-                    gauges: self
-                        .gauges
                         .iter()
                         .map(|(&k, &v)| (k.to_string(), v))
                         .collect(),
@@ -609,19 +588,6 @@ mod tests {
                 write_json_string(name, &mut out);
                 out.push(':');
                 out.push_str(&v.to_string());
-            }
-            out.push_str("},\"gauges\":{");
-            for (i, (name, v)) in s.gauges.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_json_string(name, &mut out);
-                out.push(':');
-                if v.is_finite() {
-                    out.push_str(&v.to_string());
-                } else {
-                    out.push_str("null");
-                }
             }
             out.push_str("},\"histograms\":{");
             for (i, (name, h)) in s.histograms.iter().enumerate() {
@@ -651,7 +617,7 @@ mod tests {
         /// including when two distinct `&'static str`s spell one name.
         #[test]
         fn address_keyed_registry_matches_a_btreemap(
-            ops in proptest::collection::vec((0u8..3, 0usize..22, 0u64..=u64::MAX), 0..120),
+            ops in proptest::collection::vec((0u8..2, 0usize..22, 0u64..=u64::MAX), 0..120),
             at in 0u64..1_000_000_000,
         ) {
             let dup = dup_name();
@@ -671,11 +637,6 @@ mod tests {
                         reg.count(name, v % 1000);
                         reference.count(name, v % 1000);
                     }
-                    1 => {
-                        let g = (v % 10_000) as f64 / 7.0;
-                        reg.gauge(name, g);
-                        reference.gauge(name, g);
-                    }
                     _ => {
                         reg.observe(name, v >> (v % 64));
                         reference.observe(name, v >> (v % 64));
@@ -693,13 +654,11 @@ mod tests {
         }
 
         /// `MetricsSnapshot::to_json` writes any snapshot (names needing
-        /// escapes, non-finite gauges, extreme integers) as the `String`
+        /// escapes, extreme integers) as the `String`
         /// builder did.
         #[test]
         fn snapshot_json_matches_the_reference_writer(
             counters in proptest::collection::vec(
-                (proptest::collection::vec(0usize..64, 0..8), 0u64..=u64::MAX), 0..5),
-            gauges in proptest::collection::vec(
                 (proptest::collection::vec(0usize..64, 0..8), 0u64..=u64::MAX), 0..5),
             histograms in proptest::collection::vec(
                 (0u64..=u64::MAX, 0u64..=u64::MAX, 0.0f64..1e12), 0..4),
@@ -709,10 +668,6 @@ mod tests {
             let snap = MetricsSnapshot {
                 at: SimTime::from_micros(at),
                 counters: counters.iter().map(|(p, v)| (string_from(p), *v)).collect(),
-                gauges: gauges
-                    .iter()
-                    .map(|(p, bits)| (string_from(p), f64::from_bits(*bits)))
-                    .collect(),
                 histograms: histograms
                     .iter()
                     .map(|&(a, b, x)| {
@@ -736,19 +691,15 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_gauges_snapshot_semantics() {
+    fn counters_and_histograms_snapshot_semantics() {
         let mut reg = MetricsRegistry::new();
         reg.count("quic.packets_sent", 2);
         reg.count("quic.packets_sent", 3);
-        reg.gauge("player.buffer_s", 1.5);
-        reg.gauge("player.buffer_s", 9.75);
         reg.observe("quic.srtt_us", 60_000);
         let snap = reg.snapshot(SimTime::from_secs(12));
         assert_eq!(snap.at, SimTime::from_secs(12));
         assert_eq!(snap.counter("quic.packets_sent"), 5);
         assert_eq!(snap.counter("missing"), 0);
-        // Gauges keep the latest value only.
-        assert_eq!(snap.gauges, vec![("player.buffer_s".to_string(), 9.75)]);
         let h = snap.histogram("quic.srtt_us").unwrap();
         assert_eq!(h.count, 1);
         assert_eq!(h.p50, 60_000.0);
@@ -762,7 +713,6 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         reg.count("b.second", 1);
         reg.count("a.first", 2);
-        reg.gauge("g", 0.5);
         reg.observe("h", 8);
         let json = reg.snapshot(SimTime::from_micros(42)).to_json();
         assert_eq!(json, reg.snapshot(SimTime::from_micros(42)).to_json());
@@ -770,7 +720,6 @@ mod tests {
         let b = json.find("b.second").unwrap();
         assert!(a < b, "counters sorted by name: {json}");
         assert!(json.starts_with("{\"at\":42,"));
-        assert!(json.contains("\"g\":0.5"));
         assert!(json.contains("\"count\":1"));
     }
 }

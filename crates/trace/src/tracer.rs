@@ -132,13 +132,6 @@ impl Tracer {
         }
     }
 
-    /// Set the named gauge.
-    pub fn gauge(&self, name: &'static str, v: f64) {
-        if let Some(inner) = &self.inner {
-            inner.lock().metrics.gauge(name, v);
-        }
-    }
-
     /// Record a histogram sample.
     pub fn observe(&self, name: &'static str, v: u64) {
         if let Some(inner) = &self.inner {
@@ -184,7 +177,6 @@ mod tests {
         assert_eq!(t.session_id(), 0);
         t.count("x", 1);
         t.observe("y", 2);
-        t.gauge("z", 3.0);
         trace_event!(t, SimTime::ZERO, Layer::Quic, "pkt_sent", "pn" = 1u64);
         assert!(t.metrics_snapshot(SimTime::ZERO).is_none());
         t.flush();

@@ -7,8 +7,10 @@
 //! `VOXEL_BLESS=1 cargo test --test golden_digests` and commit the
 //! updated `tests/golden/*.digest` files alongside the change.
 
+use std::collections::BTreeSet;
 use std::path::Path;
 use voxel::testkit::{check_or_bless, run_golden, Content, Golden, GoldenStatus, Spec, GOLDENS};
+use voxel::trace::{MetricShape, KINDS, METRICS};
 
 /// The single-session goldens: tier-1 runs and checks these here; the
 /// fleet goldens are run (and their digests checked) by
@@ -127,5 +129,87 @@ fn canonical_timelines_match_their_golden_digests() {
                 g.name
             ),
         }
+    }
+}
+
+/// The other direction of the taxonomy check (DESIGN.md §9): `run_golden`
+/// holds every line and metric a golden emits to `KINDS` and `METRICS`;
+/// here every row must be emitted by some golden run. The T-Mobile golden
+/// (split transport, partial reliability, PTOs, abandons) and the hot edge
+/// fleet produce all kinds but the two stall kinds, because no golden
+/// stalls; a short run below the ladder's lowest bitrate covers those.
+/// The profiler armed over the runs reports the profiler-owned `obs.*`
+/// names.
+#[test]
+fn every_taxonomy_row_is_emitted_by_a_golden_run() {
+    /// Rows no golden run produces, each with the reason.
+    const EXCEPTIONS: [(&str, &str); 2] = [
+        (
+            "quic.btlbw_bps",
+            "BBR only: no scenario golden runs BBR, and a fleet keeps its \
+             sessions' transport metrics off its tracer",
+        ),
+        (
+            "trace.dropped",
+            "lossy sinks only: a golden's timeline goes to an unbounded \
+             buffer (voxel-trace's tracer tests pin the ring's count)",
+        ),
+    ];
+    static STALLS: Golden = Golden {
+        name: "stalls",
+        spec: "BBB:BOLA:const0.15",
+        seed: 1,
+    };
+    let mut content = Content::new();
+    let mut kinds = BTreeSet::new();
+    let mut metrics = BTreeSet::new();
+    let profiler = voxel::obs::Profiler::enabled();
+    {
+        let _armed = profiler.install();
+        let goldens = ["voxel-tmobile-buf1", "fleet-edge4x16-hot"]
+            .map(|name| Golden::named(name).expect("golden is in the table"));
+        for g in goldens.into_iter().chain([&STALLS]) {
+            let run = run_golden(g, &mut content, &[1]).expect("golden runs");
+            assert!(run.failures.is_empty(), "{}: {:?}", g.name, run.failures);
+            kinds.extend(run.emitted.kinds);
+            metrics.extend(run.emitted.metrics);
+        }
+    }
+    let report = profiler.report().expect("armed profiler yields a report");
+    for (name, _) in &report.histograms {
+        let row = METRICS
+            .iter()
+            .find(|m| m.name == name && m.shape == MetricShape::Histogram)
+            .unwrap_or_else(|| panic!("profiler histogram `{name}` has no METRICS row"));
+        metrics.insert(row.name);
+    }
+
+    let silent: Vec<&str> = KINDS
+        .iter()
+        .map(|k| k.kind)
+        .filter(|k| !kinds.contains(k))
+        .collect();
+    assert!(
+        silent.is_empty(),
+        "KINDS rows no golden run emits: {silent:?}"
+    );
+    let silent: Vec<&str> = METRICS
+        .iter()
+        .map(|m| m.name)
+        .filter(|m| !metrics.contains(m) && !EXCEPTIONS.iter().any(|(e, _)| e == m))
+        .collect();
+    assert!(
+        silent.is_empty(),
+        "METRICS rows no golden run emits: {silent:?}"
+    );
+    for (name, why) in EXCEPTIONS {
+        assert!(
+            METRICS.iter().any(|m| m.name == name),
+            "exception `{name}` names no METRICS row"
+        );
+        assert!(
+            !metrics.contains(name),
+            "`{name}` is emitted now; drop its exception ({why})"
+        );
     }
 }

@@ -148,3 +148,17 @@ fn untraced_sessions_carry_no_snapshot() {
     assert!(r.transport.mean_cwnd_bytes > 0.0);
     assert!(r.transport.mean_srtt_ms > 0.0);
 }
+
+/// The §9 taxonomy is stated once, in voxel-trace's `KINDS` and `METRICS`:
+/// DESIGN.md carries their rendering byte for byte.
+#[test]
+fn design_md_section_9_is_the_rendered_taxonomy() {
+    let design =
+        std::fs::read_to_string(std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("DESIGN.md"))
+            .expect("DESIGN.md");
+    let table = voxel::trace::taxonomy_markdown();
+    assert!(
+        design.contains(&table),
+        "DESIGN.md §9 should carry voxel_trace::taxonomy_markdown():\n{table}"
+    );
+}
