@@ -188,7 +188,7 @@ pub static EXHIBITS: [Exhibit; 22] = [
         paper: "Fig 16 (App. B)",
         caption: "p90 bufRatio with a 750-packet router queue (T-Mobile, Verizon): BOLA vs VOXEL vs VOXEL over the delay-based controller",
         expectation: "VOXEL's edge narrows, occasionally worse on Verizon at larger buffers (loss-based CC vs bufferbloat); a delay-based CC is suggested as future work",
-        modules: "netem::queue, quic::delay_cc",
+        modules: "netem::shared, quic::delay_cc",
         simulates: true,
         run: exhibits::fig16,
     },

@@ -55,6 +55,14 @@ fn every_index_of_the_exhibits_follows_the_table() {
         read("DESIGN.md").contains(&voxel_bench::list()),
         "DESIGN.md §5 is not the output of `fig list`"
     );
+    for e in &EXHIBITS {
+        for module in e.modules.split(", ") {
+            if let Some((krate, file)) = module.split_once("::") {
+                let rel = format!("crates/{krate}/src/{file}.rs");
+                assert!(repo(&rel).is_file(), "{}: {module} has no {rel}", e.id);
+            }
+        }
+    }
 
     let mut stems: Vec<String> = std::fs::read_dir(repo("results"))
         .expect("results/ exists")

@@ -25,7 +25,6 @@ use voxel_media::video::Video;
 use voxel_netem::{BandwidthTrace, FaultPlane, PathConfig};
 use voxel_prep::manifest::Manifest;
 use voxel_quic::CcKind;
-use voxel_sim::SimDuration;
 use voxel_trace::Tracer;
 
 /// Whether (and where) trials emit their cross-layer event timeline.
@@ -465,8 +464,7 @@ pub fn run_instrumented_trial(
     faults: Option<FaultPlane>,
 ) -> TrialResult {
     let trace = config.trace.shift(shift_s);
-    let mut path = PathConfig::new(trace, config.queue_packets);
-    path.delay_down = SimDuration::from_millis(30);
+    let path = PathConfig::new(trace, config.queue_packets);
     let mut player = PlayerConfig::new(config.buffer_segments, config.transport);
     player.selective_retx = config.selective_retx && config.transport == TransportMode::Split;
     player.debug_stall_skew = config.debug_stall_skew;

@@ -162,7 +162,7 @@ fn run_plan(plan: Plan, cache: &ContentCache, tracer: Tracer) -> FleetResult {
             flow: i,
             label: m.label.clone(),
             start: plan.starts[i],
-            delay_up: plan.link.delay_up,
+            delay_up: plan.link.path.delay_up,
             player,
             conn_config: ConnectionConfig {
                 cc: m.cc,
@@ -182,9 +182,9 @@ fn run_plan(plan: Plan, cache: &ContentCache, tracer: Tracer) -> FleetResult {
         Layer::Fleet,
         "fleet_start",
         "sessions" = n,
-        "queue_packets" = plan.link.queue_packets,
+        "queue_packets" = plan.link.path.queue_packets,
         "discipline" = plan.link.discipline.as_str(),
-        "mean_mbps" = plan.link.trace.mean_mbps(),
+        "mean_mbps" = plan.link.path.trace.mean_mbps(),
     );
     for seed in &seeds {
         trace_event!(

@@ -582,7 +582,7 @@ impl FleetSpec {
             });
         }
         // `link_mbps: f64` is the fleet's link today; widening it to every
-        // family is ROADMAP 4(iv).
+        // family is ROADMAP 2(ii).
         let TraceFamily::Constant(link_mbps) = head.trace else {
             return Err(SpecError::new(
                 spec.split(':').nth(2).unwrap_or_default(),

@@ -14,16 +14,15 @@
 //! - [`family`]: the one trace name table — [`TraceFamily`] binds each
 //!   spec token (`tmobile`) and figure legend (`T-Mobile`) to its
 //!   generator, for every parser and bin in the workspace.
-//! - [`path`]: the bottleneck path — FIFO droptail queue with time-varying
-//!   service rate and propagation delays; computes exact per-packet
-//!   departure times by integrating the rate curve.
 //! - [`crosstraffic`]: a Harpoon-like flow-level web-workload generator
 //!   (Poisson session arrivals, bounded-Pareto transfer sizes) run through a
 //!   fluid fair-sharing model to produce the bandwidth actually available
 //!   to the video flow.
-//! - [`shared`]: the multi-flow variant of the bottleneck — one link
-//!   shared by N sessions under FIFO or deficit-round-robin scheduling
-//!   with per-flow accounting, driving the fleet runtime in `voxel-fleet`.
+//! - [`shared`]: the one bottleneck model — a droptail queue served at the
+//!   trace's rate, shared by N flows under FIFO (each departure fixed at
+//!   enqueue) or deficit round robin (event-driven), with per-flow
+//!   accounting. The fleet runtime in `voxel-fleet` drives it directly; a
+//!   lone session's [`BottleneckPath`] is a one-flow FIFO link.
 //! - [`fault`]: the seeded fault-injection plane the testkit threads
 //!   through sessions — loss bursts, reorder/dup windows, bandwidth cliffs
 //!   and stuck-trace stretches (DESIGN.md §11).
@@ -35,13 +34,13 @@ pub mod crosstraffic;
 pub mod family;
 pub mod fault;
 pub mod origin;
-pub mod path;
 pub mod shared;
 pub mod trace;
 
 pub use family::TraceFamily;
 pub use fault::{FaultKind, FaultPlane, PacketFate};
 pub use origin::OriginLink;
-pub use path::{BottleneckPath, PathConfig, PathStats};
-pub use shared::{Departure, Discipline, FlowStats, SharedLink, SharedLinkConfig};
+pub use shared::{
+    BottleneckPath, Departure, Discipline, FlowStats, PathConfig, SharedLink, SharedLinkConfig,
+};
 pub use trace::BandwidthTrace;

@@ -81,4 +81,24 @@ fn single_session_fleet_degenerates_sanely() {
     assert!(r.all_completed());
     assert!((r.jain - 1.0).abs() < 1e-12);
     assert!((r.shares_pct[0] - 100.0).abs() < 1e-9);
+
+    // A fleet of one is the lone session it stands for, under either
+    // discipline: one bottleneck model serves both paths. The link is
+    // tight enough that the droptail drops packets.
+    let mut content = Content::new();
+    let lone = Scenario::parse("BBB:VOXEL:const1.5:buf3:q32:d60").expect("spec");
+    let lone = run_scenario(&lone, 0, &mut content).expect("scenario runs");
+    let lone = &lone.trials[0].result;
+    assert!(lone.transport.packets_lost > 0);
+    for disc in ["fifo", "drr"] {
+        let spec =
+            FleetSpec::parse(&format!("BBB:1xVOXEL:const1.5:buf3:q32:d60:{disc}")).expect("spec");
+        let r = run_fleet(&spec, content.cache(), Tracer::disabled()).expect("spec runs");
+        let fleet = &r.sessions[0];
+        assert_eq!(fleet.segment_scores, lone.segment_scores, "{disc}");
+        assert_eq!(fleet.segment_kbps, lone.segment_kbps, "{disc}");
+        assert_eq!(fleet.stall_s, lone.stall_s, "{disc}");
+        assert_eq!(fleet.bytes_downloaded, lone.bytes_downloaded, "{disc}");
+        assert_eq!(fleet.transport, lone.transport, "{disc}");
+    }
 }
