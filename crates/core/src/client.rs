@@ -116,7 +116,7 @@ struct Download {
     restarts_here: u32,
 }
 
-/// Delivery state of a segment, kept until its QoE is frozen.
+/// Delivery state of a segment. `ClientApp::records[i]` is segment `i`'s.
 #[derive(Debug)]
 struct SegmentRecord {
     seg: usize,
@@ -166,7 +166,12 @@ pub struct ClientApp {
     phase: Phase,
     fetches: BTreeMap<StreamId, FetchKind>,
     dl: Option<Download>,
+    /// One record per segment whose fetch has begun, indexed by segment: a
+    /// fetch begins at `next_segment`, and a restart rewrites its record.
+    /// `play_start` never decreases along the table, so the records whose
+    /// QoE is frozen are always the prefix `[..frozen]`.
     records: Vec<SegmentRecord>,
+    frozen: usize,
     next_segment: usize,
     // Playback state.
     play_started: bool,
@@ -204,6 +209,7 @@ impl ClientApp {
             fetches: BTreeMap::new(),
             dl: None,
             records: Vec::new(),
+            frozen: 0,
             next_segment: 0,
             play_started: false,
             play_end: SimTime::ZERO,
@@ -274,14 +280,38 @@ impl ClientApp {
                 self.next_segment
             ));
         }
-        for r in &self.records {
-            if r.seg >= n || r.level.index() >= voxel_media::ladder::NUM_LEVELS {
+        if self.frozen > self.records.len() {
+            return Err(format!(
+                "frozen cursor {} beyond {} records",
+                self.frozen,
+                self.records.len()
+            ));
+        }
+        let mut last_start = SimTime::ZERO;
+        for (i, r) in self.records.iter().enumerate() {
+            if r.seg != i {
+                return Err(format!("record {i} holds segment {}", r.seg));
+            }
+            if r.level.index() >= voxel_media::ladder::NUM_LEVELS {
                 return Err(format!(
-                    "record for segment {} at level index {} out of range",
-                    r.seg,
+                    "record for segment {i} at level index {} out of range",
                     r.level.index()
                 ));
             }
+            if r.scores.is_some() != (i < self.frozen) {
+                return Err(format!(
+                    "record {i} scored = {} with the frozen cursor at {}",
+                    r.scores.is_some(),
+                    self.frozen
+                ));
+            }
+            if r.play_start < last_start {
+                return Err(format!(
+                    "record {i} starts playing at {:?}, before its predecessor at {last_start:?}",
+                    r.play_start
+                ));
+            }
+            last_start = r.play_start;
         }
         if self.play_started && self.startup_at.is_none() {
             return Err("playback started without a startup timestamp".into());
@@ -393,7 +423,7 @@ impl ClientApp {
                     // record exists from download start; without one they
                     // are dropped).
                     let chunks = rs.take_received();
-                    if let Some(rec) = self.records.iter_mut().find(|r| r.seg == seg) {
+                    if let Some(rec) = self.records.get_mut(seg) {
                         for (off, data) in chunks {
                             let len = data.len() as u64;
                             rec.received.insert(off, off + len);
@@ -413,7 +443,7 @@ impl ClientApp {
                 if let Some(rs) = conn.recv_stream(id) {
                     let fin = rs.final_len().is_some();
                     let chunks = rs.take_received();
-                    if let Some(rec) = self.records.iter_mut().find(|r| r.seg == seg) {
+                    if let Some(rec) = self.records.get_mut(seg) {
                         for (resp_off, data) in chunks {
                             for (body_s, body_e) in
                                 map_response_to_body(ranges, resp_off, data.len() as u64)
@@ -545,9 +575,8 @@ impl ClientApp {
         conn.finish(body);
 
         // Ensure a record exists for incoming body data.
-        if let Some(pos) = self.records.iter().position(|r| r.seg == seg) {
+        if let Some(rec) = self.records.get_mut(seg) {
             // Restart: reset the record for the new level/target.
-            let rec = &mut self.records[pos];
             rec.level = decision.level;
             rec.target = target;
             rec.body_goal = body_goal;
@@ -589,10 +618,8 @@ impl ClientApp {
         let Some(dl) = self.dl.as_ref() else { return };
         let rec_received = self
             .records
-            .iter()
-            .find(|r| r.seg == dl.seg)
-            .map(|r| r.received.covered_len())
-            .unwrap_or(0);
+            .get(dl.seg)
+            .map_or(0, |r| r.received.covered_len());
         // Progress covers the whole fetch (head + body): the reliable head
         // is served first (I-frame priority), so body-only accounting would
         // read as a stall during the head phase of every download.
@@ -691,10 +718,8 @@ impl ClientApp {
             let Some(dl) = self.dl.as_mut() else { return };
             let rec_received = self
                 .records
-                .iter()
-                .find(|r| r.seg == dl.seg)
-                .map(|r| r.received.covered_len())
-                .unwrap_or(0);
+                .get(dl.seg)
+                .map_or(0, |r| r.received.covered_len());
             // Belt and braces: consult the stream state directly too, in
             // case the fin-carrying event raced a cancel/cleanup.
             if !dl.body_fin_seen {
@@ -723,10 +748,8 @@ impl ClientApp {
         let entry = self.manifest.entry(dl.seg, dl.level);
         let rec_received = self
             .records
-            .iter()
-            .find(|r| r.seg == dl.seg)
-            .map(|r| r.received.covered_len())
-            .unwrap_or(0);
+            .get(dl.seg)
+            .map_or(0, |r| r.received.covered_len());
         let sampled = entry.reliable_size + rec_received;
         self.estimator
             .on_sample(sampled, now.saturating_since(dl.started).as_secs_f64());
@@ -751,7 +774,7 @@ impl ClientApp {
         // mark* were sent and lost (selective retx may recover them); bytes
         // past the high-water mark were deliberately skipped, not lost.
         if self.config.transport == TransportMode::Split {
-            if let Some(rec) = self.records.iter().find(|r| r.seg == dl.seg) {
+            if let Some(rec) = self.records.get(dl.seg) {
                 let hwm = rec.received.max_end().min(dl.body_goal);
                 let holes: u64 = rec.received.gaps(hwm).iter().map(|(a, b)| b - a).sum();
                 self.stats.bytes_lost += holes;
@@ -763,11 +786,7 @@ impl ClientApp {
             clippy::expect_used,
             reason = "a SegmentRecord is pushed when its fetch begins"
         )]
-        let rec = self
-            .records
-            .iter_mut()
-            .find(|r| r.seg == dl.seg)
-            .expect("record exists");
+        let rec = self.records.get_mut(dl.seg).expect("record exists");
         let seg_dur = SimDuration::from_secs_f64(SEGMENT_DURATION_S);
         if !self.play_started {
             rec.play_start = now; // provisional; fixed at startup below
@@ -791,16 +810,12 @@ impl ClientApp {
                     "seg" = dl.seg,
                     "ready" = ready,
                 );
-                let mut starts: Vec<usize> = self
+                for r in self
                     .records
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, r)| r.play_start != SimTime::MAX)
-                    .map(|(i, _)| i)
-                    .collect();
-                starts.sort_by_key(|&i| self.records[i].seg);
-                for i in starts {
-                    self.records[i].play_start = self.play_end;
+                    .iter_mut()
+                    .filter(|r| r.play_start != SimTime::MAX)
+                {
+                    r.play_start = self.play_end;
                     self.play_end += seg_dur;
                 }
             }
@@ -876,24 +891,21 @@ impl ClientApp {
         // its receive high-water mark; the skipped tail was a deliberate
         // quality decision, not a loss).
         let in_flight = self.dl.as_ref().map(|d| d.seg);
-        let candidate = self
-            .records
+        let candidate = self.records[self.frozen..]
             .iter()
             .filter(|r| {
-                r.scores.is_none()
-                    && r.play_start > now
+                r.play_start > now
                     && !busy.contains(&r.seg)
                     // Never repair the segment still being downloaded: a
                     // restart would re-point its record at another level
                     // while the repair keeps writing old-level offsets.
                     && Some(r.seg) != in_flight
             })
-            .filter_map(|r| {
+            .find_map(|r| {
                 let hwm = r.received.max_end().min(r.body_goal);
                 let holes = r.received.gaps(hwm);
                 (!holes.is_empty()).then_some((r, holes))
-            })
-            .min_by_key(|(r, _)| r.seg);
+            });
         let Some((rec, holes)) = candidate else {
             return;
         };
@@ -938,17 +950,18 @@ impl ClientApp {
     // QoE freezing
     // ------------------------------------------------------------------
 
+    /// Score every record whose playback has started by `now`. They form a
+    /// prefix of the unfrozen records, so the cursor stops at the first
+    /// record still in the future.
     fn freeze_due_segments(&mut self, now: SimTime) {
-        let qoe = self.qoe.clone();
-        let video = self.video.clone();
-        let manifest = self.manifest.clone();
-        for rec in self
+        while let Some(rec) = self
             .records
-            .iter_mut()
-            .filter(|r| r.scores.is_none() && r.play_start <= now)
+            .get_mut(self.frozen)
+            .filter(|r| r.play_start <= now)
         {
-            let seg = &video.segments[rec.seg];
-            let entry = manifest.entry(rec.seg, rec.level);
+            self.frozen += 1;
+            let seg = &self.video.segments[rec.seg];
+            let entry = self.manifest.entry(rec.seg, rec.level);
             let order: &[usize] = if rec.beta_order {
                 &entry.beta_order
             } else {
@@ -976,7 +989,7 @@ impl ClientApp {
             }
             rec.frames_dropped = dropped;
             rec.referenced_dropped = ref_dropped;
-            rec.scores = Some(qoe.eval(seg, rec.level, &loss));
+            rec.scores = Some(self.qoe.eval(seg, rec.level, &loss));
             if self.tracer.enabled() && rec.play_start != SimTime::MAX {
                 self.tracer.count("player.segments_played", 1);
                 self.tracer
@@ -1001,7 +1014,7 @@ impl ClientApp {
             && self.dl.is_none()
             && self.play_started
             && now >= self.play_end
-            && self.records.iter().all(|r| r.scores.is_some())
+            && self.frozen == self.records.len()
         {
             self.phase = Phase::Done;
         }
@@ -1019,7 +1032,6 @@ impl ClientApp {
         let mut frames_dropped = 0u32;
         let mut ref_dropped = 0u32;
         let mut segs_with_drops = 0u32;
-        self.records.sort_by_key(|r| r.seg);
         for rec in &self.records {
             let entry = self.manifest.entry(rec.seg, rec.level);
             let delivered = entry.reliable_size + rec.received.covered_len();

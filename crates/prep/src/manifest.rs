@@ -17,7 +17,7 @@
 use crate::analysis::{analyze, OrderSweep, QoePoint};
 use crate::mpd;
 use crate::ordering::OrderingKind;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use voxel_media::gop::FrameKind;
 use voxel_media::ladder::{QualityLevel, NUM_LEVELS};
 use voxel_media::qoe::QoeModel;
@@ -100,6 +100,10 @@ pub struct Manifest {
     pub video_id: VideoId,
     /// `entries[segment][level]`.
     pub entries: Vec<Vec<SegmentEntry>>,
+    /// [`Manifest::size_bytes`], measured on first use. Serialising a full
+    /// ladder takes tens of milliseconds, so it is done at most once per
+    /// manifest rather than once per session that fetches it.
+    size: OnceLock<usize>,
 }
 
 impl Manifest {
@@ -212,6 +216,7 @@ impl Manifest {
         Manifest {
             video_id: video.id,
             entries,
+            size: OnceLock::new(),
         }
     }
 
@@ -245,9 +250,12 @@ impl Manifest {
         )
     }
 
-    /// Size of the serialized manifest in bytes.
+    /// Size of the serialized manifest in bytes: the length of
+    /// [`Manifest::to_mpd`] for the manifest as prepared. It is measured on
+    /// the first call and remembered, so `entries` must not be edited after
+    /// that (nothing does).
     pub fn size_bytes(&self) -> usize {
-        self.to_mpd().len()
+        *self.size.get_or_init(|| self.to_mpd().len())
     }
 }
 
@@ -337,6 +345,26 @@ mod tests {
         assert!(mpd.starts_with("<MPD"));
         assert!(mpd.trim_end().ends_with("</MPD>"));
         assert!(m.size_bytes() == mpd.len());
+    }
+
+    #[test]
+    fn cached_size_is_the_mpd_length() {
+        let video = Video::generate(VideoId::Bbb);
+        let model = QoeModel::default();
+        let manifests = [
+            Manifest::prepare(&video, &model),
+            Manifest::prepare_levels(&video, &model, &[QualityLevel::MAX]),
+            Manifest::prepare_forced(&video, &model, &[QualityLevel::MAX], OrderingKind::Original),
+        ];
+        for m in manifests {
+            let len = m.to_mpd().len();
+            let before = m.clone();
+            assert_eq!(m.size_bytes(), len, "first call");
+            assert_eq!(m.size_bytes(), len, "second call");
+            let after = m.clone();
+            assert_eq!(before.size_bytes(), len, "clone made before the first call");
+            assert_eq!(after.size_bytes(), len, "clone made after the first call");
+        }
     }
 
     #[test]
