@@ -10,7 +10,7 @@ cargo build --release
 echo "==> cargo test -q --workspace (every crate's unit, integration, property and doc tests)"
 cargo test -q --workspace
 
-echo "==> voxel-lint (the public-API baseline; DESIGN.md §10; wall-time guard 10s)"
+echo "==> voxel-lint (rustdoc makes the public surface, its warnings denied, diffed against the API baseline; DESIGN.md §10; wall-time guard 10s, rustdoc included)"
 cargo run -q --release -p voxel-lint -- --max-seconds 10
 
 echo "==> cargo test -q --features paranoid (runtime invariant audits: the facade's integration tests, and the unit + property tests of every crate that has audits behind the feature)"

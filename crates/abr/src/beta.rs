@@ -37,7 +37,7 @@ impl Beta {
     /// BETA's single virtual quality point for a segment: everything except
     /// the unreferenced b-frames (which its reordering placed at the tail),
     /// as content preparation recorded it in the manifest.
-    pub fn b_frame_boundary(ctx: &AbrContext<'_>, level: QualityLevel) -> QoePoint {
+    pub(crate) fn b_frame_boundary(ctx: &AbrContext<'_>, level: QualityLevel) -> QoePoint {
         ctx.manifest.entry(ctx.segment_index, level).beta_boundary
     }
 }
@@ -110,12 +110,6 @@ impl Abr for Beta {
     }
 }
 
-/// The number of unreferenced B-frames per segment in the synthetic GOP —
-/// exposed for tests and the Fig 2 analysis.
-pub fn unreferenced_b_frames_per_segment() -> usize {
-    32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,7 +147,7 @@ mod tests {
             .iter()
             .filter(|f| f.kind == voxel_media::gop::FrameKind::BUnref)
             .count();
-        assert_eq!(actual, unreferenced_b_frames_per_segment());
+        assert_eq!(actual, 32);
     }
 
     #[test]

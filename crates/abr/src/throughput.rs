@@ -72,7 +72,7 @@ impl ThroughputEstimator {
     }
 
     /// Harmonic mean of the window (robust to outliers), bits/second.
-    pub fn harmonic_mean(&self) -> Option<f64> {
+    pub(crate) fn harmonic_mean(&self) -> Option<f64> {
         if self.samples.is_empty() {
             return None;
         }

@@ -1,7 +1,6 @@
 //! The ABR interface shared by all six algorithms.
 
 use voxel_media::ladder::QualityLevel;
-use voxel_media::video::SEGMENT_DURATION_S;
 use voxel_prep::analysis::QoePoint;
 use voxel_prep::manifest::Manifest;
 
@@ -29,11 +28,6 @@ pub struct AbrContext<'a> {
 }
 
 impl AbrContext<'_> {
-    /// Buffer level in segments.
-    pub fn buffer_segments(&self) -> f64 {
-        self.buffer_s / SEGMENT_DURATION_S
-    }
-
     /// Total bytes of `segment` at `level` (payload + headers) — the exact
     /// per-segment sizes the paper feeds BOLA and MPC instead of
     /// video-average bitrates (§5 "ABR algorithms", footnote 3).
@@ -79,7 +73,7 @@ pub struct DownloadProgress {
 
 impl DownloadProgress {
     /// Estimated seconds to finish at the current rate.
-    pub fn eta_s(&self) -> f64 {
+    pub(crate) fn eta_s(&self) -> f64 {
         if self.download_rate_bps <= 0.0 {
             return f64::INFINITY;
         }

@@ -86,7 +86,7 @@ impl PlayerConfig {
     }
 
     /// Buffer capacity in seconds.
-    pub fn capacity_s(&self) -> f64 {
+    pub(crate) fn capacity_s(&self) -> f64 {
         self.buffer_capacity_segments as f64 * SEGMENT_DURATION_S
     }
 }
@@ -226,22 +226,22 @@ impl ClientApp {
     }
 
     /// Install a tracer (shared with the rest of the session).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
+    pub(crate) fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
 
     /// The player configuration this client runs with.
-    pub fn config(&self) -> &PlayerConfig {
+    pub(crate) fn config(&self) -> &PlayerConfig {
         &self.config
     }
 
     /// Whether the session has finished.
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.phase == Phase::Done
     }
 
     /// Buffer level in seconds at `now`.
-    pub fn buffer_s(&self, now: SimTime) -> f64 {
+    pub(crate) fn buffer_s(&self, now: SimTime) -> f64 {
         if !self.play_started {
             // Before playback starts, queued content is all buffer.
             return self.records.len() as f64 * SEGMENT_DURATION_S;
@@ -321,7 +321,7 @@ impl ClientApp {
 
     /// Main pump: process connection events and advance the state machine.
     /// Called by the session loop after every network event and timer tick.
-    pub fn on_wake(&mut self, now: SimTime, conn: &mut Connection) {
+    pub(crate) fn on_wake(&mut self, now: SimTime, conn: &mut Connection) {
         self.drain_events(now, conn);
         match self.phase {
             Phase::Init => {
@@ -355,7 +355,7 @@ impl ClientApp {
 
     /// The player wants a wake-up at this time (progress checks / playback
     /// deadlines), independent of network activity.
-    pub fn next_wake(&self, now: SimTime) -> Option<SimTime> {
+    pub(crate) fn next_wake(&self, now: SimTime) -> Option<SimTime> {
         if self.is_done() {
             return None;
         }
@@ -1021,7 +1021,7 @@ impl ClientApp {
     }
 
     /// Build the trial result (consumes the client). `now` is the sim end.
-    pub fn into_result(mut self, now: SimTime) -> TrialResult {
+    pub(crate) fn into_result(mut self, now: SimTime) -> TrialResult {
         // Force-freeze anything pending (e.g. when the session hit the
         // simulation cap).
         self.freeze_due_segments(SimTime::MAX);

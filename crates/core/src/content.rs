@@ -142,7 +142,7 @@ impl ContentCache {
     /// Empty cache with the given configuration (only `config.levels`
     /// affects offline preparation; the edge fields ride along so one
     /// config can describe a whole serving tier).
-    pub fn with_config(config: CacheConfig) -> ContentCache {
+    pub(crate) fn with_config(config: CacheConfig) -> ContentCache {
         ContentCache {
             inner: Arc::new(Mutex::new(Inner {
                 entries: BTreeMap::new(),

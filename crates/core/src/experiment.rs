@@ -185,7 +185,7 @@ impl AbrKind {
     }
 
     /// The transport this algorithm is evaluated with by default.
-    pub fn default_transport(&self) -> TransportMode {
+    pub(crate) fn default_transport(&self) -> TransportMode {
         match self {
             AbrKind::Beta => TransportMode::Reliable,
             AbrKind::Voxel { .. } | AbrKind::BolaSsim | AbrKind::MpcStar => TransportMode::Split,

@@ -106,7 +106,7 @@ impl TrialResult {
     }
 
     /// All segment VMAF scores.
-    pub fn vmafs(&self) -> Vec<f64> {
+    pub(crate) fn vmafs(&self) -> Vec<f64> {
         self.segment_scores.iter().map(|s| s.vmaf).collect()
     }
 
@@ -150,16 +150,6 @@ impl Aggregate {
     pub fn buf_ratio_mean(&self) -> f64 {
         let v: Vec<f64> = self.trials.iter().map(|t| t.buf_ratio_pct()).collect();
         voxel_sim::stats::mean(&v)
-    }
-
-    /// Trials that ran to completion (the safety cap never fired).
-    pub fn completed_trials(&self) -> usize {
-        self.trials.iter().filter(|t| t.completed).count()
-    }
-
-    /// Trials abandoned at the safety cap.
-    pub fn abandoned_trials(&self) -> usize {
-        self.trials.len() - self.completed_trials()
     }
 
     /// Standard error of the per-trial bufRatio, over *completed* trials.
@@ -218,26 +208,6 @@ impl Aggregate {
             .trials
             .iter()
             .map(|t| t.transport.mean_cwnd_bytes)
-            .collect();
-        voxel_sim::stats::mean(&v)
-    }
-
-    /// Mean loss-event count per trial.
-    pub fn mean_loss_events(&self) -> f64 {
-        let v: Vec<f64> = self
-            .trials
-            .iter()
-            .map(|t| t.transport.loss_events as f64)
-            .collect();
-        voxel_sim::stats::mean(&v)
-    }
-
-    /// Mean PTO count per trial.
-    pub fn mean_ptos(&self) -> f64 {
-        let v: Vec<f64> = self
-            .trials
-            .iter()
-            .map(|t| t.transport.ptos as f64)
             .collect();
         voxel_sim::stats::mean(&v)
     }
@@ -328,8 +298,6 @@ mod tests {
         abandoned.completed = false;
         trials.push(abandoned);
         let agg = Aggregate::new(trials);
-        assert_eq!(agg.completed_trials(), 3);
-        assert_eq!(agg.abandoned_trials(), 1);
         // bufRatios of the completed trials: 2, 4, 8 %.
         let expect = voxel_sim::stats::std_err(&[2.0, 4.0, 8.0]);
         assert!(
@@ -349,22 +317,16 @@ mod tests {
         let mut t = trial(10.0, 100.0, 0.8);
         t.completed = false;
         let agg = Aggregate::new(vec![t]);
-        assert_eq!(agg.completed_trials(), 0);
         assert_eq!(agg.buf_ratio_stderr(), 0.0);
     }
 
     #[test]
-    fn transport_means_aggregate() {
+    fn mean_cwnd_aggregates() {
         let mut a = trial(0.0, 1.0, 0.9);
-        a.transport.loss_events = 4;
-        a.transport.ptos = 2;
         a.transport.mean_cwnd_bytes = 100_000.0;
         let mut b = trial(0.0, 1.0, 0.9);
-        b.transport.loss_events = 6;
         b.transport.mean_cwnd_bytes = 200_000.0;
         let agg = Aggregate::new(vec![a, b]);
-        assert_eq!(agg.mean_loss_events(), 5.0);
-        assert_eq!(agg.mean_ptos(), 1.0);
         assert_eq!(agg.mean_cwnd_bytes(), 150_000.0);
     }
 }

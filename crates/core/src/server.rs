@@ -83,7 +83,7 @@ impl ServerApp {
     }
 
     /// Install a tracer (shared with the rest of the session).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
+    pub(crate) fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
 
@@ -93,7 +93,7 @@ impl ServerApp {
     }
 
     /// Drain the notes recorded since the last call, in serve order.
-    pub fn take_serve_notes(&mut self) -> Vec<ServeNote> {
+    pub(crate) fn take_serve_notes(&mut self) -> Vec<ServeNote> {
         std::mem::take(&mut self.notes)
     }
 

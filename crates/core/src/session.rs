@@ -464,7 +464,7 @@ impl Session {
     /// bursts, reordering, and duplication deterministically (DESIGN.md
     /// §11). Drops model post-bottleneck (air-interface) loss — the packet
     /// still consumed queue space and service time.
-    pub fn with_faults(mut self, plane: FaultPlane) -> Session {
+    pub(crate) fn with_faults(mut self, plane: FaultPlane) -> Session {
         self.wire.faults = Some(plane);
         self
     }

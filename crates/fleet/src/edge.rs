@@ -48,7 +48,7 @@ fn video_hash(video: VideoId) -> u64 {
 /// - [`Routing::Least`]: each session joins the currently least-loaded
 ///   edge (ties to the lowest edge id) — equivalent to round robin for
 ///   uniform arrivals but stable under heterogeneous member groups.
-pub fn assign_edges(topology: &TopologySpec, videos: &[VideoId]) -> Vec<usize> {
+pub(crate) fn assign_edges(topology: &TopologySpec, videos: &[VideoId]) -> Vec<usize> {
     let m = topology.edges.max(1);
     match topology.routing {
         Routing::Hash => videos
@@ -123,14 +123,14 @@ impl EdgeReport {
 
 /// The live edge tier the coordinator drives between barrier rounds.
 ///
-/// Determinism contract: [`EdgeTier::process_note`] must be called in
+/// Determinism contract: `EdgeTier::process_note` must be called in
 /// globally sorted `(at, flow, seq)` note order, and
-/// [`EdgeTier::effective_time`] in nondecreasing `at` order per flow —
+/// `EdgeTier::effective_time` in nondecreasing `at` order per flow —
 /// both are properties the coordinator's merge already guarantees for
-/// packets, extended to notes ([`EdgeTier::stage`] is how the coordinator
+/// packets, extended to notes (`EdgeTier::stage` is how the coordinator
 /// makes the latter calls). Under that ordering the tier's state is a
 /// pure function of the note sequence, independent of worker count.
-pub struct EdgeTier {
+pub(crate) struct EdgeTier {
     caches: Vec<EdgeCache>,
     origin: OriginLink,
     assignment: Vec<usize>,
@@ -172,15 +172,10 @@ impl EdgeTier {
         }
     }
 
-    /// The edge each flow is routed to.
-    pub fn assignment(&self) -> &[usize] {
-        &self.assignment
-    }
-
     /// Replay one serve note: look the object up in the flow's edge
     /// cache; on a miss, fetch the bytes over the origin backhaul and
     /// remember the completion as a pending gate for the flow.
-    pub fn process_note(&mut self, at: SimTime, flow: usize, note: ServeNote) {
+    pub(crate) fn process_note(&mut self, at: SimTime, flow: usize, note: ServeNote) {
         let edge = self.assignment[flow];
         let key = ObjectKey {
             video: self.videos[flow],
@@ -204,7 +199,7 @@ impl EdgeTier {
     /// enter the shared link: folds every pending fetch whose note time
     /// is ≤ `at` into the flow's monotone gate, then returns
     /// `max(at, gate)`.
-    pub fn effective_time(&mut self, flow: usize, at: SimTime) -> SimTime {
+    pub(crate) fn effective_time(&mut self, flow: usize, at: SimTime) -> SimTime {
         while let Some(&(note_at, ready)) = self.pending[flow].front() {
             if note_at > at {
                 break;

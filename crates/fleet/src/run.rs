@@ -2,7 +2,7 @@
 //!
 //! Pre-shard, the fleet was one global discrete-event loop that pumped
 //! every session at every event — O(fleet) work per event. Now each
-//! session owns a private event queue (see [`crate::shard`]) and sessions
+//! session owns a private event queue (see the `shard` module) and sessions
 //! interact **only** through the [`SharedLink`]: the run proceeds in
 //! conservative-parallel rounds, each bounded by a barrier the coordinator
 //! derives from the link's downlink propagation delay (the lookahead).

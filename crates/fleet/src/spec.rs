@@ -349,7 +349,7 @@ impl TopologySpec {
     }
 
     /// The per-edge [`CacheConfig`] this topology implies.
-    pub fn cache_config(&self) -> CacheConfig {
+    pub(crate) fn cache_config(&self) -> CacheConfig {
         CacheConfig {
             levels: None,
             byte_budget: self.cache_budget_bytes(),
@@ -416,7 +416,7 @@ pub struct FleetSpec {
     /// The edge serving tier; `None` is the classic single-server fleet.
     pub edge: Option<TopologySpec>,
     /// Explicit shard worker count (`w<N>`); `None` defers to the
-    /// `VOXEL_SHARD_WORKERS` environment variable via [`resolve_workers`].
+    /// `VOXEL_SHARD_WORKERS` environment variable via `resolve_workers`.
     pub workers: Option<usize>,
 }
 

@@ -20,4 +20,4 @@
 pub mod message;
 pub mod trace;
 
-pub use message::{Request, Response, StatusCode, UNRELIABLE_HEADER};
+pub use message::{Request, Response, StatusCode};

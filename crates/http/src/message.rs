@@ -3,7 +3,7 @@
 use bytes::Bytes;
 
 /// The custom header marking a request for unreliable delivery (§4.2).
-pub const UNRELIABLE_HEADER: &str = "x-voxel-unreliable";
+pub(crate) const UNRELIABLE_HEADER: &str = "x-voxel-unreliable";
 
 /// Response status codes used by the video server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,7 +20,7 @@ pub enum StatusCode {
 
 impl StatusCode {
     /// Numeric code.
-    pub fn as_u16(self) -> u16 {
+    pub(crate) fn as_u16(self) -> u16 {
         match self {
             StatusCode::Ok => 200,
             StatusCode::PartialContent => 206,
@@ -30,7 +30,7 @@ impl StatusCode {
     }
 
     /// Reason phrase.
-    pub fn reason(self) -> &'static str {
+    pub(crate) fn reason(self) -> &'static str {
         match self {
             StatusCode::Ok => "OK",
             StatusCode::PartialContent => "Partial Content",
@@ -40,7 +40,7 @@ impl StatusCode {
     }
 
     /// Parse from a numeric code.
-    pub fn from_u16(code: u16) -> Option<StatusCode> {
+    pub(crate) fn from_u16(code: u16) -> Option<StatusCode> {
         Some(match code {
             200 => StatusCode::Ok,
             206 => StatusCode::PartialContent,
@@ -250,11 +250,6 @@ impl Response {
         }
         Some(resp)
     }
-
-    /// The length of the encoded header block, useful for sizing streams.
-    pub fn header_len(&self) -> usize {
-        self.encode().len()
-    }
 }
 
 #[cfg(test)]
@@ -398,12 +393,6 @@ mod tests {
             assert_eq!(d.status, status);
             assert_eq!(d.content_length, 0);
         }
-    }
-
-    #[test]
-    fn header_len_matches_encoding() {
-        let r = Response::partial(vec![(0, 9)]);
-        assert_eq!(r.header_len(), r.encode().len());
     }
 
     #[cfg(test)]

@@ -1,5 +1,6 @@
 //! CLI for the workspace API-baseline check. Exit code 1 on any violation
-//! (or a blown wall-time guard), 2 on operational error.
+//! (or a blown wall-time guard), 2 on operational error: rustdoc failed or
+//! warned, or wrote JSON in a `format_version` the lint does not read.
 //!
 //! Usage: `cargo run -p voxel-lint [-- --root <path>] [--max-seconds <n>]`
 //!
@@ -29,9 +30,7 @@ fn main() -> ExitCode {
                 None => return usage_error("--max-seconds requires an integer"),
             },
             "--help" | "-h" => {
-                println!("voxel-lint: the workspace public-API baseline (see DESIGN.md §10)");
-                println!("usage: voxel-lint [--root <repo-root>] [--max-seconds <n>]");
-                println!("env: VOXEL_BLESS=1 re-blesses the API baseline");
+                println!("usage: voxel-lint [--root <repo-root>] [--max-seconds <n>] (DESIGN.md §10)\nenv: VOXEL_BLESS=1 re-blesses the API baseline");
                 return ExitCode::SUCCESS;
             }
             other => return usage_error(&format!("unknown argument: {other}")),
@@ -40,36 +39,24 @@ fn main() -> ExitCode {
 
     let violations = match voxel_lint::run(&root) {
         Ok(v) => v,
-        Err(e) => {
-            eprintln!("voxel-lint: error: {e}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return usage_error(&format!("error: {e}")),
     };
     for v in &violations {
         println!("{}:{}: [{}] {}", v.path, v.line, v.rule, v.msg);
     }
-    let mut failed = !violations.is_empty();
-    if failed {
-        println!("voxel-lint: {} violation(s)", violations.len());
-    } else {
-        println!("voxel-lint: clean");
+    match violations.len() {
+        0 => println!("voxel-lint: clean"),
+        n => println!("voxel-lint: {n} violation(s)"),
     }
-
-    if let Some(max) = max_seconds {
-        let elapsed = t0.elapsed();
-        if elapsed.as_secs_f64() > max as f64 {
-            println!(
-                "voxel-lint: wall-time guard: pass took {:.2}s (limit {max}s)",
-                elapsed.as_secs_f64()
-            );
-            failed = true;
-        }
+    let elapsed = t0.elapsed().as_secs_f64();
+    let slow = max_seconds.filter(|&max| elapsed > max as f64);
+    if let Some(max) = slow {
+        println!("voxel-lint: wall-time guard: pass took {elapsed:.2}s (limit {max}s)");
     }
-
-    if failed {
-        ExitCode::FAILURE
-    } else {
+    if violations.is_empty() && slow.is_none() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 

@@ -111,7 +111,7 @@ impl ContentProfile {
     /// `bitrate_std_mbps` and `segment_range_start` are verbatim from
     /// Tables 1 and 3. Motion parameters are calibrated so the drop-tolerance
     /// CDFs (Figs 1 & 19) and VBR traces (Fig 15) match the paper's shapes.
-    pub fn for_video(id: VideoId) -> ContentProfile {
+    pub(crate) fn for_video(id: VideoId) -> ContentProfile {
         // (genre, std, range_start, motion_mean, spread, jitter, static_p, cut_rate)
         let (genre, std, start, mm, ms, mj, sp, cr) = match id {
             VideoId::Bbb => ("Comedy", 3.77, 1, 0.28, 0.16, 0.08, 0.16, 0.30),
@@ -152,7 +152,7 @@ impl ContentProfile {
     }
 
     /// Relative per-segment bitrate variability (std / mean at Q12).
-    pub fn relative_std(&self) -> f64 {
+    pub(crate) fn relative_std(&self) -> f64 {
         self.bitrate_std_mbps / crate::ladder::QualityLevel::MAX.avg_bitrate_mbps()
     }
 }

@@ -38,7 +38,7 @@ pub enum FrameKind {
 
 impl FrameKind {
     /// True for any B-frame (referenced or not).
-    pub fn is_b(self) -> bool {
+    pub(crate) fn is_b(self) -> bool {
         matches!(self, FrameKind::BRef | FrameKind::BUnref)
     }
 }
@@ -78,7 +78,7 @@ impl GopStructure {
     /// `motions[i]` is the per-frame motion in `[0,1]`; `i_share` the
     /// fraction of segment bytes in the I-frame (remaining bytes split
     /// between P and B in the 65:20 ratio of the paper's encodes).
-    pub fn build(motions: &[f64], i_share: f64) -> GopStructure {
+    pub(crate) fn build(motions: &[f64], i_share: f64) -> GopStructure {
         assert_eq!(motions.len(), FRAMES_PER_SEGMENT, "need 96 motion samples");
         assert!((0.0..1.0).contains(&i_share));
 
@@ -205,7 +205,7 @@ impl GopStructure {
 
     /// All frames that transitively reference `frame` — i.e. every frame
     /// whose decode is impaired if `frame` is lost.
-    pub fn transitive_dependents(&self, frame: usize) -> Vec<usize> {
+    pub(crate) fn transitive_dependents(&self, frame: usize) -> Vec<usize> {
         let mut seen = vec![false; self.frames.len()];
         let mut stack = vec![frame];
         let mut out = Vec::new();

@@ -29,4 +29,4 @@ pub use content::{ContentProfile, VideoId};
 pub use gop::{FrameKind, FrameMeta, GopStructure, FRAMES_PER_SEGMENT};
 pub use ladder::{QualityLevel, BITRATE_LADDER, NUM_LEVELS};
 pub use qoe::{LossMap, QoeMetric, QoeModel, QoeScores};
-pub use video::{Segment, Video, SEGMENTS_PER_VIDEO, SEGMENT_DURATION_S};
+pub use video::{Segment, Video, SEGMENT_DURATION_S};

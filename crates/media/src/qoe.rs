@@ -89,12 +89,6 @@ impl LossMap {
         self.frac[frame] = frac.clamp(0.0, 1.0);
     }
 
-    /// Add additional loss to a frame (saturating at 1.0).
-    pub fn add(&mut self, frame: usize, frac: f64) {
-        let cur = self.frac[frame];
-        self.set(frame, cur + frac);
-    }
-
     /// Fraction lost for `frame`.
     pub fn get(&self, frame: usize) -> f64 {
         self.frac[frame]
@@ -534,9 +528,8 @@ mod tests {
         let mut m = LossMap::none();
         assert_eq!(m.get(5), 0.0);
         m.set(5, 0.4);
-        m.add(5, 0.3);
-        assert!((m.get(5) - 0.7).abs() < 1e-12);
-        m.add(5, 0.9);
+        assert_eq!(m.get(5), 0.4);
+        m.set(5, 1.6);
         assert_eq!(m.get(5), 1.0);
     }
 }

@@ -12,7 +12,7 @@ use crate::ladder::{QualityLevel, NUM_LEVELS};
 use voxel_sim::SimRng;
 
 /// Segments per evaluation clip (5 minutes of 4 s segments).
-pub const SEGMENTS_PER_VIDEO: usize = 75;
+pub(crate) const SEGMENTS_PER_VIDEO: usize = 75;
 
 /// Segment duration in seconds.
 pub const SEGMENT_DURATION_S: f64 = 4.0;

@@ -66,11 +66,6 @@ impl OriginLink {
     pub fn busy_s(&self) -> f64 {
         self.busy.as_secs_f64()
     }
-
-    /// The time the link frees up (the backlog horizon).
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
-    }
 }
 
 #[cfg(test)]

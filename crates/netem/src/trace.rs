@@ -76,23 +76,6 @@ impl BandwidthTrace {
         voxel_sim::stats::std_dev(&self.mbps)
     }
 
-    /// Rate at virtual time `t`, in bits/second (cyclic past the end).
-    pub fn rate_bps(&self, t: SimTime) -> f64 {
-        let idx = (t.as_micros() / 1_000_000) as usize % self.mbps.len();
-        self.mbps[idx] * 1e6
-    }
-
-    /// The paper's linear offset: add a constant so the mean becomes
-    /// `target_mbps` ("the adjustments leave the network throughput
-    /// variations intact"). Samples are floored at a small positive rate.
-    pub fn offset_to_mean(&self, target_mbps: f64) -> BandwidthTrace {
-        let delta = target_mbps - self.mean_mbps();
-        Self::new(
-            self.name.clone(),
-            self.mbps.iter().map(|m| m + delta).collect(),
-        )
-    }
-
     /// Cyclic shift by `seconds` — the 30-trial protocol shifts by `d/30` per
     /// repetition to explore interactions between throughput and VBR
     /// variations (§5 "Experiments").
@@ -122,7 +105,7 @@ impl BandwidthTrace {
 
     /// Time at which `bytes` of service completes if service starts at
     /// `start` and proceeds at this trace's (piecewise-constant) rate.
-    pub fn service_finish(&self, start: SimTime, bytes: u64) -> SimTime {
+    pub(crate) fn service_finish(&self, start: SimTime, bytes: u64) -> SimTime {
         let mut remaining_bits = bytes as f64 * 8.0;
         let mut t_us = start.as_micros();
         loop {
@@ -253,7 +236,7 @@ pub mod generators {
 
     /// An "in-the-wild" university-WiFi-like trace for the Fig 11d/13
     /// experiments: high mean, moderate variation, occasional contention dips.
-    pub fn wild_wifi(seed: u64, duration_s: usize) -> BandwidthTrace {
+    pub(crate) fn wild_wifi(seed: u64, duration_s: usize) -> BandwidthTrace {
         regime_ar1("in-the-wild", seed, duration_s, 11.0, 3.5, 0.8, 0.01, 2.0)
     }
 }
@@ -269,24 +252,15 @@ mod tests {
         assert_eq!(t.duration_s(), 300);
         assert_eq!(t.mean_mbps(), 10.5);
         assert_eq!(t.std_mbps(), 0.0);
-        assert_eq!(t.rate_bps(SimTime::from_secs(123)), 10.5e6);
+        assert_eq!(t.mbps[123], 10.5);
     }
 
     #[test]
     fn step_trace_steps_at_the_right_time() {
         let t = BandwidthTrace::step(10.75, 10.5, 70, 300);
-        assert_eq!(t.rate_bps(SimTime::from_secs(69)), 10.75e6);
-        assert_eq!(t.rate_bps(SimTime::from_secs(70)), 10.5e6);
+        assert_eq!(t.mbps[69], 10.75);
+        assert_eq!(t.mbps[70], 10.5);
         assert_eq!(t.duration_s(), 300);
-    }
-
-    #[test]
-    fn offset_to_mean_hits_target_exactly_when_no_flooring() {
-        let t = BandwidthTrace::new("x", vec![4.0, 6.0, 8.0]);
-        let o = t.offset_to_mean(10.0);
-        assert!((o.mean_mbps() - 10.0).abs() < 1e-9);
-        // Variations intact.
-        assert!((o.std_mbps() - t.std_mbps()).abs() < 1e-9);
     }
 
     #[test]
@@ -305,14 +279,6 @@ mod tests {
         let s2 = t.shift(5);
         assert_eq!(s2.mbps, vec![2.0, 3.0, 4.0, 1.0]);
         assert_eq!(t.shift(0).mbps, t.mbps);
-    }
-
-    #[test]
-    fn rate_is_cyclic_past_end() {
-        let t = BandwidthTrace::new("x", vec![1.0, 2.0]);
-        assert_eq!(t.rate_bps(SimTime::from_secs(0)), 1e6);
-        assert_eq!(t.rate_bps(SimTime::from_secs(3)), 2e6);
-        assert_eq!(t.rate_bps(SimTime::from_secs(4)), 1e6);
     }
 
     #[test]
@@ -412,14 +378,14 @@ mod tests {
 ///
 /// Mahimahi (the tool the paper's cited Winstein et al. traces ship in)
 /// describes a link as one line per 1500-byte packet-delivery opportunity,
-/// each line the opportunity's time in integer milliseconds. These helpers
-/// convert to/from the per-second Mbps representation used here, so
-/// recorded cellular traces can be dropped into any experiment.
+/// each line the opportunity's time in integer milliseconds. `to_lines`
+/// writes the per-second Mbps representation used here in that format, so
+/// the generated traces can be replayed under mahimahi.
 pub mod mahimahi {
     use super::BandwidthTrace;
 
     /// Bytes per mahimahi delivery opportunity.
-    pub const MTU_BYTES: f64 = 1500.0;
+    pub(crate) const MTU_BYTES: f64 = 1500.0;
 
     /// Serialize a trace to mahimahi lines.
     pub fn to_lines(trace: &BandwidthTrace) -> String {
@@ -439,11 +405,13 @@ pub mod mahimahi {
         out
     }
 
-    /// Parse mahimahi lines into a per-second trace.
+    /// Parse mahimahi lines into a per-second trace: the tests' oracle
+    /// for [`to_lines`].
     ///
     /// Returns `None` on any unparsable line. Empty input or input shorter
     /// than one second yields a single floor-rate bucket.
-    pub fn from_lines(name: &str, text: &str) -> Option<BandwidthTrace> {
+    #[cfg(test)]
+    pub(crate) fn from_lines(name: &str, text: &str) -> Option<BandwidthTrace> {
         let mut per_second: Vec<u64> = Vec::new();
         for line in text.lines() {
             let line = line.trim();
@@ -604,21 +572,13 @@ mod props {
             }
         }
 
-        /// Offsetting to a mean then measuring gives that mean (when no
-        /// sample hits the floor), and shifting never changes the moments.
+        /// Shifting never changes the moments.
         #[test]
-        fn offset_and_shift_preserve_stats(
+        fn shift_preserves_stats(
             rates in proptest::collection::vec(5.0f64..50.0, 2..50),
-            target in 8.0f64..30.0,
             shift in 0usize..100,
         ) {
             let t = BandwidthTrace::new("p", rates);
-            // The mean is exact only when no offset sample hits the floor.
-            let delta = target - t.mean_mbps();
-            let min = t.mbps.iter().cloned().fold(f64::INFINITY, f64::min);
-            prop_assume!(min + delta > 0.06);
-            let o = t.offset_to_mean(target);
-            prop_assert!((o.mean_mbps() - target).abs() < 1e-6);
             let s = t.shift(shift);
             prop_assert!((s.mean_mbps() - t.mean_mbps()).abs() < 1e-9);
             prop_assert!((s.std_mbps() - t.std_mbps()).abs() < 1e-9);

@@ -23,9 +23,7 @@
 pub mod profile;
 pub mod recorder;
 
-pub use profile::{
-    FlatRow, InstallGuard, ProfileReport, Profiler, ReportNode, SpanGuard, DEFAULT_SAMPLE,
-};
+pub use profile::{FlatRow, InstallGuard, ProfileReport, Profiler, ReportNode, SpanGuard};
 pub use recorder::{FlightRecorder, RecorderGuard, RecorderSink, DEFAULT_CAPACITY};
 
 pub use profile::{arm, armed, observe};

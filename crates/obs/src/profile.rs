@@ -40,7 +40,7 @@ use std::time::Instant;
 use voxel_trace::Histogram;
 
 /// Default sampling factor: profile 1 in 32 event-loop iterations.
-pub const DEFAULT_SAMPLE: u64 = 32;
+pub(crate) const DEFAULT_SAMPLE: u64 = 32;
 
 /// One node of the span tree: a `(name, idx)` pair under a parent.
 #[derive(Debug, Clone)]
@@ -164,7 +164,7 @@ impl Profiler {
         Profiler::default()
     }
 
-    /// An enabled profiler sampling 1 in [`DEFAULT_SAMPLE`] iterations.
+    /// An enabled profiler sampling 1 in `DEFAULT_SAMPLE` (32) iterations.
     pub fn enabled() -> Profiler {
         Profiler::with_sample(DEFAULT_SAMPLE)
     }
@@ -178,11 +178,6 @@ impl Profiler {
                 acc: Mutex::new(Accum::default()),
             })),
         }
-    }
-
-    /// Whether this handle collects anything at all.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
     }
 
     /// The sampling factor (0 when disabled).
@@ -381,7 +376,7 @@ impl Drop for SpanGuard {
 /// Render the live thread-local profile, if any — used by flight-recorder
 /// postmortems to capture "profiler state so far" at the moment of a
 /// failure, before the install guard has merged anything.
-pub fn current_profile_text() -> Option<String> {
+pub(crate) fn current_profile_text() -> Option<String> {
     ACTIVE.with_borrow(|a| {
         let a = a.as_ref()?;
         let acc = Accum {
@@ -507,7 +502,7 @@ impl ProfileReport {
 
     /// Event-loop utilization: fraction of the installed wall time spent
     /// inside root spans (scaled estimate, clamped to `[0, 1]`).
-    pub fn utilization(&self) -> f64 {
+    pub(crate) fn utilization(&self) -> f64 {
         if self.elapsed_ns == 0 {
             return 0.0;
         }
@@ -676,7 +671,6 @@ mod tests {
     #[test]
     fn disabled_profiler_is_inert() {
         let p = Profiler::disabled();
-        assert!(!p.is_enabled());
         assert_eq!(p.sample(), 0);
         let _g = p.install();
         arm(0);

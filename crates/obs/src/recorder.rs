@@ -78,7 +78,7 @@ impl FlightRecorder {
     }
 
     /// Events that rotated out of the ring.
-    pub fn evicted(&self) -> u64 {
+    pub(crate) fn evicted(&self) -> u64 {
         self.ring.dropped()
     }
 

@@ -125,24 +125,6 @@ impl BytesQoeMap {
         self.points.iter().copied().find(|p| p.ssim >= target)
     }
 
-    /// The best SSIM achievable with at most `budget` payload bytes.
-    pub fn best_ssim_within(&self, budget: u64) -> Option<QoePoint> {
-        self.points
-            .iter()
-            .rev()
-            .find(|p| u64::from(p.bytes) <= budget)
-            .copied()
-    }
-
-    /// SSIM of the complete segment (last point).
-    pub fn full_ssim(&self) -> f64 {
-        #[expect(
-            clippy::expect_used,
-            reason = "analyze() always emits the full-segment point"
-        )]
-        self.points.last().expect("map is never empty").ssim
-    }
-
     /// Total payload bytes of the complete segment.
     pub fn full_bytes(&self) -> u64 {
         #[expect(
@@ -184,7 +166,7 @@ pub fn analyze_segment(model: &QoeModel, seg: &Segment, level: QualityLevel) -> 
 /// Like [`analyze_segment`], but with the ordering choice overridden — the
 /// DESIGN.md §6 runtime ablation: stream with each candidate ordering and
 /// measure the end-to-end difference the §4.1 selection makes.
-pub fn analyze_segment_forced(
+pub(crate) fn analyze_segment_forced(
     model: &QoeModel,
     seg: &Segment,
     level: QualityLevel,
@@ -354,7 +336,7 @@ mod tests {
         for kind in OrderingKind::ALL {
             let map = BytesQoeMap::compute(&m, seg, QualityLevel(9), kind);
             let pristine = m.pristine_ssim(seg, QualityLevel(9));
-            assert!((map.full_ssim() - pristine).abs() < 1e-9);
+            assert!((map.points.last().unwrap().ssim - pristine).abs() < 1e-9);
             assert_eq!(map.full_bytes(), seg.bytes(QualityLevel(9)));
         }
     }
@@ -372,27 +354,6 @@ mod tests {
         assert!(p.ssim >= 0.99);
         assert!(u64::from(p.bytes) <= map.full_bytes());
         assert!(map.min_bytes_for(1.1).is_none());
-    }
-
-    #[test]
-    fn best_ssim_within_budget() {
-        let (m, v) = setup();
-        let map = BytesQoeMap::compute(
-            &m,
-            &v.segments[0],
-            QualityLevel::MAX,
-            OrderingKind::InboundRank,
-        );
-        let full = map.full_bytes();
-        let p = map
-            .best_ssim_within(full / 2)
-            .expect("half budget is above I-frame size");
-        assert!(u64::from(p.bytes) <= full / 2);
-        // A larger budget can only improve the achievable SSIM.
-        let p2 = map.best_ssim_within(full).unwrap();
-        assert!(p2.ssim >= p.ssim);
-        // A budget below the I-frame size is infeasible.
-        assert!(map.best_ssim_within(0).is_none());
     }
 
     #[test]

@@ -23,6 +23,6 @@ pub mod mpd;
 pub mod ordering;
 
 pub use analysis::{BytesQoeMap, QoePoint, SegmentAnalysis};
-pub use manifest::{Manifest, SegmentEntry, FRAME_HEADER_BYTES};
+pub use manifest::{Manifest, SegmentEntry};
 pub use mpd::{parse as parse_mpd, ParsedMpd};
 pub use ordering::OrderingKind;

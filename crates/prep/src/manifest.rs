@@ -25,10 +25,10 @@ use voxel_media::video::Video;
 use voxel_media::VideoId;
 
 /// Bytes per frame header (NAL/slice header kept intact for decodability).
-pub const FRAME_HEADER_BYTES: u64 = 24;
+pub(crate) const FRAME_HEADER_BYTES: u64 = 24;
 
 /// A byte range `[start, end]` (inclusive, like HTTP ranges).
-pub type ByteRange = (u64, u64);
+pub(crate) type ByteRange = (u64, u64);
 
 /// One `<SegmentURL>` entry of the extended manifest.
 #[derive(Debug, Clone)]
@@ -70,26 +70,9 @@ impl SegmentEntry {
         self.media_range.1 - self.media_range.0 + 1
     }
 
-    /// Best achievable QoE point within a *payload* byte budget (`bytes`
-    /// fields of [`QoePoint`] count payloads only).
-    pub fn best_within(&self, payload_budget: u64) -> Option<QoePoint> {
-        self.ssims
-            .iter()
-            .rev()
-            .find(|p| u64::from(p.bytes) <= payload_budget)
-            .copied()
-    }
-
     /// Cheapest QoE point reaching `target` SSIM.
     pub fn cheapest_reaching(&self, target: f64) -> Option<QoePoint> {
         self.ssims.iter().find(|p| p.ssim >= target).copied()
-    }
-
-    /// The point delivered when the first `frames` frames of the download
-    /// order arrive.
-    pub fn point_at_frames(&self, frames: usize) -> QoePoint {
-        let idx = frames.clamp(1, self.ssims.len()) - 1;
-        self.ssims[idx]
     }
 }
 
@@ -315,15 +298,12 @@ mod tests {
     }
 
     #[test]
-    fn best_within_and_cheapest_reaching_are_consistent() {
+    fn cheapest_reaching_the_bound_fits_the_full_segment() {
         let (_, m) = quick_manifest();
         let e = m.entry(5, QualityLevel::MAX);
         let full = e.ssims.last().unwrap();
         let p = e.cheapest_reaching(e.bound).expect("bound is reachable");
         assert!(p.bytes <= full.bytes);
-        let q = e.best_within(u64::from(p.bytes)).unwrap();
-        assert!(q.ssim >= p.ssim - 1e-12);
-        assert_eq!(e.point_at_frames(p.frames as usize).frames, p.frames);
     }
 
     #[test]

@@ -69,12 +69,6 @@ pub fn frame_order(seg: &Segment, kind: OrderingKind) -> Vec<usize> {
     }
 }
 
-/// Given a download order and a count of frames actually delivered from its
-/// head, the set of frame indices that were dropped (the tail).
-pub fn dropped_tail(order: &[usize], delivered: usize) -> &[usize] {
-    &order[delivered.min(order.len())..]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,15 +128,6 @@ mod tests {
         let rank_avg =
             |fs: &[usize]| fs.iter().map(|&f| s.gop.inbound_rank(f)).sum::<f64>() / fs.len() as f64;
         assert!(rank_avg(&order[..third]) > rank_avg(&order[order.len() - third..]));
-    }
-
-    #[test]
-    fn dropped_tail_slices_correctly() {
-        let order = vec![0, 3, 1, 2, 4];
-        assert_eq!(dropped_tail(&order, 3), &[2, 4]);
-        assert_eq!(dropped_tail(&order, 5), &[] as &[usize]);
-        assert_eq!(dropped_tail(&order, 99), &[] as &[usize]);
-        assert_eq!(dropped_tail(&order, 0).len(), 5);
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub enum CcKind {
 }
 
 /// All controller kinds, in spec-grammar order.
-pub const CC_KINDS: [CcKind; 3] = [CcKind::Cubic, CcKind::Delay, CcKind::Bbr];
+pub(crate) const CC_KINDS: [CcKind; 3] = [CcKind::Cubic, CcKind::Delay, CcKind::Bbr];
 
 impl CcKind {
     /// Canonical lowercase name, as used by the fleet `@cc` spec knob.
@@ -41,7 +41,7 @@ impl CcKind {
     /// detector only computes and buffers samples when the controller
     /// will read them — the per-ack division and Vec push are pure waste
     /// for CUBIC and the delay controller.
-    pub fn wants_rate_samples(self) -> bool {
+    pub(crate) fn wants_rate_samples(self) -> bool {
         matches!(self, CcKind::Bbr)
     }
 }

@@ -214,29 +214,14 @@ impl Connection {
         Self::new(role, ConnectionConfig::default())
     }
 
-    /// This endpoint's role.
-    pub fn role(&self) -> Role {
-        self.role
-    }
-
     /// Transport statistics.
     pub fn stats(&self) -> ConnStats {
         self.stats
     }
 
-    /// Smoothed RTT estimate.
-    pub fn srtt(&self) -> SimDuration {
-        self.rtt.srtt()
-    }
-
     /// Current congestion window in bytes.
     pub fn cwnd(&self) -> usize {
         self.cc.cwnd()
-    }
-
-    /// Whether the connection has been closed (locally or by the peer).
-    pub fn is_closed(&self) -> bool {
-        self.closed
     }
 
     // ------------------------------------------------------------------
@@ -373,7 +358,7 @@ impl Connection {
     /// controllers maintain, stream offsets monotone and in-buffer, and
     /// every ACK/loss range set sorted and disjoint. Cheap enough to run
     /// at event-loop boundaries; the `paranoid` feature does exactly that
-    /// via [`Connection::debug_invariants`].
+    /// via `Connection::debug_invariants`.
     pub fn check_invariants(&self) -> Result<(), String> {
         if self.data_sent > self.max_data_remote {
             return Err(format!(
@@ -1157,8 +1142,8 @@ mod tests {
             |_, _| false,
             SimTime::from_secs(2),
         );
-        assert!(server.is_closed());
-        assert!(client.is_closed());
+        assert!(server.closed);
+        assert!(client.closed);
         let mut saw = false;
         while let Some(e) = client.poll_event() {
             if e == (Event::Closed { code: 42 }) {
@@ -1281,7 +1266,7 @@ mod tests {
             SimTime::from_secs(30),
         );
         // Pipe delay 30 ms each way → RTT 60 ms (+ ack delay tolerance).
-        let srtt = server.srtt().as_millis_f64();
+        let srtt = server.rtt.srtt().as_millis_f64();
         assert!(
             (55.0..90.0).contains(&srtt),
             "srtt {srtt} ms should be near 60 ms"

@@ -27,7 +27,7 @@ mod ty {
 }
 
 /// An acknowledgement range `[start, end]` of packet numbers (inclusive).
-pub type AckRange = (u64, u64);
+pub(crate) type AckRange = (u64, u64);
 
 /// A QUIC\* frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,7 +88,7 @@ pub enum Frame {
 
 impl Frame {
     /// Whether this frame elicits an acknowledgement.
-    pub fn is_ack_eliciting(&self) -> bool {
+    pub(crate) fn is_ack_eliciting(&self) -> bool {
         !matches!(self, Frame::Ack { .. } | Frame::Padding { .. })
     }
 

@@ -9,7 +9,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 pub const PACKET_OVERHEAD: usize = 53;
 
 /// Maximum UDP payload the simulator uses (QUIC's conservative default).
-pub const MAX_PAYLOAD: usize = 1350;
+pub(crate) const MAX_PAYLOAD: usize = 1350;
 
 /// A QUIC\* packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,12 +27,12 @@ impl Packet {
     }
 
     /// Whether any frame elicits an acknowledgement.
-    pub fn is_ack_eliciting(&self) -> bool {
+    pub(crate) fn is_ack_eliciting(&self) -> bool {
         self.frames.iter().any(Frame::is_ack_eliciting)
     }
 
     /// Encoded payload size (header + frames, excluding [`PACKET_OVERHEAD`]).
-    pub fn payload_size(&self) -> usize {
+    pub(crate) fn payload_size(&self) -> usize {
         1 + varint::size(self.pkt_num) + self.frames.iter().map(Frame::size).sum::<usize>()
     }
 

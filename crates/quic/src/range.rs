@@ -99,7 +99,7 @@ impl RangeSet {
     }
 
     /// Length of the covered prefix starting at offset 0.
-    pub fn prefix_len(&self) -> u64 {
+    pub(crate) fn prefix_len(&self) -> u64 {
         match self.ranges.first() {
             Some(&(0, e)) => e,
             _ => 0,

@@ -72,13 +72,13 @@ pub struct SendStream {
 
 /// Default per-stream flow-control window (generous; the experiments are
 /// congestion-limited, not flow-limited, as in the paper's testbed).
-pub const DEFAULT_STREAM_WINDOW: u64 = 16 * 1024 * 1024;
+pub(crate) const DEFAULT_STREAM_WINDOW: u64 = 16 * 1024 * 1024;
 
 impl SendStream {
     /// New send stream. `zeros` is the zero page its all-zero chunks are
     /// sliced from (one per connection); a chunk longer than the page is
     /// allocated instead.
-    pub fn new(id: StreamId, reliability: Reliability, zeros: Bytes) -> SendStream {
+    pub(crate) fn new(id: StreamId, reliability: Reliability, zeros: Bytes) -> SendStream {
         SendStream {
             id,
             reliability,
@@ -97,7 +97,7 @@ impl SendStream {
     }
 
     /// Append application data. Panics if the stream was finished.
-    pub fn write(&mut self, data: &[u8]) {
+    pub(crate) fn write(&mut self, data: &[u8]) {
         assert!(self.fin_offset.is_none(), "write after finish");
         // Real bytes after a zero run: the run has to become real too.
         self.data.resize(self.len as usize, 0);
@@ -108,13 +108,13 @@ impl SendStream {
     /// Append `len` zero bytes without materialising them: the cost and
     /// the memory held are independent of `len`. Panics if the stream was
     /// finished.
-    pub fn write_zeros(&mut self, len: u64) {
+    pub(crate) fn write_zeros(&mut self, len: u64) {
         assert!(self.fin_offset.is_none(), "write after finish");
         self.len += len;
     }
 
     /// Mark the stream finished at the current length.
-    pub fn finish(&mut self) {
+    pub(crate) fn finish(&mut self) {
         self.fin_offset = Some(self.len);
     }
 
@@ -141,7 +141,7 @@ impl SendStream {
     }
 
     /// Whether all data (and fin) has been sent at least once.
-    pub fn is_drained(&self) -> bool {
+    pub(crate) fn is_drained(&self) -> bool {
         self.retransmit.is_empty()
             && self.next_send >= self.len
             && (self.fin_offset.is_none() || self.fin_sent)
@@ -162,12 +162,12 @@ impl SendStream {
     }
 
     /// Update the peer's flow-control limit.
-    pub fn set_max_stream_data(&mut self, limit: u64) {
+    pub(crate) fn set_max_stream_data(&mut self, limit: u64) {
         self.max_stream_data = self.max_stream_data.max(limit);
     }
 
     /// Whether the stream has anything to put on the wire right now.
-    pub fn wants_to_send(&self) -> bool {
+    pub(crate) fn wants_to_send(&self) -> bool {
         if !self.retransmit.is_empty() {
             return true;
         }
@@ -181,7 +181,7 @@ impl SendStream {
     ///
     /// Retransmissions (reliable streams only) take priority over new data.
     /// Returns `(offset, data, fin)`.
-    pub fn next_chunk(&mut self, max_len: usize) -> Option<(u64, Bytes, bool)> {
+    pub(crate) fn next_chunk(&mut self, max_len: usize) -> Option<(u64, Bytes, bool)> {
         if max_len == 0 {
             return None;
         }
@@ -219,7 +219,7 @@ impl SendStream {
     }
 
     /// A previously sent chunk was acknowledged.
-    pub fn on_chunk_acked(&mut self, offset: u64, len: usize, fin: bool) {
+    pub(crate) fn on_chunk_acked(&mut self, offset: u64, len: usize, fin: bool) {
         self.acked.insert(offset, offset + len as u64);
         if fin {
             self.fin_acked = true;
@@ -234,7 +234,7 @@ impl SendStream {
     /// Reliable: requeue for retransmission (unless already acked, e.g. a
     /// spurious loss). Unreliable: record a loss report for the application
     /// and *do not* retransmit.
-    pub fn on_chunk_lost(&mut self, offset: u64, len: usize, fin: bool) {
+    pub(crate) fn on_chunk_lost(&mut self, offset: u64, len: usize, fin: bool) {
         let end = offset + len as u64;
         match self.reliability {
             Reliability::Reliable => {
@@ -259,7 +259,7 @@ impl SendStream {
     }
 
     /// Drain accumulated loss reports (unreliable streams).
-    pub fn take_loss_reports(&mut self) -> Vec<(u64, u64)> {
+    pub(crate) fn take_loss_reports(&mut self) -> Vec<(u64, u64)> {
         std::mem::take(&mut self.loss_reports)
     }
 
@@ -277,7 +277,7 @@ impl SendStream {
     /// length, send offsets stay monotonic and inside it, acked/retransmit
     /// ranges are well-formed, and fin (once declared) pins the stream
     /// length. Used by the `paranoid` runtime layer (DESIGN.md §10).
-    pub fn check_invariants(&self) -> Result<(), String> {
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
         let len = self.len;
         if self.data.len() as u64 > len {
             return Err(format!(
@@ -350,7 +350,7 @@ pub struct RecvStream {
 
 impl RecvStream {
     /// New receive stream.
-    pub fn new(id: StreamId, reliability: Reliability) -> RecvStream {
+    pub(crate) fn new(id: StreamId, reliability: Reliability) -> RecvStream {
         RecvStream {
             id,
             reliability,
@@ -362,7 +362,7 @@ impl RecvStream {
     }
 
     /// Ingest a STREAM frame's payload.
-    pub fn on_data(&mut self, offset: u64, data: Bytes, fin: bool) {
+    pub(crate) fn on_data(&mut self, offset: u64, data: Bytes, fin: bool) {
         if fin {
             let end = offset + data.len() as u64;
             self.fin_offset = Some(self.fin_offset.map_or(end, |f| f.max(end)));
@@ -420,7 +420,8 @@ impl RecvStream {
 
     /// The holes in `[0, upto)` — for unreliable streams, the ranges the
     /// application may re-request or zero-pad (`upto` defaults to fin).
-    pub fn missing_ranges(&self, upto: Option<u64>) -> Vec<(u64, u64)> {
+    #[cfg(test)]
+    pub(crate) fn missing_ranges(&self, upto: Option<u64>) -> Vec<(u64, u64)> {
         let upto = upto.or(self.fin_offset).unwrap_or(0);
         self.received.gaps(upto)
     }
@@ -444,7 +445,8 @@ impl RecvStream {
     }
 
     /// Received ranges, for inspection.
-    pub fn received_ranges(&self) -> Vec<(u64, u64)> {
+    #[cfg(test)]
+    pub(crate) fn received_ranges(&self) -> Vec<(u64, u64)> {
         self.received.iter().collect()
     }
 
@@ -452,7 +454,7 @@ impl RecvStream {
     /// prefix, buffered chunks lie inside the received set in offset order
     /// without overlapping, and nothing arrives beyond fin. Used by the
     /// `paranoid` runtime layer.
-    pub fn check_invariants(&self) -> Result<(), String> {
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
         self.received
             .check_invariants()
             .map_err(|e| format!("received set: {e}"))?;

@@ -57,11 +57,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference; `None` if `earlier` is after `self`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -104,12 +99,6 @@ impl SimDuration {
     /// Duration as fractional milliseconds.
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e3
-    }
-
-    /// Scale by a non-negative factor (used for e.g. `1.25 x BDP`).
-    pub fn mul_f64(self, k: f64) -> Self {
-        debug_assert!(k >= 0.0);
-        SimDuration((self.0 as f64 * k).round() as u64)
     }
 
     /// Saturating subtraction.
@@ -224,7 +213,6 @@ mod tests {
         let late = SimTime::from_secs(2);
         assert_eq!(late.saturating_since(early).as_micros(), 1_000_000);
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
-        assert_eq!(early.checked_since(late), None);
     }
 
     #[test]
@@ -232,12 +220,6 @@ mod tests {
         // 1500 bytes at 12 Mbps = 1 ms.
         let d = SimDuration::serialization(1500, 12_000_000.0);
         assert_eq!(d.as_micros(), 1_000);
-    }
-
-    #[test]
-    fn mul_f64_scales() {
-        let d = SimDuration::from_millis(100).mul_f64(1.25);
-        assert_eq!(d.as_micros(), 125_000);
     }
 
     #[test]

@@ -52,26 +52,6 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     }
 }
 
-/// An empirical CDF over the samples: returns `(value, F(value))` pairs
-/// at each distinct sorted sample, suitable for plotting or table output.
-pub fn ecdf(xs: &[f64]) -> Vec<(f64, f64)> {
-    if xs.is_empty() {
-        return Vec::new();
-    }
-    let mut v: Vec<f64> = xs.to_vec();
-    v.sort_by(|a, b| a.total_cmp(b));
-    let n = v.len() as f64;
-    let mut out: Vec<(f64, f64)> = Vec::new();
-    for (i, x) in v.iter().enumerate() {
-        let f = (i + 1) as f64 / n;
-        match out.last_mut() {
-            Some(last) if last.0 == *x => last.1 = f,
-            _ => out.push((*x, f)),
-        }
-    }
-    out
-}
-
 /// Evaluate an empirical CDF at fixed probe points: for each `probe`,
 /// the fraction of samples ≤ probe. Handy for printing fixed-grid CDF rows.
 pub fn ecdf_at(xs: &[f64], probes: &[f64]) -> Vec<(f64, f64)> {
@@ -181,20 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn ecdf_is_monotone_and_ends_at_one() {
-        let xs = [3.0, 1.0, 2.0, 2.0];
-        let cdf = ecdf(&xs);
-        assert_eq!(cdf.first().unwrap().0, 1.0);
-        assert_eq!(cdf.last().unwrap(), &(3.0, 1.0));
-        for w in cdf.windows(2) {
-            assert!(w[0].0 < w[1].0);
-            assert!(w[0].1 < w[1].1);
-        }
-        // Duplicate value collapsed with cumulative probability.
-        assert!(cdf.contains(&(2.0, 0.75)));
-    }
-
-    #[test]
     fn ecdf_at_probes() {
         let xs = [1.0, 2.0, 3.0, 4.0];
         let rows = ecdf_at(&xs, &[0.5, 2.0, 10.0]);
@@ -208,7 +174,6 @@ mod tests {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(std_dev(&[]), 0.0);
         assert_eq!(std_err(&[]), 0.0);
-        assert!(ecdf(&[]).is_empty());
         // ecdf_at over no samples: every probe gets F = 0, not NaN.
         let rows = ecdf_at(&[], &[0.0, 1.0]);
         assert_eq!(rows, vec![(0.0, 0.0), (1.0, 0.0)]);
@@ -223,7 +188,6 @@ mod tests {
         assert_eq!(percentile(&xs, 0.0), 42.0);
         assert_eq!(percentile(&xs, 0.5), 42.0);
         assert_eq!(percentile(&xs, 1.0), 42.0);
-        assert_eq!(ecdf(&xs), vec![(42.0, 1.0)]);
         let mut acc = Accumulator::new();
         acc.add(42.0);
         assert_eq!(acc.std_dev(), 0.0);

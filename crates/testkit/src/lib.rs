@@ -10,7 +10,7 @@
 //!   (`"BBB:VOXEL:tmobile:buf1:n2:loss@60+5x0.3"`: video × system × trace
 //!   family × buffer × queue, plus optional injected faults),
 //!   [`Spec::parse`] — the front door that accepts a scenario or a fleet
-//!   spec — and a [`Matrix`](scenario::Matrix) that expands cartesian
+//!   spec — and a [`Matrix`] that expands cartesian
 //!   products of the scenario axes from one-line specs.
 //! - [`oracle`]: per-trial invariants every scenario must satisfy
 //!   (stall accounting consistent with the traced timeline, QoE within

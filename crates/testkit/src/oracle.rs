@@ -39,7 +39,7 @@ impl Bounds {
     /// Derive the envelope from the scenario shape. Comfortable constant
     /// traces must play nearly clean; faulted or cellular scenarios only
     /// have to degrade gracefully (finish, keep watchable quality).
-    pub fn for_scenario(s: &Scenario) -> Bounds {
+    pub(crate) fn for_scenario(s: &Scenario) -> Bounds {
         if let Some(b) = &s.bounds {
             return b.clone();
         }
@@ -61,7 +61,7 @@ impl Bounds {
     }
 
     /// Check one trial against the envelope.
-    pub fn check(&self, r: &TrialResult) -> Vec<String> {
+    pub(crate) fn check(&self, r: &TrialResult) -> Vec<String> {
         let mut v = Vec::new();
         if self.require_complete && !r.completed {
             v.push("trial hit the session safety cap before finishing".into());

@@ -55,7 +55,7 @@ pub enum TraceFault {
 
 impl TraceFault {
     /// Apply this transform to `trace`.
-    pub fn apply(&self, trace: &BandwidthTrace) -> BandwidthTrace {
+    pub(crate) fn apply(&self, trace: &BandwidthTrace) -> BandwidthTrace {
         match *self {
             TraceFault::Cliff { at_s, factor } => cliff(trace, at_s, factor),
             TraceFault::Stuck { at_s, len_s } => stuck(trace, at_s, len_s),
@@ -315,13 +315,13 @@ impl Scenario {
     }
 
     /// Builder: override the trial count.
-    pub fn with_trials(mut self, n: usize) -> Scenario {
+    pub(crate) fn with_trials(mut self, n: usize) -> Scenario {
         self.trials = n;
         self
     }
 
     /// Builder: truncate the trace to its first `seconds`.
-    pub fn with_trace_prefix(mut self, seconds: usize) -> Scenario {
+    pub(crate) fn with_trace_prefix(mut self, seconds: usize) -> Scenario {
         self.trace_prefix_s = Some(seconds);
         self
     }

@@ -12,20 +12,22 @@
 //!   disabled tracer is a `None` — emitting through it is one branch, so
 //!   instrumented hot paths cost nothing measurable when tracing is off.
 //! - [`TraceSink`] implementations: [`NullSink`], ring-buffered
-//!   [`MemorySink`], [`StderrSink`] (human-readable), and [`JsonlSink`]
-//!   (one JSON object per line, replayable).
+//!   [`MemorySink`], human-readable stderr lines ([`Tracer::stderr`]),
+//!   and [`JsonlSink`] (one JSON object per line, replayable).
 //! - [`MetricsRegistry`]: counters and log-scale-bucket
 //!   [`Histogram`]s, snapshotable at any sim time.
 //! - [`KINDS`] and [`METRICS`]: the taxonomy every timeline line and
 //!   metric name belongs to (DESIGN.md §9, rendered by
 //!   [`taxonomy_markdown`]).
+//! - [`json`]: the workspace's one JSON module, the writer every sink uses
+//!   and a reader for JSON that comes from outside the program.
 //!
 //! Everything is deterministic: identically-seeded sessions produce
 //! byte-identical JSONL streams (event order, sequence numbers, and float
 //! formatting are all reproducible).
 
 mod event;
-mod json;
+pub mod json;
 mod metrics;
 mod sink;
 mod taxonomy;
@@ -33,7 +35,7 @@ mod tracer;
 
 pub use event::{Layer, TraceEvent, Value};
 pub use metrics::{Histogram, HistogramSummary, MetricsRegistry, MetricsSnapshot};
-pub use sink::{JsonlSink, MemoryHandle, MemorySink, NullSink, SharedBuf, StderrSink, TraceSink};
+pub use sink::{JsonlSink, MemoryHandle, MemorySink, NullSink, SharedBuf, TraceSink};
 pub use taxonomy::{taxonomy_markdown, Kind, Metric, MetricShape, KINDS, METRICS};
 pub use tracer::Tracer;
 

@@ -269,7 +269,7 @@ impl MetricsRegistry {
     }
 
     /// Record a histogram sample.
-    pub fn observe(&mut self, name: &'static str, v: u64) {
+    pub(crate) fn observe(&mut self, name: &'static str, v: u64) {
         self.histograms.slot(name).observe(v);
     }
 

@@ -116,7 +116,7 @@ impl MemoryHandle {
 
 /// Human-readable lines to stderr — the debug-run sink.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct StderrSink;
+pub(crate) struct StderrSink;
 
 impl TraceSink for StderrSink {
     fn record(&mut self, event: &TraceEvent) {
@@ -139,7 +139,7 @@ impl JsonlSink {
     const CHUNK: usize = 64 * 1024;
 
     /// Write JSONL to `path` (truncating).
-    pub fn create(path: impl AsRef<Path>) -> io::Result<JsonlSink> {
+    pub(crate) fn create(path: impl AsRef<Path>) -> io::Result<JsonlSink> {
         let file = std::fs::File::create(path)?;
         Ok(JsonlSink::to_writer(Box::new(file)))
     }
