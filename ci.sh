@@ -19,15 +19,8 @@ cargo test -q --features paranoid -p voxel -p voxel-quic -p voxel-core -p voxel-
 echo "==> tier-2: conformance (scenario sweep x seeds, the 12 golden digests with fleets at w {1, 2, max}, then the 5-seed stall-skew canary; DESIGN.md §11-12)"
 VOXEL_SEEDS="${VOXEL_SEEDS:-5}" cargo run -q --release -p voxel-bench --bin conformance
 
-echo "==> exhibits: fig list, every exhibit that plays no sessions, and one that does (fig9 at one trial), so an exhibit that panics at run time fails CI; then the two fleet exhibits, byte for byte against results/ (DESIGN.md §5, §15, §16)"
-offline=$(cargo run -q --release -p voxel-bench --bin fig -- list | awk -F'|' '$7 ~ /no/ { gsub(/[` ]/, "", $2); print $2 }')
-[ -n "$offline" ] || { echo "fig list names no offline exhibit"; exit 1; }
-# shellcheck disable=SC2086  # $offline is a word list of ids
-VOXEL_TRIALS=1 cargo run -q --release -p voxel-bench --bin fig -- $offline fig9 >/dev/null
-for id in cc_shootout edge_sweep; do
-    cargo run -q --release -p voxel-bench --bin fig -- "$id" | cmp - "results/$id.txt" ||
-        { echo "results/$id.txt is stale: regenerate it with fig $id and update its EXPERIMENTS.md row"; exit 1; }
-done
+echo "==> exhibits: fig check regenerates every results/*.txt at the trial count in its header, on one pool, and names the first stale line (DESIGN.md §5, §15, §16)"
+cargo run -q --release -p voxel-bench --bin fig -- check
 
 echo "==> smoke: every dbg subcommand on a scenario spec and a fleet spec, dbg profile on a 300-s lossy cellular session, voxel stream on a one-trial spec (DESIGN.md §11), and the §4.1 offline_prep example executed, not only compiled"
 for sub in trace profile compare; do

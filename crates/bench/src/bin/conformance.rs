@@ -27,12 +27,11 @@ use voxel_testkit::{
     SweepOptions, SweepReport, GOLDENS,
 };
 
+#[path = "../env.rs"]
+mod env;
+
 fn seeds() -> Vec<u64> {
-    let n: u64 = std::env::var("VOXEL_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5);
-    (1..=n.max(1)).collect()
+    (1..=env::positive_count("VOXEL_SEEDS", 5) as u64).collect()
 }
 
 /// The conformance scenario set: a cheap matrix over the main axes plus

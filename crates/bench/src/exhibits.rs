@@ -1,16 +1,19 @@
-//! The `run` functions behind [`crate::EXHIBITS`]: each prints the
-//! rows/series of its paper exhibit to stdout. What an exhibit shows and
-//! what the paper expects of it is stated once, in the table; comments
-//! here only say why a workload is shaped the way it is.
+//! The cells and printers behind [`crate::EXHIBITS`]: `<id>_cells`
+//! declares the §5 sessions of an exhibit as plain data, and `<id>` prints
+//! its rows/series from their aggregates, in the order declared (the
+//! exhibits with no `_cells` function do all their work in the printer).
+//! What an exhibit shows and what the paper expects of it is stated once,
+//! in the table; comments here only say why a workload is shaped the way
+//! it is.
 
 use super::{
-    figure_trace, grid, header, print_cdf, run, sys_config, trial_count, video, voxel_for,
-    TRACE_DURATION_S, TRACE_SEED,
+    cell, figure_trace, grid, header, print_cdf, video, voxel_for, Cell, Out, Run, Trace,
+    QOE_METRICS,
 };
 use std::sync::Arc;
 use voxel_abr::AbrStar;
 use voxel_core::client::{PlayerConfig, TransportMode};
-use voxel_core::experiment::{AbrKind, ContentCache};
+use voxel_core::experiment::ContentCache;
 use voxel_core::metrics::{Aggregate, TrialResult};
 use voxel_core::session::Session;
 use voxel_core::survey::run_survey;
@@ -21,15 +24,13 @@ use voxel_fleet::{
 use voxel_media::content::VideoId;
 use voxel_media::gop::FRAMES_PER_SEGMENT;
 use voxel_media::ladder::{QualityLevel, BITRATE_LADDER};
-use voxel_media::qoe::{QoeMetric, QoeModel};
+use voxel_media::qoe::QoeModel;
 use voxel_media::video::{Video, SEGMENT_DURATION_S};
-use voxel_netem::crosstraffic::{available_bandwidth, CrossTrafficConfig};
 use voxel_netem::trace::generators;
-use voxel_netem::{BandwidthTrace, PathConfig};
+use voxel_netem::PathConfig;
 use voxel_prep::analysis::{drop_tolerance, droppable_by_position, BytesQoeMap};
 use voxel_prep::manifest::Manifest;
 use voxel_prep::ordering::OrderingKind;
-use voxel_quic::CcKind;
 use voxel_sim::stats::Accumulator;
 use voxel_testkit::{
     cc_group_shares, edge_hot_invariants, fleet_invariants, Golden, EDGE_HOT_HIT_RATIO_FLOOR,
@@ -41,8 +42,6 @@ const BUFFERS: [usize; 4] = [1, 2, 3, 7];
 const EVAL_VIDEOS: [&str; 4] = ["BBB", "ED", "Sintel", "ToS"];
 const LTE_PANELS: [(&str, [&str; 2]); 2] =
     [("T-Mobile", ["BBB", "ED"]), ("Verizon", ["Sintel", "ToS"])];
-const Q_VS_QSTAR: [(&str, TransportMode); 2] =
-    [("Q", TransportMode::Reliable), ("Q*", TransportMode::Split)];
 
 fn generate<const N: usize>(names: [&'static str; N]) -> [(&'static str, Video); N] {
     names.map(|name| (name, Video::generate(video(name))))
@@ -62,6 +61,7 @@ fn tolerance_cdf(video: &Video, model: &QoeModel, level: QualityLevel, target: f
 /// Panels a–c of Fig 1 and Fig 19: the drop-tolerance CDFs at full quality,
 /// at a low level (tolerance collapses), and at a relaxed target (recovers).
 fn tolerance_panels(
+    o: &mut Out,
     fig: &str,
     videos: &[(&str, Video)],
     caption: impl Fn(QualityLevel, f64) -> String,
@@ -73,21 +73,11 @@ fn tolerance_panels(
         ('b', QualityLevel(9), 0.99),
         ('c', QualityLevel(9), 0.95),
     ] {
-        header(&format!("{fig}{panel}"), &caption(level, target));
+        header(o, &format!("{fig}{panel}"), &caption(level, target));
         for (name, v) in videos {
-            print_cdf(name, &tolerance_cdf(v, &model, level, target), &probes);
+            print_cdf(o, name, &tolerance_cdf(v, &model, level, target), &probes);
         }
     }
-}
-
-/// The §5 cross-traffic link: what a 20 Mbps bottleneck leaves the video
-/// flow under `offered` Mbps of Harpoon-style web load.
-fn cross_traffic(offered: f64) -> BandwidthTrace {
-    available_bandwidth(
-        &CrossTrafficConfig::paper(offered),
-        TRACE_DURATION_S,
-        TRACE_SEED,
-    )
 }
 
 fn per_trial_mean(agg: &Aggregate, f: impl Fn(&TrialResult) -> f64) -> f64 {
@@ -99,7 +89,7 @@ fn perfect_pct(ssims: &[f64]) -> f64 {
     100.0 * ssims.iter().filter(|&&x| x >= 0.9999).count() as f64 / ssims.len() as f64
 }
 
-pub(crate) fn tables(_: &ContentCache) {
+pub(crate) fn tables(o: &mut Out, _: &[Run]) {
     // (name, genre, paper's Q12 bitrate std, ours, segment range) of one video.
     let measured = |id: VideoId| {
         let p = id.profile();
@@ -108,18 +98,23 @@ pub(crate) fn tables(_: &ContentCache) {
         (id.short_name(), p.genre, p.bitrate_std_mbps, ours, range)
     };
 
-    header("Table 1", "evaluation videos from prior work");
-    println!(
+    header(o, "Table 1", "evaluation videos from prior work");
+    writeln!(
+        o,
         "{:24} {:14} {:>12} {:>12} {:>10}",
         "video", "genre", "std(paper)", "std(ours)", "range"
     );
     for id in VideoId::EVAL {
         let (name, genre, paper, ours, range) = measured(id);
-        println!("{name:24} {genre:14} {paper:>12.2} {ours:>12.2} {range:>10}");
+        writeln!(
+            o,
+            "{name:24} {genre:14} {paper:>12.2} {ours:>12.2} {range:>10}"
+        );
     }
 
-    header("Table 2", "quality levels of encoded videos");
-    println!(
+    header(o, "Table 2", "quality levels of encoded videos");
+    writeln!(
+        o,
         "{:>6} {:>12} {:>14} {:>14} {:>14}",
         "level", "resolution", "bitrate(Mbps)", "size(paper MB)", "size(ours MB)"
     );
@@ -128,7 +123,8 @@ pub(crate) fn tables(_: &ContentCache) {
     for (i, rung) in BITRATE_LADDER.iter().enumerate() {
         let level = QualityLevel::try_from(i).expect("valid");
         let bytes: u64 = bbb.segments.iter().map(|s| s.bytes(level)).sum();
-        println!(
+        writeln!(
+            o,
             "{:>6} {:>11}p {:>14.2} {:>14.1} {:>14.1}",
             format!("Q{i}"),
             rung.resolution_p,
@@ -138,25 +134,30 @@ pub(crate) fn tables(_: &ContentCache) {
         );
     }
 
-    header("Table 3", "public YouTube videos");
-    println!(
+    header(o, "Table 3", "public YouTube videos");
+    writeln!(
+        o,
         "{:>4} {:16} {:>12} {:>12} {:>10}",
         "id", "category", "std(paper)", "std(ours)", "range"
     );
     for n in 1..=10u8 {
         let (name, genre, paper, ours, range) = measured(VideoId::YouTube(n));
-        println!("{name:>4} {genre:16} {paper:>12.2} {ours:>12.2} {range:>10}");
+        writeln!(
+            o,
+            "{name:>4} {genre:16} {paper:>12.2} {ours:>12.2} {range:>10}"
+        );
     }
 }
 
-pub(crate) fn fig1(_: &ContentCache) {
+pub(crate) fn fig1(o: &mut Out, _: &[Run]) {
     let model = QoeModel::default();
     let videos = generate(["BBB", "ED", "Sintel", "ToS", "P2", "P4"]);
-    tolerance_panels("Fig 1", &videos, |level, target| {
+    tolerance_panels(o, "Fig 1", &videos, |level, target| {
         format!("CDF of frames droppable at {level} while keeping SSIM >= {target}")
     });
 
     header(
+        o,
         "Fig 1d",
         "CDF of pristine segment SSIM at low quality levels",
     );
@@ -168,30 +169,36 @@ pub(crate) fn fig1(_: &ContentCache) {
             .iter()
             .map(|s| model.pristine_ssim(s, QualityLevel(level)))
             .collect();
-        print_cdf(&format!("{name}/Q{level}"), &ssims, &ssim_probes);
+        print_cdf(o, &format!("{name}/Q{level}"), &ssims, &ssim_probes);
         let below = ssims.iter().filter(|&&s| s < 0.99).count() as f64 / ssims.len() as f64;
-        println!(
+        writeln!(
+            o,
             "{name}/Q{level}: fraction below SSIM 0.99 = {:.0}%",
             below * 100.0
         );
     }
 
     // Headline check from §3 insight 1.
-    println!("\n# summary: median tolerable drop % at Q12/0.99 (paper: 10-20%+ for all)");
+    writeln!(
+        o,
+        "\n# summary: median tolerable drop % at Q12/0.99 (paper: 10-20%+ for all)"
+    );
     for (name, v) in &videos {
         let tol = tolerance_cdf(v, &model, QualityLevel::MAX, 0.99);
-        println!(
+        writeln!(
+            o,
             "{name:8} median {:5.1}%",
             voxel_sim::stats::percentile(&tol, 0.5)
         );
     }
 }
 
-pub(crate) fn fig2(_: &ContentCache) {
+pub(crate) fn fig2(o: &mut Out, _: &[Run]) {
     let model = QoeModel::default();
     let videos = generate(["BBB", "ToS"]);
 
     header(
+        o,
         "Fig 2a",
         "fraction of segments whose frame at position p is droppable (Q12, SSIM 0.99)",
     );
@@ -204,10 +211,11 @@ pub(crate) fn fig2(_: &ContentCache) {
             .step_by(8)
             .map(|(p, f)| format!("{p}:{f:.2}"))
             .collect();
-        println!("{name:8} {}", cells.join(" "));
+        writeln!(o, "{name:8} {}", cells.join(" "));
     }
 
     header(
+        o,
         "Fig 2b",
         "CDF of tolerable drop % at Q12/0.99: rank ordering vs tail-only",
     );
@@ -225,11 +233,12 @@ pub(crate) fn fig2(_: &ContentCache) {
             (format!("{name}/Tail"), OrderingKind::UnreferencedTail),
         ] {
             let pct: Vec<f64> = tolerance(v, ordering).iter().map(|t| 100.0 * t).collect();
-            print_cdf(&label, &pct, &probes);
+            print_cdf(o, &label, &pct, &probes);
         }
     }
 
     header(
+        o,
         "Fig 2c/2d",
         "segment-bitrate CDFs: virtual levels vs real levels (Mbps)",
     );
@@ -238,7 +247,12 @@ pub(crate) fn fig2(_: &ContentCache) {
         // Real levels.
         for level in [QualityLevel(10), QualityLevel(11), QualityLevel::MAX] {
             let rates: Vec<f64> = v.segments.iter().map(|s| s.bitrate_mbps(level)).collect();
-            print_cdf(&format!("{name}/Q{}", level.index()), &rates, &rate_probes);
+            print_cdf(
+                o,
+                &format!("{name}/Q{}", level.index()),
+                &rates,
+                &rate_probes,
+            );
         }
         // Virtual levels Q12/0.99 and Q12/0.95: bytes needed at Q12 to reach
         // the SSIM target, expressed as a bitrate.
@@ -259,19 +273,21 @@ pub(crate) fn fig2(_: &ContentCache) {
                     bytes as f64 * 8.0 / SEGMENT_DURATION_S / 1e6
                 })
                 .collect();
-            print_cdf(&format!("{name}/Q12/{target}"), &rates, &rate_probes);
+            print_cdf(o, &format!("{name}/Q12/{target}"), &rates, &rate_probes);
         }
     }
 
     // §3 insight 2 headline: tail-only drops force many more referenced
     // frames into the dropped set than the rank ordering does.
-    println!(
+    writeln!(
+        o,
         "\n# summary: mean tolerable drops at Q12/0.99 by ordering (paper: rank > tail > original)"
     );
     for (name, v) in &videos {
         for ordering in OrderingKind::ALL {
             let mean = tolerance(v, ordering).iter().sum::<f64>() / v.segments.len() as f64;
-            println!(
+            writeln!(
+                o,
                 "{name:6} {ordering:20} mean droppable {:5.1}% of {} frames",
                 mean * 100.0,
                 FRAMES_PER_SEGMENT
@@ -280,285 +296,375 @@ pub(crate) fn fig2(_: &ContentCache) {
     }
 }
 
+/// Vanilla QUIC, then QUIC\* (a cell's `split`).
+const Q_VS_QSTAR: [(&str, bool); 2] = [("Q", false), ("Q*", true)];
+
 /// "Q" = vanilla QUIC (fully reliable); "Q*" = QUIC\* with the minimal
 /// split (I-frames reliable, all other frames unreliable) and no other ABR
-/// change.
-pub(crate) fn fig3(cache: &ContentCache) {
-    // The paper's subplot pairings.
-    let panels = [
+/// change. The paper's subplot pairings.
+pub(crate) fn fig3_cells(n: usize) -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for (abr, trace, video) in [
         ("MPC", "T-Mobile", "BBB"),
         ("MPC", "Verizon", "ED"),
         ("BOLA", "T-Mobile", "Sintel"),
         ("BOLA", "Verizon", "ToS"),
-    ];
+    ] {
+        for buffer in [5, 6, 7] {
+            cells.extend(Q_VS_QSTAR.map(|(_, split)| Cell {
+                split,
+                ..cell(n, video, abr, buffer, trace)
+            }));
+        }
+    }
+    cells
+}
+
+pub(crate) fn fig3(o: &mut Out, runs: &[Run]) {
     header(
+        o,
         "Fig 3 + Fig 4",
         "vanilla ABRs over QUIC (Q) vs QUIC* (Q*): p90 bufRatio and avg bitrate",
     );
-    println!(
+    writeln!(
+        o,
         "{:28} {:>6} {:>10} {:>12} {:>9} {:>14}",
         "panel", "buf", "transport", "bufRatio-p90", "stderr", "bitrate-kbps"
     );
-    for (abr, trace, video) in panels {
-        for buffer in [5usize, 6, 7] {
-            for (label, transport) in Q_VS_QSTAR {
-                let agg = run(
-                    cache,
-                    sys_config(video, abr, buffer, trace).transport(transport),
-                );
-                println!(
-                    "{:28} {:>6} {:>10} {:>11.2}% {:>8.2}% {:>14.0}",
-                    format!("{abr}-{trace}/{video}"),
-                    buffer,
-                    label,
-                    agg.buf_ratio_p90(),
-                    agg.buf_ratio_stderr(),
-                    agg.bitrate_mean_kbps(),
-                );
+    for (c, agg) in runs {
+        writeln!(
+            o,
+            "{:28} {:>6} {:>10} {:>11.2}% {:>8.2}% {:>14.0}",
+            format!("{}-{}", c.system, c.panel()),
+            c.buffer,
+            Q_VS_QSTAR[usize::from(c.split)].0,
+            agg.buf_ratio_p90(),
+            agg.buf_ratio_stderr(),
+            agg.bitrate_mean_kbps(),
+        );
+    }
+    writeln!(o, "\n# expectation (paper): Q* lowers bufRatio for both ABRs; MPC trades more bitrate (~-25%) than BOLA (~-4%)");
+}
+
+/// The paper prints only the 20 Mbps panels; lower loads confirm the trend
+/// in full mode.
+pub(crate) fn fig5_cells(n: usize) -> Vec<Cell> {
+    let loads: &[u32] = if n < 30 { &[20] } else { &[20, 15, 10] };
+    let mut cells = Vec::new();
+    for &offered in loads {
+        for (abr, video) in [
+            ("BOLA", "BBB"),
+            ("MPC", "ED"),
+            ("BOLA", "Sintel"),
+            ("MPC", "ToS"),
+        ] {
+            for buffer in [5, 6, 7] {
+                cells.extend(Q_VS_QSTAR.map(|(_, split)| Cell {
+                    trace: Trace::Cross(offered),
+                    split,
+                    ..cell(n, video, abr, buffer, "const20")
+                }));
             }
         }
     }
-    println!("\n# expectation (paper): Q* lowers bufRatio for both ABRs; MPC trades more bitrate (~-25%) than BOLA (~-4%)");
+    cells
 }
 
-pub(crate) fn fig5(cache: &ContentCache) {
+pub(crate) fn fig5(o: &mut Out, runs: &[Run]) {
     header(
+        o,
         "Fig 5",
         "vanilla ABRs + QUIC* vs QUIC with cross-traffic on a 20 Mbps link",
     );
-    println!(
+    writeln!(
+        o,
         "{:24} {:>8} {:>6} {:>10} {:>12} {:>14}",
         "panel", "offered", "buf", "transport", "bufRatio-p90", "bitrate-kbps"
     );
-    let panels = [
-        ("BOLA", "BBB"),
-        ("MPC", "ED"),
-        ("BOLA", "Sintel"),
-        ("MPC", "ToS"),
-    ];
-    for offered in [20.0f64, 15.0, 10.0] {
-        let trace = cross_traffic(offered);
-        for (abr, video) in panels {
-            for buffer in [5usize, 6, 7] {
-                for (label, transport) in Q_VS_QSTAR {
-                    let cfg = sys_config(video, abr, buffer, "const20")
-                        .trace(trace.clone())
-                        .transport(transport);
-                    let agg = run(cache, cfg);
-                    println!(
-                        "{:24} {:>7}M {:>6} {:>10} {:>11.2}% {:>14.0}",
-                        format!("{abr}/{video}"),
-                        offered,
-                        buffer,
-                        label,
-                        agg.buf_ratio_p90(),
-                        agg.bitrate_mean_kbps(),
-                    );
-                }
-            }
-        }
-        // The paper prints only the 20 Mbps panels; lower loads confirm the
-        // trend. Stop after the paper's panel unless full mode is on.
-        if trial_count() < 30 {
-            break;
-        }
+    for (c, agg) in runs {
+        writeln!(
+            o,
+            "{:24} {:>7}M {:>6} {:>10} {:>11.2}% {:>14.0}",
+            format!("{}/{}", c.system, c.video.short_name()),
+            c.legend(),
+            c.buffer,
+            Q_VS_QSTAR[usize::from(c.split)].0,
+            agg.buf_ratio_p90(),
+            agg.bitrate_mean_kbps(),
+        );
     }
-    println!("\n# expectation (paper): Q* much lower bufRatio; slight bitrate reduction; MPC improves more (~82%) than BOLA (~64%)");
+    writeln!(o, "\n# expectation (paper): Q* much lower bufRatio; slight bitrate reduction; MPC improves more (~82%) than BOLA (~64%)");
 }
 
-pub(crate) fn fig6(cache: &ContentCache) {
-    // The (trace, video) pairings the paper's subplots use.
+/// BOLA, BETA and the VOXEL variant the paper runs on `trace`, for each
+/// (trace, video, buffer).
+fn three_systems(n: usize, panels: &[(&str, &str, usize)]) -> Vec<Cell> {
+    let each = |&(trace, video, buffer): &(&str, &str, usize)| {
+        ["BOLA", "BETA", voxel_for(trace)].map(|system| cell(n, video, system, buffer, trace))
+    };
+    panels.iter().flat_map(each).collect()
+}
+
+/// The (trace, video) pairings the paper's subplots use.
+pub(crate) fn fig6_cells(n: usize) -> Vec<Cell> {
     let pairs = [
         ("AT&T", "BBB"),
         ("3G", "ED"),
         ("Verizon", "Sintel"),
         ("T-Mobile", "ToS"),
     ];
-    header("Fig 6", "bufRatio (p90 + stderr): BOLA vs BETA vs VOXEL");
-    println!(
+    let panels: Vec<_> = pairs
+        .iter()
+        .flat_map(|&(trace, video)| BUFFERS.map(|buffer| (trace, video, buffer)))
+        .collect();
+    three_systems(n, &panels)
+}
+
+pub(crate) fn fig6(o: &mut Out, runs: &[Run]) {
+    header(o, "Fig 6", "bufRatio (p90 + stderr): BOLA vs BETA vs VOXEL");
+    writeln!(
+        o,
         "{:18} {:>4} {:>12} {:>12} {:>8} {:>10} {:>9}",
         "panel", "buf", "system", "bufRatio-p90", "stderr", "restarts", "partials"
     );
     let mut improvements = Accumulator::new();
-    for (trace, video) in pairs {
-        for buffer in BUFFERS {
-            let mut bola_p90 = None;
-            for system in ["BOLA", "BETA", voxel_for(trace)] {
-                let agg = run(cache, sys_config(video, system, buffer, trace));
-                let p90 = agg.buf_ratio_p90();
-                println!(
-                    "{:18} {:>4} {:>12} {:>11.2}% {:>7.2}% {:>10.1} {:>9.1}",
-                    format!("{trace}/{video}"),
-                    buffer,
-                    system,
-                    p90,
-                    agg.buf_ratio_stderr(),
-                    per_trial_mean(&agg, |t| t.restarts as f64),
-                    per_trial_mean(&agg, |t| t.kept_partials as f64),
-                );
-                match system {
-                    "BOLA" => bola_p90 = Some(p90),
-                    s if s.starts_with("VOXEL") => {
-                        if let Some(b) = bola_p90 {
-                            if b > 0.05 {
-                                improvements.add(100.0 * (b - p90) / b);
-                            }
-                        }
-                    }
-                    _ => {}
+    let mut bola_p90 = None;
+    for (c, agg) in runs {
+        let p90 = agg.buf_ratio_p90();
+        writeln!(
+            o,
+            "{:18} {:>4} {:>12} {:>11.2}% {:>7.2}% {:>10.1} {:>9.1}",
+            c.panel(),
+            c.buffer,
+            c.system,
+            p90,
+            agg.buf_ratio_stderr(),
+            per_trial_mean(agg, |t| t.restarts as f64),
+            per_trial_mean(agg, |t| t.kept_partials as f64),
+        );
+        match c.system {
+            "BOLA" => bola_p90 = Some(p90),
+            s if s.starts_with("VOXEL") => {
+                if let Some(b) = bola_p90.filter(|&b| b > 0.05) {
+                    improvements.add(100.0 * (b - p90) / b);
                 }
             }
+            _ => {}
         }
     }
     if let (Some(min), Some(max)) = (improvements.min(), improvements.max()) {
-        println!(
+        writeln!(
+            o,
             "\n# VOXEL vs BOLA p90-bufRatio reduction: min {:.0}%, max {:.0}% (paper: 25%-97%+ across conditions)",
             min, max
         );
     }
 }
 
-pub(crate) fn fig7(cache: &ContentCache) {
+/// Per buffer, BOLA and then VOXEL maximising each utility (7a); BOLA and
+/// VOXEL at 3 segments (7b/7c); VOXEL per video and buffer (7d).
+pub(crate) fn fig7_cells(n: usize) -> Vec<Cell> {
+    let verizon = |video, system, buffer| cell(n, video, system, buffer, "Verizon");
+    let mut cells = Vec::new();
+    for buffer in BUFFERS {
+        cells.push(verizon("BBB", "BOLA", buffer));
+        cells.extend((0..QOE_METRICS.len()).map(|metric| Cell {
+            metric,
+            ..verizon("BBB", "VOXEL", buffer)
+        }));
+    }
+    cells.extend([verizon("BBB", "BOLA", 3), verizon("BBB", "VOXEL", 3)]);
+    for video in EVAL_VIDEOS {
+        cells.extend(BUFFERS.map(|buffer| verizon(video, "VOXEL", buffer)));
+    }
+    cells
+}
+
+pub(crate) fn fig7(o: &mut Out, runs: &[Run]) {
+    let (utilities, rest) = runs.split_at(BUFFERS.len() * (1 + QOE_METRICS.len()));
+    let (distributions, skipped) = rest.split_at(2);
     header(
+        o,
         "Fig 7a",
         "bufRatio p90 of BOLA vs VOXEL under different QoE utilities (BBB, Verizon)",
     );
-    for buffer in BUFFERS {
-        let bola = run(cache, sys_config("BBB", "BOLA", buffer, "Verizon"));
-        print!("buf={buffer}: BOLA {:5.2}%", bola.buf_ratio_p90());
-        for metric in [QoeMetric::Ssim, QoeMetric::Vmaf, QoeMetric::Psnr] {
-            let voxel = AbrKind::Voxel {
-                safety: 1.0,
-                metric,
-            };
-            let agg = run(
-                cache,
-                sys_config("BBB", "VOXEL", buffer, "Verizon").abr(voxel),
-            );
-            print!("  VOXEL/{metric:?} {:5.2}%", agg.buf_ratio_p90());
+    for row in utilities.chunks_exact(1 + QOE_METRICS.len()) {
+        let (bola, voxels) = (&row[0], &row[1..]);
+        write!(
+            o,
+            "buf={}: BOLA {:5.2}%",
+            bola.0.buffer,
+            bola.1.buf_ratio_p90()
+        );
+        for (c, agg) in voxels {
+            let metric = QOE_METRICS[c.metric];
+            write!(o, "  VOXEL/{metric:?} {:5.2}%", agg.buf_ratio_p90());
         }
-        println!();
+        writeln!(o);
     }
 
     header(
+        o,
         "Fig 7b/7c",
         "SSIM and VMAF distributions of streamed segments (BBB, Verizon, 3-seg buffer)",
     );
-    let bola = run(cache, sys_config("BBB", "BOLA", 3, "Verizon"));
-    let voxel = run(cache, sys_config("BBB", "VOXEL", 3, "Verizon"));
+    let (bola, voxel) = (&distributions[0].1, &distributions[1].1);
     let ssim_probes = grid(10, 0.85, 0.015);
-    print_cdf("SSIM BOLA", &bola.pooled_ssims(), &ssim_probes);
-    print_cdf("SSIM VOXEL", &voxel.pooled_ssims(), &ssim_probes);
+    print_cdf(o, "SSIM BOLA", &bola.pooled_ssims(), &ssim_probes);
+    print_cdf(o, "SSIM VOXEL", &voxel.pooled_ssims(), &ssim_probes);
     let vmaf_probes = grid(10, 0.0, 10.0);
-    print_cdf("VMAF BOLA", &bola.pooled_vmafs(), &vmaf_probes);
-    print_cdf("VMAF VOXEL", &voxel.pooled_vmafs(), &vmaf_probes);
-    println!(
+    print_cdf(o, "VMAF BOLA", &bola.pooled_vmafs(), &vmaf_probes);
+    print_cdf(o, "VMAF VOXEL", &voxel.pooled_vmafs(), &vmaf_probes);
+    writeln!(
+        o,
         "# segments at perfect SSIM: BOLA {:.0}%  VOXEL {:.0}%",
         perfect_pct(&bola.pooled_ssims()),
         perfect_pct(&voxel.pooled_ssims())
     );
 
     header(
+        o,
         "Fig 7d",
         "percent of segment data skipped by VOXEL vs buffer size (Verizon)",
     );
-    for video in EVAL_VIDEOS {
-        print!("{video:8}");
-        for buffer in BUFFERS {
-            let agg = run(cache, sys_config(video, "VOXEL", buffer, "Verizon"));
-            print!("  buf{buffer}:{:5.1}%", agg.data_skipped_mean_pct());
+    for row in skipped.chunks_exact(BUFFERS.len()) {
+        write!(o, "{:8}", row[0].0.video.short_name());
+        for (c, agg) in row {
+            write!(o, "  buf{}:{:5.1}%", c.buffer, agg.data_skipped_mean_pct());
         }
-        println!();
+        writeln!(o);
     }
-    println!("\n# expectation (paper): skipped data decreases with buffer size; VOXEL ~= BOLA quality at far lower bufRatio");
+    writeln!(o, "\n# expectation (paper): skipped data decreases with buffer size; VOXEL ~= BOLA quality at far lower bufRatio");
 }
 
-pub(crate) fn fig8(cache: &ContentCache) {
-    header("Fig 8", "average bitrates (kbps): BOLA vs VOXEL");
-    println!("{:20} {:>4} {:>10} {:>10}", "panel", "buf", "BOLA", "VOXEL");
+/// BOLA and the VOXEL variant the paper runs on each trace, per trace,
+/// video and buffer.
+pub(crate) fn fig8_cells(n: usize) -> Vec<Cell> {
+    let mut cells = Vec::new();
     for trace in ["T-Mobile", "Verizon"] {
         for video in EVAL_VIDEOS {
             for buffer in BUFFERS {
-                let bola = run(cache, sys_config(video, "BOLA", buffer, trace));
-                let vox = run(cache, sys_config(video, voxel_for(trace), buffer, trace));
-                println!(
-                    "{:20} {:>4} {:>10.0} {:>10.0}",
-                    format!("{trace}/{video}"),
-                    buffer,
-                    bola.bitrate_mean_kbps(),
-                    vox.bitrate_mean_kbps(),
-                );
+                cells.extend(["BOLA", voxel_for(trace)].map(|s| cell(n, video, s, buffer, trace)));
             }
         }
     }
-    println!("\n# expectation (paper): VOXEL bitrates at least on par with BOLA, mostly higher");
+    cells
 }
 
-pub(crate) fn fig9(cache: &ContentCache) {
-    header(
-        "Fig 9",
-        "SSIM distributions of streamed segments: BOLA vs BETA vs VOXEL",
+pub(crate) fn fig8(o: &mut Out, runs: &[Run]) {
+    header(o, "Fig 8", "average bitrates (kbps): BOLA vs VOXEL");
+    writeln!(
+        o,
+        "{:20} {:>4} {:>10} {:>10}",
+        "panel", "buf", "BOLA", "VOXEL"
     );
+    for pair in runs.chunks_exact(2) {
+        let ((c, bola), (_, vox)) = (&pair[0], &pair[1]);
+        writeln!(
+            o,
+            "{:20} {:>4} {:>10.0} {:>10.0}",
+            c.panel(),
+            c.buffer,
+            bola.bitrate_mean_kbps(),
+            vox.bitrate_mean_kbps(),
+        );
+    }
+    writeln!(
+        o,
+        "\n# expectation (paper): VOXEL bitrates at least on par with BOLA, mostly higher"
+    );
+}
+
+pub(crate) fn fig9_cells(n: usize) -> Vec<Cell> {
     let panels = [
-        ("AT&T", "ToS", 2usize),
+        ("AT&T", "ToS", 2),
         ("3G", "Sintel", 3),
         ("Verizon", "ED", 3),
         ("T-Mobile", "BBB", 3),
     ];
-    let probes = grid(12, 0.85, 0.0125);
-    for (trace, video, buffer) in panels {
-        println!("\n## {trace} / {video} / {buffer}-segment buffer");
-        for system in ["BOLA", "BETA", voxel_for(trace)] {
-            let agg = run(cache, sys_config(video, system, buffer, trace));
-            print_cdf(system, &agg.pooled_ssims(), &probes);
-            println!(
-                "{:24} mean SSIM {:.4}  bufRatio p90 {:.2}%",
-                "",
-                agg.mean_ssim(),
-                agg.buf_ratio_p90()
-            );
-        }
-    }
-    println!("\n# expectation (paper): VOXEL's SSIM distribution at or better than BETA everywhere; trades SSIM only for far lower bufRatio vs BOLA");
+    three_systems(n, &panels)
 }
+
+pub(crate) fn fig9(o: &mut Out, runs: &[Run]) {
+    header(
+        o,
+        "Fig 9",
+        "SSIM distributions of streamed segments: BOLA vs BETA vs VOXEL",
+    );
+    let probes = grid(12, 0.85, 0.0125);
+    for (c, agg) in runs {
+        if c.system == "BOLA" {
+            let (trace, video) = (c.legend(), c.video.short_name());
+            writeln!(o, "\n## {trace} / {video} / {}-segment buffer", c.buffer);
+        }
+        print_cdf(o, c.system, &agg.pooled_ssims(), &probes);
+        writeln!(
+            o,
+            "{:24} mean SSIM {:.4}  bufRatio p90 {:.2}%",
+            "",
+            agg.mean_ssim(),
+            agg.buf_ratio_p90()
+        );
+    }
+    writeln!(o, "\n# expectation (paper): VOXEL's SSIM distribution at or better than BETA everywhere; trades SSIM only for far lower bufRatio vs BOLA");
+}
+
+const FIG10_SYSTEMS: [&str; 3] = ["BOLA", "BOLA-SSIM", "VOXEL"];
 
 /// Isolates the two upgrades: BOLA→BOLA-SSIM adds the SSIM utility +
 /// partial-download decision space (more quality, slightly more
 /// rebuffering); BOLA-SSIM→VOXEL adds keep-partial abandonment over QUIC\*
-/// (the rebuffering win).
-pub(crate) fn fig10(cache: &ContentCache) {
-    // One trial per trace (the ensemble provides the repetition); the fast
-    // mode uses a subset of the 86 traces.
-    let traces: usize = if trial_count() >= 30 { 86 } else { 24 };
+/// (the rebuffering win). One trial per trace (the ensemble provides the
+/// repetition); the fast mode uses a subset of the 86 traces.
+pub(crate) fn fig10_cells(n: usize) -> Vec<Cell> {
+    let traces = if n >= 30 { 86 } else { 24 };
+    let mut cells = Vec::new();
+    for buffer in [1, 7] {
+        for system in FIG10_SYSTEMS {
+            cells.extend((0..traces).map(|i| Cell {
+                trace: Trace::Raw3g(i),
+                trials: 1,
+                ..cell(n, "BBB", system, buffer, "3G")
+            }));
+        }
+    }
+    cells
+}
+
+pub(crate) fn fig10(o: &mut Out, runs: &[Run]) {
+    let traces = runs.len() / (2 * FIG10_SYSTEMS.len());
     header(
+        o,
         "Fig 10",
         &format!("BOLA vs BOLA-SSIM vs VOXEL over {traces} raw 3G traces"),
     );
-    for buffer in [1usize, 7] {
-        println!("\n## {buffer}-segment buffer");
-        for system in ["BOLA", "BOLA-SSIM", "VOXEL"] {
-            let mut trials = Vec::new();
-            for i in 0..traces {
-                let trace = generators::norway_3g_raw(i, TRACE_DURATION_S);
-                let cfg = sys_config("BBB", system, buffer, "3G")
-                    .trace(trace)
-                    .trials(1);
-                trials.extend(run(cache, cfg).trials);
-            }
-            let agg = Aggregate::new(trials);
-            let ratios: Vec<f64> = agg.trials.iter().map(|t| t.buf_ratio_pct()).collect();
-            println!(
-                "{system:10} mean bufRatio {:5.2}%  p90 {:5.2}%  p95 {:5.2}%  mean SSIM {:.4}",
-                agg.buf_ratio_mean(),
-                voxel_sim::stats::percentile(&ratios, 0.90),
-                voxel_sim::stats::percentile(&ratios, 0.95),
-                agg.mean_ssim(),
-            );
-            print_cdf(&format!("{system} bufRatio"), &ratios, &grid(8, 0.0, 5.0));
+    for group in runs.chunks_exact(traces) {
+        let (c, system) = (&group[0].0, group[0].0.system);
+        if system == FIG10_SYSTEMS[0] {
+            writeln!(o, "\n## {}-segment buffer", c.buffer);
         }
+        let agg = Aggregate::new(group.iter().flat_map(|(_, a)| a.trials.clone()).collect());
+        let ratios: Vec<f64> = agg.trials.iter().map(|t| t.buf_ratio_pct()).collect();
+        writeln!(
+            o,
+            "{system:10} mean bufRatio {:5.2}%  p90 {:5.2}%  p95 {:5.2}%  mean SSIM {:.4}",
+            agg.buf_ratio_mean(),
+            voxel_sim::stats::percentile(&ratios, 0.90),
+            voxel_sim::stats::percentile(&ratios, 0.95),
+            agg.mean_ssim(),
+        );
+        print_cdf(
+            o,
+            &format!("{system} bufRatio"),
+            &ratios,
+            &grid(8, 0.0, 5.0),
+        );
     }
-    println!("\n# expectation (paper, 1-seg): BOLA 7.9%, BOLA-SSIM 8.2% (+SSIM 0.02), VOXEL 5.1% mean bufRatio with the same +0.02 SSIM");
-    println!("# expectation (paper, 7-seg): 7.1%/7.1%/2.8% with SSIMs 0.865/0.898/0.895");
+    writeln!(o, "\n# expectation (paper, 1-seg): BOLA 7.9%, BOLA-SSIM 8.2% (+SSIM 0.02), VOXEL 5.1% mean bufRatio with the same +0.02 SSIM");
+    writeln!(
+        o,
+        "# expectation (paper, 7-seg): 7.1%/7.1%/2.8% with SSIMs 0.865/0.898/0.895"
+    );
 }
 
 fn accumulated_avg(series: &[f64]) -> Vec<f64> {
@@ -571,119 +677,162 @@ fn accumulated_avg(series: &[f64]) -> Vec<f64> {
     out
 }
 
-pub(crate) fn fig11(cache: &ContentCache) {
+/// The two synthetic traces of Fig 11a–c, by name.
+const FIG11_TRACES: [(&str, &str); 2] = [("const", "const10.5"), ("step", "step10.75-10.5@70")];
+
+/// BOLA and VOXEL on the synthetic traces with a 28 s buffer at one trial
+/// (11a) and four (11b/11c); then in the wild per buffer and video (11d).
+pub(crate) fn fig11_cells(n: usize) -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for trials in [1, 4] {
+        for (_, trace) in FIG11_TRACES {
+            cells.extend(["BOLA", "VOXEL"].map(|s| Cell {
+                trials,
+                ..cell(n, "BBB", s, 7, trace)
+            }));
+        }
+    }
+    for buffer in [1, 7] {
+        for video in EVAL_VIDEOS {
+            cells.extend(["BOLA", "VOXEL"].map(|s| cell(n, video, s, buffer, "in-the-wild")));
+        }
+    }
+    cells
+}
+
+pub(crate) fn fig11(o: &mut Out, runs: &[Run]) {
+    // BOLA then VOXEL on each trace, in the order of FIG11_TRACES.
+    let tname = |i: usize| FIG11_TRACES[i / 2].0;
+    let (accumulated, rest) = runs.split_at(2 * FIG11_TRACES.len());
+    let (distributions, wild) = rest.split_at(2 * FIG11_TRACES.len());
     header(
+        o,
         "Fig 11a",
         "accumulated average SSIM while streaming BBB, 28 s buffer",
     );
-    let traces = [("const", "const10.5"), ("step", "step10.75-10.5@70")];
-    for (tname, trace) in traces {
-        for system in ["BOLA", "VOXEL"] {
-            let agg = run(cache, sys_config("BBB", system, 7, trace).trials(1));
-            let ssims = agg.trials[0].ssims();
-            let acc = accumulated_avg(&ssims);
-            let cells: Vec<String> = acc
-                .iter()
-                .enumerate()
-                .step_by(7)
-                .map(|(i, v)| format!("{}%:{v:.3}", i * 100 / acc.len().max(1)))
-                .collect();
-            println!("{system:6} ({tname:5}) {}", cells.join(" "));
-            println!(
-                "{:14} mean {:.4}  perfect-SSIM segments {:.0}%  bufRatio {:.2}%",
-                "",
-                agg.mean_ssim(),
-                perfect_pct(&ssims),
-                agg.buf_ratio_mean()
-            );
-        }
+    for (i, (c, agg)) in accumulated.iter().enumerate() {
+        let ssims = agg.trials[0].ssims();
+        let acc = accumulated_avg(&ssims);
+        let cols: Vec<String> = acc
+            .iter()
+            .enumerate()
+            .step_by(7)
+            .map(|(i, v)| format!("{}%:{v:.3}", i * 100 / acc.len().max(1)))
+            .collect();
+        writeln!(o, "{:6} ({:5}) {}", c.system, tname(i), cols.join(" "));
+        writeln!(
+            o,
+            "{:14} mean {:.4}  perfect-SSIM segments {:.0}%  bufRatio {:.2}%",
+            "",
+            agg.mean_ssim(),
+            perfect_pct(&ssims),
+            agg.buf_ratio_mean()
+        );
     }
-    println!("# expectation (paper): VOXEL never below 0.95 during startup, perfect scores for 65% (const) / 80% (step) of segments; BOLA 0%/3%");
+    writeln!(o, "# expectation (paper): VOXEL never below 0.95 during startup, perfect scores for 65% (const) / 80% (step) of segments; BOLA 0%/3%");
 
-    header("Fig 11b/11c", "SSIM CDFs on the synthetic traces");
+    header(o, "Fig 11b/11c", "SSIM CDFs on the synthetic traces");
     let probes = grid(12, 0.88, 0.01);
-    for (tname, trace) in traces {
-        for system in ["BOLA", "VOXEL"] {
-            let agg = run(cache, sys_config("BBB", system, 7, trace).trials(4));
-            print_cdf(&format!("{system} ({tname})"), &agg.pooled_ssims(), &probes);
-        }
+    for (i, (c, agg)) in distributions.iter().enumerate() {
+        let label = format!("{} ({})", c.system, tname(i));
+        print_cdf(o, &label, &agg.pooled_ssims(), &probes);
     }
 
     header(
+        o,
         "Fig 11d + Fig 13",
         "in-the-wild trials (university-WiFi-like trace)",
     );
-    for buffer in [1usize, 7] {
-        for video in EVAL_VIDEOS {
-            for system in ["BOLA", "VOXEL"] {
-                let agg = run(cache, sys_config(video, system, buffer, "in-the-wild"));
-                println!(
-                    "buf={buffer} {video:7} {system:6} bufRatio p90 {:5.2}%  mean SSIM {:.4}",
-                    agg.buf_ratio_p90(),
-                    agg.mean_ssim(),
-                );
-            }
-        }
+    for (c, agg) in wild {
+        writeln!(
+            o,
+            "buf={} {:7} {:6} bufRatio p90 {:5.2}%  mean SSIM {:.4}",
+            c.buffer,
+            c.video.short_name(),
+            c.system,
+            agg.buf_ratio_p90(),
+            agg.mean_ssim(),
+        );
     }
-    println!("# expectation (paper): comparable SSIM; VOXEL significantly lower bufRatio at the 1-segment buffer");
+    writeln!(o, "# expectation (paper): comparable SSIM; VOXEL significantly lower bufRatio at the 1-segment buffer");
 }
 
-pub(crate) fn fig12(cache: &ContentCache) {
+pub(crate) fn fig12_cells(n: usize) -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for video in EVAL_VIDEOS {
+        for buffer in BUFFERS {
+            cells.extend(["BOLA", "VOXEL"].map(|s| Cell {
+                trace: Trace::Cross(20),
+                ..cell(n, video, s, buffer, "const20")
+            }));
+        }
+    }
+    cells
+}
+
+pub(crate) fn fig12(o: &mut Out, runs: &[Run]) {
     header(
+        o,
         "Fig 12",
         "BOLA vs VOXEL with 20 Mbps cross-traffic on a 20 Mbps link",
     );
-    let trace = cross_traffic(20.0);
-    println!(
+    writeln!(
+        o,
         "{:8} {:>4} {:>8} {:>12} {:>14}",
         "video", "buf", "system", "bufRatio-p90", "bitrate-kbps"
     );
-    for video in EVAL_VIDEOS {
-        for buffer in BUFFERS {
-            for system in ["BOLA", "VOXEL"] {
-                let agg = run(
-                    cache,
-                    sys_config(video, system, buffer, "const20").trace(trace.clone()),
-                );
-                println!(
-                    "{:8} {:>4} {:>8} {:>11.2}% {:>14.0}",
-                    video,
-                    buffer,
-                    system,
-                    agg.buf_ratio_p90(),
-                    agg.bitrate_mean_kbps(),
-                );
-            }
-        }
+    for (c, agg) in runs {
+        writeln!(
+            o,
+            "{:8} {:>4} {:>8} {:>11.2}% {:>14.0}",
+            c.video.short_name(),
+            c.buffer,
+            c.system,
+            agg.buf_ratio_p90(),
+            agg.bitrate_mean_kbps(),
+        );
     }
-    println!("\n# expectation (paper): VOXEL near-zero bufRatio even at the 1-segment buffer, without sacrificing bitrate");
+    writeln!(o, "\n# expectation (paper): VOXEL near-zero bufRatio even at the 1-segment buffer, without sacrificing bitrate");
 }
 
-pub(crate) fn fig14(cache: &ContentCache) {
-    header("Fig 14", "synthetic 54-user panel: BOLA (A) vs VOXEL (B)");
-
-    // Challenging conditions, as in the paper ("scenarios where network
-    // throughput was as low as 0.3 Mbps"): pick the lowest-mean traces of
-    // the raw 3G ensemble, 1-segment (live-like) buffer.
+/// Challenging conditions, as in the paper ("scenarios where network
+/// throughput was as low as 0.3 Mbps"): BOLA and VOXEL on the six
+/// lowest-mean traces of the raw 3G ensemble, 1-segment (live-like)
+/// buffer, one trial each.
+pub(crate) fn fig14_cells(n: usize) -> Vec<Cell> {
     let mut by_mean: Vec<usize> = (0..86).collect();
     by_mean.sort_by(|&a, &b| {
         let ma = generators::norway_3g_raw(a, 60).mean_mbps();
         let mb = generators::norway_3g_raw(b, 60).mean_mbps();
         ma.partial_cmp(&mb).expect("finite")
     });
+    let pair = |i| {
+        ["BOLA", "VOXEL"].map(|s| Cell {
+            trace: Trace::Raw3g(i),
+            trials: 1,
+            ..cell(n, "BBB", s, 1, "3G")
+        })
+    };
+    by_mean.into_iter().take(6).flat_map(pair).collect()
+}
+
+pub(crate) fn fig14(o: &mut Out, runs: &[Run]) {
+    header(
+        o,
+        "Fig 14",
+        "synthetic 54-user panel: BOLA (A) vs VOXEL (B)",
+    );
     let mut prefer = 0.0;
     let mut stop_a = 0.0;
     let mut stop_b = 0.0;
     let mut mos = [[0.0f64; 4]; 2];
-    let pairs = 6;
-    for (i, &idx) in by_mean.iter().enumerate().take(pairs) {
-        let trace = generators::norway_3g_raw(idx, TRACE_DURATION_S);
-        let one = |system| {
-            let cfg = sys_config("BBB", system, 1, "3G").trace(trace.clone());
-            run(cache, cfg.trials(1))
-        };
-        let (bola, voxel) = (one("BOLA"), one("VOXEL"));
-        let s = run_survey(&bola.trials[0], &voxel.trials[0], 54, 14 + i as u64);
+    for (i, pair) in runs.chunks_exact(2).enumerate() {
+        let s = run_survey(
+            &pair[0].1.trials[0],
+            &pair[1].1.trials[0],
+            54,
+            14 + i as u64,
+        );
         prefer += s.prefer_b;
         stop_a += s.would_stop_a;
         stop_b += s.would_stop_b;
@@ -694,13 +843,15 @@ pub(crate) fn fig14(cache: &ContentCache) {
             mos[k][3] += m.experience;
         }
     }
-    let n = pairs as f64;
-    println!(
+    let n = (runs.len() / 2) as f64;
+    writeln!(
+        o,
         "{:10} {:>8} {:>8} {:>8} {:>10}",
         "system", "clarity", "glitches", "fluidity", "experience"
     );
     for (k, name) in ["BOLA", "VOXEL"].into_iter().enumerate() {
-        println!(
+        writeln!(
+            o,
             "{:10} {:>8.2} {:>8.2} {:>8.2} {:>10.2}",
             name,
             mos[k][0] / n,
@@ -709,20 +860,24 @@ pub(crate) fn fig14(cache: &ContentCache) {
             mos[k][3] / n
         );
     }
-    println!(
+    writeln!(o,
         "\npreferred VOXEL: {:.0}%   would stop BOLA stream: {:.0}%   would stop VOXEL stream: {:.0}%",
         100.0 * prefer / n,
         100.0 * stop_a / n,
         100.0 * stop_b / n
     );
-    println!("# expectation (paper): 84% prefer VOXEL; fluidity +1.7, experience +0.77, clarity -0.49, glitches -0.19; stop 31% vs 10%");
+    writeln!(o, "# expectation (paper): 84% prefer VOXEL; fluidity +1.7, experience +0.77, clarity -0.49, glitches -0.19; stop 31% vs 10%");
 }
 
-pub(crate) fn fig15(_: &ContentCache) {
-    header("Fig 15", "per-segment bitrate (Mbps) across quality levels");
+pub(crate) fn fig15(o: &mut Out, _: &[Run]) {
+    header(
+        o,
+        "Fig 15",
+        "per-segment bitrate (Mbps) across quality levels",
+    );
     for name in ["ED", "Sintel"] {
         let v = Video::generate(video(name));
-        println!("\n## {name}");
+        writeln!(o, "\n## {name}");
         for q in [12usize, 11, 10, 8, 6, 4] {
             let level = QualityLevel::try_from(q).expect("valid");
             let rates: Vec<String> = v
@@ -731,12 +886,13 @@ pub(crate) fn fig15(_: &ContentCache) {
                 .step_by(5)
                 .map(|s| format!("{:.1}", s.bitrate_mbps(level)))
                 .collect();
-            println!("Q{q:<2} {}", rates.join(" "));
+            writeln!(o, "Q{q:<2} {}", rates.join(" "));
         }
         let level = QualityLevel::MAX;
         let rates: Vec<f64> = v.segments.iter().map(|s| s.bitrate_mbps(level)).collect();
         let max = rates.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        println!(
+        writeln!(
+            o,
             "Q12 stats: mean {:.2} Mbps, std {:.2} Mbps, peak {:.2} Mbps (2x cap: {:.2})",
             voxel_sim::stats::mean(&rates),
             voxel_sim::stats::std_dev(&rates),
@@ -744,161 +900,226 @@ pub(crate) fn fig15(_: &ContentCache) {
             2.0 * level.avg_bitrate_mbps(),
         );
     }
-    println!("\n# expectation (paper): vastly different per-segment bitrates, peaks at most 2x the average");
+    writeln!(o, "\n# expectation (paper): vastly different per-segment bitrates, peaks at most 2x the average");
 }
 
-pub(crate) fn fig16(cache: &ContentCache) {
-    header("Fig 16", "bufRatio with a 750-packet network queue");
-    println!(
-        "{:20} {:>4} {:>8} {:>12}",
-        "panel", "buf", "system", "bufRatio-p90"
-    );
+/// Appendix B's 750-packet queue: BOLA, VOXEL, and VOXEL over the
+/// delay-based controller.
+pub(crate) fn fig16_cells(n: usize) -> Vec<Cell> {
+    let mut cells = Vec::new();
     for (trace, videos) in LTE_PANELS {
         for video in videos {
             for buffer in BUFFERS {
                 let voxel = voxel_for(trace);
-                for (label, system, delay_cc) in [
-                    ("BOLA", "BOLA", false),
-                    (voxel, voxel, false),
-                    ("VOXEL+delayCC", voxel, true),
-                ] {
-                    let mut cfg = sys_config(video, system, buffer, trace).queue(750);
-                    if delay_cc {
-                        cfg = cfg.cc(CcKind::Delay);
-                    }
-                    let agg = run(cache, cfg);
-                    println!(
-                        "{:20} {:>4} {:>14} {:>11.2}%",
-                        format!("{trace}/{video}"),
-                        buffer,
-                        label,
-                        agg.buf_ratio_p90(),
-                    );
+                for (system, delay_cc) in [("BOLA", false), (voxel, false), (voxel, true)] {
+                    cells.push(Cell {
+                        queue: 750,
+                        delay_cc,
+                        ..cell(n, video, system, buffer, trace)
+                    });
                 }
             }
         }
     }
-    println!("\n# expectation (paper): VOXEL keeps a slight edge at small buffers; occasionally worse on Verizon at larger buffers (loss-based CC vs deep queues).");
-    println!("# The VOXEL+delayCC rows are the paper's Appendix-B future-work suggestion: a delay-based controller sidesteps the bufferbloat penalty.");
+    cells
 }
 
-pub(crate) fn fig17(cache: &ContentCache) {
-    header("Fig 17a/17b", "average bitrates over 3G and AT&T (kbps)");
+pub(crate) fn fig16(o: &mut Out, runs: &[Run]) {
+    header(o, "Fig 16", "bufRatio with a 750-packet network queue");
+    writeln!(
+        o,
+        "{:20} {:>4} {:>8} {:>12}",
+        "panel", "buf", "system", "bufRatio-p90"
+    );
+    for (c, agg) in runs {
+        let label = if c.delay_cc {
+            "VOXEL+delayCC"
+        } else {
+            c.system
+        };
+        writeln!(
+            o,
+            "{:20} {:>4} {:>14} {:>11.2}%",
+            c.panel(),
+            c.buffer,
+            label,
+            agg.buf_ratio_p90(),
+        );
+    }
+    writeln!(o, "\n# expectation (paper): VOXEL keeps a slight edge at small buffers; occasionally worse on Verizon at larger buffers (loss-based CC vs deep queues).");
+    writeln!(o, "# The VOXEL+delayCC rows are the paper's Appendix-B future-work suggestion: a delay-based controller sidesteps the bufferbloat penalty.");
+}
+
+/// The Fig 17c/17d systems, in row order.
+const TUNINGS: [&str; 3] = ["BETA", "VOXEL", "VOXEL-tuned"];
+
+/// BOLA and VOXEL over 3G and AT&T (17a/17b); the tuning ablation on
+/// T-Mobile (17c/17d).
+pub(crate) fn fig17_cells(n: usize) -> Vec<Cell> {
+    let mut cells = Vec::new();
     for trace in ["3G", "AT&T"] {
         for video in EVAL_VIDEOS {
             for buffer in BUFFERS {
-                let bola = run(cache, sys_config(video, "BOLA", buffer, trace));
-                let vox = run(cache, sys_config(video, "VOXEL", buffer, trace));
-                println!(
-                    "{:14} buf={buffer} BOLA {:>7.0}  VOXEL {:>7.0}",
-                    format!("{trace}/{video}"),
-                    bola.bitrate_mean_kbps(),
-                    vox.bitrate_mean_kbps(),
-                );
+                cells.extend(["BOLA", "VOXEL"].map(|s| cell(n, video, s, buffer, trace)));
             }
         }
     }
+    for buffer in BUFFERS {
+        cells.extend(TUNINGS.map(|s| cell(n, "BBB", s, buffer, "T-Mobile")));
+    }
+    cells
+}
+
+pub(crate) fn fig17(o: &mut Out, runs: &[Run]) {
+    let (bitrates, ablation) = runs.split_at(runs.len() - BUFFERS.len() * TUNINGS.len());
+    header(o, "Fig 17a/17b", "average bitrates over 3G and AT&T (kbps)");
+    for pair in bitrates.chunks_exact(2) {
+        let ((c, bola), (_, vox)) = (&pair[0], &pair[1]);
+        writeln!(
+            o,
+            "{:14} buf={} BOLA {:>7.0}  VOXEL {:>7.0}",
+            c.panel(),
+            c.buffer,
+            bola.bitrate_mean_kbps(),
+            vox.bitrate_mean_kbps(),
+        );
+    }
 
     header(
+        o,
         "Fig 17c/17d",
         "the tuning ablation: aggressive vs tuned VOXEL vs BETA on T-Mobile (BBB)",
     );
     let probes = grid(12, 0.85, 0.0125);
-    for buffer in BUFFERS {
-        println!("\n## buffer {buffer}");
-        for system in ["BETA", "VOXEL", "VOXEL-tuned"] {
-            let agg = run(cache, sys_config("BBB", system, buffer, "T-Mobile"));
-            println!(
-                "{system:12} bufRatio p90 {:5.2}%  mean SSIM {:.4}",
-                agg.buf_ratio_p90(),
-                agg.mean_ssim()
+    for (c, agg) in ablation {
+        if c.system == TUNINGS[0] {
+            writeln!(o, "\n## buffer {}", c.buffer);
+        }
+        writeln!(
+            o,
+            "{:12} bufRatio p90 {:5.2}%  mean SSIM {:.4}",
+            c.system,
+            agg.buf_ratio_p90(),
+            agg.mean_ssim()
+        );
+        if c.buffer == 3 {
+            print_cdf(
+                o,
+                &format!("{} SSIM", c.system),
+                &agg.pooled_ssims(),
+                &probes,
             );
-            if buffer == 3 {
-                print_cdf(&format!("{system} SSIM"), &agg.pooled_ssims(), &probes);
-            }
         }
     }
-    println!("\n# expectation (paper): aggressive VOXEL beats BETA in SSIM but can lose in bufRatio on T-Mobile; the single safety-factor tuning wins both");
+    writeln!(o, "\n# expectation (paper): aggressive VOXEL beats BETA in SSIM but can lose in bufRatio on T-Mobile; the single safety-factor tuning wins both");
 }
 
-pub(crate) fn fig18(cache: &ContentCache) {
-    header(
-        "Fig 18a/18b",
-        "FCC trace: bufRatio and bitrate, BOLA vs VOXEL",
-    );
+/// BOLA and VOXEL on the FCC trace (18a/18b); the partial-reliability
+/// ablation, VOXEL-rel then VOXEL, on T-Mobile and Verizon (18c/18d).
+pub(crate) fn fig18_cells(n: usize) -> Vec<Cell> {
+    let mut cells = Vec::new();
     for video in EVAL_VIDEOS {
         for buffer in BUFFERS {
-            let bola = run(cache, sys_config(video, "BOLA", buffer, "FCC"));
-            let vox = run(cache, sys_config(video, "VOXEL", buffer, "FCC"));
-            println!(
-                "FCC/{video:7} buf={buffer} BOLA p90 {:5.2}% @{:>6.0}kbps   VOXEL p90 {:5.2}% @{:>6.0}kbps",
-                bola.buf_ratio_p90(),
-                bola.bitrate_mean_kbps(),
-                vox.buf_ratio_p90(),
-                vox.bitrate_mean_kbps(),
-            );
+            cells.extend(["BOLA", "VOXEL"].map(|s| cell(n, video, s, buffer, "FCC")));
         }
     }
-
-    header(
-        "Fig 18c/18d",
-        "partial-reliability ablation: VOXEL rel (fully reliable) vs VOXEL",
-    );
     for (trace, videos) in LTE_PANELS {
         for video in videos {
             for buffer in BUFFERS {
-                let voxel = voxel_for(trace);
-                let rel = run(cache, sys_config(video, "VOXEL-rel", buffer, trace));
-                let vox = run(cache, sys_config(video, voxel, buffer, trace));
-                println!(
-                    "{:18} buf={buffer} VOXEL-rel p90 {:5.2}% ssim {:.4} @{:5.0}kbps   VOXEL p90 {:5.2}% ssim {:.4} @{:5.0}kbps",
-                    format!("{trace}/{video}"),
-                    rel.buf_ratio_p90(),
-                    rel.mean_ssim(),
-                    rel.bitrate_mean_kbps(),
-                    vox.buf_ratio_p90(),
-                    vox.mean_ssim(),
-                    vox.bitrate_mean_kbps(),
-                );
+                let pair = ["VOXEL-rel", voxel_for(trace)];
+                cells.extend(pair.map(|s| cell(n, video, s, buffer, trace)));
             }
         }
     }
-    println!("\n# expectation (paper): partial reliability roughly halves bufRatio on Verizon; wins all but one T-Mobile case.");
-    println!("# In this reproduction ABR*'s deadline-driven cut already prevents stalls in both modes, so the");
-    println!("# partial-reliability gain shows up as delivered quality/bitrate (reliable mode wastes capacity");
-    println!(
+    cells
+}
+
+pub(crate) fn fig18(o: &mut Out, runs: &[Run]) {
+    let (fcc, lte) = runs.split_at(2 * EVAL_VIDEOS.len() * BUFFERS.len());
+    header(
+        o,
+        "Fig 18a/18b",
+        "FCC trace: bufRatio and bitrate, BOLA vs VOXEL",
+    );
+    for pair in fcc.chunks_exact(2) {
+        let ((c, bola), (_, vox)) = (&pair[0], &pair[1]);
+        writeln!(
+            o,
+            "FCC/{:7} buf={} BOLA p90 {:5.2}% @{:>6.0}kbps   VOXEL p90 {:5.2}% @{:>6.0}kbps",
+            c.video.short_name(),
+            c.buffer,
+            bola.buf_ratio_p90(),
+            bola.bitrate_mean_kbps(),
+            vox.buf_ratio_p90(),
+            vox.bitrate_mean_kbps(),
+        );
+    }
+
+    header(
+        o,
+        "Fig 18c/18d",
+        "partial-reliability ablation: VOXEL rel (fully reliable) vs VOXEL",
+    );
+    for pair in lte.chunks_exact(2) {
+        let ((c, rel), (_, vox)) = (&pair[0], &pair[1]);
+        writeln!(
+            o,
+            "{:18} buf={} VOXEL-rel p90 {:5.2}% ssim {:.4} @{:5.0}kbps   VOXEL p90 {:5.2}% ssim {:.4} @{:5.0}kbps",
+            c.panel(),
+            c.buffer,
+            rel.buf_ratio_p90(),
+            rel.mean_ssim(),
+            rel.bitrate_mean_kbps(),
+            vox.buf_ratio_p90(),
+            vox.mean_ssim(),
+            vox.bitrate_mean_kbps(),
+        );
+    }
+    writeln!(o, "\n# expectation (paper): partial reliability roughly halves bufRatio on Verizon; wins all but one T-Mobile case.");
+    writeln!(o, "# In this reproduction ABR*'s deadline-driven cut already prevents stalls in both modes, so the");
+    writeln!(o, "# partial-reliability gain shows up as delivered quality/bitrate (reliable mode wastes capacity");
+    writeln!(
+        o,
         "# retransmitting data whose deadline will pass, and cannot recover mid-stream holes)."
     );
 }
 
-pub(crate) fn fig19(_: &ContentCache) {
+pub(crate) fn fig19(o: &mut Out, _: &[Run]) {
     let videos = generate(["P1", "P5", "P6", "P7", "P9", "P10"]);
-    tolerance_panels("Fig 19", &videos, |level, target| {
+    tolerance_panels(o, "Fig 19", &videos, |level, target| {
         format!("droppable-frame CDF at {level}, SSIM >= {target}")
     });
-    println!("\n# expectation (paper): P9 (static unboxing) tolerates ~80% drops; P10 (street dance, no cuts) tolerates almost none; the rest behave like the Table 1 videos");
+    writeln!(o, "\n# expectation (paper): P9 (static unboxing) tolerates ~80% drops; P10 (street dance, no cuts) tolerates almost none; the rest behave like the Table 1 videos");
 }
 
-pub(crate) fn fig_retx(cache: &ContentCache) {
+pub(crate) fn fig_retx_cells(n: usize) -> Vec<Cell> {
+    BUFFERS
+        .map(|buffer| cell(n, "BBB", "VOXEL", buffer, "Verizon"))
+        .into()
+}
+
+pub(crate) fn fig_retx(o: &mut Out, runs: &[Run]) {
     header(
+        o,
         "§4.2/§5.2 text",
         "selective retransmission + frame-drop composition (VOXEL, Verizon)",
     );
-    println!(
+    writeln!(
+        o,
         "{:>4} {:>12} {:>12} {:>14} {:>16} {:>18}",
         "buf", "lost(kB)", "recovered", "residual-loss", "segs-with-drops", "ref-drop-share"
     );
-    for buffer in BUFFERS {
-        let agg = run(cache, sys_config("BBB", "VOXEL", buffer, "Verizon"));
+    for (c, agg) in runs {
         let lost: u64 = agg.trials.iter().map(|t| t.bytes_lost).sum();
         let rec: u64 = agg.trials.iter().map(|t| t.bytes_recovered).sum();
         let segs: u32 = agg.trials.iter().map(|t| t.segments_with_drops).sum();
         let total_segs: usize = agg.trials.iter().map(|t| t.segment_scores.len()).sum();
         let dropped: u32 = agg.trials.iter().map(|t| t.frames_dropped).sum();
         let ref_dropped: u32 = agg.trials.iter().map(|t| t.referenced_frames_dropped).sum();
-        println!(
+        writeln!(
+            o,
             "{:>4} {:>12} {:>11.0}% {:>13.1}% {:>15.1}% {:>17.1}%",
-            buffer,
+            c.buffer,
             lost / 1000,
             if lost > 0 {
                 100.0 * rec as f64 / lost as f64
@@ -914,8 +1135,11 @@ pub(crate) fn fig_retx(cache: &ContentCache) {
             },
         );
     }
-    println!("\n# expectation (paper): residual loss 0.9/1.5/1.8% at 2/3/7-segment buffers;");
-    println!("# frames dropped in ~9% of segments; in 85% of those, b-frames alone were not enough (46% of drops were referenced frames)");
+    writeln!(
+        o,
+        "\n# expectation (paper): residual loss 0.9/1.5/1.8% at 2/3/7-segment buffers;"
+    );
+    writeln!(o, "# frames dropped in ~9% of segments; in 85% of those, b-frames alone were not enough (46% of drops were referenced frames)");
 }
 
 /// The offline analysis (Fig 2b) shows the rank ordering tolerates far more
@@ -923,18 +1147,20 @@ pub(crate) fn fig_retx(cache: &ContentCache) {
 /// playback: with the same ABR and transport, worse orderings turn the same
 /// truncations into lower SSIM. The manifests are forced, so the shared
 /// cache (which holds the §4.1 selection) is not used.
-pub(crate) fn ablate_ordering(_: &ContentCache) {
+pub(crate) fn ablate_ordering(o: &mut Out, _: &[Run]) {
     header(
+        o,
         "ablation: frame ordering",
         "VOXEL end-to-end with the §4.1 ordering forced (BBB, Verizon, 2-segment buffer)",
     );
     let video = Arc::new(Video::generate(VideoId::Bbb));
     let qoe = QoeModel::default();
     let base_trace = figure_trace("Verizon");
-    let trials = trial_count();
+    let trials = o.trials;
     let levels: Vec<QualityLevel> = QualityLevel::all().collect();
 
-    println!(
+    writeln!(
+        o,
         "{:20} {:>12} {:>10} {:>9} {:>10}",
         "ordering", "bufRatio-p90", "SSIM", "skipped", "drops/seg"
     );
@@ -966,7 +1192,8 @@ pub(crate) fn ablate_ordering(_: &ContentCache) {
             })
             .collect();
         let agg = Aggregate::new(results);
-        println!(
+        writeln!(
+            o,
             "{:20} {:>11.2}% {:>10.4} {:>8.1}% {:>10.1}",
             name,
             agg.buf_ratio_p90(),
@@ -977,9 +1204,18 @@ pub(crate) fn ablate_ordering(_: &ContentCache) {
             }),
         );
     }
-    println!("\n# expectation: identical bufRatio (the transport/ABR cut is the same) with SSIM");
-    println!("# ordered rank ~ §4.1-selection > unreferenced-tail > original — the ordering");
-    println!("# determines how much quality each truncated byte costs.");
+    writeln!(
+        o,
+        "\n# expectation: identical bufRatio (the transport/ABR cut is the same) with SSIM"
+    );
+    writeln!(
+        o,
+        "# ordered rank ~ §4.1-selection > unreferenced-tail > original — the ordering"
+    );
+    writeln!(
+        o,
+        "# determines how much quality each truncated byte costs."
+    );
 }
 
 /// Bottleneck rate per session, Mbit/s. The link and its droptail queue
@@ -1029,15 +1265,17 @@ fn cc_mixes(whole: usize, cap_s: usize) -> Vec<(&'static str, FleetSpec)> {
 /// the bottom rung under BBR), so oracle verdicts print as findings: the
 /// table is the methodology's output. The 4-session, 30-s rows are held
 /// to the oracles by this module's tests.
-pub(crate) fn cc_shootout(_: &ContentCache) {
+pub(crate) fn cc_shootout(o: &mut Out, _: &[Run]) {
     let cache = ContentCache::top_level_only();
     let sessions = 8;
     let link_mbps = PER_SESSION_MBPS * sessions as f64;
-    println!(
+    writeln!(
+        o,
         "# cc shootout: VOXEL ABR, {link_mbps} Mbit/s FIFO droptail bottleneck \
          ({PER_SESSION_MBPS} Mbit/s per session)"
     );
-    println!(
+    writeln!(
+        o,
         "{:18} {:>3} {:>7} {:>7} {:>7} {:>9}   mean share by cc group",
         "mix", "n", "jain", "util%", "ssim", "stall_s"
     );
@@ -1053,7 +1291,8 @@ pub(crate) fn cc_shootout(_: &ContentCache) {
             .iter()
             .map(|(cc, pct)| format!("{}:{pct:.1}%", cc.name()))
             .collect();
-        println!(
+        writeln!(
+            o,
             "{:18} {:>3} {:>7.3} {:>7.1} {:>7.3} {:>9.1}   {}",
             name,
             spec.total_sessions(),
@@ -1064,7 +1303,7 @@ pub(crate) fn cc_shootout(_: &ContentCache) {
             shares.join(" "),
         );
         for v in fleet_invariants(&spec, &r) {
-            println!("finding {name}: {v}");
+            writeln!(o, "finding {name}: {v}");
         }
     }
 }
@@ -1088,18 +1327,20 @@ fn zipf_workload(spec: &FleetSpec) -> Workload {
 /// 16 MB budget and the reliable-prefix middle ground. Oracle verdicts
 /// print as findings; the goldens and the zipf row are held to them by
 /// tests.
-pub(crate) fn edge_sweep(_: &ContentCache) {
+pub(crate) fn edge_sweep(o: &mut Out, _: &[Run]) {
     let cache = ContentCache::top_level_only();
     let hot_spec = edge_golden("fleet-edge4x16-hot");
     let cold_spec = edge_golden("fleet-edge4x16-cold");
     let tier = hot_spec.edge.as_ref().expect("hot golden has an edge tier");
-    println!(
+    writeln!(
+        o,
         "# edge sweep: {} sessions, {} edges over a {} Mbit/s origin backhaul",
         hot_spec.total_sessions(),
         tier.edges,
         tier.origin_mbps,
     );
-    println!(
+    writeln!(
+        o,
         "{:16} {:>3} {:>5} {:>6} {:>6} {:>9} {:>6} {:>7} {:>8}",
         "tier", "n", "edges", "hit%", "evict", "originMB", "load%", "ssim", "stall_s"
     );
@@ -1111,9 +1352,10 @@ pub(crate) fn edge_sweep(_: &ContentCache) {
             .expect("edge rows carry a report")
             .origin_bytes
     };
-    let report = |name: &str, spec: &FleetSpec, r: &FleetResult, hot: bool| {
+    let report = |o: &mut Out, name: &str, spec: &FleetSpec, r: &FleetResult, hot: bool| {
         let e = r.edge.as_ref().expect("edge rows carry a report");
-        println!(
+        writeln!(
+            o,
             "{:16} {:>3} {:>5} {:>6.1} {:>6} {:>9.2} {:>6.1} {:>7.3} {:>8.1}",
             name,
             r.sessions.len(),
@@ -1130,20 +1372,21 @@ pub(crate) fn edge_sweep(_: &ContentCache) {
             violations.extend(edge_hot_invariants(r));
         }
         for v in violations {
-            println!("finding {name}: {v}");
+            writeln!(o, "finding {name}: {v}");
         }
     };
 
     let hot = run(&hot_spec);
-    report("golden-hot", &hot_spec, &hot, true);
+    report(o, "golden-hot", &hot_spec, &hot, true);
     let cold = run(&cold_spec);
-    report("golden-cold", &cold_spec, &cold, false);
+    report(o, "golden-cold", &cold_spec, &cold, false);
 
     // The point of the tier: the hot cache shields the origin from all
     // but a sliver of the crowd.
     let (hot_bytes, cold_bytes) = (origin_bytes(&hot), origin_bytes(&cold));
     let fraction = hot_bytes as f64 / cold_bytes.max(1) as f64;
-    println!(
+    writeln!(
+        o,
         "# origin shield: hot {hot_bytes} B vs cold {cold_bytes} B \
          ({:.1}% of cold; gate {:.0}%; hit floor {:.0}%)",
         100.0 * fraction,
@@ -1151,7 +1394,7 @@ pub(crate) fn edge_sweep(_: &ContentCache) {
         100.0 * EDGE_HOT_HIT_RATIO_FLOOR,
     );
     if fraction > EDGE_HOT_ORIGIN_FRACTION_OF_COLD {
-        println!(
+        writeln!(o,
             "finding origin-shield: hot tier pulled {:.1}% of the cold tier's origin bytes (gate {:.0}%)",
             100.0 * fraction,
             100.0 * EDGE_HOT_ORIGIN_FRACTION_OF_COLD,
@@ -1165,7 +1408,7 @@ pub(crate) fn edge_sweep(_: &ContentCache) {
         Tracer::disabled(),
     )
     .expect("the zipf workload runs");
-    report("zipf-poisson", &hot_spec, &zipf, false);
+    report(o, "zipf-poisson", &hot_spec, &zipf, false);
 
     for routing in [Routing::Hash, Routing::Robin, Routing::Least] {
         for eviction in [EvictionPolicy::Lru, EvictionPolicy::Lfu] {
@@ -1173,7 +1416,7 @@ pub(crate) fn edge_sweep(_: &ContentCache) {
             let t = spec.edge.as_mut().expect("hot golden has an edge tier");
             (t.routing, t.eviction, t.cache_mb) = (routing, eviction, Some(16.0));
             let name = format!("r{}-p{}-cb16", routing.as_str(), eviction.as_str());
-            report(&name, &spec, &run(&spec), false);
+            report(o, &name, &spec, &run(&spec), false);
         }
     }
     let mut spec = hot_spec.clone();
@@ -1181,7 +1424,7 @@ pub(crate) fn edge_sweep(_: &ContentCache) {
         .as_mut()
         .expect("hot golden has an edge tier")
         .admission = Admission::ReliablePrefix;
-    report("reliable-prefix", &spec, &run(&spec), false);
+    report(o, "reliable-prefix", &spec, &run(&spec), false);
 }
 
 #[cfg(test)]

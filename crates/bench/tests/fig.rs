@@ -1,7 +1,7 @@
 //! The `fig` front door end to end: the one `EXHIBITS` table against every
-//! document that renders it, the binary's argument contract, and the
-//! committed `results/` of every exhibit cheap enough to regenerate on each
-//! test run.
+//! document that renders it, the binary's argument contract, and `fig
+//! check` over the committed `results/` of every exhibit cheap enough to
+//! regenerate on each test run.
 
 #![allow(
     clippy::expect_used,
@@ -84,38 +84,49 @@ fn every_index_of_the_exhibits_follows_the_table() {
 }
 
 /// The exhibits that play no sessions are pure functions of the content
-/// model, and take about a second: `results/<id>.txt` must be exactly what
-/// `fig <id>` prints at the trial count recorded in the file's header. (The
-/// simulating exhibits obey the same rule but cost minutes; README says how
-/// to regenerate them.)
+/// model, and take about a second: `fig check` regenerates each at the
+/// trial count recorded in its header and finds `results/<id>.txt` byte
+/// for byte. (ci.sh runs the same check over every exhibit.)
 #[test]
 fn offline_exhibits_reproduce_their_committed_results_byte_for_byte() {
-    for e in EXHIBITS.iter().filter(|e| !e.simulates) {
-        let committed = read(&format!("results/{}.txt", e.id));
-        let trials = committed
-            .lines()
-            .find_map(|l| l.strip_prefix("# trials per config: "))
-            .unwrap_or_else(|| panic!("results/{}.txt records no trial count", e.id));
-        let out = fig(&[e.id], trials);
-        assert!(out.status.success(), "fig {} failed: {out:?}", e.id);
-        assert!(
-            out.stdout == committed.as_bytes(),
-            "results/{id}.txt is stale; regenerate it with `VOXEL_TRIALS={trials} fig {id} > results/{id}.txt` \
-             and re-read its EXPERIMENTS.md row",
-            id = e.id
-        );
-    }
+    let offline: Vec<&str> = EXHIBITS
+        .iter()
+        .filter(|e| !e.simulates)
+        .map(|e| e.id)
+        .collect();
+    let out = fig(&[&["check"], &offline[..]].concat(), "1");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(out.stdout.is_empty(), "fig check printed an exhibit");
 }
 
 #[test]
 fn an_unknown_id_exits_2_listing_the_valid_ids_and_runs_nothing() {
-    for args in [&["fig4"][..], &["tables", "nope"], &[]] {
+    for args in [&["fig4"][..], &["tables", "nope"], &["check", "nope"], &[]] {
         let out = fig(args, "1");
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?} printed an exhibit");
         let stderr = String::from_utf8_lossy(&out.stderr);
         let ids: Vec<&str> = EXHIBITS.iter().map(|e| e.id).collect();
         assert!(stderr.contains(&ids.join("|")), "{stderr}");
+    }
+    // A trial count that is not a positive integer is named, not
+    // replaced by a default or rounded up to one.
+    for trials in ["0", "six"] {
+        let out = fig(&["tables"], trials);
+        assert_eq!(out.status.code(), Some(2), "VOXEL_TRIALS={trials}");
+        assert!(
+            out.stdout.is_empty(),
+            "VOXEL_TRIALS={trials} printed an exhibit"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("VOXEL_TRIALS=\"{trials}\"")),
+            "{stderr}"
+        );
     }
 }
 
