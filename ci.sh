@@ -14,7 +14,7 @@ echo "==> voxel-lint (rustdoc makes the public surface, its warnings denied, dif
 cargo run -q --release -p voxel-lint -- --max-seconds 10
 
 echo "==> cargo test -q --features paranoid (runtime invariant audits: the facade's integration tests, and the unit + property tests of every crate that has audits behind the feature)"
-cargo test -q --features paranoid -p voxel -p voxel-quic -p voxel-core -p voxel-fleet
+cargo test -q --features paranoid -p voxel -p voxel-quic -p voxel-abr -p voxel-core -p voxel-fleet
 
 echo "==> tier-2: conformance (scenario sweep x seeds, the 12 golden digests with fleets at w {1, 2, max}, then the 5-seed stall-skew canary; DESIGN.md §11-12)"
 VOXEL_SEEDS="${VOXEL_SEEDS:-5}" cargo run -q --release -p voxel-bench --bin conformance

@@ -109,7 +109,9 @@ struct Download {
     body_goal: u64,
     head_stream: StreamId,
     body_stream: StreamId,
-    head_done: bool,
+    /// The head's byte count, once it has fully arrived (the connection
+    /// may retire the stream from then on).
+    head_bytes: Option<u64>,
     body_fin_seen: bool,
     started: SimTime,
     /// Times this segment was restarted (for stats).
@@ -353,13 +355,10 @@ impl ClientApp {
         }
     }
 
-    /// The player wants a wake-up at this time (progress checks / playback
-    /// deadlines), independent of network activity.
-    pub(crate) fn next_wake(&self, now: SimTime) -> Option<SimTime> {
-        if self.is_done() {
-            return None;
-        }
-        Some(now + SimDuration::from_millis(100))
+    /// When a live player wants its next wake-up (progress checks /
+    /// playback deadlines), independent of network activity.
+    pub(crate) fn next_wake(&self, now: SimTime) -> SimTime {
+        now + SimDuration::from_millis(100)
     }
 
     // ------------------------------------------------------------------
@@ -402,7 +401,7 @@ impl ClientApp {
                 if let Some(bytes) = drain_if_complete(conn, id) {
                     if let Some(dl) = self.dl.as_mut() {
                         if dl.seg == seg && dl.head_stream == id {
-                            dl.head_done = true;
+                            dl.head_bytes = Some(bytes);
                         }
                     }
                     self.stats.bytes_downloaded += bytes;
@@ -602,7 +601,7 @@ impl ClientApp {
             body_goal,
             head_stream: head,
             body_stream: body,
-            head_done: false,
+            head_bytes: None,
             body_fin_seen: false,
             started: now,
             restarts_here: restarts,
@@ -623,10 +622,11 @@ impl ClientApp {
         // Progress covers the whole fetch (head + body): the reliable head
         // is served first (I-frame priority), so body-only accounting would
         // read as a stall during the head phase of every download.
-        let head_received = conn
-            .recv_stream(dl.head_stream)
-            .map(|rs| rs.bytes_received())
-            .unwrap_or(0);
+        let head_received = dl.head_bytes.unwrap_or_else(|| {
+            conn.recv_stream(dl.head_stream)
+                .map(|rs| rs.bytes_received())
+                .unwrap_or(0)
+        });
         let reliable = self.manifest.entry(dl.seg, dl.level).reliable_size;
         let total_received = head_received.min(reliable) + rec_received;
         let elapsed = now.saturating_since(dl.started).as_secs_f64();
@@ -731,7 +731,7 @@ impl ClientApp {
                     dl.body_fin_seen = fin;
                 }
             }
-            dl.head_done && (dl.body_fin_seen || rec_received >= dl.body_goal)
+            dl.head_bytes.is_some() && (dl.body_fin_seen || rec_received >= dl.body_goal)
         };
         if complete {
             #[expect(

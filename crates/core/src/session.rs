@@ -2,10 +2,10 @@
 //!
 //! [`SessionCore`] is the repo's one session event loop. It owns both
 //! QUIC\* endpoints, the server and client applications and a private
-//! event queue; each iteration drains application logic and
-//! transmissions, then advances virtual time to the earliest pending
-//! event (datagram delivery, transport timer, or the player's 100 ms
-//! tick). What lies between the endpoints is a [`Wire`]: [`Session`]
+//! queue of packets in flight; each iteration drains application logic
+//! and transmissions, then advances its clock to the earliest pending
+//! event (a packet's arrival, a transport timer, or the player's 100 ms
+//! wake). What lies between the endpoints is a [`Wire`]: [`Session`]
 //! runs the core over its own emulated bottleneck path (plus an optional
 //! seeded fault plane) straight to the cap, and a fleet member runs the
 //! same core over an outbox onto the shared link, one barrier at a time.
@@ -13,6 +13,7 @@
 use crate::client::{ClientApp, PlayerConfig, TransportMode};
 use crate::metrics::{TransportStats, TrialResult};
 use crate::server::{ServeNote, ServerApp};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use voxel_abr::Abr;
 use voxel_media::qoe::QoeModel;
@@ -20,18 +21,69 @@ use voxel_media::video::Video;
 use voxel_netem::{BottleneckPath, FaultPlane, PacketFate, PathConfig};
 use voxel_prep::manifest::Manifest;
 use voxel_quic::{CcKind, Connection, ConnectionConfig, Packet, Role};
-use voxel_sim::{EventQueue, SimDuration, SimTime};
+use voxel_sim::SimTime;
 use voxel_trace::{trace_event, Layer, Tracer};
 
-/// Events of the session loop.
-enum Ev {
-    /// Packet arriving at the client.
-    ToClient(Packet),
-    /// Packet arriving at the server.
-    ToServer(Packet),
-    /// Player tick (progress checks, playback deadlines; also the no-op
-    /// clock bump).
-    Tick,
+/// The endpoint a packet in flight is bound for.
+#[derive(Debug, Clone, Copy)]
+enum To {
+    Client = 0,
+    Server = 1,
+}
+
+/// A session's packets in flight: one lane per direction, each in
+/// (arrival, scheduling) order. A path delivers in the order it is fed,
+/// so a packet almost always joins the back of its lane (a fault plane's
+/// delay or duplicate can land one earlier). The next packet to arrive
+/// is the earlier of the two fronts, a tie going to the one scheduled
+/// first: the order a heap keyed by (time, sequence) pops.
+#[derive(Default)]
+struct InFlight {
+    lanes: [VecDeque<(SimTime, u64, Packet)>; 2],
+    /// Packets scheduled so far: the tie-breaker between the lanes.
+    scheduled: u64,
+}
+
+impl InFlight {
+    fn schedule(&mut self, at: SimTime, to: To, packet: Packet) {
+        let seq = self.scheduled;
+        self.scheduled += 1;
+        let lane = &mut self.lanes[to as usize];
+        let i = if lane.back().is_none_or(|&(t, ..)| t <= at) {
+            lane.len()
+        } else {
+            lane.partition_point(|&(t, ..)| t <= at)
+        };
+        lane.insert(i, (at, seq, packet));
+    }
+
+    fn len(&self) -> usize {
+        self.lanes[0].len() + self.lanes[1].len()
+    }
+
+    /// The lane whose front arrives first.
+    fn first(&self) -> Option<usize> {
+        match (self.lanes[0].front(), self.lanes[1].front()) {
+            (Some(c), Some(s)) => Some(usize::from((s.0, s.1) < (c.0, c.1))),
+            (Some(_), None) => Some(0),
+            (None, Some(_)) => Some(1),
+            (None, None) => None,
+        }
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.first().map(|lane| self.lanes[lane][0].0)
+    }
+
+    /// The next packet to arrive, if it arrives at `at`.
+    fn pop_at(&mut self, at: SimTime) -> Option<(To, Packet)> {
+        let lane = self.first()?;
+        if self.lanes[lane][0].0 != at {
+            return None;
+        }
+        let (_, _, packet) = self.lanes[lane].pop_front()?;
+        Some((if lane == 0 { To::Client } else { To::Server }, packet))
+    }
 }
 
 /// When a packet handed to a [`Wire`] reaches the other endpoint, for the
@@ -71,25 +123,36 @@ pub enum Advanced {
 }
 
 /// Both endpoints of one session, their applications and their private
-/// event queue: the session event loop, minus the wire between them.
+/// queue of packets in flight: the session event loop, minus the wire
+/// between them.
 pub struct SessionCore {
     /// Discriminates this session's profiler spans and invariant reports
     /// (the fleet flow; 0 for a lone session).
     id: u32,
     /// Nothing is pumped before this time (staggered fleet starts).
     start: SimTime,
-    queue: EventQueue<Ev>,
+    /// The session's clock: the latest time an event fired at.
+    now: SimTime,
+    /// Packets in flight, by arrival time. Timers and the player's wake
+    /// are fields, so every entry carries work.
+    queue: InFlight,
     client_conn: Connection,
     server_conn: Connection,
     server: ServerApp,
     client: ClientApp,
-    last_tick: SimTime,
+    /// The player's wake: pending while it is after the clock, re-armed
+    /// by the first pump at or after it.
+    wake: SimTime,
+    /// Whether an event has fired yet. Until one has, the wake armed at
+    /// `start` is pending even if the first pump already ran at `start`
+    /// (a session starting at zero), so it fires there once more.
+    fired: bool,
     iters: u64,
     tracer: Tracer,
 }
 
 impl SessionCore {
-    /// An untraced session whose first player tick (the manifest fetch)
+    /// An untraced session whose first player wake (the manifest fetch)
     /// fires at `start`.
     pub fn new(
         id: u32,
@@ -98,17 +161,17 @@ impl SessionCore {
         client: ClientApp,
         conn_config: ConnectionConfig,
     ) -> SessionCore {
-        let mut queue = EventQueue::with_capacity(32);
-        queue.schedule(start, Ev::Tick);
         SessionCore {
             id,
             start,
-            queue,
+            now: SimTime::ZERO,
+            queue: InFlight::default(),
             client_conn: Connection::new(Role::Client, conn_config.clone()),
             server_conn: Connection::new(Role::Server, conn_config),
             server,
             client,
-            last_tick: start,
+            wake: start,
+            fired: false,
             iters: 0,
             tracer: Tracer::disabled(),
         }
@@ -135,7 +198,7 @@ impl SessionCore {
     /// Schedule a packet the wire carried out of the session for
     /// delivery to the client at `at` (never before the session's clock).
     pub fn inject(&mut self, at: SimTime, packet: Packet) {
-        self.queue.schedule(at, Ev::ToClient(packet));
+        self.schedule_one(at, To::Client, packet);
     }
 
     /// Run the event loop up to (and including) `until`, handing every
@@ -158,7 +221,7 @@ impl SessionCore {
             );
         }
         loop {
-            let now = self.queue.now();
+            let now = self.now;
             self.iters += 1;
             // Profiler sampling gate: free unless a voxel-obs profiler is
             // installed on this thread, and even then only 1-in-N
@@ -194,38 +257,31 @@ impl SessionCore {
                 while let Some(p) = self.server_conn.poll_transmit(now) {
                     self.audit_codec(now, &p);
                     let arrivals = wire.downlink(now, p);
-                    self.schedule(arrivals, Ev::ToClient);
+                    self.schedule(arrivals, To::Client);
                 }
                 while let Some(p) = self.client_conn.poll_transmit(now) {
                     self.audit_codec(now, &p);
                     let arrivals = wire.uplink(now, p);
-                    self.schedule(arrivals, Ev::ToServer);
+                    self.schedule(arrivals, To::Server);
                 }
                 drop(_transmit);
 
-                // Keep exactly one player tick armed ~100 ms out.
-                if self.last_tick <= now {
-                    if let Some(wake) = self.client.next_wake(now) {
-                        self.last_tick = wake;
-                        self.queue.schedule(wake, Ev::Tick);
-                    }
+                // Keep the player's wake armed ~100 ms out.
+                if self.wake <= now {
+                    self.wake = self.client.next_wake(now);
                 }
             }
 
-            // Next event: queue, or a transport timer.
+            // Next event: a packet, a transport timer or the player's
+            // wake, which is always pending: it is after the clock once
+            // the pump has run, and at `start` before.
             let timer_c = self.client_conn.next_timeout();
             let timer_s = self.server_conn.next_timeout();
+            let wake = if self.fired { self.wake } else { self.start };
             let next = [self.queue.peek_time(), timer_c, timer_s]
                 .into_iter()
                 .flatten()
-                .min();
-            let Some(next) = next else {
-                // Nothing pending at all: force a tick so the player can
-                // re-evaluate (e.g. waiting out a buffer-full period).
-                self.queue
-                    .schedule(now + SimDuration::from_millis(100), Ev::Tick);
-                continue;
-            };
+                .fold(wake, SimTime::min);
             if next > until {
                 return Advanced::Blocked(next);
             }
@@ -238,35 +294,36 @@ impl SessionCore {
             if timer_s.is_some_and(|t| t <= next) {
                 self.server_conn.on_timeout(next);
             }
-            while self.queue.peek_time() == Some(next) {
-                let Some(ev) = self.queue.pop() else {
-                    break;
-                };
-                match ev.event {
-                    Ev::ToClient(p) => self.client_conn.on_packet(next, p),
-                    Ev::ToServer(p) => self.server_conn.on_packet(next, p),
-                    Ev::Tick => {}
+            while let Some((to, p)) = self.queue.pop_at(next) {
+                match to {
+                    To::Client => self.client_conn.on_packet(next, p),
+                    To::Server => self.server_conn.on_packet(next, p),
                 }
             }
-            // If only timers fired (queue still in the past), bump the
-            // queue's clock with a no-op event.
-            if self.queue.now() < next {
-                self.queue.schedule(next, Ev::Tick);
-                self.queue.pop();
-            }
+            // A timer can have fallen due before the clock (an ACK pulls
+            // the loss timer back): it fires late, and the clock stays.
+            self.now = self.now.max(next);
+            self.fired = true;
         }
     }
 
     /// Schedule a transmitted packet's arrivals.
-    fn schedule(&mut self, arrivals: Arrivals, ev: impl Fn(Packet) -> Ev) {
+    fn schedule(&mut self, arrivals: Arrivals, to: To) {
         match arrivals {
             Arrivals::None => {}
-            Arrivals::One(at, packet) => self.queue.schedule(at, ev(packet)),
+            Arrivals::One(at, packet) => self.schedule_one(at, to, packet),
             Arrivals::Two(first, second, packet) => {
-                self.queue.schedule(first, ev(packet.clone()));
-                self.queue.schedule(second, ev(packet));
+                self.schedule_one(first, to, packet.clone());
+                self.schedule_one(second, to, packet);
             }
         }
+    }
+
+    /// Schedule one arrival. An arrival before the clock would be a
+    /// wire's bug: it is delivered at once rather than in the past.
+    fn schedule_one(&mut self, at: SimTime, to: To, packet: Packet) {
+        debug_assert!(at >= self.now, "arrival in the past: {at} < {}", self.now);
+        self.queue.schedule(at.max(self.now), to, packet);
     }
 
     /// Packets cross the wire as values, so nothing on the packet path
@@ -285,9 +342,10 @@ impl SessionCore {
             let size_ok = packet.wire_size() == encoded.len() + voxel_quic::packet::PACKET_OVERHEAD;
             if !size_ok || Packet::decode(encoded).as_ref() != Some(packet) {
                 audit_failed(format!(
-                    "session {} packet {} does not survive encode/decode at {now:?} \
-                     (wire_size matches: {size_ok})",
-                    self.id, packet.pkt_num
+                    "session {} packet of {} bytes does not survive encode/decode at \
+                     {now:?} (wire_size matches: {size_ok})",
+                    self.id,
+                    packet.wire_size()
                 ));
             }
         }
@@ -498,6 +556,8 @@ mod tests {
     use voxel_media::content::VideoId;
     use voxel_media::ladder::QualityLevel;
     use voxel_netem::{BandwidthTrace, FaultKind};
+    use voxel_quic::StreamId;
+    use voxel_sim::SimDuration;
     use voxel_trace::{JsonlSink, SharedBuf};
 
     fn setup(levels: &[QualityLevel]) -> (Arc<Manifest>, Arc<Video>, QoeModel) {
@@ -649,6 +709,93 @@ mod tests {
         );
         assert!(r.transport.client_packets_reordered > 0);
         assert!(r.transport.client_packets_duplicate > 0);
+    }
+
+    /// The receive streams `conn` still holds, probed through the public
+    /// lookup over every id a session reaches. A probe retires the stream
+    /// probed before it if that one is complete and drained, as any other
+    /// lookup would.
+    fn live_recv_streams(conn: &mut Connection) -> Vec<(StreamId, bool)> {
+        (0..4096)
+            .filter_map(|id| {
+                let rs = conn.recv_stream(StreamId(id))?;
+                Some((StreamId(id), rs.is_complete()))
+            })
+            .collect()
+    }
+
+    /// Run `s` to the end; the inspection sees both connections as the
+    /// player left them, before the result is taken.
+    fn run_inspected(
+        mut s: Session,
+        inspect: impl FnOnce(&mut Connection, &mut Connection),
+    ) -> TrialResult {
+        let Advanced::Done(at) = s.core.advance(s.cap, &mut s.wire) else {
+            panic!("the session hit its cap");
+        };
+        inspect(&mut s.core.client_conn, &mut s.core.server_conn);
+        s.core.finish(at)
+    }
+
+    /// A session's receive tables hold its window, not its history: after
+    /// a 75-segment reliable session on a constant link (over 150 streams
+    /// each way, every loss retransmitted) the client holds only the
+    /// streams of fetches it abandoned, which never finish, plus at most
+    /// the one it looked at last; the server holds none of the requests
+    /// it has read.
+    #[test]
+    fn receive_tables_hold_only_the_streams_still_open() {
+        let (manifest, video, qoe) = setup(&[]);
+        let session = Session::new(
+            PathConfig::new(BandwidthTrace::constant(50.0, 600), 64),
+            manifest,
+            video,
+            qoe,
+            Box::new(Bola::new()),
+            PlayerConfig::new(3, TransportMode::Reliable),
+        );
+        let mut held = (Vec::new(), Vec::new());
+        let r = run_inspected(session, |client, server| {
+            held = (live_recv_streams(client), live_recv_streams(server));
+        });
+        assert_eq!(r.segment_scores.len(), 75);
+        assert!(r.transport.client_packets_received > 100_000);
+        let (client, server) = held;
+        let abandoned = 2 * (r.restarts + r.kept_partials) as usize;
+        assert!(client.len() <= abandoned + 1, "client holds {client:?}");
+        assert!(client.iter().all(|&(_, complete)| !complete), "{client:?}");
+        assert!(server.len() <= 1, "server holds {server:?}");
+    }
+
+    /// On a lossy cellular trace (the `ToS:VOXEL:tmobile:buf1` golden's
+    /// shape), the streams the client keeps are the unfinished ones:
+    /// unreliable bodies with holes and abandoned fetches. None is both
+    /// complete and drained.
+    #[test]
+    fn only_unfinished_streams_stay_on_a_lossy_path() {
+        let video = Video::generate(VideoId::Tos);
+        let qoe = QoeModel::default();
+        let manifest = Arc::new(Manifest::prepare(&video, &qoe));
+        let mut player = PlayerConfig::new(1, TransportMode::Split);
+        player.selective_retx = true;
+        let session = Session::new(
+            PathConfig::new(voxel_netem::trace::generators::tmobile_lte(2021, 300), 32),
+            manifest,
+            Arc::new(video),
+            qoe,
+            Box::new(AbrStar::default()),
+            player,
+        );
+        let mut held = (Vec::new(), Vec::new());
+        let r = run_inspected(session, |client, server| {
+            held = (live_recv_streams(client), live_recv_streams(server));
+        });
+        assert!(r.transport.packets_lost > 0, "the path loses packets");
+        let (client, server) = held;
+        assert!(!client.is_empty(), "holed bodies stay");
+        for (id, complete) in client.iter().chain(&server) {
+            assert!(!complete, "{id} is complete and drained but kept");
+        }
     }
 }
 

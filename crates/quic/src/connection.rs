@@ -20,8 +20,9 @@ use crate::loss::{AckOutcome, LossDetector, SentChunk, SentPacket, TimeoutOutcom
 use crate::packet::{Packet, MAX_PAYLOAD};
 use crate::rtt::RttEstimator;
 use crate::stream::{RecvStream, Reliability, SendStream, StreamId};
+use crate::table::StreamTable;
 use bytes::Bytes;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use voxel_sim::{SimDuration, SimTime};
 use voxel_trace::{trace_event, Layer, Tracer};
 
@@ -126,15 +127,24 @@ pub struct Connection {
     config: ConnectionConfig,
     next_pkt_num: u64,
     next_stream: u64,
-    send_streams: BTreeMap<StreamId, SendStream>,
-    /// The ids of exactly the send streams that `wants_to_send`, so the
-    /// transmit path never walks the streams that do not. Re-filed by
-    /// [`Connection::mark`] after every operation that touches a stream.
-    sendable: BTreeSet<StreamId>,
+    /// Send streams in play: a reliable one leaves once the peer has
+    /// acknowledged all of it, any one once it is reset.
+    send_streams: StreamTable<SendStream>,
+    /// The ids of exactly the send streams that `wants_to_send`, sorted,
+    /// so the transmit path never walks the streams that do not. Re-filed
+    /// by [`Connection::mark`] after every operation that touches a stream.
+    sendable: Vec<StreamId>,
     /// One MSS of zeros, shared by every send stream: a body chunk is a
     /// slice of it (see [`Connection::send_zeros`]).
     zero_page: Bytes,
-    recv_streams: BTreeMap<StreamId, RecvStream>,
+    /// Receive streams in play: one leaves once it is complete and the
+    /// application has drained it (see [`Connection::recv_stream`]).
+    recv_streams: StreamTable<RecvStream>,
+    /// The receive stream the application looked at last. It is retired,
+    /// if complete and drained, when the application looks at another or
+    /// the next packet arrives: so only a stream the application has seen
+    /// complete is ever retired.
+    lent: Option<StreamId>,
     ack: AckTracker,
     loss: LossDetector,
     /// What the last ACK acknowledged and declared lost; its buffers are
@@ -180,9 +190,10 @@ impl Connection {
             config,
             next_pkt_num: 0,
             next_stream: 0,
-            send_streams: BTreeMap::new(),
-            sendable: BTreeSet::new(),
-            recv_streams: BTreeMap::new(),
+            send_streams: StreamTable::new(),
+            sendable: Vec::new(),
+            recv_streams: StreamTable::new(),
+            lent: None,
             ack: AckTracker::new(),
             loss,
             ack_outcome: AckOutcome::default(),
@@ -245,29 +256,33 @@ impl Connection {
     /// server replies on the stream that carried the request (HTTP
     /// semantics over bidirectional streams).
     pub fn open_reply_stream(&mut self, id: StreamId, reliability: Reliability) {
-        let prev = self
-            .send_streams
+        debug_assert!(
+            self.send_streams.get(id).is_none(),
+            "reply stream {id} already open"
+        );
+        self.send_streams
             .insert(id, SendStream::new(id, reliability, self.zero_page.clone()));
-        debug_assert!(prev.is_none(), "reply stream {id} already open");
     }
 
     /// Re-file `id` in `sendable` after something touched its stream.
     fn mark(&mut self, id: StreamId) {
-        if self
+        let wants = self
             .send_streams
-            .get(&id)
-            .is_some_and(SendStream::wants_to_send)
-        {
-            self.sendable.insert(id);
-        } else {
-            self.sendable.remove(&id);
+            .get(id)
+            .is_some_and(SendStream::wants_to_send);
+        match (self.sendable.binary_search(&id), wants) {
+            (Err(at), true) => self.sendable.insert(at, id),
+            (Ok(at), false) => {
+                self.sendable.remove(at);
+            }
+            _ => {}
         }
     }
 
     /// Abandon sending on a stream: discard unsent/retransmittable data and
     /// tell the peer to do the same. Used for segment abandonment (§4.3).
     pub fn reset_stream(&mut self, id: StreamId) {
-        self.send_streams.remove(&id);
+        self.send_streams.retire(id);
         self.mark(id);
         self.control.push_back(Frame::ResetStream { id });
     }
@@ -276,8 +291,8 @@ impl Connection {
     /// endpoint never opened are a caller bug; they are dropped rather
     /// than crashing a whole survey run.
     pub fn send(&mut self, id: StreamId, data: &[u8]) {
-        debug_assert!(self.send_streams.contains_key(&id), "unknown send stream");
-        if let Some(s) = self.send_streams.get_mut(&id) {
+        debug_assert!(self.send_streams.get(id).is_some(), "unknown send stream");
+        if let Some(s) = self.send_streams.get_mut(id) {
             s.write(data);
         }
         self.mark(id);
@@ -287,8 +302,8 @@ impl Connection {
     /// at the peer exactly `send(id, &vec![0; len])`, but O(1) in time and
     /// memory whatever `len` is. For payloads whose values nothing reads.
     pub fn send_zeros(&mut self, id: StreamId, len: u64) {
-        debug_assert!(self.send_streams.contains_key(&id), "unknown send stream");
-        if let Some(s) = self.send_streams.get_mut(&id) {
+        debug_assert!(self.send_streams.get(id).is_some(), "unknown send stream");
+        if let Some(s) = self.send_streams.get_mut(id) {
             s.write_zeros(len);
         }
         self.mark(id);
@@ -296,16 +311,41 @@ impl Connection {
 
     /// Finish a locally opened stream (no-op on unknown ids, as `send`).
     pub fn finish(&mut self, id: StreamId) {
-        debug_assert!(self.send_streams.contains_key(&id), "unknown send stream");
-        if let Some(s) = self.send_streams.get_mut(&id) {
+        debug_assert!(self.send_streams.get(id).is_some(), "unknown send stream");
+        if let Some(s) = self.send_streams.get_mut(id) {
             s.finish();
         }
         self.mark(id);
     }
 
     /// Access a receive stream (for reads / missing-range queries).
+    ///
+    /// A stream the application has drained once it was complete holds
+    /// nothing more for it: it is retired when the application next looks
+    /// at another stream or the next packet arrives, and from then on this
+    /// returns `None` for it. A late frame for it adds nothing and raises
+    /// [`Event::StreamFinished`] again, as it would have before.
     pub fn recv_stream(&mut self, id: StreamId) -> Option<&mut RecvStream> {
-        self.recv_streams.get_mut(&id)
+        if self.lent != Some(id) {
+            self.retire_lent();
+            self.lent = Some(id);
+        }
+        self.recv_streams.get_mut(id)
+    }
+
+    /// Retire the stream the application looked at last, if it is
+    /// complete and drained.
+    fn retire_lent(&mut self) {
+        let Some(id) = self.lent.take() else {
+            return;
+        };
+        if self
+            .recv_streams
+            .get(id)
+            .is_some_and(|s| s.is_complete() && s.is_drained())
+        {
+            self.recv_streams.retire(id);
+        }
     }
 
     /// Close the connection with an application error code.
@@ -336,6 +376,7 @@ impl Connection {
     /// Process an incoming packet.
     pub fn on_packet(&mut self, now: SimTime, packet: Packet) {
         let _obs = voxel_obs::span!("quic.on_datagram");
+        self.retire_lent();
         self.stats.packets_received += 1;
         if self.ack.largest_seen().is_some_and(|l| packet.pkt_num < l) {
             self.stats.packets_reordered += 1;
@@ -379,24 +420,33 @@ impl Connection {
                 self.cc.cwnd()
             ));
         }
-        for (id, s) in &self.send_streams {
+        self.send_streams
+            .check_invariants(|s| s.id)
+            .map_err(|e| format!("send streams: {e}"))?;
+        for (id, s) in self.send_streams.iter() {
             s.check_invariants()
                 .map_err(|e| format!("send stream {id}: {e}"))?;
-            if s.wants_to_send() != self.sendable.contains(id) {
+            if s.wants_to_send() != self.sendable.binary_search(&id).is_ok() {
                 return Err(format!(
                     "send stream {id}: wants_to_send is {} but sendable disagrees",
                     s.wants_to_send()
                 ));
             }
         }
+        if let Some(w) = self.sendable.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(format!("sendable is not ascending: {} then {}", w[0], w[1]));
+        }
         if let Some(id) = self
             .sendable
             .iter()
-            .find(|id| !self.send_streams.contains_key(id))
+            .find(|&&id| self.send_streams.get(id).is_none())
         {
             return Err(format!("sendable holds {id}, which is not open"));
         }
-        for (id, r) in &self.recv_streams {
+        self.recv_streams
+            .check_invariants(|r| r.id)
+            .map_err(|e| format!("recv streams: {e}"))?;
+        for (id, r) in self.recv_streams.iter() {
             r.check_invariants()
                 .map_err(|e| format!("recv stream {id}: {e}"))?;
         }
@@ -433,15 +483,30 @@ impl Connection {
                 unreliable,
                 data,
             } => {
-                let reliability = if unreliable {
-                    Reliability::Unreliable
-                } else {
-                    Reliability::Reliable
-                };
-                let stream = self.recv_streams.entry(id).or_insert_with(|| {
+                if self.recv_streams.is_retired(id) {
+                    // The stream was complete: the frame adds no byte, so
+                    // neither the flow window nor its update can move.
+                    self.events.push_back(Event::StreamFinished(id));
+                    return;
+                }
+                if self.recv_streams.get(id).is_none() {
+                    if !self.recv_streams.in_reach(id) {
+                        // Past the table's reach: refused, as a peer
+                        // overrunning its stream limit would be.
+                        return;
+                    }
+                    let reliability = if unreliable {
+                        Reliability::Unreliable
+                    } else {
+                        Reliability::Reliable
+                    };
                     self.events.push_back(Event::StreamOpened(id, reliability));
-                    RecvStream::new(id, reliability)
-                });
+                    self.recv_streams
+                        .insert(id, RecvStream::new(id, reliability));
+                }
+                let Some(stream) = self.recv_streams.get_mut(id) else {
+                    return;
+                };
                 let before = stream.bytes_received();
                 let had_fin = stream.final_len().is_some();
                 stream.on_data(offset, data, fin);
@@ -487,7 +552,7 @@ impl Connection {
                     self.cc
                         .on_ack(now, pkt.wire_bytes, self.rtt.srtt(), self.rtt.latest());
                     for c in &pkt.chunks {
-                        if let Some(s) = self.send_streams.get_mut(&c.id) {
+                        if let Some(s) = self.send_streams.get_mut(c.id) {
                             s.on_chunk_acked(c.offset, c.len, c.fin);
                             if !c.unreliable && s.is_complete() {
                                 completed.push(c.id);
@@ -545,7 +610,7 @@ impl Connection {
                 // stay: their late loss reports must still reach the
                 // application.
                 for id in completed {
-                    self.send_streams.remove(&id);
+                    self.send_streams.retire(id);
                     self.mark(id);
                 }
             }
@@ -553,7 +618,7 @@ impl Connection {
                 self.max_data_remote = self.max_data_remote.max(limit);
             }
             Frame::MaxStreamData { id, limit } => {
-                if let Some(s) = self.send_streams.get_mut(&id) {
+                if let Some(s) = self.send_streams.get_mut(id) {
                     s.set_max_stream_data(limit);
                 }
                 self.mark(id);
@@ -561,7 +626,7 @@ impl Connection {
             Frame::ResetStream { id } => {
                 // STOP_SENDING semantics: the peer no longer wants this
                 // stream — stop transmitting it.
-                self.send_streams.remove(&id);
+                self.send_streams.retire(id);
                 self.mark(id);
                 self.events.push_back(Event::StreamReset(id));
             }
@@ -599,7 +664,7 @@ impl Connection {
         }
 
         for c in lost.iter().flat_map(|p| &p.chunks) {
-            if let Some(s) = self.send_streams.get_mut(&c.id) {
+            if let Some(s) = self.send_streams.get_mut(c.id) {
                 s.on_chunk_lost(c.offset, c.len, c.fin);
                 match c.unreliable {
                     false => self.stats.bytes_retransmitted += c.len as u64,
@@ -615,7 +680,7 @@ impl Connection {
         for &id in &self.loss_reported {
             let Some(ranges) = self
                 .send_streams
-                .get_mut(&id)
+                .get_mut(id)
                 .map(SendStream::take_loss_reports)
                 .filter(|r| !r.is_empty())
             else {
@@ -653,10 +718,12 @@ impl Connection {
         }
         let mut frames = std::mem::take(&mut self.spare_frames);
         let mut budget = self.config.mss;
+        // The frames' encoded size, each frame's computed once.
+        let mut frames_size = 0;
 
         // Control frames first (cheap, rare).
-        while let Some(f) = self.control.front() {
-            if f.size() > budget {
+        while let Some(size) = self.control.front().map(Frame::size) {
+            if size > budget {
                 break;
             }
             let Some(f) = self.control.pop_front() else {
@@ -665,7 +732,8 @@ impl Connection {
             if let Frame::Close { .. } = f {
                 self.closed = true;
             }
-            budget -= f.size();
+            budget -= size;
+            frames_size += size;
             frames.push(f);
         }
 
@@ -673,8 +741,10 @@ impl Connection {
         if self.ack.should_ack(now) {
             if let Some((ranges, delay_us)) = self.ack.take_ack(now) {
                 let f = Frame::Ack { ranges, delay_us };
-                if f.size() <= budget {
-                    budget -= f.size();
+                let size = f.size();
+                if size <= budget {
+                    budget -= size;
+                    frames_size += size;
                     frames.push(f);
                 }
             }
@@ -705,7 +775,7 @@ impl Connection {
                 let Some(&id) = self.sendable.first() else {
                     break;
                 };
-                let Some(s) = self.send_streams.get_mut(&id) else {
+                let Some(s) = self.send_streams.get_mut(id) else {
                     break;
                 };
                 let Some((offset, data, fin)) = s.next_chunk(max_chunk) else {
@@ -728,7 +798,9 @@ impl Connection {
                     unreliable,
                     data,
                 };
-                budget = budget.saturating_sub(f.size());
+                let size = f.size();
+                budget = budget.saturating_sub(size);
+                frames_size += size;
                 frames.push(f);
                 if bypass_cc {
                     break; // a single probe chunk
@@ -738,6 +810,7 @@ impl Connection {
 
         // A bare PTO probe with no data to carry: ping.
         if bypass_cc && chunks.is_empty() {
+            frames_size += Frame::Ping.size();
             frames.push(Frame::Ping);
         }
 
@@ -746,7 +819,7 @@ impl Connection {
             return None;
         }
 
-        let pkt = Packet::new(self.next_pkt_num, frames);
+        let pkt = Packet::with_frames_size(self.next_pkt_num, frames, frames_size);
         self.next_pkt_num += 1;
         self.stats.packets_sent += 1;
         self.stats.cwnd_sum_bytes += self.cc.cwnd() as u64;
@@ -843,7 +916,7 @@ impl Connection {
                     // Re-arm a probe: retransmittable data from the oldest
                     // outstanding packet, or a ping.
                     for c in probe {
-                        if let Some(s) = self.send_streams.get_mut(&c.id) {
+                        if let Some(s) = self.send_streams.get_mut(c.id) {
                             s.on_chunk_lost(c.offset, c.len, c.fin);
                         }
                         self.mark(c.id);
@@ -858,8 +931,8 @@ impl Connection {
     /// Whether any stream still has data to send or awaiting ack.
     pub fn is_idle(&self) -> bool {
         self.send_streams
-            .values()
-            .all(|s| s.is_complete() || s.is_drained())
+            .iter()
+            .all(|(_, s)| s.is_complete() || s.is_drained())
             && self.loss.outstanding() == 0
     }
 }
@@ -1184,6 +1257,86 @@ mod tests {
         for (_, chunk) in rs.take_received() {
             assert!(chunk.iter().all(|&b| b == 2));
         }
+    }
+
+    /// A complete stream leaves the receive table once the application
+    /// has drained it and moved on, and a late duplicate of one of its
+    /// frames then does what it did to the complete stream it was: no
+    /// byte counted, no control frame queued, one `StreamFinished`.
+    #[test]
+    fn a_late_frame_for_a_retired_stream_changes_nothing() {
+        // Two receivers of the same 5000-byte stream; only the first
+        // drains it, so only the first retires it.
+        let mut receivers = [(); 2].map(|()| {
+            let mut server = Connection::with_defaults(Role::Server);
+            let mut client = Connection::with_defaults(Role::Client);
+            let id = server.open_stream(Reliability::Reliable);
+            server.send(id, &[9; 5000]);
+            server.finish(id);
+            run_pipe(
+                &mut server,
+                &mut client,
+                |_, _| false,
+                SimTime::from_secs(5),
+            );
+            while client.poll_event().is_some() {}
+            (client, id)
+        });
+        let [(drained, id), (undrained, _)] = &mut receivers;
+        assert_eq!(read_all(drained, *id), [9; 5000]);
+        assert!(drained.recv_stream(StreamId(99)).is_none());
+        assert!(drained.recv_stream(*id).is_none(), "retired");
+        assert!(drained.recv_streams.is_retired(*id));
+        assert_eq!(drained.recv_streams.len(), 0);
+        assert!(undrained.recv_stream(*id).is_some_and(|s| s.is_complete()));
+
+        for (conn, id) in &mut receivers {
+            let late = Packet::new(
+                1_000,
+                vec![Frame::Stream {
+                    id: *id,
+                    offset: 1000,
+                    fin: false,
+                    unreliable: false,
+                    data: Bytes::from(vec![9; 1000]),
+                }],
+            );
+            let (received, control) = (conn.data_received, conn.control.clone());
+            conn.on_packet(SimTime::from_secs(6), late);
+            assert_eq!(conn.data_received, received);
+            assert_eq!(conn.control, control);
+            assert_eq!(conn.poll_event(), Some(Event::StreamFinished(*id)));
+            assert_eq!(conn.poll_event(), None);
+        }
+        let [(drained, id), _] = &mut receivers;
+        assert!(drained.recv_stream(*id).is_none(), "still retired");
+        assert_eq!(drained.check_invariants(), Ok(()));
+    }
+
+    /// A STREAM frame for a stream number far past the receive window is
+    /// refused: nothing opens, nothing is counted, and the table does not
+    /// grow to reach it.
+    #[test]
+    fn a_stream_far_past_the_window_is_refused() {
+        let mut client = Connection::with_defaults(Role::Client);
+        let frame = |id| Frame::Stream {
+            id,
+            offset: 0,
+            fin: true,
+            unreliable: false,
+            data: Bytes::from_static(&[1; 10]),
+        };
+        let far = StreamId(2 * crate::table::MAX_SPAN + 1);
+        client.on_packet(SimTime::ZERO, Packet::new(0, vec![frame(far)]));
+        assert_eq!(client.poll_event(), None);
+        assert_eq!((client.recv_streams.len(), client.data_received), (0, 0));
+        let near = StreamId(far.0 - 2);
+        client.on_packet(SimTime::ZERO, Packet::new(1, vec![frame(near)]));
+        assert_eq!(
+            client.poll_event(),
+            Some(Event::StreamOpened(near, Reliability::Reliable))
+        );
+        assert_eq!((client.recv_streams.len(), client.data_received), (1, 10));
     }
 
     #[test]

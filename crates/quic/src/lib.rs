@@ -29,7 +29,7 @@
 //!
 //! Only the connection and the types it speaks in are public; the
 //! machinery modules (`ack`, `bbr`, `cubic`, `delay_cc`, `loss`, `rtt`,
-//! `varint`) are crate-private.
+//! `table`, `varint`) are crate-private.
 
 pub mod cc;
 pub mod connection;
@@ -44,6 +44,7 @@ pub(crate) mod cubic;
 pub(crate) mod delay_cc;
 pub(crate) mod loss;
 pub(crate) mod rtt;
+pub(crate) mod table;
 pub(crate) mod varint;
 
 pub use cc::CcKind;

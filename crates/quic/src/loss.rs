@@ -13,7 +13,7 @@
 use crate::cc::RateSample;
 use crate::rtt::RttEstimator;
 use crate::stream::StreamId;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use voxel_sim::{SimDuration, SimTime};
 
 /// Packet-reordering threshold.
@@ -73,7 +73,12 @@ pub(crate) struct AckOutcome {
 /// The loss detector.
 #[derive(Debug, Default)]
 pub(crate) struct LossDetector {
-    sent: BTreeMap<u64, SentPacket>,
+    /// The flight, in packet-number order. Packet numbers are allocated in
+    /// sequence, so a packet joins at the back, and the packets one ACK
+    /// range acknowledges lie together: removing them moves at most the
+    /// packets on the shorter side (usually none, or the hole before
+    /// them).
+    sent: VecDeque<SentPacket>,
     largest_acked: Option<u64>,
     pto_count: u32,
     /// Cumulative acked bytes — the delivery-rate sampler's clock.
@@ -100,7 +105,11 @@ impl LossDetector {
 
     /// Record a sent ack-eliciting packet.
     pub(crate) fn on_sent(&mut self, pkt: SentPacket) {
-        self.sent.insert(pkt.pkt_num, pkt);
+        debug_assert!(
+            self.sent.back().is_none_or(|p| p.pkt_num < pkt.pkt_num),
+            "packet numbers ascend"
+        );
+        self.sent.push_back(pkt);
     }
 
     /// Number of tracked (unacked, undeclared) packets.
@@ -114,16 +123,17 @@ impl LossDetector {
         self.delivered
     }
 
-    /// Structural audit: tracked packets agree with their keys and send
-    /// times are monotone in packet number. Used by the `paranoid`
-    /// runtime layer (DESIGN.md §10).
+    /// Structural audit: tracked packets ascend in packet number and
+    /// send times are monotone in it. Used by the `paranoid` runtime layer
+    /// (DESIGN.md §10).
     pub(crate) fn check_invariants(&self) -> Result<(), String> {
         let mut prev: Option<(u64, voxel_sim::SimTime)> = None;
-        for (&pn, pkt) in &self.sent {
-            if pkt.pkt_num != pn {
-                return Err(format!("sent[{pn}] holds packet number {}", pkt.pkt_num));
-            }
+        for pkt in &self.sent {
+            let pn = pkt.pkt_num;
             if let Some((ppn, pat)) = prev {
+                if pn <= ppn {
+                    return Err(format!("packet {pn} tracked after packet {ppn}"));
+                }
                 if pkt.sent_at < pat {
                     return Err(format!(
                         "packet {pn} sent at {:?} before packet {ppn} at {pat:?}",
@@ -155,7 +165,7 @@ impl LossDetector {
 
         for &(a, b) in ranges {
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            let Some((&oldest, _)) = self.sent.first_key_value() else {
+            let Some(oldest) = self.sent.front().map(|p| p.pkt_num) else {
                 break;
             };
             // A range wholly below the flight acknowledges nothing new:
@@ -163,15 +173,22 @@ impl LossDetector {
             if hi < oldest {
                 continue;
             }
-            while let Some((&pn, _)) = self.sent.range(lo..=hi).next() {
-                let Some(pkt) = self.sent.remove(&pn) else {
-                    break;
-                };
-                if largest_newly_acked.is_none_or(|(l, _)| pn > l) {
-                    largest_newly_acked = Some((pn, pkt.sent_at));
-                }
-                out.acked.push(pkt);
+            // Usually the range reaches back past the oldest packet.
+            let start = if lo <= oldest {
+                0
+            } else {
+                self.sent.partition_point(|p| p.pkt_num < lo)
+            };
+            let end = self.sent.partition_point(|p| p.pkt_num <= hi);
+            if end <= start {
+                continue;
             }
+            if let Some(last) = self.sent.get(end - 1) {
+                if largest_newly_acked.is_none_or(|(l, _)| last.pkt_num > l) {
+                    largest_newly_acked = Some((last.pkt_num, last.sent_at));
+                }
+            }
+            out.acked.extend(self.sent.drain(start..end));
         }
 
         // Credit delivered bytes and — when the controller consumes
@@ -213,15 +230,15 @@ impl LossDetector {
             return;
         };
         let time_threshold = rtt.loss_time_threshold();
-        while let Some(oldest) = self.sent.first_entry() {
-            let pn = *oldest.key();
+        while let Some(oldest) = self.sent.front() {
+            let pn = oldest.pkt_num;
             let is_lost = pn < largest
                 && (largest - pn >= PACKET_THRESHOLD
-                    || now.saturating_since(oldest.get().sent_at) >= time_threshold);
+                    || now.saturating_since(oldest.sent_at) >= time_threshold);
             if !is_lost {
                 break;
             }
-            lost.push(oldest.remove());
+            lost.extend(self.sent.pop_front());
         }
     }
 
@@ -237,11 +254,11 @@ impl LossDetector {
     ) -> Option<SimTime> {
         // Time-threshold deadline for the oldest packet below largest_acked.
         let loss_deadline = self.largest_acked.and_then(|largest| {
-            let (_, oldest) = self.sent.range(..largest).next()?;
+            let oldest = self.sent.front().filter(|p| p.pkt_num < largest)?;
             Some(oldest.sent_at + rtt.loss_time_threshold())
         });
         // PTO from the most recent packet.
-        let pto_deadline = self.sent.last_key_value().map(|(_, p)| {
+        let pto_deadline = self.sent.back().map(|p| {
             let backoff = 1u64 << self.pto_count.min(6);
             p.sent_at + SimDuration::from_micros(rtt.pto(max_ack_delay).as_micros() * backoff)
         });
@@ -262,17 +279,14 @@ impl LossDetector {
             return TimeoutOutcome::Lost(lost);
         }
         self.pto_count += 1;
-        let probe = self
-            .sent
-            .first_key_value()
-            .map_or_else(Vec::new, |(_, oldest)| {
-                oldest
-                    .chunks
-                    .iter()
-                    .filter(|c| !c.unreliable)
-                    .copied()
-                    .collect()
-            });
+        let probe = self.sent.front().map_or_else(Vec::new, |oldest| {
+            oldest
+                .chunks
+                .iter()
+                .filter(|c| !c.unreliable)
+                .copied()
+                .collect()
+        });
         TimeoutOutcome::Pto {
             count: self.pto_count,
             probe,
@@ -687,7 +701,7 @@ mod props {
     /// count and the delivered-byte clock.
     fn state(d: &LossDetector) -> (Vec<u64>, Option<u64>, u32, u64) {
         (
-            d.sent.keys().copied().collect(),
+            d.sent.iter().map(|p| p.pkt_num).collect(),
             d.largest_acked,
             d.pto_count,
             d.delivered,
@@ -708,11 +722,12 @@ mod props {
     ) -> Option<SimTime> {
         let loss_deadline = d.largest_acked.and_then(|largest| {
             d.sent
-                .range(..largest)
-                .map(|(_, p)| p.sent_at + rtt.loss_time_threshold())
+                .iter()
+                .filter(|p| p.pkt_num < largest)
+                .map(|p| p.sent_at + rtt.loss_time_threshold())
                 .min()
         });
-        let pto_deadline = d.sent.values().map(|p| p.sent_at).max().map(|t| {
+        let pto_deadline = d.sent.iter().map(|p| p.sent_at).max().map(|t| {
             let backoff = 1u64 << d.pto_count.min(6);
             t + SimDuration::from_micros(rtt.pto(max_ack_delay).as_micros() * backoff)
         });

@@ -12,18 +12,35 @@ pub const PACKET_OVERHEAD: usize = 53;
 pub(crate) const MAX_PAYLOAD: usize = 1350;
 
 /// A QUIC\* packet.
+///
+/// Its encoded size is computed once, when it is built or decoded, and
+/// carried with it; the fields it is computed from are private, so
+/// nothing edits them afterwards.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
     /// Monotonically increasing packet number.
-    pub pkt_num: u64,
+    pub(crate) pkt_num: u64,
     /// The frames carried.
-    pub frames: Vec<Frame>,
+    pub(crate) frames: Vec<Frame>,
+    /// Encoded payload size (header + frames).
+    payload_size: usize,
 }
 
 impl Packet {
     /// Create a packet.
     pub fn new(pkt_num: u64, frames: Vec<Frame>) -> Packet {
-        Packet { pkt_num, frames }
+        let frames_size = frames.iter().map(Frame::size).sum();
+        Packet::with_frames_size(pkt_num, frames, frames_size)
+    }
+
+    /// A packet whose frames' encoded sizes sum to `frames_size` (the
+    /// sender sums them as it fills the packet).
+    pub(crate) fn with_frames_size(pkt_num: u64, frames: Vec<Frame>, frames_size: usize) -> Packet {
+        Packet {
+            pkt_num,
+            frames,
+            payload_size: 1 + varint::size(pkt_num) + frames_size,
+        }
     }
 
     /// Whether any frame elicits an acknowledgement.
@@ -33,12 +50,12 @@ impl Packet {
 
     /// Encoded payload size (header + frames, excluding [`PACKET_OVERHEAD`]).
     pub(crate) fn payload_size(&self) -> usize {
-        1 + varint::size(self.pkt_num) + self.frames.iter().map(Frame::size).sum::<usize>()
+        self.payload_size
     }
 
     /// Total simulated wire size in bytes.
     pub fn wire_size(&self) -> usize {
-        self.payload_size() + PACKET_OVERHEAD
+        self.payload_size + PACKET_OVERHEAD
     }
 
     /// Encode to bytes (header + frames).
@@ -52,18 +69,24 @@ impl Packet {
         buf.freeze()
     }
 
-    /// Decode from bytes; `None` on malformed input.
+    /// Decode from bytes; `None` on malformed input. The packet's size is
+    /// the datagram's.
     pub fn decode(mut buf: Bytes) -> Option<Packet> {
         if buf.remaining() < 1 || buf.chunk()[0] != 0x40 {
             return None;
         }
+        let payload_size = buf.remaining();
         buf.advance(1);
         let pkt_num = varint::read(&mut buf)?;
         let mut frames = Vec::new();
         while buf.remaining() > 0 {
             frames.push(Frame::decode(&mut buf)?);
         }
-        Some(Packet { pkt_num, frames })
+        Some(Packet {
+            pkt_num,
+            frames,
+            payload_size,
+        })
     }
 }
 

@@ -405,6 +405,11 @@ impl RecvStream {
         self.received.covered_len()
     }
 
+    /// Whether every chunk received so far has been read or taken.
+    pub(crate) fn is_drained(&self) -> bool {
+        self.chunks.is_empty()
+    }
+
     /// Total length, if fin has been seen.
     pub fn final_len(&self) -> Option<u64> {
         self.fin_offset

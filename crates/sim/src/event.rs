@@ -68,17 +68,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// An empty queue with room for `capacity` pending events before the
-    /// heap reallocates. Fleet shards size their per-session queues once
-    /// up front so steady-state scheduling allocates nothing.
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
-            next_seq: 0,
-            now: SimTime::ZERO,
-        }
-    }
-
     /// The current virtual time: the timestamp of the last popped event.
     pub fn now(&self) -> SimTime {
         self.now

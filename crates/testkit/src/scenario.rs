@@ -298,8 +298,9 @@ impl Scenario {
 
     /// The one place a scenario becomes an experiment: the system's ABR
     /// and transport from the legend, the trace materialized for `seed`,
-    /// every other knob copied across. `run_scenario`, the figure
-    /// harness and `voxel stream` all start from this builder.
+    /// every other knob copied across. `run_scenario` and `voxel stream`
+    /// start from this builder; the figure harness builds its cells from
+    /// [`system_by_name`] directly.
     pub fn experiment(&self, seed: u64) -> Result<ExperimentBuilder, String> {
         let (abr, transport) = system_by_name(&self.system)
             .ok_or_else(|| format!("unknown system {:?}", self.system))?;
