@@ -49,12 +49,12 @@ impl InFlight {
         let seq = self.scheduled;
         self.scheduled += 1;
         let lane = &mut self.lanes[to as usize];
-        let i = if lane.back().is_none_or(|&(t, ..)| t <= at) {
-            lane.len()
+        if lane.back().is_none_or(|&(t, ..)| t <= at) {
+            lane.push_back((at, seq, packet));
         } else {
-            lane.partition_point(|&(t, ..)| t <= at)
-        };
-        lane.insert(i, (at, seq, packet));
+            let i = lane.partition_point(|&(t, ..)| t <= at);
+            lane.insert(i, (at, seq, packet));
+        }
     }
 
     fn len(&self) -> usize {

@@ -730,7 +730,7 @@ mod props {
         all[i % all.len()]
     }
 
-    /// ROADMAP 4(v), malformed specs: `Spec::parse` never panics; what it
+    /// Malformed specs: `Spec::parse` never panics; what it
     /// accepts re-parses equal from its own display; what it rejects
     /// blames a token that is really there.
     fn check(input: &str) -> Result<(), String> {

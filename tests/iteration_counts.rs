@@ -36,3 +36,40 @@ fn fleet_goldens_keep_their_loop_iteration_counts() {
     }
     assert_eq!(got, PINNED, "a fleet golden's loop iteration count moved");
 }
+
+/// An endpoint polled when nothing touched it since its last empty poll,
+/// and before its next deadline, answers without entering the transmit
+/// path (`Connection::poll_transmit`). On the scenario whose lost packets
+/// leave gaps in every ACK for the whole session, that is fewer than 3.6
+/// transmit-path entries per downlink packet (5.68 when every poll
+/// entered it). A change that loses the shortcut, or touches an endpoint
+/// on every event, fails here even though no digest moves.
+#[test]
+fn idle_endpoints_are_not_polled() {
+    static LOSSY: Golden = Golden {
+        name: "tos-voxel-tmobile-buf1",
+        spec: "ToS:VOXEL:tmobile:buf1",
+        seed: 1,
+    };
+    let profiler = voxel::obs::Profiler::with_sample(1);
+    {
+        let _armed = profiler.install();
+        let run = run_golden(&LOSSY, &mut Content::new(), &[]).expect("spec runs");
+        assert!(run.failures.is_empty(), "{:?}", run.failures);
+    }
+    let report = profiler.report().expect("armed profiler yields a report");
+    let calls = |name: &str| {
+        report
+            .flat()
+            .iter()
+            .find(|row| row.name == name)
+            .map_or(0, |row| row.calls)
+    };
+    let (polls, packets) = (calls("quic.poll_transmit"), calls("netem.send_downlink"));
+    assert!(packets > 0, "no downlink packet was profiled");
+    let per_packet = polls as f64 / packets as f64;
+    assert!(
+        per_packet <= 3.6,
+        "{polls} transmit polls for {packets} downlink packets: {per_packet:.2} per packet"
+    );
+}
