@@ -86,6 +86,12 @@ pub enum Frame {
     },
 }
 
+/// Encoded size of an ACK frame with `n_ranges` ranges whose bounds take
+/// `bounds` bytes as varints.
+pub(crate) fn ack_size(delay_us: u64, n_ranges: usize, bounds: usize) -> usize {
+    1 + varint::size(delay_us) + varint::size(n_ranges as u64) + bounds
+}
+
 impl Frame {
     /// Whether this frame elicits an acknowledgement.
     pub(crate) fn is_ack_eliciting(&self) -> bool {
@@ -98,11 +104,11 @@ impl Frame {
             Frame::Padding { len } => *len,
             Frame::Ping => 1,
             Frame::Ack { ranges, delay_us } => {
-                let mut s = 1 + varint::size(*delay_us) + varint::size(ranges.len() as u64);
-                for (a, b) in ranges {
-                    s += varint::size(*a) + varint::size(*b);
-                }
-                s
+                let bounds = ranges
+                    .iter()
+                    .map(|&(a, b)| varint::size(a) + varint::size(b))
+                    .sum();
+                ack_size(*delay_us, ranges.len(), bounds)
             }
             Frame::MaxData { limit } => 1 + varint::size(*limit),
             Frame::MaxStreamData { id, limit } => 1 + varint::size(id.0) + varint::size(*limit),
