@@ -22,7 +22,7 @@ VOXEL_SEEDS="${VOXEL_SEEDS:-5}" cargo run -q --release -p voxel-bench --bin conf
 echo "==> exhibits: fig check regenerates every results/*.txt at the trial count in its header, on one pool, and names the first stale line (DESIGN.md §5, §15, §16)"
 cargo run -q --release -p voxel-bench --bin fig -- check
 
-echo "==> smoke: every dbg subcommand on a scenario spec and a fleet spec, dbg profile on a 300-s lossy cellular session, voxel stream on a one-trial spec (DESIGN.md §11), and the §4.1 offline_prep example executed, not only compiled"
+echo "==> smoke: every dbg subcommand on a scenario spec and a fleet spec, dbg profile on a 300-s lossy cellular session, dbg compare on exhibit cells printed by fig cells, voxel stream on a one-trial spec (DESIGN.md §11), and the §4.1 offline_prep example executed, not only compiled"
 for sub in trace profile compare; do
     for spec in BBB:VOXEL:const6:d20 BBB:2xVOXEL:const6:d20:cap10; do
         cargo run -q --release -p voxel-bench --bin dbg -- "$sub" "$spec" >/dev/null 2>&1 ||
@@ -33,6 +33,15 @@ done
 # client's packet-number and stream ranges for the whole session.
 cargo run -q --release -p voxel-bench --bin dbg -- profile ToS:VOXEL:tmobile:buf1 >/dev/null 2>&1 ||
     { echo "dbg profile ToS:VOXEL:tmobile:buf1 failed"; exit 1; }
+# Exhibit rows are specs: a cross-traffic cell (fig5), a raw 3G cell
+# (fig10) and a delay-controller cell (fig16), as `fig cells` prints them,
+# replay in dbg at the figures' trace seed.
+cells=$(cargo run -q --release -p voxel-bench --bin fig -- cells fig5 fig10 fig16)
+for marker in :cross :raw3g @delay; do
+    spec=$(grep -v '^#' <<<"$cells" | grep -m1 -F -- "$marker")
+    cargo run -q --release -p voxel-bench --bin dbg -- compare "$spec" --seed 2021 >/dev/null 2>&1 ||
+        { echo "dbg compare $spec (from fig cells) failed"; exit 1; }
+done
 cargo run -q --release --bin voxel -- stream BBB:VOXEL:const6:n1 >/dev/null
 cargo run -q --release --example offline_prep >/dev/null
 

@@ -1,15 +1,12 @@
 //! The cells and printers behind [`crate::EXHIBITS`]: `<id>_cells`
-//! declares the §5 sessions of an exhibit as plain data, and `<id>` prints
+//! declares the §5 sessions of an exhibit as scenario specs, and `<id>` prints
 //! its rows/series from their aggregates, in the order declared (the
 //! exhibits with no `_cells` function do all their work in the printer).
 //! What an exhibit shows and what the paper expects of it is stated once,
 //! in the table; comments here only say why a workload is shaped the way
 //! it is.
 
-use super::{
-    cell, figure_trace, grid, header, print_cdf, video, voxel_for, Cell, Out, Run, Trace,
-    QOE_METRICS,
-};
+use super::{cell, grid, header, panel, print_cdf, video, voxel_for, Out, Run};
 use std::sync::Arc;
 use voxel_abr::AbrStar;
 use voxel_core::client::{PlayerConfig, TransportMode};
@@ -27,21 +24,22 @@ use voxel_media::ladder::{QualityLevel, BITRATE_LADDER};
 use voxel_media::qoe::QoeModel;
 use voxel_media::video::{Video, SEGMENT_DURATION_S};
 use voxel_netem::trace::generators;
-use voxel_netem::PathConfig;
+use voxel_netem::{PathConfig, TraceFamily};
 use voxel_prep::analysis::{drop_tolerance, droppable_by_position, BytesQoeMap};
 use voxel_prep::manifest::Manifest;
 use voxel_prep::ordering::OrderingKind;
+use voxel_quic::CcKind;
 use voxel_sim::stats::Accumulator;
 use voxel_testkit::{
-    cc_group_shares, edge_hot_invariants, fleet_invariants, Golden, EDGE_HOT_HIT_RATIO_FLOOR,
-    EDGE_HOT_ORIGIN_FRACTION_OF_COLD,
+    cc_group_shares, edge_hot_invariants, fleet_invariants, Golden, Scenario,
+    EDGE_HOT_HIT_RATIO_FLOOR, EDGE_HOT_ORIGIN_FRACTION_OF_COLD, TRACE_SEED,
 };
 use voxel_trace::Tracer;
 
 const BUFFERS: [usize; 4] = [1, 2, 3, 7];
 const EVAL_VIDEOS: [&str; 4] = ["BBB", "ED", "Sintel", "ToS"];
 const LTE_PANELS: [(&str, [&str; 2]); 2] =
-    [("T-Mobile", ["BBB", "ED"]), ("Verizon", ["Sintel", "ToS"])];
+    [("tmobile", ["BBB", "ED"]), ("verizon", ["Sintel", "ToS"])];
 
 fn generate<const N: usize>(names: [&'static str; N]) -> [(&'static str, Video); N] {
     names.map(|name| (name, Video::generate(video(name))))
@@ -296,25 +294,32 @@ pub(crate) fn fig2(o: &mut Out, _: &[Run]) {
     }
 }
 
-/// Vanilla QUIC, then QUIC\* (a cell's `split`).
-const Q_VS_QSTAR: [(&str, bool); 2] = [("Q", false), ("Q*", true)];
+/// Vanilla QUIC, then QUIC\* under the same unmodified ABR: the system
+/// legend's suffix for each.
+const Q_VS_QSTAR: [&str; 2] = ["", "-Q*"];
+
+/// A Fig 3/5 cell's unmodified ABR and its transport as the figures
+/// label it (`Q`, `Q*`).
+fn abr_and_transport(c: &Scenario) -> (&str, &str) {
+    match c.system.strip_suffix(Q_VS_QSTAR[1]) {
+        Some(abr) => (abr, "Q*"),
+        None => (&c.system, "Q"),
+    }
+}
 
 /// "Q" = vanilla QUIC (fully reliable); "Q*" = QUIC\* with the minimal
 /// split (I-frames reliable, all other frames unreliable) and no other ABR
 /// change. The paper's subplot pairings.
-pub(crate) fn fig3_cells(n: usize) -> Vec<Cell> {
+pub(crate) fn fig3_cells(n: usize) -> Vec<Scenario> {
     let mut cells = Vec::new();
     for (abr, trace, video) in [
-        ("MPC", "T-Mobile", "BBB"),
-        ("MPC", "Verizon", "ED"),
-        ("BOLA", "T-Mobile", "Sintel"),
-        ("BOLA", "Verizon", "ToS"),
+        ("MPC", "tmobile", "BBB"),
+        ("MPC", "verizon", "ED"),
+        ("BOLA", "tmobile", "Sintel"),
+        ("BOLA", "verizon", "ToS"),
     ] {
         for buffer in [5, 6, 7] {
-            cells.extend(Q_VS_QSTAR.map(|(_, split)| Cell {
-                split,
-                ..cell(n, video, abr, buffer, trace)
-            }));
+            cells.extend(Q_VS_QSTAR.map(|q| cell(n, video, &format!("{abr}{q}"), buffer, trace)));
         }
     }
     cells
@@ -332,12 +337,13 @@ pub(crate) fn fig3(o: &mut Out, runs: &[Run]) {
         "panel", "buf", "transport", "bufRatio-p90", "stderr", "bitrate-kbps"
     );
     for (c, agg) in runs {
+        let (abr, transport) = abr_and_transport(c);
         writeln!(
             o,
             "{:28} {:>6} {:>10} {:>11.2}% {:>8.2}% {:>14.0}",
-            format!("{}-{}", c.system, c.panel()),
-            c.buffer,
-            Q_VS_QSTAR[usize::from(c.split)].0,
+            format!("{abr}-{}", panel(c)),
+            c.buffer_segments,
+            transport,
             agg.buf_ratio_p90(),
             agg.buf_ratio_stderr(),
             agg.bitrate_mean_kbps(),
@@ -348,7 +354,7 @@ pub(crate) fn fig3(o: &mut Out, runs: &[Run]) {
 
 /// The paper prints only the 20 Mbps panels; lower loads confirm the trend
 /// in full mode.
-pub(crate) fn fig5_cells(n: usize) -> Vec<Cell> {
+pub(crate) fn fig5_cells(n: usize) -> Vec<Scenario> {
     let loads: &[u32] = if n < 30 { &[20] } else { &[20, 15, 10] };
     let mut cells = Vec::new();
     for &offered in loads {
@@ -358,12 +364,11 @@ pub(crate) fn fig5_cells(n: usize) -> Vec<Cell> {
             ("BOLA", "Sintel"),
             ("MPC", "ToS"),
         ] {
+            let trace = format!("cross{offered}");
             for buffer in [5, 6, 7] {
-                cells.extend(Q_VS_QSTAR.map(|(_, split)| Cell {
-                    trace: Trace::Cross(offered),
-                    split,
-                    ..cell(n, video, abr, buffer, "const20")
-                }));
+                cells.extend(
+                    Q_VS_QSTAR.map(|q| cell(n, video, &format!("{abr}{q}"), buffer, &trace)),
+                );
             }
         }
     }
@@ -382,13 +387,17 @@ pub(crate) fn fig5(o: &mut Out, runs: &[Run]) {
         "panel", "offered", "buf", "transport", "bufRatio-p90", "bitrate-kbps"
     );
     for (c, agg) in runs {
+        let (abr, transport) = abr_and_transport(c);
+        let TraceFamily::Cross(offered) = c.trace else {
+            unreachable!("fig5 cells are cross-traffic cells")
+        };
         writeln!(
             o,
             "{:24} {:>7}M {:>6} {:>10} {:>11.2}% {:>14.0}",
-            format!("{}/{}", c.system, c.video.short_name()),
-            c.legend(),
-            c.buffer,
-            Q_VS_QSTAR[usize::from(c.split)].0,
+            format!("{abr}/{}", c.video.short_name()),
+            offered,
+            c.buffer_segments,
+            transport,
             agg.buf_ratio_p90(),
             agg.bitrate_mean_kbps(),
         );
@@ -398,7 +407,7 @@ pub(crate) fn fig5(o: &mut Out, runs: &[Run]) {
 
 /// BOLA, BETA and the VOXEL variant the paper runs on `trace`, for each
 /// (trace, video, buffer).
-fn three_systems(n: usize, panels: &[(&str, &str, usize)]) -> Vec<Cell> {
+fn three_systems(n: usize, panels: &[(&str, &str, usize)]) -> Vec<Scenario> {
     let each = |&(trace, video, buffer): &(&str, &str, usize)| {
         ["BOLA", "BETA", voxel_for(trace)].map(|system| cell(n, video, system, buffer, trace))
     };
@@ -406,12 +415,12 @@ fn three_systems(n: usize, panels: &[(&str, &str, usize)]) -> Vec<Cell> {
 }
 
 /// The (trace, video) pairings the paper's subplots use.
-pub(crate) fn fig6_cells(n: usize) -> Vec<Cell> {
+pub(crate) fn fig6_cells(n: usize) -> Vec<Scenario> {
     let pairs = [
-        ("AT&T", "BBB"),
-        ("3G", "ED"),
-        ("Verizon", "Sintel"),
-        ("T-Mobile", "ToS"),
+        ("att", "BBB"),
+        ("3g", "ED"),
+        ("verizon", "Sintel"),
+        ("tmobile", "ToS"),
     ];
     let panels: Vec<_> = pairs
         .iter()
@@ -434,15 +443,15 @@ pub(crate) fn fig6(o: &mut Out, runs: &[Run]) {
         writeln!(
             o,
             "{:18} {:>4} {:>12} {:>11.2}% {:>7.2}% {:>10.1} {:>9.1}",
-            c.panel(),
-            c.buffer,
+            panel(c),
+            c.buffer_segments,
             c.system,
             p90,
             agg.buf_ratio_stderr(),
             per_trial_mean(agg, |t| t.restarts as f64),
             per_trial_mean(agg, |t| t.kept_partials as f64),
         );
-        match c.system {
+        match c.system.as_str() {
             "BOLA" => bola_p90 = Some(p90),
             s if s.starts_with("VOXEL") => {
                 if let Some(b) = bola_p90.filter(|&b| b > 0.05) {
@@ -461,17 +470,22 @@ pub(crate) fn fig6(o: &mut Out, runs: &[Run]) {
     }
 }
 
+/// VOXEL maximising each Fig 7a utility, SSIM (the paper's) first: its
+/// system legend and the utility's name in the figure.
+const UTILITIES: [(&str, &str); 3] = [
+    ("VOXEL", "Ssim"),
+    ("VOXEL-VMAF", "Vmaf"),
+    ("VOXEL-PSNR", "Psnr"),
+];
+
 /// Per buffer, BOLA and then VOXEL maximising each utility (7a); BOLA and
 /// VOXEL at 3 segments (7b/7c); VOXEL per video and buffer (7d).
-pub(crate) fn fig7_cells(n: usize) -> Vec<Cell> {
-    let verizon = |video, system, buffer| cell(n, video, system, buffer, "Verizon");
+pub(crate) fn fig7_cells(n: usize) -> Vec<Scenario> {
+    let verizon = |video, system, buffer| cell(n, video, system, buffer, "verizon");
     let mut cells = Vec::new();
     for buffer in BUFFERS {
         cells.push(verizon("BBB", "BOLA", buffer));
-        cells.extend((0..QOE_METRICS.len()).map(|metric| Cell {
-            metric,
-            ..verizon("BBB", "VOXEL", buffer)
-        }));
+        cells.extend(UTILITIES.map(|(system, _)| verizon("BBB", system, buffer)));
     }
     cells.extend([verizon("BBB", "BOLA", 3), verizon("BBB", "VOXEL", 3)]);
     for video in EVAL_VIDEOS {
@@ -481,24 +495,23 @@ pub(crate) fn fig7_cells(n: usize) -> Vec<Cell> {
 }
 
 pub(crate) fn fig7(o: &mut Out, runs: &[Run]) {
-    let (utilities, rest) = runs.split_at(BUFFERS.len() * (1 + QOE_METRICS.len()));
+    let (utilities, rest) = runs.split_at(BUFFERS.len() * (1 + UTILITIES.len()));
     let (distributions, skipped) = rest.split_at(2);
     header(
         o,
         "Fig 7a",
         "bufRatio p90 of BOLA vs VOXEL under different QoE utilities (BBB, Verizon)",
     );
-    for row in utilities.chunks_exact(1 + QOE_METRICS.len()) {
+    for row in utilities.chunks_exact(1 + UTILITIES.len()) {
         let (bola, voxels) = (&row[0], &row[1..]);
         write!(
             o,
             "buf={}: BOLA {:5.2}%",
-            bola.0.buffer,
+            bola.0.buffer_segments,
             bola.1.buf_ratio_p90()
         );
-        for (c, agg) in voxels {
-            let metric = QOE_METRICS[c.metric];
-            write!(o, "  VOXEL/{metric:?} {:5.2}%", agg.buf_ratio_p90());
+        for ((_, metric), (_, agg)) in UTILITIES.iter().zip(voxels) {
+            write!(o, "  VOXEL/{metric} {:5.2}%", agg.buf_ratio_p90());
         }
         writeln!(o);
     }
@@ -530,7 +543,12 @@ pub(crate) fn fig7(o: &mut Out, runs: &[Run]) {
     for row in skipped.chunks_exact(BUFFERS.len()) {
         write!(o, "{:8}", row[0].0.video.short_name());
         for (c, agg) in row {
-            write!(o, "  buf{}:{:5.1}%", c.buffer, agg.data_skipped_mean_pct());
+            write!(
+                o,
+                "  buf{}:{:5.1}%",
+                c.buffer_segments,
+                agg.data_skipped_mean_pct()
+            );
         }
         writeln!(o);
     }
@@ -539,9 +557,9 @@ pub(crate) fn fig7(o: &mut Out, runs: &[Run]) {
 
 /// BOLA and the VOXEL variant the paper runs on each trace, per trace,
 /// video and buffer.
-pub(crate) fn fig8_cells(n: usize) -> Vec<Cell> {
+pub(crate) fn fig8_cells(n: usize) -> Vec<Scenario> {
     let mut cells = Vec::new();
-    for trace in ["T-Mobile", "Verizon"] {
+    for trace in ["tmobile", "verizon"] {
         for video in EVAL_VIDEOS {
             for buffer in BUFFERS {
                 cells.extend(["BOLA", voxel_for(trace)].map(|s| cell(n, video, s, buffer, trace)));
@@ -563,8 +581,8 @@ pub(crate) fn fig8(o: &mut Out, runs: &[Run]) {
         writeln!(
             o,
             "{:20} {:>4} {:>10.0} {:>10.0}",
-            c.panel(),
-            c.buffer,
+            panel(c),
+            c.buffer_segments,
             bola.bitrate_mean_kbps(),
             vox.bitrate_mean_kbps(),
         );
@@ -575,12 +593,12 @@ pub(crate) fn fig8(o: &mut Out, runs: &[Run]) {
     );
 }
 
-pub(crate) fn fig9_cells(n: usize) -> Vec<Cell> {
+pub(crate) fn fig9_cells(n: usize) -> Vec<Scenario> {
     let panels = [
-        ("AT&T", "ToS", 2),
-        ("3G", "Sintel", 3),
-        ("Verizon", "ED", 3),
-        ("T-Mobile", "BBB", 3),
+        ("att", "ToS", 2),
+        ("3g", "Sintel", 3),
+        ("verizon", "ED", 3),
+        ("tmobile", "BBB", 3),
     ];
     three_systems(n, &panels)
 }
@@ -594,10 +612,11 @@ pub(crate) fn fig9(o: &mut Out, runs: &[Run]) {
     let probes = grid(12, 0.85, 0.0125);
     for (c, agg) in runs {
         if c.system == "BOLA" {
-            let (trace, video) = (c.legend(), c.video.short_name());
-            writeln!(o, "\n## {trace} / {video} / {}-segment buffer", c.buffer);
+            let (trace, video) = (c.trace.legend(), c.video.short_name());
+            let buffer = c.buffer_segments;
+            writeln!(o, "\n## {trace} / {video} / {buffer}-segment buffer");
         }
-        print_cdf(o, c.system, &agg.pooled_ssims(), &probes);
+        print_cdf(o, &c.system, &agg.pooled_ssims(), &probes);
         writeln!(
             o,
             "{:24} mean SSIM {:.4}  bufRatio p90 {:.2}%",
@@ -616,16 +635,12 @@ const FIG10_SYSTEMS: [&str; 3] = ["BOLA", "BOLA-SSIM", "VOXEL"];
 /// rebuffering); BOLA-SSIM→VOXEL adds keep-partial abandonment over QUIC\*
 /// (the rebuffering win). One trial per trace (the ensemble provides the
 /// repetition); the fast mode uses a subset of the 86 traces.
-pub(crate) fn fig10_cells(n: usize) -> Vec<Cell> {
+pub(crate) fn fig10_cells(n: usize) -> Vec<Scenario> {
     let traces = if n >= 30 { 86 } else { 24 };
     let mut cells = Vec::new();
     for buffer in [1, 7] {
         for system in FIG10_SYSTEMS {
-            cells.extend((0..traces).map(|i| Cell {
-                trace: Trace::Raw3g(i),
-                trials: 1,
-                ..cell(n, "BBB", system, buffer, "3G")
-            }));
+            cells.extend((0..traces).map(|i| cell(1, "BBB", system, buffer, &format!("raw3g{i}"))));
         }
     }
     cells
@@ -639,9 +654,9 @@ pub(crate) fn fig10(o: &mut Out, runs: &[Run]) {
         &format!("BOLA vs BOLA-SSIM vs VOXEL over {traces} raw 3G traces"),
     );
     for group in runs.chunks_exact(traces) {
-        let (c, system) = (&group[0].0, group[0].0.system);
+        let (c, system) = (&group[0].0, group[0].0.system.as_str());
         if system == FIG10_SYSTEMS[0] {
-            writeln!(o, "\n## {}-segment buffer", c.buffer);
+            writeln!(o, "\n## {}-segment buffer", c.buffer_segments);
         }
         let agg = Aggregate::new(group.iter().flat_map(|(_, a)| a.trials.clone()).collect());
         let ratios: Vec<f64> = agg.trials.iter().map(|t| t.buf_ratio_pct()).collect();
@@ -682,19 +697,16 @@ const FIG11_TRACES: [(&str, &str); 2] = [("const", "const10.5"), ("step", "step1
 
 /// BOLA and VOXEL on the synthetic traces with a 28 s buffer at one trial
 /// (11a) and four (11b/11c); then in the wild per buffer and video (11d).
-pub(crate) fn fig11_cells(n: usize) -> Vec<Cell> {
+pub(crate) fn fig11_cells(n: usize) -> Vec<Scenario> {
     let mut cells = Vec::new();
     for trials in [1, 4] {
         for (_, trace) in FIG11_TRACES {
-            cells.extend(["BOLA", "VOXEL"].map(|s| Cell {
-                trials,
-                ..cell(n, "BBB", s, 7, trace)
-            }));
+            cells.extend(["BOLA", "VOXEL"].map(|s| cell(trials, "BBB", s, 7, trace)));
         }
     }
     for buffer in [1, 7] {
         for video in EVAL_VIDEOS {
-            cells.extend(["BOLA", "VOXEL"].map(|s| cell(n, video, s, buffer, "in-the-wild")));
+            cells.extend(["BOLA", "VOXEL"].map(|s| cell(n, video, s, buffer, "wifi")));
         }
     }
     cells
@@ -747,7 +759,7 @@ pub(crate) fn fig11(o: &mut Out, runs: &[Run]) {
         writeln!(
             o,
             "buf={} {:7} {:6} bufRatio p90 {:5.2}%  mean SSIM {:.4}",
-            c.buffer,
+            c.buffer_segments,
             c.video.short_name(),
             c.system,
             agg.buf_ratio_p90(),
@@ -757,14 +769,11 @@ pub(crate) fn fig11(o: &mut Out, runs: &[Run]) {
     writeln!(o, "# expectation (paper): comparable SSIM; VOXEL significantly lower bufRatio at the 1-segment buffer");
 }
 
-pub(crate) fn fig12_cells(n: usize) -> Vec<Cell> {
+pub(crate) fn fig12_cells(n: usize) -> Vec<Scenario> {
     let mut cells = Vec::new();
     for video in EVAL_VIDEOS {
         for buffer in BUFFERS {
-            cells.extend(["BOLA", "VOXEL"].map(|s| Cell {
-                trace: Trace::Cross(20),
-                ..cell(n, video, s, buffer, "const20")
-            }));
+            cells.extend(["BOLA", "VOXEL"].map(|s| cell(n, video, s, buffer, "cross20")));
         }
     }
     cells
@@ -786,7 +795,7 @@ pub(crate) fn fig12(o: &mut Out, runs: &[Run]) {
             o,
             "{:8} {:>4} {:>8} {:>11.2}% {:>14.0}",
             c.video.short_name(),
-            c.buffer,
+            c.buffer_segments,
             c.system,
             agg.buf_ratio_p90(),
             agg.bitrate_mean_kbps(),
@@ -799,20 +808,14 @@ pub(crate) fn fig12(o: &mut Out, runs: &[Run]) {
 /// throughput was as low as 0.3 Mbps"): BOLA and VOXEL on the six
 /// lowest-mean traces of the raw 3G ensemble, 1-segment (live-like)
 /// buffer, one trial each.
-pub(crate) fn fig14_cells(n: usize) -> Vec<Cell> {
+pub(crate) fn fig14_cells(_: usize) -> Vec<Scenario> {
     let mut by_mean: Vec<usize> = (0..86).collect();
     by_mean.sort_by(|&a, &b| {
         let ma = generators::norway_3g_raw(a, 60).mean_mbps();
         let mb = generators::norway_3g_raw(b, 60).mean_mbps();
         ma.partial_cmp(&mb).expect("finite")
     });
-    let pair = |i| {
-        ["BOLA", "VOXEL"].map(|s| Cell {
-            trace: Trace::Raw3g(i),
-            trials: 1,
-            ..cell(n, "BBB", s, 1, "3G")
-        })
-    };
+    let pair = |i| ["BOLA", "VOXEL"].map(|s| cell(1, "BBB", s, 1, &format!("raw3g{i}")));
     by_mean.into_iter().take(6).flat_map(pair).collect()
 }
 
@@ -905,17 +908,16 @@ pub(crate) fn fig15(o: &mut Out, _: &[Run]) {
 
 /// Appendix B's 750-packet queue: BOLA, VOXEL, and VOXEL over the
 /// delay-based controller.
-pub(crate) fn fig16_cells(n: usize) -> Vec<Cell> {
+pub(crate) fn fig16_cells(n: usize) -> Vec<Scenario> {
     let mut cells = Vec::new();
     for (trace, videos) in LTE_PANELS {
+        let voxel = voxel_for(trace);
         for video in videos {
             for buffer in BUFFERS {
-                let voxel = voxel_for(trace);
-                for (system, delay_cc) in [("BOLA", false), (voxel, false), (voxel, true)] {
-                    cells.push(Cell {
-                        queue: 750,
-                        delay_cc,
-                        ..cell(n, video, system, buffer, trace)
+                for who in ["BOLA", voxel, &format!("{voxel}@delay")] {
+                    cells.push(Scenario {
+                        queue_packets: 750,
+                        ..cell(n, video, who, buffer, trace)
                     });
                 }
             }
@@ -932,16 +934,15 @@ pub(crate) fn fig16(o: &mut Out, runs: &[Run]) {
         "panel", "buf", "system", "bufRatio-p90"
     );
     for (c, agg) in runs {
-        let label = if c.delay_cc {
-            "VOXEL+delayCC"
-        } else {
-            c.system
+        let label = match c.cc {
+            Some(CcKind::Delay) => "VOXEL+delayCC",
+            _ => &c.system,
         };
         writeln!(
             o,
             "{:20} {:>4} {:>14} {:>11.2}%",
-            c.panel(),
-            c.buffer,
+            panel(c),
+            c.buffer_segments,
             label,
             agg.buf_ratio_p90(),
         );
@@ -955,9 +956,9 @@ const TUNINGS: [&str; 3] = ["BETA", "VOXEL", "VOXEL-tuned"];
 
 /// BOLA and VOXEL over 3G and AT&T (17a/17b); the tuning ablation on
 /// T-Mobile (17c/17d).
-pub(crate) fn fig17_cells(n: usize) -> Vec<Cell> {
+pub(crate) fn fig17_cells(n: usize) -> Vec<Scenario> {
     let mut cells = Vec::new();
-    for trace in ["3G", "AT&T"] {
+    for trace in ["3g", "att"] {
         for video in EVAL_VIDEOS {
             for buffer in BUFFERS {
                 cells.extend(["BOLA", "VOXEL"].map(|s| cell(n, video, s, buffer, trace)));
@@ -965,7 +966,7 @@ pub(crate) fn fig17_cells(n: usize) -> Vec<Cell> {
         }
     }
     for buffer in BUFFERS {
-        cells.extend(TUNINGS.map(|s| cell(n, "BBB", s, buffer, "T-Mobile")));
+        cells.extend(TUNINGS.map(|s| cell(n, "BBB", s, buffer, "tmobile")));
     }
     cells
 }
@@ -978,8 +979,8 @@ pub(crate) fn fig17(o: &mut Out, runs: &[Run]) {
         writeln!(
             o,
             "{:14} buf={} BOLA {:>7.0}  VOXEL {:>7.0}",
-            c.panel(),
-            c.buffer,
+            panel(c),
+            c.buffer_segments,
             bola.bitrate_mean_kbps(),
             vox.bitrate_mean_kbps(),
         );
@@ -993,7 +994,7 @@ pub(crate) fn fig17(o: &mut Out, runs: &[Run]) {
     let probes = grid(12, 0.85, 0.0125);
     for (c, agg) in ablation {
         if c.system == TUNINGS[0] {
-            writeln!(o, "\n## buffer {}", c.buffer);
+            writeln!(o, "\n## buffer {}", c.buffer_segments);
         }
         writeln!(
             o,
@@ -1002,7 +1003,7 @@ pub(crate) fn fig17(o: &mut Out, runs: &[Run]) {
             agg.buf_ratio_p90(),
             agg.mean_ssim()
         );
-        if c.buffer == 3 {
+        if c.buffer_segments == 3 {
             print_cdf(
                 o,
                 &format!("{} SSIM", c.system),
@@ -1016,11 +1017,11 @@ pub(crate) fn fig17(o: &mut Out, runs: &[Run]) {
 
 /// BOLA and VOXEL on the FCC trace (18a/18b); the partial-reliability
 /// ablation, VOXEL-rel then VOXEL, on T-Mobile and Verizon (18c/18d).
-pub(crate) fn fig18_cells(n: usize) -> Vec<Cell> {
+pub(crate) fn fig18_cells(n: usize) -> Vec<Scenario> {
     let mut cells = Vec::new();
     for video in EVAL_VIDEOS {
         for buffer in BUFFERS {
-            cells.extend(["BOLA", "VOXEL"].map(|s| cell(n, video, s, buffer, "FCC")));
+            cells.extend(["BOLA", "VOXEL"].map(|s| cell(n, video, s, buffer, "fcc")));
         }
     }
     for (trace, videos) in LTE_PANELS {
@@ -1047,7 +1048,7 @@ pub(crate) fn fig18(o: &mut Out, runs: &[Run]) {
             o,
             "FCC/{:7} buf={} BOLA p90 {:5.2}% @{:>6.0}kbps   VOXEL p90 {:5.2}% @{:>6.0}kbps",
             c.video.short_name(),
-            c.buffer,
+            c.buffer_segments,
             bola.buf_ratio_p90(),
             bola.bitrate_mean_kbps(),
             vox.buf_ratio_p90(),
@@ -1065,8 +1066,8 @@ pub(crate) fn fig18(o: &mut Out, runs: &[Run]) {
         writeln!(
             o,
             "{:18} buf={} VOXEL-rel p90 {:5.2}% ssim {:.4} @{:5.0}kbps   VOXEL p90 {:5.2}% ssim {:.4} @{:5.0}kbps",
-            c.panel(),
-            c.buffer,
+            panel(c),
+            c.buffer_segments,
             rel.buf_ratio_p90(),
             rel.mean_ssim(),
             rel.bitrate_mean_kbps(),
@@ -1092,9 +1093,9 @@ pub(crate) fn fig19(o: &mut Out, _: &[Run]) {
     writeln!(o, "\n# expectation (paper): P9 (static unboxing) tolerates ~80% drops; P10 (street dance, no cuts) tolerates almost none; the rest behave like the Table 1 videos");
 }
 
-pub(crate) fn fig_retx_cells(n: usize) -> Vec<Cell> {
+pub(crate) fn fig_retx_cells(n: usize) -> Vec<Scenario> {
     BUFFERS
-        .map(|buffer| cell(n, "BBB", "VOXEL", buffer, "Verizon"))
+        .map(|buffer| cell(n, "BBB", "VOXEL", buffer, "verizon"))
         .into()
 }
 
@@ -1119,7 +1120,7 @@ pub(crate) fn fig_retx(o: &mut Out, runs: &[Run]) {
         writeln!(
             o,
             "{:>4} {:>12} {:>11.0}% {:>13.1}% {:>15.1}% {:>17.1}%",
-            c.buffer,
+            c.buffer_segments,
             lost / 1000,
             if lost > 0 {
                 100.0 * rec as f64 / lost as f64
@@ -1155,7 +1156,7 @@ pub(crate) fn ablate_ordering(o: &mut Out, _: &[Run]) {
     );
     let video = Arc::new(Video::generate(VideoId::Bbb));
     let qoe = QoeModel::default();
-    let base_trace = figure_trace("Verizon");
+    let base_trace = TraceFamily::Verizon.build(TRACE_SEED, 300);
     let trials = o.trials;
     let levels: Vec<QualityLevel> = QualityLevel::all().collect();
 

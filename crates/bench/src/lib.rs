@@ -9,17 +9,19 @@
 //! the paper's evaluation once — id, paper exhibits, what it shows, what
 //! the paper expects, modules, its cells and its printer — and one binary
 //! runs them (`cargo run --release -p voxel-bench --bin fig --
-//! fig6`, `… all`, `… list`, `… check`). DESIGN.md §5 is `fig list`;
-//! `results/<id>.txt` is `fig <id>`, and `fig check` proves it.
+//! fig6`, `… all`, `… list`, `… check`, `… cells`). DESIGN.md §5 is `fig
+//! list`; `results/<id>.txt` is `fig <id>`, and `fig check` proves it.
 //! Performance is measured by the standalone `benchmark/` package, not
 //! here.
 //!
-//! An exhibit is its cells and a printer. The cells are the §5 session
-//! configurations it needs, as plain data; `fig` collects the cells of
-//! every exhibit it is asked for, runs each distinct cell's trials once on
-//! one pool, and then hands each printer the aggregates of its cells in
-//! the order it declared them. Work that is not a §5 cell (content
-//! analysis, fleets, forced-ordering sessions) stays in the printer.
+//! An exhibit is its cells and a printer. The cells are the §5 sessions
+//! it needs, each a [`Scenario`] keyed by its canonical spec string; `fig`
+//! collects the cells of every exhibit it is asked for, runs each distinct
+//! spec's trials once on one pool, and then hands each printer the
+//! aggregates of its cells in the order it declared them. `fig cells`
+//! prints those specs, so any row replays in `voxel stream` or `dbg`.
+//! Work that is not a §5 cell (content analysis, fleets, forced-ordering
+//! sessions) stays in the printer.
 //!
 //! ## Protocol fidelity vs wall-clock
 //!
@@ -36,20 +38,14 @@
 mod env;
 mod exhibits;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
-use voxel_core::experiment::{AbrKind, ContentCache, Experiment, ExperimentBuilder};
+use voxel_core::experiment::{ContentCache, Experiment};
 use voxel_core::metrics::Aggregate;
-use voxel_core::TransportMode;
 use voxel_media::content::VideoId;
-use voxel_media::qoe::QoeMetric;
-use voxel_netem::crosstraffic::{available_bandwidth, CrossTrafficConfig};
-use voxel_netem::trace::generators;
-use voxel_netem::{BandwidthTrace, TraceFamily};
-use voxel_quic::CcKind;
 use voxel_sim::pool::{default_workers, run_indexed};
-use voxel_testkit::{system_by_name, Scenario, SpecError};
+use voxel_testkit::{Scenario, TRACE_SEED};
 
 /// One row of the experiment index: a paper exhibit (or the group of
 /// exhibits the paper prints together) and the function regenerating it.
@@ -67,8 +63,8 @@ pub struct Exhibit {
     /// Whether it plays streaming sessions (minutes at the default trial
     /// count) or only analyses the content model (about a second).
     pub simulates: bool,
-    /// The §5 cells it needs at a trial count, as plain data.
-    pub(crate) cells: fn(usize) -> Vec<Cell>,
+    /// The §5 cells it needs at a trial count, in printer order.
+    pub(crate) cells: fn(usize) -> Vec<Scenario>,
     /// Print it from its cells' aggregates, in the order declared.
     pub(crate) print: fn(&mut Out, &[Run]),
 }
@@ -313,22 +309,22 @@ pub fn list() -> String {
     out
 }
 
-/// The `fig` binary: `fig <id>… | all | list | check [<id>…]`. An
-/// unknown id (or none), or a `VOXEL_TRIALS` that is not a positive
-/// integer, exits 2 before anything runs.
+/// The `fig` binary: `fig <id>… | all | list | check [<id>…] | cells
+/// [<id>…]`. An unknown id (or none), or a `VOXEL_TRIALS` that is not a
+/// positive integer, exits 2 before anything runs.
 pub fn fig(args: &[String]) -> ExitCode {
     let trials = trial_count();
-    let (check, ids) = match args {
+    let (verb, ids) = match args {
         [only] if only == "list" => {
             print!("{}", list());
             return ExitCode::SUCCESS;
         }
-        [first, ids @ ..] if first == "check" => (true, ids),
-        ids => (false, ids),
+        [first, ids @ ..] if first == "check" || first == "cells" => (first.as_str(), ids),
+        ids => ("print", ids),
     };
     let picked: Result<Vec<&Exhibit>, String> = match ids {
         [only] if only == "all" => Ok(EXHIBITS.iter().collect()),
-        [] if check => Ok(EXHIBITS.iter().collect()),
+        [] if verb != "print" => Ok(EXHIBITS.iter().collect()),
         [] => Err("no exhibit named".to_string()),
         ids => ids
             .iter()
@@ -339,7 +335,11 @@ pub fn fig(args: &[String]) -> ExitCode {
             .collect(),
     };
     match picked {
-        Ok(picked) if check => check_results(&picked),
+        Ok(picked) if verb == "check" => check_results(&picked),
+        Ok(picked) if verb == "cells" => {
+            print!("{}", cells(&picked, trials));
+            ExitCode::SUCCESS
+        }
         Ok(picked) => {
             for out in render(&picked, trials) {
                 print!("{out}");
@@ -349,7 +349,8 @@ pub fn fig(args: &[String]) -> ExitCode {
         Err(why) => {
             let ids: Vec<&str> = EXHIBITS.iter().map(|e| e.id).collect();
             eprintln!(
-                "{why}; usage: fig <id>… | all | list | check [<id>…], <id> one of {}",
+                "{why}; usage: fig <id>… | all | list | check [<id>…] | cells [<id>…], <id> one \
+                 of {}",
                 ids.join("|")
             );
             ExitCode::from(2)
@@ -419,24 +420,41 @@ fn first_difference(committed: &str, fresh: &str) -> Option<String> {
     })?
 }
 
+/// `fig cells`: every cell of each exhibit as its spec, in printer order,
+/// under a header naming the trace seed the rows ran at.
+fn cells(picked: &[&Exhibit], trials: usize) -> String {
+    let mut out = format!(
+        "# trace seed {TRACE_SEED}: `voxel stream <spec>` reruns a row; `dbg <trace|compare|profile> \
+         <spec> --seed {TRACE_SEED}` replays its spec over the testkit's top-level-only content\n"
+    );
+    for e in picked {
+        let cells = (e.cells)(trials);
+        out += &format!("# {}: {} cells\n", e.id, cells.len());
+        for c in cells {
+            out += &format!("{}\n", c.spec());
+        }
+    }
+    out
+}
+
 /// Each exhibit's output at `trials` per config. The cells of all of them
-/// are collected and deduplicated, each distinct cell runs once, and each
-/// printer gets its cells' aggregates in the order it declared them.
+/// are collected and deduplicated by spec, each distinct spec runs once,
+/// and each printer gets its cells' aggregates in the order it declared
+/// them.
 fn render(picked: &[&Exhibit], trials: usize) -> Vec<String> {
-    let declared: Vec<Vec<Cell>> = picked.iter().map(|e| (e.cells)(trials)).collect();
-    let distinct: Vec<&Cell> = BTreeSet::from_iter(declared.iter().flatten())
-        .into_iter()
-        .collect();
+    let declared: Vec<Vec<Scenario>> = picked.iter().map(|e| (e.cells)(trials)).collect();
+    let distinct: BTreeMap<String, &Scenario> =
+        declared.iter().flatten().map(|c| (c.spec(), c)).collect();
     let total: usize = declared.iter().map(Vec::len).sum();
     if total > 0 {
         eprintln!("fig: {} distinct cells of {total}", distinct.len());
     }
-    let results: BTreeMap<&Cell, Aggregate> =
-        distinct.iter().copied().zip(simulate(&distinct)).collect();
+    let scenarios: Vec<&Scenario> = distinct.values().copied().collect();
+    let results: BTreeMap<&String, Aggregate> = distinct.keys().zip(simulate(&scenarios)).collect();
     let outputs = picked.iter().zip(&declared).map(|(e, cells)| {
         let runs: Vec<Run> = cells
             .iter()
-            .map(|c| (c.clone(), results[c].clone()))
+            .map(|c| (c.clone(), results[&c.spec()].clone()))
             .collect();
         let mut out = Out {
             text: String::new(),
@@ -451,9 +469,12 @@ fn render(picked: &[&Exhibit], trials: usize) -> Vec<String> {
 /// Each cell's aggregate under the §5 protocol of `Experiment::run` —
 /// trial `i` of `n` at trace shift `i·d/n`, results in shift order — with
 /// the trials of every cell on one work-stealing pool.
-fn simulate(cells: &[&Cell]) -> Vec<Aggregate> {
+fn simulate(cells: &[&Scenario]) -> Vec<Aggregate> {
     let cache = ContentCache::new();
-    let experiments: Vec<Experiment> = cells.iter().map(|c| c.experiment().build()).collect();
+    let experiments: Vec<Experiment> = cells
+        .iter()
+        .map(|c| c.experiment(TRACE_SEED).expect("a legend system").build())
+        .collect();
     let jobs: Vec<(&Experiment, usize)> = experiments
         .iter()
         .flat_map(|e| {
@@ -473,7 +494,7 @@ fn simulate(cells: &[&Cell]) -> Vec<Aggregate> {
 }
 
 /// A cell and its aggregate, as a printer gets them.
-pub(crate) type Run = (Cell, Aggregate);
+pub(crate) type Run = (Scenario, Aggregate);
 
 /// What a printer writes into with `write!`/`writeln!`, and the trial
 /// count it prints at.
@@ -491,137 +512,9 @@ impl Out {
 }
 
 /// The cells of an exhibit that plays no §5 session.
-fn no_cells(_: usize) -> Vec<Cell> {
+fn no_cells(_: usize) -> Vec<Scenario> {
     Vec::new()
 }
-
-/// One §5 session configuration as plain data. It is `fig`'s dedupe key:
-/// two cells are equal exactly when [`Cell::experiment`] builds the same
-/// configuration from them.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct Cell {
-    video: VideoId,
-    /// A §5 system legend (`BOLA`, `VOXEL-tuned`, …).
-    system: &'static str,
-    buffer: usize,
-    trace: Trace,
-    /// QUIC\* rather than vanilla QUIC: the system's own transport unless
-    /// the exhibit overrides it (Fig 3, Fig 5).
-    split: bool,
-    /// The utility VOXEL maximises, as an index into [`QOE_METRICS`]
-    /// (Fig 7a); every other system ignores it.
-    metric: usize,
-    /// Droptail queue, packets (750 in Appendix B).
-    queue: usize,
-    /// The delay-based controller instead of CUBIC (Fig 16).
-    delay_cc: bool,
-    trials: usize,
-}
-
-/// The utilities a VOXEL cell can maximise; SSIM, the paper's, is first.
-const QOE_METRICS: [QoeMetric; 3] = [QoeMetric::Ssim, QoeMetric::Vmaf, QoeMetric::Psnr];
-
-/// The bandwidth trace of a cell, named so that distinct samples give
-/// distinct names.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Trace {
-    /// A trace family by spec token, built at [`TRACE_SEED`].
-    Family(String),
-    /// What a 20 Mbps link leaves the video flow under this many Mbps of
-    /// Harpoon-style cross traffic (Fig 5, Fig 12).
-    Cross(u32),
-    /// The `i`-th raw 3G commute trace (Fig 10, Fig 14).
-    Raw3g(usize),
-}
-
-impl Trace {
-    fn build(&self) -> BandwidthTrace {
-        match self {
-            Trace::Family(token) => TraceFamily::parse(token)
-                .expect("`cell` validated the token")
-                .build(TRACE_SEED, TRACE_DURATION_S),
-            Trace::Cross(offered) => available_bandwidth(
-                &CrossTrafficConfig::paper(f64::from(*offered)),
-                TRACE_DURATION_S,
-                TRACE_SEED,
-            ),
-            Trace::Raw3g(i) => generators::norway_3g_raw(*i, TRACE_DURATION_S),
-        }
-    }
-}
-
-impl Cell {
-    /// The trace as the figures name it: a family's legend (`T-Mobile`,
-    /// `const10.5`), the offered cross-traffic load in Mbps, or the raw 3G
-    /// trace's index.
-    fn legend(&self) -> String {
-        match &self.trace {
-            Trace::Family(token) => TraceFamily::parse(token)
-                .expect("`cell` validated the token")
-                .legend(),
-            Trace::Cross(offered) => offered.to_string(),
-            Trace::Raw3g(i) => i.to_string(),
-        }
-    }
-
-    /// `<trace legend>/<video>`, the panel name most figures print.
-    fn panel(&self) -> String {
-        format!("{}/{}", self.legend(), self.video.short_name())
-    }
-
-    /// The one way a cell becomes an experiment.
-    fn experiment(&self) -> ExperimentBuilder {
-        let (mut abr, _) = system_by_name(self.system).expect("`cell` validated the system");
-        if let AbrKind::Voxel { metric, .. } = &mut abr {
-            *metric = QOE_METRICS[self.metric];
-        }
-        let transport = match self.split {
-            true => TransportMode::Split,
-            false => TransportMode::Reliable,
-        };
-        let cc = match self.delay_cc {
-            true => CcKind::Delay,
-            false => CcKind::Cubic,
-        };
-        Experiment::builder()
-            .video(self.video)
-            .abr(abr)
-            .transport(transport)
-            .buffer(self.buffer)
-            .trace(self.trace.build())
-            .queue(self.queue)
-            .trials(self.trials)
-            .cc(cc)
-    }
-}
-
-/// The standard §5 cell at `trials` per config: `video` streamed by
-/// `system` through a `buffer`-segment buffer over `trace`, a figure
-/// legend (`T-Mobile`) or a spec token (`tmobile`, `const10.5`), with the
-/// system's own transport, a 32-packet queue and CUBIC. Exhibits override
-/// the rest with struct-update syntax. An unknown name on any axis prints
-/// the valid set from its table and exits 2.
-fn cell(trials: usize, video: &str, system: &'static str, buffer: usize, trace: &str) -> Cell {
-    let s = or_exit(scenario(video, system, buffer, trace));
-    let (_, transport) = system_by_name(system).expect("the scenario parsed the system");
-    Cell {
-        video: s.video,
-        system,
-        buffer,
-        trace: Trace::Family(s.trace.token()),
-        split: transport == TransportMode::Split,
-        metric: 0,
-        queue: s.queue_packets,
-        delay_cc: false,
-        trials,
-    }
-}
-
-/// Trace duration used by all experiments (one 5-minute clip).
-const TRACE_DURATION_S: usize = 300;
-
-/// Root seed for all synthetic traces (fixed for reproducibility).
-const TRACE_SEED: u64 = 2021;
 
 /// The trial count of every committed result, and so the default.
 const DEFAULT_TRIALS: usize = 6;
@@ -631,22 +524,13 @@ fn trial_count() -> usize {
     env::positive_count("VOXEL_TRIALS", DEFAULT_TRIALS)
 }
 
-/// One §5 cell as a scenario, through the spec language every other tool
-/// speaks; a figure legend names the same trace as its token.
-fn scenario(video: &str, system: &str, buffer: usize, trace: &str) -> Result<Scenario, SpecError> {
-    let token = TraceFamily::named()
-        .iter()
-        .find(|f| f.legend() == trace)
-        .map_or_else(|| trace.to_string(), TraceFamily::token);
-    Scenario::parse(&format!(
-        "{video}:{system}:{token}:buf{buffer}:d{TRACE_DURATION_S}"
-    ))
-}
-
-/// What an exhibit does with an unknown name in one of its cells: print
-/// the error (it carries the valid set) and exit 2.
-fn or_exit<T>(r: Result<T, SpecError>) -> T {
-    r.unwrap_or_else(|e| {
+/// The §5 cell `<video>:<who>:<trace>:buf<buffer>:n<trials>`, every other
+/// knob at the grammar's default (a 32-packet queue, a 300-s trace);
+/// exhibits override the rest with struct-update syntax. An unknown name
+/// prints the error, which carries the valid set, and exits 2.
+fn cell(trials: usize, video: &str, who: &str, buffer: usize, trace: &str) -> Scenario {
+    let spec = format!("{video}:{who}:{trace}:buf{buffer}:n{trials}");
+    Scenario::parse(&spec).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2)
     })
@@ -654,20 +538,19 @@ fn or_exit<T>(r: Result<T, SpecError>) -> T {
 
 /// A video by legend name (BBB/ED/Sintel/ToS/P1..P10).
 fn video(name: &str) -> VideoId {
-    or_exit(scenario(name, "VOXEL", 3, "const8")).video
+    VideoId::by_name(name).expect("exhibits name known videos")
 }
 
-/// A §5 trace by figure-legend name or spec token, as the figures run it
-/// ([`TRACE_SEED`], [`TRACE_DURATION_S`]).
-fn figure_trace(name: &str) -> BandwidthTrace {
-    or_exit(scenario("BBB", "VOXEL", 3, name)).build_trace(TRACE_SEED)
+/// `<trace legend>/<video>`, the panel name most figures print.
+fn panel(c: &Scenario) -> String {
+    format!("{}/{}", c.trace.legend(), c.video.short_name())
 }
 
-/// The VOXEL variant the paper evaluates on `trace`: the Fig 6d
+/// The VOXEL variant the paper evaluates on a trace token: the Fig 6d
 /// bandwidth-safety tuning on T-Mobile, the aggressive default elsewhere.
 fn voxel_for(trace: &str) -> &'static str {
-    match or_exit(scenario("BBB", "VOXEL", 3, trace)).trace {
-        TraceFamily::TMobile => "VOXEL-tuned",
+    match trace {
+        "tmobile" => "VOXEL-tuned",
         _ => "VOXEL",
     }
 }
@@ -694,55 +577,24 @@ fn print_cdf(o: &mut Out, label: &str, samples: &[f64], probes: &[f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cells_resolve_legends_and_tokens_to_the_same_trace() {
-        for family in TraceFamily::named() {
-            let by_legend = cell(1, "BBB", "BOLA", 3, &family.legend());
-            assert_eq!(by_legend, cell(1, "BBB", "BOLA", 3, &family.token()));
-            assert_eq!(by_legend.legend(), family.legend());
-            let t = by_legend.trace.build();
-            assert_eq!(
-                (t.duration_s(), t.name),
-                (TRACE_DURATION_S, family.legend())
-            );
-        }
-        assert_eq!(
-            cell(1, "P10", "VOXEL", 1, "const10.5").video,
-            VideoId::YouTube(10)
-        );
-    }
-
-    #[test]
-    fn cells_take_their_systems_transport_unless_overridden() {
-        let transport = |c: Cell| c.experiment().build().config().transport;
-        let plain = |system| cell(1, "BBB", system, 3, "const10");
-        assert_eq!(transport(plain("BOLA")), TransportMode::Reliable);
-        assert_eq!(transport(plain("VOXEL")), TransportMode::Split);
-        assert_eq!(transport(plain("VOXEL-rel")), TransportMode::Reliable);
-        let qstar = Cell {
-            split: true,
-            ..plain("BOLA")
-        };
-        assert_eq!(transport(qstar), TransportMode::Split);
-    }
+    use std::collections::BTreeSet;
 
     #[test]
     fn tuned_voxel_runs_on_tmobile_only() {
-        assert_eq!(voxel_for("T-Mobile"), "VOXEL-tuned");
         assert_eq!(voxel_for("tmobile"), "VOXEL-tuned");
-        for trace in ["Verizon", "AT&T", "3G", "FCC", "in-the-wild"] {
+        for trace in ["verizon", "att", "3g", "fcc", "wifi"] {
             assert_eq!(voxel_for(trace), "VOXEL");
         }
     }
 
     /// Everything an experiment's configuration holds, the trace by its
-    /// samples rather than its name.
-    fn fingerprint(c: &Cell) -> String {
-        let e = c.experiment().build();
+    /// samples rather than its name, the ABR with its utility and safety
+    /// factor.
+    fn fingerprint(c: &Scenario) -> String {
+        let e = c.experiment(TRACE_SEED).expect("legend system").build();
         let k = e.config();
         format!(
-            "{:?} {:?} {:?} {} {:?} {} {} {:?} {}",
+            "{:?} {:?} {:?} {} {:?} {} {} {:?} {} {}",
             k.video,
             k.abr,
             k.transport,
@@ -751,20 +603,26 @@ mod tests {
             k.queue_packets,
             k.trials,
             k.cc,
-            k.selective_retx
+            k.selective_retx,
+            k.debug_stall_skew
         )
     }
 
-    /// The dedupe is exact: two cells of any exhibits share a key exactly
+    /// The dedupe is exact: two cells of any exhibits share a spec exactly
     /// when they build the same configuration, so no two runs repeat one
-    /// and no run stands in for another.
+    /// and no run stands in for another. Every cell's spec parses back to
+    /// the same spec and the same configuration, so the specs `fig cells`
+    /// prints are the rows' runs.
     #[test]
     fn cells_share_a_key_exactly_when_they_build_the_same_config() {
-        let mut by_key: BTreeMap<Cell, String> = BTreeMap::new();
+        let mut by_key: BTreeMap<String, String> = BTreeMap::new();
         for e in &EXHIBITS {
             for c in (e.cells)(DEFAULT_TRIALS) {
-                let print = fingerprint(&c);
-                assert_eq!(by_key.entry(c).or_insert_with(|| print.clone()), &print);
+                let (spec, print) = (c.spec(), fingerprint(&c));
+                let parsed = Scenario::parse(&spec).expect("a cell's spec parses");
+                assert_eq!(parsed.spec(), spec);
+                assert_eq!(fingerprint(&parsed), print, "{spec}");
+                assert_eq!(by_key.entry(spec).or_insert_with(|| print.clone()), &print);
             }
         }
         let configs: BTreeSet<&String> = by_key.values().collect();
@@ -772,22 +630,23 @@ mod tests {
 
         // Each of fig10's 24 raw 3G traces is its own cell.
         let fig10 = EXHIBITS.iter().find(|e| e.id == "fig10").expect("fig10");
-        let cells: BTreeSet<Cell> = (fig10.cells)(DEFAULT_TRIALS).into_iter().collect();
-        assert_eq!(cells.len(), 24 * 3 * 2);
+        let specs: BTreeSet<String> = (fig10.cells)(DEFAULT_TRIALS)
+            .iter()
+            .map(Scenario::spec)
+            .collect();
+        assert_eq!(specs.len(), 24 * 3 * 2);
     }
 
     /// One pool over several cells gives each cell exactly what
     /// `Experiment::run` gives it alone, trial by trial.
     #[test]
     fn the_pool_reproduces_experiment_run_trial_by_trial() {
-        let a = cell(3, "BBB", "VOXEL", 1, "const2");
-        let b = Cell {
-            trials: 2,
-            ..cell(3, "ED", "BOLA", 2, "const2")
-        };
+        let [a, b] = ["BBB:VOXEL:const2:buf1:n3", "ED:BOLA:const2:buf2:n2"]
+            .map(|spec| Scenario::parse(spec).expect("parses"));
         let pooled = simulate(&[&a, &b]);
         for (c, agg) in [a, b].iter().zip(&pooled) {
-            let alone = c.experiment().build().run(&ContentCache::new());
+            let experiment = c.experiment(TRACE_SEED).expect("legend system").build();
+            let alone = experiment.run(&ContentCache::new());
             assert_eq!(agg.trials.len(), c.trials);
             assert_eq!(format!("{:?}", agg.trials), format!("{:?}", alone.trials));
         }

@@ -105,7 +105,13 @@ fn offline_exhibits_reproduce_their_committed_results_byte_for_byte() {
 
 #[test]
 fn an_unknown_id_exits_2_listing_the_valid_ids_and_runs_nothing() {
-    for args in [&["fig4"][..], &["tables", "nope"], &["check", "nope"], &[]] {
+    for args in [
+        &["fig4"][..],
+        &["tables", "nope"],
+        &["check", "nope"],
+        &["cells", "nope"],
+        &[],
+    ] {
         let out = fig(args, "1");
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?} printed an exhibit");
@@ -139,4 +145,28 @@ fn list_prints_the_index_and_ids_run_in_the_order_given() {
     let both = fig(&["fig15", "tables"], "1").stdout;
     let each = [fig(&["fig15"], "1").stdout, fig(&["tables"], "1").stdout].concat();
     assert!(!both.is_empty() && both == each);
+}
+
+/// `fig cells` prints each session an exhibit plays as a scenario spec, at
+/// the trial count asked for and in printer order, and runs nothing.
+#[test]
+fn cells_prints_every_session_as_a_scenario_spec() {
+    let out = fig(&["cells", "fig16", "tables"], "2");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.starts_with("# trace seed 2021: "), "{text}");
+    let specs: Vec<&str> = text.lines().filter(|l| !l.starts_with('#')).collect();
+    assert_eq!(specs.len(), 48);
+    assert_eq!(
+        specs[..3],
+        [
+            "BBB:BOLA:tmobile:buf1:q750:n2:d300",
+            "BBB:VOXEL-tuned:tmobile:buf1:q750:n2:d300",
+            "BBB:VOXEL-tuned@delay:tmobile:buf1:q750:n2:d300",
+        ]
+    );
+    for spec in specs {
+        let parsed = voxel_testkit::Scenario::parse(spec).expect("a printed cell parses");
+        assert_eq!(parsed.spec(), spec);
+    }
 }

@@ -36,23 +36,35 @@ use std::fmt;
 use voxel_core::client::TransportMode;
 use voxel_core::{AbrKind, Admission, CacheConfig, EvictionPolicy};
 use voxel_media::content::VideoId;
+use voxel_media::qoe::QoeMetric;
 use voxel_netem::family::positive_mbps;
 use voxel_netem::{BandwidthTrace, Discipline, TraceFamily};
 use voxel_quic::CcKind;
 
 /// The §5 system legend, in figure order: name, ABR, transport. The one
-/// table every spec, bin and usage string reads.
-pub fn systems() -> [(&'static str, AbrKind, TransportMode); 9] {
+/// table every spec, bin and usage string reads. A variant that differs
+/// from a row in one knob is a row of its own, so that one configuration
+/// has one spelling: an unmodified ABR over QUIC\* (`-Q*`, Fig 3 and 5)
+/// and VOXEL maximising another utility (Fig 7a).
+pub fn systems() -> [(&'static str, AbrKind, TransportMode); 13] {
+    let voxel = |metric| AbrKind::Voxel {
+        safety: 1.0,
+        metric,
+    };
     [
         ("BOLA", AbrKind::Bola, TransportMode::Reliable),
+        ("BOLA-Q*", AbrKind::Bola, TransportMode::Split),
         ("BOLA-SSIM", AbrKind::BolaSsim, TransportMode::Split),
         ("MPC", AbrKind::Mpc, TransportMode::Reliable),
+        ("MPC-Q*", AbrKind::Mpc, TransportMode::Split),
         ("MPC*", AbrKind::MpcStar, TransportMode::Split),
         ("Tput", AbrKind::Tput, TransportMode::Reliable),
         ("BETA", AbrKind::Beta, TransportMode::Reliable),
         ("VOXEL", AbrKind::voxel(), TransportMode::Split),
         ("VOXEL-tuned", AbrKind::voxel_tuned(), TransportMode::Split),
         ("VOXEL-rel", AbrKind::voxel(), TransportMode::Reliable),
+        ("VOXEL-VMAF", voxel(QoeMetric::Vmaf), TransportMode::Split),
+        ("VOXEL-PSNR", voxel(QoeMetric::Psnr), TransportMode::Split),
     ]
 }
 
@@ -134,8 +146,9 @@ fn at_least(v: &str, min: usize) -> Option<usize> {
 pub struct SpecHead<'a> {
     /// The video to stream.
     pub video: VideoId,
-    /// The raw `<who>` token: a system legend name (`VOXEL`, a scenario)
-    /// or a member list (`4xVOXEL@bbr+2xBOLA`, a fleet).
+    /// The raw `<who>` token: a system legend name with an optional
+    /// controller (`VOXEL@delay`, a scenario) or a member list
+    /// (`4xVOXEL@bbr+2xBOLA`, a fleet); [`SpecHead::system`] splits both.
     pub who: &'a str,
     /// The bandwidth trace family.
     pub trace: TraceFamily,
@@ -177,7 +190,7 @@ impl<'a> SpecHead<'a> {
             .ok_or_else(|| SpecError::new(video_tok, 0, expected_video()))?;
         let who = next(&|| {
             format!(
-                "{} or a member list (<count>x<system>[@<cc>][+…])",
+                "{}[@<cc>] or a member list (<count>x<system>[@<cc>][+…])",
                 expected_system()
             )
         })?;
@@ -218,9 +231,19 @@ impl<'a> SpecHead<'a> {
         Ok(true)
     }
 
-    /// Validate a `<who>` system token against the legend.
-    pub fn system(name: &str) -> Result<(AbrKind, TransportMode), SpecError> {
-        system_by_name(name).ok_or_else(|| SpecError::new(name, 1, expected_system()))
+    /// Split a `<system>[@<cc>]` token — a scenario's `<who>`, or one
+    /// fleet member group after its count — and validate both halves.
+    pub fn system(tok: &str) -> Result<(&str, Option<CcKind>), SpecError> {
+        let (name, cc) = match tok.split_once('@') {
+            Some((name, cc)) => {
+                let kind = CcKind::by_name(cc)
+                    .ok_or_else(|| SpecError::new(cc, 1, "a cc in cubic|delay|bbr"))?;
+                (name, Some(kind))
+            }
+            None => (tok, None),
+        };
+        system_by_name(name).ok_or_else(|| SpecError::new(name, 1, expected_system()))?;
+        Ok((name, cc))
     }
 }
 
@@ -566,15 +589,7 @@ impl FleetSpec {
             let count = at_least(count, 1).ok_or_else(|| {
                 SpecError::new(group, 1, "a member count of at least 1 before 'x'")
             })?;
-            let (system, cc) = match system.split_once('@') {
-                Some((sys, cc_tok)) => {
-                    let cc = CcKind::by_name(cc_tok)
-                        .ok_or_else(|| SpecError::new(cc_tok, 1, "a cc in cubic|delay|bbr"))?;
-                    (sys, Some(cc))
-                }
-                None => (system, None),
-            };
-            SpecHead::system(system)?;
+            let (system, cc) = SpecHead::system(system)?;
             members.push(FleetMember {
                 count,
                 system: system.to_string(),

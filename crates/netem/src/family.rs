@@ -2,12 +2,14 @@
 //! generator that builds it.
 //!
 //! Every tool that names a network regime — scenario and fleet specs,
-//! matrix lines, the figure bins, the `voxel` CLI — goes through
-//! [`TraceFamily`]: [`TraceFamily::parse`] accepts the spec **token**
-//! (`tmobile`, `const8`, …), [`TraceFamily::legend`] is what figures print
-//! (`T-Mobile`), and [`TraceFamily::build`] is the only place a name
-//! reaches a [`generators`] function.
+//! matrix lines, the exhibit cells of `fig`, the `voxel` CLI — goes
+//! through [`TraceFamily`]: [`TraceFamily::parse`] accepts the spec
+//! **token** (`tmobile`, `const8`, `cross20`, …), [`TraceFamily::legend`]
+//! is what figures print (`T-Mobile`), and [`TraceFamily::build`] is the
+//! only place a name reaches a [`generators`] function or the
+//! cross-traffic model.
 
+use crate::crosstraffic::{available_bandwidth, CrossTrafficConfig};
 use crate::trace::{generators, BandwidthTrace};
 
 /// Which bandwidth trace a run is shaped by.
@@ -36,6 +38,13 @@ pub enum TraceFamily {
     Fcc,
     /// In-the-wild WiFi generator.
     WildWifi,
+    /// What the paper's 20 Mbps link leaves the video flow under this
+    /// many Mbps of Harpoon-style cross traffic (`cross20`; at most the
+    /// link rate).
+    Cross(f64),
+    /// The `i`-th of the 86 raw 3G commute traces (`raw3g5`); it ignores
+    /// the seed.
+    Raw3g(usize),
 }
 
 /// One row of the name table.
@@ -88,6 +97,9 @@ static NAMED: [Named; 6] = [
     ),
 ];
 
+/// The size of the raw 3G commute set ([`TraceFamily::Raw3g`]).
+const RAW_3G_TRACES: usize = 86;
+
 /// Parse a rate in Mbit/s: finite and above zero, or nothing. Shared by
 /// every rate-carrying token (`const`, `step`, the fleet's `o<mbps>`).
 pub fn positive_mbps(s: &str) -> Option<f64> {
@@ -103,7 +115,10 @@ impl TraceFamily {
     /// Everything [`TraceFamily::parse`] accepts, for usage strings.
     pub fn menu() -> String {
         let tokens: Vec<&str> = NAMED.iter().map(|r| r.token).collect();
-        format!("const<mbps>|step<a>-<b>@<s>|{}", tokens.join("|"))
+        format!(
+            "const<mbps>|step<a>-<b>@<s>|cross<mbps>|raw3g<i>|{}",
+            tokens.join("|")
+        )
     }
 
     /// Parse a trace token (`const8`, `step8-2@60`, `tmobile`, …). The
@@ -130,6 +145,24 @@ impl TraceFamily {
                 "step<before>-<after>@<at_s> with finite rates above 0".to_string()
             });
         }
+        if let Some(offered) = tok.strip_prefix("cross") {
+            // The model's client pool grows with the offered load, so a
+            // spec may not ask for more than the link carries.
+            return positive_mbps(offered)
+                .filter(|&m| m <= CrossTrafficConfig::paper(m).capacity_mbps)
+                .map(TraceFamily::Cross)
+                .ok_or_else(|| "an offered load in (0, 20] Mbps in cross<mbps>".to_string());
+        }
+        if let Some(i) = tok.strip_prefix("raw3g") {
+            // `norway_3g_raw` asserts on its index, and a spec is outside
+            // input.
+            return i
+                .parse()
+                .ok()
+                .filter(|&i| i < RAW_3G_TRACES)
+                .map(TraceFamily::Raw3g)
+                .ok_or_else(|| format!("a trace index below {RAW_3G_TRACES} in raw3g<i>"));
+        }
         Err(format!("a trace family ({})", TraceFamily::menu()))
     }
 
@@ -146,6 +179,8 @@ impl TraceFamily {
                 after,
                 at_s,
             } => format!("step{before}-{after}@{at_s}"),
+            TraceFamily::Cross(offered) => format!("cross{offered}"),
+            TraceFamily::Raw3g(i) => format!("raw3g{i}"),
             #[expect(
                 clippy::expect_used,
                 reason = "every unit variant has a NAMED row (pinned by `table_has_two_name_columns`)"
@@ -160,8 +195,9 @@ impl TraceFamily {
         self.row().map_or_else(|| self.token(), |r| r.legend.into())
     }
 
-    /// Materialize the trace. Synthetic families ignore `seed`; the §5
-    /// generators derive everything from it, so distinct sweep seeds
+    /// Materialize the trace. Synthetic families and the raw 3G traces
+    /// ignore `seed`; the §5 generators and the cross-traffic model
+    /// derive everything from it, so distinct sweep seeds
     /// explore distinct (but reproducible) bandwidth processes.
     pub fn build(&self, seed: u64, duration_s: usize) -> BandwidthTrace {
         match *self {
@@ -171,6 +207,10 @@ impl TraceFamily {
                 after,
                 at_s,
             } => BandwidthTrace::step(before, after, at_s, duration_s),
+            TraceFamily::Cross(offered) => {
+                available_bandwidth(&CrossTrafficConfig::paper(offered), duration_s, seed)
+            }
+            TraceFamily::Raw3g(i) => generators::norway_3g_raw(i, duration_s),
             #[expect(
                 clippy::expect_used,
                 reason = "every unit variant has a NAMED row (pinned by `table_has_two_name_columns`)"
@@ -186,15 +226,21 @@ mod tests {
 
     #[test]
     fn tokens_round_trip_and_build_requested_durations() {
-        for tok in "const8 const3.5 step8-2@60 tmobile verizon att 3g fcc wifi".split(' ') {
+        for tok in "const8 const3.5 step8-2@60 tmobile verizon att 3g fcc wifi cross20 cross12.5 \
+                    raw3g0 raw3g85"
+            .split_whitespace()
+        {
             let f = TraceFamily::parse(tok).expect(tok);
             assert_eq!(f.token(), tok);
             let t = f.build(1, 120);
             assert_eq!(t.duration_s(), 120, "{tok}");
-            // Seeded families vary with the seed; synthetic ones don't.
+            // Seeded families vary with the seed; synthetic ones and the
+            // fixed raw 3G set don't.
             let other = f.build(2, 120);
             match f {
-                TraceFamily::Constant(_) | TraceFamily::Step { .. } => assert_eq!(t, other),
+                TraceFamily::Constant(_) | TraceFamily::Step { .. } | TraceFamily::Raw3g(_) => {
+                    assert_eq!(t, other)
+                }
                 _ => assert_ne!(t.mbps, other.mbps, "{tok} ignores the seed"),
             }
         }
@@ -221,7 +267,8 @@ mod tests {
     #[test]
     fn malformed_rates_are_rejected() {
         for bad in "constNaN const-5 const0 constinf const stepNaN--3@5 step8-0@5 step8-2 step8@5 \
-                    step8-2@x warp9"
+                    step8-2@x warp9 cross crossNaN cross0 cross-5 cross20.5 crossinf raw3g raw3g86 \
+                    raw3g-1 raw3gx"
             .split_whitespace()
         {
             assert!(TraceFamily::parse(bad).is_err(), "accepted {bad:?}");

@@ -50,6 +50,6 @@ pub use fleet::{
 pub use oracle::Bounds;
 pub use runner::{run_scenario, Content, ScenarioRun, TrialRun};
 pub use scenario::{
-    system_by_name, Inject, Matrix, Scenario, Spec, SpecError, TraceFamily, TraceFault,
+    system_by_name, Inject, Matrix, Scenario, Spec, SpecError, TraceFamily, TraceFault, TRACE_SEED,
 };
 pub use sweep::{minimize, run_sweep, Repro, SweepOptions, SweepReport};

@@ -5,10 +5,13 @@
 //! is the single-session kind of spec: the shared head
 //! ([`voxel_fleet::spec::SpecHead`]: `<video>:<system>:<trace>` +
 //! `buf`/`q`/`d`) followed by this module's tail — `n<N>`, `prefix<N>`,
-//! the packet-fault windows, the trace-fault transforms and the canary:
+//! the packet-fault windows, the trace-fault transforms and the canary.
+//! Its `<who>` is one system legend name with the fleet's optional
+//! `@<cc>`:
 //!
 //! ```text
 //! BBB:VOXEL:tmobile:buf1:n2:loss@60+5x0.3
+//! BBB:VOXEL-tuned@delay:tmobile:buf1:q750:n6
 //! ```
 //!
 //! It round-trips through [`Scenario::spec`] / [`Scenario::parse`]; the
@@ -20,7 +23,7 @@
 use std::fmt;
 use voxel_core::{Experiment, ExperimentBuilder};
 use voxel_fleet::spec::SpecHead;
-use voxel_fleet::FleetSpec;
+use voxel_fleet::{CcKind, FleetSpec};
 use voxel_media::content::VideoId;
 use voxel_netem::fault::{cliff, stuck};
 use voxel_netem::{BandwidthTrace, FaultKind};
@@ -72,6 +75,11 @@ pub enum Inject {
     StallSkew,
 }
 
+/// The seed every §5 trace of the paper's exhibits is built at: `fig` runs
+/// each cell as `Scenario::experiment(TRACE_SEED)`, so `voxel stream` on a
+/// spec that `fig cells` prints is that row's run.
+pub const TRACE_SEED: u64 = 2021;
+
 /// One fully-specified test scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
@@ -79,6 +87,9 @@ pub struct Scenario {
     pub video: VideoId,
     /// System under test, by §5 legend name (`BOLA`, `VOXEL`, …).
     pub system: String,
+    /// Congestion controller from the `@<cc>` suffix of `<who>`; `None`
+    /// (no suffix) runs CUBIC and stays unspelled in canonical form.
+    pub cc: Option<CcKind>,
     /// Bandwidth trace family.
     pub trace: TraceFamily,
     /// Playback buffer capacity in segments.
@@ -128,6 +139,7 @@ impl Scenario {
         Scenario {
             video,
             system: system.into(),
+            cc: None,
             trace,
             buffer_segments: 3,
             queue_packets: 32,
@@ -144,8 +156,9 @@ impl Scenario {
     /// Parse a scenario spec: the shared head, then this kind's tail.
     pub fn parse(spec: &str) -> Result<Scenario, SpecError> {
         let (mut head, rest) = SpecHead::parse(spec, 32)?;
-        SpecHead::system(head.who)?;
-        let mut s = Scenario::new(head.video, head.who, head.trace.clone());
+        let (system, cc) = SpecHead::system(head.who)?;
+        let mut s = Scenario::new(head.video, system, head.trace.clone());
+        s.cc = cc;
         for (pos, tok) in rest {
             let bad = |expected: &str| SpecError::new(tok, pos, expected);
             // Longest prefixes first: `dup@`/`prefix` must win over the
@@ -223,7 +236,7 @@ impl Scenario {
         let mut out = format!(
             "{}:{}:{}:buf{}:q{}:n{}:d{}",
             self.video.short_name(),
-            self.system,
+            self.who(),
             self.trace.token(),
             self.buffer_segments,
             self.queue_packets,
@@ -277,10 +290,18 @@ impl Scenario {
         format!(
             "{}:{}:{}:buf{}",
             self.video.short_name(),
-            self.system,
+            self.who(),
             self.trace.token(),
             self.buffer_segments
         )
+    }
+
+    /// `<who>`: the system, plus `@<cc>` when one was spelled out.
+    fn who(&self) -> String {
+        match self.cc {
+            Some(cc) => format!("{}@{}", self.system, cc.name()),
+            None => self.system.clone(),
+        }
     }
 
     /// The fully-materialized trace for `seed`: family build, then trace
@@ -297,10 +318,10 @@ impl Scenario {
     }
 
     /// The one place a scenario becomes an experiment: the system's ABR
-    /// and transport from the legend, the trace materialized for `seed`,
-    /// every other knob copied across. `run_scenario` and `voxel stream`
-    /// start from this builder; the figure harness builds its cells from
-    /// [`system_by_name`] directly.
+    /// and transport from the legend, the controller from `@<cc>`, the
+    /// trace materialized for `seed`,
+    /// every other knob copied across. `run_scenario`, `voxel stream` and
+    /// the figure harness's cells all start from this builder.
     pub fn experiment(&self, seed: u64) -> Result<ExperimentBuilder, String> {
         let (abr, transport) = system_by_name(&self.system)
             .ok_or_else(|| format!("unknown system {:?}", self.system))?;
@@ -312,6 +333,7 @@ impl Scenario {
             .trace(self.build_trace(seed))
             .trials(self.trials)
             .queue(self.queue_packets)
+            .cc(self.cc.unwrap_or_default())
             .debug_stall_skew(self.inject == Some(Inject::StallSkew)))
     }
 
@@ -334,7 +356,7 @@ impl Scenario {
 /// accepts both, and `Display` is its exact inverse.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Spec {
-    /// `<video>:<system>:<trace>…` — `<who>` is a legend name.
+    /// `<video>:<system>[@<cc>]:<trace>…` — `<who>` is a legend name.
     Scenario(Scenario),
     /// `<video>:<count>x<system>[@<cc>][+…]:<trace>…` — `<who>` is a
     /// member list.
@@ -502,7 +524,7 @@ mod tests {
 
     #[test]
     fn full_spec_round_trips() {
-        let spec = "ToS:BOLA-SSIM:step8-2@60:buf1:q64:n4:d120:prefix45:\
+        let spec = "ToS:BOLA-SSIM@bbr:step8-2@60:buf1:q64:n4:d120:prefix45:\
                     loss@60+5x0.3:reorder@10+2x0.5~40:dup@20+2x0.25~15:\
                     cliff@90x0.5:stuck@30+10:inject=stall_skew";
         let s = Scenario::parse(spec).expect("parses");
@@ -513,6 +535,7 @@ mod tests {
         assert_eq!(s.trace_faults.len(), 2);
         assert_eq!(s.inject, Some(Inject::StallSkew));
         assert_eq!(s.trace_prefix_s, Some(45));
+        assert_eq!((s.system.as_str(), s.cc), ("BOLA-SSIM", Some(CcKind::Bbr)));
     }
 
     #[test]
@@ -573,6 +596,9 @@ mod tests {
             both("const0", "const0"),
             both("constinf", "constinf"),
             both("stepNaN--3@5", "stepNaN--3@5"),
+            both("crossNaN", "crossNaN"),
+            // The generator asserts on an index past the 86 raw 3G traces.
+            both("raw3g86", "raw3g86"),
             ("const6:e2:oNaN", "oNaN", false, true),
             ("const6:e2:o0", "o0", false, true),
             ("const6:e2:o-5", "o-5", false, true),
@@ -632,17 +658,20 @@ mod tests {
 
     #[test]
     fn experiment_carries_every_scenario_knob() {
-        let s = Scenario::parse("ED:VOXEL-rel:const8:buf2:q750:n4:d60:inject=stall_skew")
+        let s = Scenario::parse("ED:VOXEL-rel@delay:const8:buf2:q750:n4:d60:inject=stall_skew")
             .expect("parses");
         let built = s.experiment(1).expect("legend system").build();
         let c = built.config();
         assert_eq!(
-            (c.video, c.transport),
-            (VideoId::Ed, TransportMode::Reliable)
+            (c.video, c.transport, c.cc),
+            (VideoId::Ed, TransportMode::Reliable, CcKind::Delay)
         );
         assert_eq!((c.buffer_segments, c.queue_packets, c.trials), (2, 750, 4));
         assert_eq!(c.trace, s.build_trace(1));
         assert!(c.debug_stall_skew);
+        let plain = Scenario::parse("ED:VOXEL:const8").expect("parses");
+        let built = plain.experiment(1).expect("legend system").build();
+        assert_eq!(built.config().cc, CcKind::Cubic);
         assert!(Scenario::new(VideoId::Bbb, "XYZ", TraceFamily::Fcc)
             .experiment(1)
             .is_err());
@@ -688,22 +717,34 @@ mod tests {
         }
     }
 
+    /// The one-knob variants are rows: `-Q*` changes only the transport,
+    /// `VOXEL-<metric>` only the utility.
     #[test]
     fn system_table_matches_the_bench_legend() {
-        for (name, transport) in [
-            ("BOLA", TransportMode::Reliable),
-            ("BOLA-SSIM", TransportMode::Split),
-            ("MPC", TransportMode::Reliable),
-            ("MPC*", TransportMode::Split),
-            ("Tput", TransportMode::Reliable),
-            ("BETA", TransportMode::Reliable),
-            ("VOXEL", TransportMode::Split),
-            ("VOXEL-tuned", TransportMode::Split),
-            ("VOXEL-rel", TransportMode::Reliable),
+        use voxel_core::AbrKind;
+        use voxel_media::qoe::QoeMetric;
+        let voxel = |metric| AbrKind::Voxel {
+            safety: 1.0,
+            metric,
+        };
+        for (name, abr, transport) in [
+            ("BOLA", AbrKind::Bola, TransportMode::Reliable),
+            ("BOLA-Q*", AbrKind::Bola, TransportMode::Split),
+            ("BOLA-SSIM", AbrKind::BolaSsim, TransportMode::Split),
+            ("MPC", AbrKind::Mpc, TransportMode::Reliable),
+            ("MPC-Q*", AbrKind::Mpc, TransportMode::Split),
+            ("MPC*", AbrKind::MpcStar, TransportMode::Split),
+            ("Tput", AbrKind::Tput, TransportMode::Reliable),
+            ("BETA", AbrKind::Beta, TransportMode::Reliable),
+            ("VOXEL", voxel(QoeMetric::Ssim), TransportMode::Split),
+            ("VOXEL-tuned", AbrKind::voxel_tuned(), TransportMode::Split),
+            ("VOXEL-rel", voxel(QoeMetric::Ssim), TransportMode::Reliable),
+            ("VOXEL-VMAF", voxel(QoeMetric::Vmaf), TransportMode::Split),
+            ("VOXEL-PSNR", voxel(QoeMetric::Psnr), TransportMode::Split),
         ] {
-            let (_, t) = system_by_name(name).expect(name);
-            assert_eq!(t, transport, "{name}");
+            assert_eq!(system_by_name(name), Some((abr, transport)), "{name}");
         }
+        assert_eq!(voxel_fleet::systems().len(), 13);
         assert!(system_by_name("XYZ").is_none());
     }
 }
@@ -717,9 +758,9 @@ mod props {
     /// rejects the other's), valid ones with near misses mixed in.
     const VIDEOS: &str = "BBB ED Sintel ToS P7 P11";
     const WHOS: &str = "VOXEL BOLA-SSIM MPC* VOXEL-tuned NOPE 2xVOXEL 4xVOXEL@bbr+2xBOLA \
-        3xVOXEL@cubic+3xVOXEL@delay+2xBETA 0xVOXEL 2xVOXEL@reno";
-    const TRACES: &str =
-        "const6 const12.5 step8-2@60 tmobile 3g wifi constNaN const0 step8--2@60 T-Mobile";
+        3xVOXEL@cubic+3xVOXEL@delay+2xBETA 0xVOXEL 2xVOXEL@reno BOLA-Q*@delay VOXEL@reno";
+    const TRACES: &str = "const6 const12.5 step8-2@60 tmobile 3g wifi constNaN const0 step8--2@60 \
+        T-Mobile cross20 cross0 crossNaN raw3g5 raw3g86 raw3g-1";
     const TAIL: &str = "buf1 buf7 buf0 q64 q750 d120 d0 n2 n0 prefix45 loss@60+5x0.3 loss@0+5x7 \
         reorder@10+2x0.5~40 dup@20.5+2x0.25~15 dup@NaN+2x0.25~15 cliff@90x0.5 cliff@10xNaN \
         stuck@30+10 inject=stall_skew inject=nope fifo drr stg2 cap60 e4 e0 rhash rrobin arel \

@@ -18,9 +18,7 @@ use voxel::core::survey::run_survey;
 use voxel::fleet::systems;
 use voxel::netem::trace::mahimahi;
 use voxel::prelude::*;
-
-/// Seed of the §5 trace generators, as the figure harness runs them.
-const TRACE_SEED: u64 = 2021;
+use voxel::testkit::TRACE_SEED;
 
 /// The usage text; every valid-name set in it is printed from the one
 /// table of its noun, so it cannot drift from what the parsers accept.
