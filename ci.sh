@@ -22,7 +22,7 @@ VOXEL_SEEDS="${VOXEL_SEEDS:-5}" cargo run -q --release -p voxel-bench --bin conf
 echo "==> exhibits: fig check regenerates every results/*.txt at the trial count in its header, on one pool, and names the first stale line (DESIGN.md §5, §15, §16)"
 cargo run -q --release -p voxel-bench --bin fig -- check
 
-echo "==> smoke: every dbg subcommand on a scenario spec and a fleet spec, dbg profile on a 300-s lossy cellular session, dbg compare on exhibit cells printed by fig cells, voxel stream on a one-trial spec (DESIGN.md §11), and the §4.1 offline_prep example executed, not only compiled"
+echo "==> smoke: every dbg subcommand on a scenario spec and a fleet spec, dbg profile on a 300-s lossy cellular session, dbg compare on exhibit cells printed by fig cells, voxel stream on a one-trial spec (DESIGN.md §11), the §4.1 offline_prep example and a two-worker shared_link_fleet executed, not only compiled"
 for sub in trace profile compare; do
     for spec in BBB:VOXEL:const6:d20 BBB:2xVOXEL:const6:d20:cap10; do
         cargo run -q --release -p voxel-bench --bin dbg -- "$sub" "$spec" >/dev/null 2>&1 ||
@@ -44,6 +44,9 @@ for marker in :cross :raw3g @delay; do
 done
 cargo run -q --release --bin voxel -- stream BBB:VOXEL:const6:n1 >/dev/null
 cargo run -q --release --example offline_prep >/dev/null
+# Threaded lanes in a release binary: results return with each round and
+# the workers exit when the coordinator hangs up.
+cargo run -q --release --example shared_link_fleet BBB:4xVOXEL+2xBOLA:const6:d60:stg1:cap20:w2 >/dev/null
 
 echo "==> perf: benchmark smoke (every workload once, output gates armed; benchmark/README.md)"
 bash benchmark/run.sh --smoke

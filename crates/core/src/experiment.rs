@@ -38,8 +38,6 @@ pub enum Tracing {
     /// No tracing: the null path, zero overhead on the session hot loop.
     #[default]
     Off,
-    /// Human-readable event lines on stderr (interactive debugging).
-    Stderr,
     /// One JSONL timeline (`trial-<shift>.jsonl`) plus one metrics
     /// snapshot (`trial-<shift>.metrics.json`) per trial, under `dir`.
     Jsonl {
@@ -56,7 +54,6 @@ impl fmt::Debug for Tracing {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tracing::Off => f.write_str("Off"),
-            Tracing::Stderr => f.write_str("Stderr"),
             Tracing::Jsonl { dir } => f.debug_struct("Jsonl").field("dir", dir).finish(),
             Tracing::Custom(_) => f.write_str("Custom(..)"),
         }
@@ -78,7 +75,6 @@ impl Tracing {
     pub(crate) fn tracer_for(&self, shift_s: usize) -> Tracer {
         match self {
             Tracing::Off => Tracer::disabled(),
-            Tracing::Stderr => Tracer::stderr(shift_s as u64),
             Tracing::Jsonl { dir } => {
                 let _ = std::fs::create_dir_all(dir);
                 let path = dir.join(format!("trial-{shift_s:04}.jsonl"));

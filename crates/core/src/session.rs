@@ -147,6 +147,10 @@ pub struct SessionCore {
     /// `start` is pending even if the first pump already ran at `start`
     /// (a session starting at zero), so it fires there once more.
     fired: bool,
+    /// The time the last [`SessionCore::advance`] returned in
+    /// [`Advanced::Blocked`], until a packet is injected: while it is set,
+    /// nothing has changed since, so an earlier barrier has nothing to do.
+    blocked: Option<SimTime>,
     iters: u64,
     tracer: Tracer,
 }
@@ -172,6 +176,7 @@ impl SessionCore {
             client,
             wake: start,
             fired: false,
+            blocked: Some(start),
             iters: 0,
             tracer: Tracer::disabled(),
         }
@@ -198,12 +203,31 @@ impl SessionCore {
     /// Schedule a packet the wire carried out of the session for
     /// delivery to the client at `at` (never before the session's clock).
     pub fn inject(&mut self, at: SimTime, packet: Packet) {
+        self.blocked = None;
         self.schedule_one(at, To::Client, packet);
     }
 
     /// Run the event loop up to (and including) `until`, handing every
-    /// transmission to `wire`.
+    /// transmission to `wire`. A session blocked past `until` with nothing
+    /// injected since returns at once, without an iteration.
     pub fn advance(&mut self, until: SimTime, wire: &mut impl Wire) -> Advanced {
+        if let Some(next) = self.blocked.filter(|&t| t > until) {
+            #[cfg(feature = "paranoid")]
+            {
+                let (c, s) = (
+                    self.client_conn.next_timeout(),
+                    self.server_conn.next_timeout(),
+                );
+                let event = self.next_of(c, s);
+                if event != next {
+                    audit_failed(format!(
+                        "session {} blocked at {next:?}, but its next event is at {event:?}",
+                        self.id
+                    ));
+                }
+            }
+            return Advanced::Blocked(next);
+        }
         if self.iters == 0 {
             let cfg = self.client.config();
             trace_event!(
@@ -272,17 +296,11 @@ impl SessionCore {
                 }
             }
 
-            // Next event: a packet, a transport timer or the player's
-            // wake, which is always pending: it is after the clock once
-            // the pump has run, and at `start` before.
             let timer_c = self.client_conn.next_timeout();
             let timer_s = self.server_conn.next_timeout();
-            let wake = if self.fired { self.wake } else { self.start };
-            let next = [self.queue.peek_time(), timer_c, timer_s]
-                .into_iter()
-                .flatten()
-                .fold(wake, SimTime::min);
+            let next = self.next_of(timer_c, timer_s);
             if next > until {
+                self.blocked = Some(next);
                 return Advanced::Blocked(next);
             }
 
@@ -305,6 +323,17 @@ impl SessionCore {
             self.now = self.now.max(next);
             self.fired = true;
         }
+    }
+
+    /// The next event: a packet, a transport timer or the player's wake,
+    /// which is always pending: it is after the clock once the pump has
+    /// run, and at `start` before.
+    fn next_of(&self, timer_c: Option<SimTime>, timer_s: Option<SimTime>) -> SimTime {
+        let wake = if self.fired { self.wake } else { self.start };
+        [self.queue.peek_time(), timer_c, timer_s]
+            .into_iter()
+            .flatten()
+            .fold(wake, SimTime::min)
     }
 
     /// Schedule a transmitted packet's arrivals.
@@ -638,6 +667,26 @@ mod tests {
                 Advanced::Blocked(_) => {}
             }
         }
+    }
+
+    /// A session blocked past the barrier returns at once, without an
+    /// iteration, until a packet is injected.
+    #[test]
+    fn a_blocked_session_waits_for_an_injected_packet() {
+        let (manifest, video, qoe) = setup(&[]);
+        let path = PathConfig::new(BandwidthTrace::constant(8.0, 60), 32);
+        let player = PlayerConfig::new(3, TransportMode::Reliable);
+        let mut s = Session::new(path, manifest, video, qoe, Box::new(Bola::new()), player);
+        let until = SimTime::from_millis(50);
+        let first = s.core.advance(until, &mut s.wire);
+        assert!(matches!(first, Advanced::Blocked(t) if t > until));
+        let iters = s.core.iters();
+        assert_eq!(s.core.advance(until, &mut s.wire), first);
+        assert_eq!(s.core.iters(), iters);
+        let ping = Packet::new(0, vec![voxel_quic::Frame::Ping]);
+        s.core.inject(until, ping);
+        s.core.advance(until, &mut s.wire);
+        assert!(s.core.iters() > iters);
     }
 
     /// `advance` is barrier-invariant: where the caller's barriers fall

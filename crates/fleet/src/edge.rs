@@ -333,6 +333,14 @@ mod tests {
         EdgeTier::new(&topology, videos)
     }
 
+    /// One edge over an origin of `mbps`.
+    fn origin(mbps: f64) -> TopologySpec {
+        TopologySpec {
+            origin_mbps: mbps,
+            ..TopologySpec::new(1)
+        }
+    }
+
     fn body(seg: u32, bytes: u64) -> ServeNote {
         ServeNote {
             seg,
@@ -350,10 +358,22 @@ mod tests {
         let hash = assign_edges(&TopologySpec::new(4), &vids);
         assert_eq!(hash[0], hash[1]);
         // Robin: flow order, content-blind.
-        let robin = assign_edges(&TopologySpec::new(3).routing(Routing::Robin), &vids);
+        let robin = assign_edges(
+            &TopologySpec {
+                routing: Routing::Robin,
+                ..TopologySpec::new(3)
+            },
+            &vids,
+        );
         assert_eq!(robin, [0, 1, 2, 0]);
         // Least: fills edges evenly in flow order.
-        let least = assign_edges(&TopologySpec::new(2).routing(Routing::Least), &vids);
+        let least = assign_edges(
+            &TopologySpec {
+                routing: Routing::Least,
+                ..TopologySpec::new(2)
+            },
+            &vids,
+        );
         assert_eq!(least, [0, 1, 0, 1]);
     }
 
@@ -361,7 +381,7 @@ mod tests {
     fn misses_gate_the_flow_until_origin_delivers() {
         // Two same-video flows on one edge over a slow origin.
         let vids = [VideoId::Bbb, VideoId::Bbb];
-        let mut t = tier(TopologySpec::new(1).origin(8.0), &vids);
+        let mut t = tier(origin(8.0), &vids);
         let at = SimTime::from_secs_f64(1.0);
         // Flow 0 misses: 1 MB at 8 Mbit/s = 1 s service + 20 ms delay.
         t.process_note(at, 0, body(0, 1_000_000));
@@ -383,7 +403,7 @@ mod tests {
 
     #[test]
     fn pending_fetches_do_not_gate_earlier_packets() {
-        let mut t = tier(TopologySpec::new(1).origin(1.0), &[VideoId::Bbb]);
+        let mut t = tier(origin(1.0), &[VideoId::Bbb]);
         let miss_at = SimTime::from_secs_f64(5.0);
         t.process_note(miss_at, 0, body(0, 500_000));
         // A packet stamped before the miss is unaffected.
@@ -427,7 +447,7 @@ mod tests {
         // flow 1's fetch queues behind flow 0's (ready 2.02 s and 2.52 s);
         // flow 2 asks for nothing and is never gated.
         let vids = [VideoId::Bbb, VideoId::Tos, VideoId::Bbb];
-        let mut t = tier(TopologySpec::new(1).origin(8.0), &vids);
+        let mut t = tier(origin(8.0), &vids);
         let at = SimTime::from_secs_f64(1.0);
         t.process_note(at, 0, body(0, 1_000_000));
         t.process_note(at, 1, body(0, 500_000));

@@ -9,8 +9,11 @@
 //! Within a round every session advances independently — across worker
 //! threads when `workers > 1` — and the packets they offered to the link
 //! are merged in the partition-invariant order `(time, flow, seq)` and
-//! pumped through the link single-threaded between rounds. DESIGN.md §14
-//! documents the protocol and why the barrier is a valid lookahead.
+//! pumped through the link single-threaded between rounds. Each lane
+//! replies with its sessions' earliest pending time and the results of
+//! those that finished, so the coordinator keeps no per-flow scheduling
+//! state. DESIGN.md §14 documents the protocol and why the barrier is a
+//! valid lookahead.
 //!
 //! Determinism contract, strengthened: a fleet run is a pure function of
 //! its [`FleetSpec`] **and is byte-identical for every worker count** —
@@ -25,7 +28,7 @@
 
 use crate::edge::{EdgeTier, Workload};
 use crate::metrics::{jain_index, FleetResult};
-use crate::shard::{Cmd, Delivery, FinishNote, Lane, NoteOut, Outgoing, Reply};
+use crate::shard::{Cmd, Delivery, Lane, NoteOut, Outgoing};
 use crate::shard::{RoundCmd, SessionCell, SessionSeed};
 use crate::spec::{resolve_workers, system_by_name, FleetSpec, TopologySpec};
 use std::collections::VecDeque;
@@ -59,7 +62,8 @@ struct Plan {
     buffer_segments: usize,
     cap: SimTime,
     topology: Option<TopologySpec>,
-    workers: Option<usize>,
+    /// Shard worker count, resolved and clamped to `[1, sessions]`.
+    workers: usize,
     members: Vec<Member>,
 }
 
@@ -79,6 +83,9 @@ impl Plan {
         if members.is_empty() {
             return Err("fleet has no sessions".to_string());
         }
+        let env = std::env::var_os("VOXEL_SHARD_WORKERS");
+        let env = env.as_ref().map(|v| v.to_string_lossy());
+        let workers = resolve_workers(spec.workers, env.as_deref(), members.len())?;
         Ok(Plan {
             spec: spec.spec(),
             videos: vec![spec.video; members.len()],
@@ -89,7 +96,7 @@ impl Plan {
             buffer_segments: spec.buffer_segments,
             cap: cap_for(spec.cap_s, spec.duration_s),
             topology: spec.edge.clone(),
-            workers: spec.workers,
+            workers,
             members,
         })
     }
@@ -151,7 +158,7 @@ fn chunk_sizes(n: usize, workers: usize) -> Vec<usize> {
 fn run_plan(plan: Plan, cache: &ContentCache, tracer: Tracer) -> FleetResult {
     let qoe = cache.qoe();
     let n = plan.members.len();
-    let workers = resolve_workers(plan.workers, n);
+    let workers = plan.workers;
 
     let mut seeds: Vec<SessionSeed> = Vec::with_capacity(n);
     for (i, m) in plan.members.iter().enumerate() {
@@ -259,9 +266,9 @@ fn coordinate(
         Err(j) => j - 1,
     };
 
-    // Earliest pending work per live session (None = finished). Seeded
-    // with the start times; refreshed from every round's blocked reports.
-    let mut next_by_flow: Vec<Option<SimTime>> = plan.starts.iter().map(|s| Some(*s)).collect();
+    // Earliest pending work over the live sessions: the first start, then
+    // each round's minimum over the lanes' reports.
+    let mut sessions_next: Option<SimTime> = plan.starts.iter().copied().min();
     // The edge tier, when the plan has one. `None` leaves the packet path
     // untouched — byte-identical to the classic single-server fleet.
     let mut edge: Option<EdgeTier> = plan
@@ -277,14 +284,13 @@ fn coordinate(
     // Link deliveries produced by the previous round's pump, routed to
     // their owners at the top of the next round.
     let mut deliveries: Vec<Delivery> = Vec::new();
-    let mut has_delivery: Vec<bool> = vec![false; n];
     let mut per_lane: Vec<Vec<Delivery>> = (0..lanes.len()).map(|_| Vec::new()).collect();
-    // Each lane's skip vector, handed back by its shard every round.
-    let mut skips: Vec<Vec<bool>> = vec![Vec::new(); lanes.len()];
     // Round-scratch buffers, reused across the (many) rounds.
     let mut merged: Vec<Outgoing> = Vec::new();
-    let mut finished: Vec<FinishNote> = Vec::new();
+    let mut finished: Vec<(SimTime, usize, TrialResult)> = Vec::new();
     let mut departures: Vec<Departure> = Vec::new();
+    // Per-session results, in flow order, filled as sessions finish.
+    let mut slots: Vec<Option<TrialResult>> = (0..n).map(|_| None).collect();
 
     let mut live = n;
     let mut iters: u64 = 0;
@@ -309,8 +315,8 @@ fn coordinate(
         let mut fold = |t: SimTime| {
             global_next = Some(global_next.map_or(t, |g: SimTime| g.min(t)));
         };
-        for t in next_by_flow.iter().flatten() {
-            fold(*t);
+        if let Some(t) = sessions_next {
+            fold(t);
         }
         for d in &deliveries {
             fold(d.at);
@@ -335,17 +341,11 @@ fn coordinate(
             for lane in lanes.iter_mut() {
                 lane.dispatch(Cmd::Freeze(cap));
             }
-            finished.clear();
             for lane in lanes.iter_mut() {
-                if let Reply::Round(mut r) = lane.collect() {
-                    finished.append(&mut r.finished);
-                }
-            }
-            finished.sort_by_key(|f| f.flow);
-            for f in &finished {
-                emit_session_end(tracer, f);
+                finished.append(&mut lane.collect().finished);
             }
             end = cap;
+            land(&mut finished, &mut slots, &mut end, tracer);
             break;
         }
 
@@ -359,65 +359,40 @@ fn coordinate(
         {
             let _deliver = voxel_obs::span!("fleet.deliver");
             for d in deliveries.drain(..) {
-                has_delivery[d.flow] = true;
                 per_lane[lane_of(d.flow)].push(d);
             }
         }
 
-        // Fan the round out. A session is skipped — no wake-up at all —
-        // when it has no deliveries and its next event is past the
-        // barrier; the skip predicate reads only partition-invariant
-        // state, so every worker count skips identically.
+        // Fan the round out. Every live session is advanced; one with no
+        // deliveries whose next event is past the barrier returns without
+        // a wake-up, a rule each session applies to its own state.
         {
             let _pump = voxel_obs::span!("fleet.pump");
             for (j, lane) in lanes.iter_mut().enumerate() {
-                let lo = lane_lo[j];
-                let mut skip = std::mem::take(&mut skips[j]);
-                skip.clear();
-                skip.extend(
-                    (lo..lo + sizes[j])
-                        .map(|f| !has_delivery[f] && next_by_flow[f].is_none_or(|t| t > barrier)),
-                );
                 lane.dispatch(Cmd::Round(RoundCmd {
                     barrier,
                     deliveries: std::mem::take(&mut per_lane[j]),
-                    skip,
                 }));
-            }
-            for flag in has_delivery.iter_mut() {
-                *flag = false;
             }
 
             // Collect in lane order (the inline lane executes here; thread
             // lanes have been working since dispatch).
             merged.clear();
-            finished.clear();
-            for (j, lane) in lanes.iter_mut().enumerate() {
-                match lane.collect() {
-                    Reply::Round(mut r) => {
-                        skips[j] = std::mem::take(&mut r.skip);
-                        iters += r.iters;
-                        merged.append(&mut r.outbox);
-                        notes.append(&mut r.notes);
-                        for (flow, t) in r.blocked {
-                            next_by_flow[flow] = Some(t);
-                        }
-                        for note in r.finished.drain(..) {
-                            next_by_flow[note.flow] = None;
-                            finished.push(note);
-                        }
-                    }
-                    Reply::Outcomes(_) => unreachable!("harvest reply during a round"),
+            sessions_next = None;
+            for lane in lanes.iter_mut() {
+                let mut r = lane.collect();
+                iters += r.iters;
+                merged.append(&mut r.outbox);
+                notes.append(&mut r.notes);
+                finished.append(&mut r.finished);
+                if let Some(t) = r.next {
+                    sessions_next = Some(sessions_next.map_or(t, |s| s.min(t)));
                 }
             }
         }
 
         live -= finished.len();
-        finished.sort_by_key(|f| (f.at, f.flow));
-        for f in &finished {
-            end = end.max(f.at);
-            emit_session_end(tracer, f);
-        }
+        land(&mut finished, &mut slots, &mut end, tracer);
 
         // Merge the round's packets in partition-invariant order and pump
         // the link: pop completions due before each arrival (occupancy at
@@ -469,21 +444,6 @@ fn coordinate(
         prev = barrier;
     }
 
-    // Harvest per-session results, reassembled in flow order.
-    for lane in lanes.iter_mut() {
-        lane.dispatch(Cmd::Harvest);
-    }
-    let mut slots: Vec<Option<TrialResult>> = (0..n).map(|_| None).collect();
-    for lane in lanes.iter_mut() {
-        match lane.collect() {
-            Reply::Outcomes(outs) => {
-                for (flow, r) in outs {
-                    slots[flow] = Some(r);
-                }
-            }
-            Reply::Round(_) => unreachable!("round reply during harvest"),
-        }
-    }
     #[expect(
         clippy::expect_used,
         reason = "every flow was frozen or finished above"
@@ -564,19 +524,36 @@ fn coordinate(
     result
 }
 
+/// Land the sessions that just finished in their flow's slot, in `(at,
+/// flow)` order, pushing `end` to the latest and emitting each one's
+/// `fleet_session_end` trace record.
+fn land(
+    finished: &mut Vec<(SimTime, usize, TrialResult)>,
+    slots: &mut [Option<TrialResult>],
+    end: &mut SimTime,
+    tracer: &Tracer,
+) {
+    finished.sort_by_key(|&(at, flow, _)| (at, flow));
+    for (at, flow, r) in finished.drain(..) {
+        *end = (*end).max(at);
+        emit_session_end(tracer, at, flow, &r);
+        slots[flow] = Some(r);
+    }
+}
+
 /// Emit the `fleet_session_end` trace record for one finished member.
-fn emit_session_end(tracer: &Tracer, f: &FinishNote) {
+fn emit_session_end(tracer: &Tracer, at: SimTime, flow: usize, r: &TrialResult) {
     trace_event!(
         tracer,
-        f.at,
+        at,
         Layer::Fleet,
         "fleet_session_end",
-        "flow" = f.flow,
-        "system" = f.system.as_str(),
-        "completed" = f.completed,
-        "stall_s" = f.stall_s,
-        "ssim" = f.ssim,
-        "bytes_downloaded" = f.bytes_downloaded,
+        "flow" = flow,
+        "system" = r.abr.as_str(),
+        "completed" = r.completed,
+        "stall_s" = r.stall_s,
+        "ssim" = r.avg_ssim(),
+        "bytes_downloaded" = r.bytes_downloaded,
     );
     tracer.count("fleet.sessions_completed", 1);
 }

@@ -17,11 +17,17 @@
 //! - [`Lane`]: a shard handle — either the coordinator's own slice of
 //!   sessions or a channel pair to a worker thread.
 //!
-//! Determinism: everything a session exports (outgoing packets, finish
-//! notes, blocked times) is keyed by partition-invariant values — event
-//! time, flow id, per-flow sequence — never by shard id or thread
-//! interleaving, so the coordinator's merge order cannot observe how
-//! sessions were distributed across workers.
+//! Every round advances every live session; one blocked past the barrier
+//! with nothing delivered returns at once, without an iteration (the rule
+//! is the session's own, in [`SessionCore::advance`]). A session's
+//! [`TrialResult`] comes back in the reply of the round it finished in,
+//! and a worker exits when the coordinator drops its command channel.
+//!
+//! Determinism: everything a session exports (outgoing packets, results,
+//! blocked times) is keyed by partition-invariant values — event time,
+//! flow id, per-flow sequence — never by shard id or thread interleaving,
+//! so the coordinator's merge order cannot observe how sessions were
+//! distributed across workers.
 
 use std::sync::mpsc::{Receiver, Sender};
 use std::thread::{Scope, ScopedJoinHandle};
@@ -75,28 +81,12 @@ pub(crate) struct Delivery {
     pub payload: Packet,
 }
 
-/// A session that finished during a round, with the fields the
-/// coordinator needs to emit its `fleet_session_end` trace event.
-pub(crate) struct FinishNote {
-    pub flow: usize,
-    pub system: String,
-    pub at: SimTime,
-    pub completed: bool,
-    pub stall_s: f64,
-    pub ssim: f64,
-    pub bytes_downloaded: u64,
-}
-
 /// One barrier round's instructions to a shard.
 pub(crate) struct RoundCmd {
     /// Advance every live session up to (and including) this time.
     pub barrier: SimTime,
     /// Link deliveries to inject before advancing, in coordinator order.
     pub deliveries: Vec<Delivery>,
-    /// Flows the coordinator knows cannot act this round (blocked past
-    /// the barrier with no deliveries): skipped without a wake-up. Handed
-    /// back in [`RoundReply::skip`] for the next round to refill.
-    pub skip: Vec<bool>,
 }
 
 /// What a shard reports back after a round.
@@ -107,14 +97,12 @@ pub(crate) struct RoundReply {
     /// Objects resolved by session servers, in resolution order; empty
     /// unless the fleet runs an edge tier.
     pub notes: Vec<NoteOut>,
-    /// `(flow, earliest pending time)` for every still-live session.
-    pub blocked: Vec<(usize, SimTime)>,
-    /// Sessions that finished this round.
-    pub finished: Vec<FinishNote>,
+    /// The earliest pending time over the shard's still-live sessions.
+    pub next: Option<SimTime>,
+    /// Sessions that finished this round: `(at, flow, result)`.
+    pub finished: Vec<(SimTime, usize, TrialResult)>,
     /// Event-loop iterations spent by this shard this round.
     pub iters: u64,
-    /// The round's [`RoundCmd::skip`] buffer, returned for reuse.
-    pub skip: Vec<bool>,
 }
 
 /// Coordinator → shard commands.
@@ -122,14 +110,6 @@ pub(crate) enum Cmd {
     Round(RoundCmd),
     /// Freeze every unfinished session at the cap.
     Freeze(SimTime),
-    /// Return the per-session results; the worker exits afterwards.
-    Harvest,
-}
-
-/// Shard → coordinator replies.
-pub(crate) enum Reply {
-    Round(RoundReply),
-    Outcomes(Vec<(usize, TrialResult)>),
 }
 
 /// One fleet member: its session engine and the bookkeeping the barrier
@@ -142,7 +122,6 @@ pub(crate) struct SessionCell {
     delay_up: SimDuration,
     out_seq: u64,
     note_seq: u64,
-    result: Option<TrialResult>,
 }
 
 /// A fleet member's [`Wire`] for one round: downlink packets and serve
@@ -227,7 +206,6 @@ impl SessionCell {
             delay_up: seed.delay_up,
             out_seq: 0,
             note_seq: 0,
-            result: None,
         }
     }
 
@@ -248,37 +226,29 @@ impl SessionCell {
         let advanced = core.advance(barrier, &mut wire);
         reply.iters += core.iters() - before;
         match advanced {
-            Advanced::Blocked(next) => reply.blocked.push((self.flow, next)),
-            Advanced::Done(at) => reply.finished.extend(self.finish(at)),
+            Advanced::Blocked(t) => reply.next = Some(reply.next.map_or(t, |n| n.min(t))),
+            Advanced::Done(at) => self.finish(at, reply),
         }
     }
 
-    /// Close out the session at `now` (`None` if it already was).
-    fn finish(&mut self, now: SimTime) -> Option<FinishNote> {
-        let mut r = self.core.take()?.finish(now);
-        r.abr = self.label.clone();
-        let note = FinishNote {
-            flow: self.flow,
-            system: self.label.clone(),
-            at: now,
-            completed: r.completed,
-            stall_s: r.stall_s,
-            ssim: r.avg_ssim(),
-            bytes_downloaded: r.bytes_downloaded,
-        };
-        self.result = Some(r);
-        Some(note)
+    /// Close out the session at `now`, if it was not already.
+    fn finish(&mut self, now: SimTime, reply: &mut RoundReply) {
+        if let Some(core) = self.core.take() {
+            let mut r = core.finish(now);
+            r.abr = self.label.clone();
+            reply.finished.push((now, self.flow, r));
+        }
     }
 }
 
 /// Run one barrier round over a shard's sessions. Shared by the inline
 /// and threaded lanes — this function *is* the algorithm; worker count
 /// only changes who calls it.
-pub(crate) fn shard_round(sessions: &mut [SessionCell], mut cmd: RoundCmd) -> RoundReply {
+pub(crate) fn shard_round(sessions: &mut [SessionCell], cmd: RoundCmd) -> RoundReply {
     let mut reply = RoundReply::default();
     // A lane's flows are contiguous, in order.
     let lo = sessions.first().map_or(0, |s| s.flow);
-    for d in cmd.deliveries.drain(..) {
+    for d in cmd.deliveries {
         #[expect(
             clippy::expect_used,
             reason = "the coordinator routes by flow ownership; a miss is a harness bug"
@@ -298,12 +268,9 @@ pub(crate) fn shard_round(sessions: &mut [SessionCell], mut cmd: RoundCmd) -> Ro
             core.inject(d.at, d.payload);
         }
     }
-    for (i, cell) in sessions.iter_mut().enumerate() {
-        if !cmd.skip.get(i).copied().unwrap_or(false) {
-            cell.advance(cmd.barrier, &mut reply);
-        }
+    for cell in sessions.iter_mut() {
+        cell.advance(cmd.barrier, &mut reply);
     }
-    reply.skip = cmd.skip;
     reply
 }
 
@@ -312,47 +279,32 @@ pub(crate) fn shard_round(sessions: &mut [SessionCell], mut cmd: RoundCmd) -> Ro
 pub(crate) fn shard_freeze(sessions: &mut [SessionCell], at: SimTime) -> RoundReply {
     let mut reply = RoundReply::default();
     for cell in sessions.iter_mut() {
-        if let Some(note) = cell.finish(at) {
-            reply.finished.push(note);
-        }
+        cell.finish(at, &mut reply);
     }
     reply
 }
 
-fn harvest(sessions: Vec<SessionCell>) -> Vec<(usize, TrialResult)> {
-    sessions
-        .into_iter()
-        .map(|s| {
-            let flow = s.flow;
-            #[expect(
-                clippy::expect_used,
-                reason = "the coordinator freezes stragglers before harvesting"
-            )]
-            (flow, s.result.expect("session finished before harvest"))
-        })
-        .collect()
+/// Run one command over a shard's sessions.
+fn execute(sessions: &mut [SessionCell], cmd: Cmd) -> RoundReply {
+    match cmd {
+        Cmd::Round(round) => shard_round(sessions, round),
+        Cmd::Freeze(at) => shard_freeze(sessions, at),
+    }
 }
 
 /// Worker-thread body: build the shard's sessions locally (session state
-/// never crosses threads), then serve rounds until harvested.
+/// never crosses threads), then serve commands until the coordinator
+/// hangs up.
 fn worker_loop(
     seeds: Vec<SessionSeed>,
     rx: Receiver<Cmd>,
-    tx: Sender<Reply>,
+    tx: Sender<RoundReply>,
     recorder: Option<voxel_obs::FlightRecorder>,
 ) {
     let _bound = recorder.as_ref().map(voxel_obs::install_recorder);
     let mut sessions: Vec<SessionCell> = seeds.into_iter().map(SessionCell::new).collect();
     while let Ok(cmd) = rx.recv() {
-        let reply = match cmd {
-            Cmd::Round(round) => Reply::Round(shard_round(&mut sessions, round)),
-            Cmd::Freeze(at) => Reply::Round(shard_freeze(&mut sessions, at)),
-            Cmd::Harvest => {
-                let _ = tx.send(Reply::Outcomes(harvest(sessions)));
-                return;
-            }
-        };
-        if tx.send(reply).is_err() {
+        if tx.send(execute(&mut sessions, cmd)).is_err() {
             return;
         }
     }
@@ -360,8 +312,8 @@ fn worker_loop(
 
 /// A shard handle as the coordinator sees it: the inline lane runs the
 /// shard's sessions on the coordinator thread (workers = 1 keeps the
-/// whole run single-threaded); a thread lane speaks the same `Cmd`/`Reply`
-/// protocol over channels.
+/// whole run single-threaded); a thread lane speaks the same `Cmd` /
+/// [`RoundReply`] protocol over channels.
 pub(crate) enum Lane<'scope> {
     Inline {
         sessions: Vec<SessionCell>,
@@ -369,7 +321,7 @@ pub(crate) enum Lane<'scope> {
     },
     Thread {
         tx: Sender<Cmd>,
-        rx: Receiver<Reply>,
+        rx: Receiver<RoundReply>,
         /// Joined when a channel closes, to re-raise the worker's panic.
         worker: Option<ScopedJoinHandle<'scope, ()>>,
     },
@@ -381,7 +333,7 @@ pub(crate) enum Lane<'scope> {
 fn worker_died(worker: &mut Option<ScopedJoinHandle<'_, ()>>) -> ! {
     #[expect(
         clippy::panic,
-        reason = "a worker hangs up only by panicking or after Harvest"
+        reason = "a worker hangs up only by panicking while the coordinator holds its lane"
     )]
     let Some(Err(payload)) = worker.take().map(ScopedJoinHandle::join) else {
         panic!("shard worker hung up without panicking");
@@ -431,17 +383,15 @@ impl<'scope> Lane<'scope> {
     }
 
     /// Execute (inline) or await (threaded) the dispatched command.
-    pub fn collect(&mut self) -> Reply {
+    pub fn collect(&mut self) -> RoundReply {
         match self {
             #[expect(
                 clippy::expect_used,
                 reason = "collect without dispatch is a harness bug"
             )]
-            Lane::Inline { sessions, pending } => match pending.take().expect("round dispatched") {
-                Cmd::Round(round) => Reply::Round(shard_round(sessions, round)),
-                Cmd::Freeze(at) => Reply::Round(shard_freeze(sessions, at)),
-                Cmd::Harvest => Reply::Outcomes(harvest(std::mem::take(sessions))),
-            },
+            Lane::Inline { sessions, pending } => {
+                execute(sessions, pending.take().expect("round dispatched"))
+            }
             Lane::Thread { rx, worker, .. } => rx.recv().unwrap_or_else(|_| worker_died(worker)),
         }
     }
@@ -481,11 +431,10 @@ mod tests {
         seeds(lo, n).into_iter().map(SessionCell::new).collect()
     }
 
-    fn round(deliveries: Vec<Delivery>, lane_len: usize) -> RoundCmd {
+    fn round(deliveries: Vec<Delivery>) -> RoundCmd {
         RoundCmd {
             barrier: SimTime::from_millis(1),
             deliveries,
-            skip: vec![false; lane_len],
         }
     }
 
@@ -505,12 +454,11 @@ mod tests {
     fn deliveries_reach_their_flow_in_a_lane_that_does_not_start_at_zero() {
         let mut sessions = lane(5, 3);
         let deliveries = vec![ping_for(6), ping_for(7), ping_for(6)];
-        let reply = shard_round(&mut sessions, round(deliveries, 3));
-        assert_eq!(reply.skip.len(), 3, "the skip buffer comes back");
-        shard_freeze(&mut sessions, SimTime::from_millis(1));
-        let received: Vec<(usize, u64)> = harvest(sessions)
+        shard_round(&mut sessions, round(deliveries));
+        let received: Vec<(usize, u64)> = shard_freeze(&mut sessions, SimTime::from_millis(1))
+            .finished
             .into_iter()
-            .map(|(flow, r)| (flow, r.transport.client_packets_received))
+            .map(|(_, flow, r)| (flow, r.transport.client_packets_received))
             .collect();
         assert_eq!(received, [(5, 0), (6, 2), (7, 1)]);
     }
@@ -518,13 +466,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "delivery routed to the owning shard")]
     fn a_delivery_for_a_flow_below_the_lane_is_a_harness_bug() {
-        shard_round(&mut lane(5, 1), round(vec![ping_for(4)], 1));
+        shard_round(&mut lane(5, 1), round(vec![ping_for(4)]));
     }
 
     #[test]
     #[should_panic(expected = "delivery routed to the owning shard")]
     fn a_delivery_for_a_flow_beyond_the_lane_is_a_harness_bug() {
-        shard_round(&mut lane(5, 1), round(vec![ping_for(6)], 1));
+        shard_round(&mut lane(5, 1), round(vec![ping_for(6)]));
     }
 
     /// A worker thread that panics takes its channels down with it; the
@@ -537,7 +485,7 @@ mod tests {
                 std::thread::scope(|scope| {
                     let recorder = voxel_obs::current_recorder();
                     let mut lane = Lane::spawn(scope, seeds(5, 1), recorder);
-                    lane.dispatch(Cmd::Round(round(vec![ping_for(6)], 1)));
+                    lane.dispatch(Cmd::Round(round(vec![ping_for(6)])));
                     lane.collect();
                 })
             })

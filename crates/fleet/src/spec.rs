@@ -15,17 +15,13 @@
 //! as exact inverses (pinned by a parse↔display proptest).
 //!
 //! ```
-//! use voxel_fleet::{FleetSpec, TopologySpec, Routing};
+//! use voxel_fleet::{FleetSpec, Routing};
 //! use voxel_media::content::VideoId;
 //!
-//! let spec = FleetSpec::new(VideoId::Bbb)
-//!     .member(4, "VOXEL")
-//!     .member(2, "BOLA")
-//!     .link(6.0)
-//!     .stagger(2)
-//!     .topology(TopologySpec::new(4).routing(Routing::Hash).origin(50.0));
-//! let s = spec.to_string();
-//! assert_eq!(s.parse::<FleetSpec>().unwrap(), spec);
+//! let spec: FleetSpec = "BBB:4xVOXEL+2xBOLA:const6:stg2:e4:rhash:o50".parse().unwrap();
+//! assert_eq!((spec.video, spec.total_sessions(), spec.stagger_s), (VideoId::Bbb, 6, 2));
+//! assert_eq!(spec.edge.as_ref().map(|t| t.routing), Some(Routing::Hash));
+//! assert_eq!(spec.to_string().parse::<FleetSpec>().unwrap(), spec);
 //! ```
 //!
 //! This module also owns the system legend table ([`systems`],
@@ -285,19 +281,16 @@ impl Routing {
 /// The edge serving tier of a fleet (DESIGN.md §16): `edges` edge servers
 /// in front of one shared origin, a routing policy assigning sessions to
 /// edges, and a per-edge byte-budgeted cache with byte-range-aware
-/// admission. Constructed with builder methods:
+/// admission. Spelled in a fleet spec's `e<M>` token group:
 ///
 /// ```
-/// use voxel_fleet::{Routing, TopologySpec};
 /// use voxel_core::{Admission, EvictionPolicy};
+/// use voxel_fleet::{FleetSpec, Routing};
 ///
-/// let t = TopologySpec::new(4)
-///     .routing(Routing::Robin)
-///     .admission(Admission::ReliablePrefix)
-///     .eviction(EvictionPolicy::Lfu)
-///     .cache_mb(64.0)
-///     .origin(50.0);
-/// assert_eq!(t.edges, 4);
+/// let spec = FleetSpec::parse("BBB:8xVOXEL:const12:e4:rrobin:arel:plfu:cb64:o50").unwrap();
+/// let t = spec.edge.unwrap();
+/// assert_eq!((t.edges, t.routing, t.cache_mb), (4, Routing::Robin, Some(64.0)));
+/// assert_eq!((t.admission, t.eviction), (Admission::ReliablePrefix, EvictionPolicy::Lfu));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TopologySpec {
@@ -334,36 +327,6 @@ impl TopologySpec {
             cache_mb: None,
             origin_mbps: 100.0,
         }
-    }
-
-    /// Set the session → edge routing policy.
-    pub fn routing(mut self, routing: Routing) -> TopologySpec {
-        self.routing = routing;
-        self
-    }
-
-    /// Set the cache admission mode.
-    pub fn admission(mut self, admission: Admission) -> TopologySpec {
-        self.admission = admission;
-        self
-    }
-
-    /// Set the cache eviction policy.
-    pub fn eviction(mut self, eviction: EvictionPolicy) -> TopologySpec {
-        self.eviction = eviction;
-        self
-    }
-
-    /// Set the per-edge cache byte budget, in MB.
-    pub fn cache_mb(mut self, mb: f64) -> TopologySpec {
-        self.cache_mb = Some(mb);
-        self
-    }
-
-    /// Set the origin backhaul rate, Mbit/s.
-    pub fn origin(mut self, mbps: f64) -> TopologySpec {
-        self.origin_mbps = mbps;
-        self
     }
 
     /// The byte budget, in bytes.
@@ -466,109 +429,27 @@ impl Default for FleetSpec {
 }
 
 /// Resolve a fleet's shard worker count: the spec's explicit `w<N>` token
-/// when present, otherwise the `VOXEL_SHARD_WORKERS` environment variable
-/// (`max` = available parallelism, or a number), otherwise 1. Always
-/// clamped to `[1, sessions]`.
-pub(crate) fn resolve_workers(explicit: Option<usize>, sessions: usize) -> usize {
-    let requested =
-        explicit.unwrap_or_else(
-            || match std::env::var("VOXEL_SHARD_WORKERS").ok().as_deref() {
-                Some("max") => std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1),
-                Some(v) => v.parse().unwrap_or(1),
-                None => 1,
-            },
-        );
-    requested.clamp(1, sessions.max(1))
+/// when present, otherwise `env`, the value of the `VOXEL_SHARD_WORKERS`
+/// environment variable (`max` = available parallelism, or a positive
+/// integer), otherwise 1. Always clamped to `[1, sessions]`. Any other
+/// `env` value is an error naming the variable and the value.
+pub(crate) fn resolve_workers(
+    explicit: Option<usize>,
+    env: Option<&str>,
+    sessions: usize,
+) -> Result<usize, String> {
+    let requested = match (explicit, env) {
+        (Some(w), _) => w,
+        (None, None) => 1,
+        (None, Some("max")) => std::thread::available_parallelism().map_or(1, |p| p.get()),
+        (None, Some(v)) => v.parse().ok().filter(|&w| w >= 1).ok_or_else(|| {
+            format!("VOXEL_SHARD_WORKERS={v:?} is neither max nor a positive integer")
+        })?,
+    };
+    Ok(requested.clamp(1, sessions.max(1)))
 }
 
 impl FleetSpec {
-    /// A builder seed: `video`, no members yet, the workspace defaults
-    /// everywhere else. Chain [`FleetSpec::member`] and friends.
-    pub fn new(video: VideoId) -> FleetSpec {
-        FleetSpec {
-            video,
-            members: Vec::new(),
-            ..FleetSpec::default()
-        }
-    }
-
-    /// Append a member group of `count` sessions running `system`
-    /// (default congestion controller).
-    pub fn member(mut self, count: usize, system: &str) -> FleetSpec {
-        self.members.push(FleetMember {
-            count,
-            system: system.to_string(),
-            cc: None,
-        });
-        self
-    }
-
-    /// Append a member group with an explicit congestion controller.
-    pub fn member_cc(mut self, count: usize, system: &str, cc: CcKind) -> FleetSpec {
-        self.members.push(FleetMember {
-            count,
-            system: system.to_string(),
-            cc: Some(cc),
-        });
-        self
-    }
-
-    /// Set the shared link rate, Mbit/s.
-    pub fn link(mut self, mbps: f64) -> FleetSpec {
-        self.link_mbps = mbps;
-        self
-    }
-
-    /// Set the trace duration, seconds.
-    pub fn duration(mut self, s: usize) -> FleetSpec {
-        self.duration_s = s;
-        self
-    }
-
-    /// Set the per-session playback buffer, segments.
-    pub fn buffer(mut self, segments: usize) -> FleetSpec {
-        self.buffer_segments = segments;
-        self
-    }
-
-    /// Set the shared droptail queue length, packets.
-    pub fn queue(mut self, packets: usize) -> FleetSpec {
-        self.queue_packets = packets;
-        self
-    }
-
-    /// Set the link scheduling discipline.
-    pub fn discipline(mut self, discipline: Discipline) -> FleetSpec {
-        self.discipline = discipline;
-        self
-    }
-
-    /// Set the session start stagger, seconds.
-    pub fn stagger(mut self, s: usize) -> FleetSpec {
-        self.stagger_s = s;
-        self
-    }
-
-    /// Cap the simulated horizon, seconds.
-    pub fn cap(mut self, s: usize) -> FleetSpec {
-        self.cap_s = Some(s);
-        self
-    }
-
-    /// Pin the sharded runtime's worker count.
-    pub fn workers(mut self, w: usize) -> FleetSpec {
-        self.workers = Some(w);
-        self
-    }
-
-    /// Install an edge serving tier.
-    pub fn topology(mut self, t: TopologySpec) -> FleetSpec {
-        self.edge = Some(t);
-        self
-    }
-
     /// The edge tier an `r`/`a`/`p`/`cb`/`o` token configures: those
     /// tokens require the `e<M>` token first.
     fn edge_mut(&mut self, tok: &str, pos: usize) -> Result<&mut TopologySpec, SpecError> {
@@ -800,39 +681,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_composes_the_typed_surface() {
-        let s = FleetSpec::new(VideoId::Tos)
-            .member(4, "VOXEL")
-            .member_cc(2, "BOLA", CcKind::Bbr)
-            .link(12.0)
-            .duration(120)
-            .buffer(1)
-            .queue(32)
-            .discipline(Discipline::Fifo)
-            .stagger(1)
-            .cap(60)
-            .workers(2)
-            .topology(
-                TopologySpec::new(4)
-                    .routing(Routing::Robin)
-                    .admission(Admission::ReliablePrefix)
-                    .eviction(EvictionPolicy::Lfu)
-                    .cache_mb(64.0)
-                    .origin(50.0),
-            );
-        assert_eq!(
-            s.spec(),
-            "ToS:4xVOXEL+2xBOLA@bbr:const12:buf1:q32:d120:fifo:stg1:cap60:e4:rrobin:arel:plfu:cb64:o50:w2"
-        );
-        assert_eq!(FleetSpec::parse(&s.spec()).expect("round-trips"), s);
-        let t = s.edge.as_ref().expect("edge tier");
-        assert_eq!(t.cache_budget_bytes(), Some(64 << 20));
-        let cfg = t.cache_config();
-        assert_eq!(cfg.admission, Admission::ReliablePrefix);
-        assert_eq!(cfg.eviction, EvictionPolicy::Lfu);
-    }
-
-    #[test]
     fn edge_tokens_round_trip_and_default() {
         // A bare `e` token takes the documented defaults and canonicalizes
         // with every edge knob spelled out (except the unbounded budget).
@@ -889,11 +737,29 @@ mod tests {
         assert!(!s.spec().contains(":w"));
         // An explicit token wins over the environment and clamps to the
         // session count.
-        assert_eq!(resolve_workers(Some(4), 8), 4);
-        assert_eq!(resolve_workers(Some(64), 8), 8);
-        assert_eq!(resolve_workers(Some(1), 8), 1);
+        assert_eq!(resolve_workers(Some(4), Some("two"), 8), Ok(4));
+        assert_eq!(resolve_workers(Some(64), None, 8), Ok(8));
+        assert_eq!(resolve_workers(Some(1), Some("max"), 8), Ok(1));
         for bad in ["BBB:2xVOXEL:const6:w0", "BBB:2xVOXEL:const6:wx"] {
             assert!(FleetSpec::parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    /// `VOXEL_SHARD_WORKERS` takes `max` or a positive integer (clamped
+    /// like the token); anything else is an error naming it and its value.
+    #[test]
+    fn workers_variable_takes_max_or_a_positive_integer() {
+        assert_eq!(resolve_workers(None, None, 8), Ok(1));
+        assert_eq!(resolve_workers(None, Some("2"), 8), Ok(2));
+        assert_eq!(resolve_workers(None, Some("64"), 8), Ok(8));
+        let max = std::thread::available_parallelism().map_or(1, |p| p.get());
+        assert_eq!(resolve_workers(None, Some("max"), 1024), Ok(max.min(1024)));
+        for bad in ["two", "-1", "0", "", " 2", "2.0", "MAX"] {
+            let err = resolve_workers(None, Some(bad), 8).expect_err(bad);
+            assert!(
+                err.contains("VOXEL_SHARD_WORKERS") && err.contains(&format!("{bad:?}")),
+                "{err}"
+            );
         }
     }
 
@@ -1007,9 +873,9 @@ mod tests {
             s.spec(),
             "BBB:4xVOXEL@bbr+4xVOXEL@cubic:const6:buf3:q64:d300:fifo:stg2:w4"
         );
-        assert_eq!(resolve_workers(s.workers, s.total_sessions()), 4);
+        assert_eq!(resolve_workers(s.workers, None, s.total_sessions()), Ok(4));
         // And the `w` clamp still applies with cc groups in play.
-        assert_eq!(resolve_workers(Some(64), s.total_sessions()), 8);
+        assert_eq!(resolve_workers(Some(64), None, s.total_sessions()), Ok(8));
     }
 
     #[test]

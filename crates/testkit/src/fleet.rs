@@ -309,7 +309,13 @@ pub fn shard_parity_failures(
     let mut v = Vec::new();
     let mut reference: Option<(usize, FleetRun)> = None;
     for &w in counts {
-        let run = run_fleet_traced(&spec.clone().workers(w), content)?;
+        let run = run_fleet_traced(
+            &FleetSpec {
+                workers: Some(w),
+                ..spec.clone()
+            },
+            content,
+        )?;
         for f in &run.failures {
             v.push(format!("{name} w={w}: oracle: {f}"));
         }

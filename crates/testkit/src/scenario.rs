@@ -836,19 +836,13 @@ mod props {
         }
     }
 
-    /// The typed fleet surface still round-trips token-for-token: every
-    /// builder-made spec displays to a string that parses back equal.
+    /// The typed fleet surface round-trips token-for-token: a parsed
+    /// fleet displays to a string that parses back equal, as a `Spec`.
     #[test]
-    fn builder_made_fleets_round_trip() {
-        use voxel_fleet::{Routing, TopologySpec};
-        let spec = FleetSpec::new(VideoId::Tos)
-            .member(4, "VOXEL")
-            .member_cc(2, "BOLA", voxel_fleet::CcKind::Bbr)
-            .link(12.5)
-            .buffer(1)
-            .cap(60)
-            .workers(2)
-            .topology(TopologySpec::new(4).routing(Routing::Least).cache_mb(0.5));
+    fn parsed_fleets_round_trip_as_specs() {
+        let spec =
+            FleetSpec::parse("ToS:4xVOXEL+2xBOLA@bbr:const12.5:buf1:cap60:e4:rleast:cb0.5:w2")
+                .expect("parses");
         assert_eq!(Spec::parse(&spec.to_string()), Ok(Spec::Fleet(spec)));
     }
 }

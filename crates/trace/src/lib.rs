@@ -12,8 +12,9 @@
 //!   disabled tracer is a `None` — emitting through it is one branch, so
 //!   instrumented hot paths cost nothing measurable when tracing is off.
 //! - [`TraceSink`] implementations: [`NullSink`], ring-buffered
-//!   [`MemorySink`], human-readable stderr lines ([`Tracer::stderr`]),
-//!   and [`JsonlSink`] (one JSON object per line, replayable).
+//!   [`MemorySink`] and [`JsonlSink`] (one JSON object per line,
+//!   replayable). [`TraceEvent::to_human`] renders one event as a line of
+//!   text, which the flight recorder's dump prints.
 //! - [`MetricsRegistry`]: counters and log-scale-bucket
 //!   [`Histogram`]s, snapshotable at any sim time.
 //! - [`KINDS`] and [`METRICS`]: the taxonomy every timeline line and

@@ -114,16 +114,6 @@ impl MemoryHandle {
     }
 }
 
-/// Human-readable lines to stderr — the debug-run sink.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct StderrSink;
-
-impl TraceSink for StderrSink {
-    fn record(&mut self, event: &TraceEvent) {
-        eprintln!("{}", event.to_human());
-    }
-}
-
 /// One JSON object per line to any writer — the machine-readable timeline.
 ///
 /// Events are rendered straight into one reused buffer, which is handed

@@ -2,7 +2,7 @@
 
 use crate::event::{Layer, TraceEvent, Value};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-use crate::sink::{JsonlSink, MemoryHandle, MemorySink, StderrSink, TraceSink};
+use crate::sink::{JsonlSink, MemoryHandle, MemorySink, TraceSink};
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 use voxel_sim::SimTime;
@@ -76,11 +76,6 @@ impl Tracer {
     pub fn memory(session_id: u64, capacity: usize) -> (Tracer, MemoryHandle) {
         let (sink, handle) = MemorySink::shared(capacity);
         (Tracer::new(session_id, Box::new(sink)), handle)
-    }
-
-    /// A tracer printing human-readable lines to stderr.
-    pub fn stderr(session_id: u64) -> Tracer {
-        Tracer::new(session_id, Box::new(StderrSink))
     }
 
     /// A tracer writing a JSONL timeline to `path`.

@@ -8,8 +8,6 @@
 //! cargo run --release --example shared_link_fleet BBB:8xVOXEL:const6:stg2
 //! ```
 
-#![allow(clippy::expect_used, reason = "a binary aborts on a failed run")]
-
 use voxel::prelude::*;
 
 fn main() {
@@ -31,7 +29,13 @@ fn main() {
         spec.link_mbps,
         spec.discipline,
     );
-    let fleet = run_fleet(&spec, &cache, Tracer::disabled()).expect("validated spec runs");
+    let fleet = match run_fleet(&spec, &cache, Tracer::disabled()) {
+        Ok(fleet) => fleet,
+        Err(e) => {
+            eprintln!("fleet {spec_str:?} cannot run: {e}");
+            std::process::exit(2);
+        }
+    };
 
     println!(
         "\n{:4} {:12} {:>8} {:>12} {:>8} {:>9} {:>9}",
